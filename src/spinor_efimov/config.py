@@ -21,6 +21,12 @@ class ConfigError(ValueError):
     pass
 
 
+#: largest accepted grid and trial counts; larger values are refused
+#: before anything is allocated
+MAX_GRID_COUNT = 100_000
+MAX_TRIALS = 10_000
+
+
 @dataclass
 class RunConfig:
     task: str
@@ -275,6 +281,8 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
                 "ascending inside [0, pi/2]")
         if cfg.theta_count < 2:
             _err("theta_count", lines, "needs at least 2 points")
+        if cfg.theta_count > MAX_GRID_COUNT:
+            _err("theta_count", lines, f"at most {MAX_GRID_COUNT} points")
         if cfg.mode == "finite":
             if cfg.radius is None:
                 raise ConfigError("finite-mode theta-sweep needs R")
@@ -290,6 +298,8 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         cfg.r_count = 129 if cfg.r_count is None else cfg.r_count
         if cfg.r_count < 3:
             _err("R_count", lines, "needs at least 3 points")
+        if cfg.r_count > MAX_GRID_COUNT:
+            _err("R_count", lines, f"at most {MAX_GRID_COUNT} points")
         cfg.kappa_max = 10.0 if cfg.kappa_max is None else cfg.kappa_max
 
     if cfg.task == "ladder":
@@ -314,6 +324,8 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         cfg.kappa_max = 10.0 if cfg.kappa_max is None else cfg.kappa_max
         if cfg.trials < 1:
             _err("trials", lines, "must be at least 1")
+        if cfg.trials > MAX_TRIALS:
+            _err("trials", lines, f"at most {MAX_TRIALS}")
         if cfg.radius <= 0:
             _err("R", lines, "must be positive")
 

@@ -51,6 +51,8 @@ MERGE_TOL = 1e-8
 GRID_EPS = 1e-8
 #: default number of scan-grid points
 N_GRID = 2000
+#: matrices per stacked eigvalsh call; bounds the memory of a sweep's scan
+BLOCK_MATRICES = 8192
 
 
 class HyperangularError(ValueError):
@@ -105,6 +107,22 @@ class ChannelMatrixSpec:
                     "use asymptotic mode for unitary flags")
             if self.hyperradius is None or not self.hyperradius > 0.0:
                 raise HyperangularError("finite mode requires hyperradius > 0")
+        # the per-evaluation arrays over the active (non-closed) states:
+        # R/a (0 for unitary channels), the congruence diagonal
+        # 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer product
+        act = np.array([j for j, ch in enumerate(self.state_channel)
+                        if self.lengths[ch].kind != "closed"], dtype=int)
+        active_lengths = [self.lengths[self.state_channel[j]] for j in act]
+        r_over_a = np.array([0.0 if l.kind == "unitary"
+                             else self.hyperradius / l.value
+                             for l in active_lengths])
+        d = 1.0 / np.sqrt(np.maximum(1.0, SQRT2 * np.abs(r_over_a)))
+        for name, value in (("_active", act),
+                            ("_active_overlap", self.overlap[np.ix_(act, act)]),
+                            ("_r_over_a", r_over_a), ("_congruence", d),
+                            ("_scale", np.outer(d, d))):
+            value.flags.writeable = False  # shared by every evaluation
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_channels(channels: TwoBodyChannelSet,
@@ -140,75 +158,43 @@ class ChannelMatrixSpec:
 
     def active_states(self) -> np.ndarray:
         """Indices of states whose channel is not closed."""
-        return np.array([j for j, ch in enumerate(self.state_channel)
-                         if self.lengths[ch].kind != "closed"], dtype=int)
-
-    def _inverse_scaled_radius(self) -> np.ndarray:
-        """R/a per active state (0 for unitary channels)."""
-        out = []
-        for j in self.active_states():
-            l = self.lengths[self.state_channel[j]]
-            if l.kind == "unitary":
-                out.append(0.0)
-            else:
-                out.append(self.hyperradius / l.value)
-        return np.array(out)
-
-    def _norm_weights(self) -> np.ndarray:
-        """Per-state congruence weights, max(1, sqrt(2)|R/a|)."""
-        return np.maximum(1.0, SQRT2 * np.abs(self._inverse_scaled_radius()))
+        return self._active
 
 
-def _active_overlap(spec: ChannelMatrixSpec) -> np.ndarray:
-    act = spec.active_states()
-    return spec.overlap[np.ix_(act, act)]
+def _imag_stack(kappas, r_over_a, overlap, scale) -> np.ndarray:
+    """H(kappa) over an array of kappa values, shape kappas.shape + (m, m).
 
-
-def _imag_matrices(spec: ChannelMatrixSpec, kappas: np.ndarray,
-                   normalized: bool) -> np.ndarray:
-    """Stack of H(kappa) (or its normalized congruent form) over a batch
-    of kappa values; shape (len(kappas), n_active, n_active)."""
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    r_over_a = spec._inverse_scaled_radius()
-    o = _active_overlap(spec)
-    m = o.shape[0]
-    if normalized:
+    r_over_a (..., m), overlap and scale (..., m, m) are per-spec arrays
+    that broadcast against kappas; scale=None gives the raw H, otherwise
+    the normalized congruent form is returned."""
+    if scale is None:
+        diag = (kappas * np.cosh(0.5 * math.pi * kappas))[..., None] \
+            - SQRT2 * (np.sinh(0.5 * math.pi * kappas)[..., None] * r_over_a)
+        kern = KERNEL_COEFF * np.sinh(math.pi * kappas / 6.0)
+    else:
         e_full = np.exp(-math.pi * kappas)
-        diag = (kappas * (1.0 + e_full))[:, None] \
-            - SQRT2 * np.outer(1.0 - e_full, r_over_a)
+        diag = (kappas * (1.0 + e_full))[..., None] \
+            - SQRT2 * ((1.0 - e_full)[..., None] * r_over_a)
         kern = KERNEL_COEFF * (np.exp(-math.pi * kappas / 3.0)
                                - np.exp(-2.0 * math.pi * kappas / 3.0))
-        d = 1.0 / np.sqrt(spec._norm_weights())
-        scale = np.outer(d, d)
-    else:
-        diag = (kappas * np.cosh(0.5 * math.pi * kappas))[:, None] \
-            - SQRT2 * np.outer(np.sinh(0.5 * math.pi * kappas), r_over_a)
-        kern = KERNEL_COEFF * np.sinh(math.pi * kappas / 6.0)
-        scale = None
-    out = -kern[:, None, None] * o[None, :, :]
-    idx = np.arange(m)
-    out[:, idx, idx] += diag
-    if scale is not None:
-        out *= scale[None, :, :]
-    return out
+    return _assemble(kern, diag, overlap, scale)
 
 
-def _real_matrices(spec: ChannelMatrixSpec, svals: np.ndarray,
-                   normalized: bool) -> np.ndarray:
-    """Stack of M(s) on the real axis (already real symmetric)."""
-    svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    r_over_a = spec._inverse_scaled_radius()
-    o = _active_overlap(spec)
-    m = o.shape[0]
-    diag = (svals * np.cos(0.5 * math.pi * svals))[:, None] \
-        - SQRT2 * np.outer(np.sin(0.5 * math.pi * svals), r_over_a)
+def _real_stack(svals, r_over_a, overlap, scale) -> np.ndarray:
+    """M(s) on the real axis (already real symmetric); arguments as for
+    _imag_stack."""
+    diag = (svals * np.cos(0.5 * math.pi * svals))[..., None] \
+        - SQRT2 * (np.sin(0.5 * math.pi * svals)[..., None] * r_over_a)
     kern = KERNEL_COEFF * np.sin(math.pi * svals / 6.0)
-    out = -kern[:, None, None] * o[None, :, :]
-    idx = np.arange(m)
-    out[:, idx, idx] += diag
-    if normalized:
-        d = 1.0 / np.sqrt(spec._norm_weights())
-        out *= np.outer(d, d)[None, :, :]
+    return _assemble(kern, diag, overlap, scale)
+
+
+def _assemble(kern, diag, overlap, scale) -> np.ndarray:
+    out = -kern[..., None, None] * overlap
+    idx = np.arange(overlap.shape[-1])
+    out[..., idx, idx] += diag
+    if scale is not None:
+        out *= scale
     return out
 
 
@@ -229,12 +215,15 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
             f"s must lie on the real or imaginary axis, got {s!r}")
     if spec.active_states().size == 0:
         raise HyperangularError("all channels are closed; no matrix remains")
+    scale = spec._scale if normalized else None
     if s.real != 0.0:
-        return _real_matrices(spec, np.array([s.real]), normalized)[0]
+        return _real_stack(np.array([s.real]), spec._r_over_a,
+                           spec._active_overlap, scale)[0]
     kappa = s.imag
     if kappa <= 0.0:
         raise HyperangularError(f"imaginary axis requires kappa > 0, got {kappa}")
-    return _imag_matrices(spec, np.array([kappa]), normalized)[0]
+    return _imag_stack(np.array([kappa]), spec._r_over_a,
+                       spec._active_overlap, scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,159 +315,18 @@ def default_kappa_max(spec: ChannelMatrixSpec) -> float:
     return 10.0 + 2.0 * SQRT2 * spec.hyperradius / min(finite)
 
 
-def _bisect_curve(eval_one, k: int, lo: float, hi: float, f_lo: float,
-                  f_hi: float, tol: float) -> float:
-    """Bisect the k-th sorted eigenvalue curve to a sign flip."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval at floating resolution
-        f_mid = eval_one(mid)[k]
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _refine_tol(x: float) -> float:
-    return max(1e-12, 4.0 * np.finfo(float).eps * abs(x))
-
-
-def _find_axis_roots(spec: ChannelMatrixSpec, grid: np.ndarray,
-                     build_batch, axis: str,
-                     merge_tol: float,
-                     warning_sink: list | None) -> list[ChannelRoot]:
-    act = spec.active_states()
-    if act.size == 0:
-        return []
-
-    lam = np.linalg.eigvalsh(build_batch(grid))  # (n_grid, n_active)
-    n_curves = lam.shape[1]
-
-    def eval_one(x: float) -> np.ndarray:
-        return np.linalg.eigvalsh(build_batch(np.array([x]))[0])
-
-    refined: list[float] = []
-    for k in range(n_curves):
-        col = lam[:, k]
-        neg = col < 0.0
-        hits = np.nonzero(neg[:-1] != neg[1:])[0]
-        for i in hits:
-            refined.append(_bisect_curve(
-                eval_one, k, grid[i], grid[i + 1], col[i], col[i + 1],
-                _refine_tol(grid[i + 1])))
-        _flag_tangencies(grid, col, k, eval_one, refined, warning_sink)
-
-    if not refined:
-        return []
-
-    # merge coincident roots on distinct curves into one multiple root
-    refined.sort()
-    groups: list[list[float]] = [[refined[0]]]
-    for x in refined[1:]:
-        if x - groups[-1][-1] <= merge_tol:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-
-    roots = []
-    for grp in groups:
-        value = float(np.mean(grp))
-        mult = len(grp)
-        lam_r, vec_r = np.linalg.eigh(build_batch(np.array([value]))[0])
-        order = np.argsort(np.abs(lam_r))[:mult]
-        residual = float(np.max(np.abs(lam_r[order])))
-        if residual > 1e-6:
-            raise HyperangularError(
-                f"root candidate at {axis} {value} has residual {residual:.3e}")
-        # undo the congruence, then re-orthonormalize the null basis
-        d = 1.0 / np.sqrt(spec._norm_weights())
-        raw = d[:, None] * vec_r[:, order]
-        q, _ = np.linalg.qr(raw)
-        for c in range(q.shape[1]):
-            j = int(np.argmax(np.abs(q[:, c])))
-            if q[j, c] < 0:
-                q[:, c] = -q[:, c]
-        full = np.zeros((spec.n_states, mult))
-        full[act, :] = q
-        roots.append(ChannelRoot(axis, value, mult, full, residual))
-    return roots
-
-
-def _flag_tangencies(grid, col, k, eval_one, refined, warning_sink) -> None:
-    """Look for interior near-zero dips without a sign change; subdivide
-    the suspect cells and either pick up the hidden root pair or warn."""
-    absc = np.abs(col)
-    for i in range(1, len(col) - 1):
-        if not (absc[i] <= absc[i - 1] and absc[i] <= absc[i + 1]):
-            continue
-        if (col[i - 1] < 0) != (col[i] < 0) or (col[i] < 0) != (col[i + 1] < 0):
-            continue  # already a detected crossing
-        local = max(abs(col[i] - col[i - 1]), abs(col[i + 1] - col[i]))
-        if absc[i] > local:
-            continue
-        fine = np.linspace(grid[i - 1], grid[i + 1], 65)
-        fv = np.array([eval_one(x)[k] for x in fine])
-        neg = fv < 0.0
-        hits = np.nonzero(neg[:-1] != neg[1:])[0]
-        if hits.size:
-            for j in hits:
-                refined.append(_bisect_curve(
-                    eval_one, k, fine[j], fine[j + 1], fv[j], fv[j + 1],
-                    _refine_tol(fine[j + 1])))
-        else:
-            fine_var = np.max(np.abs(np.diff(fv)))
-            if np.min(np.abs(fv)) < 0.25 * fine_var:
-                message = (
-                    f"eigenvalue curve {k} grazes zero near "
-                    f"{0.5 * (grid[i - 1] + grid[i + 1]):.6g} without a sign "
-                    "change; a root pair inside one grid cell cannot be "
-                    "excluded, consider a denser grid")
-                if warning_sink is not None:
-                    warning_sink.append(message)
-                else:
-                    warnings.warn(message, GridResolutionWarning, stacklevel=3)
-
-
-def _attach_profiles(spec: ChannelMatrixSpec,
-                     roots: list[ChannelRoot]) -> list[ChannelRoot]:
-    if spec.channel_set is None or spec.n_states != 6:
-        return roots
-    basis = three_body_basis(spec.channel_set)
-    return [
-        ChannelRoot(r.axis, r.value, r.multiplicity, r.null_vectors,
-                    r.residual, classify_root(r, basis))
-        for r in roots
-    ]
-
-
-def find_roots_imaginary(spec: ChannelMatrixSpec,
-                         kappa_max: float | None = None,
-                         n_grid: int = N_GRID,
-                         merge_tol: float = MERGE_TOL,
-                         warning_sink: list | None = None) -> list[ChannelRoot]:
-    """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
-    sorted by descending kappa (the most attractive channel first)."""
+def _kappa_window(spec: ChannelMatrixSpec, kappa_max: float | None) -> float:
     if kappa_max is None:
         kappa_max = default_kappa_max(spec)
     if kappa_max <= GRID_EPS:
         raise HyperangularError(
             f"kappa_max must exceed the grid offset {GRID_EPS:g}")
-    if spec.active_states().size == 0:
-        return []
-    grid = np.linspace(GRID_EPS, kappa_max, n_grid)
-    roots = _find_axis_roots(
-        spec, grid, lambda xs: _imag_matrices(spec, xs, True), "imaginary",
-        merge_tol, warning_sink)
-    roots.sort(key=lambda r: -r.value)
-    return _attach_profiles(spec, roots)
+    return kappa_max
+
+
+def _check_s_max(s_max: float) -> None:
+    if not s_max >= 2.0:
+        raise HyperangularError("s_max must be at least 2")
 
 
 def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
@@ -493,22 +341,230 @@ def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
     return grid
 
 
+# axis -> (normalized matrix stack function, scan grid over (0, x_max])
+_AXES = {
+    "imaginary": (_imag_stack,
+                  lambda x_max, n: np.linspace(GRID_EPS, x_max, n)),
+    "real": (_real_stack,
+             lambda x_max, n: _nudge_even_integers(
+                 np.linspace(GRID_EPS, x_max, n))),
+}
+
+
+class _SpecStack:
+    """The per-spec arrays of specs sharing one active-state count,
+    stacked along a leading spec axis."""
+
+    def __init__(self, specs, axis: str):
+        self.build = _AXES[axis][0]
+        self.r_over_a = np.array([s._r_over_a for s in specs])
+        self.overlap = np.array([s._active_overlap for s in specs])
+        self.scale = np.array([s._scale for s in specs])
+
+    def matrices(self, p, x) -> np.ndarray:
+        """Normalized matrices of spec p at x, elementwise over the
+        broadcast shape of p and x (a scan block pairs a column of spec
+        indices with rows of grid points)."""
+        return self.build(x, self.r_over_a[p], self.overlap[p],
+                          self.scale[p])
+
+    def curve_values(self, p, x, k) -> np.ndarray:
+        """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays,
+        in stacked eigvalsh calls of at most BLOCK_MATRICES matrices."""
+        out = np.empty(x.size)
+        for lo in range(0, x.size, BLOCK_MATRICES):
+            part = slice(lo, lo + BLOCK_MATRICES)
+            lam = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
+            out[part] = lam[np.arange(lam.shape[0]), k[part]]
+        return out
+
+
+def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Bisect every bracket of sorted eigenvalue curve k[i] of spec p[i]
+    to its sign flip at once.  Each bracket follows the scalar rule: exact
+    zeros at an end or a midpoint are returned as they are, and the
+    midpoint sequence stops once the bracket is no wider than
+    max(1e-12, 4 eps |hi_0|) or at floating resolution."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+    out = np.where(f_lo == 0.0, lo, hi)
+    exact = (f_lo == 0.0) | (f_hi == 0.0)
+    live = ~exact
+    while True:
+        mid = 0.5 * (lo + hi)
+        live &= (hi - lo > tol) & (mid > lo) & (mid < hi)
+        idx = np.nonzero(live)[0]
+        if idx.size == 0:
+            break
+        f_mid = stack.curve_values(p[idx], mid[idx], k[idx])
+        zero = idx[f_mid == 0.0]
+        out[zero] = mid[zero]
+        exact[zero] = True
+        live[zero] = False
+        flip = (f_lo[idx] < 0.0) != (f_mid < 0.0)
+        hi[idx[flip]] = mid[idx[flip]]
+        lo[idx[~flip]] = mid[idx[~flip]]
+        f_lo[idx[~flip]] = f_mid[~flip]
+    return np.where(exact, out, 0.5 * (lo + hi))
+
+
+def _solve_axis(specs, axis: str, x_max, n_grid: int, merge_tol: float):
+    """Roots on one axis for every spec of a list sharing their active
+    states (one sweep, or a single point).
+
+    The sorted eigenvalue curves are scanned over each spec's grid in
+    blocks of about BLOCK_MATRICES matrices (one spec's grid when that is
+    larger), each block making its own grids; every sign change, and every
+    hidden root pair a tangency fine scan uncovers, is bisected together
+    with all others.  Returns per spec the grid-resolution warnings and
+    the merged root groups (value, multiplicity, eigenvalues and
+    eigenvectors of the normalized matrix at the value); _axis_roots
+    turns a spec's groups into roots.
+    """
+    warns: list[list[str]] = [[] for _ in specs]
+    groups: list[list[tuple]] = [[] for _ in specs]
+    if not specs or specs[0]._active.size == 0:
+        return warns, groups
+    stack = _SpecStack(specs, axis)
+    grid_of = _AXES[axis][1]
+    brackets = []   # (p, k, lo, hi, f_lo, f_hi) arrays
+    suspects = []   # (p, k, left, right) arrays of tangency candidates
+    per_block = max(1, BLOCK_MATRICES // max(n_grid, 1))
+    for b in range(0, len(specs), per_block):
+        grids = np.array([grid_of(x, n_grid)
+                          for x in x_max[b:b + per_block]])
+        pb = np.arange(b, b + grids.shape[0])
+        curves = np.linalg.eigvalsh(
+            stack.matrices(pb[:, None], grids)).transpose(0, 2, 1)
+        neg = curves < 0.0
+        p, k, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
+        brackets.append((pb[p], k, grids[p, i], grids[p, i + 1],
+                         curves[p, k, i], curves[p, k, i + 1]))
+        # interior near-zero dips without a sign change
+        mag = np.abs(curves)
+        centre = mag[..., 1:-1]
+        local = np.maximum(np.abs(curves[..., 1:-1] - curves[..., :-2]),
+                           np.abs(curves[..., 2:] - curves[..., 1:-1]))
+        dip = (centre <= mag[..., :-2]) & (centre <= mag[..., 2:]) \
+            & (neg[..., :-2] == neg[..., 1:-1]) \
+            & (neg[..., 1:-1] == neg[..., 2:]) & ~(centre > local)
+        p, k, i = np.nonzero(dip)
+        suspects.append((pb[p], k, grids[p, i], grids[p, i + 2]))
+
+    p, k, left, right = (np.concatenate(c) for c in zip(*suspects))
+    if p.size:
+        _subdivide(stack, p, k, left, right, brackets, warns)
+    p, k, lo, hi, f_lo, f_hi = (np.concatenate(c) for c in zip(*brackets))
+    values = _bisect(stack, p, k, lo, hi, f_lo, f_hi)
+
+    if values.size == 0:
+        return warns, groups
+    # merge coincident roots on distinct curves into one multiple root
+    order = np.lexsort((values, p))
+    p, values = p[order], values[order]
+    cut = np.nonzero((np.diff(p) != 0) | (np.diff(values) > merge_tol))[0] + 1
+    runs = np.split(values, cut)
+    grp_p = p[np.concatenate(([0], cut))]
+    grp_value = [float(np.mean(v)) for v in runs]
+    lam, vec = np.linalg.eigh(stack.matrices(grp_p, np.array(grp_value)))
+    for g, v in enumerate(runs):
+        groups[grp_p[g]].append((grp_value[g], v.size, lam[g], vec[g]))
+    return warns, groups
+
+
+def _subdivide(stack, p, k, left, right, brackets, warns) -> None:
+    """Scan each suspect cell pair [left, right] of curve k at 65 points;
+    a sign change there adds a bracket, a dip that still grazes zero
+    adds a warning to its spec."""
+    fine = np.array([np.linspace(a, b, 65) for a, b in zip(left, right)])
+    fv = stack.curve_values(np.repeat(p, 65), fine.ravel(),
+                            np.repeat(k, 65)).reshape(fine.shape)
+    neg = fv < 0.0
+    c, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    brackets.append((p[c], k[c], fine[c, j], fine[c, j + 1],
+                     fv[c, j], fv[c, j + 1]))
+    fine_var = np.max(np.abs(np.diff(fv, axis=1)), axis=1)
+    grazing = (np.min(np.abs(fv), axis=1) < 0.25 * fine_var)
+    grazing[c] = False
+    for c in np.nonzero(grazing)[0]:
+        warns[p[c]].append(
+            f"eigenvalue curve {k[c]} grazes zero near "
+            f"{0.5 * (left[c] + right[c]):.6g} without a sign "
+            "change; a root pair inside one grid cell cannot be "
+            "excluded, consider a denser grid")
+
+
+def _axis_roots(spec: ChannelMatrixSpec, axis: str,
+                groups) -> list[ChannelRoot]:
+    """Roots of one spec from its merged groups, sorted by descending
+    kappa (imaginary axis) or ascending s (real axis), with profiles."""
+    roots = []
+    d = spec._congruence
+    for value, mult, lam_r, vec_r in groups:
+        order = np.argsort(np.abs(lam_r))[:mult]
+        residual = float(np.max(np.abs(lam_r[order])))
+        if residual > 1e-6:
+            raise HyperangularError(
+                f"root candidate at {axis} {value} has residual {residual:.3e}")
+        # undo the congruence, then re-orthonormalize the null basis
+        raw = d[:, None] * vec_r[:, order]
+        q, _ = np.linalg.qr(raw)
+        for c in range(q.shape[1]):
+            j = int(np.argmax(np.abs(q[:, c])))
+            if q[j, c] < 0:
+                q[:, c] = -q[:, c]
+        full = np.zeros((spec.n_states, mult))
+        full[spec._active, :] = q
+        roots.append(ChannelRoot(axis, value, mult, full, residual))
+    sign = -1.0 if axis == "imaginary" else 1.0
+    roots.sort(key=lambda r: sign * r.value)
+    return _attach_profiles(spec, roots)
+
+
+def _attach_profiles(spec: ChannelMatrixSpec,
+                     roots: list[ChannelRoot]) -> list[ChannelRoot]:
+    if spec.channel_set is None or spec.n_states != 6:
+        return roots
+    basis = three_body_basis(spec.channel_set)
+    return [
+        ChannelRoot(r.axis, r.value, r.multiplicity, r.null_vectors,
+                    r.residual, classify_root(r, basis))
+        for r in roots
+    ]
+
+
+def _point_roots(spec, axis, x_max, n_grid, merge_tol,
+                 warning_sink) -> list[ChannelRoot]:
+    (warns,), (groups,) = _solve_axis([spec], axis, [x_max], n_grid,
+                                     merge_tol)
+    for message in warns:
+        if warning_sink is not None:
+            warning_sink.append(message)
+        else:
+            warnings.warn(message, GridResolutionWarning, stacklevel=3)
+    return _axis_roots(spec, axis, groups)
+
+
+def find_roots_imaginary(spec: ChannelMatrixSpec,
+                         kappa_max: float | None = None,
+                         n_grid: int = N_GRID,
+                         merge_tol: float = MERGE_TOL,
+                         warning_sink: list | None = None) -> list[ChannelRoot]:
+    """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
+    sorted by descending kappa (the most attractive channel first)."""
+    kappa_max = _kappa_window(spec, kappa_max)
+    return _point_roots(spec, "imaginary", kappa_max, n_grid, merge_tol,
+                        warning_sink)
+
+
 def find_roots_real(spec: ChannelMatrixSpec,
                     s_max: float,
                     n_grid: int = N_GRID,
                     merge_tol: float = MERGE_TOL,
                     warning_sink: list | None = None) -> list[ChannelRoot]:
     """Real-axis roots in (0, s_max], sorted ascending."""
-    if not s_max >= 2.0:
-        raise HyperangularError("s_max must be at least 2")
-    if spec.active_states().size == 0:
-        return []
-    grid = _nudge_even_integers(np.linspace(GRID_EPS, s_max, n_grid))
-    roots = _find_axis_roots(
-        spec, grid, lambda xs: _real_matrices(spec, xs, True), "real",
-        merge_tol, warning_sink)
-    roots.sort(key=lambda r: r.value)
-    return _attach_profiles(spec, roots)
+    _check_s_max(s_max)
+    return _point_roots(spec, "real", s_max, n_grid, merge_tol, warning_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +613,6 @@ class SweepTable:
         return series
 
 
-def _sorted_row_roots(im_roots, re_roots):
-    return tuple(sorted(im_roots, key=lambda r: -r.value)) + \
-        tuple(sorted(re_roots, key=lambda r: r.value))
-
-
 class _CurveMatcher:
     """Continuity labeling: each root slot inherits the id of the nearest
     slot from the previous sweep point, new slots open new curves.  The
@@ -598,25 +649,50 @@ class _CurveMatcher:
         return ids
 
 
-def _roots_at_point(theta, lengths, mode, radius, kappa_max, s_max, n_grid):
-    sink: list[str] = []
-    channels = channels_from_angle(theta, *lengths)
-    spec = ChannelMatrixSpec.from_channels(
-        channels, exchange_overlap(channels), mode,
-        hyperradius=radius)
-    im = find_roots_imaginary(spec, kappa_max, n_grid=n_grid,
-                              warning_sink=sink)
-    re = find_roots_real(spec, s_max, n_grid=n_grid,
-                         warning_sink=sink) if s_max else []
-    return im, re, sink
+def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
+           kappa_max, s_max, n_grid: int) -> SweepTable:
+    """Root lists at the points (thetas[i], radii[i]) with fixed
+    lengths/flags, every axis scanned and refined across all points at
+    once; roots on adjacent points are matched into labeled curves."""
+    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
+    specs, kappa_maxes = [], []
+    for theta, radius in zip(thetas, radii):
+        channels = channels_from_angle(theta, *lengths)
+        spec = ChannelMatrixSpec.from_channels(
+            channels, exchange_overlap(channels), mode, hyperradius=radius)
+        # validated per point, in the order of the single-point finders
+        kappa_maxes.append(_kappa_window(spec, kappa_max))
+        if s_max:
+            _check_s_max(s_max)
+        specs.append(spec)
+    scans = [("imaginary",
+              _solve_axis(specs, "imaginary", kappa_maxes, n_grid, MERGE_TOL))]
+    if s_max:
+        scans.append(("real", _solve_axis(specs, "real", [s_max] * len(specs),
+                                         n_grid, MERGE_TOL)))
 
-
-def _run_points(points, worker, max_workers: int):
-    if max_workers and max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
+    matcher = _CurveMatcher()
+    rows: list[SweepRow] = []
+    all_warnings: list[str] = []
+    for p, spec in enumerate(specs):
+        where = (f"theta={thetas[p]:.6g}" if kind == "theta"
+                 else f"R={radii[p]:.6g}")
+        roots: tuple[ChannelRoot, ...] = ()
+        ids: list[int] = []
+        for axis, (warns, groups) in scans:
+            all_warnings.extend(f"{where}: {w}" for w in warns[p])
+            axis_roots = _axis_roots(spec, axis, groups[p])
+            roots += tuple(axis_roots)
+            ids.extend(matcher.assign(axis, [r.value for r in axis_roots
+                                             for _ in range(r.multiplicity)]))
+        rows.append(SweepRow(float(thetas[p]), radii[p], mode, roots,
+                             tuple(ids)))
+    window = {
+        "a_alpha": lengths[0].describe(),
+        "a_beta": lengths[1].describe(),
+        "a_gamma": lengths[2].describe(),
+    }
+    return SweepTable(kind, rows, window, all_warnings)
 
 
 def theta_sweep(thetas, a_alpha, a_beta, a_gamma,
@@ -624,47 +700,20 @@ def theta_sweep(thetas, a_alpha, a_beta, a_gamma,
                 hyperradius: float | None = None,
                 kappa_max: float | None = None,
                 s_max: float | None = None,
-                n_grid: int = N_GRID,
-                max_workers: int = 1) -> SweepTable:
+                n_grid: int = N_GRID) -> SweepTable:
     """Root lists over an ascending theta grid with fixed lengths/flags;
     roots on adjacent grid points are matched into labeled curves."""
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise HyperangularError("theta grid must be nonempty and ascending")
-    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
-
-    results = _run_points(
-        thetas,
-        lambda t: _roots_at_point(t, lengths, mode, hyperradius,
-                                  kappa_max, s_max, n_grid),
-        max_workers)
-
-    matcher = _CurveMatcher()
-    rows: list[SweepRow] = []
-    all_warnings: list[str] = []
-    for theta, (im, re, sink) in zip(thetas, results):
-        all_warnings.extend(f"theta={theta:.6g}: {w}" for w in sink)
-        roots = _sorted_row_roots(im, re)
-        ids: list[int] = []
-        for axis in ("imaginary", "real"):
-            vals = [r.value for r in roots if r.axis == axis
-                    for _ in range(r.multiplicity)]
-            ids.extend(matcher.assign(axis, vals))
-        rows.append(SweepRow(float(theta), hyperradius, mode, roots,
-                             tuple(ids)))
-    window = {
-        "a_alpha": lengths[0].describe(),
-        "a_beta": lengths[1].describe(),
-        "a_gamma": lengths[2].describe(),
-    }
-    return SweepTable("theta", rows, window, all_warnings)
+    return _sweep("theta", thetas, [hyperradius] * thetas.size, mode,
+                  a_alpha, a_beta, a_gamma, kappa_max, s_max, n_grid)
 
 
 def radius_sweep(theta: float, a_alpha, a_beta, a_gamma, radii,
                  kappa_max: float | None = 10.0,
                  s_max: float | None = None,
-                 n_grid: int = N_GRID,
-                 max_workers: int = 1) -> SweepTable:
+                 n_grid: int = N_GRID) -> SweepTable:
     """Finite-mode root lists over an ascending log-spaced R grid at fixed
     theta.  kappa_max defaults to 10: the plateau-region curves are O(1),
     while the dimer root at sqrt(2) R/a would force a uniform grid far too
@@ -672,33 +721,9 @@ def radius_sweep(theta: float, a_alpha, a_beta, a_gamma, radii,
     radii = np.asarray(list(radii), dtype=float)
     if radii.size == 0 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise HyperangularError("R grid must be nonempty, positive, ascending")
-    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
-
-    results = _run_points(
-        radii,
-        lambda r: _roots_at_point(theta, lengths, "finite", float(r),
-                                  kappa_max, s_max, n_grid),
-        max_workers)
-
-    matcher = _CurveMatcher()
-    rows: list[SweepRow] = []
-    all_warnings: list[str] = []
-    for radius, (im, re, sink) in zip(radii, results):
-        all_warnings.extend(f"R={radius:.6g}: {w}" for w in sink)
-        roots = _sorted_row_roots(im, re)
-        ids: list[int] = []
-        for axis in ("imaginary", "real"):
-            vals = [r.value for r in roots if r.axis == axis
-                    for _ in range(r.multiplicity)]
-            ids.extend(matcher.assign(axis, vals))
-        rows.append(SweepRow(float(theta), float(radius), "finite", roots,
-                             tuple(ids)))
-    window = {
-        "a_alpha": lengths[0].describe(),
-        "a_beta": lengths[1].describe(),
-        "a_gamma": lengths[2].describe(),
-    }
-    return SweepTable("radius", rows, window, all_warnings)
+    return _sweep("radius", [theta] * radii.size, [float(r) for r in radii],
+                  "finite", a_alpha, a_beta, a_gamma, kappa_max, s_max,
+                  n_grid)
 
 
 # ---------------------------------------------------------------------------

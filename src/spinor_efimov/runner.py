@@ -77,19 +77,6 @@ def _round_rows(rows: list[dict]) -> list[dict]:
     return [{k: _round12(v) for k, v in row.items()} for row in rows]
 
 
-def worker_count() -> int:
-    """Worker cap from SPINOR_EFIMOV_THREADS (0 = auto, unset = serial)."""
-    raw = os.environ.get("SPINOR_EFIMOV_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 0:
-        raise RunnerError("SPINOR_EFIMOV_THREADS must be >= 0")
-    return n
-
-
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
     if cfg.matrix is not None:
         a11, a12, a13, a22, a23, a33 = cfg.matrix
@@ -141,8 +128,7 @@ def _run_theta_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)
     table = theta_sweep(
         thetas, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, mode=cfg.mode,
-        hyperradius=cfg.radius, kappa_max=cfg.kappa_max, s_max=cfg.s_max,
-        max_workers=worker_count())
+        hyperradius=cfg.radius, kappa_max=cfg.kappa_max, s_max=cfg.s_max)
     bundle.tables["rows"] = _sweep_rows(table)
     bundle.warnings.extend(table.warnings)
     return table
@@ -152,7 +138,7 @@ def _run_r_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
     radii = np.geomspace(cfg.r_min, cfg.r_max, cfg.r_count)
     table = radius_sweep(
         cfg.theta, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, radii,
-        kappa_max=cfg.kappa_max, s_max=cfg.s_max, max_workers=worker_count())
+        kappa_max=cfg.kappa_max, s_max=cfg.s_max)
     bundle.tables["rows"] = _sweep_rows(table)
     summary = plateau_extract(table)
     bundle.tables["plateaus"] = [

@@ -179,18 +179,6 @@ def test_cli_invariance_suite(tmp_path):
     assert len(payload["tables"]["checks"]) == 6
 
 
-def test_thread_env_var_keeps_output_identical(sweep_config, tmp_path,
-                                               monkeypatch):
-    out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    main(["theta-sweep", "--config", str(sweep_config), "--out", str(out1)])
-    monkeypatch.setenv("SPINOR_EFIMOV_THREADS", "4")
-    main(["theta-sweep", "--config", str(sweep_config), "--out", str(out2)])
-    assert (out1 / "theta-sweep.csv").read_text() == \
-        (out2 / "theta-sweep.csv").read_text()
-    assert (out1 / "theta-sweep.svg").read_bytes() == \
-        (out2 / "theta-sweep.svg").read_bytes()
-
-
 def test_installed_entry_point_runs(sweep_config, tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(

@@ -240,3 +240,28 @@ def test_comments_and_blank_lines_ignored():
         kappa = 1.0
     """)
     assert cfg.kappa == 1.0
+
+
+_SWEEP_HEAD = "task = theta-sweep\na_alpha = closed\na_beta = unitary\n" \
+    "a_gamma = closed\n"
+_R_HEAD = "task = r-sweep\ntheta = 0\na_alpha = 1\na_beta = 1e6\n" \
+    "a_gamma = closed\nR_min = 1e-2\nR_max = 1e6\n"
+
+
+@pytest.mark.parametrize("text, key, line", [
+    (_SWEEP_HEAD + "theta_count = 1000000000\n", "theta_count", 5),
+    (_SWEEP_HEAD + "theta_count = 100001\n", "theta_count", 5),
+    (_R_HEAD + "R_count = 100001\n", "R_count", 8),
+    ("task = invariance-suite\ntrials = 10001\n", "trials", 2),
+])
+def test_oversized_counts_refused_with_line(text, key, line):
+    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}': at most"):
+        parse_config(text)
+
+
+def test_counts_at_the_cap_accepted():
+    assert parse_config(_SWEEP_HEAD + "theta_count = 100000\n").theta_count \
+        == 100_000
+    assert parse_config(_R_HEAD + "R_count = 100000\n").r_count == 100_000
+    assert parse_config("task = invariance-suite\ntrials = 10000\n").trials \
+        == 10_000

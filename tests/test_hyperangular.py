@@ -408,14 +408,62 @@ def test_theta_sweep_rejects_bad_grid():
         theta_sweep([0.5, 0.2], "closed", "unitary", "closed")
 
 
-def test_theta_sweep_parallel_matches_serial():
-    thetas = np.linspace(0, math.pi / 2, 9)
-    a = theta_sweep(thetas, "closed", "unitary", "closed", max_workers=1)
-    b = theta_sweep(thetas, "closed", "unitary", "closed", max_workers=4)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.curve_ids == rb.curve_ids
-        for x, y in zip(ra.roots, rb.roots):
-            assert x.value == y.value and x.multiplicity == y.multiplicity
+def _assert_same_roots(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x.axis, x.value, x.multiplicity, x.residual) == \
+            (y.axis, y.value, y.multiplicity, y.residual)
+        assert np.array_equal(x.null_vectors, y.null_vectors)
+        assert np.array_equal(x.spin_profile.weights, y.spin_profile.weights)
+
+
+_GEOM = np.geomspace(1e-2, 1e6, 33)
+
+
+@pytest.mark.parametrize("sweep, args, kwargs", [
+    (theta_sweep, (np.linspace(0, math.pi / 2, 9), "closed", "unitary",
+                   "closed"), {"s_max": 5.0}),
+    (theta_sweep, (np.linspace(0, math.pi / 2, 9), 1.0, 1e6, 30.0),
+     {"mode": "finite", "hyperradius": 50.0, "s_max": 5.0}),
+    (radius_sweep, (0.0, 1.0, 1e6, "closed", _GEOM[::2]), {}),
+    # kappa_max=None: every point scans its own default_kappa_max window
+    (radius_sweep, (0.7, 1.0, 1e6, "closed", _GEOM),
+     {"kappa_max": None, "s_max": 5.0}),
+], ids=["theta-asymptotic", "theta-finite", "radius", "radius-own-windows"])
+def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
+    """A batched sweep gives, bit for bit, the roots and warnings of the
+    single-point finders at every point."""
+    table = sweep(*args, **kwargs)
+    s_max = kwargs.get("s_max")
+    kappa_max = kwargs.get("kappa_max", 10.0 if sweep is radius_sweep
+                           else None)
+    lengths = args[1:4]
+    expected_warnings = []
+    for row in table.rows:
+        channels = channels_from_angle(row.theta, *lengths)
+        spec = ChannelMatrixSpec.from_channels(
+            channels, exchange_overlap(channels), row.mode,
+            hyperradius=row.hyperradius)
+        sink = []
+        want = find_roots_imaginary(spec, kappa_max, warning_sink=sink)
+        if s_max:
+            want += find_roots_real(spec, s_max, warning_sink=sink)
+        _assert_same_roots(row.roots, want)
+        where = (f"theta={row.theta:.6g}" if table.kind == "theta"
+                 else f"R={row.hyperradius:.6g}")
+        expected_warnings.extend(f"{where}: {w}" for w in sink)
+    assert table.warnings == expected_warnings
+    if sweep is radius_sweep and s_max:
+        assert table.warnings  # the warning path is exercised
+
+
+@pytest.mark.parametrize("n_grid", [0, 1])
+def test_grid_without_cells_finds_no_roots(n_grid):
+    spec = _spec_at_angle(0.3, "closed", "unitary", "closed")
+    assert find_roots_imaginary(spec, n_grid=n_grid) == []
+    table = theta_sweep([0.1, 0.2], "closed", "unitary", "closed",
+                        s_max=3.0, n_grid=n_grid)
+    assert [row.roots for row in table.rows] == [(), ()]
 
 
 def test_radius_sweep_plateau_matches_asymptotic():
