@@ -14,7 +14,6 @@ from .spin import (
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
-    jacobi_eigh,
     one_body_rotation,
     three_body_basis,
     toy_closed_form,
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "ChannelLength", "ExchangeOverlap", "ScatteringMatrix",
     "ThreeBodySpinBasis", "TwoBodyChannelSet", "as_length",
-    "channels_from_angle", "eigenchannels", "exchange_overlap", "jacobi_eigh",
+    "channels_from_angle", "eigenchannels", "exchange_overlap",
     "one_body_rotation", "three_body_basis", "toy_closed_form",
     "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
     "PlateauSummary", "SpinProfile", "SweepRow", "SweepTable",

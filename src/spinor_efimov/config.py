@@ -21,12 +21,6 @@ class ConfigError(ValueError):
     pass
 
 
-#: largest accepted grid and trial counts; larger values are refused
-#: before anything is allocated
-MAX_GRID_COUNT = 100_000
-MAX_TRIALS = 10_000
-
-
 @dataclass
 class RunConfig:
     task: str
@@ -60,26 +54,25 @@ class RunConfig:
     trials: int | None = None
 
 
-_COMMON_KEYS = ("task", "mode", "out", "format", "kappa_max", "s_max")
-_TASK_KEYS = {
-    "roots": ("matrix", "toy", "theta", "a_alpha", "a_beta", "a_gamma", "R"),
-    "theta-sweep": ("a_alpha", "a_beta", "a_gamma", "theta_min", "theta_max",
-                    "theta_count", "R"),
-    "r-sweep": ("theta", "a_alpha", "a_beta", "a_gamma", "R_min", "R_max",
-                "R_count"),
-    "ladder": ("kappa", "theta", "a_alpha", "a_beta", "a_gamma", "r0",
-               "n_levels", "mass"),
-    "invariance-suite": ("seed", "trials", "R"),
-}
-# config key -> RunConfig field
-_KEY_FIELD = {
-    "R": "radius", "R_min": "r_min", "R_max": "r_max", "R_count": "r_count",
-    "r0": "wall_radius", "format": "formats",
-}
+def _one_of(*choices):
+    def parse(key, raw, line):
+        if raw not in choices:
+            raise ConfigError(f"line {line}: key '{key}': must be one of "
+                              f"{', '.join(choices)}, got {raw!r}")
+        return raw
+    return parse
 
 
-def _field_of(key: str) -> str:
-    return _KEY_FIELD.get(key, key)
+_parse_task = _one_of(*TASKS)
+
+
+def _parse_format(key, raw, line):
+    parts = tuple(p.strip() for p in raw.split(","))
+    if any(p not in FORMATS for p in parts):
+        raise ConfigError(
+            f"line {line}: key 'format': formats must be a subset of "
+            f"{','.join(FORMATS)}, got {raw!r}")
+    return parts
 
 
 def _parse_float(key, raw, line):
@@ -89,6 +82,13 @@ def _parse_float(key, raw, line):
         raise ConfigError(f"line {line}: key '{key}': not a number: {raw!r}") from None
     if not math.isfinite(v):
         raise ConfigError(f"line {line}: key '{key}': must be finite")
+    return v
+
+
+def _parse_positive(key, raw, line):
+    v = _parse_float(key, raw, line)
+    if v <= 0:
+        raise ConfigError(f"line {line}: key '{key}': must be positive")
     return v
 
 
@@ -108,13 +108,71 @@ def _parse_length(key, raw, line):
             f"'closed', got {raw!r}") from None
 
 
-def _parse_float_list(key, raw, line, count):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != count:
-        raise ConfigError(
-            f"line {line}: key '{key}': expected {count} comma-separated "
-            f"values, got {len(parts)}")
-    return tuple(_parse_float(key, p, line) for p in parts)
+def _float_list(count):
+    def parse(key, raw, line):
+        parts = [p.strip() for p in raw.split(",")]
+        if len(parts) != count:
+            raise ConfigError(
+                f"line {line}: key '{key}': expected {count} comma-separated "
+                f"values, got {len(parts)}")
+        return tuple(_parse_float(key, p, line) for p in parts)
+    return parse
+
+
+_ANGLE_TASKS = ("roots", "theta-sweep", "r-sweep", "ladder")
+
+#: run-file key -> (RunConfig field, parser, the tasks that take it, None
+#: meaning every task), in serialization order
+_KEYS = {
+    "task": ("task", _parse_task, None),
+    "mode": ("mode", _one_of("asymptotic", "finite"), None),
+    "out": ("out", lambda key, raw, line: raw, None),
+    "format": ("formats", _parse_format, None),
+    "matrix": ("matrix", _float_list(6), ("roots",)),
+    "toy": ("toy", _float_list(4), ("roots",)),
+    "theta": ("theta", _parse_float, ("roots", "r-sweep", "ladder")),
+    "a_alpha": ("a_alpha", _parse_length, _ANGLE_TASKS),
+    "a_beta": ("a_beta", _parse_length, _ANGLE_TASKS),
+    "a_gamma": ("a_gamma", _parse_length, _ANGLE_TASKS),
+    "kappa": ("kappa", _parse_positive, ("ladder",)),
+    "theta_min": ("theta_min", _parse_float, ("theta-sweep",)),
+    "theta_max": ("theta_max", _parse_float, ("theta-sweep",)),
+    "theta_count": ("theta_count", _parse_int, ("theta-sweep",)),
+    "R": ("radius", _parse_positive,
+          ("roots", "theta-sweep", "invariance-suite")),
+    "R_min": ("r_min", _parse_float, ("r-sweep",)),
+    "R_max": ("r_max", _parse_float, ("r-sweep",)),
+    "R_count": ("r_count", _parse_int, ("r-sweep",)),
+    "kappa_max": ("kappa_max", _parse_positive, None),
+    "s_max": ("s_max", _parse_float, None),
+    "r0": ("wall_radius", _parse_positive, ("ladder",)),
+    "n_levels": ("n_levels", _parse_int, ("ladder",)),
+    "mass": ("mass", _parse_positive, ("ladder",)),
+    "seed": ("seed", _parse_int, ("invariance-suite",)),
+    "trials": ("trials", _parse_int, ("invariance-suite",)),
+}
+
+#: per-task values of the fields a run file leaves out
+_DEFAULTS = {
+    "theta-sweep": {"theta_min": 0.0, "theta_max": 0.5 * math.pi,
+                    "theta_count": 201},
+    "r-sweep": {"mode": "finite", "r_count": 129, "kappa_max": 10.0},
+    "ladder": {"wall_radius": 1e-3, "n_levels": 4, "mass": 1.0},
+    "invariance-suite": {"seed": 1234, "trials": 50, "radius": 1.0,
+                         "kappa_max": 10.0},
+}
+
+#: field -> (least, most) accepted value.  Larger grids and suites are
+#: refused before anything is allocated; ladder energies fall by
+#: exp(2 pi/kappa) per level, so at kappa 1.00624 and r0 = 1e-3 about 110
+#: levels fit in double precision.
+_BOUNDS = {
+    "theta_count": (2, 100_000),
+    "r_count": (3, 100_000),
+    "n_levels": (1, 100),
+    "trials": (1, 10_000),
+    "s_max": (2, None),
+}
 
 
 def parse_config(text: str, cli_task: str | None = None) -> RunConfig:
@@ -139,13 +197,8 @@ def parse_config(text: str, cli_task: str | None = None) -> RunConfig:
                 f"line {lineno}: duplicate key '{key}' (first on line {raw[key][1]})")
         raw[key] = (value, lineno)
 
-    # task resolution
     if "task" in raw:
-        task, tline = raw.pop("task")
-        if task not in TASKS:
-            raise ConfigError(
-                f"line {tline}: key 'task': unknown task {task!r}; "
-                f"expected one of {', '.join(TASKS)}")
+        task = _parse_task("task", *raw.pop("task"))
         if cli_task is not None and cli_task != task:
             raise ConfigError(
                 f"config task '{task}' does not match requested task '{cli_task}'")
@@ -156,47 +209,26 @@ def parse_config(text: str, cli_task: str | None = None) -> RunConfig:
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
 
-    allowed = set(_COMMON_KEYS) | set(_TASK_KEYS[task])
     for key, (_, lineno) in raw.items():
-        if key not in allowed and key in {k for ks in _TASK_KEYS.values() for k in ks}:
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        tasks = _KEYS[key][2]
+        if tasks is not None and task not in tasks:
             raise ConfigError(
                 f"line {lineno}: key '{key}' is not allowed for task '{task}'")
-        if key not in allowed:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'")
 
-    cfg = RunConfig(task=task)
-    parsers = {
-        "mode": lambda k, v, l: v,
-        "out": lambda k, v, l: v,
-        "format": _parse_format,
-        "matrix": lambda k, v, l: _parse_float_list(k, v, l, 6),
-        "toy": lambda k, v, l: _parse_float_list(k, v, l, 4),
-        "theta": _parse_float,
-        "a_alpha": _parse_length, "a_beta": _parse_length, "a_gamma": _parse_length,
-        "kappa": _parse_float,
-        "theta_min": _parse_float, "theta_max": _parse_float,
-        "theta_count": _parse_int,
-        "R": _parse_float, "R_min": _parse_float, "R_max": _parse_float,
-        "R_count": _parse_int,
-        "kappa_max": _parse_float, "s_max": _parse_float,
-        "r0": _parse_float, "n_levels": _parse_int, "mass": _parse_float,
-        "seed": _parse_int, "trials": _parse_int,
-    }
+    values = dict(_DEFAULTS.get(task, {}))
     for key, (value, lineno) in raw.items():
-        setattr(cfg, _field_of(key), parsers[key](key, value, lineno))
-
+        name, parse, _ = _KEYS[key]
+        values[name] = parse(key, value, lineno)
+        least, most = _BOUNDS.get(name, (None, None))
+        if least is not None and values[name] < least:
+            raise ConfigError(f"line {lineno}: key '{key}': must be at least {least}")
+        if most is not None and values[name] > most:
+            raise ConfigError(f"line {lineno}: key '{key}': at most {most}")
+    cfg = RunConfig(task=task, **values)
     _validate(cfg, {k: l for k, (_, l) in raw.items()})
     return cfg
-
-
-def _parse_format(key, raw, line):
-    parts = tuple(p.strip() for p in raw.split(","))
-    bad = [p for p in parts if p not in FORMATS]
-    if bad or not parts:
-        raise ConfigError(
-            f"line {line}: key 'format': formats must be a subset of "
-            f"{','.join(FORMATS)}, got {raw!r}")
-    return parts
 
 
 def _err(key, lines, message):
@@ -205,14 +237,9 @@ def _err(key, lines, message):
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    half_pi = 0.5 * math.pi
-
-    if cfg.mode not in ("asymptotic", "finite"):
-        _err("mode", lines, f"must be 'asymptotic' or 'finite', got {cfg.mode!r}")
-    if cfg.task == "r-sweep":
-        if "mode" in lines and cfg.mode != "finite":
-            _err("mode", lines, "r-sweep runs in finite mode")
-        cfg.mode = "finite"
+    """The rules that tie one field to another."""
+    if cfg.task == "r-sweep" and cfg.mode != "finite":
+        _err("mode", lines, "r-sweep runs in finite mode")
 
     angle_keys = [k for k in ("a_alpha", "a_beta", "a_gamma")
                   if getattr(cfg, k) is not None]
@@ -226,9 +253,8 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
     if cfg.kappa is not None:
         forms.append("kappa")
 
-    if cfg.task == "invariance-suite":
-        pass  # no matrix input; draws seeded random matrices
-    elif len(forms) != 1:
+    # the invariance suite takes no matrix; it draws seeded random ones
+    if cfg.task != "invariance-suite" and len(forms) != 1:
         raise ConfigError(
             "exactly one matrix-input form is required "
             f"(matrix | toy | angle | kappa for ladder); found {forms or 'none'}")
@@ -239,10 +265,9 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         if missing:
             raise ConfigError(
                 f"angle form needs a_alpha, a_beta and a_gamma; missing {missing}")
-        if cfg.task in ("roots", "ladder", "r-sweep"):
-            if cfg.theta is None:
-                raise ConfigError(f"task '{cfg.task}' needs an explicit theta")
-        if cfg.theta is not None and not 0.0 <= cfg.theta <= half_pi:
+        if cfg.theta is None and cfg.task != "theta-sweep":
+            raise ConfigError(f"task '{cfg.task}' needs an explicit theta")
+        if cfg.theta is not None and not 0.0 <= cfg.theta <= math.pi / 2:
             _err("theta", lines, f"must lie in [0, pi/2], got {cfg.theta}")
         for key in ("a_alpha", "a_beta", "a_gamma"):
             length = getattr(cfg, key)
@@ -252,42 +277,22 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
             if cfg.mode == "asymptotic" and length.kind == "finite":
                 _err(key, lines, "asymptotic mode takes only unitary/closed "
                                  "flags; use finite mode for numbers")
-    if "kappa" in forms:
-        if cfg.task != "ladder":
-            _err("kappa", lines, "direct kappa input is only for the ladder task")
-        if cfg.kappa <= 0:
-            _err("kappa", lines, f"must be positive, got {cfg.kappa}")
-    if cfg.matrix is not None or cfg.toy is not None:
-        if cfg.mode != "finite":
-            raise ConfigError(
-                "matrix and toy input carry finite entries; set mode = finite")
+    if ("matrix" in forms or "toy" in forms) and cfg.mode != "finite":
+        raise ConfigError(
+            "matrix and toy input carry finite entries; set mode = finite")
 
-    if cfg.task == "roots":
-        if cfg.mode == "finite":
-            if cfg.radius is None:
-                raise ConfigError("finite-mode roots need R")
-            if cfg.radius <= 0:
-                _err("R", lines, "must be positive")
-        elif cfg.radius is not None:
+    if cfg.task in ("roots", "theta-sweep"):
+        if cfg.mode == "finite" and cfg.radius is None:
+            runs = "roots need" if cfg.task == "roots" else "theta-sweep needs"
+            raise ConfigError(f"finite-mode {runs} R")
+        if cfg.mode == "asymptotic" and cfg.radius is not None:
             _err("R", lines, "asymptotic mode takes no hyperradius")
 
-    if cfg.task == "theta-sweep":
-        cfg.theta_min = 0.0 if cfg.theta_min is None else cfg.theta_min
-        cfg.theta_max = half_pi if cfg.theta_max is None else cfg.theta_max
-        cfg.theta_count = 201 if cfg.theta_count is None else cfg.theta_count
-        if not 0.0 <= cfg.theta_min < cfg.theta_max <= half_pi + 1e-12:
-            raise ConfigError(
-                f"theta grid [{cfg.theta_min}, {cfg.theta_max}] must be "
-                "ascending inside [0, pi/2]")
-        if cfg.theta_count < 2:
-            _err("theta_count", lines, "needs at least 2 points")
-        if cfg.theta_count > MAX_GRID_COUNT:
-            _err("theta_count", lines, f"at most {MAX_GRID_COUNT} points")
-        if cfg.mode == "finite":
-            if cfg.radius is None:
-                raise ConfigError("finite-mode theta-sweep needs R")
-        elif cfg.radius is not None:
-            _err("R", lines, "asymptotic mode takes no hyperradius")
+    if cfg.task == "theta-sweep" and \
+            not 0.0 <= cfg.theta_min < cfg.theta_max <= math.pi / 2 + 1e-12:
+        raise ConfigError(
+            f"theta grid [{cfg.theta_min}, {cfg.theta_max}] must be "
+            "ascending inside [0, pi/2]")
 
     if cfg.task == "r-sweep":
         if cfg.r_min is None or cfg.r_max is None:
@@ -295,69 +300,28 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         if not 0.0 < cfg.r_min < cfg.r_max:
             raise ConfigError(
                 f"R grid [{cfg.r_min}, {cfg.r_max}] must be positive ascending")
-        cfg.r_count = 129 if cfg.r_count is None else cfg.r_count
-        if cfg.r_count < 3:
-            _err("R_count", lines, "needs at least 3 points")
-        if cfg.r_count > MAX_GRID_COUNT:
-            _err("R_count", lines, f"at most {MAX_GRID_COUNT} points")
-        cfg.kappa_max = 10.0 if cfg.kappa_max is None else cfg.kappa_max
 
-    if cfg.task == "ladder":
-        if "angle" in forms and cfg.mode != "asymptotic":
-            raise ConfigError(
-                "the ladder task reads its channel exponent from the "
-                "asymptotic problem; angle form requires mode = asymptotic")
-        cfg.wall_radius = 1e-3 if cfg.wall_radius is None else cfg.wall_radius
-        cfg.n_levels = 4 if cfg.n_levels is None else cfg.n_levels
-        cfg.mass = 1.0 if cfg.mass is None else cfg.mass
-        if cfg.wall_radius <= 0:
-            _err("r0", lines, "must be positive")
-        if cfg.n_levels < 1:
-            _err("n_levels", lines, "must be at least 1")
-        if cfg.mass <= 0:
-            _err("mass", lines, "must be positive")
-
-    if cfg.task == "invariance-suite":
-        cfg.seed = 1234 if cfg.seed is None else cfg.seed
-        cfg.trials = 50 if cfg.trials is None else cfg.trials
-        cfg.radius = 1.0 if cfg.radius is None else cfg.radius
-        cfg.kappa_max = 10.0 if cfg.kappa_max is None else cfg.kappa_max
-        if cfg.trials < 1:
-            _err("trials", lines, "must be at least 1")
-        if cfg.trials > MAX_TRIALS:
-            _err("trials", lines, f"at most {MAX_TRIALS}")
-        if cfg.radius <= 0:
-            _err("R", lines, "must be positive")
-
-    if cfg.kappa_max is not None and cfg.kappa_max <= 0:
-        _err("kappa_max", lines, "must be positive")
-    if cfg.s_max is not None and cfg.s_max < 2.0:
-        _err("s_max", lines, "must be at least 2")
+    if cfg.task == "ladder" and "angle" in forms and cfg.mode != "asymptotic":
+        raise ConfigError(
+            "the ladder task reads its channel exponent from the "
+            "asymptotic problem; angle form requires mode = asymptotic")
 
 
-def _format_value(field_name, value) -> str:
+def _format_value(value) -> str:
     if isinstance(value, ChannelLength):
         return value.kind if value.kind != "finite" else repr(value.value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical run-file text; parse_config(serialize_config(c)) == c."""
-    out = [f"task = {cfg.task}", f"mode = {cfg.mode}", f"out = {cfg.out}",
-           f"format = {','.join(cfg.formats)}"]
-    reverse = {v: k for k, v in _KEY_FIELD.items()}
-    for f in fields(cfg):
-        if f.name in ("task", "mode", "out", "formats"):
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        key = reverse.get(f.name, f.name)
-        out.append(f"{key} = {_format_value(f.name, value)}")
+    out = []
+    for key, (name, _, _) in _KEYS.items():
+        value = getattr(cfg, name)
+        if value is not None:
+            out.append(f"{key} = {_format_value(value)}")
     return "\n".join(out) + "\n"
 
 

@@ -80,7 +80,7 @@ class ChannelMatrixSpec:
     state_channel: tuple[int, ...]
     mode: str
     hyperradius: float | None = None
-    channel_set: TwoBodyChannelSet | None = field(default=None, repr=False)
+    basis: ThreeBodySpinBasis | None = field(default=None, repr=False)
 
     def __post_init__(self):
         o = np.asarray(self.overlap, dtype=float)
@@ -129,14 +129,17 @@ class ChannelMatrixSpec:
                       overlap: ExchangeOverlap | np.ndarray,
                       mode: str,
                       hyperradius: float | None = None) -> "ChannelMatrixSpec":
-        o = overlap.matrix if isinstance(overlap, ExchangeOverlap) else overlap
+        if isinstance(overlap, ExchangeOverlap):
+            overlap, basis = overlap.matrix, overlap.basis
+        else:
+            basis = three_body_basis(channels)
         return ChannelMatrixSpec(
             lengths=tuple(channels.lengths),
-            overlap=np.asarray(o, dtype=float),
+            overlap=np.asarray(overlap, dtype=float),
             state_channel=(0, 0, 1, 1, 2, 2),
             mode=mode,
             hyperradius=hyperradius,
-            channel_set=channels,
+            basis=basis,
         )
 
     @staticmethod
@@ -523,12 +526,11 @@ def _axis_roots(spec: ChannelMatrixSpec, axis: str,
 
 def _attach_profiles(spec: ChannelMatrixSpec,
                      roots: list[ChannelRoot]) -> list[ChannelRoot]:
-    if spec.channel_set is None or spec.n_states != 6:
+    if spec.basis is None or spec.n_states != 6:
         return roots
-    basis = three_body_basis(spec.channel_set)
     return [
         ChannelRoot(r.axis, r.value, r.multiplicity, r.null_vectors,
-                    r.residual, classify_root(r, basis))
+                    r.residual, classify_root(r, spec.basis))
         for r in roots
     ]
 

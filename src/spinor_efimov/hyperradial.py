@@ -47,20 +47,15 @@ class HyperradialError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalConvention:
-    """Mass bookkeeping.  The hyperradial mass equals the atomic mass in
-    this artifact's convention; both default to one."""
+    """Mass bookkeeping.  One mass, default one, serves as both the atomic
+    and the hyperradial mass: the dimer threshold -1/(m a^2) pins that
+    pairing with the sqrt(2) R/a channel-matrix term."""
 
     mass: float = 1.0
-    hyperradial_mass: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hyperradial_mass <= 0:
-            raise HyperradialError("masses must be positive")
-        if self.hyperradial_mass != self.mass:
-            raise HyperradialError(
-                "this artifact fixes hyperradial_mass = mass; the dimer "
-                "threshold -1/(m a^2) pins the pairing with the sqrt(2) R/a "
-                "channel-matrix term")
+        if self.mass <= 0:
+            raise HyperradialError("mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class AdiabaticPotential:
             raise HyperradialError("radii must be positive and ascending")
         if s2.shape[1] != r.size:
             raise HyperradialError("s_squared rows must match the R grid")
-        mu = convention.hyperradial_mass
+        mu = convention.mass
         u = (s2 - 0.25) / (2.0 * mu * r ** 2)
         return AdiabaticPotential(r, s2, u, convention)
 
@@ -216,7 +211,7 @@ class _RadialShooter:
         self.h = h
         self.radii = r[i0:]
         self.u = pot.potentials[channel, i0:]
-        mu = pot.convention.hyperradial_mass
+        mu = pot.convention.mass
         self.two_mu_r2 = 2.0 * mu * self.radii ** 2
         self.w = self.two_mu_r2 * self.u  # 2 mu R^2 U, equals s^2 - 1/4
         self.u_min = float(np.min(self.u))

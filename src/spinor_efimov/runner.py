@@ -169,7 +169,7 @@ def _dominant_kappa(cfg: RunConfig, bundle: ResultBundle) -> float:
 
 def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
     kappa = _dominant_kappa(cfg, bundle)
-    conv = PhysicalConvention(mass=cfg.mass, hyperradial_mass=cfg.mass)
+    conv = PhysicalConvention(mass=cfg.mass)
     spectrum = efimov_ladder(kappa, cfg.wall_radius, cfg.n_levels, conv)
     rows = []
     for n, energy in enumerate(spectrum.energies):

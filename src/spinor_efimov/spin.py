@@ -205,42 +205,6 @@ def toy_closed_form(a11: float, a22: float, a12: float,
     return TwoBodyChannelSet(lengths, vectors, mixing_angle=theta)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol_factor: float = 1e-14,
-                max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a small real symmetric matrix.
-
-    Sweeps Givens rotations over the upper triangle until the largest
-    off-diagonal magnitude drops below tol_factor * ||M||_F.  Returns
-    (eigenvalues, eigenvectors-as-columns), unordered.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    threshold = tol_factor * norm
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # rotation angle that annihilates a[p, q]
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = math.cos(phi), math.sin(phi)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    return np.diag(a).copy(), v
-
-
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     return -vec if vec[k] < 0 else vec
@@ -256,7 +220,7 @@ def eigenchannels(matrix: ScatteringMatrix) -> TwoBodyChannelSet:
     labeled by ascending |a|.
     """
     a = matrix.entries
-    vals, vecs = jacobi_eigh(a)
+    vals, vecs = np.linalg.eigh(a)
 
     if a[0, 2] == 0.0 and a[1, 2] == 0.0:
         gamma = int(np.argmax(np.abs(vecs[2, :])))
@@ -346,9 +310,9 @@ class ThreeBodySpinBasis:
 
 
 def three_body_basis(channels: TwoBodyChannelSet) -> ThreeBodySpinBasis:
-    labels = tuple((ch, m) for ch in CHANNEL_LABELS for m in (1, 2))
-    f12, _, _ = _faddeev_vectors(_channel_pair_tensors(channels))
-    return ThreeBodySpinBasis(labels, f12, channels)
+    """The basis exchange_overlap builds; reuse an overlap's .basis where
+    one is at hand."""
+    return exchange_overlap(channels).basis
 
 
 @dataclass(frozen=True)

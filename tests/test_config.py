@@ -246,16 +246,24 @@ _SWEEP_HEAD = "task = theta-sweep\na_alpha = closed\na_beta = unitary\n" \
     "a_gamma = closed\n"
 _R_HEAD = "task = r-sweep\ntheta = 0\na_alpha = 1\na_beta = 1e6\n" \
     "a_gamma = closed\nR_min = 1e-2\nR_max = 1e6\n"
+_FINITE_SWEEP_HEAD = "task = theta-sweep\nmode = finite\na_alpha = 1\n" \
+    "a_beta = 2\na_gamma = closed\n"
 
 
-@pytest.mark.parametrize("text, key, line", [
-    (_SWEEP_HEAD + "theta_count = 1000000000\n", "theta_count", 5),
-    (_SWEEP_HEAD + "theta_count = 100001\n", "theta_count", 5),
-    (_R_HEAD + "R_count = 100001\n", "R_count", 8),
-    ("task = invariance-suite\ntrials = 10001\n", "trials", 2),
+@pytest.mark.parametrize("text, key, line, rule", [
+    (_SWEEP_HEAD + "theta_count = 1000000000\n", "theta_count", 5, "at most"),
+    (_SWEEP_HEAD + "theta_count = 100001\n", "theta_count", 5, "at most"),
+    (_R_HEAD + "R_count = 100001\n", "R_count", 8, "at most"),
+    ("task = invariance-suite\ntrials = 10001\n", "trials", 2, "at most"),
+    ("task = ladder\nkappa = 1.00624\nn_levels = 101\n", "n_levels", 3,
+     "at most"),
+    ("task = ladder\nkappa = 50\nn_levels = 1000000\n", "n_levels", 3,
+     "at most"),
+    (_FINITE_SWEEP_HEAD + "R = -1\n", "R", 6, "must be positive"),
+    (_FINITE_SWEEP_HEAD + "R = 0\n", "R", 6, "must be positive"),
 ])
-def test_oversized_counts_refused_with_line(text, key, line):
-    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}': at most"):
+def test_oversized_counts_refused_with_line(text, key, line, rule):
+    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}': {rule}"):
         parse_config(text)
 
 
@@ -265,3 +273,6 @@ def test_counts_at_the_cap_accepted():
     assert parse_config(_R_HEAD + "R_count = 100000\n").r_count == 100_000
     assert parse_config("task = invariance-suite\ntrials = 10000\n").trials \
         == 10_000
+    assert parse_config("task = ladder\nkappa = 1.00624\nn_levels = 100\n") \
+        .n_levels == 100
+    assert parse_config(_FINITE_SWEEP_HEAD + "R = 5e-324\n").radius == 5e-324

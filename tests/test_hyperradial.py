@@ -60,7 +60,7 @@ def test_potential_identity_on_grid():
     radii = np.logspace(-2, 3, 400)
     s2 = np.vstack([rng.uniform(-4, 9, radii.size) for _ in range(3)])
     pot = AdiabaticPotential.from_s_squared(radii, s2, CONV)
-    mu = CONV.hyperradial_mass
+    mu = CONV.mass
     lhs = pot.potentials * 2 * mu * radii ** 2 + 0.25
     assert np.max(np.abs(lhs - s2)) < 1e-10
 
@@ -104,9 +104,7 @@ def test_dimer_limit_potential():
 
 def test_convention_requires_equal_masses():
     with pytest.raises(HyperradialError):
-        PhysicalConvention(mass=1.0, hyperradial_mass=0.5)
-    with pytest.raises(HyperradialError):
-        PhysicalConvention(mass=-1.0, hyperradial_mass=-1.0)
+        PhysicalConvention(mass=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from spinor_efimov.spin import (
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
-    jacobi_eigh,
     one_body_rotation,
     pair_basis_rotation,
     pair_spectator_embedding,
@@ -139,16 +138,6 @@ def test_eigenchannels_diagonalizes_dense_matrix():
         # general labeling: ascending magnitude
         assert abs(vals[0]) <= abs(vals[1]) + 1e-14
         assert abs(vals[1]) <= abs(vals[2]) + 1e-14
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(17)
-    m = rng.uniform(-1, 1, size=(3, 3))
-    m = m + m.T
-    vals, vecs = jacobi_eigh(m)
-    ref = np.linalg.eigvalsh(m)
-    np.testing.assert_allclose(np.sort(vals), ref, atol=1e-13)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-13)
 
 
 def test_scattering_matrix_validation():
