@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  (perfbench/tracing.py patches this name)
+from scipy.linalg.lapack import dtbtrs
 
 from .hyperangular import SweepTable
 
@@ -162,8 +163,8 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     """Solve y'' = q y along the grid given two seed values.
 
     The Numerov recurrence p[i+1] y[i+1] = (12 - 10 p[i]) y[i] - p[i-1] y[i-1]
-    with p = 1 - h^2 q / 12 is written as a lower-banded linear system so the
-    sweep runs compiled.
+    with p = 1 - h^2 q / 12 is written as a lower-triangular banded system
+    and solved by compiled forward substitution.
     """
     n = q.size
     y = np.empty(n)
@@ -180,7 +181,12 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     rhs[0] = (12.0 - 10.0 * p[1]) * y1 - p[0] * y0
     if m > 1:
         rhs[1] = -p[1] * y1
-    y[2:] = solve_banded((2, 0), ab, rhs)
+    y[2:], info = dtbtrs(ab, rhs, uplo="L")
+    if info > 0:
+        raise HyperradialError(
+            f"Numerov step is singular (h^2 q = 12) at grid point {info + 1}")
+    if info < 0:
+        raise HyperradialError(f"dtbtrs rejected argument {-info}")
     return y
 
 
@@ -272,9 +278,18 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     if e_top <= e_floor:
         return LadderSpectrum(wall_radius, (), (), (), True, "grid")
 
+    # phase 2 starts from phase-1 points and a level's node count is read
+    # at its deep end, so each energy is shot once and then looked up
+    shots: dict[float, tuple[int, float]] = {}
+
+    def shoot(energy: float) -> tuple[int, float]:
+        if energy not in shots:
+            shots[energy] = shooter.shoot(energy)
+        return shots[energy]
+
     t_deep = math.log(-e_floor)
     t_top = math.log(-e_top)
-    nodes_top, _ = shooter.shoot(e_top)
+    nodes_top, _ = shoot(e_top)
 
     energies: list[float] = []
     nodes_out: list[int] = []
@@ -290,19 +305,19 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         lo, hi = t_top, t_deep  # lo is shallow (count > n), hi is deep
         while hi - lo > _COUNT_WINDOW:
             mid = 0.5 * (lo + hi)
-            cnt, _ = shooter.shoot(-math.exp(mid))
+            cnt, _ = shoot(-math.exp(mid))
             if cnt >= n + 1:
                 lo = mid
             else:
                 hi = mid
         # phase 2: matching-defect bisection inside the node window
         ea, eb = -math.exp(hi), -math.exp(lo)  # ea deep side, eb shallow
-        _, fa = shooter.shoot(ea)
-        _, fb = shooter.shoot(eb)
+        _, fa = shoot(ea)
+        _, fb = shoot(eb)
         if (fa < 0) != (fb < 0):
             while (eb - ea) > _E_RTOL * abs(ea):
                 em = 0.5 * (ea + eb)
-                cm, fm = shooter.shoot(em)
+                _, fm = shoot(em)
                 if (fa < 0) != (fm < 0):
                     eb, fb = em, fm
                 else:
@@ -312,14 +327,14 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
             tlo, thi = lo, hi
             while thi - tlo > _E_RTOL:
                 tm = 0.5 * (tlo + thi)
-                cnt, _ = shooter.shoot(-math.exp(tm))
+                cnt, _ = shoot(-math.exp(tm))
                 if cnt >= n + 1:
                     tlo = tm
                 else:
                     thi = tm
             ea, eb = -math.exp(tlo), -math.exp(thi)
         level = 0.5 * (ea + eb)
-        cnt_deep, _ = shooter.shoot(ea)
+        cnt_deep, _ = shoot(ea)
         energies.append(level)
         nodes_out.append(cnt_deep)
         t_deep = math.log(-level) - 1e-12  # next level is shallower

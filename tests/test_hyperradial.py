@@ -12,6 +12,7 @@ from spinor_efimov.hyperradial import (
     HyperradialError,
     LadderSpectrum,
     PhysicalConvention,
+    _numerov_sweep,
     bound_states,
     efimov_ladder,
     inverse_square_potential,
@@ -127,8 +128,53 @@ def test_scaling_factor_limit_and_domain():
 
 
 # ---------------------------------------------------------------------------
+# Numerov sweep
+# ---------------------------------------------------------------------------
+
+def _numerov_loop(q, h, y0, y1):
+    """Reference: the Numerov recurrence stepped point by point."""
+    p = 1.0 - (h * h / 12.0) * np.asarray(q, dtype=float)
+    y = [y0, y1][: len(p)]
+    for i in range(1, len(p) - 1):
+        y.append(((12.0 - 10.0 * p[i]) * y[i] - p[i - 1] * y[i - 1]) / p[i + 1])
+    return np.array(y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_numerov_sweep_matches_loop(n):
+    # n = 2..5 exercise the unused corners of the band storage
+    rng = np.random.default_rng(n)
+    q = rng.uniform(-30.0, 30.0, n)
+    h, y0, y1 = 0.05, rng.normal(), rng.normal()
+    y = _numerov_sweep(q, h, y0, y1)
+    ref = _numerov_loop(q, h, y0, y1)
+    assert y.shape == (n,)
+    assert y == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # bound states
 # ---------------------------------------------------------------------------
+
+#: ladder energies and node counts of the solver with pivoted banded
+#: Numerov sweeps and pure bisection refinement; the faster solver must
+#: stay within a few of its 1e-9 level tolerances of them
+PINNED_LADDERS = [
+    (1.00624, 4, 2e-9, (-2137.0103694467653, -4.14491452493179,
+                        -0.008047922828851369, -1.5626183456584518e-05)),
+    # a pivoted banded LU swaps rows on this system (|12 - 10 p| ~ 2 > p ~ 1),
+    # which moves these levels by up to 7e-9 against forward substitution
+    (0.41370, 3, 1e-8, (-0.18135931948825318, -4.598010933710405e-08,
+                        -1.1657359259396433e-14)),
+]
+
+
+@pytest.mark.parametrize("kappa, n_levels, rel, energies", PINNED_LADDERS)
+def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
+    spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
+    assert spec.nodes == tuple(range(n_levels))
+    assert spec.energies == pytest.approx(energies, rel=rel, abs=0.0)
+
 
 @pytest.fixture(scope="module")
 def ladder_ib():
