@@ -249,7 +249,7 @@ class _RadialShooter:
         pi1 = p[it + 1] * y_in[it + 1 - it]
         scale = max(abs(po), abs(po1)) * max(abs(pi_), abs(pi1))
         wron = po * pi1 - po1 * pi_
-        return nodes, wron / scale if scale > 0 else wron
+        return nodes, float(wron / scale if scale > 0 else wron)
 
 
 def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
@@ -278,65 +278,74 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     if e_top <= e_floor:
         return LadderSpectrum(wall_radius, (), (), (), True, "grid")
 
-    # phase 2 starts from phase-1 points and a level's node count is read
-    # at its deep end, so each energy is shot once and then looked up
-    shots: dict[float, tuple[int, float]] = {}
-
-    def shoot(energy: float) -> tuple[int, float]:
-        if energy not in shots:
-            shots[energy] = shooter.shoot(energy)
-        return shots[energy]
-
     t_deep = math.log(-e_floor)
     t_top = math.log(-e_top)
-    nodes_top, _ = shoot(e_top)
+    top = shooter.shoot(-math.exp(t_top))
 
     energies: list[float] = []
     nodes_out: list[int] = []
     exhausted = None
     for n in range(n_levels):
-        if nodes_top <= n:
+        if top[0] <= n:
             exhausted = "grid"
             break
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
-        # phase 1: bisect ln|E| on the node count jumping n -> n+1
+        # phase 1: bisect ln|E| on the node count jumping n -> n+1, keeping
+        # the (count, defect) shots at the window ends for phase 2
         lo, hi = t_top, t_deep  # lo is shallow (count > n), hi is deep
+        shallow, deep = top, None
         while hi - lo > _COUNT_WINDOW:
             mid = 0.5 * (lo + hi)
-            cnt, _ = shoot(-math.exp(mid))
-            if cnt >= n + 1:
-                lo = mid
+            shot = shooter.shoot(-math.exp(mid))
+            if shot[0] >= n + 1:
+                lo, shallow = mid, shot
             else:
-                hi = mid
-        # phase 2: matching-defect bisection inside the node window
+                hi, deep = mid, shot
+        # phase 2: Illinois regula falsi on the matching defect inside the
+        # node window (Dowell and Jarratt, BIT 11, 1971): the secant point
+        # of the bracket, with the defect of an end kept twice in a row
+        # halved so that both ends close in
         ea, eb = -math.exp(hi), -math.exp(lo)  # ea deep side, eb shallow
-        _, fa = shoot(ea)
-        _, fb = shoot(eb)
+        # the level's node count is read at the window's deep end: a secant
+        # point can land within round-off of the level, where the count of
+        # the outward solution's diverging tail is a coin toss
+        nodes, fa = deep or shooter.shoot(ea)
+        fb = shallow[1]
         if (fa < 0) != (fb < 0):
+            kept = 0  # -1: ea was kept by the last step, +1: eb was
             while (eb - ea) > _E_RTOL * abs(ea):
-                em = 0.5 * (ea + eb)
-                _, fm = shoot(em)
-                if (fa < 0) != (fm < 0):
+                em = eb - fb * (eb - ea) / (fb - fa)
+                if not ea < em < eb:
+                    em = 0.5 * (ea + eb)
+                _, fm = shooter.shoot(em)
+                if fm == 0.0:
+                    ea = eb = em
+                elif (fa < 0) != (fm < 0):
                     eb, fb = em, fm
+                    if kept < 0:
+                        fa *= 0.5
+                    kept = -1
                 else:
                     ea, fa = em, fm
+                    if kept > 0:
+                        fb *= 0.5
+                    kept = 1
         else:
             # fall back to pure node-count bisection at full resolution
             tlo, thi = lo, hi
             while thi - tlo > _E_RTOL:
                 tm = 0.5 * (tlo + thi)
-                cnt, _ = shoot(-math.exp(tm))
+                cnt, _ = shooter.shoot(-math.exp(tm))
                 if cnt >= n + 1:
                     tlo = tm
                 else:
                     thi = tm
             ea, eb = -math.exp(tlo), -math.exp(thi)
         level = 0.5 * (ea + eb)
-        cnt_deep, _ = shoot(ea)
         energies.append(level)
-        nodes_out.append(cnt_deep)
+        nodes_out.append(nodes)
         t_deep = math.log(-level) - 1e-12  # next level is shallower
 
     ratios = tuple(energies[i] / energies[i + 1]

@@ -13,6 +13,7 @@ from spinor_efimov.hyperradial import (
     LadderSpectrum,
     PhysicalConvention,
     _numerov_sweep,
+    _RadialShooter,
     bound_states,
     efimov_ladder,
     inverse_square_potential,
@@ -174,6 +175,25 @@ def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
     spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
     assert spec.nodes == tuple(range(n_levels))
     assert spec.energies == pytest.approx(energies, rel=rel, abs=0.0)
+    assert all(type(e) is float for e in spec.energies + spec.ratios)
+
+
+@pytest.mark.parametrize("kappa, n_levels, max_shots", [
+    (1.00624, 4, 80),  # 152 with bisection refinement and repeated shoots
+    (0.41370, 3, 60),  # 117
+])
+def test_ladder_shoot_count(monkeypatch, kappa, n_levels, max_shots):
+    energies = []
+    shoot = _RadialShooter.shoot
+
+    def counted(self, energy):
+        energies.append(energy)
+        return shoot(self, energy)
+
+    monkeypatch.setattr(_RadialShooter, "shoot", counted)
+    efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
+    assert len(energies) <= max_shots
+    assert len(set(energies)) == len(energies)
 
 
 @pytest.fixture(scope="module")
