@@ -5,9 +5,12 @@ The theta-sweep and r-sweep files under tests/golden/ were produced by
 the code before the batched sweep engine replaced point-by-point
 refinement; the roots, ladder and invariance-suite files (the README
 example configs) by the code before the run-file parser became
-table-driven.  A difference is a behaviour change to be explained, never
-a reason to regenerate them; the generator below writes only the tasks
-it is given, for adding a new golden case:
+table-driven.  The ladder files were re-made once, when Illinois
+refinement of the level energies replaced bisection and moved their
+10th-12th significant digits.  A difference is a behaviour change to be
+explained, never a reason to regenerate them; the generator below writes
+only the tasks it is given, for adding a new golden case or re-making one
+whose change has been explained:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate TASK [TASK ...]
 """
