@@ -658,10 +658,13 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
     once; roots on adjacent points are matched into labeled curves."""
     lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
     specs, kappa_maxes = [], []
+    spin = {}  # theta -> (channels, overlap): an r-sweep has one theta
     for theta, radius in zip(thetas, radii):
-        channels = channels_from_angle(theta, *lengths)
+        if theta not in spin:
+            channels = channels_from_angle(theta, *lengths)
+            spin[theta] = channels, exchange_overlap(channels)
         spec = ChannelMatrixSpec.from_channels(
-            channels, exchange_overlap(channels), mode, hyperradius=radius)
+            *spin[theta], mode, hyperradius=radius)
         # validated per point, in the order of the single-point finders
         kappa_maxes.append(_kappa_window(spec, kappa_max))
         if s_max:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import spinor_efimov.hyperangular as hyperangular
 from spinor_efimov.spin import (
     ScatteringMatrix,
     channels_from_angle,
@@ -455,6 +456,22 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
     assert table.warnings == expected_warnings
     if sweep is radius_sweep and s_max:
         assert table.warnings  # the warning path is exercised
+
+
+def test_radius_sweep_builds_spin_objects_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("channels_from_angle", "exchange_overlap"):
+        monkeypatch.setattr(hyperangular, name,
+                            counted(name, getattr(hyperangular, name)))
+    radius_sweep(0.0, 1.0, 1e6, "closed", _GEOM[::4])
+    assert calls == ["channels_from_angle", "exchange_overlap"]
 
 
 @pytest.mark.parametrize("n_grid", [0, 1])
