@@ -17,9 +17,11 @@ F = e^{x/2} g(x), the equation -(1/2 mu) F'' + U F = E F becomes
     g'' = [1/4 + 2 mu R^2 (U - E)] g,
 
 which Numerov handles at fourth order with a uniform x step.  The
-outward and inward sweeps are evaluated as a banded linear solve (the
-same three-term recurrence, compiled), matched through the discrete
-Wronskian at the outer turning point, with node-count bisection on E.
+outward and inward sweeps are each one compiled forward substitution
+(LAPACK dtbtrs on the lower-triangular three-term recurrence), matched
+through the discrete Wronskian at the outer turning point.  Each level
+is bracketed by node-count bisection on ln|E| and then refined by
+Illinois regula falsi on the matching defect.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (perfbench/tracing.py patches this name)
+# kept only because perfbench/tracing.py patches hyperradial.solve_banded
+from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import dtbtrs
 
 from .hyperangular import SweepTable
@@ -38,7 +41,7 @@ from .hyperangular import SweepTable
 _GROWTH_CUTOFF = 40.0
 #: relative energy tolerance of a converged level
 _E_RTOL = 1e-9
-#: bisection window (in ln|E|) below which matching refinement takes over
+#: bisection window (in ln|E|) below which Illinois refinement takes over
 _COUNT_WINDOW = 1e-3
 
 
@@ -255,8 +258,10 @@ class _RadialShooter:
 def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
                  channel: int = 0) -> LadderSpectrum:
     """Bound levels of one channel with F(wall_radius) = 0 and a decaying
-    outer boundary, by outward/inward Numerov shooting with node-count
-    bisection; converged to relative energy tolerance 1e-8.
+    outer boundary, by outward/inward Numerov shooting: node-count
+    bisection to a _COUNT_WINDOW bracket in ln|E|, then Illinois regula
+    falsi on the matching defect to relative energy tolerance _E_RTOL
+    (1e-9).  No energy is shot twice.
 
     Returns the levels the grid and double precision can support; when the
     requested count runs past that, the found levels come back with
