@@ -185,11 +185,9 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     if m > 1:
         rhs[1] = -p[1] * y1
     y[2:], info = dtbtrs(ab, rhs, uplo="L")
-    if info > 0:
+    if info != 0:  # the diagonal p of that row vanishes
         raise HyperradialError(
             f"Numerov step is singular (h^2 q = 12) at grid point {info + 1}")
-    if info < 0:
-        raise HyperradialError(f"dtbtrs rejected argument {-info}")
     return y
 
 
@@ -285,6 +283,7 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
 
     t_deep = math.log(-e_floor)
     t_top = math.log(-e_top)
+    # shot at -exp(t_top), so it is also the shallow end of each window
     top = shooter.shoot(-math.exp(t_top))
 
     energies: list[float] = []
@@ -314,8 +313,8 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         # halved so that both ends close in
         ea, eb = -math.exp(hi), -math.exp(lo)  # ea deep side, eb shallow
         # the level's node count is read at the window's deep end: a secant
-        # point can land within round-off of the level, where the count of
-        # the outward solution's diverging tail is a coin toss
+        # point can land within round-off of the level, where round-off
+        # decides whether the outward solution's diverging tail has a node
         nodes, fa = deep or shooter.shoot(ea)
         fb = shallow[1]
         if (fa < 0) != (fb < 0):

@@ -153,6 +153,12 @@ def test_numerov_sweep_matches_loop(n):
     assert y == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_numerov_sweep_singular_step_is_typed_error():
+    # h^2 q / 12 = 1 makes p, the diagonal of the system, vanish there
+    with pytest.raises(HyperradialError, match="grid point 2"):
+        _numerov_sweep(np.array([0.0, 0.0, 12.0, 0.0]), 1.0, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # bound states
 # ---------------------------------------------------------------------------
