@@ -61,17 +61,30 @@ def _det_sign_scan(spec, svals):
 # channel matrix contract
 # ---------------------------------------------------------------------------
 
-def test_matrix_entries_match_formula_finite_mode():
+@pytest.mark.parametrize("s", [1.3, 0.05j, 1j, 8j, 30j])
+def test_matrix_entries_match_formula_finite_mode(s):
+    """M(s) on the real axis; H(kappa) with M = i H at s = i kappa,
+    including the sinh R/a term and entries of size up to cosh(15 pi)."""
     spec = _spec_at_angle(0.3, 1.5, -2.0, 0.5, mode="finite", R=2.0)
-    s = 1.3
     m = channel_matrix(s, spec)
     o = spec.overlap
+    if isinstance(s, float):
+        diag = s * math.cos(s * math.pi / 2)
+        radial = math.sin(s * math.pi / 2)
+        kern = math.sin(s * math.pi / 6)
+    else:
+        k = s.imag
+        diag = k * math.cosh(k * math.pi / 2)
+        radial = math.sinh(k * math.pi / 2)
+        kern = math.sinh(k * math.pi / 6)
     diag_terms = []
     for a in (1.5, -2.0, 0.5):
-        diag_terms.extend([s * math.cos(s * math.pi / 2)
-                           - math.sqrt(2) * (2.0 / a) * math.sin(s * math.pi / 2)] * 2)
-    expected = np.diag(diag_terms) - KC * math.sin(s * math.pi / 6) * o
-    np.testing.assert_allclose(m, expected, atol=1e-13)
+        diag_terms.extend([diag - math.sqrt(2) * (2.0 / a) * radial] * 2)
+    expected = np.diag(diag_terms) - KC * kern * o
+    if isinstance(s, float):
+        np.testing.assert_allclose(m, expected, atol=1e-13)
+    else:
+        np.testing.assert_allclose(m, expected, rtol=1e-13, atol=0.0)
 
 
 def test_matrix_unitary_channel_drops_radial_term():
