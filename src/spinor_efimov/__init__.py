@@ -15,7 +15,6 @@ from .spin import (
     eigenchannels,
     exchange_overlap,
     one_body_rotation,
-    three_body_basis,
     toy_closed_form,
 )
 from .hyperangular import (
@@ -54,7 +53,7 @@ __all__ = [
     "ChannelLength", "ExchangeOverlap", "ScatteringMatrix",
     "ThreeBodySpinBasis", "TwoBodyChannelSet", "as_length",
     "channels_from_angle", "eigenchannels", "exchange_overlap",
-    "one_body_rotation", "three_body_basis", "toy_closed_form",
+    "one_body_rotation", "toy_closed_form",
     "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
     "PlateauSummary", "SpinProfile", "SweepRow", "SweepTable",
     "channel_matrix", "classify_root", "default_kappa_max",

@@ -15,9 +15,11 @@ H for sign changes.  Tracking curves rather than det signs is what
 resolves even-multiplicity roots (the theta = 0 anchor is a double root
 at which the determinant does not change sign).
 
-Root finding internally evaluates an overflow-safe congruent form
-2 exp(-kappa pi/2) D H D (D a positive diagonal); by Sylvester's law this
-moves no root, changes no multiplicity, and maps null spaces through D.
+Everything is built in an overflow-safe congruent form, 2 exp(-kappa pi/2)
+D H D on the imaginary axis and D M D on the real one (D a positive
+diagonal); by Sylvester's law this moves no root, changes no multiplicity,
+and maps null spaces through D.  The root finders scan this form, and
+channel_matrix derives the raw M and H from it by dividing out the factor.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spin import (
-    PAIR_LABELS,
     ChannelLength,
     ExchangeOverlap,
     ThreeBodySpinBasis,
@@ -37,7 +38,6 @@ from .spin import (
     as_length,
     channels_from_angle,
     exchange_overlap,
-    three_body_basis,
 )
 
 KERNEL_COEFF = 4.0 / math.sqrt(3.0)
@@ -125,21 +125,16 @@ class ChannelMatrixSpec:
             object.__setattr__(self, name, value)
 
     @staticmethod
-    def from_channels(channels: TwoBodyChannelSet,
-                      overlap: ExchangeOverlap | np.ndarray,
+    def from_channels(channels: TwoBodyChannelSet, overlap: ExchangeOverlap,
                       mode: str,
                       hyperradius: float | None = None) -> "ChannelMatrixSpec":
-        if isinstance(overlap, ExchangeOverlap):
-            overlap, basis = overlap.matrix, overlap.basis
-        else:
-            basis = three_body_basis(channels)
         return ChannelMatrixSpec(
             lengths=tuple(channels.lengths),
-            overlap=np.asarray(overlap, dtype=float),
+            overlap=overlap.matrix,
             state_channel=(0, 0, 1, 1, 2, 2),
             mode=mode,
             hyperradius=hyperradius,
-            basis=basis,
+            basis=overlap.basis,
         )
 
     @staticmethod
@@ -165,27 +160,22 @@ class ChannelMatrixSpec:
 
 
 def _imag_stack(kappas, r_over_a, overlap, scale) -> np.ndarray:
-    """H(kappa) over an array of kappa values, shape kappas.shape + (m, m).
+    """Normalized 2 exp(-kappa pi/2) D H(kappa) D over an array of kappa
+    values, shape kappas.shape + (m, m).
 
-    r_over_a (..., m), overlap and scale (..., m, m) are per-spec arrays
-    that broadcast against kappas; scale=None gives the raw H, otherwise
-    the normalized congruent form is returned."""
-    if scale is None:
-        diag = (kappas * np.cosh(0.5 * math.pi * kappas))[..., None] \
-            - SQRT2 * (np.sinh(0.5 * math.pi * kappas)[..., None] * r_over_a)
-        kern = KERNEL_COEFF * np.sinh(math.pi * kappas / 6.0)
-    else:
-        e_full = np.exp(-math.pi * kappas)
-        diag = (kappas * (1.0 + e_full))[..., None] \
-            - SQRT2 * ((1.0 - e_full)[..., None] * r_over_a)
-        kern = KERNEL_COEFF * (np.exp(-math.pi * kappas / 3.0)
-                               - np.exp(-2.0 * math.pi * kappas / 3.0))
+    r_over_a (..., m), overlap and scale = D D (..., m, m) are per-spec
+    arrays that broadcast against kappas."""
+    e_full = np.exp(-math.pi * kappas)
+    diag = (kappas * (1.0 + e_full))[..., None] \
+        - SQRT2 * ((1.0 - e_full)[..., None] * r_over_a)
+    kern = KERNEL_COEFF * (np.exp(-math.pi * kappas / 3.0)
+                           - np.exp(-2.0 * math.pi * kappas / 3.0))
     return _assemble(kern, diag, overlap, scale)
 
 
 def _real_stack(svals, r_over_a, overlap, scale) -> np.ndarray:
-    """M(s) on the real axis (already real symmetric); arguments as for
-    _imag_stack."""
+    """Normalized D M(s) D on the real axis (M is already real symmetric);
+    arguments as for _imag_stack."""
     diag = (svals * np.cos(0.5 * math.pi * svals))[..., None] \
         - SQRT2 * (np.sin(0.5 * math.pi * svals)[..., None] * r_over_a)
     kern = KERNEL_COEFF * np.sin(math.pi * svals / 6.0)
@@ -196,8 +186,7 @@ def _assemble(kern, diag, overlap, scale) -> np.ndarray:
     out = -kern[..., None, None] * overlap
     idx = np.arange(overlap.shape[-1])
     out[..., idx, idx] += diag
-    if scale is not None:
-        out *= scale
+    out *= scale
     return out
 
 
@@ -208,7 +197,10 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
 
     For real s the matrix M(s) itself is returned; for s = i kappa the
     real symmetric H(kappa) with M = i H is returned.  normalized=True
-    applies the overflow-safe congruence used by the root finders.
+    returns the overflow-safe congruent form the root finders scan; the
+    raw form divides it by its positive factor, so on the imaginary axis
+    it keeps the form's 1 - exp(-pi kappa) cancellation, which costs
+    relative accuracy only for kappa well below 0.05.
     """
     s = complex(s)
     if s == 0:
@@ -218,15 +210,19 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
             f"s must lie on the real or imaginary axis, got {s!r}")
     if spec.active_states().size == 0:
         raise HyperangularError("all channels are closed; no matrix remains")
-    scale = spec._scale if normalized else None
     if s.real != 0.0:
-        return _real_stack(np.array([s.real]), spec._r_over_a,
-                           spec._active_overlap, scale)[0]
-    kappa = s.imag
-    if kappa <= 0.0:
-        raise HyperangularError(f"imaginary axis requires kappa > 0, got {kappa}")
-    return _imag_stack(np.array([kappa]), spec._r_over_a,
-                       spec._active_overlap, scale)[0]
+        build, x, factor = _real_stack, s.real, 1.0
+    else:
+        build, x = _imag_stack, s.imag
+        if x <= 0.0:
+            raise HyperangularError(
+                f"imaginary axis requires kappa > 0, got {x}")
+        factor = 2.0 * math.exp(-0.5 * math.pi * x)
+    out = build(np.array([x]), spec._r_over_a, spec._active_overlap,
+                spec._scale)[0]
+    if normalized:
+        return out
+    return out / (factor * spec._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +245,6 @@ class SpinProfile:
     @property
     def mixed_weight(self) -> float:
         return float(np.sum(self.weights) - self.same_level_weight)
-
-    def as_dict(self) -> dict[str, float]:
-        out = {}
-        for i, lab in enumerate(PAIR_LABELS):
-            for m in (1, 2):
-                out[f"{lab}*{m}"] = float(self.weights[i, m - 1])
-        return out
 
 
 @dataclass(frozen=True)
@@ -411,7 +400,7 @@ def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
     return np.where(exact, out, 0.5 * (lo + hi))
 
 
-def _solve_axis(specs, axis: str, x_max, n_grid: int, merge_tol: float):
+def _solve_axis(specs, axis: str, x_max, n_grid: int):
     """Roots on one axis for every spec of a list sharing their active
     states (one sweep, or a single point).
 
@@ -465,7 +454,7 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int, merge_tol: float):
     # merge coincident roots on distinct curves into one multiple root
     order = np.lexsort((values, p))
     p, values = p[order], values[order]
-    cut = np.nonzero((np.diff(p) != 0) | (np.diff(values) > merge_tol))[0] + 1
+    cut = np.nonzero((np.diff(p) != 0) | (np.diff(values) > MERGE_TOL))[0] + 1
     runs = np.split(values, cut)
     grp_p = p[np.concatenate(([0], cut))]
     grp_value = [float(np.mean(v)) for v in runs]
@@ -535,10 +524,9 @@ def _attach_profiles(spec: ChannelMatrixSpec,
     ]
 
 
-def _point_roots(spec, axis, x_max, n_grid, merge_tol,
+def _point_roots(spec, axis, x_max, n_grid,
                  warning_sink) -> list[ChannelRoot]:
-    (warns,), (groups,) = _solve_axis([spec], axis, [x_max], n_grid,
-                                     merge_tol)
+    (warns,), (groups,) = _solve_axis([spec], axis, [x_max], n_grid)
     for message in warns:
         if warning_sink is not None:
             warning_sink.append(message)
@@ -550,23 +538,20 @@ def _point_roots(spec, axis, x_max, n_grid, merge_tol,
 def find_roots_imaginary(spec: ChannelMatrixSpec,
                          kappa_max: float | None = None,
                          n_grid: int = N_GRID,
-                         merge_tol: float = MERGE_TOL,
                          warning_sink: list | None = None) -> list[ChannelRoot]:
     """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
     sorted by descending kappa (the most attractive channel first)."""
     kappa_max = _kappa_window(spec, kappa_max)
-    return _point_roots(spec, "imaginary", kappa_max, n_grid, merge_tol,
-                        warning_sink)
+    return _point_roots(spec, "imaginary", kappa_max, n_grid, warning_sink)
 
 
 def find_roots_real(spec: ChannelMatrixSpec,
                     s_max: float,
                     n_grid: int = N_GRID,
-                    merge_tol: float = MERGE_TOL,
                     warning_sink: list | None = None) -> list[ChannelRoot]:
     """Real-axis roots in (0, s_max], sorted ascending."""
     _check_s_max(s_max)
-    return _point_roots(spec, "real", s_max, n_grid, merge_tol, warning_sink)
+    return _point_roots(spec, "real", s_max, n_grid, warning_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +655,10 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
         if s_max:
             _check_s_max(s_max)
         specs.append(spec)
-    scans = [("imaginary",
-              _solve_axis(specs, "imaginary", kappa_maxes, n_grid, MERGE_TOL))]
+    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes, n_grid))]
     if s_max:
         scans.append(("real", _solve_axis(specs, "real", [s_max] * len(specs),
-                                         n_grid, MERGE_TOL)))
+                                         n_grid)))
 
     matcher = _CurveMatcher()
     rows: list[SweepRow] = []

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PAIR_LABELS = ("11", "12S", "22")
-CHANNEL_LABELS = ("alpha", "beta", "gamma")
 
 # Pair states as symmetric 2x2 level tensors t[m1, m2], m in {0, 1}.
 _PAIR_TENSORS = np.zeros((3, 2, 2))
@@ -66,15 +65,6 @@ class ChannelLength:
     @staticmethod
     def closed() -> "ChannelLength":
         return ChannelLength("closed", 0.0)
-
-    @property
-    def inverse(self) -> float:
-        """1/a.  Zero in the unitary limit; undefined for closed channels."""
-        if self.kind == "unitary":
-            return 0.0
-        if self.kind == "closed":
-            raise SpinAlgebraError("closed channels carry no 1/a; they are eliminated")
-        return 1.0 / self.value
 
     def describe(self) -> str:
         if self.kind == "finite":
@@ -158,14 +148,23 @@ class TwoBodyChannelSet:
                 f"eigenvectors not orthonormal (max deviation {dev:.3e})")
         object.__setattr__(self, "vectors", v)
 
-    def length(self, channel: int) -> ChannelLength:
-        return self.lengths[channel]
-
     def flip_sign(self, channel: int) -> "TwoBodyChannelSet":
         """Same channel set with one eigenvector's overall sign flipped."""
         v = self.vectors.copy()
         v[:, channel] = -v[:, channel]
         return TwoBodyChannelSet(self.lengths, v, self.mixing_angle)
+
+
+def _rotated_channels(theta: float, a_alpha, a_beta,
+                      a_gamma) -> TwoBodyChannelSet:
+    """Channel set whose alpha eigenvector is (cos theta, sin theta, 0)
+    and whose gamma eigenvector is the decoupled |22>."""
+    c, s = math.cos(theta), math.sin(theta)
+    vectors = np.array([[c, s, 0.0],
+                        [s, -c, 0.0],
+                        [0.0, 0.0, 1.0]])
+    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
+    return TwoBodyChannelSet(lengths, vectors, mixing_angle=theta)
 
 
 def toy_closed_form(a11: float, a22: float, a12: float,
@@ -197,12 +196,7 @@ def toy_closed_form(a11: float, a22: float, a12: float,
     else:
         theta = math.atan2(2.0 * a12, denom)
 
-    c, s = math.cos(theta), math.sin(theta)
-    vectors = np.array([[c, s, 0.0],
-                        [s, -c, 0.0],
-                        [0.0, 0.0, 1.0]])
-    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a33))
-    return TwoBodyChannelSet(lengths, vectors, mixing_angle=theta)
+    return _rotated_channels(theta, a_alpha, a_beta, a33)
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -249,12 +243,7 @@ def channels_from_angle(theta: float, a_alpha, a_beta,
     if not 0.0 <= theta <= 0.5 * math.pi:
         raise SpinAlgebraError(
             f"mixing angle must lie in [0, pi/2], got {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    vectors = np.array([[c, s, 0.0],
-                        [s, -c, 0.0],
-                        [0.0, 0.0, 1.0]])
-    lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
-    return TwoBodyChannelSet(lengths, vectors, mixing_angle=theta)
+    return _rotated_channels(theta, a_alpha, a_beta, a_gamma)
 
 
 def pair_basis_rotation(phi: float) -> np.ndarray:
@@ -293,10 +282,10 @@ def _faddeev_vectors(pair_tensors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class ThreeBodySpinBasis:
-    """Six (eigenchannel, spectator-level) basis states, with their
-    embedding into the 8-dim product space |m1 m2 m3> (pair on atoms 1,2)."""
+    """Six (eigenchannel, spectator-level) basis states, ordered
+    (alpha 1, alpha 2, beta 1, ..., gamma 2), by their embedding into the
+    8-dim product space |m1 m2 m3> (pair on atoms 1,2)."""
 
-    labels: tuple[tuple[str, int], ...]
     embedding: np.ndarray  # 8 x 6, orthonormal columns
     channels: TwoBodyChannelSet
 
@@ -307,12 +296,6 @@ class ThreeBodySpinBasis:
             raise SpinAlgebraError(
                 f"basis embedding not orthonormal (max deviation {dev:.3e})")
         object.__setattr__(self, "embedding", e)
-
-
-def three_body_basis(channels: TwoBodyChannelSet) -> ThreeBodySpinBasis:
-    """The basis exchange_overlap builds; reuse an overlap's .basis where
-    one is at hand."""
-    return exchange_overlap(channels).basis
 
 
 @dataclass(frozen=True)
@@ -352,16 +335,5 @@ def exchange_overlap(channels: TwoBodyChannelSet) -> ExchangeOverlap:
     tensors = _channel_pair_tensors(channels)
     f12, f23, f31 = _faddeev_vectors(tensors)
     o = f12.T @ f23 + f12.T @ f31
-    basis = ThreeBodySpinBasis(
-        tuple((ch, m) for ch in CHANNEL_LABELS for m in (1, 2)), f12, channels)
-    return ExchangeOverlap(o, basis)
+    return ExchangeOverlap(o, ThreeBodySpinBasis(f12, channels))
 
-
-def pair_spectator_embedding() -> np.ndarray:
-    """8x6 embedding of the fixed (pair basis state, spectator level)
-    states; the theta-independent reference frame for spin profiles."""
-    eye3 = np.eye(3)
-    identity_channels = TwoBodyChannelSet(
-        (ChannelLength.unitary(),) * 3, eye3)
-    f12, _, _ = _faddeev_vectors(_channel_pair_tensors(identity_channels))
-    return f12

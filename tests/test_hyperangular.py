@@ -12,7 +12,6 @@ from spinor_efimov.spin import (
     eigenchannels,
     exchange_overlap,
     one_body_rotation,
-    three_body_basis,
 )
 from spinor_efimov.hyperangular import (
     ChannelMatrixSpec,
@@ -295,7 +294,7 @@ def test_classify_root_reuses_basis():
     cs = channels_from_angle(0.6, "closed", "unitary", "closed")
     spec = ChannelMatrixSpec.from_channels(cs, exchange_overlap(cs), "asymptotic")
     root = find_roots_imaginary(spec)[0]
-    prof = classify_root(root, three_body_basis(cs))
+    prof = classify_root(root, exchange_overlap(cs).basis)
     np.testing.assert_allclose(prof.weights, root.spin_profile.weights, atol=1e-14)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinor_efimov.spin import (
-    ChannelLength,
     ScatteringMatrix,
     SpinAlgebraError,
     as_length,
@@ -13,8 +12,6 @@ from spinor_efimov.spin import (
     exchange_overlap,
     one_body_rotation,
     pair_basis_rotation,
-    pair_spectator_embedding,
-    three_body_basis,
     toy_closed_form,
 )
 
@@ -182,9 +179,6 @@ def test_as_length_coercion():
     assert as_length(0.0).kind == "closed"
     assert as_length(math.inf).kind == "unitary"
     assert as_length(-4.5).value == -4.5
-    assert ChannelLength.unitary().inverse == 0.0
-    with pytest.raises(SpinAlgebraError):
-        _ = ChannelLength.closed().inverse
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +267,9 @@ def test_overlap_continuity_in_theta():
 
 @pytest.mark.parametrize("theta", np.linspace(0.0, math.pi / 2, 11))
 def test_embedding_columns_orthonormal(theta):
-    basis = three_body_basis(channels_from_angle(theta, 1.0, 2.0, 3.0))
+    basis = exchange_overlap(channels_from_angle(theta, 1.0, 2.0, 3.0)).basis
     g = basis.embedding.T @ basis.embedding
     assert np.max(np.abs(g - np.eye(6))) < 1e-14
-
-
-def test_pair_spectator_embedding_is_orthonormal():
-    e0 = pair_spectator_embedding()
-    assert e0.shape == (8, 6)
-    assert np.max(np.abs(e0.T @ e0 - np.eye(6))) < 1e-14
 
 
 def test_one_body_rotation_identity():
