@@ -132,6 +132,10 @@ def inverse_square_potential(kappa: float, r_min: float, r_max: float,
     U = -(kappa^2 + 1/4) / (2 mu R^2)."""
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
+    if not 0.0 < r_min < r_max:
+        raise HyperradialError("need 0 < r_min < r_max")
+    if points_per_decade < 1:
+        raise HyperradialError("points_per_decade must be at least 1")
     decades = math.log10(r_max / r_min)
     n = int(math.ceil(decades * points_per_decade)) + 1
     radii = r_min * 10.0 ** np.linspace(0.0, decades, n)
@@ -202,6 +206,9 @@ class _RadialShooter:
 
     def __init__(self, pot: AdiabaticPotential, wall_radius: float,
                  channel: int):
+        if not 0 <= channel < pot.n_curves:
+            raise HyperradialError(
+                f"channel {channel} out of range for {pot.n_curves} curve(s)")
         r = pot.radii
         x = np.log(r)
         dx = np.diff(x)

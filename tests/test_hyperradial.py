@@ -296,3 +296,20 @@ def test_bound_states_nonuniform_grid_rejected():
     pot = AdiabaticPotential.from_s_squared(radii, s2, CONV)
     with pytest.raises(HyperradialError, match="log-uniform"):
         bound_states(pot, 1e-1, 1)
+
+
+@pytest.mark.parametrize("channel", [-1, 1])
+def test_bound_states_channel_out_of_range(channel):
+    pot = inverse_square_potential(1.0, 1e-3, 1e3, CONV, points_per_decade=40)
+    with pytest.raises(HyperradialError, match="out of range"):
+        bound_states(pot, 1e-2, 1, channel=channel)
+
+
+def test_ladder_rejects_nonpositive_wall():
+    with pytest.raises(HyperradialError, match="r_min"):
+        efimov_ladder(1.0, wall_radius=0.0)
+
+
+def test_ladder_rejects_empty_grid_density():
+    with pytest.raises(HyperradialError, match="points_per_decade"):
+        efimov_ladder(1.0, points_per_decade=0)
