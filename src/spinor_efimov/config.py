@@ -309,7 +309,7 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
 
 def _format_value(value) -> str:
     if isinstance(value, ChannelLength):
-        return value.kind if value.kind != "finite" else repr(value.value)
+        return value.describe()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)

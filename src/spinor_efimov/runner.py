@@ -225,22 +225,15 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         base = eigenchannels(m)
         ref = _root_list(base, cfg.radius, cfg.kappa_max)
-
-        rotated = eigenchannels(one_body_rotation(phi, m))
-        dev_rot = _list_deviation(ref, _root_list(rotated, cfg.radius,
+        cases = (("one-body-rotation", phi,
+                  eigenchannels(one_body_rotation(phi, m))),
+                 ("sign-flip", None, base.flip_sign(int(rng.integers(0, 3)))))
+        for check, angle, channels in cases:
+            dev = _list_deviation(ref, _root_list(channels, cfg.radius,
                                                   cfg.kappa_max))
-        rows.append({"check": "one-body-rotation", "trial": trial,
-                     "phi": phi, "deviation": dev_rot})
-        max_dev["one-body-rotation"] = max(max_dev["one-body-rotation"], dev_rot)
-
-        flipped = base.flip_sign(int(rng.integers(0, 3)))
-        dev_flip = _list_deviation(ref, _root_list(flipped, cfg.radius,
-                                                   cfg.kappa_max))
-        rows.append({"check": "sign-flip", "trial": trial,
-                     "phi": None, "deviation": dev_flip})
-        max_dev["sign-flip"] = max(max_dev["sign-flip"], dev_flip)
-        for check, dev in (("one-body-rotation", dev_rot),
-                           ("sign-flip", dev_flip)):
+            rows.append({"check": check, "trial": trial, "phi": angle,
+                         "deviation": dev})
+            max_dev[check] = max(max_dev[check], dev)
             if not math.isfinite(dev):
                 bundle.warnings.append(
                     f"{check} trial {trial}: root lists disagree in length "
