@@ -15,11 +15,11 @@ H for sign changes.  Tracking curves rather than det signs is what
 resolves even-multiplicity roots (the theta = 0 anchor is a double root
 at which the determinant does not change sign).
 
-Everything is built in an overflow-safe congruent form, 2 exp(-kappa pi/2)
-D H D on the imaginary axis and D M D on the real one (D a positive
-diagonal); by Sylvester's law this moves no root, changes no multiplicity,
-and maps null spaces through D.  The root finders scan this form, and
-channel_matrix derives the raw M and H from it by dividing out the factor.
+Both axes are built in one congruent form, the overflow-safe
+2 exp(-kappa pi/2) D H D on the imaginary axis and D M D on the real one
+(D a positive diagonal); by Sylvester's law it moves no root, changes no
+multiplicity and maps null spaces through D.  The root finders scan it,
+and channel_matrix divides out its positive factor to give M and H.
 """
 
 from __future__ import annotations
@@ -197,10 +197,10 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
 
     For real s the matrix M(s) itself is returned; for s = i kappa the
     real symmetric H(kappa) with M = i H is returned.  normalized=True
-    returns the overflow-safe congruent form the root finders scan; the
-    raw form divides it by its positive factor, so on the imaginary axis
-    it keeps the form's 1 - exp(-pi kappa) cancellation, which costs
-    relative accuracy only for kappa well below 0.05.
+    returns the congruent form the root finders scan; the raw form divides
+    out its positive factor, so near kappa = 0 it keeps the form's
+    1 - exp(-pi kappa) cancellation: relative error 1e-14 at kappa = 1e-3,
+    3e-11 at 1e-6, round-off for kappa >= 0.05.
     """
     s = complex(s)
     if s == 0:

@@ -282,9 +282,9 @@ def _faddeev_vectors(pair_tensors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class ThreeBodySpinBasis:
-    """Six (eigenchannel, spectator-level) basis states, ordered
-    (alpha 1, alpha 2, beta 1, ..., gamma 2), by their embedding into the
-    8-dim product space |m1 m2 m3> (pair on atoms 1,2)."""
+    """Six (eigenchannel, spectator-level) states, ordered (alpha 1,
+    alpha 2, beta 1, ..., gamma 2), as their embedding into the 8-dim
+    product space |m1 m2 m3> (pair on atoms 1,2)."""
 
     embedding: np.ndarray  # 8 x 6, orthonormal columns
     channels: TwoBodyChannelSet
@@ -336,4 +336,3 @@ def exchange_overlap(channels: TwoBodyChannelSet) -> ExchangeOverlap:
     f12, f23, f31 = _faddeev_vectors(tensors)
     o = f12.T @ f23 + f12.T @ f31
     return ExchangeOverlap(o, ThreeBodySpinBasis(f12, channels))
-

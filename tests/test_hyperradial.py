@@ -305,11 +305,10 @@ def test_bound_states_channel_out_of_range(channel):
         bound_states(pot, 1e-2, 1, channel=channel)
 
 
-def test_ladder_rejects_nonpositive_wall():
-    with pytest.raises(HyperradialError, match="r_min"):
-        efimov_ladder(1.0, wall_radius=0.0)
-
-
-def test_ladder_rejects_empty_grid_density():
-    with pytest.raises(HyperradialError, match="points_per_decade"):
-        efimov_ladder(1.0, points_per_decade=0)
+@pytest.mark.parametrize("kwargs, match", [
+    ({"wall_radius": 0.0}, "r_min"),
+    ({"points_per_decade": 0}, "points_per_decade"),
+])
+def test_ladder_grid_input_is_typed_error(kwargs, match):
+    with pytest.raises(HyperradialError, match=match):
+        efimov_ladder(1.0, **kwargs)
