@@ -8,7 +8,6 @@ from .spin import (
     ChannelLength,
     ExchangeOverlap,
     ScatteringMatrix,
-    ThreeBodySpinBasis,
     TwoBodyChannelSet,
     as_length,
     channels_from_angle,
@@ -51,9 +50,8 @@ from .runner import ResultBundle, run, write_outputs
 __all__ = [
     "__version__",
     "ChannelLength", "ExchangeOverlap", "ScatteringMatrix",
-    "ThreeBodySpinBasis", "TwoBodyChannelSet", "as_length",
-    "channels_from_angle", "eigenchannels", "exchange_overlap",
-    "one_body_rotation", "toy_closed_form",
+    "TwoBodyChannelSet", "as_length", "channels_from_angle", "eigenchannels",
+    "exchange_overlap", "one_body_rotation", "toy_closed_form",
     "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
     "PlateauSummary", "SpinProfile", "SweepRow", "SweepTable",
     "channel_matrix", "classify_root", "default_kappa_max",

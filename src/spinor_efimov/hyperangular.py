@@ -33,7 +33,6 @@ import numpy as np
 from .spin import (
     ChannelLength,
     ExchangeOverlap,
-    ThreeBodySpinBasis,
     TwoBodyChannelSet,
     as_length,
     channels_from_angle,
@@ -43,8 +42,9 @@ from .spin import (
 KERNEL_COEFF = 4.0 / math.sqrt(3.0)
 SQRT2 = math.sqrt(2.0)
 
-#: residual bound on the tracked (normalized) eigenvalue curves at a root
-RESIDUAL_TOL = 1e-9
+#: bound on a root's residual, the largest tracked (normalized) eigenvalue
+#: magnitude left at it; a larger one is an error, not a root
+RESIDUAL_TOL = 1e-6
 #: two refined roots on distinct curves closer than this merge into one
 MERGE_TOL = 1e-8
 #: lower edge of the scan grid; s = 0 is a removable parametrization point
@@ -73,6 +73,7 @@ class ChannelMatrixSpec:
     full problem, one state total in the collapsed single-level problem).
     In asymptotic mode every channel is unitary or closed and R never
     enters; in finite mode every channel is finite or closed and R > 0.
+    channels, when set, gives the roots their spin profiles.
     """
 
     lengths: tuple[ChannelLength, ...]
@@ -80,7 +81,7 @@ class ChannelMatrixSpec:
     state_channel: tuple[int, ...]
     mode: str
     hyperradius: float | None = None
-    basis: ThreeBodySpinBasis | None = field(default=None, repr=False)
+    channels: TwoBodyChannelSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
         o = np.asarray(self.overlap, dtype=float)
@@ -125,16 +126,16 @@ class ChannelMatrixSpec:
             object.__setattr__(self, name, value)
 
     @staticmethod
-    def from_channels(channels: TwoBodyChannelSet, overlap: ExchangeOverlap,
-                      mode: str,
-                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
+    def from_overlap(overlap: ExchangeOverlap, mode: str,
+                     hyperradius: float | None = None) -> "ChannelMatrixSpec":
+        """The six-state problem of the overlap's channel set."""
         return ChannelMatrixSpec(
-            lengths=tuple(channels.lengths),
+            lengths=tuple(overlap.channels.lengths),
             overlap=overlap.matrix,
             state_channel=(0, 0, 1, 1, 2, 2),
             mode=mode,
             hyperradius=hyperradius,
-            basis=overlap.basis,
+            channels=overlap.channels,
         )
 
     @staticmethod
@@ -259,32 +260,37 @@ class ChannelRoot:
 
     axis: str  # "imaginary" | "real"
     value: float
-    multiplicity: int
     null_vectors: np.ndarray
     residual: float
     spin_profile: SpinProfile | None = None
+
+    @property
+    def multiplicity(self) -> int:
+        return self.null_vectors.shape[1]
 
     @property
     def s_squared(self) -> float:
         return -self.value ** 2 if self.axis == "imaginary" else self.value ** 2
 
 
-def classify_root(root: ChannelRoot, basis: ThreeBodySpinBasis) -> SpinProfile:
-    """Project a root's null vectors onto the fixed (pair basis state,
-    spectator) configurations and average the squared amplitudes.
+def classify_root(null_vectors: np.ndarray,
+                  channels: TwoBodyChannelSet) -> SpinProfile:
+    """Project a root's null vectors (columns over the six states) onto
+    the fixed (pair basis state, spectator) configurations and average the
+    squared amplitudes.
 
     The channel-to-pair-basis rotation is orthogonal, so the weights of
     each null vector sum to one exactly; averaging over a degenerate null
     space keeps the profile invariant under basis rotations inside it.
     """
-    if root.null_vectors.shape[0] != 6:
+    if null_vectors.shape[0] != 6:
         raise HyperangularError(
             "spin classification needs the six-state channel problem")
-    v = basis.channels.vectors
+    v = channels.vectors
     weights = np.zeros((3, 2))
-    mult = root.null_vectors.shape[1]
+    mult = null_vectors.shape[1]
     for k in range(mult):
-        coeff = root.null_vectors[:, k].reshape(3, 2)  # (channel, spectator)
+        coeff = null_vectors[:, k].reshape(3, 2)  # (channel, spectator)
         weights += (v @ coeff) ** 2
     weights /= mult
     total = float(np.sum(weights))
@@ -489,13 +495,14 @@ def _subdivide(stack, p, k, left, right, brackets, warns) -> None:
 def _axis_roots(spec: ChannelMatrixSpec, axis: str,
                 groups) -> list[ChannelRoot]:
     """Roots of one spec from its merged groups, sorted by descending
-    kappa (imaginary axis) or ascending s (real axis), with profiles."""
+    kappa (imaginary axis) or ascending s (real axis), with profiles when
+    the spec carries its channel set."""
     roots = []
     d = spec._congruence
     for value, mult, lam_r, vec_r in groups:
         order = np.argsort(np.abs(lam_r))[:mult]
         residual = float(np.max(np.abs(lam_r[order])))
-        if residual > 1e-6:
+        if residual > RESIDUAL_TOL:
             raise HyperangularError(
                 f"root candidate at {axis} {value} has residual {residual:.3e}")
         # undo the congruence, then re-orthonormalize the null basis
@@ -507,21 +514,12 @@ def _axis_roots(spec: ChannelMatrixSpec, axis: str,
                 q[:, c] = -q[:, c]
         full = np.zeros((spec.n_states, mult))
         full[spec._active, :] = q
-        roots.append(ChannelRoot(axis, value, mult, full, residual))
+        profile = (classify_root(full, spec.channels)
+                   if spec.channels is not None else None)
+        roots.append(ChannelRoot(axis, value, full, residual, profile))
     sign = -1.0 if axis == "imaginary" else 1.0
     roots.sort(key=lambda r: sign * r.value)
-    return _attach_profiles(spec, roots)
-
-
-def _attach_profiles(spec: ChannelMatrixSpec,
-                     roots: list[ChannelRoot]) -> list[ChannelRoot]:
-    if spec.basis is None or spec.n_states != 6:
-        return roots
-    return [
-        ChannelRoot(r.axis, r.value, r.multiplicity, r.null_vectors,
-                    r.residual, classify_root(r, spec.basis))
-        for r in roots
-    ]
+    return roots
 
 
 def _point_roots(spec, axis, x_max, n_grid,
@@ -643,13 +641,12 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
     once; roots on adjacent points are matched into labeled curves."""
     lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
     specs, kappa_maxes = [], []
-    spin = {}  # theta -> (channels, overlap): an r-sweep has one theta
+    spin = {}  # theta -> overlap: an r-sweep has one theta
     for theta, radius in zip(thetas, radii):
         if theta not in spin:
-            channels = channels_from_angle(theta, *lengths)
-            spin[theta] = channels, exchange_overlap(channels)
-        spec = ChannelMatrixSpec.from_channels(
-            *spin[theta], mode, hyperradius=radius)
+            spin[theta] = exchange_overlap(channels_from_angle(theta, *lengths))
+        spec = ChannelMatrixSpec.from_overlap(spin[theta], mode,
+                                              hyperradius=radius)
         # validated per point, in the order of the single-point finders
         kappa_maxes.append(_kappa_window(spec, kappa_max))
         if s_max:

@@ -156,14 +156,21 @@ class LadderSpectrum:
 
     wall_radius: float
     energies: tuple[float, ...]          # E_n < 0, descending |E|
-    ratios: tuple[float, ...]            # E_n / E_{n+1}
     nodes: tuple[int, ...]
-    depth_exhausted: bool
     exhaustion_reason: str | None = None
 
     @property
     def n_levels(self) -> int:
         return len(self.energies)
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """E_n / E_{n+1} for each pair of successive levels."""
+        return tuple(a / b for a, b in zip(self.energies, self.energies[1:]))
+
+    @property
+    def depth_exhausted(self) -> bool:
+        return self.exhaustion_reason is not None
 
 
 def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
@@ -270,13 +277,13 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
 
     Returns the levels the grid and double precision can support; when the
     requested count runs past that, the found levels come back with
-    depth_exhausted set.
+    exhaustion_reason set.
     """
     if n_levels < 1:
         raise HyperradialError("n_levels must be positive")
     shooter = _RadialShooter(pot, wall_radius, channel)
     if shooter.u_min >= 0.0:
-        return LadderSpectrum(wall_radius, (), (), (), False)
+        return LadderSpectrum(wall_radius, (), ())
 
     # grid validity edge: a level shallower than 100 |U(R_max)| has its
     # turning point too close to the grid boundary to trust
@@ -286,7 +293,7 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         e_top = shooter.u_min * 1e-15
     e_floor = shooter.u_min
     if e_top <= e_floor:
-        return LadderSpectrum(wall_radius, (), (), (), True, "grid")
+        return LadderSpectrum(wall_radius, (), (), "grid")
 
     t_deep = math.log(-e_floor)
     t_top = math.log(-e_top)
@@ -359,10 +366,8 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         nodes_out.append(nodes)
         t_deep = math.log(-level) - 1e-12  # next level is shallower
 
-    ratios = tuple(energies[i] / energies[i + 1]
-                   for i in range(len(energies) - 1))
-    return LadderSpectrum(wall_radius, tuple(energies), ratios,
-                          tuple(nodes_out), exhausted is not None, exhausted)
+    return LadderSpectrum(wall_radius, tuple(energies), tuple(nodes_out),
+                          exhausted)
 
 
 def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,

@@ -113,8 +113,8 @@ def _sweep_rows(table: SweepTable) -> list[dict]:
 
 def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
     channels = _channel_set(cfg)
-    spec = ChannelMatrixSpec.from_channels(
-        channels, exchange_overlap(channels), cfg.mode, hyperradius=cfg.radius)
+    spec = ChannelMatrixSpec.from_overlap(
+        exchange_overlap(channels), cfg.mode, hyperradius=cfg.radius)
     sink: list[str] = []
     roots = list(find_roots_imaginary(spec, cfg.kappa_max, warning_sink=sink))
     if cfg.s_max is not None:
@@ -155,9 +155,8 @@ def _run_r_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
 def _dominant_kappa(cfg: RunConfig, bundle: ResultBundle) -> float:
     if cfg.kappa is not None:
         return cfg.kappa
-    channels = _channel_set(cfg)
-    spec = ChannelMatrixSpec.from_channels(
-        channels, exchange_overlap(channels), "asymptotic")
+    spec = ChannelMatrixSpec.from_overlap(
+        exchange_overlap(_channel_set(cfg)), "asymptotic")
     roots = find_roots_imaginary(spec, cfg.kappa_max)
     if not roots:
         raise RunnerError(
@@ -171,13 +170,13 @@ def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
     kappa = _dominant_kappa(cfg, bundle)
     conv = PhysicalConvention(mass=cfg.mass)
     spectrum = efimov_ladder(kappa, cfg.wall_radius, cfg.n_levels, conv)
+    ratios = spectrum.ratios + (None,)
     rows = []
     for n, energy in enumerate(spectrum.energies):
         rows.append({
             "n": n,
             "energy": energy,
-            "ratio_to_next": spectrum.ratios[n] if n < len(spectrum.ratios)
-            else None,
+            "ratio_to_next": ratios[n],
             "nodes": spectrum.nodes[n],
         })
     bundle.tables["levels"] = rows
@@ -200,8 +199,8 @@ def _conditioned_matrix(rng) -> ScatteringMatrix:
 
 
 def _root_list(channels, radius, kappa_max):
-    spec = ChannelMatrixSpec.from_channels(
-        channels, exchange_overlap(channels), "finite", hyperradius=radius)
+    spec = ChannelMatrixSpec.from_overlap(
+        exchange_overlap(channels), "finite", hyperradius=radius)
     return find_roots_imaginary(spec, kappa_max)
 
 

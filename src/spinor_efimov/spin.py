@@ -281,24 +281,6 @@ def _faddeev_vectors(pair_tensors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
-class ThreeBodySpinBasis:
-    """Six (eigenchannel, spectator-level) states, ordered (alpha 1,
-    alpha 2, beta 1, ..., gamma 2), as their embedding into the 8-dim
-    product space |m1 m2 m3> (pair on atoms 1,2)."""
-
-    embedding: np.ndarray  # 8 x 6, orthonormal columns
-    channels: TwoBodyChannelSet
-
-    def __post_init__(self):
-        e = np.asarray(self.embedding, dtype=float)
-        dev = np.max(np.abs(e.T @ e - np.eye(e.shape[1])))
-        if dev > _ORTHO_TOL:
-            raise SpinAlgebraError(
-                f"basis embedding not orthonormal (max deviation {dev:.3e})")
-        object.__setattr__(self, "embedding", e)
-
-
-@dataclass(frozen=True)
 class ExchangeOverlap:
     """Spin part of the Faddeev exchange kernel.
 
@@ -306,10 +288,11 @@ class ExchangeOverlap:
     product-space inner product between the (1,2)-pair channel state and
     the relabeled channel state.  Symmetric, entries in [-2, 2]; a fully
     collapsed single-level system puts exactly 2 on the surviving diagonal.
+    channels is the set it was built from.
     """
 
     matrix: np.ndarray  # 6 x 6
-    basis: ThreeBodySpinBasis = field(repr=False)
+    channels: TwoBodyChannelSet = field(repr=False)
 
     def __post_init__(self):
         o = np.asarray(self.matrix, dtype=float)
@@ -323,16 +306,9 @@ class ExchangeOverlap:
             raise SpinAlgebraError("overlap entries must lie in [-2, 2]")
         object.__setattr__(self, "matrix", o)
 
-    def block(self, channel: int) -> np.ndarray:
-        """2x2 spectator block of one eigenchannel."""
-        sl = slice(2 * channel, 2 * channel + 2)
-        return self.matrix[sl, sl]
-
 
 def exchange_overlap(channels: TwoBodyChannelSet) -> ExchangeOverlap:
     """Assemble the 6x6 exchange overlap by explicit permutation algebra
     in the 8-dim product space."""
-    tensors = _channel_pair_tensors(channels)
-    f12, f23, f31 = _faddeev_vectors(tensors)
-    o = f12.T @ f23 + f12.T @ f31
-    return ExchangeOverlap(o, ThreeBodySpinBasis(f12, channels))
+    f12, f23, f31 = _faddeev_vectors(_channel_pair_tensors(channels))
+    return ExchangeOverlap(f12.T @ f23 + f12.T @ f31, channels)

@@ -42,8 +42,8 @@ def _announce(num, elapsed, detail):
 
 def _asymptotic_spec(theta):
     channels = channels_from_angle(theta, "closed", "unitary", "closed")
-    return ChannelMatrixSpec.from_channels(
-        channels, exchange_overlap(channels), "asymptotic")
+    return ChannelMatrixSpec.from_overlap(
+        exchange_overlap(channels), "asymptotic")
 
 
 def test_criterion_01_identical_boson_anchor():
@@ -188,8 +188,8 @@ def test_criterion_09_one_body_invariance_suite():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         def roots_of(mat):
             cs = eigenchannels(mat)
-            spec = ChannelMatrixSpec.from_channels(
-                cs, exchange_overlap(cs), "finite", hyperradius=1.0)
+            spec = ChannelMatrixSpec.from_overlap(
+                exchange_overlap(cs), "finite", hyperradius=1.0)
             return find_roots_imaginary(spec, 10.0)
         a = roots_of(m)
         b = roots_of(one_body_rotation(phi, m))

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spinor_efimov.hyperangular as hyperangular
+from spinor_efimov.runner import _conditioned_matrix
 from spinor_efimov.spin import (
     ScatteringMatrix,
     channels_from_angle,
@@ -41,8 +43,8 @@ KAPPA_MIXED = brentq(
 
 def _spec_at_angle(theta, a_alpha, a_beta, a_gamma, mode="asymptotic", R=None):
     cs = channels_from_angle(theta, a_alpha, a_beta, a_gamma)
-    return ChannelMatrixSpec.from_channels(cs, exchange_overlap(cs), mode,
-                                           hyperradius=R)
+    return ChannelMatrixSpec.from_overlap(exchange_overlap(cs), mode,
+                                          hyperradius=R)
 
 
 def _det_sign_scan(spec, svals):
@@ -118,8 +120,8 @@ def test_matrix_imaginary_axis_symmetric():
     for _ in range(20):
         m = rng.uniform(-2, 2, (3, 3))
         cs = eigenchannels(ScatteringMatrix.from_matrix(m + m.T + 3 * np.eye(3)))
-        spec = ChannelMatrixSpec.from_channels(
-            cs, exchange_overlap(cs), "finite", hyperradius=rng.uniform(0.1, 5))
+        spec = ChannelMatrixSpec.from_overlap(
+            exchange_overlap(cs), "finite", hyperradius=rng.uniform(0.1, 5))
         h = channel_matrix(1j * rng.uniform(0.05, 8.0), spec)
         assert np.max(np.abs(h - h.T)) < 1e-14
 
@@ -137,13 +139,13 @@ def test_spec_mode_validation():
     cs = channels_from_angle(0.1, 1.0, 2.0, 3.0)
     o = exchange_overlap(cs)
     with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_channels(cs, o, "asymptotic")
+        ChannelMatrixSpec.from_overlap(o, "asymptotic")
     csu = channels_from_angle(0.1, "unitary", "unitary", "closed")
     with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_channels(csu, exchange_overlap(csu), "finite",
-                                        hyperradius=1.0)
+        ChannelMatrixSpec.from_overlap(exchange_overlap(csu), "finite",
+                                       hyperradius=1.0)
     with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_channels(cs, o, "finite")  # missing R
+        ChannelMatrixSpec.from_overlap(o, "finite")  # missing R
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +294,9 @@ def test_profile_varies_continuously_with_theta():
 
 def test_classify_root_reuses_basis():
     cs = channels_from_angle(0.6, "closed", "unitary", "closed")
-    spec = ChannelMatrixSpec.from_channels(cs, exchange_overlap(cs), "asymptotic")
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), "asymptotic")
     root = find_roots_imaginary(spec)[0]
-    prof = classify_root(root, exchange_overlap(cs).basis)
+    prof = classify_root(root.null_vectors, cs)
     np.testing.assert_allclose(prof.weights, root.spin_profile.weights, atol=1e-14)
 
 
@@ -312,10 +314,10 @@ def test_sign_flip_leaves_roots_unchanged():
         theta = rng.uniform(0, math.pi / 2)
         cs = channels_from_angle(theta, 1.0, -2.5, 0.7)
         flipped = cs.flip_sign(int(rng.integers(0, 3)))
-        a = _root_values(ChannelMatrixSpec.from_channels(
-            cs, exchange_overlap(cs), "finite", hyperradius=1.0))
-        b = _root_values(ChannelMatrixSpec.from_channels(
-            flipped, exchange_overlap(flipped), "finite", hyperradius=1.0))
+        a = _root_values(ChannelMatrixSpec.from_overlap(
+            exchange_overlap(cs), "finite", hyperradius=1.0))
+        b = _root_values(ChannelMatrixSpec.from_overlap(
+            exchange_overlap(flipped), "finite", hyperradius=1.0))
         assert len(a) == len(b)
         for (va, ma), (vb, mb) in zip(a, b):
             assert ma == mb
@@ -330,14 +332,39 @@ def test_one_body_rotation_leaves_roots_unchanged():
         phi = rng.uniform(0, 2 * math.pi)
         c1 = eigenchannels(m)
         c2 = eigenchannels(one_body_rotation(phi, m))
-        a = _root_values(ChannelMatrixSpec.from_channels(
-            c1, exchange_overlap(c1), "finite", hyperradius=1.0))
-        b = _root_values(ChannelMatrixSpec.from_channels(
-            c2, exchange_overlap(c2), "finite", hyperradius=1.0))
+        a = _root_values(ChannelMatrixSpec.from_overlap(
+            exchange_overlap(c1), "finite", hyperradius=1.0))
+        b = _root_values(ChannelMatrixSpec.from_overlap(
+            exchange_overlap(c2), "finite", hyperradius=1.0))
         assert len(a) == len(b)
         for (va, ma), (vb, mb) in zip(a, b):
             assert ma == mb
             assert abs(va - vb) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.3, 5.0))
+def test_sign_flip_leaves_profiles_unchanged(seed, radius):
+    """On the invariance suite's conditioned random matrices, flipping any
+    eigenvector's sign keeps every imaginary root's value, multiplicity
+    and spin-profile weights, and each profile's weights sum to one."""
+    cs = eigenchannels(_conditioned_matrix(np.random.default_rng(seed)))
+
+    def roots_of(channels):
+        spec = ChannelMatrixSpec.from_overlap(
+            exchange_overlap(channels), "finite", hyperradius=radius)
+        return find_roots_imaginary(spec, 10.0, warning_sink=[])
+
+    ref = roots_of(cs)
+    for r in ref:
+        assert abs(np.sum(r.spin_profile.weights) - 1.0) <= 1e-12
+    for channel in range(3):
+        got = roots_of(cs.flip_sign(channel))
+        assert [r.multiplicity for r in got] == [r.multiplicity for r in ref]
+        for x, y in zip(got, ref):
+            assert abs(x.value - y.value) < 1e-10
+            np.testing.assert_allclose(x.spin_profile.weights,
+                                       y.spin_profile.weights, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +481,8 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
     expected_warnings = []
     for row in table.rows:
         channels = channels_from_angle(row.theta, *lengths)
-        spec = ChannelMatrixSpec.from_channels(
-            channels, exchange_overlap(channels), row.mode,
-            hyperradius=row.hyperradius)
+        spec = ChannelMatrixSpec.from_overlap(
+            exchange_overlap(channels), row.mode, hyperradius=row.hyperradius)
         sink = []
         want = find_roots_imaginary(spec, kappa_max, warning_sink=sink)
         if s_max:

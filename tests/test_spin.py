@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinor_efimov import spin
 from spinor_efimov.spin import (
     ScatteringMatrix,
     SpinAlgebraError,
@@ -189,14 +190,15 @@ def test_overlap_beta_block_resonant_11():
     # theta = pi/2: resonant channel is |11>; hand expansion gives diag(2, 0)
     cs = channels_from_angle(math.pi / 2, "closed", "unitary", "closed")
     o = exchange_overlap(cs)
-    np.testing.assert_allclose(o.block(1), [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(o.matrix[2:4, 2:4], [[2.0, 0.0], [0.0, 0.0]],
+                               atol=1e-14)
 
 
 def test_overlap_beta_block_resonant_12S():
     # theta = 0: resonant channel is |12>_S; hand expansion gives diag(1, 1)
     cs = channels_from_angle(0.0, "closed", "unitary", "closed")
     o = exchange_overlap(cs)
-    np.testing.assert_allclose(o.block(1), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(o.matrix[2:4, 2:4], np.eye(2), atol=1e-14)
 
 
 def test_overlap_single_level_diagonal_is_two():
@@ -214,8 +216,8 @@ def test_overlap_beta_block_closed_form(theta):
     expected = np.array([[2 * u * u + v * v, SQRT2 * u * v],
                          [SQRT2 * u * v, v * v]])
     cs = channels_from_angle(theta, 1.0, 2.0, 3.0)
-    np.testing.assert_allclose(exchange_overlap(cs).block(1), expected,
-                               atol=1e-14)
+    np.testing.assert_allclose(exchange_overlap(cs).matrix[2:4, 2:4],
+                               expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -242,9 +244,10 @@ def test_overlap_theta_reflection_swaps_blocks():
     # alpha block at the reflected angle matches the beta block up to the
     # sign of its spectator off-diagonal
     for theta in (0.1, 0.4, 0.7):
-        a = exchange_overlap(channels_from_angle(theta, 1, 2, 3)).block(1)
+        a = exchange_overlap(
+            channels_from_angle(theta, 1, 2, 3)).matrix[2:4, 2:4]
         b = exchange_overlap(
-            channels_from_angle(math.pi / 2 - theta, 1, 2, 3)).block(0)
+            channels_from_angle(math.pi / 2 - theta, 1, 2, 3)).matrix[0:2, 0:2]
         np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-13)
         np.testing.assert_allclose(np.diag(a), np.diag(b), atol=1e-13)
 
@@ -267,9 +270,11 @@ def test_overlap_continuity_in_theta():
 
 @pytest.mark.parametrize("theta", np.linspace(0.0, math.pi / 2, 11))
 def test_embedding_columns_orthonormal(theta):
-    basis = exchange_overlap(channels_from_angle(theta, 1.0, 2.0, 3.0)).basis
-    g = basis.embedding.T @ basis.embedding
-    assert np.max(np.abs(g - np.eye(6))) < 1e-14
+    # the six (channel, spectator) states under the (1,2) pair labeling
+    cs = channels_from_angle(theta, 1.0, 2.0, 3.0)
+    f12 = spin._faddeev_vectors(spin._channel_pair_tensors(cs))[0]
+    assert f12.shape == (8, 6)
+    assert np.max(np.abs(f12.T @ f12 - np.eye(6))) < 1e-14
 
 
 def test_one_body_rotation_identity():
