@@ -20,6 +20,13 @@ Both axes are built in one congruent form, the overflow-safe
 (D a positive diagonal); by Sylvester's law it moves no root, changes no
 multiplicity and maps null spaces through D.  The root finders scan it,
 and channel_matrix divides out its positive factor to give M and H.
+
+In asymptotic mode R/a = 0 and D = I, so on both axes the scanned matrix
+is f(x) I - g(x) O with O the active overlap: its sorted eigenvalue curves
+are f - g o_j over the fixed eigenvalues o_j of O (the per-eigenvalue
+Efimov equation), and the scan and the refinement read them from that
+closed form.  Finite mode diagonalizes the matrix at every point.  Either
+way a root's residual and null space come from the assembled matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ MERGE_TOL = 1e-8
 GRID_EPS = 1e-8
 #: default number of scan-grid points
 N_GRID = 2000
-#: matrices per stacked eigvalsh call; bounds the memory of a sweep's scan
+#: points per curve evaluation (one stacked eigvalsh call in finite mode);
+#: bounds the memory of a sweep's scan
 BLOCK_MATRICES = 8192
 
 
@@ -160,30 +168,31 @@ class ChannelMatrixSpec:
         return self._active
 
 
-def _imag_stack(kappas, r_over_a, overlap, scale) -> np.ndarray:
-    """Normalized 2 exp(-kappa pi/2) D H(kappa) D over an array of kappa
-    values, shape kappas.shape + (m, m).
-
-    r_over_a (..., m), overlap and scale = D D (..., m, m) are per-spec
-    arrays that broadcast against kappas."""
+def _imag_terms(kappas, r_over_a):
+    """Kernel g and diagonal of 2 exp(-kappa pi/2) H(kappa) = diag - g O
+    before the congruence, over an array of kappa values; r_over_a (..., m)
+    broadcasts against kappas and the diagonal gets shape kappas.shape +
+    (m,)."""
     e_full = np.exp(-math.pi * kappas)
     diag = (kappas * (1.0 + e_full))[..., None] \
         - SQRT2 * ((1.0 - e_full)[..., None] * r_over_a)
     kern = KERNEL_COEFF * (np.exp(-math.pi * kappas / 3.0)
                            - np.exp(-2.0 * math.pi * kappas / 3.0))
-    return _assemble(kern, diag, overlap, scale)
+    return kern, diag
 
 
-def _real_stack(svals, r_over_a, overlap, scale) -> np.ndarray:
-    """Normalized D M(s) D on the real axis (M is already real symmetric);
-    arguments as for _imag_stack."""
+def _real_terms(svals, r_over_a):
+    """Kernel and diagonal of M(s) on the real axis (M is already real
+    symmetric); arguments as for _imag_terms."""
     diag = (svals * np.cos(0.5 * math.pi * svals))[..., None] \
         - SQRT2 * (np.sin(0.5 * math.pi * svals)[..., None] * r_over_a)
     kern = KERNEL_COEFF * np.sin(math.pi * svals / 6.0)
-    return _assemble(kern, diag, overlap, scale)
+    return kern, diag
 
 
 def _assemble(kern, diag, overlap, scale) -> np.ndarray:
+    """The normalized matrices D (diag - kern O) D; overlap and scale = D D
+    (..., m, m) broadcast against kern."""
     out = -kern[..., None, None] * overlap
     idx = np.arange(overlap.shape[-1])
     out[..., idx, idx] += diag
@@ -212,15 +221,15 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
     if spec.active_states().size == 0:
         raise HyperangularError("all channels are closed; no matrix remains")
     if s.real != 0.0:
-        build, x, factor = _real_stack, s.real, 1.0
+        terms, x, factor = _real_terms, s.real, 1.0
     else:
-        build, x = _imag_stack, s.imag
+        terms, x = _imag_terms, s.imag
         if x <= 0.0:
             raise HyperangularError(
                 f"imaginary axis requires kappa > 0, got {x}")
         factor = 2.0 * math.exp(-0.5 * math.pi * x)
-    out = build(np.array([x]), spec._r_over_a, spec._active_overlap,
-                spec._scale)[0]
+    kern, diag = terms(np.array([x]), spec._r_over_a)
+    out = _assemble(kern, diag, spec._active_overlap, spec._scale)[0]
     if normalized:
         return out
     return out / (factor * spec._scale)
@@ -339,11 +348,11 @@ def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
     return grid
 
 
-# axis -> (normalized matrix stack function, scan grid over (0, x_max])
+# axis -> (kernel and diagonal terms, scan grid over (0, x_max])
 _AXES = {
-    "imaginary": (_imag_stack,
+    "imaginary": (_imag_terms,
                   lambda x_max, n: np.linspace(GRID_EPS, x_max, n)),
-    "real": (_real_stack,
+    "real": (_real_terms,
              lambda x_max, n: _nudge_even_integers(
                  np.linspace(GRID_EPS, x_max, n))),
 }
@@ -351,28 +360,47 @@ _AXES = {
 
 class _SpecStack:
     """The per-spec arrays of specs sharing one active-state count,
-    stacked along a leading spec axis."""
+    stacked along a leading spec axis.
+
+    When every spec is asymptotic (R/a = 0 on all active states, so D = I)
+    the overlaps are diagonalized once, and the sorted eigenvalues at any
+    point are the closed-form curves diag - kern o_j: the o_j in
+    descending order where kern >= 0 and ascending where kern < 0.
+    Otherwise every point's matrix goes through eigvalsh."""
 
     def __init__(self, specs, axis: str):
-        self.build = _AXES[axis][0]
+        self.terms = _AXES[axis][0]
         self.r_over_a = np.array([s._r_over_a for s in specs])
         self.overlap = np.array([s._active_overlap for s in specs])
         self.scale = np.array([s._scale for s in specs])
+        self.congruence = np.array([s._congruence for s in specs])
+        self.overlap_eigs = (None if np.any(self.r_over_a)
+                             else np.linalg.eigvalsh(self.overlap))
 
     def matrices(self, p, x) -> np.ndarray:
         """Normalized matrices of spec p at x, elementwise over the
         broadcast shape of p and x (a scan block pairs a column of spec
         indices with rows of grid points)."""
-        return self.build(x, self.r_over_a[p], self.overlap[p],
-                          self.scale[p])
+        kern, diag = self.terms(x, self.r_over_a[p])
+        return _assemble(kern, diag, self.overlap[p], self.scale[p])
+
+    def eigenvalues(self, p, x) -> np.ndarray:
+        """Sorted eigenvalues of matrices(p, x), shape the broadcast shape
+        of p and x plus (m,)."""
+        if self.overlap_eigs is None:
+            return np.linalg.eigvalsh(self.matrices(p, x))
+        kern, diag = self.terms(x, self.r_over_a[p])
+        o = self.overlap_eigs[p]
+        kern = kern[..., None]
+        return diag - kern * np.where(kern < 0.0, o, o[..., ::-1])
 
     def curve_values(self, p, x, k) -> np.ndarray:
         """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays,
-        in stacked eigvalsh calls of at most BLOCK_MATRICES matrices."""
+        in blocks of at most BLOCK_MATRICES points."""
         out = np.empty(x.size)
         for lo in range(0, x.size, BLOCK_MATRICES):
             part = slice(lo, lo + BLOCK_MATRICES)
-            lam = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
+            lam = self.eigenvalues(p[part], x[part])
             out[part] = lam[np.arange(lam.shape[0]), k[part]]
         return out
 
@@ -411,13 +439,17 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     states (one sweep, or a single point).
 
     The sorted eigenvalue curves are scanned over each spec's grid in
-    blocks of about BLOCK_MATRICES matrices (one spec's grid when that is
+    blocks of about BLOCK_MATRICES points (one spec's grid when that is
     larger), each block making its own grids; every sign change, and every
     hidden root pair a tangency fine scan uncovers, is bisected together
-    with all others.  Returns per spec the grid-resolution warnings and
-    the merged root groups (value, multiplicity, eigenvalues and
-    eigenvectors of the normalized matrix at the value); _axis_roots
-    turns a spec's groups into roots.
+    with all others.  Coincident roots merge into groups, and the
+    normalized matrices at all group values are diagonalized in one
+    stacked eigh; for each multiplicity m, one stacked step takes the m
+    smallest-|lambda| eigenvectors, undoes the congruence and
+    re-orthonormalizes them.  Returns per spec the grid-resolution
+    warnings and the groups in ascending value, each (value, residual,
+    null vectors): the residual is the largest of those m |lambda|, and
+    the null vectors are m orthonormal columns over the full state list.
     """
     warns: list[list[str]] = [[] for _ in specs]
     groups: list[list[tuple]] = [[] for _ in specs]
@@ -432,8 +464,7 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
         grids = np.array([grid_of(x, n_grid)
                           for x in x_max[b:b + per_block]])
         pb = np.arange(b, b + grids.shape[0])
-        curves = np.linalg.eigvalsh(
-            stack.matrices(pb[:, None], grids)).transpose(0, 2, 1)
+        curves = stack.eigenvalues(pb[:, None], grids).transpose(0, 2, 1)
         neg = curves < 0.0
         p, k, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
         brackets.append((pb[p], k, grids[p, i], grids[p, i + 1],
@@ -464,9 +495,30 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     runs = np.split(values, cut)
     grp_p = p[np.concatenate(([0], cut))]
     grp_value = [float(np.mean(v)) for v in runs]
+    mult = np.array([v.size for v in runs])
     lam, vec = np.linalg.eigh(stack.matrices(grp_p, np.array(grp_value)))
-    for g, v in enumerate(runs):
-        groups[grp_p[g]].append((grp_value[g], v.size, lam[g], vec[g]))
+    residual = np.empty(len(runs))
+    null = [None] * len(runs)
+    active = specs[0]._active
+    for m in np.unique(mult):
+        g = np.nonzero(mult == m)[0]
+        pick = np.argsort(np.abs(lam[g]), axis=-1)[:, :m]
+        residual[g] = np.max(np.abs(np.take_along_axis(lam[g], pick, -1)),
+                             axis=-1)
+        # undo the congruence, re-orthonormalize, and make each column's
+        # largest-magnitude entry positive
+        raw = stack.congruence[grp_p[g], :, None] \
+            * np.take_along_axis(vec[g], pick[:, None, :], -1)
+        q = np.linalg.qr(raw)[0]
+        top = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None, :],
+                                 1)
+        q *= np.where(top < 0.0, -1.0, 1.0)
+        full = np.zeros((g.size, specs[0].n_states, q.shape[-1]))
+        full[:, active, :] = q
+        for gi, nv in zip(g, full):
+            null[gi] = nv
+    for g in range(len(runs)):
+        groups[grp_p[g]].append((grp_value[g], float(residual[g]), null[g]))
     return warns, groups
 
 
@@ -494,29 +546,18 @@ def _subdivide(stack, p, k, left, right, brackets, warns) -> None:
 
 def _axis_roots(spec: ChannelMatrixSpec, axis: str,
                 groups) -> list[ChannelRoot]:
-    """Roots of one spec from its merged groups, sorted by descending
-    kappa (imaginary axis) or ascending s (real axis), with profiles when
-    the spec carries its channel set."""
+    """Roots of one spec from its (value, residual, null vectors) groups
+    as _solve_axis returns them, sorted by descending kappa (imaginary
+    axis) or ascending s (real axis), with profiles when the spec carries
+    its channel set.  A residual above RESIDUAL_TOL is an error."""
     roots = []
-    d = spec._congruence
-    for value, mult, lam_r, vec_r in groups:
-        order = np.argsort(np.abs(lam_r))[:mult]
-        residual = float(np.max(np.abs(lam_r[order])))
+    for value, residual, null_vectors in groups:
         if residual > RESIDUAL_TOL:
             raise HyperangularError(
                 f"root candidate at {axis} {value} has residual {residual:.3e}")
-        # undo the congruence, then re-orthonormalize the null basis
-        raw = d[:, None] * vec_r[:, order]
-        q, _ = np.linalg.qr(raw)
-        for c in range(q.shape[1]):
-            j = int(np.argmax(np.abs(q[:, c])))
-            if q[j, c] < 0:
-                q[:, c] = -q[:, c]
-        full = np.zeros((spec.n_states, mult))
-        full[spec._active, :] = q
-        profile = (classify_root(full, spec.channels)
+        profile = (classify_root(null_vectors, spec.channels)
                    if spec.channels is not None else None)
-        roots.append(ChannelRoot(axis, value, full, residual, profile))
+        roots.append(ChannelRoot(axis, value, null_vectors, residual, profile))
     sign = -1.0 if axis == "imaginary" else 1.0
     roots.sort(key=lambda r: sign * r.value)
     return roots

@@ -10,6 +10,7 @@ import spinor_efimov.hyperangular as hyperangular
 from spinor_efimov.runner import _conditioned_matrix
 from spinor_efimov.spin import (
     ScatteringMatrix,
+    as_length,
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
@@ -204,6 +205,21 @@ def test_null_vector_contract():
     h = channel_matrix(1j * root.value, spec)
     act = spec.active_states()
     assert np.max(np.abs(h @ nv[act, :])) < 1e-8
+
+
+def test_null_vector_columns_lead_with_a_positive_entry():
+    """Each null vector's largest-magnitude entry is positive, for roots
+    of every multiplicity on both axes."""
+    spec = _spec_at_angle(0.7, 1.0, 2.0, "closed", "finite", R=1.5)
+    roots = find_roots_imaginary(spec) \
+        + find_roots_real(spec, 8.0, warning_sink=[])
+    sweep = theta_sweep([0.0, 0.4], "unitary", "unitary", "closed", s_max=8)
+    roots += [r for row in sweep.rows for r in row.roots]
+    assert {r.multiplicity for r in roots} >= {1, 2}
+    for r in roots:
+        nv = r.null_vectors
+        top = nv[np.argmax(np.abs(nv), axis=0), np.arange(r.multiplicity)]
+        assert np.all(top > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +589,110 @@ def test_separated_pair_found_without_warning():
     vals = [r.value for r in roots]
     assert min(abs(v - 4.0) for v in vals) < 1e-9
     assert any(4.01 < v < 4.1 for v in vals)  # companion root near 4.0476
+
+
+# ---------------------------------------------------------------------------
+# asymptotic mode: closed-form eigenvalue curves
+# ---------------------------------------------------------------------------
+
+def _random_asymptotic_specs(seed, n_states, n_specs):
+    """Asymptotic specs of one unitary channel per state, with random
+    symmetric overlaps."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(n_specs):
+        a = rng.normal(size=(n_states, n_states))
+        specs.append(ChannelMatrixSpec(
+            lengths=(as_length("unitary"),) * n_states,
+            overlap=a + a.T,
+            state_channel=tuple(range(n_states)),
+            mode="asymptotic"))
+    return specs
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+       n_specs=st.integers(1, 3),
+       kappas=st.lists(st.floats(0.0, 30.0, exclude_min=True),
+                       min_size=1, max_size=16),
+       svals=st.lists(st.floats(0.0, 12.0, exclude_min=True),
+                      min_size=1, max_size=16))
+def test_closed_form_curves_match_eigvalsh(seed, n_states, n_specs, kappas,
+                                           svals):
+    """In asymptotic mode the stack's sorted curves f - g o_j equal the
+    eigenvalues of the assembled matrices, on the imaginary axis and on
+    the real axis across the kernel's sign change at s = 6."""
+    specs = _random_asymptotic_specs(seed, n_states, n_specs)
+    p = np.arange(n_specs)[:, None]
+    for axis, xs in (("imaginary", kappas), ("real", svals)):
+        stack = hyperangular._SpecStack(specs, axis)
+        assert stack.overlap_eigs is not None
+        x = np.array(xs)[None, :]
+        got = stack.eigenvalues(p, x)
+        want = np.linalg.eigvalsh(stack.matrices(p, x))
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_closed_form_sweep_matches_eigvalsh_sweep(monkeypatch):
+    """A 41-point asymptotic theta sweep scanned from the closed-form
+    curves finds the roots the eigvalsh scan finds."""
+    thetas = np.linspace(0.0, 0.5 * math.pi, 41)
+
+    def sweep():
+        return theta_sweep(thetas, "unitary", "unitary", "closed", s_max=8)
+
+    fast = sweep()
+    monkeypatch.setattr(
+        hyperangular._SpecStack, "eigenvalues",
+        lambda self, p, x: np.linalg.eigvalsh(self.matrices(p, x)))
+    slow = sweep()
+    assert fast.warnings == slow.warnings
+    for a, b in zip(fast.rows, slow.rows):
+        assert [(r.axis, r.multiplicity) for r in a.roots] == \
+            [(r.axis, r.multiplicity) for r in b.roots]
+        for x, y in zip(a.roots, b.roots):
+            assert abs(x.value - y.value) <= 1e-12
+            np.testing.assert_allclose(x.spin_profile.weights,
+                                       y.spin_profile.weights, rtol=0,
+                                       atol=1e-12)
+    assert sum(len(row.roots) for row in fast.rows) > 41
+
+
+def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
+    """An asymptotic sweep passes no scan or bisection point through
+    eigvalsh: each axis diagonalizes each spec's overlap once."""
+    thetas = np.linspace(0.0, 0.5 * math.pi, 9)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen.extend(np.reshape(a, (-1,) + a.shape[-2:]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
+    assert all(row.roots for row in table.rows)
+    assert len(seen) <= 2 * thetas.size
+    overlaps = [_spec_at_angle(t, "closed", "unitary", "closed")._active_overlap
+                for t in thetas]
+    for m in seen:
+        assert any(np.array_equal(m, o) for o in overlaps)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the multiplicity is the number of sign changes, "
+                   "not the null-space dimension at the root")
+def test_multiplicity_counts_null_space_dimension():
+    """The normalized M(4) of this finite spec has four eigenvalues at
+    round-off, so the root at s = 4 has multiplicity 4."""
+    cs = eigenchannels(ScatteringMatrix.from_entries(
+        1.3, 0.2, -0.4, 0.7, 0.5, -2.1))
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), "finite",
+                                          hyperradius=2.0)
+    lam = np.linalg.eigvalsh(channel_matrix(4.0, spec, normalized=True))
+    assert np.count_nonzero(np.abs(lam) <= 1e-12) == 4
+    root = min(find_roots_real(spec, 5.0, warning_sink=[]),
+               key=lambda r: abs(r.value - 4.0))
+    assert abs(root.value - 4.0) < 1e-9
+    assert root.multiplicity == 4
