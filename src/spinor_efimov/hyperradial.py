@@ -22,6 +22,12 @@ outward and inward sweeps are each one compiled forward substitution
 through the discrete Wronskian at the outer turning point.  Each level
 is bracketed by node-count bisection on ln|E| and then refined by
 Illinois regula falsi on the matching defect.
+
+scipy is imported only when a ladder is solved: _numerov_sweep loads
+dtbtrs on its first call, so importing this module (and the CLI) does not
+load scipy.  The module-level __getattr__ below keeps the old name
+`solve_banded` resolvable for perfbench/tracing.py, which patches it by
+name.
 """
 
 from __future__ import annotations
@@ -30,9 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# kept only because perfbench/tracing.py patches hyperradial.solve_banded
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dtbtrs
 
 from .hyperangular import SweepTable
 
@@ -47,6 +50,14 @@ _COUNT_WINDOW = 1e-3
 
 class HyperradialError(ValueError):
     pass
+
+
+def __getattr__(name):
+    # delete once perfbench/tracing.py wraps _numerov_sweep (ROADMAP item 1)
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,8 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     with p = 1 - h^2 q / 12 is written as a lower-triangular banded system
     and solved by compiled forward substitution.
     """
+    from scipy.linalg.lapack import dtbtrs  # the only scipy use; see module doc
+
     n = q.size
     y = np.empty(n)
     y[0], y[1] = y0, y1

@@ -303,6 +303,16 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
     task = bundle.meta["task"]
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    # the figure's warnings must reach the JSON, which is written first
+    svg = None
+    if "svg" in formats:
+        if bundle.sweep_table is None:
+            bundle.warnings.append(
+                f"svg output is only defined for sweep tasks; skipped for "
+                f"'{task}'")
+        else:
+            svg, fig_warnings = sweep_figure(bundle.sweep_table)
+            bundle.warnings.extend(fig_warnings)
     if "csv" in formats:
         name = _PRIMARY_TABLE[task]
         path = os.path.join(out_dir, f"{task}.csv")
@@ -317,17 +327,9 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             json.dump(payload, f, indent=2, allow_nan=False)
             f.write("\n")
         written.append(path)
-    if "svg" in formats:
-        table = bundle.sweep_table
-        if table is None:
-            bundle.warnings.append(
-                f"svg output is only defined for sweep tasks; skipped for "
-                f"'{task}'")
-        else:
-            svg, fig_warnings = sweep_figure(table)
-            bundle.warnings.extend(fig_warnings)
-            path = os.path.join(out_dir, f"{task}.svg")
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(svg)
-            written.append(path)
+    if svg is not None:
+        path = os.path.join(out_dir, f"{task}.svg")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(svg)
+        written.append(path)
     return written

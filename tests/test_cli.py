@@ -138,6 +138,24 @@ def test_cli_roots_task(tmp_path):
     assert float(real[0]["value"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_json_warnings_include_the_svg_warnings(tmp_path, capsys):
+    # the svg-skipped warning is raised while the outputs are written; the
+    # json, written before the svg, must still list it
+    cfgfile = tmp_path / "roots.run"
+    cfgfile.write_text("task = roots\ntheta = 1.5707963\na_alpha = closed\n"
+                       "a_beta = unitary\na_gamma = closed\ns_max = 5\n")
+    out = tmp_path / "out"
+    assert main(["roots", "--config", str(cfgfile), "--out", str(out),
+                 "--format", "csv,json,svg"]) == 0
+    printed = [line.removeprefix("warning: ")
+               for line in capsys.readouterr().err.splitlines()
+               if line.startswith("warning: ")]
+    assert any("svg output is only defined" in w for w in printed)
+    payload = json.loads((out / "roots.json").read_text())
+    assert payload["warnings"] == printed
+    assert not (out / "roots.svg").exists()
+
+
 def test_cli_r_sweep_with_plateaus(tmp_path):
     cfgfile = tmp_path / "rs.run"
     cfgfile.write_text("task = r-sweep\ntheta = 1.5707963267948966\n"

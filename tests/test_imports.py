@@ -13,13 +13,6 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spinor_efimov"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-#: imports kept although their module never reads them
-KEPT = {
-    # perfbench/tracing.py patches hyperradial.solve_banded by name
-    "hyperradial": {"solve_banded"},
-}
-
-
 def _unread_imports(path: Path) -> set[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = set()
@@ -46,4 +39,4 @@ def test_package_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_top_level_import_is_read(path):
-    assert _unread_imports(path) == KEPT.get(path.stem, set())
+    assert _unread_imports(path) == set()
