@@ -29,6 +29,7 @@ from .hyperangular import (
     classify_root,
     default_kappa_max,
     find_roots_imaginary,
+    find_roots_imaginary_batch,
     find_roots_real,
     plateau_extract,
     radius_sweep,
@@ -55,8 +56,8 @@ __all__ = [
     "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
     "PlateauSummary", "SpinProfile", "SweepRow", "SweepTable",
     "channel_matrix", "classify_root", "default_kappa_max",
-    "find_roots_imaginary", "find_roots_real", "plateau_extract",
-    "radius_sweep", "theta_sweep",
+    "find_roots_imaginary", "find_roots_imaginary_batch", "find_roots_real",
+    "plateau_extract", "radius_sweep", "theta_sweep",
     "AdiabaticPotential", "LadderSpectrum", "PhysicalConvention",
     "bound_states", "efimov_ladder", "inverse_square_potential", "potential",
     "scaling_factor",

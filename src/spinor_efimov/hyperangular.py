@@ -25,8 +25,14 @@ In asymptotic mode R/a = 0 and D = I, so on both axes the scanned matrix
 is f(x) I - g(x) O with O the active overlap: its sorted eigenvalue curves
 are f - g o_j over the fixed eigenvalues o_j of O (the per-eigenvalue
 Efimov equation), and the scan and the refinement read them from that
-closed form.  Finite mode diagonalizes the matrix at every point.  Either
-way a root's residual and null space come from the assembled matrix.
+closed form.  Finite mode diagonalizes the matrix, but its scan skips the
+grid cells a bound proves empty: by Weyl's inequality every sorted
+eigenvalue curve moves no faster than ||A'||_2, which the closed-form
+entries bound on each cell (Kato, Perturbation Theory for Linear
+Operators, ch. II).  A skipped cell holds no sign change and no near-zero
+dip, so the brackets, fine scans, bisection and warnings are those of the
+full grid, bit for bit.  Either way a root's residual and null space come
+from the assembled matrix.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ N_GRID = 2000
 #: points per curve evaluation (one stacked eigvalsh call in finite mode);
 #: bounds the memory of a sweep's scan
 BLOCK_MATRICES = 8192
+#: grid steps per cell of the certified skip: a finite-mode scan first
+#: evaluates every _CELL-th grid point
+_CELL = 16
+#: error bound of a computed normalized eigenvalue, relative to the bound
+#: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
+#: eigvalsh is backward stable and the entries carry a few eps each)
+_EIG_ERR = 1e-12
 
 
 class HyperangularError(ValueError):
@@ -188,6 +201,35 @@ def _real_terms(svals, r_over_a):
         - SQRT2 * (np.sin(0.5 * math.pi * svals)[..., None] * r_over_a)
     kern = KERNEL_COEFF * np.sin(math.pi * svals / 6.0)
     return kern, diag
+
+
+def _imag_slopes(lo, hi, r_over_a):
+    """Upper bounds on |g'| and on each |d_i'| over kappa in [lo, hi] for
+    the terms of _imag_terms, shapes lo.shape and lo.shape + (m,).  With
+    e = exp(-pi kappa), d_i' = 1 + (1 - pi kappa) e - sqrt(2) pi (R/a_i) e,
+    whose first two terms lie in (0, 2] and fall for kappa < 1/pi; with
+    u = exp(-pi kappa/3), |g'| = (4/sqrt(3)) (pi/3) u |2u - 1|, where
+    u |2u - 1| rises to 1/8 on [0, 1/4], stays below 1/8 up to u = 1/2 and
+    rises again above.  Both bounds fall with kappa, so hi does not
+    enter."""
+    e = np.exp(-math.pi * lo)[..., None]
+    d = 1.0 + (np.maximum(0.0, 1.0 - math.pi * lo)[..., None]
+               + SQRT2 * math.pi * np.abs(r_over_a)) * e
+    u = np.exp(-math.pi * lo / 3.0)
+    swing = u * np.abs(2.0 * u - 1.0)
+    g = (KERNEL_COEFF * math.pi / 3.0) * np.where(u < 0.25, swing,
+                                                  np.maximum(swing, 0.125))
+    return g, d
+
+
+def _real_slopes(lo, hi, r_over_a):
+    """As _imag_slopes for _real_terms: d_i' = (1 - pi (R/a_i)/sqrt(2))
+    cos(pi s/2) - (pi s/2) sin(pi s/2) and g' = (4/sqrt(3)) (pi/6)
+    cos(pi s/6), bounded by Cauchy-Schwarz at s = hi."""
+    d = np.hypot(1.0 + (math.pi / SQRT2) * np.abs(r_over_a),
+                 0.5 * math.pi * hi[..., None])
+    g = np.full(np.shape(lo), KERNEL_COEFF * math.pi / 6.0)
+    return g, d
 
 
 def _assemble(kern, diag, overlap, scale) -> np.ndarray:
@@ -348,11 +390,12 @@ def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
     return grid
 
 
-# axis -> (kernel and diagonal terms, scan grid over (0, x_max])
+# axis -> (kernel and diagonal terms, bounds on their slopes, scan grid
+# over (0, x_max])
 _AXES = {
-    "imaginary": (_imag_terms,
+    "imaginary": (_imag_terms, _imag_slopes,
                   lambda x_max, n: np.linspace(GRID_EPS, x_max, n)),
-    "real": (_real_terms,
+    "real": (_real_terms, _real_slopes,
              lambda x_max, n: _nudge_even_integers(
                  np.linspace(GRID_EPS, x_max, n))),
 }
@@ -366,16 +409,29 @@ class _SpecStack:
     the overlaps are diagonalized once, and the sorted eigenvalues at any
     point are the closed-form curves diag - kern o_j: the o_j in
     descending order where kern >= 0 and ascending where kern < 0.
-    Otherwise every point's matrix goes through eigvalsh."""
+    Otherwise a point's matrix goes through eigvalsh when the scan cannot
+    prove it useless (see scan)."""
 
     def __init__(self, specs, axis: str):
-        self.terms = _AXES[axis][0]
+        self.terms, self.slopes = _AXES[axis][:2]
         self.r_over_a = np.array([s._r_over_a for s in specs])
         self.overlap = np.array([s._active_overlap for s in specs])
         self.scale = np.array([s._scale for s in specs])
         self.congruence = np.array([s._congruence for s in specs])
         self.overlap_eigs = (None if np.any(self.r_over_a)
                              else np.linalg.eigvalsh(self.overlap))
+        # ||D O D||_2, the kernel's weight in the finite-mode scan's bound
+        self.kernel_norm = (None if self.overlap_eigs is not None else
+                            np.linalg.norm(self.scale * self.overlap, 2,
+                                           axis=(-2, -1)))
+
+    def lipschitz(self, p, lo, hi) -> np.ndarray:
+        """Bound L on ||A(y) - A(x)||_2 <= L (y - x) for lo <= x < y <= hi,
+        A = matrices(p, .), elementwise over the broadcast shape of p, lo
+        and hi: A' = D diag(d') D - g' D O D with d and g the axis terms."""
+        g, d = self.slopes(lo, hi, self.r_over_a[p])
+        return np.max(self.congruence[p] ** 2 * d, axis=-1) \
+            + g * self.kernel_norm[p]
 
     def matrices(self, p, x) -> np.ndarray:
         """Normalized matrices of spec p at x, elementwise over the
@@ -403,6 +459,58 @@ class _SpecStack:
             lam = self.eigenvalues(p[part], x[part])
             out[part] = lam[np.arange(lam.shape[0]), k[part]]
         return out
+
+    def scan(self, p, grids):
+        """Sorted eigenvalue curves of spec p[j] over grid row grids[j]
+        (or the one row of grids, shared by every spec, which evaluates its
+        terms once), shape (len(p), m, n), and the (len(p), n) mask of the
+        points evaluated, None when that is every point; the curves are NaN
+        elsewhere.
+
+        Closed-form curves are evaluated everywhere.  Otherwise the cells
+        between every _CELL-th grid point are evaluated at their ends
+        first.  On a cell [a, b] each sorted curve is L-Lipschitz (Weyl's
+        inequality, with L = lipschitz(p, a, b + h) and h the largest grid
+        step), so |lambda_k| >= (|lambda_k(a)| + |lambda_k(b)| - L (b - a))/2
+        throughout.  A cell where that exceeds L h plus four eigenvalue
+        errors on every curve, each keeping its sign at both ends, holds
+        only points with no sign change to a neighbour and |lambda_k| above
+        the change to either neighbour: no bracket and no dip can use its
+        inner points.  Every other cell is evaluated, with one neighbour
+        point on each side."""
+        n = grids.shape[1]
+        if self.overlap_eigs is not None or n < 2:
+            return self.eigenvalues(p[:, None], grids).transpose(0, 2, 1), None
+        # the terms over the whole grid, so that an evaluated point's
+        # matrix is the one the full grid would assemble, bit for bit
+        kern, diag = self.terms(grids, self.r_over_a[p][:, None])
+        kern = np.broadcast_to(kern, diag.shape[:2])
+        curves = np.full(diag.shape, np.nan)
+        seen = np.zeros(diag.shape[:2], dtype=bool)
+
+        def evaluate(want):
+            j, i = np.nonzero(want & ~seen)
+            curves[j, i] = np.linalg.eigvalsh(_assemble(
+                kern[j, i], diag[j, i], self.overlap[p[j]], self.scale[p[j]]))
+            seen[j, i] = True
+
+        ends = np.append(np.arange(0, n - 1, _CELL), n - 1)
+        evaluate(np.isin(np.arange(n), ends)[None, :])
+        lam = curves[:, ends]
+        a, b = grids[:, ends[:-1]], grids[:, ends[1:]]
+        h = np.max(np.diff(grids, axis=1), axis=1, keepdims=True)
+        lip = self.lipschitz(p[:, None], a, b + h)
+        margin = 4.0 * _EIG_ERR * (1.0 + 2.0 * (b + h) + KERNEL_COEFF
+                                   * self.kernel_norm[p][:, None])
+        floor = 0.5 * (np.abs(lam[:, :-1]) + np.abs(lam[:, 1:])
+                       - (lip * (b - a))[..., None])
+        clear = np.all(((lam[:, :-1] < 0.0) == (lam[:, 1:] < 0.0))
+                       & (floor > (lip * h + margin)[..., None]), axis=-1)
+        # step i (points i, i + 1) lies in cell i // _CELL; point i is
+        # needed when a step among i - 2 .. i + 1 lies in an uncleared cell
+        keep = np.pad(~clear[:, np.arange(n - 1) // _CELL], ((0, 0), (2, 2)))
+        evaluate(keep[:, :-3] | keep[:, 1:-2] | keep[:, 2:-1] | keep[:, 3:])
+        return curves.transpose(0, 2, 1), seen
 
 
 def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -440,7 +548,12 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
 
     The sorted eigenvalue curves are scanned over each spec's grid in
     blocks of about BLOCK_MATRICES points (one spec's grid when that is
-    larger), each block making its own grids; every sign change, and every
+    larger), each block making its own grids, one row when its specs share
+    their window.  In finite mode the scan
+    evaluates only the points _SpecStack.scan cannot prove useless, and
+    the sign-change and dip tests run on the evaluated points alone: the
+    skipped points could start neither, so the tests find what they find
+    on the full grid, in the same order.  Every sign change, and every
     hidden root pair a tangency fine scan uncovers, is bisected together
     with all others.  Coincident roots merge into groups, and the
     normalized matrices at all group values are diagonalized in one
@@ -456,17 +569,24 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     if not specs or specs[0]._active.size == 0:
         return warns, groups
     stack = _SpecStack(specs, axis)
-    grid_of = _AXES[axis][1]
+    grid_of = _AXES[axis][2]
     brackets = []   # (p, k, lo, hi, f_lo, f_hi) arrays
     suspects = []   # (p, k, left, right) arrays of tangency candidates
     per_block = max(1, BLOCK_MATRICES // max(n_grid, 1))
     for b in range(0, len(specs), per_block):
-        grids = np.array([grid_of(x, n_grid)
-                          for x in x_max[b:b + per_block]])
-        pb = np.arange(b, b + grids.shape[0])
-        curves = stack.eigenvalues(pb[:, None], grids).transpose(0, 2, 1)
+        windows = x_max[b:b + per_block]
+        pb = np.arange(b, b + len(windows))
+        # specs sharing their window (every theta sweep) share a grid row
+        grids = np.array([grid_of(x, n_grid) for x in (
+            windows[:1] if min(windows) == max(windows) else windows)])
+        curves, seen = stack.scan(pb, grids)
+        grids = np.broadcast_to(grids, (pb.size, grids.shape[1]))
+        # each test counts only where every point it reads was evaluated
         neg = curves < 0.0
         p, k, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
+        if seen is not None:
+            ok = seen[p, i] & seen[p, i + 1]
+            p, k, i = p[ok], k[ok], i[ok]
         brackets.append((pb[p], k, grids[p, i], grids[p, i + 1],
                          curves[p, k, i], curves[p, k, i + 1]))
         # interior near-zero dips without a sign change
@@ -478,6 +598,9 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
             & (neg[..., :-2] == neg[..., 1:-1]) \
             & (neg[..., 1:-1] == neg[..., 2:]) & ~(centre > local)
         p, k, i = np.nonzero(dip)
+        if seen is not None:
+            ok = seen[p, i] & seen[p, i + 1] & seen[p, i + 2]
+            p, k, i = p[ok], k[ok], i[ok]
         suspects.append((pb[p], k, grids[p, i], grids[p, i + 2]))
 
     p, k, left, right = (np.concatenate(c) for c in zip(*suspects))
@@ -563,15 +686,41 @@ def _axis_roots(spec: ChannelMatrixSpec, axis: str,
     return roots
 
 
-def _point_roots(spec, axis, x_max, n_grid,
-                 warning_sink) -> list[ChannelRoot]:
-    (warns,), (groups,) = _solve_axis([spec], axis, [x_max], n_grid)
-    for message in warns:
-        if warning_sink is not None:
-            warning_sink.append(message)
-        else:
-            warnings.warn(message, GridResolutionWarning, stacklevel=3)
-    return _axis_roots(spec, axis, groups)
+def _point_roots(specs, axis, x_maxes, n_grid,
+                 warning_sinks) -> list[list[ChannelRoot]]:
+    """Roots of every spec of a list on one axis, solved in one
+    _solve_axis call per active-state set.  Spec j's grid-resolution
+    warnings go to warning_sinks[j], or to the warnings module when
+    warning_sinks is None."""
+    solved = [None] * len(specs)
+    batches: dict[tuple, list[int]] = {}
+    for j, spec in enumerate(specs):
+        batches.setdefault((spec.n_states, tuple(spec._active)), []).append(j)
+    for idx in batches.values():
+        warns, groups = _solve_axis([specs[j] for j in idx], axis,
+                                    [x_maxes[j] for j in idx], n_grid)
+        for j, w, g in zip(idx, warns, groups):
+            solved[j] = (w, g)
+    out = []
+    for j, (spec, (warns, groups)) in enumerate(zip(specs, solved)):
+        for message in warns:
+            if warning_sinks is not None:
+                warning_sinks[j].append(message)
+            else:
+                warnings.warn(message, GridResolutionWarning, stacklevel=3)
+        out.append(_axis_roots(spec, axis, groups))
+    return out
+
+
+def find_roots_imaginary_batch(specs, kappa_max: float | None = None,
+                               n_grid: int = N_GRID,
+                               warning_sinks: list | None = None
+                               ) -> list[list[ChannelRoot]]:
+    """find_roots_imaginary for every spec of a list, scanned and refined
+    together; warning_sinks, when given, holds one list per spec that
+    receives that spec's warnings."""
+    x_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
+    return _point_roots(specs, "imaginary", x_maxes, n_grid, warning_sinks)
 
 
 def find_roots_imaginary(spec: ChannelMatrixSpec,
@@ -579,9 +728,11 @@ def find_roots_imaginary(spec: ChannelMatrixSpec,
                          n_grid: int = N_GRID,
                          warning_sink: list | None = None) -> list[ChannelRoot]:
     """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
-    sorted by descending kappa (the most attractive channel first)."""
-    kappa_max = _kappa_window(spec, kappa_max)
-    return _point_roots(spec, "imaginary", kappa_max, n_grid, warning_sink)
+    sorted by descending kappa (the most attractive channel first); the
+    one-spec case of find_roots_imaginary_batch."""
+    sinks = None if warning_sink is None else [warning_sink]
+    return _point_roots([spec], "imaginary", [_kappa_window(spec, kappa_max)],
+                        n_grid, sinks)[0]
 
 
 def find_roots_real(spec: ChannelMatrixSpec,
@@ -590,7 +741,8 @@ def find_roots_real(spec: ChannelMatrixSpec,
                     warning_sink: list | None = None) -> list[ChannelRoot]:
     """Real-axis roots in (0, s_max], sorted ascending."""
     _check_s_max(s_max)
-    return _point_roots(spec, "real", s_max, n_grid, warning_sink)
+    sinks = None if warning_sink is None else [warning_sink]
+    return _point_roots([spec], "real", [s_max], n_grid, sinks)[0]
 
 
 # ---------------------------------------------------------------------------

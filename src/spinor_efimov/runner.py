@@ -25,6 +25,7 @@ from .hyperangular import (
     ChannelMatrixSpec,
     SweepTable,
     find_roots_imaginary,
+    find_roots_imaginary_batch,
     find_roots_real,
     plateau_extract,
     radius_sweep,
@@ -198,12 +199,6 @@ def _conditioned_matrix(rng) -> ScatteringMatrix:
             return m
 
 
-def _root_list(channels, radius, kappa_max):
-    spec = ChannelMatrixSpec.from_overlap(
-        exchange_overlap(channels), "finite", hyperradius=radius)
-    return find_roots_imaginary(spec, kappa_max)
-
-
 def _list_deviation(a, b) -> float:
     if len(a) != len(b):
         return float("inf")
@@ -217,26 +212,38 @@ def _list_deviation(a, b) -> float:
 
 def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    max_dev = {"one-body-rotation": 0.0, "sign-flip": 0.0}
+    cases = []  # (trial, check, phi), three per trial, reference first
+    specs = []
     for trial in range(cfg.trials):
         m = _conditioned_matrix(rng)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         base = eigenchannels(m)
-        ref = _root_list(base, cfg.radius, cfg.kappa_max)
-        cases = (("one-body-rotation", phi,
-                  eigenchannels(one_body_rotation(phi, m))),
-                 ("sign-flip", None, base.flip_sign(int(rng.integers(0, 3)))))
-        for check, angle, channels in cases:
-            dev = _list_deviation(ref, _root_list(channels, cfg.radius,
-                                                  cfg.kappa_max))
-            rows.append({"check": check, "trial": trial, "phi": angle,
-                         "deviation": dev})
-            max_dev[check] = max(max_dev[check], dev)
-            if not math.isfinite(dev):
-                bundle.warnings.append(
-                    f"{check} trial {trial}: root lists disagree in length "
-                    "or multiplicity")
+        for check, angle, channels in (
+                ("reference", None, base),
+                ("one-body-rotation", phi,
+                 eigenchannels(one_body_rotation(phi, m))),
+                ("sign-flip", None, base.flip_sign(int(rng.integers(0, 3))))):
+            cases.append((trial, check, angle))
+            specs.append(ChannelMatrixSpec.from_overlap(
+                exchange_overlap(channels), "finite", hyperradius=cfg.radius))
+    sinks = [[] for _ in specs]
+    roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
+                                       warning_sinks=sinks)
+    rows = []
+    max_dev = {"one-body-rotation": 0.0, "sign-flip": 0.0}
+    for j, (trial, check, angle) in enumerate(cases):
+        bundle.warnings.extend(f"trial {trial} {check}: {w}" for w in sinks[j])
+        if check == "reference":
+            ref = roots[j]
+            continue
+        dev = _list_deviation(ref, roots[j])
+        rows.append({"check": check, "trial": trial, "phi": angle,
+                     "deviation": dev})
+        max_dev[check] = max(max_dev[check], dev)
+        if not math.isfinite(dev):
+            bundle.warnings.append(
+                f"{check} trial {trial}: root lists disagree in length "
+                "or multiplicity")
     bundle.tables["checks"] = rows
     bundle.meta["max_deviation"] = {k: _round12(v) for k, v in max_dev.items()}
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import spinor_efimov.runner as runner
 from spinor_efimov.cli import main
 from spinor_efimov.config import parse_config
 from spinor_efimov.figure import sweep_figure
@@ -195,6 +196,55 @@ def test_cli_invariance_suite(tmp_path):
     assert devs["one-body-rotation"] < 1e-8
     assert devs["sign-flip"] < 1e-8
     assert len(payload["tables"]["checks"]) == 6
+
+
+def test_invariance_suite_work_count(monkeypatch):
+    """The 150 finite specs of a 50-trial suite are scanned together, and
+    the scan skips the cells its bound proves empty: at most 100,000
+    matrices in at most 200 eigvalsh calls (one spec at a time over every
+    grid point took 317,672 in 5,150)."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    bundle = run(parse_config(
+        "task = invariance-suite\ntrials = 50\nR = 1\nseed = 0\n"))
+    assert len(bundle.tables["checks"]) == 100
+    assert len(calls) <= 200
+    assert sum(calls) <= 100_000
+
+
+def test_invariance_suite_reports_grid_warnings(tmp_path, capsys,
+                                                monkeypatch):
+    """Each spec's grid-resolution warnings reach the bundle, the JSON,
+    the warning lines and --strict, prefixed with trial and check."""
+    solve = runner.find_roots_imaginary_batch
+
+    def injected(specs, *args, warning_sinks, **kwargs):
+        out = solve(specs, *args, warning_sinks=warning_sinks, **kwargs)
+        for j in (1, 5):
+            warning_sinks[j].append(f"curve grazes zero ({j})")
+        return out
+
+    monkeypatch.setattr(runner, "find_roots_imaginary_batch", injected)
+    cfgfile = tmp_path / "inv.run"
+    cfgfile.write_text("task = invariance-suite\nseed = 3\ntrials = 2\n"
+                       "format = json\n")
+    assert main(["invariance-suite", "--config", str(cfgfile),
+                 "--out", str(tmp_path), "--strict"]) == 1
+    expected = ["trial 0 one-body-rotation: curve grazes zero (1)",
+                "trial 1 sign-flip: curve grazes zero (5)"]
+    payload = json.loads((tmp_path / "invariance-suite.json").read_text())
+    assert payload["warnings"] == expected
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("warning:")] == \
+        [f"warning: {w}" for w in expected]
+    assert len(payload["tables"]["checks"]) == 4
 
 
 def test_installed_entry_point_runs(sweep_config, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spinor_efimov.hyperangular as hyperangular
-from spinor_efimov.runner import _conditioned_matrix
+from spinor_efimov.config import parse_config
+from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
     ScatteringMatrix,
     as_length,
@@ -17,6 +19,8 @@ from spinor_efimov.spin import (
     one_body_rotation,
 )
 from spinor_efimov.hyperangular import (
+    GRID_EPS,
+    KERNEL_COEFF,
     ChannelMatrixSpec,
     GridResolutionWarning,
     HyperangularError,
@@ -24,6 +28,7 @@ from spinor_efimov.hyperangular import (
     classify_root,
     default_kappa_max,
     find_roots_imaginary,
+    find_roots_imaginary_batch,
     find_roots_real,
     plateau_extract,
     radius_sweep,
@@ -678,6 +683,139 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
                 for t in thetas]
     for m in seen:
         assert any(np.array_equal(m, o) for o in overlaps)
+
+
+# ---------------------------------------------------------------------------
+# finite mode: the certified skip of the scan
+# ---------------------------------------------------------------------------
+
+def _random_finite_spec(seed, n_active, radius):
+    """A finite spec over six states, n_active of them on finite channels
+    of random sign and size and the rest closed, with a random symmetric
+    overlap."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(6, 6))
+    values = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-2.0, 2.0, 6)
+    return ChannelMatrixSpec(
+        lengths=tuple(as_length(v) if j < n_active else as_length("closed")
+                      for j, v in enumerate(values)),
+        overlap=a + a.T,
+        state_channel=tuple(range(6)),
+        mode="finite",
+        hyperradius=radius)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n_active=st.integers(1, 6),
+       radius=st.floats(0.05, 50.0), axis=st.sampled_from(["imaginary", "real"]),
+       s_max=st.floats(2.0, 12.0),
+       start=st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 1.0)),
+       width=st.floats(1e-4, 5e-2))
+def test_cell_lipschitz_bound_holds(seed, n_active, radius, axis, s_max,
+                                    start, width):
+    """The scan's Lipschitz bound L of a cell [lo, hi] of the scan window,
+    at kappa down to GRID_EPS, bounds ||A(y) - A(x)||_2 / (y - x) for the
+    normalized matrix A on sampled pairs of the cell."""
+    spec = _random_finite_spec(seed, n_active, radius)
+    x_max = default_kappa_max(spec) if axis == "imaginary" else s_max
+    lo = GRID_EPS + start * (x_max - GRID_EPS)
+    hi = lo + width * (x_max - GRID_EPS)
+    stack = hyperangular._SpecStack([spec], axis)
+    lip = stack.lipschitz(np.array([0]), np.array([lo]), np.array([hi]))[0]
+
+    def a_of(x):
+        return channel_matrix(1j * x if axis == "imaginary" else x, spec,
+                              normalized=True)
+
+    rng = np.random.default_rng(seed)
+    pairs = [(lo, hi), (lo, lo + 1e-3 * (hi - lo))]
+    pairs += [tuple(np.sort(t)) for t in rng.uniform(lo, hi, size=(6, 2))]
+    for x, y in pairs:
+        # round-off of the two assembled matrices, well below eps ||A||
+        slack = 1e-13 * (1.0 + 2.0 * y + KERNEL_COEFF * stack.kernel_norm[0])
+        assert np.linalg.norm(a_of(y) - a_of(x), 2) <= lip * (y - x) + slack
+
+
+def _without_skip(mp):
+    """Turn the certified skip off: an infinite bound clears no cell."""
+    mp.setattr(hyperangular._SpecStack, "lipschitz",
+               lambda self, p, lo, hi: np.inf)
+
+
+def _assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [(v, r) for v, r, _ in g] == [(v, r) for v, r, _ in w]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(g, w))
+
+
+@pytest.mark.parametrize("n_grid", [2, 3, 17, 2000])
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1),
+       radii=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4),
+       s_max=st.floats(2.0, 12.0))
+def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
+    """Scanning with the certified skip gives, bit for bit, the groups and
+    warnings of the same scan over every grid point, on both axes."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for j, radius in enumerate(radii):
+        if j % 2:
+            specs.append(ChannelMatrixSpec.from_overlap(
+                exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
+                "finite", hyperradius=radius))
+        else:
+            specs.append(_random_finite_spec(seed + j, 6, radius))
+    for axis, x_max in (("imaginary", [default_kappa_max(s) for s in specs]),
+                        ("real", [s_max] * len(specs))):
+        warns, groups = hyperangular._solve_axis(specs, axis, x_max, n_grid)
+        with pytest.MonkeyPatch.context() as mp:
+            _without_skip(mp)
+            full_warns, full_groups = hyperangular._solve_axis(
+                specs, axis, x_max, n_grid)
+        assert warns == full_warns
+        _assert_same_groups(groups, full_groups)
+
+
+def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
+    """The r-sweep golden run, with and without the skip: equal rows and
+    warnings, bit for bit, from fewer eigenvalue evaluations."""
+    text = (Path(__file__).parent / "golden" / "r-sweep.run").read_text()
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(math.prod(a.shape[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    fast = run(parse_config(text))
+    fast_matrices = sum(seen)
+    with monkeypatch.context() as mp:
+        _without_skip(mp)
+        full = run(parse_config(text))
+    assert sum(seen) - fast_matrices > 2 * fast_matrices
+    assert fast.tables == full.tables and fast.warnings == full.warnings
+    assert fast.warnings  # the grid-resolution path is exercised
+    for a, b in zip(fast.sweep_table.rows, full.sweep_table.rows):
+        _assert_same_roots(a.roots, b.roots)
+
+
+def test_batch_equals_single_point_roots():
+    """The list form returns, per spec, the single-point roots and
+    warnings, also for specs of different active states."""
+    rng = np.random.default_rng(5)
+    specs = [ChannelMatrixSpec.from_overlap(
+        exchange_overlap(eigenchannels(_conditioned_matrix(rng))), "finite",
+        hyperradius=r) for r in (0.5, 2.0, 8.0)]
+    specs.insert(1, _spec_at_angle(0.4, 1.0, 30.0, "closed", "finite", R=3.0))
+    sinks = [[] for _ in specs]
+    got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
+    for spec, roots, sink in zip(specs, got, sinks):
+        want_sink = []
+        _assert_same_roots(roots, find_roots_imaginary(
+            spec, 10.0, warning_sink=want_sink))
+        assert sink == want_sink
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
