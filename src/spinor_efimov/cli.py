@@ -56,7 +56,11 @@ def main(argv=None) -> int:
                 return 1
             cfg.formats = formats
         bundle = run(cfg)
-        written = write_outputs(bundle, cfg.out, cfg.formats)
+        try:
+            written = write_outputs(bundle, cfg.out, cfg.formats)
+        except OSError as exc:
+            print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+            return 1
     except (ConfigError, RunnerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,14 +25,15 @@ In asymptotic mode R/a = 0 and D = I, so on both axes the scanned matrix
 is f(x) I - g(x) O with O the active overlap: its sorted eigenvalue curves
 are f - g o_j over the fixed eigenvalues o_j of O (the per-eigenvalue
 Efimov equation), and the scan and the refinement read them from that
-closed form.  Finite mode diagonalizes the matrix, but its scan skips the
-grid cells a bound proves empty: by Weyl's inequality every sorted
-eigenvalue curve moves no faster than ||A'||_2, which the closed-form
-entries bound on each cell (Kato, Perturbation Theory for Linear
-Operators, ch. II).  A skipped cell holds no sign change and no near-zero
-dip, so the brackets, fine scans, bisection and warnings are those of the
-full grid, bit for bit.  Either way a root's residual and null space come
-from the assembled matrix.
+closed form.  Finite mode diagonalizes the matrix, but scans its grid
+coarse to fine, in cells of 256, 64, 16 and 4 steps, and skips the cells
+a bound proves empty: by Weyl's inequality every sorted eigenvalue curve
+moves no faster than ||A'||_2, which the closed-form entries bound on
+each cell (Kato, Perturbation Theory for Linear Operators, ch. II).  A
+skipped cell holds no sign change and no near-zero dip, so the brackets,
+fine scans, bisection and warnings are those of the full grid, bit for
+bit.  Either way a root's residual and null space come from the
+assembled matrix.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ MERGE_TOL = 1e-8
 GRID_EPS = 1e-8
 #: default number of scan-grid points
 N_GRID = 2000
-#: points per curve evaluation (one stacked eigvalsh call in finite mode);
-#: bounds the memory of a sweep's scan
-BLOCK_MATRICES = 8192
-#: grid steps per cell of the certified skip: a finite-mode scan first
-#: evaluates every _CELL-th grid point
-_CELL = 16
+#: matrices per stacked eigvalsh call; bounds the memory of a finite-mode
+#: scan and of a refinement
+BLOCK_MATRICES = 1024
+#: grid points per block of an asymptotic scan's closed-form curves
+_BLOCK_POINTS = 8192
+#: cell widths in grid steps of the finite-mode scan, coarse to fine
+_LEVELS = (256, 64, 16, 4)
+#: how far the real-axis grid moves a point off an even integer
+_NUDGE = 1e-6
 #: error bound of a computed normalized eigenvalue, relative to the bound
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
 #: eigvalsh is backward stable and the entries carry a few eps each)
@@ -232,13 +236,12 @@ def _real_slopes(lo, hi, r_over_a):
     return g, d
 
 
-def _assemble(kern, diag, overlap, scale) -> np.ndarray:
-    """The normalized matrices D (diag - kern O) D; overlap and scale = D D
-    (..., m, m) broadcast against kern."""
+def _assemble(kern, diag, overlap) -> np.ndarray:
+    """The matrices diag - kern O, which the congruence D D scales
+    elementwise; overlap (..., m, m) broadcasts against kern."""
     out = -kern[..., None, None] * overlap
     idx = np.arange(overlap.shape[-1])
     out[..., idx, idx] += diag
-    out *= scale
     return out
 
 
@@ -271,7 +274,7 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
                 f"imaginary axis requires kappa > 0, got {x}")
         factor = 2.0 * math.exp(-0.5 * math.pi * x)
     kern, diag = terms(np.array([x]), spec._r_over_a)
-    out = _assemble(kern, diag, spec._active_overlap, spec._scale)[0]
+    out = _assemble(kern, diag, spec._active_overlap)[0] * spec._scale
     if normalized:
         return out
     return out / (factor * spec._scale)
@@ -378,7 +381,7 @@ def _check_s_max(s_max: float) -> None:
         raise HyperangularError("s_max must be at least 2")
 
 
-def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
+def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
     """Move grid points off even integers, where sin(s pi/2) = 0 makes the
     diagonal entries of every channel coincide (a benign degeneracy that
     confuses sorted-curve bookkeeping)."""
@@ -390,15 +393,18 @@ def _nudge_even_integers(grid: np.ndarray, offset: float = 1e-6) -> np.ndarray:
     return grid
 
 
-# axis -> (kernel and diagonal terms, bounds on their slopes, scan grid
-# over (0, x_max])
-_AXES = {
-    "imaginary": (_imag_terms, _imag_slopes,
-                  lambda x_max, n: np.linspace(GRID_EPS, x_max, n)),
-    "real": (_real_terms, _real_slopes,
-             lambda x_max, n: _nudge_even_integers(
-                 np.linspace(GRID_EPS, x_max, n))),
-}
+def _grid(axis: str, x_max, n: int, i) -> np.ndarray:
+    """Points i of the n-point scan grid over (0, x_max] of an axis, with
+    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i], moved off
+    even integers on the real axis.  n >= 2."""
+    x = i * ((x_max - GRID_EPS) / (n - 1)) + GRID_EPS
+    x = np.where(i == n - 1, x_max, x)
+    return _nudge_even_integers(x) if axis == "real" else x
+
+
+# axis -> (kernel and diagonal terms, bounds on their slopes)
+_AXES = {"imaginary": (_imag_terms, _imag_slopes),
+         "real": (_real_terms, _real_slopes)}
 
 
 class _SpecStack:
@@ -410,10 +416,10 @@ class _SpecStack:
     point are the closed-form curves diag - kern o_j: the o_j in
     descending order where kern >= 0 and ascending where kern < 0.
     Otherwise a point's matrix goes through eigvalsh when the scan cannot
-    prove it useless (see scan)."""
+    prove it useless (see _finite_scan)."""
 
     def __init__(self, specs, axis: str):
-        self.terms, self.slopes = _AXES[axis][:2]
+        self.terms, self.slopes = _AXES[axis]
         self.r_over_a = np.array([s._r_over_a for s in specs])
         self.overlap = np.array([s._active_overlap for s in specs])
         self.scale = np.array([s._scale for s in specs])
@@ -435,82 +441,129 @@ class _SpecStack:
 
     def matrices(self, p, x) -> np.ndarray:
         """Normalized matrices of spec p at x, elementwise over the
-        broadcast shape of p and x (a scan block pairs a column of spec
-        indices with rows of grid points)."""
+        broadcast shape of p and x."""
         kern, diag = self.terms(x, self.r_over_a[p])
-        return _assemble(kern, diag, self.overlap[p], self.scale[p])
+        out = _assemble(kern, diag, self.overlap[p])
+        out *= self.scale[p]
+        return out
 
     def eigenvalues(self, p, x) -> np.ndarray:
         """Sorted eigenvalues of matrices(p, x), shape the broadcast shape
-        of p and x plus (m,)."""
+        of p and x plus (m,); finite mode takes flat p and x and
+        diagonalizes BLOCK_MATRICES matrices per eigvalsh call."""
         if self.overlap_eigs is None:
-            return np.linalg.eigvalsh(self.matrices(p, x))
+            out = np.empty(x.shape + self.scale.shape[-1:])
+            for lo in range(0, x.size, BLOCK_MATRICES):
+                part = slice(lo, lo + BLOCK_MATRICES)
+                out[part] = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
+            return out
         kern, diag = self.terms(x, self.r_over_a[p])
         o = self.overlap_eigs[p]
         kern = kern[..., None]
         return diag - kern * np.where(kern < 0.0, o, o[..., ::-1])
 
     def curve_values(self, p, x, k) -> np.ndarray:
-        """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays,
-        in blocks of at most BLOCK_MATRICES points."""
-        out = np.empty(x.size)
-        for lo in range(0, x.size, BLOCK_MATRICES):
-            part = slice(lo, lo + BLOCK_MATRICES)
-            lam = self.eigenvalues(p[part], x[part])
-            out[part] = lam[np.arange(lam.shape[0]), k[part]]
-        return out
+        """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays."""
+        return self.eigenvalues(p, x)[np.arange(x.size), k]
 
-    def scan(self, p, grids):
-        """Sorted eigenvalue curves of spec p[j] over grid row grids[j]
-        (or the one row of grids, shared by every spec, which evaluates its
-        terms once), shape (len(p), m, n), and the (len(p), n) mask of the
-        points evaluated, None when that is every point; the curves are NaN
-        elsewhere.
+    def clears(self, p, a, b, h, lam_a, lam_b) -> np.ndarray:
+        """Whether cell [a, b] of spec p (flat arrays; sorted eigenvalues
+        lam_a and lam_b at its ends, h a bound on the grid step) provably
+        holds no inner point a bracket or a dip can use.  Each sorted curve
+        is L-Lipschitz on it (Weyl), L = lipschitz(p, a, b + h), so
+        |lambda_k| >= (|lambda_k(a)| + |lambda_k(b)| - L (b - a))/2; where
+        that exceeds L h plus four eigenvalue errors and every curve keeps
+        its sign, no point changes sign to a neighbour or has |lambda_k|
+        below the change to one."""
+        lip = self.lipschitz(p, a, b + h)
+        margin = 4.0 * _EIG_ERR * (1.0 + 2.0 * (b + h)
+                                   + KERNEL_COEFF * self.kernel_norm[p])
+        floor = 0.5 * (np.abs(lam_a) + np.abs(lam_b)
+                       - (lip * (b - a))[:, None])
+        return np.all(((lam_a < 0.0) == (lam_b < 0.0))
+                      & (floor > (lip * h + margin)[:, None]), axis=-1)
 
-        Closed-form curves are evaluated everywhere.  Otherwise the cells
-        between every _CELL-th grid point are evaluated at their ends
-        first.  On a cell [a, b] each sorted curve is L-Lipschitz (Weyl's
-        inequality, with L = lipschitz(p, a, b + h) and h the largest grid
-        step), so |lambda_k| >= (|lambda_k(a)| + |lambda_k(b)| - L (b - a))/2
-        throughout.  A cell where that exceeds L h plus four eigenvalue
-        errors on every curve, each keeping its sign at both ends, holds
-        only points with no sign change to a neighbour and |lambda_k| above
-        the change to either neighbour: no bracket and no dip can use its
-        inner points.  Every other cell is evaluated, with one neighbour
-        point on each side."""
-        n = grids.shape[1]
-        if self.overlap_eigs is not None or n < 2:
-            return self.eigenvalues(p[:, None], grids).transpose(0, 2, 1), None
-        # the terms over the whole grid, so that an evaluated point's
-        # matrix is the one the full grid would assemble, bit for bit
-        kern, diag = self.terms(grids, self.r_over_a[p][:, None])
-        kern = np.broadcast_to(kern, diag.shape[:2])
-        curves = np.full(diag.shape, np.nan)
-        seen = np.zeros(diag.shape[:2], dtype=bool)
 
-        def evaluate(want):
-            j, i = np.nonzero(want & ~seen)
-            curves[j, i] = np.linalg.eigvalsh(_assemble(
-                kern[j, i], diag[j, i], self.overlap[p[j]], self.scale[p[j]]))
-            seen[j, i] = True
+def _runs(count):
+    """Owner and offset of each item when item c owns count[c] items."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(count) - count,
+                                                    count)
 
-        ends = np.append(np.arange(0, n - 1, _CELL), n - 1)
-        evaluate(np.isin(np.arange(n), ends)[None, :])
-        lam = curves[:, ends]
-        a, b = grids[:, ends[:-1]], grids[:, ends[1:]]
-        h = np.max(np.diff(grids, axis=1), axis=1, keepdims=True)
-        lip = self.lipschitz(p[:, None], a, b + h)
-        margin = 4.0 * _EIG_ERR * (1.0 + 2.0 * (b + h) + KERNEL_COEFF
-                                   * self.kernel_norm[p][:, None])
-        floor = 0.5 * (np.abs(lam[:, :-1]) + np.abs(lam[:, 1:])
-                       - (lip * (b - a))[..., None])
-        clear = np.all(((lam[:, :-1] < 0.0) == (lam[:, 1:] < 0.0))
-                       & (floor > (lip * h + margin)[..., None]), axis=-1)
-        # step i (points i, i + 1) lies in cell i // _CELL; point i is
-        # needed when a step among i - 2 .. i + 1 lies in an uncleared cell
-        keep = np.pad(~clear[:, np.arange(n - 1) // _CELL], ((0, 0), (2, 2)))
-        evaluate(keep[:, :-3] | keep[:, 1:-2] | keep[:, 2:-1] | keep[:, 3:])
-        return curves.transpose(0, 2, 1), seen
+
+def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
+    """Every spec's grid points that a bracket or a dip can use, with
+    their sorted eigenvalues: flat arrays (spec, grid index, point,
+    eigenvalues) in (spec, index) order.  Each grid starts as one cell
+    evaluated at its ends; each level of _LEVELS splits the open cells
+    into cells of its width, evaluates the new ends and closes the cells
+    _SpecStack.clears.  The cells left open are evaluated in full, with
+    one neighbour point on each side for a dip at an end."""
+    p = np.arange(x_max.size)
+    a, b = np.zeros_like(p), np.full_like(p, n - 1)
+    lam = stack.eigenvalues(np.tile(p, 2), _grid(axis, np.tile(x_max, 2), n,
+                                                 np.concatenate((a, b))))
+    la, lb = lam[:p.size], lam[p.size:]
+    # a bound on the grid step: the spacing, its round-off and the real
+    # axis's nudge off even integers
+    h = (x_max - GRID_EPS) / (n - 1) + 2.0 * _NUDGE + 4.0 * np.spacing(x_max)
+    for width in _LEVELS:
+        cell, j = _runs(-(-(b - a) // width))
+        p, a, la, lb = p[cell], a[cell] + width * j, la[cell], lb[cell]
+        b = np.minimum(a + width, b[cell])
+        new = j > 0  # the start of a cell is new unless its parent's
+        la[new] = stack.eigenvalues(p[new], _grid(axis, x_max[p[new]], n,
+                                                  a[new]))
+        lb[:-1][new[1:]] = la[1:][new[1:]]
+        keep = ~stack.clears(p, _grid(axis, x_max[p], n, a),
+                             _grid(axis, x_max[p], n, b), h[p], la, lb)
+        p, a, b, la, lb = p[keep], a[keep], b[keep], la[keep], lb[keep]
+    # each point once: past the points of the open cell before
+    before = np.full_like(b, -2)
+    before[1:] = np.where(p[1:] == p[:-1], b[:-1], -2)
+    first = np.maximum(a - 1, before + 2)
+    cell, j = _runs(np.minimum(b + 1, n - 1) - first + 1)
+    key = p[cell] * n + first[cell] + j
+    known = np.searchsorted(key, np.concatenate((p * n + a, p * n + b)))
+    p, i = p[cell], first[cell] + j
+    x = _grid(axis, x_max[p], n, i)
+    fresh = np.ones(key.size, dtype=bool)
+    fresh[known] = False
+    lam = np.empty((key.size, la.shape[-1]))
+    lam[known] = np.concatenate((la, lb))
+    lam[fresh] = stack.eigenvalues(p[fresh], x[fresh])
+    return p, i, x, lam
+
+
+def _candidates(p, x, curves, step, brackets, suspects) -> None:
+    """Append the sign changes (p, k, lo, hi, f_lo, f_hi) of sorted
+    eigenvalue curves (rows, m, points) to brackets and their near-zero
+    dips (p, k, left, right) to suspects, in (spec, curve, index) order.
+    p and x (rows, points) give each point's spec and value; a test pairs
+    neighbours only where step (rows, points - 1) holds, if given."""
+    neg = curves < 0.0
+    change = neg[..., :-1] != neg[..., 1:]
+    if step is not None:
+        change &= step[:, None, :]
+    r, k, i = np.nonzero(change)
+    o = np.lexsort((i, k, p[r, i]))
+    r, k, i = r[o], k[o], i[o]
+    brackets.append((p[r, i], k, x[r, i], x[r, i + 1],
+                     curves[r, k, i], curves[r, k, i + 1]))
+    # interior near-zero dips without a sign change
+    mag = np.abs(curves)
+    centre = mag[..., 1:-1]
+    local = np.maximum(np.abs(curves[..., 1:-1] - curves[..., :-2]),
+                       np.abs(curves[..., 2:] - curves[..., 1:-1]))
+    dip = (centre <= mag[..., :-2]) & (centre <= mag[..., 2:]) \
+        & (neg[..., :-2] == neg[..., 1:-1]) \
+        & (neg[..., 1:-1] == neg[..., 2:]) & ~(centre > local)
+    if step is not None:
+        dip &= (step[:, :-1] & step[:, 1:])[:, None, :]
+    r, k, i = np.nonzero(dip)
+    o = np.lexsort((i, k, p[r, i]))
+    r, k, i = r[o], k[o], i[o]
+    suspects.append((p[r, i], k, x[r, i], x[r, i + 2]))
 
 
 def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -546,14 +599,14 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     """Roots on one axis for every spec of a list sharing their active
     states (one sweep, or a single point).
 
-    The sorted eigenvalue curves are scanned over each spec's grid in
-    blocks of about BLOCK_MATRICES points (one spec's grid when that is
-    larger), each block making its own grids, one row when its specs share
-    their window.  In finite mode the scan
-    evaluates only the points _SpecStack.scan cannot prove useless, and
-    the sign-change and dip tests run on the evaluated points alone: the
-    skipped points could start neither, so the tests find what they find
-    on the full grid, in the same order.  Every sign change, and every
+    Closed-form (asymptotic) curves are scanned over every grid point, in
+    blocks of about _BLOCK_POINTS points (one spec's grid when that is
+    larger), with one grid row per block when its specs share their
+    window.  Finite mode evaluates only the points _finite_scan cannot
+    prove useless.  The sign-change and dip tests read consecutive grid
+    indices of one spec: the skipped points could start neither, so the
+    tests find what they find on the full grid, in the same order
+    (spec, curve, index).  Every sign change, and every
     hidden root pair a tangency fine scan uncovers, is bisected together
     with all others.  Coincident roots merge into groups, and the
     normalized matrices at all group values are diagonalized in one
@@ -566,42 +619,30 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     """
     warns: list[list[str]] = [[] for _ in specs]
     groups: list[list[tuple]] = [[] for _ in specs]
-    if not specs or specs[0]._active.size == 0:
+    if not specs or specs[0]._active.size == 0 or n_grid < 2:
         return warns, groups
     stack = _SpecStack(specs, axis)
-    grid_of = _AXES[axis][2]
     brackets = []   # (p, k, lo, hi, f_lo, f_hi) arrays
     suspects = []   # (p, k, left, right) arrays of tangency candidates
-    per_block = max(1, BLOCK_MATRICES // max(n_grid, 1))
-    for b in range(0, len(specs), per_block):
-        windows = x_max[b:b + per_block]
-        pb = np.arange(b, b + len(windows))
-        # specs sharing their window (every theta sweep) share a grid row
-        grids = np.array([grid_of(x, n_grid) for x in (
-            windows[:1] if min(windows) == max(windows) else windows)])
-        curves, seen = stack.scan(pb, grids)
-        grids = np.broadcast_to(grids, (pb.size, grids.shape[1]))
-        # each test counts only where every point it reads was evaluated
-        neg = curves < 0.0
-        p, k, i = np.nonzero(neg[..., :-1] != neg[..., 1:])
-        if seen is not None:
-            ok = seen[p, i] & seen[p, i + 1]
-            p, k, i = p[ok], k[ok], i[ok]
-        brackets.append((pb[p], k, grids[p, i], grids[p, i + 1],
-                         curves[p, k, i], curves[p, k, i + 1]))
-        # interior near-zero dips without a sign change
-        mag = np.abs(curves)
-        centre = mag[..., 1:-1]
-        local = np.maximum(np.abs(curves[..., 1:-1] - curves[..., :-2]),
-                           np.abs(curves[..., 2:] - curves[..., 1:-1]))
-        dip = (centre <= mag[..., :-2]) & (centre <= mag[..., 2:]) \
-            & (neg[..., :-2] == neg[..., 1:-1]) \
-            & (neg[..., 1:-1] == neg[..., 2:]) & ~(centre > local)
-        p, k, i = np.nonzero(dip)
-        if seen is not None:
-            ok = seen[p, i] & seen[p, i + 1] & seen[p, i + 2]
-            p, k, i = p[ok], k[ok], i[ok]
-        suspects.append((pb[p], k, grids[p, i], grids[p, i + 2]))
+    if stack.overlap_eigs is None:
+        p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
+        # neighbours: consecutive grid indices of one spec
+        step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
+        _candidates(p[None], x[None], lam.T[None], step[None], brackets,
+                    suspects)
+    else:
+        per_block = max(1, _BLOCK_POINTS // n_grid)
+        for b in range(0, len(specs), per_block):
+            windows = np.array(x_max[b:b + per_block])
+            pb = np.arange(b, b + windows.size)
+            # specs sharing their window (every theta sweep) share a row
+            grids = _grid(axis, (windows[:1] if np.all(windows == windows[0])
+                                 else windows)[:, None], n_grid,
+                          np.arange(n_grid))
+            curves = stack.eigenvalues(pb[:, None], grids).transpose(0, 2, 1)
+            grids = np.broadcast_to(grids, (pb.size, n_grid))
+            _candidates(np.broadcast_to(pb[:, None], grids.shape), grids,
+                        curves, None, brackets, suspects)
 
     p, k, left, right = (np.concatenate(c) for c in zip(*suspects))
     if p.size:
