@@ -21,23 +21,25 @@ Both axes are built in one congruent form, the overflow-safe
 multiplicity and maps null spaces through D.  The root finders scan it,
 and channel_matrix divides out its positive factor to give M and H.
 
-In asymptotic mode R/a = 0 and D = I, so on both axes the scanned matrix
-is f(x) I - g(x) O with O the active overlap: its sorted eigenvalue curves
-are f - g o_j over the fixed eigenvalues o_j of O (the per-eigenvalue
-Efimov equation), and the scan and the refinement read them from that
-closed form.  Finite mode diagonalizes the matrix, but scans its grid
-coarse to fine, in cells of 256, 64, 16 and 4 steps, and skips the cells
-a bound proves empty: by Weyl's inequality every sorted eigenvalue curve
-moves no faster than ||A'||_2, which the closed-form entries bound on
-each cell (Kato, Perturbation Theory for Linear Operators, ch. II).  A
-skipped cell holds no sign change and no near-zero dip, so the brackets,
-fine scans, bisection and warnings are those of the full grid, bit for
-bit.  Either way a root's residual and null space come from the
-assembled matrix.
+In asymptotic mode R/a = 0 and D = I, so on both axes the matrix is
+f(x) I - g(x) O with O the active overlap: its roots solve the
+per-eigenvalue Efimov equations h_j = f - g o_j = 0 over the eigenvalues
+o_j of O, whose eigenvectors span the null spaces.  No grid is scanned:
+phi = f/g is monotone on the imaginary axis and between its turning
+points and poles on the real one, so each such branch holds one root of
+h_j where h_j changes sign over it.  Finite mode diagonalizes the matrix, but scans its grid coarse to fine, in cells of
+256, 64, 16 and 4 steps, and skips the cells a bound proves empty: by
+Weyl's inequality every sorted eigenvalue curve moves no faster than
+||A'||_2, which the closed-form entries bound on each cell (Kato,
+Perturbation Theory for Linear Operators, ch. II).  A skipped cell holds
+no sign change and no near-zero dip, so the brackets, fine scans,
+bisection and warnings are those of the full grid, bit for bit.  Either
+way a root's residual comes from the assembled matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,8 +70,6 @@ N_GRID = 2000
 #: matrices per stacked eigvalsh call; bounds the memory of a finite-mode
 #: scan and of a refinement
 BLOCK_MATRICES = 1024
-#: grid points per block of an asymptotic scan's closed-form curves
-_BLOCK_POINTS = 8192
 #: cell widths in grid steps of the finite-mode scan, coarse to fine
 _LEVELS = (256, 64, 16, 4)
 #: how far the real-axis grid moves a point off an even integer
@@ -155,26 +155,16 @@ class ChannelMatrixSpec:
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """The six-state problem of the overlap's channel set."""
         return ChannelMatrixSpec(
-            lengths=tuple(overlap.channels.lengths),
-            overlap=overlap.matrix,
-            state_channel=(0, 0, 1, 1, 2, 2),
-            mode=mode,
-            hyperradius=hyperradius,
-            channels=overlap.channels,
-        )
+            tuple(overlap.channels.lengths), overlap.matrix, (0, 0, 1, 1, 2, 2),
+            mode, hyperradius, channels=overlap.channels)
 
     @staticmethod
     def single_level(a, mode: str,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """Collapsed identical-boson problem: one channel, one spectator
         state, exchange overlap exactly 2."""
-        return ChannelMatrixSpec(
-            lengths=(as_length(a),),
-            overlap=np.array([[2.0]]),
-            state_channel=(0,),
-            mode=mode,
-            hyperradius=hyperradius,
-        )
+        return ChannelMatrixSpec((as_length(a),), np.array([[2.0]]), (0,),
+                                 mode, hyperradius)
 
     @property
     def n_states(self) -> int:
@@ -275,9 +265,7 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
         factor = 2.0 * math.exp(-0.5 * math.pi * x)
     kern, diag = terms(np.array([x]), spec._r_over_a)
     out = _assemble(kern, diag, spec._active_overlap)[0] * spec._scale
-    if normalized:
-        return out
-    return out / (factor * spec._scale)
+    return out if normalized else out / (factor * spec._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +297,7 @@ class ChannelRoot:
     value is kappa = |s| for imaginary-axis roots and s for real-axis
     ones.  null_vectors holds an orthonormal basis of the null space as
     columns over the full state list (exact zeros on closed channels);
-    residual is the largest tracked-eigenvalue magnitude left at the root.
+    residual bounds what the normalized matrix leaves of them at the root.
     """
 
     axis: str  # "imaginary" | "real"
@@ -340,13 +328,10 @@ def classify_root(null_vectors: np.ndarray,
     if null_vectors.shape[0] != 6:
         raise HyperangularError(
             "spin classification needs the six-state channel problem")
-    v = channels.vectors
-    weights = np.zeros((3, 2))
+    # each column reshaped to (channel, spectator)
     mult = null_vectors.shape[1]
-    for k in range(mult):
-        coeff = null_vectors[:, k].reshape(3, 2)  # (channel, spectator)
-        weights += (v @ coeff) ** 2
-    weights /= mult
+    weights = sum((channels.vectors @ null_vectors[:, k].reshape(3, 2)) ** 2
+                  for k in range(mult)) / mult
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-10:
         raise HyperangularError(
@@ -362,9 +347,8 @@ def default_kappa_max(spec: ChannelMatrixSpec) -> float:
     """10 covers every attachment-region root; finite channels extend the
     window to catch dimer-limit roots near sqrt(2) R/a."""
     finite = [abs(l.value) for l in spec.lengths if l.kind == "finite"]
-    if not finite:
-        return 10.0
-    return 10.0 + 2.0 * SQRT2 * spec.hyperradius / min(finite)
+    return 10.0 + (2.0 * SQRT2 * spec.hyperradius / min(finite) if finite
+                   else 0.0)
 
 
 def _kappa_window(spec: ChannelMatrixSpec, kappa_max: float | None) -> float:
@@ -381,25 +365,20 @@ def _check_s_max(s_max: float) -> None:
         raise HyperangularError("s_max must be at least 2")
 
 
-def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
-    """Move grid points off even integers, where sin(s pi/2) = 0 makes the
-    diagonal entries of every channel coincide (a benign degeneracy that
-    confuses sorted-curve bookkeeping)."""
-    grid = grid.copy()
-    nearest = 2.0 * np.round(grid / 2.0)
-    close = (np.abs(grid - nearest) < offset) & (nearest > 0.0)
-    shift = np.where(grid >= nearest, offset, -offset)
-    grid[close] = nearest[close] + shift[close]
-    return grid
-
-
 def _grid(axis: str, x_max, n: int, i) -> np.ndarray:
     """Points i of the n-point scan grid over (0, x_max] of an axis, with
-    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i], moved off
-    even integers on the real axis.  n >= 2."""
+    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i].  On the
+    real axis a point within _NUDGE of an even integer moves _NUDGE off
+    it: there sin(s pi/2) = 0 makes the diagonal entries of every channel
+    coincide, a benign degeneracy that confuses sorted-curve bookkeeping.
+    n >= 2."""
     x = i * ((x_max - GRID_EPS) / (n - 1)) + GRID_EPS
     x = np.where(i == n - 1, x_max, x)
-    return _nudge_even_integers(x) if axis == "real" else x
+    if axis == "real":
+        even = 2.0 * np.round(x / 2.0)
+        x = np.where((np.abs(x - even) < _NUDGE) & (even > 0.0),
+                     even + np.where(x >= even, _NUDGE, -_NUDGE), x)
+    return x
 
 
 # axis -> (kernel and diagonal terms, bounds on their slopes)
@@ -408,15 +387,10 @@ _AXES = {"imaginary": (_imag_terms, _imag_slopes),
 
 
 class _SpecStack:
-    """The per-spec arrays of specs sharing one active-state count,
-    stacked along a leading spec axis.
-
-    When every spec is asymptotic (R/a = 0 on all active states, so D = I)
-    the overlaps are diagonalized once, and the sorted eigenvalues at any
-    point are the closed-form curves diag - kern o_j: the o_j in
-    descending order where kern >= 0 and ascending where kern < 0.
-    Otherwise a point's matrix goes through eigvalsh when the scan cannot
-    prove it useless (see _finite_scan)."""
+    """The per-spec arrays of finite-mode specs sharing one active-state
+    count, stacked along a leading spec axis.  A point's matrix goes
+    through eigvalsh when the scan cannot prove it useless (see
+    _finite_scan)."""
 
     def __init__(self, specs, axis: str):
         self.terms, self.slopes = _AXES[axis]
@@ -424,12 +398,9 @@ class _SpecStack:
         self.overlap = np.array([s._active_overlap for s in specs])
         self.scale = np.array([s._scale for s in specs])
         self.congruence = np.array([s._congruence for s in specs])
-        self.overlap_eigs = (None if np.any(self.r_over_a)
-                             else np.linalg.eigvalsh(self.overlap))
-        # ||D O D||_2, the kernel's weight in the finite-mode scan's bound
-        self.kernel_norm = (None if self.overlap_eigs is not None else
-                            np.linalg.norm(self.scale * self.overlap, 2,
-                                           axis=(-2, -1)))
+        # ||D O D||_2, the kernel's weight in the norm and slope bounds
+        self.kernel_norm = np.linalg.norm(self.scale * self.overlap, 2,
+                                          axis=(-2, -1))
 
     def lipschitz(self, p, lo, hi) -> np.ndarray:
         """Bound L on ||A(y) - A(x)||_2 <= L (y - x) for lo <= x < y <= hi,
@@ -438,6 +409,10 @@ class _SpecStack:
         g, d = self.slopes(lo, hi, self.r_over_a[p])
         return np.max(self.congruence[p] ** 2 * d, axis=-1) \
             + g * self.kernel_norm[p]
+
+    def eig_err(self, p, x) -> np.ndarray:
+        """The error bound of a computed eigenvalue of matrices(p, x)."""
+        return _EIG_ERR * (1.0 + 2.0 * x + KERNEL_COEFF * self.kernel_norm[p])
 
     def matrices(self, p, x) -> np.ndarray:
         """Normalized matrices of spec p at x, elementwise over the
@@ -448,19 +423,13 @@ class _SpecStack:
         return out
 
     def eigenvalues(self, p, x) -> np.ndarray:
-        """Sorted eigenvalues of matrices(p, x), shape the broadcast shape
-        of p and x plus (m,); finite mode takes flat p and x and
-        diagonalizes BLOCK_MATRICES matrices per eigvalsh call."""
-        if self.overlap_eigs is None:
-            out = np.empty(x.shape + self.scale.shape[-1:])
-            for lo in range(0, x.size, BLOCK_MATRICES):
-                part = slice(lo, lo + BLOCK_MATRICES)
-                out[part] = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
-            return out
-        kern, diag = self.terms(x, self.r_over_a[p])
-        o = self.overlap_eigs[p]
-        kern = kern[..., None]
-        return diag - kern * np.where(kern < 0.0, o, o[..., ::-1])
+        """Sorted eigenvalues of matrices(p, x) for flat p and x, at most
+        BLOCK_MATRICES matrices per eigvalsh call."""
+        out = np.empty(x.shape + self.scale.shape[-1:])
+        for lo in range(0, x.size, BLOCK_MATRICES):
+            part = slice(lo, lo + BLOCK_MATRICES)
+            out[part] = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
+        return out
 
     def curve_values(self, p, x, k) -> np.ndarray:
         """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays."""
@@ -476,8 +445,7 @@ class _SpecStack:
         its sign, no point changes sign to a neighbour or has |lambda_k|
         below the change to one."""
         lip = self.lipschitz(p, a, b + h)
-        margin = 4.0 * _EIG_ERR * (1.0 + 2.0 * (b + h)
-                                   + KERNEL_COEFF * self.kernel_norm[p])
+        margin = 4.0 * self.eig_err(p, b + h)
         floor = 0.5 * (np.abs(lam_a) + np.abs(lam_b)
                        - (lip * (b - a))[:, None])
         return np.all(((lam_a < 0.0) == (lam_b < 0.0))
@@ -535,43 +503,39 @@ def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
     return p, i, x, lam
 
 
-def _candidates(p, x, curves, step, brackets, suspects) -> None:
-    """Append the sign changes (p, k, lo, hi, f_lo, f_hi) of sorted
-    eigenvalue curves (rows, m, points) to brackets and their near-zero
-    dips (p, k, left, right) to suspects, in (spec, curve, index) order.
-    p and x (rows, points) give each point's spec and value; a test pairs
-    neighbours only where step (rows, points - 1) holds, if given."""
+def _candidates(p, x, curves, step):
+    """The sign changes (p, k, lo, hi, f_lo, f_hi) of sorted eigenvalue
+    curves (m, points) and their near-zero dips (p, k, left, right), in
+    (spec, curve, index) order.  p and x give each point's spec and value;
+    a test pairs neighbours only where step (points - 1) holds."""
     neg = curves < 0.0
-    change = neg[..., :-1] != neg[..., 1:]
-    if step is not None:
-        change &= step[:, None, :]
-    r, k, i = np.nonzero(change)
-    o = np.lexsort((i, k, p[r, i]))
-    r, k, i = r[o], k[o], i[o]
-    brackets.append((p[r, i], k, x[r, i], x[r, i + 1],
-                     curves[r, k, i], curves[r, k, i + 1]))
+    change = (neg[:, :-1] != neg[:, 1:]) & step
+    k, i = np.nonzero(change)
+    o = np.lexsort((i, k, p[i]))
+    k, i = k[o], i[o]
+    brackets = (p[i], k, x[i], x[i + 1], curves[k, i], curves[k, i + 1])
     # interior near-zero dips without a sign change
     mag = np.abs(curves)
-    centre = mag[..., 1:-1]
-    local = np.maximum(np.abs(curves[..., 1:-1] - curves[..., :-2]),
-                       np.abs(curves[..., 2:] - curves[..., 1:-1]))
-    dip = (centre <= mag[..., :-2]) & (centre <= mag[..., 2:]) \
-        & (neg[..., :-2] == neg[..., 1:-1]) \
-        & (neg[..., 1:-1] == neg[..., 2:]) & ~(centre > local)
-    if step is not None:
-        dip &= (step[:, :-1] & step[:, 1:])[:, None, :]
-    r, k, i = np.nonzero(dip)
-    o = np.lexsort((i, k, p[r, i]))
-    r, k, i = r[o], k[o], i[o]
-    suspects.append((p[r, i], k, x[r, i], x[r, i + 2]))
+    centre = mag[:, 1:-1]
+    local = np.maximum(np.abs(curves[:, 1:-1] - curves[:, :-2]),
+                       np.abs(curves[:, 2:] - curves[:, 1:-1]))
+    dip = (centre <= mag[:, :-2]) & (centre <= mag[:, 2:]) \
+        & (neg[:, :-2] == neg[:, 1:-1]) \
+        & (neg[:, 1:-1] == neg[:, 2:]) & ~(centre > local) \
+        & step[:-1] & step[1:]
+    k, i = np.nonzero(dip)
+    o = np.lexsort((i, k, p[i]))
+    k, i = k[o], i[o]
+    return brackets, (p[i], k, x[i], x[i + 2])
 
 
-def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Bisect every bracket of sorted eigenvalue curve k[i] of spec p[i]
-    to its sign flip at once.  Each bracket follows the scalar rule: exact
-    zeros at an end or a midpoint are returned as they are, and the
-    midpoint sequence stops once the bracket is no wider than
-    max(1e-12, 4 eps |hi_0|) or at floating resolution."""
+def _bisect(values, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Bisect every bracket [lo[i], hi[i]] to the sign flip of its
+    function at once; values(idx, x) evaluates the functions of brackets
+    idx at points x.  Each bracket follows the scalar rule: exact zeros at
+    an end or a midpoint are returned as they are, and the midpoint
+    sequence stops once the bracket is no wider than max(1e-12,
+    4 eps |hi_0|) or at floating resolution."""
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
     tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
     out = np.where(f_lo == 0.0, lo, hi)
@@ -583,7 +547,7 @@ def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
         idx = np.nonzero(live)[0]
         if idx.size == 0:
             break
-        f_mid = stack.curve_values(p[idx], mid[idx], k[idx])
+        f_mid = values(idx, mid[idx])
         zero = idx[f_mid == 0.0]
         out[zero] = mid[zero]
         exact[zero] = True
@@ -595,171 +559,222 @@ def _bisect(stack: _SpecStack, p, k, lo, hi, f_lo, f_hi) -> np.ndarray:
     return np.where(exact, out, 0.5 * (lo + hi))
 
 
-def _solve_axis(specs, axis: str, x_max, n_grid: int):
-    """Roots on one axis for every spec of a list sharing their active
-    states (one sweep, or a single point).
-
-    Closed-form (asymptotic) curves are scanned over every grid point, in
-    blocks of about _BLOCK_POINTS points (one spec's grid when that is
-    larger), with one grid row per block when its specs share their
-    window.  Finite mode evaluates only the points _finite_scan cannot
-    prove useless.  The sign-change and dip tests read consecutive grid
-    indices of one spec: the skipped points could start neither, so the
-    tests find what they find on the full grid, in the same order
-    (spec, curve, index).  Every sign change, and every
-    hidden root pair a tangency fine scan uncovers, is bisected together
-    with all others.  Coincident roots merge into groups, and the
-    normalized matrices at all group values are diagonalized in one
-    stacked eigh; for each multiplicity m, one stacked step takes the m
-    smallest-|lambda| eigenvectors, undoes the congruence and
-    re-orthonormalizes them.  Returns per spec the grid-resolution
-    warnings and the groups in ascending value, each (value, residual,
-    null vectors): the residual is the largest of those m |lambda|, and
-    the null vectors are m orthonormal columns over the full state list.
-    """
-    warns: list[list[str]] = [[] for _ in specs]
-    groups: list[list[tuple]] = [[] for _ in specs]
-    if not specs or specs[0]._active.size == 0 or n_grid < 2:
-        return warns, groups
-    stack = _SpecStack(specs, axis)
-    brackets = []   # (p, k, lo, hi, f_lo, f_hi) arrays
-    suspects = []   # (p, k, left, right) arrays of tangency candidates
-    if stack.overlap_eigs is None:
-        p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
-        # neighbours: consecutive grid indices of one spec
-        step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
-        _candidates(p[None], x[None], lam.T[None], step[None], brackets,
-                    suspects)
-    else:
-        per_block = max(1, _BLOCK_POINTS // n_grid)
-        for b in range(0, len(specs), per_block):
-            windows = np.array(x_max[b:b + per_block])
-            pb = np.arange(b, b + windows.size)
-            # specs sharing their window (every theta sweep) share a row
-            grids = _grid(axis, (windows[:1] if np.all(windows == windows[0])
-                                 else windows)[:, None], n_grid,
-                          np.arange(n_grid))
-            curves = stack.eigenvalues(pb[:, None], grids).transpose(0, 2, 1)
-            grids = np.broadcast_to(grids, (pb.size, n_grid))
-            _candidates(np.broadcast_to(pb[:, None], grids.shape), grids,
-                        curves, None, brackets, suspects)
-
-    p, k, left, right = (np.concatenate(c) for c in zip(*suspects))
-    if p.size:
-        _subdivide(stack, p, k, left, right, brackets, warns)
-    p, k, lo, hi, f_lo, f_hi = (np.concatenate(c) for c in zip(*brackets))
-    values = _bisect(stack, p, k, lo, hi, f_lo, f_hi)
-
-    if values.size == 0:
-        return warns, groups
-    # merge coincident roots on distinct curves into one multiple root
+def _merge(p, values):
+    """Roots sorted by (spec, value) and cut where they part by more than
+    MERGE_TOL: the order, run starts, and each run's spec, mean and size."""
     order = np.lexsort((values, p))
     p, values = p[order], values[order]
-    cut = np.nonzero((np.diff(p) != 0) | (np.diff(values) > MERGE_TOL))[0] + 1
-    runs = np.split(values, cut)
-    grp_p = p[np.concatenate(([0], cut))]
-    grp_value = [float(np.mean(v)) for v in runs]
-    mult = np.array([v.size for v in runs])
-    lam, vec = np.linalg.eigh(stack.matrices(grp_p, np.array(grp_value)))
-    residual = np.empty(len(runs))
-    null = [None] * len(runs)
-    active = specs[0]._active
-    for m in np.unique(mult):
+    start = np.flatnonzero((np.diff(p, prepend=-1) != 0)
+                           | (np.diff(values, prepend=-np.inf) > MERGE_TOL))
+    size = np.diff(np.append(start, values.size))
+    mean = np.add.reduceat(values, start) / size
+    for g in np.flatnonzero(size > 2):  # np.mean's order of summation
+        mean[g] = np.mean(values[start[g]:start[g] + size[g]])
+    return order, start, p[start], mean, size
+
+
+def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
+    """Roots of finite-mode specs, lists (spec, value, residual, null
+    vectors): the sorted curves' sign changes at the points _finite_scan
+    keeps, and those fine scans of near-zero dips uncover, bisected
+    together and merged.  The multiplicity is the number merged or, if
+    larger, of eigenvalues within eig_err of zero at the root (the
+    null-space dimension); that many smallest-|lambda| eigenvectors, the
+    congruence undone, are the null vectors."""
+    stack = _SpecStack(specs, axis)
+    p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
+    # neighbours: consecutive grid indices of one spec
+    step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
+    brackets, suspects = _candidates(p, x, lam.T, step)
+    if suspects[0].size:
+        brackets = [np.concatenate(c) for c in zip(
+            brackets, _subdivide(stack, *suspects, warns))]
+    p, k, lo, hi, f_lo, f_hi = brackets
+    values = _bisect(lambda idx, x: stack.curve_values(p[idx], x, k[idx]),
+                     lo, hi, f_lo, f_hi)
+    _, _, grp_p, grp_value, mult = _merge(p, values)
+    lam, vec = np.linalg.eigh(stack.matrices(grp_p, grp_value))
+    mult = np.maximum(mult, np.count_nonzero(
+        np.abs(lam) <= stack.eig_err(grp_p, grp_value)[:, None], axis=-1))
+    pick = np.argsort(np.abs(lam), axis=-1)
+    residual = np.abs(np.take_along_axis(lam, pick, -1)[
+        np.arange(mult.size), mult - 1])
+    null = [None] * grp_p.size
+    for m in sorted(set(mult.tolist())):  # no np.unique: it loads numpy.ma
         g = np.nonzero(mult == m)[0]
-        pick = np.argsort(np.abs(lam[g]), axis=-1)[:, :m]
-        residual[g] = np.max(np.abs(np.take_along_axis(lam[g], pick, -1)),
-                             axis=-1)
         # undo the congruence, re-orthonormalize, and make each column's
         # largest-magnitude entry positive
         raw = stack.congruence[grp_p[g], :, None] \
-            * np.take_along_axis(vec[g], pick[:, None, :], -1)
+            * np.take_along_axis(vec[g], pick[g, None, :m], -1)
         q = np.linalg.qr(raw)[0]
         top = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None, :],
                                  1)
         q *= np.where(top < 0.0, -1.0, 1.0)
         full = np.zeros((g.size, specs[0].n_states, q.shape[-1]))
-        full[:, active, :] = q
+        full[:, specs[0]._active, :] = q
         for gi, nv in zip(g, full):
             null[gi] = nv
-    for g in range(len(runs)):
-        groups[grp_p[g]].append((grp_value[g], float(residual[g]), null[g]))
-    return warns, groups
+    return grp_p.tolist(), grp_value.tolist(), residual.tolist(), null
 
 
-def _subdivide(stack, p, k, left, right, brackets, warns) -> None:
+def _subdivide(stack, p, k, left, right, warns):
     """Scan each suspect cell pair [left, right] of curve k at 65 points;
-    a sign change there adds a bracket, a dip that still grazes zero
-    adds a warning to its spec."""
+    a sign change there gives a bracket (returned as _candidates returns
+    them), a dip that still grazes zero adds a warning to its spec."""
     fine = np.array([np.linspace(a, b, 65) for a, b in zip(left, right)])
     fv = stack.curve_values(np.repeat(p, 65), fine.ravel(),
                             np.repeat(k, 65)).reshape(fine.shape)
     neg = fv < 0.0
     c, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    brackets.append((p[c], k[c], fine[c, j], fine[c, j + 1],
-                     fv[c, j], fv[c, j + 1]))
     fine_var = np.max(np.abs(np.diff(fv, axis=1)), axis=1)
     grazing = (np.min(np.abs(fv), axis=1) < 0.25 * fine_var)
     grazing[c] = False
-    for c in np.nonzero(grazing)[0]:
-        warns[p[c]].append(
-            f"eigenvalue curve {k[c]} grazes zero near "
-            f"{0.5 * (left[c] + right[c]):.6g} without a sign "
+    for g in np.nonzero(grazing)[0]:
+        warns[p[g]].append(
+            f"eigenvalue curve {k[g]} grazes zero near "
+            f"{0.5 * (left[g] + right[g]):.6g} without a sign "
             "change; a root pair inside one grid cell cannot be "
             "excluded, consider a denser grid")
+    return p[c], k[c], fine[c, j], fine[c, j + 1], fv[c, j], fv[c, j + 1]
 
 
-def _axis_roots(spec: ChannelMatrixSpec, axis: str,
-                groups) -> list[ChannelRoot]:
-    """Roots of one spec from its (value, residual, null vectors) groups
-    as _solve_axis returns them, sorted by descending kappa (imaginary
-    axis) or ascending s (real axis), with profiles when the spec carries
-    its channel set.  A residual above RESIDUAL_TOL is an error."""
-    roots = []
-    for value, residual, null_vectors in groups:
+def _phi_slope(s):
+    """A positive multiple of phi' g^2 = f' g - f g' on the real axis."""
+    c, sn = np.cos(0.5 * math.pi * s), np.sin(0.5 * math.pi * s)
+    return (c - 0.5 * math.pi * s * sn) * np.sin(math.pi * s / 6.0) \
+        - (math.pi / 6.0) * s * c * np.cos(math.pi * s / 6.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _branch_ends(axis: str, x_max: float) -> np.ndarray:
+    """Ends of the monotone branches of phi = f/g over the window
+    [GRID_EPS, top] of an axis, top the scan grid's last point.  phi rises
+    strictly on the imaginary axis, so the window is one branch; on the
+    real axis the inner ends are the sign changes of phi' (sampled every
+    1/64 and bisected) and the poles s = 6k of phi, where h_j = f != 0."""
+    top = float(_grid(axis, x_max, 2, 1))
+    ends = [GRID_EPS, top]  # branches are half-open, (lo, hi]
+    if axis == "real":
+        s = np.append(np.arange(1, math.ceil(64.0 * top)) / 64.0, top)
+        slope = _phi_slope(s)
+        i = np.nonzero((slope[:-1] < 0.0) != (slope[1:] < 0.0))[0]
+        ends += [*_bisect(lambda idx, x: _phi_slope(x), s[i], s[i + 1],
+                          slope[i], slope[i + 1]),
+                 *6.0 * np.arange(1, math.ceil(top / 6.0))]
+    ends = np.sort(ends)
+    ends.flags.writeable = False
+    return ends
+
+
+def _scalar_roots(specs, axis: str, x_max):
+    """Roots of asymptotic specs (D = I) as _finite_roots gives them, from
+    h_j = f - g o_j over the overlaps' eigenpairs.  A branch (lo, hi] of
+    phi holds a root of h_j where h_j changes sign over it or is zero at
+    hi; h_j within the eigenvalue error of zero at an inner end is zero.
+    A root's null vectors are the eigenvectors of its o_j, its residual
+    their largest ||A(x) v||."""
+    terms = _AXES[axis][0]  # g and f of f(x) I - g(x) O, with R/a = 0
+
+    def h_of(x, o_j):
+        g, f = terms(x, np.zeros(1))
+        return f[..., 0] - g * o_j
+
+    overlap = np.array([s._active_overlap for s in specs])
+    o, vec = np.linalg.eigh(overlap)
+    x_max = np.asarray(x_max, dtype=float)
+    brackets = []
+    for top in dict.fromkeys(x_max.tolist()):
+        q = np.nonzero(x_max == top)[0]
+        ends = _branch_ends(axis, top)
+        h = h_of(ends[:, None], o[q, None, :])  # (spec, end, j)
+        # a tangency, o_j at a turning value of phi (at a pole |h_j| >= 6)
+        inner = h[:, 1:-1]
+        inner[np.abs(inner) <= _EIG_ERR * (1.0 + 2.0 * ends[1:-1, None] + (
+            KERNEL_COEFF * np.max(np.abs(o[q]), axis=-1))[:, None, None])] = 0
+        h_lo, h_hi = h[:, :-1], h[:, 1:]
+        r, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
+                             | (h_hi == 0.0))
+        brackets.append((q[r], j, ends[b], ends[b + 1], h_lo[r, b, j],
+                         h_hi[r, b, j]))
+    p, j, lo, hi, h_lo, h_hi = (np.concatenate(c) for c in zip(*brackets))
+    values = _bisect(lambda idx, x: h_of(x, o[p[idx], j[idx]]), lo, hi, h_lo,
+                     h_hi)
+    order, start, grp_p, grp_value, size = _merge(p, values)
+    p, j = p[order], j[order]
+    # the roots of one o_j are further apart than MERGE_TOL (at a turning
+    # point by the tolerance), unless they flank a pole, where h_j ~ 6k
+    # fails their mean's residual
+    group = np.repeat(np.arange(start.size), size)
+    v = vec[p, :, j]
+    v *= np.where(v[np.arange(p.size), np.argmax(np.abs(v), axis=1)] < 0.0,
+                  -1.0, 1.0)[:, None]
+    a = _assemble(*terms(grp_value, np.zeros(1)), overlap[grp_p])
+    res = np.linalg.norm((a[group] @ v[:, :, None])[..., 0], axis=-1)
+    residual = np.maximum.reduceat(res, start)
+    full = np.zeros((p.size, specs[0].n_states))
+    full[:, specs[0]._active] = v
+    null = [c.T for c in np.split(full, start[1:])]
+    return grp_p.tolist(), grp_value.tolist(), residual.tolist(), null
+
+
+def _solve_axis(specs, axis: str, x_max, n_grid: int):
+    """Roots on one axis of specs sharing their active states, by
+    _scalar_roots if all are asymptotic, else by _finite_roots on an
+    n_grid-point grid (n_grid < 2: none): per spec the grid warnings and
+    the roots by descending kappa or ascending s, with spin profiles if
+    the spec has channels.  A residual above RESIDUAL_TOL is an error."""
+    warns: list[list[str]] = [[] for _ in specs]
+    roots: list[list[ChannelRoot]] = [[] for _ in specs]
+    if not specs or specs[0]._active.size == 0 or n_grid < 2:
+        return warns, roots
+    if any(np.any(s._r_over_a) for s in specs):
+        solved = _finite_roots(specs, axis, x_max, n_grid, warns)
+    else:
+        solved = _scalar_roots(specs, axis, x_max)
+    for p, value, residual, null in zip(*solved):
         if residual > RESIDUAL_TOL:
             raise HyperangularError(
                 f"root candidate at {axis} {value} has residual {residual:.3e}")
-        profile = (classify_root(null_vectors, spec.channels)
-                   if spec.channels is not None else None)
-        roots.append(ChannelRoot(axis, value, null_vectors, residual, profile))
-    sign = -1.0 if axis == "imaginary" else 1.0
-    roots.sort(key=lambda r: sign * r.value)
-    return roots
+        channels = specs[p].channels
+        roots[p].append(ChannelRoot(
+            axis, value, null, residual,
+            None if channels is None else classify_root(null, channels)))
+    if axis == "imaginary":
+        for r in roots:
+            r.reverse()
+    return warns, roots
 
 
 def _point_roots(specs, axis, x_maxes, n_grid,
                  warning_sinks) -> list[list[ChannelRoot]]:
-    """Roots of every spec of a list on one axis, solved in one
-    _solve_axis call per active-state set.  Spec j's grid-resolution
-    warnings go to warning_sinks[j], or to the warnings module when
-    warning_sinks is None."""
+    """Roots of every spec of a list on one axis, one _solve_axis call per
+    active-state set; spec j's warnings go to warning_sinks[j], or to the
+    warnings module when warning_sinks is None."""
     solved = [None] * len(specs)
     batches: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
         batches.setdefault((spec.n_states, tuple(spec._active)), []).append(j)
     for idx in batches.values():
-        warns, groups = _solve_axis([specs[j] for j in idx], axis,
-                                    [x_maxes[j] for j in idx], n_grid)
-        for j, w, g in zip(idx, warns, groups):
-            solved[j] = (w, g)
-    out = []
-    for j, (spec, (warns, groups)) in enumerate(zip(specs, solved)):
-        for message in warns:
-            if warning_sinks is not None:
-                warning_sinks[j].append(message)
-            else:
-                warnings.warn(message, GridResolutionWarning, stacklevel=3)
-        out.append(_axis_roots(spec, axis, groups))
-    return out
+        for j, w, r in zip(idx, *_solve_axis([specs[j] for j in idx], axis,
+                                             [x_maxes[j] for j in idx],
+                                             n_grid)):
+            solved[j] = r
+            for message in w:
+                if warning_sinks is not None:
+                    warning_sinks[j].append(message)
+                else:
+                    warnings.warn(message, GridResolutionWarning, stacklevel=3)
+    return solved
 
 
 def find_roots_imaginary_batch(specs, kappa_max: float | None = None,
                                n_grid: int = N_GRID,
                                warning_sinks: list | None = None
                                ) -> list[list[ChannelRoot]]:
-    """find_roots_imaginary for every spec of a list, scanned and refined
-    together; warning_sinks, when given, holds one list per spec that
-    receives that spec's warnings."""
+    """find_roots_imaginary for every spec of a list, solved together;
+    warning_sinks, when given, holds one list per spec that receives that
+    spec's warnings.  n_grid shapes only the finite-mode scan, but
+    n_grid < 2 finds no roots in either mode."""
     x_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     return _point_roots(specs, "imaginary", x_maxes, n_grid, warning_sinks)
 
@@ -770,7 +785,7 @@ def find_roots_imaginary(spec: ChannelMatrixSpec,
                          warning_sink: list | None = None) -> list[ChannelRoot]:
     """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
     sorted by descending kappa (the most attractive channel first); the
-    one-spec case of find_roots_imaginary_batch."""
+    one-spec case of find_roots_imaginary_batch, n_grid included."""
     sinks = None if warning_sink is None else [warning_sink]
     return _point_roots([spec], "imaginary", [_kappa_window(spec, kappa_max)],
                         n_grid, sinks)[0]
@@ -780,7 +795,8 @@ def find_roots_real(spec: ChannelMatrixSpec,
                     s_max: float,
                     n_grid: int = N_GRID,
                     warning_sink: list | None = None) -> list[ChannelRoot]:
-    """Real-axis roots in (0, s_max], sorted ascending."""
+    """Real-axis roots in (0, s_max], sorted ascending; n_grid as for
+    find_roots_imaginary_batch."""
     _check_s_max(s_max)
     sinks = None if warning_sink is None else [warning_sink]
     return _point_roots([spec], "real", [s_max], n_grid, sinks)[0]
@@ -802,13 +818,8 @@ class SweepRow:
     curve_ids: tuple[int, ...]
 
     def expanded(self) -> list[tuple[int, ChannelRoot]]:
-        out = []
-        pos = 0
-        for r in self.roots:
-            for _ in range(r.multiplicity):
-                out.append((self.curve_ids[pos], r))
-                pos += 1
-        return out
+        return list(zip(self.curve_ids, [r for r in self.roots
+                                         for _ in range(r.multiplicity)]))
 
 
 @dataclass
@@ -825,10 +836,9 @@ class SweepTable:
         series: dict[int, list[tuple]] = {}
         for row in self.rows:
             for cid, root in row.expanded():
-                if root.axis != axis:
-                    continue
-                series.setdefault(cid, []).append(
-                    (row.theta, row.hyperradius, root.value))
+                if root.axis == axis:
+                    series.setdefault(cid, []).append(
+                        (row.theta, row.hyperradius, root.value))
         return series
 
 
@@ -839,31 +849,25 @@ class _CurveMatcher:
     (kappa ~ sqrt(2) R/a, moving multiplicatively on a log R grid) stay on
     one curve."""
 
-    def __init__(self, jump_tol: float = 0.3, rel_tol: float = 0.35):
-        self.jump_tol = jump_tol
-        self.rel_tol = rel_tol
+    jump_tol, rel_tol = 0.3, 0.35
+
+    def __init__(self):
         self.next_id = 0
         self.last: dict[str, list[tuple[int, float]]] = {}
 
     def assign(self, axis: str, values: list[float]) -> list[int]:
-        prev = self.last.get(axis, [])
-        taken = set()
+        free = dict(enumerate(self.last.get(axis, [])))
         ids: list[int] = []
         for v in values:
-            best = None
-            best_d = math.inf
-            for idx, (cid, old) in enumerate(prev):
-                if idx in taken:
-                    continue
-                d = abs(v - old)
-                if d <= max(self.jump_tol, self.rel_tol * abs(old)) and d < best_d:
-                    best, best_d = idx, d
-            if best is None:
+            # the nearest free slot in its window, the first of equals
+            near = [(abs(v - old), idx) for idx, (_, old) in free.items()
+                    if abs(v - old) <= max(self.jump_tol,
+                                           self.rel_tol * abs(old))]
+            if near:
+                ids.append(free.pop(min(near)[1])[0])
+            else:
                 ids.append(self.next_id)
                 self.next_id += 1
-            else:
-                taken.add(best)
-                ids.append(prev[best][0])
         self.last[axis] = list(zip(ids, values))
         return ids
 
@@ -886,32 +890,27 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
         if s_max:
             _check_s_max(s_max)
         specs.append(spec)
-    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes, n_grid))]
+    scans = [_solve_axis(specs, "imaginary", kappa_maxes, n_grid)]
     if s_max:
-        scans.append(("real", _solve_axis(specs, "real", [s_max] * len(specs),
-                                         n_grid)))
+        scans.append(_solve_axis(specs, "real", [s_max] * len(specs), n_grid))
 
     matcher = _CurveMatcher()
     rows: list[SweepRow] = []
     all_warnings: list[str] = []
-    for p, spec in enumerate(specs):
+    for p in range(len(specs)):
         where = (f"theta={thetas[p]:.6g}" if kind == "theta"
                  else f"R={radii[p]:.6g}")
         roots: tuple[ChannelRoot, ...] = ()
         ids: list[int] = []
-        for axis, (warns, groups) in scans:
+        for axis, (warns, axis_roots) in zip(("imaginary", "real"), scans):
             all_warnings.extend(f"{where}: {w}" for w in warns[p])
-            axis_roots = _axis_roots(spec, axis, groups[p])
-            roots += tuple(axis_roots)
-            ids.extend(matcher.assign(axis, [r.value for r in axis_roots
+            roots += tuple(axis_roots[p])
+            ids.extend(matcher.assign(axis, [r.value for r in axis_roots[p]
                                              for _ in range(r.multiplicity)]))
         rows.append(SweepRow(float(thetas[p]), radii[p], mode, roots,
                              tuple(ids)))
-    window = {
-        "a_alpha": lengths[0].describe(),
-        "a_beta": lengths[1].describe(),
-        "a_gamma": lengths[2].describe(),
-    }
+    window = {key: length.describe() for key, length
+              in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
     return SweepTable(kind, rows, window, all_warnings)
 
 
@@ -922,7 +921,8 @@ def theta_sweep(thetas, a_alpha, a_beta, a_gamma,
                 s_max: float | None = None,
                 n_grid: int = N_GRID) -> SweepTable:
     """Root lists over an ascending theta grid with fixed lengths/flags;
-    roots on adjacent grid points are matched into labeled curves."""
+    roots on adjacent grid points are matched into labeled curves.  n_grid
+    shapes only the finite-mode scan (n_grid < 2: no roots)."""
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise HyperangularError("theta grid must be nonempty and ascending")
@@ -992,16 +992,11 @@ def plateau_extract(table: SweepTable) -> PlateauSummary:
 
     plateaus = []
     for cid, points in sorted(table.curve_series("imaginary").items()):
-        rs = np.array([p[1] for p in points])
-        ks = np.array([p[2] for p in points])
-        if rs.size < 3:
+        rs, ks = np.array([p[1:] for p in points]).T
+        idx = np.flatnonzero((rs >= lo) & (rs <= hi))
+        if idx.size < 3:
             continue
-        x = np.log(rs)
-        dk = np.gradient(ks, x)
-        inside = (rs >= lo) & (rs <= hi)
-        if np.count_nonzero(inside) < 3:
-            continue
-        idx = np.nonzero(inside)[0]
+        dk = np.gradient(ks, np.log(rs))
         best = idx[np.argmin(np.abs(dk[idx]))]
         flat = float(abs(dk[best]))
         plateaus.append(Plateau(cid, float(ks[best]), float(rs[best]), flat,

@@ -2,6 +2,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,7 +476,10 @@ def _assert_same_roots(got, want):
         assert (x.axis, x.value, x.multiplicity, x.residual) == \
             (y.axis, y.value, y.multiplicity, y.residual)
         assert np.array_equal(x.null_vectors, y.null_vectors)
-        assert np.array_equal(x.spin_profile.weights, y.spin_profile.weights)
+        assert (x.spin_profile is None) == (y.spin_profile is None)
+        if x.spin_profile is not None:
+            assert np.array_equal(x.spin_profile.weights,
+                                  y.spin_profile.weights)
 
 
 _GEOM = np.geomspace(1e-2, 1e6, 33)
@@ -597,85 +601,198 @@ def test_separated_pair_found_without_warning():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic mode: closed-form eigenvalue curves
+# asymptotic mode: per-eigenvalue scalar equations
 # ---------------------------------------------------------------------------
 
-def _random_asymptotic_specs(seed, n_states, n_specs):
-    """Asymptotic specs of one unitary channel per state, with random
-    symmetric overlaps."""
+PHI_0 = 6.0 / (math.pi * KC)  # phi = f/g at x -> 0 on both axes
+
+
+def _terms(axis, x):
+    """f and g of the asymptotic matrix f(x) I - g(x) O."""
+    terms = hyperangular._imag_terms if axis == "imaginary" \
+        else hyperangular._real_terms
+    g, f = terms(np.asarray(x, dtype=float), np.zeros(1))
+    return f[..., 0], g
+
+
+def _one_state_spec(o):
+    return ChannelMatrixSpec((as_length("unitary"),), np.array([[o]]), (0,),
+                             "asymptotic")
+
+
+def test_imaginary_phi_rises_strictly_from_its_limit():
+    """phi = f/g rises strictly on (0, 1e3], from 6/(pi K) = 0.826993.
+    Read through h_o = f - g o with o = phi(kappa_i): h_o < 0 at
+    kappa_{i-1} and h_o > 0 at kappa_{i+1} (g > 0), also where g
+    underflows and phi(kappa_{i+1}) is no longer finite."""
+    assert PHI_0 == pytest.approx(0.826993, abs=5e-7)
+    kappa = np.linspace(0.0, 1e3, 200_001)[1:]
+    f, g = _terms("imaginary", kappa)
+    assert np.all(g >= 0.0) and g[-1] == 0.0  # g underflows at the top
+    with np.errstate(divide="ignore", over="ignore"):
+        phi = f / g
+    i = np.flatnonzero(np.isfinite(phi[1:-1])) + 1
+    assert i.size > 100_000
+    assert np.all(f[i + 1] - g[i + 1] * phi[i] > 0.0)
+    assert np.all(f[i - 1] - g[i - 1] * phi[i] < 0.0)
+    assert phi[0] > PHI_0
+    # at the window's lower edge h_o < 0 when o > phi(0), up to the
+    # cancellation in g there (relative 1e-8)
+    f0, g0 = _terms("imaginary", GRID_EPS)
+    assert f0 - g0 * (PHI_0 + 1e-6) < 0.0 < f0 - g0 * (PHI_0 - 1e-6)
+
+
+@pytest.mark.parametrize("s_max", [5.0, 8.0, 12.0])
+def test_real_branches_are_monotone(s_max):
+    """The branch ends split (0, s_max] where phi is monotone: phi on a
+    dense grid of each branch moves one way, and the ends are the turning
+    points of phi (2.08360 and 4.24457 with values -1.008322 and 2.143158
+    below s = 5) and its poles s = 6k."""
+    ends = hyperangular._branch_ends("real", s_max)
+    assert ends[0] == GRID_EPS and ends[-1] == pytest.approx(s_max, abs=2e-6)
+    if s_max == 5.0:
+        np.testing.assert_allclose(ends[1:-1], [2.08360, 4.24457], atol=5e-6)
+        f, g = _terms("real", ends[1:-1])
+        np.testing.assert_allclose(f / g, [-1.008322, 2.143158], atol=5e-7)
+    if s_max >= 6.0:
+        assert 6.0 in ends
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        s = np.linspace(lo, hi, 20_001)[1:-1]
+        f, g = _terms("real", s)
+        step = np.diff(f / g)
+        assert np.all(step > 0.0) or np.all(step < 0.0)
+
+
+@pytest.mark.parametrize("turn", [1, 2])
+def test_tangent_root_sits_at_the_turning_point(turn):
+    """An overlap equal to a turning value phi(t) to round-off gives one
+    simple root at t and no warning; an overlap 1e-9 past it gives two
+    roots near t on the side where phi crosses it, none on the other."""
+    t = hyperangular._branch_ends("real", 5.0)[turn]
+    f, g = _terms("real", t)
+    sink = []
+    for o in (f / g, f / g * (1.0 + 1e-13), f / g * (1.0 - 1e-13)):
+        roots = find_roots_real(_one_state_spec(o), 5.0, warning_sink=sink)
+        assert [(r.value, r.multiplicity) for r in roots] == [(t, 1)]
+        assert roots[0].residual <= 1e-11
+    assert sink == []
+    # t = 2.0836 is a minimum of phi, t = 4.2446 a maximum
+    inward = 1e-9 if turn == 1 else -1e-9
+    near = find_roots_real(_one_state_spec(f / g + inward), 5.0,
+                           warning_sink=sink)
+    assert len(near) == 2 and sink == []
+    assert near[0].value < t < near[1].value
+    assert near[1].value - near[0].value < 1e-3
+    assert find_roots_real(_one_state_spec(f / g - inward), 5.0) == []
+
+
+def _gapped_overlap(seed, n_states, repeat):
+    """A random symmetric overlap Q diag(o) Q^T whose eigenvalues lie at
+    least 0.1 apart (so eigenvectors are well conditioned), except that
+    with repeat the first two are equal."""
     rng = np.random.default_rng(seed)
-    specs = []
-    for _ in range(n_specs):
-        a = rng.normal(size=(n_states, n_states))
-        specs.append(ChannelMatrixSpec(
-            lengths=(as_length("unitary"),) * n_states,
-            overlap=a + a.T,
-            state_channel=tuple(range(n_states)),
-            mode="asymptotic"))
-    return specs
+    o = rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.1, 1.5, n_states))
+    if repeat and n_states > 1:
+        o[1] = o[0]
+    q = np.linalg.qr(rng.normal(size=(n_states, n_states)))[0]
+    return (q * o) @ q.T
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+def _projector_weights(root):
+    """Diagonal of the projector on a root's null space: the spin profile
+    with the identity as channel rotation, basis-free inside the space."""
+    return np.sum(root.null_vectors ** 2, axis=1) / root.multiplicity
+
+
+def _assert_roots_match(got, want, weights):
+    assert [(r.axis, r.multiplicity) for r in got] == \
+        [(r.axis, r.multiplicity) for r in want]
+    for x, y in zip(got, want):
+        assert abs(x.value - y.value) <= 1e-11
+        np.testing.assert_allclose(weights(x), weights(y), rtol=0,
+                                   atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
-       n_specs=st.integers(1, 3),
-       kappas=st.lists(st.floats(0.0, 30.0, exclude_min=True),
-                       min_size=1, max_size=16),
-       svals=st.lists(st.floats(0.0, 12.0, exclude_min=True),
-                      min_size=1, max_size=16))
-def test_closed_form_curves_match_eigvalsh(seed, n_states, n_specs, kappas,
-                                           svals):
-    """In asymptotic mode the stack's sorted curves f - g o_j equal the
-    eigenvalues of the assembled matrices, on the imaginary axis and on
-    the real axis across the kernel's sign change at s = 6."""
-    specs = _random_asymptotic_specs(seed, n_states, n_specs)
-    p = np.arange(n_specs)[:, None]
-    for axis, xs in (("imaginary", kappas), ("real", svals)):
-        stack = hyperangular._SpecStack(specs, axis)
-        assert stack.overlap_eigs is not None
-        x = np.array(xs)[None, :]
-        got = stack.eigenvalues(p, x)
-        want = np.linalg.eigvalsh(stack.matrices(p, x))
-        scale = np.max(np.abs(want), axis=-1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+       s_max=st.floats(2.0, 12.0), repeat=st.booleans())
+def test_scalar_roots_match_the_eigvalsh_scan(seed, n_states, s_max, repeat):
+    """The scalar solver finds the roots the finite-mode eigvalsh scan
+    finds on the same matrices: channels of length 1e300 at R = 1 make
+    R/a nonzero but negligible, so that spec is scanned by _finite_scan.
+    Equal counts and multiplicities, values within 1e-11, null-space
+    weights within 1e-12."""
+    overlap = _gapped_overlap(seed, n_states, repeat)
+    states = tuple(range(n_states))
+    fast = ChannelMatrixSpec((as_length("unitary"),) * n_states, overlap,
+                             states, "asymptotic")
+    slow = ChannelMatrixSpec((as_length(1e300),) * n_states, overlap,
+                             states, "finite", hyperradius=1.0)
+    assert np.any(slow._r_over_a) and np.all(slow._scale == 1.0)
+    for find, args in ((find_roots_imaginary, (10.0,)),
+                       (find_roots_real, (s_max,))):
+        sink = []
+        got = find(fast, *args, warning_sink=sink)
+        assert sink == []
+        want = find(slow, *args, warning_sink=[])
+        _assert_roots_match(got, want, _projector_weights)
 
 
-def test_closed_form_sweep_matches_eigvalsh_sweep(monkeypatch):
-    """A 41-point asymptotic theta sweep scanned from the closed-form
-    curves finds the roots the eigvalsh scan finds."""
-    thetas = np.linspace(0.0, 0.5 * math.pi, 41)
-
-    def sweep():
-        return theta_sweep(thetas, "unitary", "unitary", "closed", s_max=8)
-
-    fast = sweep()
-    monkeypatch.setattr(
-        hyperangular._SpecStack, "eigenvalues",
-        lambda self, p, x: np.linalg.eigvalsh(self.matrices(p, x)))
-    slow = sweep()
-    assert fast.warnings == slow.warnings
+@pytest.mark.parametrize("seed", range(10))
+def test_admixture_sweep_matches_the_eigvalsh_scan(seed):
+    """The benchmark's admixture sweep at seeds 0-9 (kappa_max = 10 +
+    0.5 frac(seed phi)) equals the finite-mode scan of the same matrices
+    (a_beta = 1e300 at R = 1), spin profiles within 1e-12."""
+    kappa_max = 10.0 + 0.5 * ((seed * 0.6180339887498949) % 1.0)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 201)
+    fast = theta_sweep(thetas, "closed", "unitary", "closed",
+                       kappa_max=kappa_max, s_max=5.0)
+    slow = theta_sweep(thetas, "closed", 1e300, "closed", mode="finite",
+                       hyperradius=1.0, kappa_max=kappa_max, s_max=5.0)
+    assert fast.warnings == []
     for a, b in zip(fast.rows, slow.rows):
-        assert [(r.axis, r.multiplicity) for r in a.roots] == \
-            [(r.axis, r.multiplicity) for r in b.roots]
-        for x, y in zip(a.roots, b.roots):
-            assert abs(x.value - y.value) <= 1e-12
-            np.testing.assert_allclose(x.spin_profile.weights,
-                                       y.spin_profile.weights, rtol=0,
-                                       atol=1e-12)
-    assert sum(len(row.roots) for row in fast.rows) > 41
+        _assert_roots_match(a.roots, b.roots,
+                            lambda r: r.spin_profile.weights)
+    assert sum(len(row.roots) for row in fast.rows) > 201
+
+
+def _mp_kappa(lam, guess):
+    """The imaginary-axis root of the scalar equation kappa cosh(pi
+    kappa/2) = (4/sqrt(3)) lam sinh(pi kappa/6), at 30 digits."""
+    mpmath.mp.dps = 30
+    return float(mpmath.findroot(
+        lambda k: k * mpmath.cosh(mpmath.pi * k / 2)
+        - 4 / mpmath.sqrt(3) * lam * mpmath.sinh(mpmath.pi * k / 6), guess))
+
+
+@pytest.mark.parametrize("theta, lam, anchor, mult", [
+    (0.5 * math.pi, 2, 1.00624, 1), (0.0, 1, 0.41370, 2)])
+def test_anchors_match_mpmath(theta, lam, anchor, mult):
+    """The two anchors, single root at theta = pi/2 (overlap eigenvalue
+    2) and double root at theta = 0 (eigenvalue 1 twice), agree with
+    mpmath to 1e-12."""
+    root = find_roots_imaginary(_spec_at_angle(theta, "closed", "unitary",
+                                               "closed"))[0]
+    want = _mp_kappa(lam, anchor)
+    assert want == pytest.approx(anchor, abs=5e-6)
+    assert abs(root.value - want) <= 1e-12
+    assert root.multiplicity == mult
 
 
 def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
-    """An asymptotic sweep passes no scan or bisection point through
-    eigvalsh: each axis diagonalizes each spec's overlap once."""
+    """An asymptotic sweep passes no scan, bisection or root point through
+    eigvalsh or eigh: each axis diagonalizes each spec's overlap once."""
     thetas = np.linspace(0.0, 0.5 * math.pi, 9)
     seen = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counted(a, *args, **kwargs):
-        seen.extend(np.reshape(a, (-1,) + a.shape[-2:]))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(solver):
+        def wrapper(a, *args, **kwargs):
+            seen.extend(np.reshape(a, (-1,) + a.shape[-2:]))
+            return solver(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
     assert all(row.roots for row in table.rows)
     assert len(seen) <= 2 * thetas.size
@@ -745,8 +862,7 @@ def _without_skip(mp):
 def _assert_same_groups(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert [(v, r) for v, r, _ in g] == [(v, r) for v, r, _ in w]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(g, w))
+        _assert_same_roots(g, w)
 
 
 @pytest.mark.parametrize("n_grid", [2, 3, 5, 17, 65, 257, 1025, 2000])
@@ -820,9 +936,6 @@ def test_batch_equals_single_point_roots():
         assert sink == want_sink
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the multiplicity is the number of sign changes, "
-                   "not the null-space dimension at the root")
 def test_multiplicity_counts_null_space_dimension():
     """The normalized M(4) of this finite spec has four eigenvalues at
     round-off, so the root at s = 4 has multiplicity 4."""
