@@ -27,14 +27,15 @@ per-eigenvalue Efimov equations h_j = f - g o_j = 0 over the eigenvalues
 o_j of O, whose eigenvectors span the null spaces.  No grid is scanned:
 phi = f/g is monotone on the imaginary axis and between its turning
 points and poles on the real one, so each such branch holds one root of
-h_j where h_j changes sign over it.  Finite mode diagonalizes the matrix, but scans its grid coarse to fine, in cells of
-256, 64, 16 and 4 steps, and skips the cells a bound proves empty: by
-Weyl's inequality every sorted eigenvalue curve moves no faster than
-||A'||_2, which the closed-form entries bound on each cell (Kato,
-Perturbation Theory for Linear Operators, ch. II).  A skipped cell holds
-no sign change and no near-zero dip, so the brackets, fine scans,
-bisection and warnings are those of the full grid, bit for bit.  Either
-way a root's residual comes from the assembled matrix.
+h_j where h_j changes sign over it.  Finite mode diagonalizes the
+matrix, but scans its grid coarse to fine, in cells of 256, 64, 16 and 4
+steps, and skips the cells a bound proves empty: by Weyl's inequality
+every sorted eigenvalue curve moves no faster than ||A'||_2, which the
+closed-form entries bound on each cell (Kato, Perturbation Theory for
+Linear Operators, ch. II).  A skipped cell holds no sign change and no
+near-zero dip, so the brackets, fine scans, bisection and warnings are
+those of the full grid, bit for bit.  Either way a root's residual comes
+from the assembled matrix.
 """
 
 from __future__ import annotations

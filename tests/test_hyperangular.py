@@ -623,7 +623,7 @@ def _one_state_spec(o):
 def test_imaginary_phi_rises_strictly_from_its_limit():
     """phi = f/g rises strictly on (0, 1e3], from 6/(pi K) = 0.826993.
     Read through h_o = f - g o with o = phi(kappa_i): h_o < 0 at
-    kappa_{i-1} and h_o > 0 at kappa_{i+1} (g > 0), also where g
+    kappa_{i-1} and h_o > 0 at kappa_{i+1} (g >= 0), also where g
     underflows and phi(kappa_{i+1}) is no longer finite."""
     assert PHI_0 == pytest.approx(0.826993, abs=5e-7)
     kappa = np.linspace(0.0, 1e3, 200_001)[1:]
