@@ -40,7 +40,6 @@ from the assembled matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -156,16 +155,26 @@ class ChannelMatrixSpec:
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """The six-state problem of the overlap's channel set."""
         return ChannelMatrixSpec(
-            tuple(overlap.channels.lengths), overlap.matrix, (0, 0, 1, 1, 2, 2),
-            mode, hyperradius, channels=overlap.channels)
+            lengths=tuple(overlap.channels.lengths),
+            overlap=overlap.matrix,
+            state_channel=(0, 0, 1, 1, 2, 2),
+            mode=mode,
+            hyperradius=hyperradius,
+            channels=overlap.channels,
+        )
 
     @staticmethod
     def single_level(a, mode: str,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """Collapsed identical-boson problem: one channel, one spectator
         state, exchange overlap exactly 2."""
-        return ChannelMatrixSpec((as_length(a),), np.array([[2.0]]), (0,),
-                                 mode, hyperradius)
+        return ChannelMatrixSpec(
+            lengths=(as_length(a),),
+            overlap=np.array([[2.0]]),
+            state_channel=(0,),
+            mode=mode,
+            hyperradius=hyperradius,
+        )
 
     @property
     def n_states(self) -> int:
@@ -266,7 +275,9 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
         factor = 2.0 * math.exp(-0.5 * math.pi * x)
     kern, diag = terms(np.array([x]), spec._r_over_a)
     out = _assemble(kern, diag, spec._active_overlap)[0] * spec._scale
-    return out if normalized else out / (factor * spec._scale)
+    if normalized:
+        return out
+    return out / (factor * spec._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +340,13 @@ def classify_root(null_vectors: np.ndarray,
     if null_vectors.shape[0] != 6:
         raise HyperangularError(
             "spin classification needs the six-state channel problem")
-    # each column reshaped to (channel, spectator)
+    v = channels.vectors
+    weights = np.zeros((3, 2))
     mult = null_vectors.shape[1]
-    weights = sum((channels.vectors @ null_vectors[:, k].reshape(3, 2)) ** 2
-                  for k in range(mult)) / mult
+    for k in range(mult):
+        coeff = null_vectors[:, k].reshape(3, 2)  # (channel, spectator)
+        weights += (v @ coeff) ** 2
+    weights /= mult
     total = float(np.sum(weights))
     if abs(total - 1.0) > 1e-10:
         raise HyperangularError(
@@ -348,8 +362,9 @@ def default_kappa_max(spec: ChannelMatrixSpec) -> float:
     """10 covers every attachment-region root; finite channels extend the
     window to catch dimer-limit roots near sqrt(2) R/a."""
     finite = [abs(l.value) for l in spec.lengths if l.kind == "finite"]
-    return 10.0 + (2.0 * SQRT2 * spec.hyperradius / min(finite) if finite
-                   else 0.0)
+    if not finite:
+        return 10.0
+    return 10.0 + 2.0 * SQRT2 * spec.hyperradius / min(finite)
 
 
 def _kappa_window(spec: ChannelMatrixSpec, kappa_max: float | None) -> float:
@@ -366,25 +381,36 @@ def _check_s_max(s_max: float) -> None:
         raise HyperangularError("s_max must be at least 2")
 
 
+def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
+    """Move grid points off even integers, where sin(s pi/2) = 0 makes the
+    diagonal entries of every channel coincide (a benign degeneracy that
+    confuses sorted-curve bookkeeping)."""
+    grid = grid.copy()
+    nearest = 2.0 * np.round(grid / 2.0)
+    close = (np.abs(grid - nearest) < offset) & (nearest > 0.0)
+    shift = np.where(grid >= nearest, offset, -offset)
+    grid[close] = nearest[close] + shift[close]
+    return grid
+
+
 def _grid(axis: str, x_max, n: int, i) -> np.ndarray:
     """Points i of the n-point scan grid over (0, x_max] of an axis, with
-    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i].  On the
-    real axis a point within _NUDGE of an even integer moves _NUDGE off
-    it: there sin(s pi/2) = 0 makes the diagonal entries of every channel
-    coincide, a benign degeneracy that confuses sorted-curve bookkeeping.
-    n >= 2."""
+    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i], moved off
+    even integers on the real axis.  n >= 2."""
     x = i * ((x_max - GRID_EPS) / (n - 1)) + GRID_EPS
     x = np.where(i == n - 1, x_max, x)
-    if axis == "real":
-        even = 2.0 * np.round(x / 2.0)
-        x = np.where((np.abs(x - even) < _NUDGE) & (even > 0.0),
-                     even + np.where(x >= even, _NUDGE, -_NUDGE), x)
-    return x
+    return _nudge_even_integers(x) if axis == "real" else x
 
 
 # axis -> (kernel and diagonal terms, bounds on their slopes)
 _AXES = {"imaginary": (_imag_terms, _imag_slopes),
          "real": (_real_terms, _real_slopes)}
+
+
+def _eig_err(x, kernel_norm):
+    """The error bound of a computed eigenvalue of a normalized matrix at
+    x whose kernel has norm kernel_norm (see _EIG_ERR)."""
+    return _EIG_ERR * (1.0 + 2.0 * x + KERNEL_COEFF * kernel_norm)
 
 
 class _SpecStack:
@@ -410,10 +436,6 @@ class _SpecStack:
         g, d = self.slopes(lo, hi, self.r_over_a[p])
         return np.max(self.congruence[p] ** 2 * d, axis=-1) \
             + g * self.kernel_norm[p]
-
-    def eig_err(self, p, x) -> np.ndarray:
-        """The error bound of a computed eigenvalue of matrices(p, x)."""
-        return _EIG_ERR * (1.0 + 2.0 * x + KERNEL_COEFF * self.kernel_norm[p])
 
     def matrices(self, p, x) -> np.ndarray:
         """Normalized matrices of spec p at x, elementwise over the
@@ -446,7 +468,7 @@ class _SpecStack:
         its sign, no point changes sign to a neighbour or has |lambda_k|
         below the change to one."""
         lip = self.lipschitz(p, a, b + h)
-        margin = 4.0 * self.eig_err(p, b + h)
+        margin = 4.0 * _eig_err(b + h, self.kernel_norm[p])
         floor = 0.5 * (np.abs(lam_a) + np.abs(lam_b)
                        - (lip * (b - a))[:, None])
         return np.all(((lam_a < 0.0) == (lam_b < 0.0))
@@ -568,9 +590,7 @@ def _merge(p, values):
     start = np.flatnonzero((np.diff(p, prepend=-1) != 0)
                            | (np.diff(values, prepend=-np.inf) > MERGE_TOL))
     size = np.diff(np.append(start, values.size))
-    mean = np.add.reduceat(values, start) / size
-    for g in np.flatnonzero(size > 2):  # np.mean's order of summation
-        mean[g] = np.mean(values[start[g]:start[g] + size[g]])
+    mean = np.array([np.mean(values[a:a + n]) for a, n in zip(start, size)])
     return order, start, p[start], mean, size
 
 
@@ -579,7 +599,7 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     vectors): the sorted curves' sign changes at the points _finite_scan
     keeps, and those fine scans of near-zero dips uncover, bisected
     together and merged.  The multiplicity is the number merged or, if
-    larger, of eigenvalues within eig_err of zero at the root (the
+    larger, of eigenvalues within _eig_err of zero at the root (the
     null-space dimension); that many smallest-|lambda| eigenvectors, the
     congruence undone, are the null vectors."""
     stack = _SpecStack(specs, axis)
@@ -596,7 +616,8 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     _, _, grp_p, grp_value, mult = _merge(p, values)
     lam, vec = np.linalg.eigh(stack.matrices(grp_p, grp_value))
     mult = np.maximum(mult, np.count_nonzero(
-        np.abs(lam) <= stack.eig_err(grp_p, grp_value)[:, None], axis=-1))
+        np.abs(lam) <= _eig_err(grp_value, stack.kernel_norm[grp_p])[:, None],
+        axis=-1))
     pick = np.argsort(np.abs(lam), axis=-1)
     residual = np.abs(np.take_along_axis(lam, pick, -1)[
         np.arange(mult.size), mult - 1])
@@ -646,7 +667,6 @@ def _phi_slope(s):
         - (math.pi / 6.0) * s * c * np.cos(math.pi * s / 6.0)
 
 
-@functools.lru_cache(maxsize=64)
 def _branch_ends(axis: str, x_max: float) -> np.ndarray:
     """Ends of the monotone branches of phi = f/g over the window
     [GRID_EPS, top] of an axis, top the scan grid's last point.  phi rises
@@ -662,9 +682,7 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
         ends += [*_bisect(lambda idx, x: _phi_slope(x), s[i], s[i + 1],
                           slope[i], slope[i + 1]),
                  *6.0 * np.arange(1, math.ceil(top / 6.0))]
-    ends = np.sort(ends)
-    ends.flags.writeable = False
-    return ends
+    return np.sort(ends)
 
 
 def _scalar_roots(specs, axis: str, x_max):
@@ -690,8 +708,8 @@ def _scalar_roots(specs, axis: str, x_max):
         h = h_of(ends[:, None], o[q, None, :])  # (spec, end, j)
         # a tangency, o_j at a turning value of phi (at a pole |h_j| >= 6)
         inner = h[:, 1:-1]
-        inner[np.abs(inner) <= _EIG_ERR * (1.0 + 2.0 * ends[1:-1, None] + (
-            KERNEL_COEFF * np.max(np.abs(o[q]), axis=-1))[:, None, None])] = 0
+        inner[np.abs(inner) <= _eig_err(ends[1:-1, None], np.max(
+            np.abs(o[q]), axis=-1)[:, None, None])] = 0
         h_lo, h_hi = h[:, :-1], h[:, 1:]
         r, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
                              | (h_hi == 0.0))
@@ -819,8 +837,13 @@ class SweepRow:
     curve_ids: tuple[int, ...]
 
     def expanded(self) -> list[tuple[int, ChannelRoot]]:
-        return list(zip(self.curve_ids, [r for r in self.roots
-                                         for _ in range(r.multiplicity)]))
+        out = []
+        pos = 0
+        for r in self.roots:
+            for _ in range(r.multiplicity):
+                out.append((self.curve_ids[pos], r))
+                pos += 1
+        return out
 
 
 @dataclass
@@ -837,9 +860,10 @@ class SweepTable:
         series: dict[int, list[tuple]] = {}
         for row in self.rows:
             for cid, root in row.expanded():
-                if root.axis == axis:
-                    series.setdefault(cid, []).append(
-                        (row.theta, row.hyperradius, root.value))
+                if root.axis != axis:
+                    continue
+                series.setdefault(cid, []).append(
+                    (row.theta, row.hyperradius, root.value))
         return series
 
 
@@ -857,18 +881,24 @@ class _CurveMatcher:
         self.last: dict[str, list[tuple[int, float]]] = {}
 
     def assign(self, axis: str, values: list[float]) -> list[int]:
-        free = dict(enumerate(self.last.get(axis, [])))
+        prev = self.last.get(axis, [])
+        taken = set()
         ids: list[int] = []
         for v in values:
-            # the nearest free slot in its window, the first of equals
-            near = [(abs(v - old), idx) for idx, (_, old) in free.items()
-                    if abs(v - old) <= max(self.jump_tol,
-                                           self.rel_tol * abs(old))]
-            if near:
-                ids.append(free.pop(min(near)[1])[0])
-            else:
+            best = None
+            best_d = math.inf
+            for idx, (cid, old) in enumerate(prev):
+                if idx in taken:
+                    continue
+                d = abs(v - old)
+                if d <= max(self.jump_tol, self.rel_tol * abs(old)) and d < best_d:
+                    best, best_d = idx, d
+            if best is None:
                 ids.append(self.next_id)
                 self.next_id += 1
+            else:
+                taken.add(best)
+                ids.append(prev[best][0])
         self.last[axis] = list(zip(ids, values))
         return ids
 
@@ -891,9 +921,10 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
         if s_max:
             _check_s_max(s_max)
         specs.append(spec)
-    scans = [_solve_axis(specs, "imaginary", kappa_maxes, n_grid)]
+    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes, n_grid))]
     if s_max:
-        scans.append(_solve_axis(specs, "real", [s_max] * len(specs), n_grid))
+        scans.append(("real", _solve_axis(specs, "real", [s_max] * len(specs),
+                                         n_grid)))
 
     matcher = _CurveMatcher()
     rows: list[SweepRow] = []
@@ -903,15 +934,19 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
                  else f"R={radii[p]:.6g}")
         roots: tuple[ChannelRoot, ...] = ()
         ids: list[int] = []
-        for axis, (warns, axis_roots) in zip(("imaginary", "real"), scans):
+        for axis, (warns, solved) in scans:
             all_warnings.extend(f"{where}: {w}" for w in warns[p])
-            roots += tuple(axis_roots[p])
-            ids.extend(matcher.assign(axis, [r.value for r in axis_roots[p]
+            axis_roots = solved[p]
+            roots += tuple(axis_roots)
+            ids.extend(matcher.assign(axis, [r.value for r in axis_roots
                                              for _ in range(r.multiplicity)]))
         rows.append(SweepRow(float(thetas[p]), radii[p], mode, roots,
                              tuple(ids)))
-    window = {key: length.describe() for key, length
-              in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
+    window = {
+        "a_alpha": lengths[0].describe(),
+        "a_beta": lengths[1].describe(),
+        "a_gamma": lengths[2].describe(),
+    }
     return SweepTable(kind, rows, window, all_warnings)
 
 
@@ -993,11 +1028,16 @@ def plateau_extract(table: SweepTable) -> PlateauSummary:
 
     plateaus = []
     for cid, points in sorted(table.curve_series("imaginary").items()):
-        rs, ks = np.array([p[1:] for p in points]).T
-        idx = np.flatnonzero((rs >= lo) & (rs <= hi))
-        if idx.size < 3:
+        rs = np.array([p[1] for p in points])
+        ks = np.array([p[2] for p in points])
+        if rs.size < 3:
             continue
-        dk = np.gradient(ks, np.log(rs))
+        x = np.log(rs)
+        dk = np.gradient(ks, x)
+        inside = (rs >= lo) & (rs <= hi)
+        if np.count_nonzero(inside) < 3:
+            continue
+        idx = np.nonzero(inside)[0]
         best = idx[np.argmin(np.abs(dk[idx]))]
         flat = float(abs(dk[best]))
         plateaus.append(Plateau(cid, float(ks[best]), float(rs[best]), flat,
