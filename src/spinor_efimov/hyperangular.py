@@ -189,12 +189,13 @@ def _imag_terms(kappas, r_over_a):
     """Kernel g and diagonal of 2 exp(-kappa pi/2) H(kappa) = diag - g O
     before the congruence, over an array of kappa values; r_over_a (..., m)
     broadcasts against kappas and the diagonal gets shape kappas.shape +
-    (m,)."""
+    (m,).  The differences 1 - exp(-pi kappa) and u - u^2, u = exp(-pi
+    kappa/3), go through expm1, so neither cancels near kappa = 0."""
     e_full = np.exp(-math.pi * kappas)
     diag = (kappas * (1.0 + e_full))[..., None] \
-        - SQRT2 * ((1.0 - e_full)[..., None] * r_over_a)
-    kern = KERNEL_COEFF * (np.exp(-math.pi * kappas / 3.0)
-                           - np.exp(-2.0 * math.pi * kappas / 3.0))
+        + SQRT2 * (np.expm1(-math.pi * kappas)[..., None] * r_over_a)
+    kern = -KERNEL_COEFF * np.exp(-math.pi * kappas / 3.0) \
+        * np.expm1(-math.pi * kappas / 3.0)
     return kern, diag
 
 
@@ -253,9 +254,9 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
     For real s the matrix M(s) itself is returned; for s = i kappa the
     real symmetric H(kappa) with M = i H is returned.  normalized=True
     returns the congruent form the root finders scan; the raw form divides
-    out its positive factor, so near kappa = 0 it keeps the form's
-    1 - exp(-pi kappa) cancellation: relative error 1e-14 at kappa = 1e-3,
-    3e-11 at 1e-6, round-off for kappa >= 0.05.
+    out its positive factor.  Against 40-digit entries the raw form's
+    largest error, relative to its largest entry, is round-off (below
+    7e-16) from kappa = 1e-8 up, and so is the kernel g alone.
     """
     s = complex(s)
     if s == 0:
