@@ -33,9 +33,10 @@ steps, and skips the cells a bound proves empty: by Weyl's inequality
 every sorted eigenvalue curve moves no faster than ||A'||_2, which the
 closed-form entries bound on each cell (Kato, Perturbation Theory for
 Linear Operators, ch. II).  A skipped cell holds no sign change and no
-near-zero dip, so the brackets, fine scans, bisection and warnings are
-those of the full grid, bit for bit.  Either way a root's residual comes
-from the assembled matrix.
+near-zero dip, so the brackets, fine scans, refinement and warnings are
+those of the full grid, bit for bit.  Either way every bracket goes
+through one value-only refinement, safeguarded Illinois regula falsi
+(_refine), and a root's residual comes from the assembled matrix.
 """
 
 from __future__ import annotations
@@ -553,33 +554,53 @@ def _candidates(p, x, curves, step):
     return brackets, (p[i], k, x[i], x[i + 2])
 
 
-def _bisect(values, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """Bisect every bracket [lo[i], hi[i]] to the sign flip of its
+def _refine(values, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Refine every bracket [lo[i], hi[i]] to the sign change of its
     function at once; values(idx, x) evaluates the functions of brackets
-    idx at points x.  Each bracket follows the scalar rule: exact zeros at
-    an end or a midpoint are returned as they are, and the midpoint
-    sequence stops once the bracket is no wider than max(1e-12,
-    4 eps |hi_0|) or at floating resolution."""
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    idx at points x.  Each round steps every live bracket to its Illinois
+    regula falsi point (Dowell and Jarratt, BIT 11, 1971: an end kept two
+    rounds running has its value halved), held at least tol/2 inside the
+    bracket, or to its midpoint if the bracket has not halved in two
+    rounds, as at the kinks where sorted curves cross.  Exact zeros at an
+    end or a step are returned as they are; otherwise a bracket stops once
+    it is no wider than tol = max(1e-12, 4 eps |hi_0|) or at floating
+    resolution, and its midpoint is returned."""
+    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
     tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
     out = np.where(f_lo == 0.0, lo, hi)
     exact = (f_lo == 0.0) | (f_hi == 0.0)
     live = ~exact
+    neg_lo = f_lo < 0.0  # the sign at lo never changes
+    moved = np.zeros(lo.size, dtype=np.int8)  # last round: +1 hi, -1 lo
+    # the widths one and two rounds ago
+    width_1, width_2 = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
     while True:
         mid = 0.5 * (lo + hi)
         live &= (hi - lo > tol) & (mid > lo) & (mid < hi)
         idx = np.nonzero(live)[0]
         if idx.size == 0:
             break
-        f_mid = values(idx, mid[idx])
-        zero = idx[f_mid == 0.0]
-        out[zero] = mid[zero]
+        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        width = b - a
+        # fa and fb are nonzero and of opposite signs: no 0/0
+        x = np.clip(a + width * (fa / (fa - fb)), a + 0.5 * tol[idx],
+                    b - 0.5 * tol[idx])
+        x = np.where(width > 0.5 * width_2[idx], mid[idx], x)
+        width_2[idx], width_1[idx] = width_1[idx], width
+        f = values(idx, x)
+        zero = idx[f == 0.0]
+        out[zero] = x[f == 0.0]
         exact[zero] = True
         live[zero] = False
-        flip = (f_lo[idx] < 0.0) != (f_mid < 0.0)
-        hi[idx[flip]] = mid[idx[flip]]
-        lo[idx[~flip]] = mid[idx[~flip]]
-        f_lo[idx[~flip]] = f_mid[~flip]
+        flip = (f < 0.0) != neg_lo[idx]
+        side = np.where(flip, 1, -1)
+        halve = np.where(moved[idx] == side, 0.5, 1.0)  # kept end, again
+        moved[idx] = side
+        up, down = idx[flip], idx[~flip]
+        f_lo[up] *= halve[flip]
+        f_hi[down] *= halve[~flip]
+        hi[up], f_hi[up] = x[flip], f[flip]
+        lo[down], f_lo[down] = x[~flip], f[~flip]
     return np.where(exact, out, 0.5 * (lo + hi))
 
 
@@ -598,27 +619,42 @@ def _merge(p, values):
 def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     """Roots of finite-mode specs, lists (spec, value, residual, null
     vectors): the sorted curves' sign changes at the points _finite_scan
-    keeps, and those fine scans of near-zero dips uncover, bisected
-    together and merged.  The multiplicity is the number merged or, if
-    larger, of eigenvalues within _eig_err of zero at the root (the
+    keeps, and those fine scans of near-zero dips uncover, refined
+    together by _refine and merged.  The multiplicity is the number merged
+    or, if larger, of eigenvalues within _eig_err of zero at the root (the
     null-space dimension); that many smallest-|lambda| eigenvectors, the
-    congruence undone, are the null vectors."""
+    congruence undone, are the null vectors.  A dip that still grazes zero
+    is a warning unless a root whose null-space count raised its
+    multiplicity lies in it."""
     stack = _SpecStack(specs, axis)
     p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
     # neighbours: consecutive grid indices of one spec
     step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
     brackets, suspects = _candidates(p, x, lam.T, step)
+    grazing = []
     if suspects[0].size:
-        brackets = [np.concatenate(c) for c in zip(
-            brackets, _subdivide(stack, *suspects, warns))]
+        found, grazing = _subdivide(stack, *suspects)
+        brackets = [np.concatenate(c) for c in zip(brackets, found)]
     p, k, lo, hi, f_lo, f_hi = brackets
-    values = _bisect(lambda idx, x: stack.curve_values(p[idx], x, k[idx]),
+    values = _refine(lambda idx, x: stack.curve_values(p[idx], x, k[idx]),
                      lo, hi, f_lo, f_hi)
     _, _, grp_p, grp_value, mult = _merge(p, values)
     lam, vec = np.linalg.eigh(stack.matrices(grp_p, grp_value))
-    mult = np.maximum(mult, np.count_nonzero(
+    nulls = np.count_nonzero(
         np.abs(lam) <= _eig_err(grp_value, stack.kernel_norm[grp_p])[:, None],
-        axis=-1))
+        axis=-1)
+    # a dip is explained by a root in it whose null space has more
+    # dimensions than sign changes
+    raised = nulls > mult
+    for q, c, left, right in grazing:
+        if not np.any(raised & (grp_p == q) & (grp_value >= left)
+                      & (grp_value <= right)):
+            warns[q].append(
+                f"eigenvalue curve {c} grazes zero near "
+                f"{0.5 * (left + right):.6g} without a sign change; a root "
+                "pair inside one grid cell cannot be excluded, consider a "
+                "denser grid")
+    mult = np.maximum(mult, nulls)
     pick = np.argsort(np.abs(lam), axis=-1)
     residual = np.abs(np.take_along_axis(lam, pick, -1)[
         np.arange(mult.size), mult - 1])
@@ -640,10 +676,10 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     return grp_p.tolist(), grp_value.tolist(), residual.tolist(), null
 
 
-def _subdivide(stack, p, k, left, right, warns):
-    """Scan each suspect cell pair [left, right] of curve k at 65 points;
-    a sign change there gives a bracket (returned as _candidates returns
-    them), a dip that still grazes zero adds a warning to its spec."""
+def _subdivide(stack, p, k, left, right):
+    """Scan each suspect cell pair [left, right] of curve k at 65 points:
+    the brackets of its sign changes (as _candidates returns them), and
+    the suspects (p, k, left, right) whose dip still grazes zero."""
     fine = np.array([np.linspace(a, b, 65) for a, b in zip(left, right)])
     fv = stack.curve_values(np.repeat(p, 65), fine.ravel(),
                             np.repeat(k, 65)).reshape(fine.shape)
@@ -652,13 +688,9 @@ def _subdivide(stack, p, k, left, right, warns):
     fine_var = np.max(np.abs(np.diff(fv, axis=1)), axis=1)
     grazing = (np.min(np.abs(fv), axis=1) < 0.25 * fine_var)
     grazing[c] = False
-    for g in np.nonzero(grazing)[0]:
-        warns[p[g]].append(
-            f"eigenvalue curve {k[g]} grazes zero near "
-            f"{0.5 * (left[g] + right[g]):.6g} without a sign "
-            "change; a root pair inside one grid cell cannot be "
-            "excluded, consider a denser grid")
-    return p[c], k[c], fine[c, j], fine[c, j + 1], fv[c, j], fv[c, j + 1]
+    g = np.nonzero(grazing)[0]
+    return ((p[c], k[c], fine[c, j], fine[c, j + 1], fv[c, j], fv[c, j + 1]),
+            list(zip(p[g].tolist(), k[g].tolist(), left[g], right[g])))
 
 
 def _phi_slope(s):
@@ -673,14 +705,14 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
     [GRID_EPS, top] of an axis, top the scan grid's last point.  phi rises
     strictly on the imaginary axis, so the window is one branch; on the
     real axis the inner ends are the sign changes of phi' (sampled every
-    1/64 and bisected) and the poles s = 6k of phi, where h_j = f != 0."""
+    1/64 and refined) and the poles s = 6k of phi, where h_j = f != 0."""
     top = float(_grid(axis, x_max, 2, 1))
     ends = [GRID_EPS, top]  # branches are half-open, (lo, hi]
     if axis == "real":
         s = np.append(np.arange(1, math.ceil(64.0 * top)) / 64.0, top)
         slope = _phi_slope(s)
         i = np.nonzero((slope[:-1] < 0.0) != (slope[1:] < 0.0))[0]
-        ends += [*_bisect(lambda idx, x: _phi_slope(x), s[i], s[i + 1],
+        ends += [*_refine(lambda idx, x: _phi_slope(x), s[i], s[i + 1],
                           slope[i], slope[i + 1]),
                  *6.0 * np.arange(1, math.ceil(top / 6.0))]
     return np.sort(ends)
@@ -691,8 +723,9 @@ def _scalar_roots(specs, axis: str, x_max):
     h_j = f - g o_j over the overlaps' eigenpairs.  A branch (lo, hi] of
     phi holds a root of h_j where h_j changes sign over it or is zero at
     hi; h_j within the eigenvalue error of zero at an inner end is zero.
-    A root's null vectors are the eigenvectors of its o_j, its residual
-    their largest ||A(x) v||."""
+    _refine solves all brackets at once from the values of h_j.  A root's
+    null vectors are the eigenvectors of its o_j, its residual their
+    largest ||A(x) v||."""
     terms = _AXES[axis][0]  # g and f of f(x) I - g(x) O, with R/a = 0
 
     def h_of(x, o_j):
@@ -717,7 +750,7 @@ def _scalar_roots(specs, axis: str, x_max):
         brackets.append((q[r], j, ends[b], ends[b + 1], h_lo[r, b, j],
                          h_hi[r, b, j]))
     p, j, lo, hi, h_lo, h_hi = (np.concatenate(c) for c in zip(*brackets))
-    values = _bisect(lambda idx, x: h_of(x, o[p[idx], j[idx]]), lo, hi, h_lo,
+    values = _refine(lambda idx, x: h_of(x, o[p[idx], j[idx]]), lo, hi, h_lo,
                      h_hi)
     order, start, grp_p, grp_value, size = _merge(p, values)
     p, j = p[order], j[order]

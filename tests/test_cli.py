@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
 from spinor_efimov.cli import main
 from spinor_efimov.config import parse_config
@@ -195,6 +196,21 @@ def test_cli_strict_fails_on_warning(tmp_path, capsys):
                  "--out", str(tmp_path / "o2"), "--strict"]) == 1
 
 
+def test_cli_strict_passes_when_null_space_explains_a_dip(tmp_path, capsys):
+    """At s = 4 this finite spec has a root of multiplicity 4 whose curves
+    only touch zero; their dips are that root, not a missed root pair, so
+    no grid warning is raised and --strict exits 0."""
+    cfgfile = tmp_path / "touch.run"
+    cfgfile.write_text("task = roots\nmode = finite\nR = 2\n"
+                       "matrix = 1.3,0.2,-0.4,0.7,0.5,-2.1\ns_max = 5\n"
+                       "format = csv\n")
+    assert main(["roots", "--config", str(cfgfile), "--out", str(tmp_path),
+                 "--strict"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    rows = _read_csv(tmp_path / "roots.csv")
+    assert [r["multiplicity"] for r in rows if r["value"] == "4"] == ["4"]
+
+
 def test_cli_invariance_suite(tmp_path):
     cfgfile = tmp_path / "inv.run"
     cfgfile.write_text("task = invariance-suite\nseed = 3\ntrials = 3\n"
@@ -212,22 +228,33 @@ def test_cli_invariance_suite(tmp_path):
 def test_invariance_suite_work_count(monkeypatch):
     """The 150 finite specs of a 50-trial suite are scanned together,
     coarse to fine, and the scan skips the cells its bound proves empty:
-    at most 40,000 matrices in at most 200 eigvalsh calls (one spec at a
+    at most 22,000 matrices in at most 200 eigvalsh calls (one spec at a
     time over every grid point took 317,672 in 5,150; the fixed cells of
-    16 steps, 59,312 in 159)."""
+    16 steps, 59,312 in 159; bisecting the brackets, 35,603 in 105), of
+    which the refinement evaluates at most 4,000 curve points (bisection:
+    17,622)."""
     eigvalsh = np.linalg.eigvalsh
-    calls = []
+    refine = hyperangular._refine
+    calls, points = [], []
 
     def counted(a, *args, **kwargs):
         calls.append(math.prod(np.shape(a)[:-2]))
         return eigvalsh(a, *args, **kwargs)
 
+    def counted_refine(values, *args):
+        def counted_values(idx, x):
+            points.append(idx.size)
+            return values(idx, x)
+        return refine(counted_values, *args)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(hyperangular, "_refine", counted_refine)
     bundle = run(parse_config(
         "task = invariance-suite\ntrials = 50\nR = 1\nseed = 0\n"))
     assert len(bundle.tables["checks"]) == 100
     assert len(calls) <= 200
-    assert sum(calls) <= 40_000
+    assert sum(calls) <= 22_000
+    assert 0 < sum(points) <= 4_000
 
 
 def test_invariance_suite_memory_peak():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spinor_efimov.hyperangular as hyperangular
+import spinor_efimov.runner as runner
 from spinor_efimov.config import parse_config
 from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
@@ -22,6 +23,7 @@ from spinor_efimov.spin import (
 from spinor_efimov.hyperangular import (
     GRID_EPS,
     KERNEL_COEFF,
+    N_GRID,
     ChannelMatrixSpec,
     GridResolutionWarning,
     HyperangularError,
@@ -865,14 +867,10 @@ def _assert_same_groups(got, want):
         _assert_same_roots(g, w)
 
 
-@pytest.mark.parametrize("n_grid", [2, 3, 5, 17, 65, 257, 1025, 2000])
-@settings(derandomize=True, deadline=None, max_examples=12)
-@given(seed=st.integers(0, 2**32 - 1),
-       radii=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4),
-       s_max=st.floats(2.0, 12.0))
-def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
-    """Scanning with the certified skip gives, bit for bit, the groups and
-    warnings of the same scan over every grid point, on both axes."""
+def _mixed_finite_specs(seed, radii):
+    """Finite specs at the given radii, alternately random (any overlap,
+    lengths of random sign and size) and physical (a conditioned
+    scattering matrix's channel set)."""
     rng = np.random.default_rng(seed)
     specs = []
     for j, radius in enumerate(radii):
@@ -882,6 +880,22 @@ def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
                 "finite", hyperradius=radius))
         else:
             specs.append(_random_finite_spec(seed + j, 6, radius))
+    return specs
+
+
+_SKIP_SPECS = dict(seed=st.integers(0, 2**32 - 1),
+                   radii=st.lists(st.floats(0.05, 50.0), min_size=1,
+                                  max_size=4),
+                   s_max=st.floats(2.0, 12.0))
+
+
+@pytest.mark.parametrize("n_grid", [2, 3, 5, 17, 65, 257, 1025, 2000])
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(**_SKIP_SPECS)
+def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
+    """Scanning with the certified skip gives, bit for bit, the groups and
+    warnings of the same scan over every grid point, on both axes."""
+    specs = _mixed_finite_specs(seed, radii)
     for axis, x_max in (("imaginary", [default_kappa_max(s) for s in specs]),
                         ("real", [s_max] * len(specs))):
         warns, groups = hyperangular._solve_axis(specs, axis, x_max, n_grid)
@@ -949,3 +963,192 @@ def test_multiplicity_counts_null_space_dimension():
                key=lambda r: abs(r.value - 4.0))
     assert abs(root.value - 4.0) < 1e-9
     assert root.multiplicity == 4
+
+
+# ---------------------------------------------------------------------------
+# bracket refinement
+# ---------------------------------------------------------------------------
+
+def _reference_bisect(values, lo, hi, f_lo, f_hi):
+    """Plain bisection with _refine's contract: exact zeros at an end or a
+    midpoint are returned as they are; a bracket stops once it is no wider
+    than max(1e-12, 4 eps |hi_0|) or at floating resolution, and its
+    midpoint is returned."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+    out = np.where(f_lo == 0.0, lo, hi)
+    exact = (f_lo == 0.0) | (f_hi == 0.0)
+    live = ~exact
+    while True:
+        mid = 0.5 * (lo + hi)
+        live &= (hi - lo > tol) & (mid > lo) & (mid < hi)
+        idx = np.nonzero(live)[0]
+        if idx.size == 0:
+            return np.where(exact, out, 0.5 * (lo + hi))
+        f_mid = values(idx, mid[idx])
+        zero = idx[f_mid == 0.0]
+        out[zero] = mid[zero]
+        exact[zero] = True
+        live[zero] = False
+        flip = (f_lo[idx] < 0.0) != (f_mid < 0.0)
+        hi[idx[flip]] = mid[idx[flip]]
+        lo[idx[~flip]] = mid[idx[~flip]]
+        f_lo[idx[~flip]] = f_mid[~flip]
+
+
+def _scalar_case(kind, r, c1, c2, gap, sign, width):
+    """A function of x whose computed sign changes exactly at r (for
+    "flat", across the zero plateau [r, r + gap]): smooth ones, a cubic
+    and an exponential rising by up to e^40 over the bracket width;
+    kinked ones, the max or min of two lines, the shape of two sorted
+    curves crossing (at r when gap = 0); and one that is zero on a
+    plateau, which a step can hit."""
+    def f(x):
+        if kind == "cubic":
+            v = (x - r) * (c1 + c2 * (x - r) ** 2)
+        elif kind == "exp":
+            v = math.expm1(min(c1, 40.0) / width * (x - r))
+        elif kind == "max":
+            v = max(c1 * (x - r), c2 * (x - r - gap))
+        elif kind == "min":
+            v = min(c1 * (x - r), c2 * (x - r + gap))
+        else:
+            v = x - r if x < r else max(0.0, x - r - gap)
+        return sign * v
+    return f
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cases=st.lists(st.tuples(
+    st.sampled_from(["cubic", "exp", "max", "min", "flat"]),
+    st.floats(-20.0, 20.0), st.floats(1e-9, 20.0), st.floats(0.0, 1.0),
+    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.0, 1.0),
+    st.sampled_from([-1.0, 1.0])), min_size=1, max_size=12))
+def test_refine_lands_on_the_sign_change(cases):
+    """All brackets refined in one call: each result lies in its starting
+    bracket, within tol = max(1e-12, 4 eps |hi_0|) of the sign change (an
+    exact zero at an end is returned as it is), and the bisection
+    safeguard halves every bracket at least once in three rounds."""
+    funcs, lo, hi, want = [], [], [], []
+    for kind, a, width, frac, e1, e2, gap, sign in cases:
+        c1, c2 = 10.0 ** e1, 10.0 ** e2
+        b = a + width
+        r = min(a + frac * width, b)
+        gap *= b - r if kind == "flat" else width
+        funcs.append(_scalar_case(kind, r, c1, c2, gap, sign, width))
+        lo.append(a)
+        hi.append(b)
+        want.append((r, r + gap if kind == "flat" else r))
+    lo, hi = np.array(lo), np.array(hi)
+    f_lo = np.array([f(x) for f, x in zip(funcs, lo)])
+    f_hi = np.array([f(x) for f, x in zip(funcs, hi)])
+    rounds = []
+
+    def values(idx, x):
+        rounds.append(idx.size)
+        return np.array([funcs[i](v) for i, v in zip(idx, x)])
+
+    got = hyperangular._refine(values, lo, hi, f_lo, f_hi)
+    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+    for x, a, b, t, (first, last), fa, fb in zip(got, lo, hi, tol, want,
+                                                 f_lo, f_hi):
+        assert a <= x <= b
+        assert first - t <= x <= last + t
+        if fa == 0.0 or fb == 0.0:
+            assert x == (a if fa == 0.0 else b)
+    width = np.max(hi - lo)
+    assert len(rounds) <= 3 * max(0.0, math.log2(width / 1e-12)) + 3
+
+
+def test_refine_returns_an_exact_zero_at_a_step():
+    """A step that lands on a zero ends its bracket there, with no further
+    evaluation; the secant point of a line is its root."""
+    seen = []
+
+    def values(idx, x):
+        seen.append((idx.tolist(), x.tolist()))
+        return x - np.array([1.0, 3.0])[idx]
+
+    got = hyperangular._refine(values, np.array([0.0, 0.0]),
+                               np.array([2.0, 5.0]), np.array([-1.0, -3.0]),
+                               np.array([1.0, 2.0]))
+    assert got.tolist() == [1.0, 3.0]
+    assert seen == [([0, 1], [1.0, 3.0])]
+
+
+def test_admixture_sweep_refinement_work(monkeypatch):
+    """The 201-point admixture sweep refines its scalar brackets and
+    turning points in at most 18,000 function evaluations (17,399 at the
+    time of writing; without the Illinois halving 21,170, by bisection
+    49,723)."""
+    refine = hyperangular._refine
+    points = []
+
+    def counted_refine(values, *args):
+        def counted_values(idx, x):
+            points.append(idx.size)
+            return values(idx, x)
+        return refine(counted_values, *args)
+
+    monkeypatch.setattr(hyperangular, "_refine", counted_refine)
+    table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 201), "closed",
+                        "unitary", "closed", s_max=5.0)
+    assert sum(len(row.roots) for row in table.rows) > 201
+    assert sum(points) <= 18_000
+
+
+def _invariance_roots(seed):
+    """The roots and warnings of the 50-trial invariance suite at R = 1."""
+    seen = []
+    solve = runner.find_roots_imaginary_batch
+
+    def recorded(specs, *args, warning_sinks, **kwargs):
+        roots = solve(specs, *args, warning_sinks=warning_sinks, **kwargs)
+        seen.append((roots, warning_sinks))
+        return roots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "find_roots_imaginary_batch", recorded)
+        run(parse_config(f"task = invariance-suite\ntrials = 50\nR = 1\n"
+                         f"seed = {seed}\n"))
+    return seen[0]
+
+
+def _assert_roots_agree(got, want):
+    """Equal counts and multiplicities, values within 1e-12 relative to
+    max(1, |value|), the refinement's tolerance scale."""
+    assert [(r.axis, r.multiplicity) for r in got] == \
+        [(r.axis, r.multiplicity) for r in want]
+    for x, y in zip(got, want):
+        assert abs(x.value - y.value) <= 1e-12 * max(1.0, abs(y.value))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refine_matches_bisection_on_the_invariance_suite(seed, monkeypatch):
+    """The invariance suite's 150 finite specs at seeds 0-5 give the roots
+    and warnings that reference bisection of the same brackets gives."""
+    roots, warns = _invariance_roots(seed)
+    monkeypatch.setattr(hyperangular, "_refine", _reference_bisect)
+    want_roots, want_warns = _invariance_roots(seed)
+    assert warns == want_warns
+    assert sum(map(len, roots)) > 300
+    for got, want in zip(roots, want_roots, strict=True):
+        _assert_roots_agree(got, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(**_SKIP_SPECS)
+def test_refine_matches_bisection_on_random_specs(seed, radii, s_max):
+    """The certified-skip specs on both axes: the roots and warnings of
+    reference bisection of the same brackets."""
+    specs = _mixed_finite_specs(seed, radii)
+    for axis, x_max in (("imaginary", [default_kappa_max(s) for s in specs]),
+                        ("real", [s_max] * len(specs))):
+        warns, groups = hyperangular._solve_axis(specs, axis, x_max, N_GRID)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyperangular, "_refine", _reference_bisect)
+            want_warns, want_groups = hyperangular._solve_axis(
+                specs, axis, x_max, N_GRID)
+        assert warns == want_warns
+        for got, want in zip(groups, want_groups, strict=True):
+            _assert_roots_agree(got, want)
