@@ -1078,8 +1078,8 @@ def test_refine_returns_an_exact_zero_at_a_step():
 
 def test_admixture_sweep_refinement_work(monkeypatch):
     """The 201-point admixture sweep refines its scalar brackets and
-    turning points in at most 18,000 function evaluations (17,399 at the
-    time of writing; without the Illinois halving 21,170, by bisection
+    turning points in at most 18,000 function evaluations (17,399 with
+    this refinement; without the Illinois halving 21,170, by bisection
     49,723)."""
     refine = hyperangular._refine
     points = []
