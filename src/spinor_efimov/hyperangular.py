@@ -255,9 +255,9 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
     For real s the matrix M(s) itself is returned; for s = i kappa the
     real symmetric H(kappa) with M = i H is returned.  normalized=True
     returns the congruent form the root finders scan; the raw form divides
-    out its positive factor.  Against 40-digit entries the raw form's
-    largest error, relative to its largest entry, is round-off (below
-    7e-16) from kappa = 1e-8 up, and so is the kernel g alone.
+    out its positive factor.  Against 40-digit entries of a finite spec
+    at kappa = 1e-8 to 8, the raw form's largest error relative to its
+    largest entry is round-off (below 7e-16), as is the kernel g's alone.
     """
     s = complex(s)
     if s == 0:
