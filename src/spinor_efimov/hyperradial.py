@@ -200,15 +200,17 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
         return y
     p = 1.0 - (h * h / 12.0) * q
     m = n - 2
-    ab = np.empty((3, m))
-    ab[0] = p[2:]
-    ab[1] = -(12.0 - 10.0 * p[2:])
-    ab[2] = p[2:]
+    # filled row by row and passed transposed, so dtbtrs gets the
+    # Fortran-ordered (3, m) band storage it needs without a copy
+    ab = np.empty((m, 3))
+    ab[:, 0] = p[2:]
+    ab[:, 1] = 10.0 * p[2:] - 12.0
+    ab[:, 2] = p[2:]
     rhs = np.zeros(m)
     rhs[0] = (12.0 - 10.0 * p[1]) * y1 - p[0] * y0
     if m > 1:
         rhs[1] = -p[1] * y1
-    y[2:], info = dtbtrs(ab, rhs, uplo="L")
+    y[2:], info = dtbtrs(ab.T, rhs, uplo="L")
     if info != 0:  # the diagonal p of that row vanishes
         raise HyperradialError(
             f"Numerov step is singular (h^2 q = 12) at grid point {info + 1}")
@@ -271,10 +273,9 @@ class _RadialShooter:
         nodes = _count_nodes(y_out[1:])
 
         y_in = _numerov_sweep(q[it: stop + 1][::-1], self.h, 0.0, 1.0)[::-1]
-        p = 1.0 - (self.h * self.h / 12.0) * q
-        po, pi_ = p[it] * y_out[it], p[it] * y_in[it - it]
-        po1 = p[it + 1] * y_out[it + 1]
-        pi1 = p[it + 1] * y_in[it + 1 - it]
+        p0, p1 = 1.0 - (self.h * self.h / 12.0) * q[it: it + 2]
+        po, pi_ = p0 * y_out[it], p0 * y_in[0]
+        po1, pi1 = p1 * y_out[it + 1], p1 * y_in[1]
         scale = max(abs(po), abs(po1)) * max(abs(pi_), abs(pi1))
         wron = po * pi1 - po1 * pi_
         return nodes, float(wron / scale if scale > 0 else wron)
