@@ -20,8 +20,10 @@ which Numerov handles at fourth order with a uniform x step.  The
 outward and inward sweeps are each one compiled forward substitution
 (LAPACK dtbtrs on the lower-triangular three-term recurrence), matched
 through the discrete Wronskian at the outer turning point.  Each level
-is bracketed by node-count bisection on ln|E| and then refined by
-Illinois regula falsi on the matching defect.
+is bracketed on ln|E| by its node count and then refined by Illinois
+regula falsi on the matching defect.  The deepest level's bracket comes
+from bisection; each level above it is probed first where discrete scale
+invariance, E_{n+1} = E_n exp(-2 pi/kappa), puts it.
 
 scipy is imported only when a ladder is solved: _numerov_sweep loads
 dtbtrs on its first call, so importing this module (and the CLI) does not
@@ -284,10 +286,14 @@ class _RadialShooter:
 def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
                  channel: int = 0) -> LadderSpectrum:
     """Bound levels of one channel with F(wall_radius) = 0 and a decaying
-    outer boundary, by outward/inward Numerov shooting: node-count
-    bisection to a _COUNT_WINDOW bracket in ln|E|, then Illinois regula
-    falsi on the matching defect to relative energy tolerance _E_RTOL
-    (1e-9).  No energy is shot twice.
+    outer boundary, by outward/inward Numerov shooting: a node-count
+    bracket of width _COUNT_WINDOW in ln|E|, then Illinois regula falsi on
+    the matching defect to relative energy tolerance _E_RTOL (1e-9).  The
+    deepest level is bracketed by bisection.  Each level above it is
+    probed first at ln|E_prev| - 2 pi/kappa +- _COUNT_WINDOW/2, with kappa
+    read at the previous level's outer turning point, and the window is
+    widened fourfold while it misses; where s^2 >= 0 there, the level is
+    bisected as the deepest one.  No energy is shot twice.
 
     Returns the levels the grid and double precision can support; when the
     requested count runs past that, the found levels come back with
@@ -317,6 +323,7 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     energies: list[float] = []
     nodes_out: list[int] = []
     exhausted = None
+    guess, half = 0.0, math.inf
     for n in range(n_levels):
         if top[0] <= n:
             exhausted = "grid"
@@ -324,12 +331,24 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
-        # phase 1: bisect ln|E| on the node count jumping n -> n+1, keeping
-        # the (count, defect) shots at the window ends for phase 2
+        # phase 1: narrow ln|E| to a _COUNT_WINDOW bracket of the node
+        # count jumping n -> n+1, keeping the (count, defect) shots at the
+        # window ends for phase 2.  Each shot probes an end of the window
+        # guess +- half that lies inside the bracket; a window that covers
+        # the bracket is bisected, one that missed the level is widened
+        # fourfold.  A cold start (half = inf) is plain bisection.
         lo, hi = t_top, t_deep  # lo is shallow (count > n), hi is deep
         shallow, deep = top, None
         while hi - lo > _COUNT_WINDOW:
-            mid = 0.5 * (lo + hi)
+            if lo < guess - half < hi:
+                mid = guess - half
+            elif lo < guess + half < hi:
+                mid = guess + half
+            elif guess - half <= lo and hi <= guess + half:
+                mid = 0.5 * (lo + hi)
+            else:
+                half *= 4.0
+                continue
             shot = shooter.shoot(-math.exp(mid))
             if shot[0] >= n + 1:
                 lo, shallow = mid, shot
@@ -379,6 +398,15 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         energies.append(level)
         nodes_out.append(nodes)
         t_deep = math.log(-level) - 1e-12  # next level is shallower
+        # discrete scale invariance puts the next level near
+        # ln|E| - 2 pi/kappa, with kappa read at this level's outer turning
+        # point (exact for a scale-free channel); no guess where s^2 >= 0
+        s2 = shooter.w[np.nonzero(shooter.q_of(level) < 0.0)[0][-1]] + 0.25
+        if s2 < 0.0:
+            guess = math.log(-level) - 2.0 * math.pi / math.sqrt(-s2)
+            half = 0.5 * _COUNT_WINDOW
+        else:
+            guess, half = 0.0, math.inf
 
     return LadderSpectrum(wall_radius, tuple(energies), tuple(nodes_out),
                           exhausted)

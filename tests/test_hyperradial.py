@@ -185,8 +185,11 @@ def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
 
 
 @pytest.mark.parametrize("kappa, n_levels, max_shots", [
-    (1.00624, 4, 80),  # 152 with bisection refinement and repeated shoots
-    (0.41370, 3, 60),  # 117
+    # 39 and 30 with each level above the deepest probed at its
+    # scale-invariant guess; 74 and 59 when every level was bisected
+    # cold, 152 and 117 with bisection refinement and repeated shoots
+    (1.00624, 4, 45),
+    (0.41370, 3, 36),
 ])
 def test_ladder_shoot_count(monkeypatch, kappa, n_levels, max_shots):
     energies = []
