@@ -5,9 +5,12 @@ The theta-sweep and r-sweep files under tests/golden/ were produced by
 the code before the batched sweep engine replaced point-by-point
 refinement; the roots, ladder and invariance-suite files (the README
 example configs) by the code before the run-file parser became
-table-driven.  The ladder files were re-made once, when Illinois
+table-driven.  The ladder files were re-made twice: when Illinois
 refinement of the level energies replaced bisection and moved their
-10th-12th significant digits.  A difference is a behaviour change to be
+10th-12th significant digits, and when each level above the deepest
+began its node-count bracket at its scale-invariant guess, which hands
+the refinement a different window and moved the same digits again (the
+levels stay within the 1e-9 tolerance).  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:
