@@ -246,6 +246,13 @@ class _RadialShooter:
         i0 = int(np.searchsorted(r, wall_radius))
         if i0 > r.size - 100:
             raise HyperradialError("wall radius leaves too little grid")
+        x_wall = math.log(wall_radius)
+        if i0 > 0 and x_wall - x[i0 - 1] < x[i0] - x_wall:
+            i0 -= 1  # the grid point below is the nearer one
+        if abs(x_wall - x[i0]) > 1e-6 * h:
+            raise HyperradialError(
+                f"wall radius {wall_radius:.9g} is off the grid; the nearest "
+                f"grid radius is {r[i0]:.9g}")
         self.h = h
         self.radii = r[i0:]
         self.u = pot.potentials[channel, i0:]

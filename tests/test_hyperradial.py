@@ -293,6 +293,19 @@ def test_bound_states_wall_validation():
         bound_states(pot, 2e-4, 1)
 
 
+def test_bound_states_off_grid_wall_is_typed_error():
+    # the wall can only sit on a grid point; a quarter step above r[0]
+    # it used to move silently to r[1], shifting the levels by 8.6e-4
+    pot = inverse_square_potential(1.0, 1e-3, 1e5, CONV, points_per_decade=4000)
+    with pytest.raises(HyperradialError,
+                       match="off the grid; the nearest grid radius is 0.001$"):
+        bound_states(pot, 1e-3 * 10 ** (0.25 / 4000), 2)
+    # a wall on a grid point up to round-off is that grid point
+    on_grid = bound_states(pot, pot.radii[1], 2).energies
+    for wall in (pot.radii[1] * (1 - 1e-12), pot.radii[1] * (1 + 1e-12)):
+        assert bound_states(pot, wall, 2).energies == on_grid
+
+
 def test_bound_states_nonuniform_grid_rejected():
     radii = np.concatenate([np.logspace(-3, 0, 2000), np.linspace(1.1, 5, 500)])
     s2 = np.full((1, radii.size), -1.0)
