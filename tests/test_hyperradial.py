@@ -12,6 +12,7 @@ from spinor_efimov.hyperradial import (
     HyperradialError,
     LadderSpectrum,
     PhysicalConvention,
+    _COUNT_WINDOW,
     _numerov_sweep,
     _RadialShooter,
     bound_states,
@@ -141,16 +142,21 @@ def _numerov_loop(q, h, y0, y1):
     return np.array(y)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1000])
 def test_numerov_sweep_matches_loop(n):
-    # n = 2..5 exercise the unused corners of the band storage
+    # n = 2..5 exercise the unused corners of the band storage, n = 1000
+    # the Fortran-ordered storage at a real size
     rng = np.random.default_rng(n)
     q = rng.uniform(-30.0, 30.0, n)
     h, y0, y1 = 0.05, rng.normal(), rng.normal()
     y = _numerov_sweep(q, h, y0, y1)
     ref = _numerov_loop(q, h, y0, y1)
     assert y.shape == (n,)
-    assert y == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert y[:6] == pytest.approx(ref[:6], rel=1e-12, abs=0.0)
+    # further on, round-off is relative to the solution's size so far:
+    # next to a node of the long sweep |y| is far below it
+    envelope = np.maximum.accumulate(np.abs(ref))
+    assert np.max(np.abs(y - ref) / envelope) <= 1e-12
 
 
 def test_numerov_sweep_singular_step_is_typed_error():
@@ -208,6 +214,50 @@ def test_ladder_shoot_count(monkeypatch, kappa, n_levels, max_shots):
 @pytest.fixture(scope="module")
 def ladder_ib():
     return efimov_ladder(KAPPA_IB, wall_radius=1e-3, n_levels=4)
+
+
+def test_ladder_node_count_fallback(monkeypatch, ladder_ib):
+    # a defect of one sign in every window sends each level to pure
+    # node-count bisection at full resolution instead of Illinois steps
+    shoot = _RadialShooter.shoot
+
+    def one_signed(self, energy):
+        count, defect = shoot(self, energy)
+        return count, abs(defect)
+
+    monkeypatch.setattr(_RadialShooter, "shoot", one_signed)
+    spec = efimov_ladder(KAPPA_IB, wall_radius=1e-3, n_levels=4)
+    assert spec.nodes == (0, 1, 2, 3)
+    assert spec.energies == pytest.approx(ladder_ib.energies, rel=2e-9, abs=0.0)
+
+
+def test_ladder_warm_start_miss(monkeypatch):
+    # s^2 runs from -1.0 to -0.5 across the grid, so kappa falls between
+    # levels and each scale-invariant guess lands 0.25-0.4 deeper in ln|E|
+    # than the level: every window misses and is widened
+    radii = 10.0 ** np.linspace(-3.0, 5.0, 8001)
+    s2 = -1.0 + 0.5 * (np.log10(radii) + 3.0) / 8.0
+    pot = AdiabaticPotential.from_s_squared(radii, s2[None, :], CONV)
+    energies = []
+    shoot = _RadialShooter.shoot
+
+    def counted(self, energy):
+        energies.append(energy)
+        return shoot(self, energy)
+
+    monkeypatch.setattr(_RadialShooter, "shoot", counted)
+    spec = bound_states(pot, 1e-3, 4)
+    assert spec.nodes == (0, 1, 2, 3)
+    assert len(set(energies)) == len(energies)
+    # levels of the solver that bisected every level cold
+    pinned = (-1724.595426946884, -1.9466866525457611,
+              -0.001468402230875352, -6.578388483453792e-07)
+    assert spec.energies == pytest.approx(pinned, rel=1e-8, abs=0.0)
+    w = 2.0 * CONV.mass * radii ** 2 * pot.potentials[0]
+    for deep, level in zip(spec.energies, spec.energies[1:]):
+        turn = np.nonzero(w + 0.25 - 2.0 * CONV.mass * radii ** 2 * deep < 0)[0][-1]
+        guess = math.log(-deep) - 2.0 * math.pi / math.sqrt(-(w[turn] + 0.25))
+        assert abs(math.log(-level) - guess) > 0.5 * _COUNT_WINDOW
 
 
 def test_ladder_geometric_ratios(ladder_ib):
