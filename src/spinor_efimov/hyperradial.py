@@ -330,7 +330,6 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     energies: list[float] = []
     nodes_out: list[int] = []
     exhausted = None
-    guess, half = 0.0, math.inf
     for n in range(n_levels):
         if top[0] <= n:
             exhausted = "grid"
@@ -338,6 +337,17 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
+        # discrete scale invariance puts this level near
+        # ln|E_prev| - 2 pi/kappa, with kappa read at the previous level's
+        # outer turning point (exact for a scale-free channel); no guess
+        # for the deepest level or where s^2 >= 0 there
+        guess, half = 0.0, math.inf
+        if energies:
+            neg = np.nonzero(shooter.q_of(energies[-1]) < 0.0)[0]
+            s2 = shooter.w[neg[-1]] + 0.25 if neg.size else 0.0
+            if s2 < 0.0:
+                guess = math.log(-energies[-1]) - 2.0 * math.pi / math.sqrt(-s2)
+                half = 0.5 * _COUNT_WINDOW
         # phase 1: narrow ln|E| to a _COUNT_WINDOW bracket of the node
         # count jumping n -> n+1, keeping the (count, defect) shots at the
         # window ends for phase 2.  Each shot probes an end of the window
@@ -405,15 +415,6 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         energies.append(level)
         nodes_out.append(nodes)
         t_deep = math.log(-level) - 1e-12  # next level is shallower
-        # discrete scale invariance puts the next level near
-        # ln|E| - 2 pi/kappa, with kappa read at this level's outer turning
-        # point (exact for a scale-free channel); no guess where s^2 >= 0
-        s2 = shooter.w[np.nonzero(shooter.q_of(level) < 0.0)[0][-1]] + 0.25
-        if s2 < 0.0:
-            guess = math.log(-level) - 2.0 * math.pi / math.sqrt(-s2)
-            half = 0.5 * _COUNT_WINDOW
-        else:
-            guess, half = 0.0, math.inf
 
     return LadderSpectrum(wall_radius, tuple(energies), tuple(nodes_out),
                           exhausted)
