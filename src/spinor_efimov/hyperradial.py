@@ -337,10 +337,8 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
-        # discrete scale invariance puts this level near
-        # ln|E_prev| - 2 pi/kappa, with kappa read at the previous level's
-        # outer turning point (exact for a scale-free channel); no guess
-        # for the deepest level or where s^2 >= 0 there
+        # the scale-invariant guess (see the docstring); exact for a
+        # scale-free channel
         guess, half = 0.0, math.inf
         if energies:
             neg = np.nonzero(shooter.q_of(energies[-1]) < 0.0)[0]
@@ -351,9 +349,9 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         # phase 1: narrow ln|E| to a _COUNT_WINDOW bracket of the node
         # count jumping n -> n+1, keeping the (count, defect) shots at the
         # window ends for phase 2.  Each shot probes an end of the window
-        # guess +- half that lies inside the bracket; a window that covers
-        # the bracket is bisected, one that missed the level is widened
-        # fourfold.  A cold start (half = inf) is plain bisection.
+        # guess +- half inside the bracket; a window that covers the
+        # bracket is bisected (always, for half = inf), one that missed
+        # the level is widened.
         lo, hi = t_top, t_deep  # lo is shallow (count > n), hi is deep
         shallow, deep = top, None
         while hi - lo > _COUNT_WINDOW:
