@@ -115,41 +115,44 @@ class ChannelMatrixSpec:
         if o.shape != (n, n):
             raise HyperangularError(
                 f"overlap shape {o.shape} does not match {n} states")
-        if np.max(np.abs(o - o.T)) > 1e-12:
+        if np.abs(o - o.T).max() > 1e-12:
             raise HyperangularError("overlap matrix must be symmetric")
-        object.__setattr__(self, "overlap", 0.5 * (o + o.T))
         if self.mode not in ("asymptotic", "finite"):
             raise HyperangularError(f"unknown mode {self.mode!r}")
+        kinds = [l.kind for l in self.lengths]
         if self.mode == "asymptotic":
-            bad = [l for l in self.lengths if l.kind == "finite"]
-            if bad:
+            if "finite" in kinds:
                 raise HyperangularError(
                     "asymptotic mode takes only unitary or closed channels; "
-                    f"got finite length(s) {[l.value for l in bad]}")
+                    "got finite length(s) "
+                    f"{[l.value for l in self.lengths if l.kind == 'finite']}")
         else:
-            bad = [l for l in self.lengths if l.kind == "unitary"]
-            if bad:
+            if "unitary" in kinds:
                 raise HyperangularError(
                     "finite mode takes only finite or closed channels; "
                     "use asymptotic mode for unitary flags")
             if self.hyperradius is None or not self.hyperradius > 0.0:
                 raise HyperangularError("finite mode requires hyperradius > 0")
         # the per-evaluation arrays over the active (non-closed) states:
-        # R/a (0 for unitary channels), the congruence diagonal
-        # 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer product
-        act = np.array([j for j, ch in enumerate(self.state_channel)
-                        if self.lengths[ch].kind != "closed"], dtype=int)
-        active_lengths = [self.lengths[self.state_channel[j]] for j in act]
-        r_over_a = np.array([0.0 if l.kind == "unitary"
-                             else self.hyperradius / l.value
-                             for l in active_lengths])
-        d = 1.0 / np.sqrt(np.maximum(1.0, SQRT2 * np.abs(r_over_a)))
-        for name, value in (("_active", act),
-                            ("_active_overlap", self.overlap[np.ix_(act, act)]),
-                            ("_r_over_a", r_over_a), ("_congruence", d),
-                            ("_scale", np.outer(d, d))):
+        # R/a (0 for unitary channels, so for all in asymptotic mode), the
+        # congruence diagonal 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
+        # product
+        act = [j for j, ch in enumerate(self.state_channel)
+               if kinds[ch] != "closed"]
+        if self.mode == "asymptotic":
+            r_over_a, d = np.zeros(len(act)), np.ones(len(act))
+        else:
+            r_over_a = self.hyperradius / np.array(
+                [self.lengths[self.state_channel[j]].value for j in act])
+            d = 1.0 / np.sqrt(np.maximum(1.0, SQRT2 * np.abs(r_over_a)))
+        act = np.array(act, dtype=int)
+        o = 0.5 * (o + o.T)
+        arrays = {"_active": act, "_active_overlap": o[act[:, None], act],
+                  "_r_over_a": r_over_a, "_congruence": d,
+                  "_scale": d[:, None] * d}
+        for value in arrays.values():
             value.flags.writeable = False  # shared by every evaluation
-            object.__setattr__(self, name, value)
+        vars(self).update(arrays, overlap=o)  # frozen: no __setattr__
 
     @staticmethod
     def from_overlap(overlap: ExchangeOverlap, mode: str,
@@ -290,18 +293,13 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
 class SpinProfile:
     """Weights of a root's null space over the six (pair basis state,
     spectator level) configurations; rows follow PAIR_LABELS, columns are
-    spectator level 1 and 2.  Weights sum to one."""
+    spectator level 1 and 2.  Weights sum to one.  same_level_weight is
+    the total weight on the all-atoms-in-one-level family (|111>, |222>),
+    mixed_weight the rest."""
 
     weights: np.ndarray  # (3, 2)
-
-    @property
-    def same_level_weight(self) -> float:
-        """Total weight on the all-atoms-in-one-level family (|111>, |222>)."""
-        return float(self.weights[0, 0] + self.weights[2, 1])
-
-    @property
-    def mixed_weight(self) -> float:
-        return float(np.sum(self.weights) - self.same_level_weight)
+    same_level_weight: float
+    mixed_weight: float
 
 
 @dataclass(frozen=True)
@@ -329,31 +327,40 @@ class ChannelRoot:
         return -self.value ** 2 if self.axis == "imaginary" else self.value ** 2
 
 
-def classify_root(null_vectors: np.ndarray,
-                  channels: TwoBodyChannelSet) -> SpinProfile:
-    """Project a root's null vectors (columns over the six states) onto
-    the fixed (pair basis state, spectator) configurations and average the
-    squared amplitudes.
+def _spin_profiles(null_vectors: np.ndarray,
+                   vectors: np.ndarray) -> list[SpinProfile]:
+    """Spin profiles of roots sharing a multiplicity m, from their null
+    vectors (roots, 6, m) and the channel vectors (roots, 3, 3) of their
+    channel sets, in one stacked product: each null vector, shaped
+    (channel, spectator), is rotated onto the fixed (pair basis state,
+    spectator) configurations and the squared amplitudes are averaged.
 
     The channel-to-pair-basis rotation is orthogonal, so the weights of
     each null vector sum to one exactly; averaging over a degenerate null
     space keeps the profile invariant under basis rotations inside it.
     """
-    if null_vectors.shape[0] != 6:
+    n, states, m = null_vectors.shape
+    if states != 6:
         raise HyperangularError(
             "spin classification needs the six-state channel problem")
-    v = channels.vectors
-    weights = np.zeros((3, 2))
-    mult = null_vectors.shape[1]
-    for k in range(mult):
-        coeff = null_vectors[:, k].reshape(3, 2)  # (channel, spectator)
-        weights += (v @ coeff) ** 2
-    weights /= mult
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-10:
+    coeff = null_vectors.transpose(0, 2, 1).reshape(n, m, 3, 2)
+    weights = np.sum((vectors[:, None] @ coeff) ** 2, axis=1) / m
+    total = np.sum(weights.reshape(n, 6), axis=1)
+    bad = np.nonzero(np.abs(total - 1.0) > 1e-10)[0]
+    if bad.size:
         raise HyperangularError(
-            f"spin profile weights sum to {total!r}, expected 1")
-    return SpinProfile(weights)
+            f"spin profile weights sum to {float(total[bad[0]])!r}, "
+            "expected 1")
+    same = weights[:, 0, 0] + weights[:, 2, 1]
+    return [SpinProfile(*w) for w in zip(weights, same.tolist(),
+                                         (total - same).tolist())]
+
+
+def classify_root(null_vectors: np.ndarray,
+                  channels: TwoBodyChannelSet) -> SpinProfile:
+    """The spin profile of one root from its null vectors (columns over
+    the six states) and its channel set; see _spin_profiles."""
+    return _spin_profiles(null_vectors[None], channels.vectors[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +619,22 @@ def _merge(p, values):
     start = np.flatnonzero((np.diff(p, prepend=-1) != 0)
                            | (np.diff(values, prepend=-np.inf) > MERGE_TOL))
     size = np.diff(np.append(start, values.size))
-    mean = np.array([np.mean(values[a:a + n]) for a, n in zip(start, size)])
-    return order, start, p[start], mean, size
+    # each run summed left to right, the order np.mean adds fewer than 8
+    # values in (np.add.reduceat adds a0 + (a1 + a2 + ...)); a run holds
+    # at most one root per curve
+    total = values[start]
+    for k in range(1, size.max(initial=1)):
+        more = size > k
+        total[more] += values[start[more] + k]
+    return order, start, p[start], total / size, size
 
 
 def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
-    """Roots of finite-mode specs, lists (spec, value, residual, null
-    vectors): the sorted curves' sign changes at the points _finite_scan
-    keeps, and those fine scans of near-zero dips uncover, refined
-    together by _refine and merged.  The multiplicity is the number merged
+    """Roots of finite-mode specs, arrays (spec, value, residual) and
+    their null vectors as pairs (roots, null vectors (roots, states, m)),
+    one per multiplicity m: the sorted curves' sign changes at the points
+    _finite_scan keeps, and those fine scans of near-zero dips uncover,
+    refined together by _refine and merged.  The multiplicity is the number merged
     or, if larger, of eigenvalues within _eig_err of zero at the root (the
     null-space dimension); that many smallest-|lambda| eigenvectors, the
     congruence undone, are the null vectors.  A dip that still grazes zero
@@ -658,7 +672,7 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     pick = np.argsort(np.abs(lam), axis=-1)
     residual = np.abs(np.take_along_axis(lam, pick, -1)[
         np.arange(mult.size), mult - 1])
-    null = [None] * grp_p.size
+    groups = []
     for m in sorted(set(mult.tolist())):  # no np.unique: it loads numpy.ma
         g = np.nonzero(mult == m)[0]
         # undo the congruence, re-orthonormalize, and make each column's
@@ -671,9 +685,8 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
         q *= np.where(top < 0.0, -1.0, 1.0)
         full = np.zeros((g.size, specs[0].n_states, q.shape[-1]))
         full[:, specs[0]._active, :] = q
-        for gi, nv in zip(g, full):
-            null[gi] = nv
-    return grp_p.tolist(), grp_value.tolist(), residual.tolist(), null
+        groups.append((g, full))
+    return grp_p, grp_value, residual, groups
 
 
 def _subdivide(stack, p, k, left, right):
@@ -766,8 +779,12 @@ def _scalar_roots(specs, axis: str, x_max):
     residual = np.maximum.reduceat(res, start)
     full = np.zeros((p.size, specs[0].n_states))
     full[:, specs[0]._active] = v
-    null = [c.T for c in np.split(full, start[1:])]
-    return grp_p.tolist(), grp_value.tolist(), residual.tolist(), null
+    groups = []
+    for m in sorted(set(size.tolist())):
+        g = np.nonzero(size == m)[0]
+        rows = full[start[g, None] + np.arange(m)]  # (roots, m, states)
+        groups.append((g, rows.transpose(0, 2, 1)))
+    return grp_p, grp_value, residual, groups
 
 
 def _solve_axis(specs, axis: str, x_max, n_grid: int):
@@ -775,23 +792,38 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     _scalar_roots if all are asymptotic, else by _finite_roots on an
     n_grid-point grid (n_grid < 2: none): per spec the grid warnings and
     the roots by descending kappa or ascending s, with spin profiles if
-    the spec has channels.  A residual above RESIDUAL_TOL is an error."""
+    the spec has channels, taken per multiplicity in one stacked pass.  A
+    residual above RESIDUAL_TOL is an error."""
     warns: list[list[str]] = [[] for _ in specs]
     roots: list[list[ChannelRoot]] = [[] for _ in specs]
     if not specs or specs[0]._active.size == 0 or n_grid < 2:
         return warns, roots
-    if any(np.any(s._r_over_a) for s in specs):
+    if np.any([s._r_over_a for s in specs]):
         solved = _finite_roots(specs, axis, x_max, n_grid, warns)
     else:
         solved = _scalar_roots(specs, axis, x_max)
-    for p, value, residual, null in zip(*solved):
-        if residual > RESIDUAL_TOL:
-            raise HyperangularError(
-                f"root candidate at {axis} {value} has residual {residual:.3e}")
-        channels = specs[p].channels
-        roots[p].append(ChannelRoot(
-            axis, value, null, residual,
-            None if channels is None else classify_root(null, channels)))
+    p, value, residual, groups = solved
+    bad = np.nonzero(residual > RESIDUAL_TOL)[0]
+    if bad.size:
+        raise HyperangularError(
+            f"root candidate at {axis} {float(value[bad[0]])} has residual "
+            f"{residual[bad[0]]:.3e}")
+    has = np.array([s.channels is not None for s in specs])
+    # identity rows stand in for specs without channels and are never read
+    vectors = np.array([np.eye(3) if s.channels is None else s.channels.vectors
+                        for s in specs])
+    null, profile = [None] * p.size, [None] * p.size
+    for g, nv in groups:
+        keep = has[p[g]]
+        if keep.any():
+            for i, prof in zip(g[keep].tolist(),
+                               _spin_profiles(nv[keep], vectors[p[g[keep]]])):
+                profile[i] = prof
+        for i, v in zip(g.tolist(), nv):
+            null[i] = v
+    for q, v, r, nv, prof in zip(p.tolist(), value.tolist(), residual.tolist(),
+                                 null, profile):
+        roots[q].append(ChannelRoot(axis, v, nv, r, prof))
     if axis == "imaginary":
         for r in roots:
             r.reverse()

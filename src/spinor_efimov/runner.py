@@ -64,14 +64,13 @@ def _fmt12(x: float) -> str:
 
 
 def _round12(x):
-    if x is None or isinstance(x, bool) or not isinstance(x, (int, float, np.floating)):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    x = float(x)
-    if not math.isfinite(x):
-        return None
-    return float(_fmt12(x))
+    """A float (numpy's too) to 12 significant digits, or None if it is
+    not finite; any other value (None, bool, int, str) as it is."""
+    if isinstance(x, float):  # np.float64 included
+        return float(_fmt12(x)) if math.isfinite(x) else None
+    if isinstance(x, np.floating):
+        return _round12(float(x))
+    return x
 
 
 def _round_rows(rows: list[dict]) -> list[dict]:
@@ -304,6 +303,24 @@ def _csv_text(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
+def _json_pieces(bundle: ResultBundle):
+    """The JSON document {"meta", "tables", "warnings"} in pieces, so the
+    whole text is never held: meta and warnings indented by two, each
+    table row one line from the C encoder."""
+    def block(value) -> str:
+        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+    row_text = json.JSONEncoder(allow_nan=False).encode
+    yield '{\n  "meta": ' + block(bundle.meta) + ',\n  "tables": {'
+    for t, (name, rows) in enumerate(bundle.tables.items()):
+        yield ("," if t else "") + f"\n    {json.dumps(name)}: ["
+        for r, row in enumerate(rows):
+            yield ("," if r else "") + "\n      " + row_text(row)
+        yield "\n    ]" if rows else "]"
+    yield ("\n  }" if bundle.tables else "}") + ',\n  "warnings": ' \
+        + block(bundle.warnings) + "\n}\n"
+
+
 def write_outputs(bundle: ResultBundle, out_dir: str,
                   formats: tuple[str, ...]) -> list[str]:
     """Write <task>.<fmt> files; returns the paths written."""
@@ -328,11 +345,8 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{task}.json")
-        payload = {"meta": bundle.meta, "tables": bundle.tables,
-                   "warnings": bundle.warnings}
         with open(path, "w", encoding="utf-8", newline="") as f:
-            json.dump(payload, f, indent=2, allow_nan=False)
-            f.write("\n")
+            f.writelines(_json_pieces(bundle))
         written.append(path)
     if svg is not None:
         path = os.path.join(out_dir, f"{task}.svg")

@@ -25,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from spinor_efimov.cli import main
+from spinor_efimov.config import parse_config
+from spinor_efimov.runner import run, write_outputs
 
 GOLDEN = Path(__file__).parent / "golden"
 TASKS = ("theta-sweep", "r-sweep", "roots", "ladder", "invariance-suite")
@@ -55,6 +57,26 @@ def test_outputs_match_golden(task, tmp_path):
                 (GOLDEN / f"{task}.{ext}").read_bytes(), ext
     assert _json_payload(tmp_path / f"{task}.json") == \
         json.loads((GOLDEN / f"{task}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_streamed_json_parses_as_one_indented_dump(task, tmp_path):
+    """The json file is written in pieces, each table row on a line of its
+    own; it parses to what one json.dumps(payload, indent=2) parses to,
+    and ends in a newline."""
+    cfg = parse_config((GOLDEN / f"{task}.run").read_text(encoding="utf-8"))
+    bundle = run(cfg)
+    write_outputs(bundle, str(tmp_path), cfg.formats)
+    text = (tmp_path / f"{task}.json").read_text(encoding="utf-8")
+    payload = {"meta": bundle.meta, "tables": bundle.tables,
+               "warnings": bundle.warnings}
+    assert json.loads(text) == json.loads(
+        json.dumps(payload, indent=2, allow_nan=False))
+    assert text.endswith("}\n")
+    lines = [json.loads(line.strip().rstrip(","))
+             for line in text.splitlines() if line.startswith("      {")]
+    assert lines == [row for rows in bundle.tables.values() for row in rows]
+    assert lines
 
 
 def _regenerate(tasks) -> None:

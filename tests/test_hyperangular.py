@@ -14,6 +14,7 @@ from spinor_efimov.config import parse_config
 from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
     ScatteringMatrix,
+    TwoBodyChannelSet,
     as_length,
     channels_from_angle,
     eigenchannels,
@@ -1152,3 +1153,132 @@ def test_refine_matches_bisection_on_random_specs(seed, radii, s_max):
         assert warns == want_warns
         for got, want in zip(groups, want_groups, strict=True):
             _assert_roots_agree(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the stacked per-root pass against the per-root code it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_profile(null_vectors, channels):
+    """The per-root profile loop: weights, same-level and mixed weight."""
+    weights = np.zeros((3, 2))
+    mult = null_vectors.shape[1]
+    for k in range(mult):
+        weights += (channels.vectors @ null_vectors[:, k].reshape(3, 2)) ** 2
+    weights /= mult
+    same = float(weights[0, 0] + weights[2, 1])
+    return weights, same, float(np.sum(weights) - same)
+
+
+def _assert_reference_profiles(roots, channels):
+    for root in roots:
+        weights, same, mixed = _reference_profile(root.null_vectors, channels)
+        prof = root.spin_profile
+        assert np.array_equal(prof.weights, weights)
+        assert (prof.same_level_weight, prof.mixed_weight) == (same, mixed)
+
+
+def _reference_merges(monkeypatch) -> list:
+    """Check every _merge call's run means against the per-run np.mean
+    list comprehension; returns the run sizes seen."""
+    merge = hyperangular._merge
+    sizes = []
+
+    def checked(p, values):
+        order, start, grp_p, mean, size = merge(p, values)
+        ordered = values[order]
+        want = np.array([np.mean(ordered[a:a + n])
+                         for a, n in zip(start, size)])
+        assert np.array_equal(mean, want)
+        sizes.extend(size.tolist())
+        return order, start, grp_p, mean, size
+
+    monkeypatch.setattr(hyperangular, "_merge", checked)
+    return sizes
+
+
+@pytest.mark.parametrize("lengths, points, roots, run", [
+    (("closed", "unitary", "closed"), 201, 1202, 2),  # the admixture sweep
+    (("unitary", "unitary", "unitary"), 41, 205, 4),
+])
+def test_stacked_pass_matches_the_per_root_code_on_sweeps(
+        lengths, points, roots, run, monkeypatch):
+    """Asymptotic theta sweeps on both axes: every profile and both family
+    weights bit for bit, every merged mean exactly, up to the longest run
+    of roots merged."""
+    sizes = _reference_merges(monkeypatch)
+    table = theta_sweep(np.linspace(0.0, math.pi / 2, points), *lengths,
+                        s_max=5.0)
+    for row in table.rows:
+        _assert_reference_profiles(row.roots,
+                                   channels_from_angle(row.theta, *lengths))
+    assert sum(len(row.roots) for row in table.rows) == roots
+    assert max(sizes) == run
+
+
+def test_stacked_pass_matches_the_per_root_code_on_the_invariance_suite(
+        monkeypatch):
+    """The seed-0 invariance suite's 150 finite specs, as above."""
+    sizes = _reference_merges(monkeypatch)
+    seen = []
+    solve = runner.find_roots_imaginary_batch
+
+    def recorded(specs, *args, **kwargs):
+        roots = solve(specs, *args, **kwargs)
+        seen.append((specs, roots))
+        return roots
+
+    monkeypatch.setattr(runner, "find_roots_imaginary_batch", recorded)
+    run(parse_config("task = invariance-suite\ntrials = 50\nseed = 0\n"))
+    (specs, roots), = seen
+    for spec, spec_roots in zip(specs, roots, strict=True):
+        _assert_reference_profiles(spec_roots, spec.channels)
+    assert sum(map(len, roots)) > 300 and sizes
+
+
+def _relabelled(channels, perm):
+    """The channel set with its channels in the order perm: lengths
+    together with their eigenvector columns."""
+    return TwoBodyChannelSet(tuple(channels.lengths[k] for k in perm),
+                             channels.vectors[:, list(perm)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), perm=st.permutations(range(3)),
+       mode=st.sampled_from(["asymptotic", "finite"]))
+def test_channel_relabel_leaves_roots_and_profiles_unchanged(seed, perm,
+                                                             mode):
+    """Permuting the three channels permutes the states of the channel
+    problem, so roots, multiplicities and family weights stay."""
+    rng = np.random.default_rng(seed)
+    if mode == "finite":
+        channels = eigenchannels(_conditioned_matrix(rng))
+        radius = float(rng.uniform(0.3, 5.0))
+    else:
+        kinds = rng.choice(["unitary", "closed"], size=3)
+        channels = TwoBodyChannelSet(
+            tuple(as_length(str(k)) for k in kinds),
+            np.linalg.qr(rng.normal(size=(3, 3)))[0])
+        radius = None
+
+    def solved(cs):
+        spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), mode,
+                                              hyperradius=radius)
+        sink = []
+        roots = find_roots_imaginary(spec, 10.0, warning_sink=sink) \
+            + find_roots_real(spec, 5.0, warning_sink=sink)
+        return roots, sink
+
+    (want, want_warns), (got, warns) = solved(channels), solved(
+        _relabelled(channels, perm))
+    assert warns == want_warns
+    assert [(r.axis, r.multiplicity) for r in got] == \
+        [(r.axis, r.multiplicity) for r in want]
+    for x, y in zip(got, want):
+        assert abs(x.value - y.value) <= 1e-10 * max(1.0, abs(y.value))
+        np.testing.assert_allclose(x.spin_profile.weights,
+                                   y.spin_profile.weights, atol=1e-9)
+        assert x.spin_profile.same_level_weight == pytest.approx(
+            y.spin_profile.same_level_weight, abs=1e-9)
+        assert x.spin_profile.mixed_weight == pytest.approx(
+            y.spin_profile.mixed_weight, abs=1e-9)
