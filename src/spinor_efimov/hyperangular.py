@@ -20,6 +20,8 @@ Both axes are built in one congruent form, the overflow-safe
 (D a positive diagonal); by Sylvester's law it moves no root, changes no
 multiplicity and maps null spaces through D.  The root finders scan it,
 and channel_matrix divides out its positive factor to give M and H.
+_SpecStack holds the arrays every evaluation reads (the active overlap,
+R/a and D), stacked over the specs solved together.
 
 In asymptotic mode R/a = 0 and D = I, so on both axes the matrix is
 f(x) I - g(x) O with O the active overlap: its roots solve the
@@ -133,26 +135,7 @@ class ChannelMatrixSpec:
                     "use asymptotic mode for unitary flags")
             if self.hyperradius is None or not self.hyperradius > 0.0:
                 raise HyperangularError("finite mode requires hyperradius > 0")
-        # the per-evaluation arrays over the active (non-closed) states:
-        # R/a (0 for unitary channels, so for all in asymptotic mode), the
-        # congruence diagonal 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
-        # product
-        act = [j for j, ch in enumerate(self.state_channel)
-               if kinds[ch] != "closed"]
-        if self.mode == "asymptotic":
-            r_over_a, d = np.zeros(len(act)), np.ones(len(act))
-        else:
-            r_over_a = self.hyperradius / np.array(
-                [self.lengths[self.state_channel[j]].value for j in act])
-            d = 1.0 / np.sqrt(np.maximum(1.0, SQRT2 * np.abs(r_over_a)))
-        act = np.array(act, dtype=int)
-        o = 0.5 * (o + o.T)
-        arrays = {"_active": act, "_active_overlap": o[act[:, None], act],
-                  "_r_over_a": r_over_a, "_congruence": d,
-                  "_scale": d[:, None] * d}
-        for value in arrays.values():
-            value.flags.writeable = False  # shared by every evaluation
-        vars(self).update(arrays, overlap=o)  # frozen: no __setattr__
+        object.__setattr__(self, "overlap", 0.5 * (o + o.T))  # frozen
 
     @staticmethod
     def from_overlap(overlap: ExchangeOverlap, mode: str,
@@ -186,7 +169,8 @@ class ChannelMatrixSpec:
 
     def active_states(self) -> np.ndarray:
         """Indices of states whose channel is not closed."""
-        return self._active
+        return np.array([j for j, ch in enumerate(self.state_channel)
+                         if self.lengths[ch].kind != "closed"], dtype=int)
 
 
 def _imag_terms(kappas, r_over_a):
@@ -268,21 +252,17 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
     if s.real != 0.0 and s.imag != 0.0:
         raise HyperangularError(
             f"s must lie on the real or imaginary axis, got {s!r}")
-    if spec.active_states().size == 0:
+    axis, x = ("real", s.real) if s.real != 0.0 else ("imaginary", s.imag)
+    stack = _SpecStack([spec], axis)
+    if stack.active.size == 0:
         raise HyperangularError("all channels are closed; no matrix remains")
-    if s.real != 0.0:
-        terms, x, factor = _real_terms, s.real, 1.0
-    else:
-        terms, x = _imag_terms, s.imag
-        if x <= 0.0:
-            raise HyperangularError(
-                f"imaginary axis requires kappa > 0, got {x}")
-        factor = 2.0 * math.exp(-0.5 * math.pi * x)
-    kern, diag = terms(np.array([x]), spec._r_over_a)
-    out = _assemble(kern, diag, spec._active_overlap)[0] * spec._scale
+    if axis == "imaginary" and x <= 0.0:
+        raise HyperangularError(f"imaginary axis requires kappa > 0, got {x}")
+    factor = 1.0 if axis == "real" else 2.0 * math.exp(-0.5 * math.pi * x)
+    out = stack.matrices(np.zeros(1, dtype=int), np.array([x]))[0]
     if normalized:
         return out
-    return out / (factor * spec._scale)
+    return out / (factor * stack.scale[0])
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +365,16 @@ def _kappa_window(spec: ChannelMatrixSpec, kappa_max: float | None) -> float:
     return kappa_max
 
 
+#: largest accepted s_max: it keeps the default real-axis grid step at
+#: 0.05 and _branch_ends's sampling of phi' at 6,400 points, where 1e15
+#: would ask for petabytes
+S_MAX_LIMIT = 100.0
+
+
 def _check_s_max(s_max: float) -> None:
-    if not s_max >= 2.0:
-        raise HyperangularError("s_max must be at least 2")
+    if not 2.0 <= s_max <= S_MAX_LIMIT:
+        raise HyperangularError(
+            f"s_max must lie in [2, {S_MAX_LIMIT:g}], got {s_max!r}")
 
 
 def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
@@ -423,20 +410,33 @@ def _eig_err(x, kernel_norm):
 
 
 class _SpecStack:
-    """The per-spec arrays of finite-mode specs sharing one active-state
-    count, stacked along a leading spec axis.  A point's matrix goes
-    through eigvalsh when the scan cannot prove it useless (see
-    _finite_scan)."""
+    """The per-evaluation arrays of specs sharing their state count and
+    active states, stacked along a leading spec axis: the active overlap,
+    R/a (0 for unitary channels, so for all in asymptotic mode), the
+    congruence diagonal 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
+    product.  Every evaluation of a spec's matrix reads them here; in
+    finite mode a point's matrix goes through eigvalsh when the scan
+    cannot prove it useless (see _finite_scan)."""
 
     def __init__(self, specs, axis: str):
         self.terms, self.slopes = _AXES[axis]
-        self.r_over_a = np.array([s._r_over_a for s in specs])
-        self.overlap = np.array([s._active_overlap for s in specs])
-        self.scale = np.array([s._scale for s in specs])
-        self.congruence = np.array([s._congruence for s in specs])
-        # ||D O D||_2, the kernel's weight in the norm and slope bounds
-        self.kernel_norm = np.linalg.norm(self.scale * self.overlap, 2,
-                                          axis=(-2, -1))
+        self.n_states = specs[0].n_states
+        self.active = act = specs[0].active_states()
+        self.overlap = np.array([s.overlap for s in specs])[:, act[:, None], act]
+        radius = np.array([s.hyperradius if s.mode == "finite" else 0.0
+                           for s in specs])[:, None]
+        length = np.array([[s.lengths[c].value for c in s.state_channel]
+                           for s in specs])[:, act]
+        self.r_over_a = np.divide(radius, length, out=np.zeros(length.shape),
+                                  where=radius > 0.0)
+        self.finite = bool(self.r_over_a.any())
+        self.congruence = d = 1.0 / np.sqrt(
+            np.maximum(1.0, SQRT2 * np.abs(self.r_over_a)))
+        self.scale = d[:, :, None] * d[:, None, :]
+        if self.finite:
+            # ||D O D||_2, the kernel's weight in the norm and slope bounds
+            self.kernel_norm = np.linalg.norm(self.scale * self.overlap, 2,
+                                              axis=(-2, -1))
 
     def lipschitz(self, p, lo, hi) -> np.ndarray:
         """Bound L on ||A(y) - A(x)||_2 <= L (y - x) for lo <= x < y <= hi,
@@ -629,18 +629,18 @@ def _merge(p, values):
     return order, start, p[start], total / size, size
 
 
-def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
+def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
     """Roots of finite-mode specs, arrays (spec, value, residual) and
-    their null vectors as pairs (roots, null vectors (roots, states, m)),
-    one per multiplicity m: the sorted curves' sign changes at the points
-    _finite_scan keeps, and those fine scans of near-zero dips uncover,
-    refined together by _refine and merged.  The multiplicity is the number merged
-    or, if larger, of eigenvalues within _eig_err of zero at the root (the
-    null-space dimension); that many smallest-|lambda| eigenvectors, the
-    congruence undone, are the null vectors.  A dip that still grazes zero
-    is a warning unless a root whose null-space count raised its
+    their null vectors as pairs (roots, null vectors (roots, active
+    states, m)), one per multiplicity m: the sorted curves' sign changes
+    at the points _finite_scan keeps, and those fine scans of near-zero
+    dips uncover, refined together by _refine and merged.  The
+    multiplicity is the number merged or, if larger, of eigenvalues within
+    _eig_err of zero at the root (the null-space dimension); that many
+    smallest-|lambda| eigenvectors, the congruence undone and
+    re-orthonormalized, are the null vectors.  A dip that still grazes
+    zero is a warning unless a root whose null-space count raised its
     multiplicity lies in it."""
-    stack = _SpecStack(specs, axis)
     p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
     # neighbours: consecutive grid indices of one spec
     step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
@@ -675,17 +675,9 @@ def _finite_roots(specs, axis: str, x_max, n_grid: int, warns):
     groups = []
     for m in sorted(set(mult.tolist())):  # no np.unique: it loads numpy.ma
         g = np.nonzero(mult == m)[0]
-        # undo the congruence, re-orthonormalize, and make each column's
-        # largest-magnitude entry positive
         raw = stack.congruence[grp_p[g], :, None] \
             * np.take_along_axis(vec[g], pick[g, None, :m], -1)
-        q = np.linalg.qr(raw)[0]
-        top = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None, :],
-                                 1)
-        q *= np.where(top < 0.0, -1.0, 1.0)
-        full = np.zeros((g.size, specs[0].n_states, q.shape[-1]))
-        full[:, specs[0]._active, :] = q
-        groups.append((g, full))
+        groups.append((g, np.linalg.qr(raw)[0]))
     return grp_p, grp_value, residual, groups
 
 
@@ -731,7 +723,7 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
     return np.sort(ends)
 
 
-def _scalar_roots(specs, axis: str, x_max):
+def _scalar_roots(stack: _SpecStack, axis: str, x_max):
     """Roots of asymptotic specs (D = I) as _finite_roots gives them, from
     h_j = f - g o_j over the overlaps' eigenpairs.  A branch (lo, hi] of
     phi holds a root of h_j where h_j changes sign over it or is zero at
@@ -745,8 +737,7 @@ def _scalar_roots(specs, axis: str, x_max):
         g, f = terms(x, np.zeros(1))
         return f[..., 0] - g * o_j
 
-    overlap = np.array([s._active_overlap for s in specs])
-    o, vec = np.linalg.eigh(overlap)
+    o, vec = np.linalg.eigh(stack.overlap)
     x_max = np.asarray(x_max, dtype=float)
     brackets = []
     for top in dict.fromkeys(x_max.tolist()):
@@ -772,17 +763,13 @@ def _scalar_roots(specs, axis: str, x_max):
     # fails their mean's residual
     group = np.repeat(np.arange(start.size), size)
     v = vec[p, :, j]
-    v *= np.where(v[np.arange(p.size), np.argmax(np.abs(v), axis=1)] < 0.0,
-                  -1.0, 1.0)[:, None]
-    a = _assemble(*terms(grp_value, np.zeros(1)), overlap[grp_p])
+    a = _assemble(*terms(grp_value, np.zeros(1)), stack.overlap[grp_p])
     res = np.linalg.norm((a[group] @ v[:, :, None])[..., 0], axis=-1)
     residual = np.maximum.reduceat(res, start)
-    full = np.zeros((p.size, specs[0].n_states))
-    full[:, specs[0]._active] = v
     groups = []
     for m in sorted(set(size.tolist())):
         g = np.nonzero(size == m)[0]
-        rows = full[start[g, None] + np.arange(m)]  # (roots, m, states)
+        rows = v[start[g, None] + np.arange(m)]  # (roots, m, active states)
         groups.append((g, rows.transpose(0, 2, 1)))
     return grp_p, grp_value, residual, groups
 
@@ -796,13 +783,12 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     residual above RESIDUAL_TOL is an error."""
     warns: list[list[str]] = [[] for _ in specs]
     roots: list[list[ChannelRoot]] = [[] for _ in specs]
-    if not specs or specs[0]._active.size == 0 or n_grid < 2:
+    if not specs or n_grid < 2 or specs[0].active_states().size == 0:
         return warns, roots
-    if np.any([s._r_over_a for s in specs]):
-        solved = _finite_roots(specs, axis, x_max, n_grid, warns)
-    else:
-        solved = _scalar_roots(specs, axis, x_max)
-    p, value, residual, groups = solved
+    stack = _SpecStack(specs, axis)
+    p, value, residual, groups = (
+        _finite_roots(stack, axis, x_max, n_grid, warns) if stack.finite
+        else _scalar_roots(stack, axis, x_max))
     bad = np.nonzero(residual > RESIDUAL_TOL)[0]
     if bad.size:
         raise HyperangularError(
@@ -813,7 +799,13 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     vectors = np.array([np.eye(3) if s.channels is None else s.channels.vectors
                         for s in specs])
     null, profile = [None] * p.size, [None] * p.size
-    for g, nv in groups:
+    for g, active in groups:
+        # each column's largest-magnitude entry positive, zeros on the
+        # closed states
+        top = np.take_along_axis(
+            active, np.argmax(np.abs(active), axis=1)[:, None, :], 1)
+        nv = np.zeros((g.size, stack.n_states, active.shape[-1]))
+        nv[:, stack.active, :] = np.where(top < 0.0, -active, active)
         keep = has[p[g]]
         if keep.any():
             for i, prof in zip(g[keep].tolist(),
@@ -838,7 +830,8 @@ def _point_roots(specs, axis, x_maxes, n_grid,
     solved = [None] * len(specs)
     batches: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
-        batches.setdefault((spec.n_states, tuple(spec._active)), []).append(j)
+        batches.setdefault((spec.n_states, tuple(spec.active_states())),
+                           []).append(j)
     for idx in batches.values():
         for j, w, r in zip(idx, *_solve_axis([specs[j] for j in idx], axis,
                                              [x_maxes[j] for j in idx],
@@ -974,6 +967,8 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
     """Root lists at the points (thetas[i], radii[i]) with fixed
     lengths/flags, every axis scanned and refined across all points at
     once; roots on adjacent points are matched into labeled curves."""
+    if s_max:
+        _check_s_max(s_max)
     lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
     specs, kappa_maxes = [], []
     spin = {}  # theta -> overlap: an r-sweep has one theta
@@ -982,10 +977,7 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
             spin[theta] = exchange_overlap(channels_from_angle(theta, *lengths))
         spec = ChannelMatrixSpec.from_overlap(spin[theta], mode,
                                               hyperradius=radius)
-        # validated per point, in the order of the single-point finders
         kappa_maxes.append(_kappa_window(spec, kappa_max))
-        if s_max:
-            _check_s_max(s_max)
         specs.append(spec)
     scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes, n_grid))]
     if s_max:

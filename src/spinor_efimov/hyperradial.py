@@ -97,8 +97,13 @@ class AdiabaticPotential:
             raise HyperradialError("radii must be positive and ascending")
         if s2.shape[1] != r.size:
             raise HyperradialError("s_squared rows must match the R grid")
-        mu = convention.mass
-        u = (s2 - 0.25) / (2.0 * mu * r ** 2)
+        with np.errstate(all="ignore"):  # 2 mu R^2 and U must be finite
+            two_mu_r2 = 2.0 * convention.mass * r ** 2
+            u = (s2 - 0.25) / two_mu_r2
+        if not (np.isfinite(two_mu_r2).all() and np.isfinite(u).all()):
+            raise HyperradialError(
+                f"the potential on R in [{r[0]:.6g}, {r[-1]:.6g}] is not "
+                "finite in double precision; move the grid or the wall")
         return AdiabaticPotential(r, s2, u, convention)
 
     @property
@@ -145,8 +150,9 @@ def inverse_square_potential(kappa: float, r_min: float, r_max: float,
     U = -(kappa^2 + 1/4) / (2 mu R^2)."""
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
-    if not 0.0 < r_min < r_max:
-        raise HyperradialError("need 0 < r_min < r_max")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise HyperradialError(
+            f"need 0 < r_min < r_max, both finite; got [{r_min:g}, {r_max:g}]")
     if points_per_decade < 1:
         raise HyperradialError("points_per_decade must be at least 1")
     decades = math.log10(r_max / r_min)

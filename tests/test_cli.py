@@ -311,6 +311,31 @@ def test_installed_entry_point_runs(sweep_config, tmp_path):
     assert (out / "theta-sweep.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "task = ladder\nkappa = 1.00624\nn_levels = 2\nr0 = 1e-160\n",
+    "task = ladder\nkappa = 1.0\nn_levels = 2\nr0 = 1e-300\n",
+    "task = ladder\nkappa = 0.1\nn_levels = 30\nr0 = 1e9\n",
+    "task = theta-sweep\na_alpha = closed\na_beta = unitary\n"
+    "a_gamma = closed\ns_max = 1e15\n",
+])
+def test_cli_refuses_grids_that_overflow(text, tmp_path):
+    """Run files whose ladder grid or potential leaves double precision,
+    or whose s_max would allocate petabytes, end in one error line and
+    exit status 1, with no traceback and no warning.  The first once shot
+    forever at NaN brackets, so the child runs under a timeout."""
+    cfg = tmp_path / "bad.run"
+    cfg.write_text(text)
+    task = text.split("\n", 1)[0].split(" = ")[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinor_efimov.cli", task,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # figure details
 # ---------------------------------------------------------------------------

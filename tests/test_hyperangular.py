@@ -731,7 +731,8 @@ def test_scalar_roots_match_the_eigvalsh_scan(seed, n_states, s_max, repeat):
                              states, "asymptotic")
     slow = ChannelMatrixSpec((as_length(1e300),) * n_states, overlap,
                              states, "finite", hyperradius=1.0)
-    assert np.any(slow._r_over_a) and np.all(slow._scale == 1.0)
+    stack = hyperangular._SpecStack([slow], "imaginary")
+    assert np.any(stack.r_over_a) and np.all(stack.scale == 1.0)
     for find, args in ((find_roots_imaginary, (10.0,)),
                        (find_roots_real, (s_max,))):
         sink = []
@@ -799,8 +800,9 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
     assert all(row.roots for row in table.rows)
     assert len(seen) <= 2 * thetas.size
-    overlaps = [_spec_at_angle(t, "closed", "unitary", "closed")._active_overlap
-                for t in thetas]
+    overlaps = hyperangular._SpecStack(
+        [_spec_at_angle(t, "closed", "unitary", "closed") for t in thetas],
+        "imaginary").overlap
     for m in seen:
         assert any(np.array_equal(m, o) for o in overlaps)
 
@@ -1282,3 +1284,174 @@ def test_channel_relabel_leaves_roots_and_profiles_unchanged(seed, perm,
             y.spin_profile.same_level_weight, abs=1e-9)
         assert x.spin_profile.mixed_weight == pytest.approx(
             y.spin_profile.mixed_weight, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the stacked per-spec arrays and the s_max bound
+# ---------------------------------------------------------------------------
+
+def _per_spec_arrays(spec):
+    """The arrays of one spec as ChannelMatrixSpec once built them for
+    itself, kept as the reference for _SpecStack: active states, active
+    overlap, R/a (R / a, not R * (1/a)), the congruence diagonal and its
+    outer product."""
+    kinds = [l.kind for l in spec.lengths]
+    act = [j for j, ch in enumerate(spec.state_channel)
+           if kinds[ch] != "closed"]
+    if spec.mode == "asymptotic":
+        r_over_a, d = np.zeros(len(act)), np.ones(len(act))
+    else:
+        r_over_a = spec.hyperradius / np.array(
+            [spec.lengths[spec.state_channel[j]].value for j in act])
+        d = 1.0 / np.sqrt(np.maximum(1.0, math.sqrt(2.0) * np.abs(r_over_a)))
+    act = np.array(act, dtype=int)
+    o = 0.5 * (spec.overlap + spec.overlap.T)
+    return {"active": act, "overlap": o[act[:, None], act],
+            "r_over_a": r_over_a, "congruence": d, "scale": d[:, None] * d}
+
+
+def _per_spec_matrix(s, spec, normalized):
+    """channel_matrix as it was computed from _per_spec_arrays."""
+    ref = _per_spec_arrays(spec)
+    s = complex(s)
+    if s.real != 0.0:
+        terms, x, factor = hyperangular._real_terms, s.real, 1.0
+    else:
+        terms, x = hyperangular._imag_terms, s.imag
+        factor = 2.0 * math.exp(-0.5 * math.pi * x)
+    kern, diag = terms(np.array([x]), ref["r_over_a"])
+    out = hyperangular._assemble(kern, diag, ref["overlap"])[0] * ref["scale"]
+    return out if normalized else out / (factor * ref["scale"])
+
+
+_POINTS = (0.7, 2.5, 4.0 + 1e-7, 1j * 1e-8, 1j * 0.3, 1j * 4.0)
+
+
+def _assert_stack_matches(stack, specs):
+    """Every row of the stack, and the normalized matrices it evaluates,
+    equal the per-spec reference bit for bit."""
+    axis = "real" if stack.terms is hyperangular._real_terms else "imaginary"
+    for row, spec in enumerate(specs):
+        want = _per_spec_arrays(spec)
+        assert np.array_equal(stack.active, want["active"])
+        for name in ("overlap", "r_over_a", "congruence", "scale"):
+            assert np.array_equal(getattr(stack, name)[row], want[name]), name
+        for s in _POINTS:
+            x = s.real if axis == "real" else s.imag
+            if x > 0.0 and want["active"].size:
+                got = stack.matrices(np.array([row]), np.array([x]))[0]
+                assert np.array_equal(got, _per_spec_matrix(s, spec, True))
+
+
+_STACK_CASES = {
+    "asymptotic": lambda: [_spec_at_angle(0.7, "closed", "unitary",
+                                          "unitary")],
+    "finite": lambda: [_spec_at_angle(0.7, 1.0, -30.0, 0.2, "finite",
+                                      R=3.0)],
+    "closed channels": lambda: [
+        _spec_at_angle(0.4, 1.0, 30.0, "closed", "finite", R=3.0),
+        _spec_at_angle(0.4, "closed", "unitary", "closed"),
+        _spec_at_angle(0.4, "closed", "closed", "closed")],
+    "single level": lambda: [
+        ChannelMatrixSpec.single_level("unitary", "asymptotic"),
+        ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=100.0),
+        ChannelMatrixSpec.single_level(-1.0, "finite", hyperradius=0.5)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
+def test_stack_matches_the_per_spec_arrays(case):
+    """One spec's stack, and channel_matrix raw and normalized, equal the
+    per-spec reference bit for bit on both axes."""
+    for spec in _STACK_CASES[case]():
+        for axis in ("imaginary", "real"):
+            _assert_stack_matches(hyperangular._SpecStack([spec], axis),
+                                  [spec])
+        if spec.active_states().size == 0:
+            continue
+        for s in _POINTS:
+            for normalized in (False, True):
+                assert np.array_equal(channel_matrix(s, spec, normalized),
+                                      _per_spec_matrix(s, spec, normalized))
+
+
+def test_stack_of_mixed_state_maps_reads_each_spec():
+    """_mixed_finite_specs batches six-channel and three-channel state
+    maps over the same six active states; each row reads its own spec."""
+    specs = _mixed_finite_specs(7, [0.3, 2.0, 7.0, 40.0])
+    assert len({s.state_channel for s in specs}) == 2
+    for axis in ("imaginary", "real"):
+        _assert_stack_matches(hyperangular._SpecStack(specs, axis), specs)
+
+
+def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
+    """find_roots_imaginary_batch puts an asymptotic and a finite spec of
+    the same active states in one stack, whose rows equal the per-spec
+    reference.  The batch scans both specs, so its roots agree with the
+    single-point ones (the asymptotic spec's from the scalar solver) to
+    1e-11, not bit for bit."""
+    specs = [_spec_at_angle(0.9, "unitary", "unitary", "unitary"),
+             _spec_at_angle(0.9, 1.0, -30.0, 0.2, "finite", R=3.0)]
+    built = []
+
+    class Recorded(hyperangular._SpecStack):
+        def __init__(self, batch, axis):
+            super().__init__(batch, axis)
+            built.append((batch, self))
+
+    sinks = [[], []]
+    with monkeypatch.context() as mp:
+        mp.setattr(hyperangular, "_SpecStack", Recorded)
+        got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
+    assert [len(batch) for batch, _ in built] == [2]
+    _assert_stack_matches(built[0][1], specs)
+    for spec, roots, sink in zip(specs, got, sinks):
+        want_sink = []
+        _assert_roots_match(roots, find_roots_imaginary(
+            spec, 10.0, warning_sink=want_sink), _projector_weights)
+        assert sink == want_sink
+
+
+def test_asymptotic_sweep_takes_no_matrix_norm(monkeypatch):
+    """An all-asymptotic batch needs no ||D O D||_2 (no scan, no Weyl
+    bound): a sweep on both axes computes no matrix 2-norm."""
+    norm = np.linalg.norm
+    seen = []
+
+    def counted(a, ord=None, axis=None, **kwargs):
+        if isinstance(axis, tuple):
+            seen.append(ord)
+        return norm(a, ord, axis, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 9), "closed",
+                        "unitary", "closed", s_max=5.0)
+    assert all(row.roots for row in table.rows)
+    assert seen == []
+
+
+@pytest.mark.parametrize("s_max", [1.5, hyperangular.S_MAX_LIMIT * 1.001,
+                                   1e15, math.inf, math.nan])
+def test_s_max_outside_its_bounds_is_refused(s_max):
+    """An s_max below 2 or above S_MAX_LIMIT is refused by the point
+    finder and by a sweep before any grid is built."""
+    spec = _spec_at_angle(0.5 * math.pi, "closed", "unitary", "closed")
+    with pytest.raises(HyperangularError, match="s_max"):
+        find_roots_real(spec, s_max)
+    with pytest.raises(HyperangularError, match="s_max"):
+        theta_sweep([0.0, 1.0], "closed", "unitary", "closed", s_max=s_max)
+
+
+def test_s_max_limit_is_accepted_and_checked_once_per_sweep(monkeypatch):
+    """s_max = S_MAX_LIMIT still solves; a sweep checks s_max once, not
+    once per point."""
+    spec = _spec_at_angle(0.5 * math.pi, "closed", "unitary", "closed")
+    roots = find_roots_real(spec, hyperangular.S_MAX_LIMIT)
+    assert roots[-1].value <= hyperangular.S_MAX_LIMIT
+    calls = []
+    check = hyperangular._check_s_max
+    monkeypatch.setattr(hyperangular, "_check_s_max",
+                        lambda s_max: calls.append(s_max) or check(s_max))
+    theta_sweep(np.linspace(0.0, 1.0, 5), "closed", "unitary", "closed",
+                s_max=5.0)
+    assert calls == [5.0]

@@ -378,3 +378,25 @@ def test_bound_states_channel_out_of_range(channel):
 def test_ladder_grid_input_is_typed_error(kwargs, match):
     with pytest.raises(HyperradialError, match=match):
         efimov_ladder(1.0, **kwargs)
+
+
+@pytest.mark.parametrize("radii", [[1e-300, 1e-299], [1e-160, 1e-159],
+                                   [1e160, 1e161], [1.0, math.inf]])
+def test_non_finite_potential_is_refused(radii):
+    """A grid whose R^2 or U leaves double precision (r0 = 1e-300 makes
+    U = -inf, r0 = 1e-160 overflows U, R = 1e160 overflows R^2) is refused
+    without a RuntimeWarning, not shot at."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HyperradialError, match="not finite"):
+            AdiabaticPotential.from_s_squared(radii, [[-1.0, -1.0]], CONV)
+
+
+def test_overflowing_grid_end_is_refused():
+    """kappa 0.1, 30 levels and r0 = 1e9 ask for 300 decades past the
+    wall, so r_max = 1e309 is inf: a HyperradialError, not math.ceil's
+    OverflowError."""
+    with pytest.raises(HyperradialError, match="both finite"):
+        inverse_square_potential(0.1, 1e9, math.inf, CONV)
+    with pytest.raises(HyperradialError, match="both finite"):
+        efimov_ladder(0.1, wall_radius=1e9, n_levels=30)
