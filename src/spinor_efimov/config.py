@@ -165,13 +165,14 @@ _DEFAULTS = {
 #: field -> (least, most) accepted value.  Larger grids and suites are
 #: refused before anything is allocated; ladder energies fall by
 #: exp(2 pi/kappa) per level, so at kappa 1.00624 and r0 = 1e-3 about 110
-#: levels fit in double precision.
+#: levels fit in double precision.  s_max's bounds are those of
+#: hyperangular.S_MAX_LIMIT, repeated here so the parse imports no solver.
 _BOUNDS = {
     "theta_count": (2, 100_000),
     "r_count": (3, 100_000),
     "n_levels": (1, 100),
     "trials": (1, 10_000),
-    "s_max": (2, None),
+    "s_max": (2, 100),
 }
 
 

@@ -29,16 +29,21 @@ per-eigenvalue Efimov equations h_j = f - g o_j = 0 over the eigenvalues
 o_j of O, whose eigenvectors span the null spaces.  No grid is scanned:
 phi = f/g is monotone on the imaginary axis and between its turning
 points and poles on the real one, so each such branch holds one root of
-h_j where h_j changes sign over it.  Finite mode diagonalizes the
-matrix, but scans its grid coarse to fine, in cells of 256, 64, 16 and 4
-steps, and skips the cells a bound proves empty: by Weyl's inequality
+h_j where h_j changes sign over it.  Finite mode scans its grid coarse to
+fine, in cells of 256, 64, 16 and 4 steps and then point by point, and
+skips what two inertia counts prove empty.  Every physical overlap is
+2I - 3 V V^T (V the mixed-symmetry basis), so the number of eigenvalues
+below a shift follows from the diagonal and one 2x2 Schur complement
+(Haynsworth inertia additivity), without eigvalsh; by Weyl's inequality
 every sorted eigenvalue curve moves no faster than ||A'||_2, which the
 closed-form entries bound on each cell (Kato, Perturbation Theory for
-Linear Operators, ch. II).  A skipped cell holds no sign change and no
-near-zero dip, so the brackets, fine scans, refinement and warnings are
-those of the full grid, bit for bit.  Either way every bracket goes
-through one value-only refinement, safeguarded Illinois regula falsi
-(_refine), and a root's residual comes from the assembled matrix.
+Linear Operators, ch. II).  Only the points no count clears, with their
+neighbours, are diagonalized.  A skipped point takes part in no sign
+change and no near-zero dip, so the brackets, fine scans, refinement and
+warnings are those of the full grid, bit for bit.  Either way every
+bracket goes through one value-only refinement, safeguarded Illinois
+regula falsi (_refine), and a root's residual comes from the assembled
+matrix.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ N_GRID = 2000
 #: matrices per stacked eigvalsh call; bounds the memory of a finite-mode
 #: scan and of a refinement
 BLOCK_MATRICES = 1024
+#: points per inertia-count call; bounds the memory of a finite-mode scan
+_COUNT_BLOCK = 4096
 #: cell widths in grid steps of the finite-mode scan, coarse to fine
 _LEVELS = (256, 64, 16, 4)
 #: how far the real-axis grid moves a point off an even integer
@@ -81,6 +88,8 @@ _NUDGE = 1e-6
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
 #: eigvalsh is backward stable and the entries carry a few eps each)
 _EIG_ERR = 1e-12
+#: machine epsilon of a double
+_EPS = 2.0 ** -52
 
 
 class HyperangularError(ValueError):
@@ -410,19 +419,27 @@ def _eig_err(x, kernel_norm):
 
 
 class _SpecStack:
-    """The per-evaluation arrays of specs sharing their state count and
-    active states, stacked along a leading spec axis: the active overlap,
-    R/a (0 for unitary channels, so for all in asymptotic mode), the
-    congruence diagonal 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
-    product.  Every evaluation of a spec's matrix reads them here; in
-    finite mode a point's matrix goes through eigvalsh when the scan
-    cannot prove it useless (see _finite_scan)."""
+    """The per-evaluation arrays of specs sharing their mode, state count
+    and active states, stacked along a leading spec axis: the active
+    overlap, R/a (0 for unitary channels, so for all in asymptotic mode),
+    the congruence diagonal c = 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
+    product.  Every evaluation of a spec's matrix reads them here.
+
+    A finite stack also holds V, the active rows of the -1 eigenvectors of
+    each full overlap (one stacked eigh; at most two columns, zero-padded
+    to two), and the defect ||O - (2I - 3 V V^T)||_F.  Every physical
+    overlap has this form (its spectrum is 2 four times and -1 twice), so
+    the matrix diag(d) - k O is D' + 3k V V^T with D' = diag(d - 2k), and
+    count_below counts its eigenvalues below a shift without eigvalsh.  An
+    overlap with a defect above 1e-10 gets an infinite margin, so no
+    certificate: every point of its scan goes through eigvalsh."""
 
     def __init__(self, specs, axis: str):
         self.terms, self.slopes = _AXES[axis]
         self.n_states = specs[0].n_states
         self.active = act = specs[0].active_states()
-        self.overlap = np.array([s.overlap for s in specs])[:, act[:, None], act]
+        full = np.array([s.overlap for s in specs])
+        self.overlap = full[:, act[:, None], act]
         radius = np.array([s.hyperradius if s.mode == "finite" else 0.0
                            for s in specs])[:, None]
         length = np.array([[s.lengths[c].value for c in s.state_channel]
@@ -430,13 +447,28 @@ class _SpecStack:
         self.r_over_a = np.divide(radius, length, out=np.zeros(length.shape),
                                   where=radius > 0.0)
         self.finite = bool(self.r_over_a.any())
-        self.congruence = d = 1.0 / np.sqrt(
-            np.maximum(1.0, SQRT2 * np.abs(self.r_over_a)))
+        # C^-2 and the congruence diagonal C
+        self.stretch = np.maximum(1.0, SQRT2 * np.abs(self.r_over_a))
+        self.congruence = d = 1.0 / np.sqrt(self.stretch)
         self.scale = d[:, :, None] * d[:, None, :]
         if self.finite:
             # ||D O D||_2, the kernel's weight in the norm and slope bounds
             self.kernel_norm = np.linalg.norm(self.scale * self.overlap, 2,
                                               axis=(-2, -1))
+            o, vec = np.linalg.eigh(full)
+            r = min(2, self.n_states)
+            v = np.zeros(full.shape[:2] + (2,))
+            v[..., :r] = vec[..., :r] * (o[:, None, :r] < 0.5)
+            defect = np.linalg.norm(
+                full - 2.0 * np.eye(self.n_states)
+                + 3.0 * (v @ v.transpose(0, 2, 1)), axis=(-2, -1))
+            self.defect = np.where(defect <= 1e-10, defect, np.inf)
+            v = v[:, act].T  # (column, active state, spec)
+            # v_0^2, v_1^2 and v_0 v_1, whose sums over the states weighted
+            # by 1/D'_t give V^T D'_t^-1 V, and |v|^2 for its error bound;
+            # state-major, so that count_below sums whole rows
+            self.basis_products = np.stack(
+                (v[0] ** 2, v[1] ** 2, v[0] * v[1], v[0] ** 2 + v[1] ** 2))
 
     def lipschitz(self, p, lo, hi) -> np.ndarray:
         """Bound L on ||A(y) - A(x)||_2 <= L (y - x) for lo <= x < y <= hi,
@@ -467,21 +499,72 @@ class _SpecStack:
         """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays."""
         return self.eigenvalues(p, x)[np.arange(x.size), k]
 
-    def clears(self, p, a, b, h, lam_a, lam_b) -> np.ndarray:
-        """Whether cell [a, b] of spec p (flat arrays; sorted eigenvalues
-        lam_a and lam_b at its ends, h a bound on the grid step) provably
-        holds no inner point a bracket or a dip can use.  Each sorted curve
-        is L-Lipschitz on it (Weyl), L = lipschitz(p, a, b + h), so
-        |lambda_k| >= (|lambda_k(a)| + |lambda_k(b)| - L (b - a))/2; where
-        that exceeds L h plus four eigenvalue errors and every curve keeps
-        its sign, no point changes sign to a neighbour or has |lambda_k|
-        below the change to one."""
-        lip = self.lipschitz(p, a, b + h)
-        margin = 4.0 * _eig_err(b + h, self.kernel_norm[p])
-        floor = 0.5 * (np.abs(lam_a) + np.abs(lam_b)
-                       - (lip * (b - a))[:, None])
-        return np.all(((lam_a < 0.0) == (lam_b < 0.0))
-                      & (floor > (lip * h + margin)[:, None]), axis=-1)
+    def margin(self, p, x) -> np.ndarray:
+        """What a proof by count_below leaves for round-off at points up
+        to x: four eigenvalue errors for the eigvalsh values the proof
+        stands in for, two for the count's own arithmetic, and |k| times
+        the overlap's defect (|k| <= 4/sqrt(3) on both axes)."""
+        return 6.0 * _eig_err(x, self.kernel_norm[p]) \
+            + KERNEL_COEFF * self.defect[p]
+
+    def count_below(self, p, x, t) -> np.ndarray:
+        """Number of eigenvalues of matrices(p, x) below each shift t
+        (shape (shifts,) + x.shape, x and p flat), or -1 where round-off
+        could change it or t is not finite.  By Sylvester's law it is
+        neg(H - t C^-2) with H = D' + 3k V V^T and C the congruence, and by
+        Haynsworth's inertia additivity on [[D'_t, V], [V^T, -I/(3k)]]
+        (Linear Algebra Appl. 1, 1968) that is neg(D'_t) + neg(S) - 2[k > 0]
+        with D'_t = D' - t C^-2 and the 2x2 S = -I/(3k) - V^T D'_t^-1 V.
+        It is computed from S' = -3k S = I + 3k V^T D'_t^-1 V, which stays
+        finite as k -> 0: neg(S) - 2[k > 0] = -sgn(k) neg(S').  The count
+        is that of the computed D'_t, k and V (whose distance to the matrix
+        the margin covers) whenever the error bound of the computed S'
+        leaves the signs of its eigenvalues fixed; a pivot of D'_t within
+        round-off of zero makes that bound swamp det S'."""
+        # arrays (states, shifts, points), built in place; np.take is
+        # several times faster than fancy indexing here
+        kern, diag = self.terms(x, np.take(self.r_over_a, p, axis=0))
+        diag -= 2.0 * kern[:, None]
+        inv = t * np.take(self.stretch, p, axis=0).T[:, None]
+        np.subtract(diag.T[:, None], inv, out=inv)  # D'_t
+        neg = np.count_nonzero(inv < 0.0, axis=0)
+        w = 3.0 * kern
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.reciprocal(inv, out=inv)
+            s00, s11, s01 = (
+                w * np.einsum("msn,mn->sn", inv, np.take(row, p, axis=1))
+                for row in self.basis_products[:3])
+            s00, s11 = s00 + 1.0, s11 + 1.0
+            det = s00 * s11 - s01 * s01
+            size = np.abs(s00) + np.abs(s11) + 2.0 * np.abs(s01)
+            # a bound on ||S'_computed - S'||_2 plus det's own round-off
+            bound = np.einsum("msn,mn->sn", np.abs(inv, out=inv),
+                              np.take(self.basis_products[3], p, axis=1))
+            err = 32.0 * _EPS * (1.0 + np.abs(w) * bound) + 4.0 * _EPS * size
+            ok = (np.abs(det) > err * size) & np.isfinite(t)
+        below = np.where(det < 0.0, 1, np.where(s00 < 0.0, 2, 0))
+        neg += np.where(kern > 0.0, -below, below)
+        return np.where(ok, neg, -1)
+
+    def excludes(self, p, lo, hi, h) -> np.ndarray:
+        """Whether two counts prove that no sorted curve of spec p comes
+        within L h + margin of zero at a point of [lo, hi] (flat arrays; h
+        a bound on the grid step, L = lipschitz over [lo - h, hi + h]):
+        each curve moves at most L (hi - lo)/2 from the centre (Weyl), so
+        no eigenvalue there within L (hi - lo)/2 + L h + margin suffices.
+        A point with no curve that close keeps every sign to its
+        neighbours and has |lambda_k| above the change to one, so no
+        bracket or dip of the full grid uses it."""
+        lip = self.lipschitz(p, np.maximum(lo - h, 0.0), hi + h)
+        t = lip * (0.5 * (hi - lo) + h) + self.margin(p, hi + h)
+        mid = 0.5 * (lo + hi)
+        out = np.empty(p.size, dtype=bool)
+        for start in range(0, p.size, _COUNT_BLOCK):
+            part = slice(start, start + _COUNT_BLOCK)
+            below = self.count_below(p[part], mid[part],
+                                     np.array([t[part], -t[part]]))
+            out[part] = (below[0] == below[1]) & (below[0] >= 0)
+        return out
 
 
 def _runs(count):
@@ -494,45 +577,36 @@ def _runs(count):
 def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
     """Every spec's grid points that a bracket or a dip can use, with
     their sorted eigenvalues: flat arrays (spec, grid index, point,
-    eigenvalues) in (spec, index) order.  Each grid starts as one cell
-    evaluated at its ends; each level of _LEVELS splits the open cells
-    into cells of its width, evaluates the new ends and closes the cells
-    _SpecStack.clears.  The cells left open are evaluated in full, with
-    one neighbour point on each side for a dip at an end."""
+    eigenvalues) in (spec, index) order.  Each level of _LEVELS splits the
+    open cells (at first each spec's whole grid) into cells of its width
+    and closes those _SpecStack.excludes proves empty.  The points of the
+    cells left open go through the same proof one by one; the points it
+    fails, with their neighbours (the other end of a sign change, the
+    sides of a dip), are the only ones evaluated by eigvalsh."""
     p = np.arange(x_max.size)
     a, b = np.zeros_like(p), np.full_like(p, n - 1)
-    lam = stack.eigenvalues(np.tile(p, 2), _grid(axis, np.tile(x_max, 2), n,
-                                                 np.concatenate((a, b))))
-    la, lb = lam[:p.size], lam[p.size:]
     # a bound on the grid step: the spacing, its round-off and the real
     # axis's nudge off even integers
     h = (x_max - GRID_EPS) / (n - 1) + 2.0 * _NUDGE + 4.0 * np.spacing(x_max)
     for width in _LEVELS:
         cell, j = _runs(-(-(b - a) // width))
-        p, a, la, lb = p[cell], a[cell] + width * j, la[cell], lb[cell]
+        p, a = p[cell], a[cell] + width * j
         b = np.minimum(a + width, b[cell])
-        new = j > 0  # the start of a cell is new unless its parent's
-        la[new] = stack.eigenvalues(p[new], _grid(axis, x_max[p[new]], n,
-                                                  a[new]))
-        lb[:-1][new[1:]] = la[1:][new[1:]]
-        keep = ~stack.clears(p, _grid(axis, x_max[p], n, a),
-                             _grid(axis, x_max[p], n, b), h[p], la, lb)
-        p, a, b, la, lb = p[keep], a[keep], b[keep], la[keep], lb[keep]
-    # each point once: past the points of the open cell before
-    before = np.full_like(b, -2)
-    before[1:] = np.where(p[1:] == p[:-1], b[:-1], -2)
-    first = np.maximum(a - 1, before + 2)
-    cell, j = _runs(np.minimum(b + 1, n - 1) - first + 1)
-    key = p[cell] * n + first[cell] + j
-    known = np.searchsorted(key, np.concatenate((p * n + a, p * n + b)))
-    p, i = p[cell], first[cell] + j
+        keep = ~stack.excludes(p, _grid(axis, x_max[p], n, a),
+                               _grid(axis, x_max[p], n, b), h[p])
+        p, a, b = p[keep], a[keep], b[keep]
+    # each point of the open cells once: a cell may start where one ends
+    cell, j = _runs(b - a + 1)
+    key = p[cell] * n + a[cell] + j
+    key = key[np.diff(key, prepend=-1) != 0]
+    p, i = np.divmod(key, n)
     x = _grid(axis, x_max[p], n, i)
-    fresh = np.ones(key.size, dtype=bool)
-    fresh[known] = False
-    lam = np.empty((key.size, la.shape[-1]))
-    lam[known] = np.concatenate((la, lb))
-    lam[fresh] = stack.eigenvalues(p[fresh], x[fresh])
-    return p, i, x, lam
+    need = ~stack.excludes(p, x, x, h[p])
+    key, i = key[need], i[need]
+    key = np.sort(np.concatenate((key[i > 0] - 1, key, key[i < n - 1] + 1)))
+    p, i = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    x = _grid(axis, x_max[p], n, i)
+    return p, i, x, stack.eigenvalues(p, x)
 
 
 def _candidates(p, x, curves, step):
@@ -825,13 +899,14 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
 def _point_roots(specs, axis, x_maxes, n_grid,
                  warning_sinks) -> list[list[ChannelRoot]]:
     """Roots of every spec of a list on one axis, one _solve_axis call per
-    active-state set; spec j's warnings go to warning_sinks[j], or to the
-    warnings module when warning_sinks is None."""
+    mode and active-state set, so each spec's roots are those it has
+    alone; spec j's warnings go to warning_sinks[j], or to the warnings
+    module when warning_sinks is None."""
     solved = [None] * len(specs)
     batches: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
-        batches.setdefault((spec.n_states, tuple(spec.active_states())),
-                           []).append(j)
+        batches.setdefault((spec.mode, spec.n_states,
+                            tuple(spec.active_states())), []).append(j)
     for idx in batches.values():
         for j, w, r in zip(idx, *_solve_axis([specs[j] for j in idx], axis,
                                              [x_maxes[j] for j in idx],

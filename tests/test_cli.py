@@ -227,12 +227,13 @@ def test_cli_invariance_suite(tmp_path):
 
 def test_invariance_suite_work_count(monkeypatch):
     """The 150 finite specs of a 50-trial suite are scanned together,
-    coarse to fine, and the scan skips the cells its bound proves empty:
-    at most 22,000 matrices in at most 200 eigvalsh calls (one spec at a
-    time over every grid point took 317,672 in 5,150; the fixed cells of
-    16 steps, 59,312 in 159; bisecting the brackets, 35,603 in 105), of
-    which the refinement evaluates at most 4,000 curve points (bisection:
-    17,622)."""
+    coarse to fine, and only the grid points that inertia counts cannot
+    prove useless, with their neighbours, go through eigvalsh: at most
+    10,000 matrices in at most 200 eigvalsh calls (one spec at a time over
+    every grid point took 317,672 in 5,150; the fixed cells of 16 steps,
+    59,312 in 159; bisecting the brackets, 35,603 in 105; skipping cells
+    by the eigenvalues at their ends, 20,812 in 80), of which the
+    refinement evaluates at most 4,000 curve points (bisection: 17,622)."""
     eigvalsh = np.linalg.eigvalsh
     refine = hyperangular._refine
     calls, points = [], []
@@ -253,7 +254,7 @@ def test_invariance_suite_work_count(monkeypatch):
         "task = invariance-suite\ntrials = 50\nR = 1\nseed = 0\n"))
     assert len(bundle.tables["checks"]) == 100
     assert len(calls) <= 200
-    assert sum(calls) <= 22_000
+    assert sum(calls) <= 10_000
     assert 0 < sum(points) <= 4_000
 
 

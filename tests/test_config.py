@@ -259,12 +259,22 @@ _FINITE_SWEEP_HEAD = "task = theta-sweep\nmode = finite\na_alpha = 1\n" \
      "at most"),
     ("task = ladder\nkappa = 50\nn_levels = 1000000\n", "n_levels", 3,
      "at most"),
+    (_SWEEP_HEAD + "s_max = 1e15\n", "s_max", 5, "at most"),
+    (_SWEEP_HEAD + "s_max = 100.5\n", "s_max", 5, "at most"),
     (_FINITE_SWEEP_HEAD + "R = -1\n", "R", 6, "must be positive"),
     (_FINITE_SWEEP_HEAD + "R = 0\n", "R", 6, "must be positive"),
 ])
 def test_oversized_counts_refused_with_line(text, key, line, rule):
     with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}': {rule}"):
         parse_config(text)
+
+
+def test_s_max_bound_is_the_solver_limit():
+    """The parse refuses s_max where the root finder would, and at the
+    cap itself accepts it."""
+    from spinor_efimov import config, hyperangular
+    assert config._BOUNDS["s_max"] == (2, hyperangular.S_MAX_LIMIT)
+    assert parse_config(_SWEEP_HEAD + "s_max = 100\n").s_max == 100.0
 
 
 def test_counts_at_the_cap_accepted():

@@ -870,17 +870,38 @@ def _assert_same_groups(got, want):
         _assert_same_roots(g, w)
 
 
+def _structured_finite_spec(seed, radius, n_active=6):
+    """A finite spec over six states whose overlap has the physical form
+    2I - 3 Q Q^T, Q a random orthonormal 6x2, with n_active states (at
+    random) on finite channels of random sign and size and the rest
+    closed."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+    values = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-2.0, 2.0, 6)
+    closed = set(rng.permutation(6)[n_active:].tolist())
+    return ChannelMatrixSpec(
+        lengths=tuple(as_length("closed") if j in closed else as_length(v)
+                      for j, v in enumerate(values)),
+        overlap=2.0 * np.eye(6) - 3.0 * (q @ q.T),
+        state_channel=tuple(range(6)),
+        mode="finite",
+        hyperradius=radius)
+
+
 def _mixed_finite_specs(seed, radii):
-    """Finite specs at the given radii, alternately random (any overlap,
-    lengths of random sign and size) and physical (a conditioned
-    scattering matrix's channel set)."""
+    """Finite specs at the given radii, in turn random (any overlap,
+    lengths of random sign and size), physical (a conditioned scattering
+    matrix's channel set) and structured (_structured_finite_spec): the
+    first scan every point, the other two go through the inertia counts."""
     rng = np.random.default_rng(seed)
     specs = []
     for j, radius in enumerate(radii):
-        if j % 2:
+        if j % 3 == 1:
             specs.append(ChannelMatrixSpec.from_overlap(
                 exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
                 "finite", hyperradius=radius))
+        elif j % 3 == 2:
+            specs.append(_structured_finite_spec(seed + j, radius))
         else:
             specs.append(_random_finite_spec(seed + j, 6, radius))
     return specs
@@ -934,6 +955,79 @@ def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
     assert fast.warnings  # the grid-resolution path is exercised
     for a, b in zip(fast.sweep_table.rows, full.sweep_table.rows):
         _assert_same_roots(a.roots, b.roots)
+
+
+def _count_spec(kind, seed, n_active, radius):
+    rng = np.random.default_rng(seed)
+    if kind == "structured":
+        return _structured_finite_spec(seed, radius, n_active)
+    if kind == "single level":
+        return ChannelMatrixSpec.single_level(
+            float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)),
+            "finite", hyperradius=radius)
+    if n_active == 6:
+        return ChannelMatrixSpec.from_overlap(
+            exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
+            "finite", hyperradius=radius)
+    # the plateau runs' channel set: a_gamma closed, four active states
+    return _spec_at_angle(float(rng.uniform(0.0, 0.5 * math.pi)), 1.0,
+                          float(10.0 ** rng.uniform(-1.0, 6.0)), "closed",
+                          "finite", R=radius)
+
+
+# real-axis points near the even integers (where D' = diag(d - 2k) is
+# singular at s = 4) and the multiples of 6 (where k = 0)
+_NEAR_EVEN = st.tuples(st.sampled_from([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
+                       st.floats(-1e-6, 1e-6)).map(sum)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(kind=st.sampled_from(["structured", "physical", "single level"]),
+       seed=st.integers(0, 2**32 - 1), n_active=st.integers(1, 6),
+       radius=st.floats(0.05, 50.0), axis=st.sampled_from(["imaginary",
+                                                          "real"]),
+       fraction=st.floats(0.0, 1.0), near=_NEAR_EVEN,
+       shifts=st.lists(st.one_of(st.floats(-5.0, 5.0), st.floats(-1e-3, 1e-3)),
+                       min_size=1, max_size=6))
+def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
+                                        fraction, near, shifts):
+    """Wherever no eigvalsh eigenvalue of the normalized matrix lies within
+    the scan's margin of a shift, count_below gives the number of
+    eigenvalues below it: structured overlaps 2I - 3 Q Q^T down to one
+    active state, physical channel sets (six or four active states) and
+    the one-state problem, on both axes, with real-axis points also
+    within 1e-6 of the even integers and the multiples of 6."""
+    spec = _count_spec(kind, seed, n_active, radius)
+    stack = hyperangular._SpecStack([spec], axis)
+    assert np.isfinite(stack.defect[0])
+    if axis == "imaginary":
+        points = [GRID_EPS + fraction * default_kappa_max(spec)]
+    else:
+        points = [GRID_EPS + fraction * 12.0, near]
+    p = np.zeros(1, dtype=int)
+    for x in np.array(points)[:, None]:
+        lam = stack.eigenvalues(p, x)[0]
+        margin = stack.margin(p, x)[0]
+        counts = stack.count_below(p, x, np.array(shifts)[:, None])[:, 0]
+        for t, count in zip(shifts, counts):
+            if np.min(np.abs(lam - t)) > margin:
+                assert count == np.count_nonzero(lam < t), (x, t, lam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), n_active=st.integers(1, 6),
+       radius=st.floats(0.05, 50.0), axis=st.sampled_from(["imaginary",
+                                                          "real"]))
+def test_unstructured_overlap_gets_no_certificate(seed, n_active, radius,
+                                                  axis):
+    """A random symmetric overlap is not 2I - 3 V V^T: its margin is
+    infinite, so no cell or point of its scan is excluded by counts."""
+    spec = _random_finite_spec(seed, n_active, radius)
+    stack = hyperangular._SpecStack([spec], axis)
+    lo = np.linspace(GRID_EPS, 5.0, 9)
+    p = np.zeros(lo.size, dtype=int)
+    assert np.all(np.isinf(stack.margin(p, lo)))
+    assert not np.any(stack.excludes(p, lo, lo + 0.1, np.full(lo.size, 1e-3)))
 
 
 def test_batch_equals_single_point_roots():
@@ -1386,10 +1480,10 @@ def test_stack_of_mixed_state_maps_reads_each_spec():
 
 def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
     """find_roots_imaginary_batch puts an asymptotic and a finite spec of
-    the same active states in one stack, whose rows equal the per-spec
-    reference.  The batch scans both specs, so its roots agree with the
-    single-point ones (the asymptotic spec's from the scalar solver) to
-    1e-11, not bit for bit."""
+    the same active states in stacks of their own, whose rows equal the
+    per-spec reference, so each spec's roots and warnings are, bit for
+    bit, the single-point ones (the asymptotic spec's from the scalar
+    solver)."""
     specs = [_spec_at_angle(0.9, "unitary", "unitary", "unitary"),
              _spec_at_angle(0.9, 1.0, -30.0, 0.2, "finite", R=3.0)]
     built = []
@@ -1403,12 +1497,13 @@ def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(hyperangular, "_SpecStack", Recorded)
         got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
-    assert [len(batch) for batch, _ in built] == [2]
-    _assert_stack_matches(built[0][1], specs)
+    assert [batch for batch, _ in built] == [[specs[0]], [specs[1]]]
+    for batch, stack in built:
+        _assert_stack_matches(stack, batch)
     for spec, roots, sink in zip(specs, got, sinks):
         want_sink = []
-        _assert_roots_match(roots, find_roots_imaginary(
-            spec, 10.0, warning_sink=want_sink), _projector_weights)
+        _assert_same_roots(roots, find_roots_imaginary(
+            spec, 10.0, warning_sink=want_sink))
         assert sink == want_sink
 
 

@@ -28,24 +28,31 @@ def loaded():
     return sorted(m for m in sys.modules
                   if m in ("scipy", "numpy.ma") or m.startswith("scipy."))
 
-assert cli.main(["theta-sweep", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
-print("after theta-sweep:", loaded())
-assert cli.main(["ladder", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
-print("after ladder:", loaded())
+out = sys.argv[-1]
+for task, config in zip(sys.argv[1:-1:2], sys.argv[2:-1:2]):
+    assert cli.main([task, "--config", config, "--out", out]) == 0
+    print(f"after {task}:", loaded())
 """
+
+#: the solver tasks first, in one process, then the ladder
+_TASKS = ("theta-sweep", "r-sweep", "invariance-suite", "ladder")
 
 
 def test_scipy_loads_only_with_the_ladder(tmp_path):
-    """After the theta sweep neither scipy nor numpy.ma is loaded."""
+    """After the theta sweep, the finite-mode r-sweep and the invariance
+    suite (the inertia counts included) neither scipy nor numpy.ma is
+    loaded; the ladder then loads scipy's LAPACK."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = [a for task in _TASKS for a in (task, str(GOLDEN / f"{task}.run"))]
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(GOLDEN / "theta-sweep.run"),
-         str(GOLDEN / "ladder.run"), str(tmp_path)],
+        [sys.executable, "-c", _PROBE, *args, str(tmp_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines()
                  if line.startswith("after "))
-    assert lines["after theta-sweep"] == "[]"
+    assert list(lines) == [f"after {task}" for task in _TASKS]
+    for task in _TASKS[:-1]:
+        assert lines[f"after {task}"] == "[]", task
     assert "'scipy.linalg.lapack'" in lines["after ladder"]
 
 
