@@ -23,21 +23,22 @@ and channel_matrix divides out its positive factor to give M and H.
 _SpecStack holds the arrays every evaluation reads (the active overlap,
 R/a and D), stacked over the specs solved together.
 
-In asymptotic mode R/a = 0 and D = I, so on both axes the matrix is
-f(x) I - g(x) O with O the active overlap: its roots solve the
-per-eigenvalue Efimov equations h_j = f - g o_j = 0 over the eigenvalues
-o_j of O, whose eigenvectors span the null spaces.  No grid is scanned:
-phi = f/g is monotone on the imaginary axis and between its turning
-points and poles on the real one, so each such branch holds one root of
-h_j where h_j changes sign over it.  Finite mode scans its grid coarse to
-fine, in cells of 256, 64, 16 and 4 steps and then point by point, and
-skips what two inertia counts prove empty.  Every physical overlap is
-2I - 3 V V^T (V the mixed-symmetry basis), so the number of eigenvalues
-below a shift follows from the diagonal and one 2x2 Schur complement
-(Haynsworth inertia additivity), without eigvalsh; by Weyl's inequality
-every sorted eigenvalue curve moves no faster than ||A'||_2, which the
-closed-form entries bound on each cell (Kato, Perturbation Theory for
-Linear Operators, ch. II).  Only the points no count clears, with their
+The lengths fix the mode.  In asymptotic mode (no finite channel)
+R/a = 0 and D = I, so on both axes the matrix is f(x) I - g(x) O with O
+the active overlap: its roots solve the per-eigenvalue Efimov equations
+h_j = f - g o_j = 0 over the eigenvalues o_j of O, whose eigenvectors
+span the null spaces.  No grid is scanned: phi = f/g is monotone on the
+imaginary axis and between its turning points and poles on the real one,
+so each such branch holds one root of h_j where h_j changes sign over
+it.  Finite mode scans an N_GRID-point grid coarse to fine, in cells of
+256, 64, 16 and 4 steps and then point by point, and skips what two
+inertia counts prove empty.  Every physical overlap is 2I - 3 V V^T (V
+the mixed-symmetry basis), so the number of eigenvalues below a shift
+follows from the diagonal and one 2x2 Schur complement (Haynsworth
+inertia additivity), without eigvalsh; by Weyl's inequality every sorted
+eigenvalue curve moves no faster than ||A'||_2, which the closed-form
+entries bound on each cell (Kato, Perturbation Theory for Linear
+Operators, ch. II).  Only the points no count clears, with their
 neighbours, are diagonalized.  A skipped point takes part in no sign
 change and no near-zero dip, so the brackets, fine scans, refinement and
 warnings are those of the full grid, bit for bit.  Either way every
@@ -73,7 +74,7 @@ RESIDUAL_TOL = 1e-6
 MERGE_TOL = 1e-8
 #: lower edge of the scan grid; s = 0 is a removable parametrization point
 GRID_EPS = 1e-8
-#: default number of scan-grid points
+#: number of scan-grid points
 N_GRID = 2000
 #: matrices per stacked eigvalsh call; bounds the memory of a finite-mode
 #: scan and of a refinement
@@ -108,15 +109,14 @@ class ChannelMatrixSpec:
     lengths holds one ChannelLength per channel; state_channel maps each
     basis state to its channel (two spectator states per channel in the
     full problem, one state total in the collapsed single-level problem).
-    In asymptotic mode every channel is unitary or closed and R never
-    enters; in finite mode every channel is finite or closed and R > 0.
+    The lengths fix the mode: finite if a channel is finite (the others
+    finite or closed, R > 0), else asymptotic (R never enters).
     channels, when set, gives the roots their spin profiles.
     """
 
     lengths: tuple[ChannelLength, ...]
     overlap: np.ndarray
     state_channel: tuple[int, ...]
-    mode: str
     hyperradius: float | None = None
     channels: TwoBodyChannelSet | None = field(default=None, repr=False)
 
@@ -128,39 +128,34 @@ class ChannelMatrixSpec:
                 f"overlap shape {o.shape} does not match {n} states")
         if np.abs(o - o.T).max() > 1e-12:
             raise HyperangularError("overlap matrix must be symmetric")
-        if self.mode not in ("asymptotic", "finite"):
-            raise HyperangularError(f"unknown mode {self.mode!r}")
-        kinds = [l.kind for l in self.lengths]
-        if self.mode == "asymptotic":
-            if "finite" in kinds:
+        if self.mode == "finite":
+            if any(l.kind == "unitary" for l in self.lengths):
                 raise HyperangularError(
-                    "asymptotic mode takes only unitary or closed channels; "
-                    "got finite length(s) "
-                    f"{[l.value for l in self.lengths if l.kind == 'finite']}")
-        else:
-            if "unitary" in kinds:
-                raise HyperangularError(
-                    "finite mode takes only finite or closed channels; "
-                    "use asymptotic mode for unitary flags")
+                    "finite and unitary channels do not mix")
             if self.hyperradius is None or not self.hyperradius > 0.0:
                 raise HyperangularError("finite mode requires hyperradius > 0")
         object.__setattr__(self, "overlap", 0.5 * (o + o.T))  # frozen
 
+    @property
+    def mode(self) -> str:
+        """"finite" when any channel length is finite, else "asymptotic"."""
+        return ("finite" if any(l.kind == "finite" for l in self.lengths)
+                else "asymptotic")
+
     @staticmethod
-    def from_overlap(overlap: ExchangeOverlap, mode: str,
+    def from_overlap(overlap: ExchangeOverlap,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """The six-state problem of the overlap's channel set."""
         return ChannelMatrixSpec(
             lengths=tuple(overlap.channels.lengths),
             overlap=overlap.matrix,
             state_channel=(0, 0, 1, 1, 2, 2),
-            mode=mode,
             hyperradius=hyperradius,
             channels=overlap.channels,
         )
 
     @staticmethod
-    def single_level(a, mode: str,
+    def single_level(a,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """Collapsed identical-boson problem: one channel, one spectator
         state, exchange overlap exactly 2."""
@@ -168,7 +163,6 @@ class ChannelMatrixSpec:
             lengths=(as_length(a),),
             overlap=np.array([[2.0]]),
             state_channel=(0,),
-            mode=mode,
             hyperradius=hyperradius,
         )
 
@@ -243,17 +237,16 @@ def _assemble(kern, diag, overlap) -> np.ndarray:
     return out
 
 
-def channel_matrix(s, spec: ChannelMatrixSpec,
-                   normalized: bool = False) -> np.ndarray:
+def channel_matrix(s, spec: ChannelMatrixSpec) -> np.ndarray:
     """Evaluate the channel matrix at one point of the real or imaginary
     axis, reduced to the active (non-closed) states.
 
     For real s the matrix M(s) itself is returned; for s = i kappa the
-    real symmetric H(kappa) with M = i H is returned.  normalized=True
-    returns the congruent form the root finders scan; the raw form divides
-    out its positive factor.  Against 40-digit entries of a finite spec
-    at kappa = 1e-8 to 8, the raw form's largest error relative to its
-    largest entry is round-off (below 7e-16), as is the kernel g's alone.
+    real symmetric H(kappa) with M = i H is returned: the congruent form
+    the root finders scan (_SpecStack.matrices) with its positive factor
+    divided out.  Against 40-digit entries of a finite spec at kappa =
+    1e-8 to 8, its largest error relative to its largest entry is
+    round-off (below 7e-16), as is the kernel g's alone.
     """
     s = complex(s)
     if s == 0:
@@ -269,8 +262,6 @@ def channel_matrix(s, spec: ChannelMatrixSpec,
         raise HyperangularError(f"imaginary axis requires kappa > 0, got {x}")
     factor = 1.0 if axis == "real" else 2.0 * math.exp(-0.5 * math.pi * x)
     out = stack.matrices(np.zeros(1, dtype=int), np.array([x]))[0]
-    if normalized:
-        return out
     return out / (factor * stack.scale[0])
 
 
@@ -694,8 +685,7 @@ def _merge(p, values):
                            | (np.diff(values, prepend=-np.inf) > MERGE_TOL))
     size = np.diff(np.append(start, values.size))
     # each run summed left to right, the order np.mean adds fewer than 8
-    # values in (np.add.reduceat adds a0 + (a1 + a2 + ...)); a run holds
-    # at most one root per curve
+    # values in (np.add.reduceat adds a0 + (a1 + a2 + ...))
     total = values[start]
     for k in range(1, size.max(initial=1)):
         more = size > k
@@ -709,12 +699,12 @@ def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
     states, m)), one per multiplicity m: the sorted curves' sign changes
     at the points _finite_scan keeps, and those fine scans of near-zero
     dips uncover, refined together by _refine and merged.  The
-    multiplicity is the number merged or, if larger, of eigenvalues within
-    _eig_err of zero at the root (the null-space dimension); that many
-    smallest-|lambda| eigenvectors, the congruence undone and
-    re-orthonormalized, are the null vectors.  A dip that still grazes
-    zero is a warning unless a root whose null-space count raised its
-    multiplicity lies in it."""
+    multiplicity is the number of curves merged or, if larger, of
+    eigenvalues within _eig_err of zero at the root (the null-space
+    dimension); that many smallest-|lambda| eigenvectors, the congruence
+    undone and re-orthonormalized, are the null vectors.  A dip that
+    still grazes zero is a warning unless a root whose null-space count
+    raised its multiplicity lies in it."""
     p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
     # neighbours: consecutive grid indices of one spec
     step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
@@ -726,7 +716,12 @@ def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
     p, k, lo, hi, f_lo, f_hi = brackets
     values = _refine(lambda idx, x: stack.curve_values(p[idx], x, k[idx]),
                      lo, hi, f_lo, f_hi)
-    _, _, grp_p, grp_value, mult = _merge(p, values)
+    order, start, grp_p, grp_value, size = _merge(p, values)
+    # a run counts each curve once: two brackets of one curve (a tangent
+    # pair split by round-off) can refine to within MERGE_TOL
+    curves = np.zeros((start.size, stack.active.size), dtype=bool)
+    curves[np.repeat(np.arange(start.size), size), k[order]] = True
+    mult = np.count_nonzero(curves, axis=1)
     lam, vec = np.linalg.eigh(stack.matrices(grp_p, grp_value))
     nulls = np.count_nonzero(
         np.abs(lam) <= _eig_err(grp_value, stack.kernel_norm[grp_p])[:, None],
@@ -740,8 +735,7 @@ def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
             warns[q].append(
                 f"eigenvalue curve {c} grazes zero near "
                 f"{0.5 * (left + right):.6g} without a sign change; a root "
-                "pair inside one grid cell cannot be excluded, consider a "
-                "denser grid")
+                "pair inside one grid cell cannot be excluded")
     mult = np.maximum(mult, nulls)
     pick = np.argsort(np.abs(lam), axis=-1)
     residual = np.abs(np.take_along_axis(lam, pick, -1)[
@@ -848,16 +842,16 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max):
     return grp_p, grp_value, residual, groups
 
 
-def _solve_axis(specs, axis: str, x_max, n_grid: int):
+def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
     """Roots on one axis of specs sharing their active states, by
     _scalar_roots if all are asymptotic, else by _finite_roots on an
-    n_grid-point grid (n_grid < 2: none): per spec the grid warnings and
+    n_grid-point grid (n_grid >= 2): per spec the grid warnings and
     the roots by descending kappa or ascending s, with spin profiles if
     the spec has channels, taken per multiplicity in one stacked pass.  A
     residual above RESIDUAL_TOL is an error."""
     warns: list[list[str]] = [[] for _ in specs]
     roots: list[list[ChannelRoot]] = [[] for _ in specs]
-    if not specs or n_grid < 2 or specs[0].active_states().size == 0:
+    if not specs or specs[0].active_states().size == 0:
         return warns, roots
     stack = _SpecStack(specs, axis)
     p, value, residual, groups = (
@@ -896,7 +890,7 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int):
     return warns, roots
 
 
-def _point_roots(specs, axis, x_maxes, n_grid,
+def _point_roots(specs, axis, x_maxes,
                  warning_sinks) -> list[list[ChannelRoot]]:
     """Roots of every spec of a list on one axis, one _solve_axis call per
     mode and active-state set, so each spec's roots are those it has
@@ -909,8 +903,7 @@ def _point_roots(specs, axis, x_maxes, n_grid,
                             tuple(spec.active_states())), []).append(j)
     for idx in batches.values():
         for j, w, r in zip(idx, *_solve_axis([specs[j] for j in idx], axis,
-                                             [x_maxes[j] for j in idx],
-                                             n_grid)):
+                                             [x_maxes[j] for j in idx])):
             solved[j] = r
             for message in w:
                 if warning_sinks is not None:
@@ -921,38 +914,32 @@ def _point_roots(specs, axis, x_maxes, n_grid,
 
 
 def find_roots_imaginary_batch(specs, kappa_max: float | None = None,
-                               n_grid: int = N_GRID,
                                warning_sinks: list | None = None
                                ) -> list[list[ChannelRoot]]:
     """find_roots_imaginary for every spec of a list, solved together;
     warning_sinks, when given, holds one list per spec that receives that
-    spec's warnings.  n_grid shapes only the finite-mode scan, but
-    n_grid < 2 finds no roots in either mode."""
+    spec's warnings."""
     x_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
-    return _point_roots(specs, "imaginary", x_maxes, n_grid, warning_sinks)
+    return _point_roots(specs, "imaginary", x_maxes, warning_sinks)
 
 
 def find_roots_imaginary(spec: ChannelMatrixSpec,
                          kappa_max: float | None = None,
-                         n_grid: int = N_GRID,
                          warning_sink: list | None = None) -> list[ChannelRoot]:
     """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
     sorted by descending kappa (the most attractive channel first); the
-    one-spec case of find_roots_imaginary_batch, n_grid included."""
+    one-spec case of find_roots_imaginary_batch."""
     sinks = None if warning_sink is None else [warning_sink]
     return _point_roots([spec], "imaginary", [_kappa_window(spec, kappa_max)],
-                        n_grid, sinks)[0]
+                        sinks)[0]
 
 
-def find_roots_real(spec: ChannelMatrixSpec,
-                    s_max: float,
-                    n_grid: int = N_GRID,
+def find_roots_real(spec: ChannelMatrixSpec, s_max: float,
                     warning_sink: list | None = None) -> list[ChannelRoot]:
-    """Real-axis roots in (0, s_max], sorted ascending; n_grid as for
-    find_roots_imaginary_batch."""
+    """Real-axis roots in (0, s_max], sorted ascending."""
     _check_s_max(s_max)
     sinks = None if warning_sink is None else [warning_sink]
-    return _point_roots([spec], "real", [s_max], n_grid, sinks)[0]
+    return _point_roots([spec], "real", [s_max], sinks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +1024,8 @@ class _CurveMatcher:
         return ids
 
 
-def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
-           kappa_max, s_max, n_grid: int) -> SweepTable:
+def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
+           s_max) -> SweepTable:
     """Root lists at the points (thetas[i], radii[i]) with fixed
     lengths/flags, every axis scanned and refined across all points at
     once; roots on adjacent points are matched into labeled curves."""
@@ -1050,14 +1037,13 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
     for theta, radius in zip(thetas, radii):
         if theta not in spin:
             spin[theta] = exchange_overlap(channels_from_angle(theta, *lengths))
-        spec = ChannelMatrixSpec.from_overlap(spin[theta], mode,
-                                              hyperradius=radius)
+        spec = ChannelMatrixSpec.from_overlap(spin[theta], hyperradius=radius)
         kappa_maxes.append(_kappa_window(spec, kappa_max))
         specs.append(spec)
-    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes, n_grid))]
+    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes))]
     if s_max:
-        scans.append(("real", _solve_axis(specs, "real", [s_max] * len(specs),
-                                         n_grid)))
+        scans.append(("real",
+                      _solve_axis(specs, "real", [s_max] * len(specs))))
 
     matcher = _CurveMatcher()
     rows: list[SweepRow] = []
@@ -1073,7 +1059,7 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
             roots += tuple(axis_roots)
             ids.extend(matcher.assign(axis, [r.value for r in axis_roots
                                              for _ in range(r.multiplicity)]))
-        rows.append(SweepRow(float(thetas[p]), radii[p], mode, roots,
+        rows.append(SweepRow(float(thetas[p]), radii[p], specs[p].mode, roots,
                              tuple(ids)))
     window = {
         "a_alpha": lengths[0].describe(),
@@ -1084,25 +1070,21 @@ def _sweep(kind: str, thetas, radii, mode: str, a_alpha, a_beta, a_gamma,
 
 
 def theta_sweep(thetas, a_alpha, a_beta, a_gamma,
-                mode: str = "asymptotic",
                 hyperradius: float | None = None,
                 kappa_max: float | None = None,
-                s_max: float | None = None,
-                n_grid: int = N_GRID) -> SweepTable:
+                s_max: float | None = None) -> SweepTable:
     """Root lists over an ascending theta grid with fixed lengths/flags;
-    roots on adjacent grid points are matched into labeled curves.  n_grid
-    shapes only the finite-mode scan (n_grid < 2: no roots)."""
+    roots on adjacent grid points are matched into labeled curves."""
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise HyperangularError("theta grid must be nonempty and ascending")
-    return _sweep("theta", thetas, [hyperradius] * thetas.size, mode,
-                  a_alpha, a_beta, a_gamma, kappa_max, s_max, n_grid)
+    return _sweep("theta", thetas, [hyperradius] * thetas.size, a_alpha,
+                  a_beta, a_gamma, kappa_max, s_max)
 
 
 def radius_sweep(theta: float, a_alpha, a_beta, a_gamma, radii,
                  kappa_max: float | None = 10.0,
-                 s_max: float | None = None,
-                 n_grid: int = N_GRID) -> SweepTable:
+                 s_max: float | None = None) -> SweepTable:
     """Finite-mode root lists over an ascending log-spaced R grid at fixed
     theta.  kappa_max defaults to 10: the plateau-region curves are O(1),
     while the dimer root at sqrt(2) R/a would force a uniform grid far too
@@ -1110,9 +1092,11 @@ def radius_sweep(theta: float, a_alpha, a_beta, a_gamma, radii,
     radii = np.asarray(list(radii), dtype=float)
     if radii.size == 0 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise HyperangularError("R grid must be nonempty, positive, ascending")
+    if any(as_length(a).kind == "unitary" for a in (a_alpha, a_beta, a_gamma)):
+        raise HyperangularError(
+            "a radius sweep runs in finite mode; unitary channels have no R/a")
     return _sweep("radius", [theta] * radii.size, [float(r) for r in radii],
-                  "finite", a_alpha, a_beta, a_gamma, kappa_max, s_max,
-                  n_grid)
+                  a_alpha, a_beta, a_gamma, kappa_max, s_max)
 
 
 # ---------------------------------------------------------------------------

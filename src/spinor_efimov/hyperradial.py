@@ -333,6 +333,29 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     # shot at -exp(t_top), so it is also the shallow end of each window
     top = shooter.shoot(-math.exp(t_top))
 
+    def narrow(lo, hi, shallow, deep, guess, half, width):
+        """Narrow the ln|E| bracket (lo, hi] of the node count jumping
+        n -> n+1 (lo shallow) to width, with the (count, defect) shots at
+        its ends: each shot probes an end of the window guess +- half
+        inside it; a window that covers it is bisected (always, for
+        half = inf), one that missed the level is widened."""
+        while hi - lo > width:
+            if lo < guess - half < hi:
+                mid = guess - half
+            elif lo < guess + half < hi:
+                mid = guess + half
+            elif guess - half <= lo and hi <= guess + half:
+                mid = 0.5 * (lo + hi)
+            else:
+                half *= 4.0
+                continue
+            shot = shooter.shoot(-math.exp(mid))
+            if shot[0] >= n + 1:
+                lo, shallow = mid, shot
+            else:
+                hi, deep = mid, shot
+        return lo, hi, shallow, deep
+
     energies: list[float] = []
     nodes_out: list[int] = []
     exhausted = None
@@ -352,29 +375,9 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
             if s2 < 0.0:
                 guess = math.log(-energies[-1]) - 2.0 * math.pi / math.sqrt(-s2)
                 half = 0.5 * _COUNT_WINDOW
-        # phase 1: narrow ln|E| to a _COUNT_WINDOW bracket of the node
-        # count jumping n -> n+1, keeping the (count, defect) shots at the
-        # window ends for phase 2.  Each shot probes an end of the window
-        # guess +- half inside the bracket; a window that covers the
-        # bracket is bisected (always, for half = inf), one that missed
-        # the level is widened.
-        lo, hi = t_top, t_deep  # lo is shallow (count > n), hi is deep
-        shallow, deep = top, None
-        while hi - lo > _COUNT_WINDOW:
-            if lo < guess - half < hi:
-                mid = guess - half
-            elif lo < guess + half < hi:
-                mid = guess + half
-            elif guess - half <= lo and hi <= guess + half:
-                mid = 0.5 * (lo + hi)
-            else:
-                half *= 4.0
-                continue
-            shot = shooter.shoot(-math.exp(mid))
-            if shot[0] >= n + 1:
-                lo, shallow = mid, shot
-            else:
-                hi, deep = mid, shot
+        # phase 1: a _COUNT_WINDOW bracket, its end shots kept for phase 2
+        lo, hi, shallow, deep = narrow(t_top, t_deep, top, None, guess, half,
+                                       _COUNT_WINDOW)
         # phase 2: Illinois regula falsi on the matching defect inside the
         # node window (Dowell and Jarratt, BIT 11, 1971): the secant point
         # of the bracket, with the defect of an end kept twice in a row
@@ -406,15 +409,9 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
                     kept = 1
         else:
             # fall back to pure node-count bisection at full resolution
-            tlo, thi = lo, hi
-            while thi - tlo > _E_RTOL:
-                tm = 0.5 * (tlo + thi)
-                cnt, _ = shooter.shoot(-math.exp(tm))
-                if cnt >= n + 1:
-                    tlo = tm
-                else:
-                    thi = tm
-            ea, eb = -math.exp(tlo), -math.exp(thi)
+            lo, hi, _, _ = narrow(lo, hi, shallow, deep, guess, math.inf,
+                                  _E_RTOL)
+            ea, eb = -math.exp(hi), -math.exp(lo)
         level = 0.5 * (ea + eb)
         energies.append(level)
         nodes_out.append(nodes)

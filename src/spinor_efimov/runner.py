@@ -113,22 +113,22 @@ def _sweep_rows(table: SweepTable) -> list[dict]:
 
 def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
     channels = _channel_set(cfg)
-    spec = ChannelMatrixSpec.from_overlap(
-        exchange_overlap(channels), cfg.mode, hyperradius=cfg.radius)
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(channels),
+                                          hyperradius=cfg.radius)
     sink: list[str] = []
     roots = list(find_roots_imaginary(spec, cfg.kappa_max, warning_sink=sink))
     if cfg.s_max is not None:
         roots += find_roots_real(spec, cfg.s_max, warning_sink=sink)
     theta = cfg.theta if cfg.theta is not None else channels.mixing_angle
-    bundle.tables["rows"] = _root_rows(theta, cfg.radius, cfg.mode, roots)
+    bundle.tables["rows"] = _root_rows(theta, cfg.radius, spec.mode, roots)
     bundle.warnings.extend(sink)
 
 
 def _run_theta_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_count)
     table = theta_sweep(
-        thetas, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, mode=cfg.mode,
-        hyperradius=cfg.radius, kappa_max=cfg.kappa_max, s_max=cfg.s_max)
+        thetas, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, hyperradius=cfg.radius,
+        kappa_max=cfg.kappa_max, s_max=cfg.s_max)
     bundle.tables["rows"] = _sweep_rows(table)
     bundle.warnings.extend(table.warnings)
     return table
@@ -155,8 +155,7 @@ def _run_r_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
 def _dominant_kappa(cfg: RunConfig, bundle: ResultBundle) -> float:
     if cfg.kappa is not None:
         return cfg.kappa
-    spec = ChannelMatrixSpec.from_overlap(
-        exchange_overlap(_channel_set(cfg)), "asymptotic")
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(_channel_set(cfg)))
     roots = find_roots_imaginary(spec, cfg.kappa_max)
     if not roots:
         raise RunnerError(
@@ -224,7 +223,7 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
                 ("sign-flip", None, base.flip_sign(int(rng.integers(0, 3))))):
             cases.append((trial, check, angle))
             specs.append(ChannelMatrixSpec.from_overlap(
-                exchange_overlap(channels), "finite", hyperradius=cfg.radius))
+                exchange_overlap(channels), hyperradius=cfg.radius))
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)

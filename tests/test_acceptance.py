@@ -42,8 +42,7 @@ def _announce(num, elapsed, detail):
 
 def _asymptotic_spec(theta):
     channels = channels_from_angle(theta, "closed", "unitary", "closed")
-    return ChannelMatrixSpec.from_overlap(
-        exchange_overlap(channels), "asymptotic")
+    return ChannelMatrixSpec.from_overlap(exchange_overlap(channels))
 
 
 def test_criterion_01_identical_boson_anchor():
@@ -127,7 +126,7 @@ def test_criterion_05_finite_radius_plateau():
 
 def test_criterion_06_free_limit():
     t0 = time.perf_counter()
-    spec = ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=1e6)
+    spec = ChannelMatrixSpec.single_level(1.0, hyperradius=1e6)
     vals = [r.value for r in find_roots_real(spec, 5.0)]
     assert abs(vals[0] - 2.0) < 1e-3
     assert abs(vals[1] - 4.0) < 1e-3
@@ -146,7 +145,7 @@ def test_criterion_06_free_limit():
 def test_criterion_07_dimer_limit():
     t0 = time.perf_counter()
     a = 1.0
-    spec = ChannelMatrixSpec.single_level(a, "finite", hyperradius=100.0 * a)
+    spec = ChannelMatrixSpec.single_level(a, hyperradius=100.0 * a)
     root = find_roots_imaginary(spec)[0]
     pot = AdiabaticPotential.from_s_squared([100.0 * a], [[root.s_squared]], CONV)
     u = pot.potentials[0, 0]
@@ -189,7 +188,7 @@ def test_criterion_09_one_body_invariance_suite():
         def roots_of(mat):
             cs = eigenchannels(mat)
             spec = ChannelMatrixSpec.from_overlap(
-                exchange_overlap(cs), "finite", hyperradius=1.0)
+                exchange_overlap(cs), hyperradius=1.0)
             return find_roots_imaginary(spec, 10.0)
         a = roots_of(m)
         b = roots_of(one_body_rotation(phi, m))

@@ -1,5 +1,10 @@
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
+from spinor_efimov import config
 from spinor_efimov.config import (
     ConfigError,
     parse_config,
@@ -286,3 +291,36 @@ def test_counts_at_the_cap_accepted():
     assert parse_config("task = ladder\nkappa = 1.00624\nn_levels = 100\n") \
         .n_levels == 100
     assert parse_config(_FINITE_SWEEP_HEAD + "R = 5e-324\n").radius == 5e-324
+
+
+def _readme_key_table():
+    """(keys, tasks, accepted values) of each row of the key table under
+    README "Run files"; escaped pipes stay inside their cell."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| key | tasks | default | accepted values |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        keys, tasks, _, accepted = (
+            c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1])
+        rows.append((re.findall(r"`([^`]+)`", keys), tasks, accepted))
+    return rows
+
+
+def test_readme_key_table_matches_config():
+    """README's key table lists config._KEYS in order, each key with its
+    tasks, and each "A to B" range is that field's config._BOUNDS."""
+    rows = _readme_key_table()
+    assert [k for keys, _, _ in rows for k in keys] == list(config._KEYS)
+    ranges = {}
+    for keys, tasks, accepted in rows:
+        for key in keys:
+            name, _, allowed = config._KEYS[key]
+            assert tasks == ("all" if allowed is None
+                             else ", ".join(allowed)), key
+            bounds = re.match(r"([\d,]+) to ([\d,]+)", accepted)
+            if bounds:
+                ranges[name] = tuple(int(b.replace(",", ""))
+                                     for b in bounds.groups())
+    assert ranges == config._BOUNDS

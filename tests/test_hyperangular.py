@@ -51,10 +51,16 @@ KAPPA_MIXED = brentq(
     0.1, 1.0, xtol=1e-14)
 
 
-def _spec_at_angle(theta, a_alpha, a_beta, a_gamma, mode="asymptotic", R=None):
+def _spec_at_angle(theta, a_alpha, a_beta, a_gamma, R=None):
     cs = channels_from_angle(theta, a_alpha, a_beta, a_gamma)
-    return ChannelMatrixSpec.from_overlap(exchange_overlap(cs), mode,
-                                          hyperradius=R)
+    return ChannelMatrixSpec.from_overlap(exchange_overlap(cs), hyperradius=R)
+
+
+def _normalized(spec, axis, x):
+    """The congruent form of the channel matrix that the root finders
+    scan, at one point of an axis."""
+    return hyperangular._SpecStack([spec], axis).matrices(
+        np.zeros(1, dtype=int), np.array([x]))[0]
 
 
 def _det_sign_scan(spec, svals):
@@ -76,7 +82,7 @@ def _det_sign_scan(spec, svals):
 def test_matrix_entries_match_formula_finite_mode(s):
     """M(s) on the real axis; H(kappa) with M = i H at s = i kappa,
     including the sinh R/a term and entries of size up to cosh(15 pi)."""
-    spec = _spec_at_angle(0.3, 1.5, -2.0, 0.5, mode="finite", R=2.0)
+    spec = _spec_at_angle(0.3, 1.5, -2.0, 0.5, R=2.0)
     m = channel_matrix(s, spec)
     o = spec.overlap
     if isinstance(s, float):
@@ -131,7 +137,7 @@ def test_matrix_imaginary_axis_symmetric():
         m = rng.uniform(-2, 2, (3, 3))
         cs = eigenchannels(ScatteringMatrix.from_matrix(m + m.T + 3 * np.eye(3)))
         spec = ChannelMatrixSpec.from_overlap(
-            exchange_overlap(cs), "finite", hyperradius=rng.uniform(0.1, 5))
+            exchange_overlap(cs), hyperradius=rng.uniform(0.1, 5))
         h = channel_matrix(1j * rng.uniform(0.05, 8.0), spec)
         assert np.max(np.abs(h - h.T)) < 1e-14
 
@@ -140,7 +146,7 @@ def test_normalized_matrix_same_zero_structure():
     spec = _spec_at_angle(0.0, "closed", "unitary", "closed")
     k = KAPPA_MIXED
     plain = np.linalg.eigvalsh(channel_matrix(1j * k, spec))
-    norm = np.linalg.eigvalsh(channel_matrix(1j * k, spec, normalized=True))
+    norm = np.linalg.eigvalsh(_normalized(spec, "imaginary", k))
     assert np.max(np.abs(plain)) < 1e-10
     assert np.max(np.abs(norm)) < 1e-10
 
@@ -149,13 +155,17 @@ def test_spec_mode_validation():
     cs = channels_from_angle(0.1, 1.0, 2.0, 3.0)
     o = exchange_overlap(cs)
     with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_overlap(o, "asymptotic")
-    csu = channels_from_angle(0.1, "unitary", "unitary", "closed")
-    with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_overlap(exchange_overlap(csu), "finite",
+        ChannelMatrixSpec.from_overlap(o)  # finite channels, no R
+    mixed = channels_from_angle(0.1, 1.0, "unitary", "closed")
+    with pytest.raises(HyperangularError, match="do not mix"):
+        ChannelMatrixSpec.from_overlap(exchange_overlap(mixed),
                                        hyperradius=1.0)
-    with pytest.raises(HyperangularError):
-        ChannelMatrixSpec.from_overlap(o, "finite")  # missing R
+    with pytest.raises(HyperangularError, match="hyperradius > 0"):
+        ChannelMatrixSpec.from_overlap(o, hyperradius=0.0)
+    with pytest.raises(HyperangularError, match="unitary channels"):
+        radius_sweep(0.1, "unitary", "unitary", "closed", [1.0, 2.0])
+    assert ChannelMatrixSpec.from_overlap(o, hyperradius=1.0).mode == "finite"
+    assert ChannelMatrixSpec.single_level("unitary").mode == "asymptotic"
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +199,14 @@ def test_all_closed_gives_empty_list():
 
 
 def test_single_level_reduction_recovers_identical_boson_constant():
-    spec = ChannelMatrixSpec.single_level("unitary", "asymptotic")
+    spec = ChannelMatrixSpec.single_level("unitary")
     roots = find_roots_imaginary(spec)
     assert len(roots) == 1
     assert roots[0].value == pytest.approx(KAPPA_IDENTICAL, abs=1e-5)
 
 
 def test_dimer_limit_root_tracks_sqrt2_r_over_a():
-    spec = ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=100.0)
+    spec = ChannelMatrixSpec.single_level(1.0, hyperradius=100.0)
     assert default_kappa_max(spec) == pytest.approx(10 + 2 * math.sqrt(2) * 100)
     roots = find_roots_imaginary(spec)
     assert len(roots) == 1
@@ -219,7 +229,7 @@ def test_null_vector_contract():
 def test_null_vector_columns_lead_with_a_positive_entry():
     """Each null vector's largest-magnitude entry is positive, for roots
     of every multiplicity on both axes."""
-    spec = _spec_at_angle(0.7, 1.0, 2.0, "closed", "finite", R=1.5)
+    spec = _spec_at_angle(0.7, 1.0, 2.0, "closed", R=1.5)
     roots = find_roots_imaginary(spec) \
         + find_roots_real(spec, 8.0, warning_sink=[])
     sweep = theta_sweep([0.0, 0.4], "unitary", "unitary", "closed", s_max=8)
@@ -236,7 +246,7 @@ def test_null_vector_columns_lead_with_a_positive_entry():
 # ---------------------------------------------------------------------------
 
 def test_free_limit_real_roots_near_even_integers():
-    spec = ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=1e6)
+    spec = ChannelMatrixSpec.single_level(1.0, hyperradius=1e6)
     roots = find_roots_real(spec, 5.0)
     vals = [r.value for r in roots]
     assert abs(vals[0] - 2.0) < 1e-3
@@ -248,7 +258,7 @@ def test_free_limit_real_roots_near_even_integers():
 
 
 def test_free_limit_negative_scattering_length():
-    spec = ChannelMatrixSpec.single_level(-1.0, "finite", hyperradius=1e6)
+    spec = ChannelMatrixSpec.single_level(-1.0, hyperradius=1e6)
     vals = [r.value for r in find_roots_real(spec, 5.0)]
     assert abs(vals[0] - 2.0) < 1e-3
     assert abs(vals[1] - 4.0) < 1e-3
@@ -269,14 +279,14 @@ def test_real_roots_identical_boson_block():
 
 
 def test_real_roots_contract_residuals():
-    spec = _spec_at_angle(0.25, 1.0, 2.0, -0.7, mode="finite", R=1.0)
+    spec = _spec_at_angle(0.25, 1.0, 2.0, -0.7, R=1.0)
     roots = find_roots_real(spec, 2.0)
     assert roots, "expected at least one real root below 2"
     assert all(r.residual < 1e-9 for r in roots)
 
 
 def test_real_axis_requires_s_max_at_least_two():
-    spec = ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=1.0)
+    spec = ChannelMatrixSpec.single_level(1.0, hyperradius=1.0)
     with pytest.raises(HyperangularError):
         find_roots_real(spec, 1.5)
 
@@ -319,7 +329,7 @@ def test_profile_varies_continuously_with_theta():
 
 def test_classify_root_reuses_basis():
     cs = channels_from_angle(0.6, "closed", "unitary", "closed")
-    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), "asymptotic")
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs))
     root = find_roots_imaginary(spec)[0]
     prof = classify_root(root.null_vectors, cs)
     np.testing.assert_allclose(prof.weights, root.spin_profile.weights, atol=1e-14)
@@ -340,9 +350,9 @@ def test_sign_flip_leaves_roots_unchanged():
         cs = channels_from_angle(theta, 1.0, -2.5, 0.7)
         flipped = cs.flip_sign(int(rng.integers(0, 3)))
         a = _root_values(ChannelMatrixSpec.from_overlap(
-            exchange_overlap(cs), "finite", hyperradius=1.0))
+            exchange_overlap(cs), hyperradius=1.0))
         b = _root_values(ChannelMatrixSpec.from_overlap(
-            exchange_overlap(flipped), "finite", hyperradius=1.0))
+            exchange_overlap(flipped), hyperradius=1.0))
         assert len(a) == len(b)
         for (va, ma), (vb, mb) in zip(a, b):
             assert ma == mb
@@ -358,9 +368,9 @@ def test_one_body_rotation_leaves_roots_unchanged():
         c1 = eigenchannels(m)
         c2 = eigenchannels(one_body_rotation(phi, m))
         a = _root_values(ChannelMatrixSpec.from_overlap(
-            exchange_overlap(c1), "finite", hyperradius=1.0))
+            exchange_overlap(c1), hyperradius=1.0))
         b = _root_values(ChannelMatrixSpec.from_overlap(
-            exchange_overlap(c2), "finite", hyperradius=1.0))
+            exchange_overlap(c2), hyperradius=1.0))
         assert len(a) == len(b)
         for (va, ma), (vb, mb) in zip(a, b):
             assert ma == mb
@@ -377,7 +387,7 @@ def test_sign_flip_leaves_profiles_unchanged(seed, radius):
 
     def roots_of(channels):
         spec = ChannelMatrixSpec.from_overlap(
-            exchange_overlap(channels), "finite", hyperradius=radius)
+            exchange_overlap(channels), hyperradius=radius)
         return find_roots_imaginary(spec, 10.0, warning_sink=[])
 
     ref = roots_of(cs)
@@ -462,7 +472,7 @@ def test_theta_sweep_continuity_against_double_density():
 
 def test_theta_sweep_finite_mode():
     table = theta_sweep(np.linspace(0.0, math.pi / 2, 5), 1.0, 1e6, "closed",
-                        mode="finite", hyperradius=50.0, kappa_max=10.0)
+                        hyperradius=50.0, kappa_max=10.0)
     assert len(table.rows) == 5
     # deep inside the window the finite-mode roots track the asymptotic ones
     assert table.rows[-1].roots[0].value == pytest.approx(1.00624, abs=1e-3)
@@ -492,7 +502,7 @@ _GEOM = np.geomspace(1e-2, 1e6, 33)
     (theta_sweep, (np.linspace(0, math.pi / 2, 9), "closed", "unitary",
                    "closed"), {"s_max": 5.0}),
     (theta_sweep, (np.linspace(0, math.pi / 2, 9), 1.0, 1e6, 30.0),
-     {"mode": "finite", "hyperradius": 50.0, "s_max": 5.0}),
+     {"hyperradius": 50.0, "s_max": 5.0}),
     (radius_sweep, (0.0, 1.0, 1e6, "closed", _GEOM[::2]), {}),
     # kappa_max=None: every point scans its own default_kappa_max window
     (radius_sweep, (0.7, 1.0, 1e6, "closed", _GEOM),
@@ -510,7 +520,7 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
     for row in table.rows:
         channels = channels_from_angle(row.theta, *lengths)
         spec = ChannelMatrixSpec.from_overlap(
-            exchange_overlap(channels), row.mode, hyperradius=row.hyperradius)
+            exchange_overlap(channels), hyperradius=row.hyperradius)
         sink = []
         want = find_roots_imaginary(spec, kappa_max, warning_sink=sink)
         if s_max:
@@ -538,15 +548,6 @@ def test_radius_sweep_builds_spin_objects_once(monkeypatch):
                             counted(name, getattr(hyperangular, name)))
     radius_sweep(0.0, 1.0, 1e6, "closed", _GEOM[::4])
     assert calls == ["channels_from_angle", "exchange_overlap"]
-
-
-@pytest.mark.parametrize("n_grid", [0, 1])
-def test_grid_without_cells_finds_no_roots(n_grid):
-    spec = _spec_at_angle(0.3, "closed", "unitary", "closed")
-    assert find_roots_imaginary(spec, n_grid=n_grid) == []
-    table = theta_sweep([0.1, 0.2], "closed", "unitary", "closed",
-                        s_max=3.0, n_grid=n_grid)
-    assert [row.roots for row in table.rows] == [(), ()]
 
 
 def test_radius_sweep_plateau_matches_asymptotic():
@@ -582,8 +583,7 @@ _X_TANGENT = (1 + 0.5 * (8 / math.sqrt(3)) * (math.pi / 6)) / (math.sqrt(2) * ma
 
 
 def test_grid_warning_on_tangent_double_root():
-    spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, "finite",
-                                          hyperradius=1.0)
+    spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, hyperradius=1.0)
     sink = []
     find_roots_real(spec, 5.0, warning_sink=sink)
     assert sink, "expected a grid-resolution flag near the double root at s = 4"
@@ -593,8 +593,22 @@ def test_grid_warning_on_tangent_double_root():
         find_roots_real(spec, 5.0)
 
 
+@pytest.mark.parametrize("n", [4001, 8001, 16001, 30001])
+def test_tangent_pair_merges_into_one_curve(n):
+    """On denser grids both roots of the tangent pair at s = 4 refine to
+    within MERGE_TOL of 4 on the one curve of the single-level spec: the
+    merged root counts that curve once."""
+    spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, hyperradius=1.0)
+    _, (roots,) = hyperangular._solve_axis([spec], "real", [5.0], n)
+    near = [r for r in roots if abs(r.value - 4.0) < 1e-6]
+    assert len(near) == 1
+    assert abs(near[0].value - 4.0) < 1e-8
+    assert near[0].multiplicity == 1
+    assert near[0].residual < hyperangular.RESIDUAL_TOL
+
+
 def test_separated_pair_found_without_warning():
-    spec = ChannelMatrixSpec.single_level(1.0 / 0.9, "finite", hyperradius=1.0)
+    spec = ChannelMatrixSpec.single_level(1.0 / 0.9, hyperradius=1.0)
     sink = []
     roots = find_roots_real(spec, 5.0, warning_sink=sink)
     assert sink == []
@@ -619,8 +633,7 @@ def _terms(axis, x):
 
 
 def _one_state_spec(o):
-    return ChannelMatrixSpec((as_length("unitary"),), np.array([[o]]), (0,),
-                             "asymptotic")
+    return ChannelMatrixSpec((as_length("unitary"),), np.array([[o]]), (0,))
 
 
 def test_imaginary_phi_rises_strictly_from_its_limit():
@@ -728,9 +741,9 @@ def test_scalar_roots_match_the_eigvalsh_scan(seed, n_states, s_max, repeat):
     overlap = _gapped_overlap(seed, n_states, repeat)
     states = tuple(range(n_states))
     fast = ChannelMatrixSpec((as_length("unitary"),) * n_states, overlap,
-                             states, "asymptotic")
+                             states)
     slow = ChannelMatrixSpec((as_length(1e300),) * n_states, overlap,
-                             states, "finite", hyperradius=1.0)
+                             states, hyperradius=1.0)
     stack = hyperangular._SpecStack([slow], "imaginary")
     assert np.any(stack.r_over_a) and np.all(stack.scale == 1.0)
     for find, args in ((find_roots_imaginary, (10.0,)),
@@ -751,7 +764,7 @@ def test_admixture_sweep_matches_the_eigvalsh_scan(seed):
     thetas = np.linspace(0.0, 0.5 * math.pi, 201)
     fast = theta_sweep(thetas, "closed", "unitary", "closed",
                        kappa_max=kappa_max, s_max=5.0)
-    slow = theta_sweep(thetas, "closed", 1e300, "closed", mode="finite",
+    slow = theta_sweep(thetas, "closed", 1e300, "closed",
                        hyperradius=1.0, kappa_max=kappa_max, s_max=5.0)
     assert fast.warnings == []
     for a, b in zip(fast.rows, slow.rows):
@@ -823,7 +836,6 @@ def _random_finite_spec(seed, n_active, radius):
                       for j, v in enumerate(values)),
         overlap=a + a.T,
         state_channel=tuple(range(6)),
-        mode="finite",
         hyperradius=radius)
 
 
@@ -846,8 +858,7 @@ def test_cell_lipschitz_bound_holds(seed, n_active, radius, axis, s_max,
     lip = stack.lipschitz(np.array([0]), np.array([lo]), np.array([hi]))[0]
 
     def a_of(x):
-        return channel_matrix(1j * x if axis == "imaginary" else x, spec,
-                              normalized=True)
+        return _normalized(spec, axis, x)
 
     rng = np.random.default_rng(seed)
     pairs = [(lo, hi), (lo, lo + 1e-3 * (hi - lo))]
@@ -884,7 +895,6 @@ def _structured_finite_spec(seed, radius, n_active=6):
                       for j, v in enumerate(values)),
         overlap=2.0 * np.eye(6) - 3.0 * (q @ q.T),
         state_channel=tuple(range(6)),
-        mode="finite",
         hyperradius=radius)
 
 
@@ -899,7 +909,7 @@ def _mixed_finite_specs(seed, radii):
         if j % 3 == 1:
             specs.append(ChannelMatrixSpec.from_overlap(
                 exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
-                "finite", hyperradius=radius))
+                hyperradius=radius))
         elif j % 3 == 2:
             specs.append(_structured_finite_spec(seed + j, radius))
         else:
@@ -964,15 +974,15 @@ def _count_spec(kind, seed, n_active, radius):
     if kind == "single level":
         return ChannelMatrixSpec.single_level(
             float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)),
-            "finite", hyperradius=radius)
+            hyperradius=radius)
     if n_active == 6:
         return ChannelMatrixSpec.from_overlap(
             exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
-            "finite", hyperradius=radius)
+            hyperradius=radius)
     # the plateau runs' channel set: a_gamma closed, four active states
     return _spec_at_angle(float(rng.uniform(0.0, 0.5 * math.pi)), 1.0,
                           float(10.0 ** rng.uniform(-1.0, 6.0)), "closed",
-                          "finite", R=radius)
+                          R=radius)
 
 
 # real-axis points near the even integers (where D' = diag(d - 2k) is
@@ -1035,9 +1045,9 @@ def test_batch_equals_single_point_roots():
     warnings, also for specs of different active states."""
     rng = np.random.default_rng(5)
     specs = [ChannelMatrixSpec.from_overlap(
-        exchange_overlap(eigenchannels(_conditioned_matrix(rng))), "finite",
+        exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
         hyperradius=r) for r in (0.5, 2.0, 8.0)]
-    specs.insert(1, _spec_at_angle(0.4, 1.0, 30.0, "closed", "finite", R=3.0))
+    specs.insert(1, _spec_at_angle(0.4, 1.0, 30.0, "closed", R=3.0))
     sinks = [[] for _ in specs]
     got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
     for spec, roots, sink in zip(specs, got, sinks):
@@ -1052,9 +1062,9 @@ def test_multiplicity_counts_null_space_dimension():
     round-off, so the root at s = 4 has multiplicity 4."""
     cs = eigenchannels(ScatteringMatrix.from_entries(
         1.3, 0.2, -0.4, 0.7, 0.5, -2.1))
-    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), "finite",
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs),
                                           hyperradius=2.0)
-    lam = np.linalg.eigvalsh(channel_matrix(4.0, spec, normalized=True))
+    lam = np.linalg.eigvalsh(_normalized(spec, "real", 4.0))
     assert np.count_nonzero(np.abs(lam) <= 1e-12) == 4
     root = min(find_roots_real(spec, 5.0, warning_sink=[]),
                key=lambda r: abs(r.value - 4.0))
@@ -1358,7 +1368,7 @@ def test_channel_relabel_leaves_roots_and_profiles_unchanged(seed, perm,
         radius = None
 
     def solved(cs):
-        spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs), mode,
+        spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs),
                                               hyperradius=radius)
         sink = []
         roots = find_roots_imaginary(spec, 10.0, warning_sink=sink) \
@@ -1440,23 +1450,23 @@ def _assert_stack_matches(stack, specs):
 _STACK_CASES = {
     "asymptotic": lambda: [_spec_at_angle(0.7, "closed", "unitary",
                                           "unitary")],
-    "finite": lambda: [_spec_at_angle(0.7, 1.0, -30.0, 0.2, "finite",
-                                      R=3.0)],
+    "finite": lambda: [_spec_at_angle(0.7, 1.0, -30.0, 0.2, R=3.0)],
     "closed channels": lambda: [
-        _spec_at_angle(0.4, 1.0, 30.0, "closed", "finite", R=3.0),
+        _spec_at_angle(0.4, 1.0, 30.0, "closed", R=3.0),
         _spec_at_angle(0.4, "closed", "unitary", "closed"),
         _spec_at_angle(0.4, "closed", "closed", "closed")],
     "single level": lambda: [
-        ChannelMatrixSpec.single_level("unitary", "asymptotic"),
-        ChannelMatrixSpec.single_level(1.0, "finite", hyperradius=100.0),
-        ChannelMatrixSpec.single_level(-1.0, "finite", hyperradius=0.5)],
+        ChannelMatrixSpec.single_level("unitary"),
+        ChannelMatrixSpec.single_level(1.0, hyperradius=100.0),
+        ChannelMatrixSpec.single_level(-1.0, hyperradius=0.5)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_STACK_CASES))
 def test_stack_matches_the_per_spec_arrays(case):
-    """One spec's stack, and channel_matrix raw and normalized, equal the
-    per-spec reference bit for bit on both axes."""
+    """One spec's stack, with the normalized matrices it evaluates, and
+    channel_matrix equal the per-spec reference bit for bit on both
+    axes."""
     for spec in _STACK_CASES[case]():
         for axis in ("imaginary", "real"):
             _assert_stack_matches(hyperangular._SpecStack([spec], axis),
@@ -1464,9 +1474,8 @@ def test_stack_matches_the_per_spec_arrays(case):
         if spec.active_states().size == 0:
             continue
         for s in _POINTS:
-            for normalized in (False, True):
-                assert np.array_equal(channel_matrix(s, spec, normalized),
-                                      _per_spec_matrix(s, spec, normalized))
+            assert np.array_equal(channel_matrix(s, spec),
+                                  _per_spec_matrix(s, spec, False))
 
 
 def test_stack_of_mixed_state_maps_reads_each_spec():
@@ -1485,7 +1494,7 @@ def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
     bit, the single-point ones (the asymptotic spec's from the scalar
     solver)."""
     specs = [_spec_at_angle(0.9, "unitary", "unitary", "unitary"),
-             _spec_at_angle(0.9, 1.0, -30.0, 0.2, "finite", R=3.0)]
+             _spec_at_angle(0.9, 1.0, -30.0, 0.2, R=3.0)]
     built = []
 
     class Recorded(hyperangular._SpecStack):

@@ -96,7 +96,7 @@ def test_potential_gap_is_hard_error():
 def test_dimer_limit_potential():
     # single channel, R/a = 100: U must land within 1% of -1/(m a^2)
     a = 1.0
-    spec = ChannelMatrixSpec.single_level(a, "finite", hyperradius=100.0 * a)
+    spec = ChannelMatrixSpec.single_level(a, hyperradius=100.0 * a)
     root = find_roots_imaginary(spec)[0]
     pot = AdiabaticPotential.from_s_squared([100.0 * a], [[root.s_squared]], CONV)
     dimer = -1.0 / (CONV.mass * a ** 2)
