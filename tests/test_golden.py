@@ -10,7 +10,9 @@ refinement of the level energies replaced bisection and moved their
 10th-12th significant digits, and when each level above the deepest
 began its node-count bracket at its scale-invariant guess, which hands
 the refinement a different window and moved the same digits again (the
-levels stay within the 1e-9 tolerance).  A difference is a behaviour change to be
+levels stay within the 1e-9 tolerance).  The r-sweep json was re-made
+when the grazing warning stopped advising a denser grid, which does not
+resolve that warning.  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:
