@@ -3,7 +3,8 @@
 The format is flat `key = value` lines with `#` comments; lists are
 comma separated.  Unknown keys, duplicate keys, malformed values, and
 cross-field inconsistencies are all hard errors carrying line numbers
-where one exists.
+where one exists.  The mode follows from the inputs; a stated `mode`
+must agree with it.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ _KEYS = {
 _DEFAULTS = {
     "theta-sweep": {"theta_min": 0.0, "theta_max": 0.5 * math.pi,
                     "theta_count": 201},
-    "r-sweep": {"mode": "finite", "r_count": 129, "kappa_max": 10.0},
+    "r-sweep": {"r_count": 129, "kappa_max": 10.0},
     "ladder": {"wall_radius": 1e-3, "n_levels": 4, "mass": 1.0},
     "invariance-suite": {"seed": 1234, "trials": 50, "radius": 1.0,
                          "kappa_max": 10.0},
@@ -238,18 +239,24 @@ def _err(key, lines, message):
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    """The rules that tie one field to another."""
-    if cfg.task == "r-sweep" and cfg.mode != "finite":
-        _err("mode", lines, "r-sweep runs in finite mode")
+    """The rules that tie one field to another.  Sets cfg.mode as
+    ChannelMatrixSpec.mode does: finite for a finite length and for
+    matrix, toy and invariance-suite input, else asymptotic."""
+    keys = [k for k in ("a_alpha", "a_beta", "a_gamma")
+            if getattr(cfg, k) is not None]
+    finite = any(getattr(cfg, k).kind == "finite" for k in keys)
+    mode = ("finite" if finite or cfg.matrix is not None or cfg.toy is not None
+            or cfg.task == "invariance-suite" else "asymptotic")
+    if "mode" in lines and cfg.mode != mode:
+        _err("mode", lines, f"the inputs give {mode} mode, not {cfg.mode}")
+    cfg.mode = mode
 
-    angle_keys = [k for k in ("a_alpha", "a_beta", "a_gamma")
-                  if getattr(cfg, k) is not None]
     forms = []
     if cfg.matrix is not None:
         forms.append("matrix")
     if cfg.toy is not None:
         forms.append("toy")
-    if angle_keys or (cfg.theta is not None and cfg.task != "r-sweep"):
+    if keys or (cfg.theta is not None and cfg.task != "r-sweep"):
         forms.append("angle")
     if cfg.kappa is not None:
         forms.append("kappa")
@@ -261,8 +268,7 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
             f"(matrix | toy | angle | kappa for ladder); found {forms or 'none'}")
 
     if "angle" in forms:
-        missing = [k for k in ("a_alpha", "a_beta", "a_gamma")
-                   if getattr(cfg, k) is None]
+        missing = [k for k in ("a_alpha", "a_beta", "a_gamma") if k not in keys]
         if missing:
             raise ConfigError(
                 f"angle form needs a_alpha, a_beta and a_gamma; missing {missing}")
@@ -270,23 +276,21 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
             raise ConfigError(f"task '{cfg.task}' needs an explicit theta")
         if cfg.theta is not None and not 0.0 <= cfg.theta <= math.pi / 2:
             _err("theta", lines, f"must lie in [0, pi/2], got {cfg.theta}")
-        for key in ("a_alpha", "a_beta", "a_gamma"):
-            length = getattr(cfg, key)
-            if cfg.mode == "finite" and length.kind == "unitary":
-                _err(key, lines, "finite mode forbids the unitary flag; "
-                                 "use asymptotic mode or a finite length")
-            if cfg.mode == "asymptotic" and length.kind == "finite":
-                _err(key, lines, "asymptotic mode takes only unitary/closed "
-                                 "flags; use finite mode for numbers")
-    if ("matrix" in forms or "toy" in forms) and cfg.mode != "finite":
-        raise ConfigError(
-            "matrix and toy input carry finite entries; set mode = finite")
+        for key in keys:
+            if finite and getattr(cfg, key).kind == "unitary":
+                _err(key, lines, "finite and unitary channels do not mix")
+
+    # the ladder reads its exponent from the asymptotic problem
+    need = {"r-sweep": "finite", "ladder": "asymptotic"}.get(cfg.task, mode)
+    if mode != need:
+        raise ConfigError(f"task '{cfg.task}' runs in {need} mode; its "
+                          f"channel lengths give {mode} mode")
 
     if cfg.task in ("roots", "theta-sweep"):
-        if cfg.mode == "finite" and cfg.radius is None:
+        if mode == "finite" and cfg.radius is None:
             runs = "roots need" if cfg.task == "roots" else "theta-sweep needs"
             raise ConfigError(f"finite-mode {runs} R")
-        if cfg.mode == "asymptotic" and cfg.radius is not None:
+        if mode == "asymptotic" and cfg.radius is not None:
             _err("R", lines, "asymptotic mode takes no hyperradius")
 
     if cfg.task == "theta-sweep" and \
@@ -301,11 +305,6 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         if not 0.0 < cfg.r_min < cfg.r_max:
             raise ConfigError(
                 f"R grid [{cfg.r_min}, {cfg.r_max}] must be positive ascending")
-
-    if cfg.task == "ladder" and "angle" in forms and cfg.mode != "asymptotic":
-        raise ConfigError(
-            "the ladder task reads its channel exponent from the "
-            "asymptotic problem; angle form requires mode = asymptotic")
 
 
 def _format_value(value) -> str:

@@ -1078,6 +1078,9 @@ def theta_sweep(thetas, a_alpha, a_beta, a_gamma,
     thetas = np.asarray(list(thetas), dtype=float)
     if thetas.size == 0 or np.any(np.diff(thetas) <= 0):
         raise HyperangularError("theta grid must be nonempty and ascending")
+    if hyperradius is not None and not any(
+            as_length(a).kind == "finite" for a in (a_alpha, a_beta, a_gamma)):
+        raise HyperangularError("asymptotic mode takes no hyperradius")
     return _sweep("theta", thetas, [hyperradius] * thetas.size, a_alpha,
                   a_beta, a_gamma, kappa_max, s_max)
 

@@ -170,15 +170,10 @@ def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
     conv = PhysicalConvention(mass=cfg.mass)
     spectrum = efimov_ladder(kappa, cfg.wall_radius, cfg.n_levels, conv)
     ratios = spectrum.ratios + (None,)
-    rows = []
-    for n, energy in enumerate(spectrum.energies):
-        rows.append({
-            "n": n,
-            "energy": energy,
-            "ratio_to_next": ratios[n],
-            "nodes": spectrum.nodes[n],
-        })
-    bundle.tables["levels"] = rows
+    bundle.tables["levels"] = [
+        {"n": n, "energy": energy, "ratio_to_next": ratios[n],
+         "nodes": spectrum.nodes[n]}
+        for n, energy in enumerate(spectrum.energies)]
     bundle.meta["kappa"] = _round12(kappa)
     bundle.meta["scaling_factor"] = _round12(scaling_factor(kappa))
     bundle.meta["energy_ratio_target"] = _round12(math.exp(2 * math.pi / kappa))
@@ -246,8 +241,20 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     bundle.meta["max_deviation"] = {k: _round12(v) for k, v in max_dev.items()}
 
 
+#: task -> (its runner, the table its CSV holds); sweep runners return it
+_TASKS = {
+    "roots": (_run_roots, "rows"),
+    "theta-sweep": (_run_theta_sweep, "rows"),
+    "r-sweep": (_run_r_sweep, "rows"),
+    "ladder": (_run_ladder, "levels"),
+    "invariance-suite": (_run_invariance, "checks"),
+}
+
+
 def run(cfg: RunConfig) -> ResultBundle:
     """Dispatch a validated config; returns tables plus run metadata."""
+    if cfg.task not in _TASKS:
+        raise RunnerError(f"unhandled task {cfg.task!r}")
     bundle = ResultBundle(meta={
         "task": cfg.task,
         "mode": cfg.mode,
@@ -255,22 +262,8 @@ def run(cfg: RunConfig) -> ResultBundle:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": config_as_dict(cfg),
     })
-    table = None
-    if cfg.task == "roots":
-        _run_roots(cfg, bundle)
-    elif cfg.task == "theta-sweep":
-        table = _run_theta_sweep(cfg, bundle)
-    elif cfg.task == "r-sweep":
-        table = _run_r_sweep(cfg, bundle)
-    elif cfg.task == "ladder":
-        _run_ladder(cfg, bundle)
-    elif cfg.task == "invariance-suite":
-        _run_invariance(cfg, bundle)
-    else:
-        raise RunnerError(f"unhandled task {cfg.task!r}")
-    for name in bundle.tables:
-        bundle.tables[name] = _round_rows(bundle.tables[name])
-    bundle.sweep_table = table
+    bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
+    bundle.tables = {k: _round_rows(v) for k, v in bundle.tables.items()}
     return bundle
 
 
@@ -279,10 +272,6 @@ _CSV_COLUMNS = {
              "w_111_family", "w_mixed_family"],
     "levels": ["n", "energy", "ratio_to_next", "nodes"],
     "checks": ["check", "trial", "phi", "deviation"],
-}
-_PRIMARY_TABLE = {
-    "roots": "rows", "theta-sweep": "rows", "r-sweep": "rows",
-    "ladder": "levels", "invariance-suite": "checks",
 }
 
 
@@ -337,7 +326,7 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             svg, fig_warnings = sweep_figure(bundle.sweep_table)
             bundle.warnings.extend(fig_warnings)
     if "csv" in formats:
-        name = _PRIMARY_TABLE[task]
+        name = _TASKS[task][1]
         path = os.path.join(out_dir, f"{task}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(_csv_text(bundle.tables[name], _CSV_COLUMNS[name]))

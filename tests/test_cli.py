@@ -12,10 +12,11 @@ import pytest
 import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
 from spinor_efimov.cli import main
-from spinor_efimov.config import parse_config
+from spinor_efimov.config import TASKS, parse_config
 from spinor_efimov.figure import sweep_figure
 from spinor_efimov.hyperangular import SweepRow, SweepTable, theta_sweep
 from spinor_efimov.runner import run, write_outputs
+from spinor_efimov.spin import channels_from_angle, exchange_overlap
 
 SWEEP_CFG = """
 task = theta-sweep
@@ -117,6 +118,14 @@ def test_cli_unwritable_output_is_an_error(sweep_config, tmp_path, capsys):
     assert "error: cannot write outputs:" in capsys.readouterr().err
 
 
+def test_one_table_dispatches_every_task():
+    assert list(runner._TASKS) == list(TASKS)
+    cfg = parse_config("task = ladder\nkappa = 1\n")
+    cfg.task = "frobnicate"
+    with pytest.raises(runner.RunnerError, match="unhandled task"):
+        run(cfg)
+
+
 def test_cli_task_mismatch(sweep_config, capsys):
     assert main(["ladder", "--config", str(sweep_config)]) == 1
     assert "does not match" in capsys.readouterr().err
@@ -134,6 +143,55 @@ def test_cli_ladder_json(tmp_path):
     assert levels[2]["ratio_to_next"] == pytest.approx(515.0, rel=0.02)
     assert payload["meta"]["scaling_factor"] == pytest.approx(22.69, abs=0.01)
     assert [lv["nodes"] for lv in levels] == [0, 1, 2, 3]
+
+
+def test_cli_ladder_angle_form_runs_at_the_dominant_root(tmp_path, capsys):
+    """The angle form's ladder is the kappa form's at the asymptotic
+    problem's dominant imaginary root, and a channel set without an
+    imaginary root has no ladder."""
+    angle = (f"task = ladder\ntheta = {math.pi / 2!r}\nn_levels = 3\n"
+             "a_alpha = closed\na_beta = unitary\na_gamma = closed\n")
+    (tmp_path / "angle.run").write_text(angle)
+    assert main(["ladder", "--config", str(tmp_path / "angle.run"),
+                 "--out", str(tmp_path / "angle")]) == 0
+    meta = json.loads((tmp_path / "angle" / "ladder.json").read_text())["meta"]
+    assert meta["kappa"] == 1.0062378251
+    assert meta["kappa_source"] == "dominant imaginary root"
+
+    spec = hyperangular.ChannelMatrixSpec.from_overlap(exchange_overlap(
+        channels_from_angle(math.pi / 2, "closed", "unitary", "closed")))
+    kappa = hyperangular.find_roots_imaginary(spec)[0].value
+    (tmp_path / "kappa.run").write_text(
+        f"task = ladder\nkappa = {kappa!r}\nn_levels = 3\n")
+    assert main(["ladder", "--config", str(tmp_path / "kappa.run"),
+                 "--out", str(tmp_path / "kappa")]) == 0
+    assert (tmp_path / "angle" / "ladder.csv").read_bytes() == \
+        (tmp_path / "kappa" / "ladder.csv").read_bytes()
+
+    (tmp_path / "closed.run").write_text(
+        angle.replace("a_beta = unitary", "a_beta = closed"))
+    capsys.readouterr()
+    assert main(["ladder", "--config", str(tmp_path / "closed.run"),
+                 "--out", str(tmp_path / "closed")]) == 1
+    assert "no imaginary root" in capsys.readouterr().err
+
+
+def test_roots_toy_form_matches_its_matrix(tmp_path):
+    """The toy closed form (a11, a22, a12, a33) solves the same problem as
+    the raw matrix with a decoupled third channel; neither file states a
+    mode, which their finite entries fix."""
+    def rows(text):
+        cfg = parse_config("task = roots\nR = 2\n" + text)
+        assert cfg.mode == "finite"
+        return [(r["axis"], r["value"], r["multiplicity"], r["w_111_family"],
+                 r["w_mixed_family"]) for r in run(cfg).tables["rows"]]
+
+    toy = rows("toy = 1.0,2.0,0.5,3.0\n")
+    matrix = rows("matrix = 1.0,0.5,0,2.0,0,3.0\n")
+    assert len(toy) == len(matrix) == 5
+    for t, m in zip(toy, matrix):
+        assert t[0] == m[0] == "imaginary" and t[2] == m[2] == 1
+        assert (t[1], *t[3:]) == pytest.approx((m[1], *m[3:]), abs=1e-10)
 
 
 def test_cli_roots_task(tmp_path):

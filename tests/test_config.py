@@ -83,7 +83,8 @@ def test_bad_number_is_line_numbered():
 
 
 def test_finite_mode_rejects_unitary_flag():
-    with pytest.raises(ConfigError, match="finite mode forbids the unitary"):
+    with pytest.raises(ConfigError, match="^line 7: key 'a_beta': finite and "
+                                          "unitary channels do not mix"):
         parse_config("""
             task = roots
             mode = finite
@@ -96,7 +97,8 @@ def test_finite_mode_rejects_unitary_flag():
 
 
 def test_asymptotic_mode_rejects_numbers():
-    with pytest.raises(ConfigError, match="asymptotic mode takes only"):
+    with pytest.raises(ConfigError, match="^line 5: key 'a_beta': finite and "
+                                          "unitary channels do not mix"):
         parse_config("""
             task = roots
             theta = 0.1
@@ -131,7 +133,7 @@ def test_r_sweep_defaults_and_validation():
     assert cfg.mode == "finite"
     assert cfg.r_count == 129
     assert cfg.kappa_max == 10.0
-    with pytest.raises(ConfigError, match="r-sweep runs in finite mode"):
+    with pytest.raises(ConfigError, match="task 'r-sweep' runs in finite mode"):
         parse_config("""
             task = r-sweep
             mode = asymptotic
@@ -158,7 +160,8 @@ def test_ladder_kappa_form():
 
 
 def test_ladder_angle_form_requires_asymptotic():
-    with pytest.raises(ConfigError, match="mode = asymptotic"):
+    with pytest.raises(ConfigError,
+                       match="task 'ladder' runs in asymptotic mode"):
         parse_config("""
             task = ladder
             mode = finite
@@ -167,6 +170,60 @@ def test_ladder_angle_form_requires_asymptotic():
             a_beta = 100.0
             a_gamma = closed
         """)
+
+
+@pytest.mark.parametrize("text, mode", [
+    ("task = roots\ntheta = 0\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\n", "asymptotic"),
+    ("task = roots\nR = 1\ntheta = 0\na_alpha = 1\na_beta = 2\n"
+     "a_gamma = closed\n", "finite"),
+    ("task = roots\nR = 1\nmatrix = 1,0,0,1,0,1\n", "finite"),
+    ("task = roots\nR = 1\ntoy = 1,2,0.5,3\n", "finite"),
+    ("task = theta-sweep\nR = 1\na_alpha = 1\na_beta = closed\n"
+     "a_gamma = closed\n", "finite"),
+    ("task = ladder\nkappa = 1\n", "asymptotic"),
+    ("task = invariance-suite\n", "finite"),
+])
+def test_mode_follows_from_the_inputs(text, mode):
+    """With no mode line the inputs fix the mode, and stating that mode
+    changes nothing."""
+    cfg = parse_config(text)
+    assert cfg.mode == mode
+    assert parse_config(f"mode = {mode}\n" + text) == cfg
+
+
+@pytest.mark.parametrize("text, mode", [
+    ("task = roots\nR = 1\ntheta = 0\na_alpha = 1\na_beta = 2\n"
+     "a_gamma = closed\n", "asymptotic"),
+    ("task = roots\nR = 1\nmatrix = 1,0,0,1,0,1\n", "asymptotic"),
+    ("task = roots\ntheta = 0\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\n", "finite"),
+    ("task = theta-sweep\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\n", "finite"),
+    ("task = invariance-suite\n", "asymptotic"),
+])
+def test_contradicted_mode_refused_at_its_line(text, mode):
+    with pytest.raises(ConfigError, match=rf"^line 1: key 'mode': the inputs "
+                                          rf"give \w+ mode, not {mode}$"):
+        parse_config(f"mode = {mode}\n" + text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("task = theta-sweep\na_alpha = 1\na_beta = 2\na_gamma = closed\n",
+     "^finite-mode theta-sweep needs R$"),
+    ("task = theta-sweep\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\nR = 1\n",
+     "^line 5: key 'R': asymptotic mode takes no hyperradius$"),
+    ("task = roots\ntheta = 0\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\nR = 1\n",
+     "^line 6: key 'R': asymptotic mode takes no hyperradius$"),
+    ("task = theta-sweep\nR = 1\na_alpha = unitary\na_beta = 1\n"
+     "a_gamma = closed\n",
+     "^line 3: key 'a_alpha': finite and unitary channels do not mix$"),
+])
+def test_hyperradius_follows_the_derived_mode(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
 
 
 def test_invariance_suite_defaults():

@@ -12,7 +12,9 @@ began its node-count bracket at its scale-invariant guess, which hands
 the refinement a different window and moved the same digits again (the
 levels stay within the 1e-9 tolerance).  The r-sweep json was re-made
 when the grazing warning stopped advising a denser grid, which does not
-resolve that warning.  A difference is a behaviour change to be
+resolve that warning, and the invariance-suite json when the run file's
+mode came to follow from its inputs: its finite random specs had been
+reported as "asymptotic".  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:

@@ -483,6 +483,14 @@ def test_theta_sweep_rejects_bad_grid():
         theta_sweep([0.5, 0.2], "closed", "unitary", "closed")
 
 
+def test_theta_sweep_refuses_a_hyperradius_the_lengths_do_not_use():
+    """With no finite length the sweep solves at R/a = 0, so a stated R
+    would only mislabel its rows."""
+    with pytest.raises(HyperangularError,
+                       match="asymptotic mode takes no hyperradius"):
+        theta_sweep([0.0, 1.0], "closed", "unitary", "closed", hyperradius=2.0)
+
+
 def _assert_same_roots(got, want):
     assert len(got) == len(want)
     for x, y in zip(got, want):
