@@ -221,7 +221,7 @@ def test_contradicted_mode_refused_at_its_line(text, mode):
      "a_gamma = closed\n",
      "^line 3: key 'a_alpha': finite and unitary channels do not mix$"),
 ])
-def test_hyperradius_follows_the_derived_mode(text, message):
+def test_rules_on_the_derived_mode(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
 
