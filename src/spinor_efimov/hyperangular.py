@@ -59,6 +59,9 @@ from .spin import (
     ChannelLength,
     ExchangeOverlap,
     TwoBodyChannelSet,
+    _angle_channels,
+    _exchange_overlaps,
+    _prechecked,
     as_length,
     channels_from_angle,
     exchange_overlap,
@@ -1032,14 +1035,25 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     if s_max:
         _check_s_max(s_max)
     lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
-    specs, kappa_maxes = [], []
-    spin = {}  # theta -> overlap: an r-sweep has one theta
-    for theta, radius in zip(thetas, radii):
-        if theta not in spin:
-            spin[theta] = exchange_overlap(channels_from_angle(theta, *lengths))
-        spec = ChannelMatrixSpec.from_overlap(spin[theta], hyperradius=radius)
-        kappa_maxes.append(_kappa_window(spec, kappa_max))
-        specs.append(spec)
+    if kind == "theta":  # the spin layer of every theta as one stack
+        overlaps = _exchange_overlaps(_angle_channels(thetas, *lengths))
+    else:  # one theta for every R
+        overlaps = [exchange_overlap(channels_from_angle(thetas[0], *lengths))
+                    ] * len(radii)
+    # the overlaps share one length triple and are exactly symmetric, so
+    # one from_overlap per radius checks the specs of every theta there
+    checked = {}
+    specs = []
+    for overlap, radius in zip(overlaps, radii):
+        if radius not in checked:
+            checked[radius] = ChannelMatrixSpec.from_overlap(overlap, radius)
+            specs.append(checked[radius])
+        else:
+            specs.append(_prechecked(
+                ChannelMatrixSpec, lengths=checked[radius].lengths,
+                overlap=overlap.matrix, state_channel=(0, 0, 1, 1, 2, 2),
+                hyperradius=radius, channels=overlap.channels))
+    kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes))]
     if s_max:
         scans.append(("real",

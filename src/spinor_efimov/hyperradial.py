@@ -428,23 +428,16 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
     regularized by a hard wall, on an automatically sized grid.
 
     The n-th level sits a factor e^(2 pi/kappa) above the last, so the
-    grid spans roughly n pi / (kappa ln 10) decades plus margin; the grid
-    is extended and the solve repeated if the estimate falls short.
+    grid spans n pi / (kappa ln 10) decades plus a margin that holds the
+    topmost level's outer turning point, capped at 1.2e6 points.  Levels
+    past the grid's end come back with exhaustion_reason "grid".
     """
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
     decades = 1.2 + n_levels * math.pi / (kappa * math.log(10.0)) + math.log10(12.0)
-    for _ in range(3):
-        n_points = decades * points_per_decade
-        if n_points > 1.2e6:
-            decades = 1.2e6 / points_per_decade
-        pot = inverse_square_potential(
-            kappa, wall_radius, wall_radius * 10.0 ** decades, convention,
-            points_per_decade)
-        spectrum = bound_states(pot, wall_radius, n_levels)
-        if spectrum.n_levels == n_levels or spectrum.exhaustion_reason != "grid":
-            return spectrum
-        if n_points >= 1.2e6:
-            return spectrum
-        decades += 2.0
-    return spectrum
+    if decades * points_per_decade > 1.2e6:
+        decades = 1.2e6 / points_per_decade
+    pot = inverse_square_potential(
+        kappa, wall_radius, wall_radius * 10.0 ** decades, convention,
+        points_per_decade)
+    return bound_states(pot, wall_radius, n_levels)

@@ -39,6 +39,8 @@ from .hyperradial import (
 from .spin import (
     ScatteringMatrix,
     TwoBodyChannelSet,
+    _eigenchannels,
+    _exchange_overlaps,
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
@@ -57,24 +59,38 @@ class ResultBundle:
     tables: dict[str, list[dict]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     sweep_table: "SweepTable | None" = field(default=None, repr=False)
-
-
-def _fmt12(x: float) -> str:
-    return f"{x:.12g}"
+    #: table -> (its rounded rows, their CSV cells) as run() made them;
+    #: write_outputs formats a table afresh that is no longer that list
+    _cells: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
 
 def _round12(x):
     """A float (numpy's too) to 12 significant digits, or None if it is
     not finite; any other value (None, bool, int, str) as it is."""
-    if isinstance(x, float):  # np.float64 included
-        return float(_fmt12(x)) if math.isfinite(x) else None
-    if isinstance(x, np.floating):
-        return _round12(float(x))
-    return x
+    return _round_rows([{"x": x}])[0][0]["x"]
 
 
-def _round_rows(rows: list[dict]) -> list[dict]:
-    return [{k: _round12(v) for k, v in row.items()} for row in rows]
+def _round_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
+    """The rows with each float (numpy's too) rounded to 12 significant
+    digits, or None if it is not finite, and the rows' CSV cells: the
+    .12g text a float was rounded from, "" for None, str() of any other
+    value (bool, int, str)."""
+    rounded, cells = [], []
+    for row in rows:
+        values, texts = {}, {}
+        for k, v in row.items():
+            if isinstance(v, (float, np.floating)):
+                v = float(v)
+                text = f"{v:.12g}" if math.isfinite(v) else ""
+                v = float(text) if text else None
+            else:
+                text = "" if v is None else str(v)
+            values[k] = v
+            texts[k] = text
+        rounded.append(values)
+        cells.append(texts)
+    return rounded, cells
 
 
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
@@ -206,19 +222,22 @@ def _list_deviation(a, b) -> float:
 def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     rng = np.random.default_rng(cfg.seed)
     cases = []  # (trial, check, phi), three per trial, reference first
-    specs = []
+    # per trial: its matrix and that matrix rotated, and the channel to flip
+    matrices, flips = [], []
     for trial in range(cfg.trials):
         m = _conditioned_matrix(rng)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        base = eigenchannels(m)
-        for check, angle, channels in (
-                ("reference", None, base),
-                ("one-body-rotation", phi,
-                 eigenchannels(one_body_rotation(phi, m))),
-                ("sign-flip", None, base.flip_sign(int(rng.integers(0, 3))))):
-            cases.append((trial, check, angle))
-            specs.append(ChannelMatrixSpec.from_overlap(
-                exchange_overlap(channels), hyperradius=cfg.radius))
+        matrices += [m.entries, one_body_rotation(phi, m).entries]
+        flips.append(int(rng.integers(0, 3)))
+        cases += [(trial, "reference", None), (trial, "one-body-rotation", phi),
+                  (trial, "sign-flip", None)]
+    sets = _eigenchannels(np.array(matrices))
+    channels = []
+    for trial, flip in enumerate(flips):
+        base, rotated = sets[2 * trial: 2 * trial + 2]
+        channels += [base, rotated, base.flip_sign(flip)]
+    specs = [ChannelMatrixSpec.from_overlap(o, hyperradius=cfg.radius)
+             for o in _exchange_overlaps(channels)]
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)
@@ -263,7 +282,8 @@ def run(cfg: RunConfig) -> ResultBundle:
         "config": config_as_dict(cfg),
     })
     bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
-    bundle.tables = {k: _round_rows(v) for k, v in bundle.tables.items()}
+    bundle._cells = {k: _round_rows(v) for k, v in bundle.tables.items()}
+    bundle.tables = {k: rows for k, (rows, _) in bundle._cells.items()}
     return bundle
 
 
@@ -275,19 +295,12 @@ _CSV_COLUMNS = {
 }
 
 
-def _csv_text(rows: list[dict], columns: list[str]) -> str:
+def _csv_text(cells: list[dict], columns: list[str]) -> str:
+    """CSV of the cells _round_rows made, in the given column order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        out = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                out.append("")
-            else:
-                out.append(_fmt12(v) if isinstance(v, float) else str(v))
-        writer.writerow(out)
+    writer.writerows([row[c] for c in columns] for row in cells)
     return buf.getvalue()
 
 
@@ -327,9 +340,12 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             bundle.warnings.extend(fig_warnings)
     if "csv" in formats:
         name = _TASKS[task][1]
+        rows, cells = bundle._cells.get(name, (None, None))
+        if rows is not bundle.tables[name]:  # a table not made by run()
+            cells = _round_rows(bundle.tables[name])[1]
         path = os.path.join(out_dir, f"{task}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(_csv_text(bundle.tables[name], _CSV_COLUMNS[name]))
+            f.write(_csv_text(cells, _CSV_COLUMNS[name]))
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{task}.json")

@@ -140,31 +140,63 @@ class TwoBodyChannelSet:
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
-        if v.shape != (3, 3):
-            raise SpinAlgebraError("eigenvector matrix must be 3x3")
-        dev = np.max(np.abs(v.T @ v - np.eye(3)))
-        if dev > _ORTHO_TOL:
-            raise SpinAlgebraError(
-                f"eigenvectors not orthonormal (max deviation {dev:.3e})")
+        _check_vectors(v[None])
         object.__setattr__(self, "vectors", v)
 
     def flip_sign(self, channel: int) -> "TwoBodyChannelSet":
-        """Same channel set with one eigenvector's overall sign flipped."""
+        """Same channel set with one eigenvector's overall sign flipped
+        (exact negation: the orthonormality check reads as it did)."""
         v = self.vectors.copy()
         v[:, channel] = -v[:, channel]
-        return TwoBodyChannelSet(self.lengths, v, self.mixing_angle)
+        return _prechecked(TwoBodyChannelSet, lengths=self.lengths,
+                           vectors=v, mixing_angle=self.mixing_angle)
 
 
-def _rotated_channels(theta: float, a_alpha, a_beta,
-                      a_gamma) -> TwoBodyChannelSet:
-    """Channel set whose alpha eigenvector is (cos theta, sin theta, 0)
-    and whose gamma eigenvector is the decoupled |22>."""
-    c, s = math.cos(theta), math.sin(theta)
-    vectors = np.array([[c, s, 0.0],
-                        [s, -c, 0.0],
-                        [0.0, 0.0, 1.0]])
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass cls from fields its caller has
+    already checked (as one stack, or exact by construction); its
+    __post_init__ is not run."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_vectors(v: np.ndarray) -> None:
+    """Refuse a (P, 3, 3) stack unless every matrix is orthonormal; the
+    message names the first one that is not."""
+    if v.shape[1:] != (3, 3):
+        raise SpinAlgebraError("eigenvector matrix must be 3x3")
+    dev = np.max(np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(3)), axis=(1, 2))
+    bad = np.flatnonzero(dev > _ORTHO_TOL)
+    if bad.size:
+        raise SpinAlgebraError(
+            f"eigenvectors not orthonormal (max deviation {dev[bad[0]]:.3e})")
+
+
+def _channel_sets(lengths, vectors: np.ndarray,
+                  mixing_angles=None) -> list[TwoBodyChannelSet]:
+    """One channel set per row of the (P, 3, 3) vector stack, checked
+    once as a stack; lengths holds one length triple per row."""
+    _check_vectors(vectors)
+    angles = [None] * len(vectors) if mixing_angles is None else mixing_angles
+    return [_prechecked(TwoBodyChannelSet, lengths=l, vectors=v,
+                        mixing_angle=a)
+            for l, v, a in zip(lengths, vectors, angles)]
+
+
+def _rotated_channels(thetas: list[float], a_alpha, a_beta,
+                      a_gamma) -> list[TwoBodyChannelSet]:
+    """Channel sets whose alpha eigenvector is (cos theta, sin theta, 0)
+    and whose gamma eigenvector is the decoupled |22>, one per theta."""
+    c = [math.cos(t) for t in thetas]
+    s = [math.sin(t) for t in thetas]
+    vectors = np.zeros((len(thetas), 3, 3))
+    vectors[:, 0, 0] = c
+    vectors[:, 0, 1] = vectors[:, 1, 0] = s
+    vectors[:, 1, 1] = np.negative(c)
+    vectors[:, 2, 2] = 1.0
     lengths = (as_length(a_alpha), as_length(a_beta), as_length(a_gamma))
-    return TwoBodyChannelSet(lengths, vectors, mixing_angle=theta)
+    return _channel_sets([lengths] * len(thetas), vectors, thetas)
 
 
 def toy_closed_form(a11: float, a22: float, a12: float,
@@ -196,12 +228,38 @@ def toy_closed_form(a11: float, a22: float, a12: float,
     else:
         theta = math.atan2(2.0 * a12, denom)
 
-    return _rotated_channels(theta, a_alpha, a_beta, a33)
+    return _rotated_channels([theta], a_alpha, a_beta, a33)[0]
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    return -vec if vec[k] < 0 else vec
+#: the two mixed channels, ascending, when the indexed one is gamma
+_MIXED = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _eigenchannels(entries: np.ndarray) -> list[TwoBodyChannelSet]:
+    """eigenchannels of each matrix of a (P, 3, 3) stack, with one
+    stacked eigh."""
+    vals, vecs = np.linalg.eigh(entries)
+    order = np.argsort(np.abs(vals), axis=1, kind="stable")
+    decoupled = (entries[:, 0, 2] == 0.0) & (entries[:, 1, 2] == 0.0)
+    if decoupled.any():
+        gamma = np.argmax(np.abs(vecs[:, 2, :]), axis=1)
+        mixed = _MIXED[gamma]
+        # alpha is the algebraically larger mixed eigenvalue (plus branch);
+        # a tie keeps the lower index first
+        larger = np.take_along_axis(vals, mixed, axis=1)
+        mixed = np.where((larger[:, 1] > larger[:, 0])[:, None],
+                         mixed[:, ::-1], mixed)
+        order = np.where(decoupled[:, None],
+                         np.column_stack([mixed, gamma]), order)
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # canonical sign: each vector's largest entry (the first of equal
+    # magnitudes) is positive
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None],
+                              axis=1)
+    vecs = np.where(lead < 0, -vecs, vecs)
+    lengths = [tuple(as_length(v) for v in row) for row in vals.tolist()]
+    return _channel_sets(lengths, vecs)
 
 
 def eigenchannels(matrix: ScatteringMatrix) -> TwoBodyChannelSet:
@@ -213,22 +271,18 @@ def eigenchannels(matrix: ScatteringMatrix) -> TwoBodyChannelSet:
     with the plus branch of the closed form.  Otherwise channels are
     labeled by ascending |a|.
     """
-    a = matrix.entries
-    vals, vecs = np.linalg.eigh(a)
+    return _eigenchannels(matrix.entries[None])[0]
 
-    if a[0, 2] == 0.0 and a[1, 2] == 0.0:
-        gamma = int(np.argmax(np.abs(vecs[2, :])))
-        mixed = [k for k in range(3) if k != gamma]
-        # alpha is the algebraically larger mixed eigenvalue (plus branch)
-        mixed.sort(key=lambda k: -vals[k])
-        order = [mixed[0], mixed[1], gamma]
-    else:
-        order = sorted(range(3), key=lambda k: abs(vals[k]))
 
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = np.column_stack([_canonical_sign(vecs[:, k]) for k in range(3)])
-    return TwoBodyChannelSet(tuple(as_length(v) for v in vals), vecs)
+def _angle_channels(thetas, a_alpha, a_beta,
+                    a_gamma) -> list[TwoBodyChannelSet]:
+    """channels_from_angle at each theta, the range checked once."""
+    thetas = [float(t) for t in thetas]
+    bad = [t for t in thetas if not 0.0 <= t <= 0.5 * math.pi]
+    if bad:
+        raise SpinAlgebraError(
+            f"mixing angle must lie in [0, pi/2], got {bad[0]!r}")
+    return _rotated_channels(thetas, a_alpha, a_beta, a_gamma)
 
 
 def channels_from_angle(theta: float, a_alpha, a_beta,
@@ -239,11 +293,7 @@ def channels_from_angle(theta: float, a_alpha, a_beta,
     eigenvectors inside the {|11>, |12>_S} block while the attached
     scattering lengths (or unitary/closed flags) stay put.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= 0.5 * math.pi:
-        raise SpinAlgebraError(
-            f"mixing angle must lie in [0, pi/2], got {theta!r}")
-    return _rotated_channels(theta, a_alpha, a_beta, a_gamma)
+    return _angle_channels([theta], a_alpha, a_beta, a_gamma)[0]
 
 
 def pair_basis_rotation(phi: float) -> np.ndarray:
@@ -265,19 +315,38 @@ def one_body_rotation(phi: float, matrix: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix.from_matrix(w.T @ matrix.entries @ w)
 
 
-def _channel_pair_tensors(channels: TwoBodyChannelSet) -> np.ndarray:
-    """2x2 level tensors of the three eigenchannel pair states."""
-    return np.einsum("si,sxy->ixy", channels.vectors, _PAIR_TENSORS)
+def _channel_pair_tensors(vectors: np.ndarray) -> np.ndarray:
+    """(P, 3, 2, 2) level tensors of the eigenchannel pair states of a
+    (P, 3, 3) channel-vector stack."""
+    return np.einsum("psi,sxy->pixy", vectors, _PAIR_TENSORS)
 
 
 def _faddeev_vectors(pair_tensors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """8-dim product-space vectors of the six (channel, spectator) states
-    under the three pair labelings: (12)3, (23)1, (31)2."""
+    """(P, 6, 8) product-space vectors of the six (channel, spectator)
+    states under the three pair labelings: (12)3, (23)1, (31)2."""
     eye = np.eye(2)
-    f12 = np.einsum("ixy,mz->imxyz", pair_tensors, eye).reshape(6, 8).T
-    f23 = np.einsum("iyz,mx->imxyz", pair_tensors, eye).reshape(6, 8).T
-    f31 = np.einsum("izx,my->imxyz", pair_tensors, eye).reshape(6, 8).T
+    shape = (len(pair_tensors), 6, 8)
+    f12 = np.einsum("pixy,mz->pimxyz", pair_tensors, eye).reshape(shape)
+    f23 = np.einsum("piyz,mx->pimxyz", pair_tensors, eye).reshape(shape)
+    f31 = np.einsum("pizx,my->pimxyz", pair_tensors, eye).reshape(shape)
     return f12, f23, f31
+
+
+def _checked_overlaps(o: np.ndarray) -> np.ndarray:
+    """A (P, 6, 6) overlap stack, symmetrized, or the error for its first
+    matrix that is not 6x6 symmetric with entries in [-2, 2]."""
+    if o.shape[1:] != (6, 6):
+        raise SpinAlgebraError("overlap matrix must be 6x6")
+    ot = np.swapaxes(o, 1, 2)
+    dev = np.max(np.abs(o - ot), axis=(1, 2))
+    bad = np.flatnonzero(dev > _ORTHO_TOL)
+    if bad.size:
+        raise SpinAlgebraError(
+            f"overlap not symmetric (max dev {dev[bad[0]]:.3e})")
+    o = 0.5 * (o + ot)
+    if np.any(np.max(np.abs(o), axis=(1, 2)) > 2.0 + 1e-12):
+        raise SpinAlgebraError("overlap entries must lie in [-2, 2]")
+    return o
 
 
 @dataclass(frozen=True)
@@ -296,19 +365,22 @@ class ExchangeOverlap:
 
     def __post_init__(self):
         o = np.asarray(self.matrix, dtype=float)
-        if o.shape != (6, 6):
-            raise SpinAlgebraError("overlap matrix must be 6x6")
-        dev = np.max(np.abs(o - o.T))
-        if dev > _ORTHO_TOL:
-            raise SpinAlgebraError(f"overlap not symmetric (max dev {dev:.3e})")
-        o = 0.5 * (o + o.T)
-        if np.max(np.abs(o)) > 2.0 + 1e-12:
-            raise SpinAlgebraError("overlap entries must lie in [-2, 2]")
-        object.__setattr__(self, "matrix", o)
+        object.__setattr__(self, "matrix", _checked_overlaps(o[None])[0])
+
+
+def _exchange_overlaps(channel_sets) -> list[ExchangeOverlap]:
+    """exchange_overlap of each channel set, built by explicit permutation
+    algebra in the 8-dim product space and checked as one (P, 6, 6)
+    stack."""
+    f12, f23, f31 = _faddeev_vectors(_channel_pair_tensors(
+        np.array([c.vectors for c in channel_sets])))
+    o = _checked_overlaps(f12 @ np.swapaxes(f23, 1, 2)
+                          + f12 @ np.swapaxes(f31, 1, 2))
+    return [_prechecked(ExchangeOverlap, matrix=m, channels=c)
+            for m, c in zip(o, channel_sets)]
 
 
 def exchange_overlap(channels: TwoBodyChannelSet) -> ExchangeOverlap:
     """Assemble the 6x6 exchange overlap by explicit permutation algebra
     in the 8-dim product space."""
-    f12, f23, f31 = _faddeev_vectors(_channel_pair_tensors(channels))
-    return ExchangeOverlap(f12.T @ f23 + f12.T @ f31, channels)
+    return _exchange_overlaps([channels])[0]

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -93,6 +94,62 @@ def test_csv_and_json_encode_identical_numbers(sweep_config, tmp_path):
         for key in ("theta", "R", "value", "w_111_family", "w_mixed_family"):
             assert float(c[key]) == j[key]
         assert int(c["multiplicity"]) == j["multiplicity"]
+
+
+def _formatted_afresh(rows, columns):
+    """Rounding and CSV text as they were before the CSV writer kept
+    _round_rows' text: round each value, then format each rounded float
+    again for the CSV."""
+    def round12(x):
+        if isinstance(x, float):
+            return float(f"{x:.12g}") if math.isfinite(x) else None
+        if isinstance(x, np.floating):
+            return round12(float(x))
+        return x
+
+    rounded = [{k: round12(v) for k, v in row.items()} for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rounded:
+        writer.writerow(["" if row[c] is None else
+                         f"{row[c]:.12g}" if isinstance(row[c], float)
+                         else str(row[c]) for c in columns])
+    return rounded, buf.getvalue()
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, None, True, False, 0, -7,
+               np.float32(0.1), np.float32(-2.5e-7), np.float32(np.inf),
+               -0.0, 0.0, np.float64(1 / 3), -1e-5, 123456789012.5, 2.0,
+               1.7976931348623157e308, 5e-324, "a,b", np.float64(np.nan)]
+
+
+def test_kept_csv_text_matches_formatting_afresh(tmp_path):
+    """The CSV cells _round_rows keeps are the text that formatting the
+    rounded rows again gives, and its rows the same JSON: NaN and +-inf
+    are empty cells and null, None is empty, bool, int and str print as
+    str(), np.float32 rounds as a float, -0.0 stays "-0"."""
+    columns = runner._CSV_COLUMNS["checks"]
+    rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
+            for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
+    rounded, cells = runner._round_rows(rows)
+    ref_rounded, ref_text = _formatted_afresh(rows, columns)
+    assert [json.dumps(r) for r in rounded] == \
+        [json.dumps(r) for r in ref_rounded]
+    text = runner._csv_text(cells, columns)
+    assert text == ref_text
+    assert "\nedge,,,\n" in text  # NaN in both number columns
+    assert "\nedge,-0,-0," in text
+    assert json.dumps(runner._round12(-math.inf)) == "null"
+
+    # write_outputs: the kept text for run()'s table, the same text made
+    # afresh for a table set after run()
+    bundle = run(parse_config("task = invariance-suite\ntrials = 2\n"))
+    for table in (bundle.tables["checks"], rows):
+        bundle.tables["checks"] = table
+        write_outputs(bundle, str(tmp_path), ("csv",))
+        written = (tmp_path / "invariance-suite.csv").read_text()
+        assert written == _formatted_afresh(table, columns)[1]
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -281,6 +338,22 @@ def test_cli_invariance_suite(tmp_path):
     assert devs["one-body-rotation"] < 1e-8
     assert devs["sign-flip"] < 1e-8
     assert len(payload["tables"]["checks"]) == 6
+
+
+def test_invariance_suite_makes_one_stacked_eigh(monkeypatch):
+    """The 100 eigenchannel sets of a 50-trial suite (each trial's matrix
+    and its one-body rotation) come from one (100, 3, 3) eigh."""
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    bundle = run(parse_config("task = invariance-suite\ntrials = 50\n"))
+    assert len(bundle.tables["checks"]) == 100
+    assert [s for s in shapes if s[-2:] == (3, 3)] == [(100, 3, 3)]
 
 
 def test_invariance_suite_work_count(monkeypatch):

@@ -420,6 +420,34 @@ def test_theta_sweep_endpoints_and_continuity():
             assert np.max(np.abs(np.diff(ks))) < 0.13  # 81-point grid bound
 
 
+def test_theta_sweep_builds_its_spin_layer_as_one_stack(monkeypatch):
+    """A 201-point theta sweep makes one stacked overlap build and no
+    one-point channels_from_angle or exchange_overlap call; an r-sweep
+    builds its one theta's overlap once."""
+    import spinor_efimov.spin as spin
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append((name, len(args[0]) if name.startswith("_") else 1))
+            return fn(*args)
+        return wrapped
+
+    for mod in (spin, hyperangular):
+        for name in ("channels_from_angle", "exchange_overlap"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(hyperangular, "_exchange_overlaps", counted(
+        "_exchange_overlaps", hyperangular._exchange_overlaps))
+    table = theta_sweep(np.linspace(0.0, math.pi / 2, 201), "closed",
+                        "unitary", "closed", s_max=5.0)
+    assert len(table.rows) == 201
+    assert calls == [("_exchange_overlaps", 201)]
+    calls.clear()
+    radius_sweep(0.3, 1.0, 1e6, "closed", np.geomspace(1e-2, 1e6, 9))
+    assert calls == [("channels_from_angle", 1), ("exchange_overlap", 1)]
+
+
 def test_theta_sweep_multiplicity_transitions():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from spinor_efimov import hyperradial
 from spinor_efimov.hyperangular import ChannelMatrixSpec, find_roots_imaginary, radius_sweep
 from spinor_efimov.hyperradial import (
     AdiabaticPotential,
@@ -319,6 +320,21 @@ def test_depth_exhaustion_reports_found_levels():
     assert spec.exhaustion_reason == "grid"
     assert spec.n_levels == 1
     assert spec.energies[0] == pytest.approx(-0.1813593, rel=1e-4)
+
+
+@pytest.mark.parametrize("kappa, n_levels", [
+    (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 4)])
+def test_ladder_first_grid_holds_every_level(monkeypatch, kappa, n_levels):
+    """efimov_ladder sizes one grid and solves once: its margin holds the
+    topmost level's outer turning point from kappa 0.05 to 300 (a coarse
+    150 points per decade keeps this quick)."""
+    calls = []
+    monkeypatch.setattr(hyperradial, "bound_states",
+                        lambda *a: calls.append(a) or bound_states(*a))
+    spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels,
+                         points_per_decade=150)
+    assert len(calls) == 1
+    assert spec.n_levels == n_levels and not spec.depth_exhausted
 
 
 def test_repulsive_channel_has_no_bound_states():

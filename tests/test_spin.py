@@ -272,9 +272,9 @@ def test_overlap_continuity_in_theta():
 def test_embedding_columns_orthonormal(theta):
     # the six (channel, spectator) states under the (1,2) pair labeling
     cs = channels_from_angle(theta, 1.0, 2.0, 3.0)
-    f12 = spin._faddeev_vectors(spin._channel_pair_tensors(cs))[0]
-    assert f12.shape == (8, 6)
-    assert np.max(np.abs(f12.T @ f12 - np.eye(6))) < 1e-14
+    f12 = spin._faddeev_vectors(spin._channel_pair_tensors(cs.vectors[None]))[0]
+    assert f12.shape == (1, 6, 8)
+    assert np.max(np.abs(f12[0] @ f12[0].T - np.eye(6))) < 1e-14
 
 
 def test_one_body_rotation_identity():
@@ -308,3 +308,132 @@ def test_pair_rotation_is_orthogonal():
     for phi in np.linspace(0, 2 * math.pi, 13):
         w = pair_basis_rotation(phi)
         assert np.max(np.abs(w.T @ w - np.eye(3))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# stacked builders: each row is the one-point call, bit for bit, and a bad
+# row is refused with the one-point call's message
+# ---------------------------------------------------------------------------
+
+def _assert_same_set(stacked, one):
+    assert stacked.vectors.tobytes() == one.vectors.tobytes()
+    assert stacked.lengths == one.lengths
+    assert stacked.mixing_angle == one.mixing_angle
+
+
+def test_stacked_angle_grid_matches_one_point_calls():
+    thetas = np.linspace(0.0, math.pi / 2, 201)
+    assert thetas[0] == 0.0 and thetas[-1] == math.pi / 2
+    lengths = ("closed", "unitary", "closed")
+    sets = spin._angle_channels(thetas, *lengths)
+    overlaps = spin._exchange_overlaps(sets)
+    for theta, cs, ov in zip(thetas, sets, overlaps, strict=True):
+        one = channels_from_angle(theta, *lengths)
+        _assert_same_set(cs, one)
+        assert ov.channels is cs
+        assert ov.matrix.tobytes() == exchange_overlap(one).matrix.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_invariance_sets_match_one_point_calls(seed):
+    """The reference, one-body-rotation and sign-flip channel sets of a
+    50-trial invariance suite, drawn as the suite draws them."""
+    from spinor_efimov.runner import _conditioned_matrix
+
+    rng = np.random.default_rng(seed)
+    trials = []
+    for _ in range(50):
+        m = _conditioned_matrix(rng)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        trials.append((m, one_body_rotation(phi, m), int(rng.integers(0, 3))))
+    sets = spin._eigenchannels(np.array(
+        [a.entries for m, r, _ in trials for a in (m, r)]))
+    stacked, one = [], []
+    for t, (m, rotated, flip) in enumerate(trials):
+        base = eigenchannels(m)
+        one += [base, eigenchannels(rotated), base.flip_sign(flip)]
+        stacked += [sets[2 * t], sets[2 * t + 1], sets[2 * t].flip_sign(flip)]
+    for cs, ref in zip(stacked, one, strict=True):
+        _assert_same_set(cs, ref)
+    for ov, ref in zip(spin._exchange_overlaps(stacked), one, strict=True):
+        assert ov.matrix.tobytes() == exchange_overlap(ref).matrix.tobytes()
+
+
+def _labelled_one_by_one(matrix):
+    """Lengths and vectors of eigenchannels, labelled in a Python loop per
+    matrix: the reference for the stacked labelling."""
+    a = matrix.entries
+    vals, vecs = np.linalg.eigh(a)
+    if a[0, 2] == 0.0 and a[1, 2] == 0.0:
+        gamma = int(np.argmax(np.abs(vecs[2, :])))
+        mixed = sorted((k for k in range(3) if k != gamma),
+                       key=lambda k: -vals[k])
+        order = [mixed[0], mixed[1], gamma]
+    else:
+        order = sorted(range(3), key=lambda k: abs(vals[k]))
+    columns = []
+    for k in order:
+        vec = vecs[:, k]
+        columns.append(-vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec)
+    return [float(v) for v in vals[order]], np.column_stack(columns)
+
+
+def test_stacked_decoupled_labels_match_one_point_calls():
+    """The toy labelling (gamma decoupled, alpha the larger mixed
+    eigenvalue, ties in index order) next to |a| labelling in one stack,
+    against the one-point call and a per-matrix loop."""
+    rng = np.random.default_rng(7)
+    mats = [ScatteringMatrix.from_entries(3.0, 0.0, 0.0, 3.0, 0.0, 5.0),
+            ScatteringMatrix.from_entries(1.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+            ScatteringMatrix.from_entries(0.0, 1.0, 0.0, 0.0, 0.0, 1.0),
+            ScatteringMatrix.from_entries(2.0, 0.0, 0.0, -2.0, 0.0, 2.0)]
+    for _ in range(20):
+        a11, a22, a12, a33, a13 = rng.uniform(-2.0, 2.0, 5)
+        mats.append(ScatteringMatrix.from_entries(a11, a12, 0.0, a22, 0.0, a33))
+        mats.append(ScatteringMatrix.from_entries(a11, a12, a13, a22, 0.0, a33))
+    sets = spin._eigenchannels(np.array([m.entries for m in mats]))
+    for cs, m in zip(sets, mats, strict=True):
+        _assert_same_set(cs, eigenchannels(m))
+        values, vectors = _labelled_one_by_one(m)
+        assert [l.value for l in cs.lengths] == values
+        assert cs.vectors.tobytes() == vectors.tobytes()
+
+
+def _message(call):
+    with pytest.raises(SpinAlgebraError) as err:
+        call()
+    return str(err.value)
+
+
+def test_stack_with_one_bad_vector_set_raises_the_one_point_message():
+    lengths = tuple(as_length(a) for a in (1.0, 2.0, 3.0))
+    good = channels_from_angle(0.3, *lengths).vectors
+    bad = good.copy()
+    bad[0, 0] += 1e-6
+    one = _message(lambda: spin.TwoBodyChannelSet(lengths, bad))
+    assert one.startswith("eigenvectors not orthonormal")
+    assert _message(lambda: spin._channel_sets(
+        [lengths] * 3, np.array([good, bad, good]))) == one
+
+
+@pytest.mark.parametrize("entry, value, start", [
+    ((0, 1), None, "overlap not symmetric"),  # off by 1e-9 from (1, 0)
+    ((2, 2), 2.5, "overlap entries must lie in [-2, 2]"),
+])
+def test_stack_with_one_bad_overlap_raises_the_one_point_message(entry, value,
+                                                                 start):
+    cs = channels_from_angle(0.3, 1.0, 2.0, 3.0)
+    good = exchange_overlap(cs).matrix
+    bad = good.copy()
+    bad[entry] = bad[entry] + 1e-9 if value is None else value
+    one = _message(lambda: spin.ExchangeOverlap(bad, cs))
+    assert one.startswith(start)
+    assert _message(lambda: spin._checked_overlaps(
+        np.array([good, good, bad, good]))) == one
+
+
+def test_stack_with_one_bad_angle_raises_the_one_point_message():
+    one = _message(lambda: channels_from_angle(2.0, 1.0, 2.0, 3.0))
+    assert one == "mixing angle must lie in [0, pi/2], got 2.0"
+    assert _message(lambda: spin._angle_channels(
+        [0.1, 2.0, 0.2, -1.0], 1.0, 2.0, 3.0)) == one
