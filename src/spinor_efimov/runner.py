@@ -59,38 +59,44 @@ class ResultBundle:
     tables: dict[str, list[dict]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     sweep_table: "SweepTable | None" = field(default=None, repr=False)
-    #: table -> (its rounded rows, their CSV cells) as run() made them;
+    #: (the CSV table's rows, their CSV text) as run() rounded them;
     #: write_outputs formats a table afresh that is no longer that list
-    _cells: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _csv: tuple = field(default=(None, None), init=False, repr=False,
+                        compare=False)
 
 
 def _round12(x):
     """A float (numpy's too) to 12 significant digits, or None if it is
     not finite; any other value (None, bool, int, str) as it is."""
-    return _round_rows([{"x": x}])[0][0]["x"]
+    row = {"x": x}
+    _round_rows([row])
+    return row["x"]
 
 
-def _round_rows(rows: list[dict]) -> tuple[list[dict], list[dict]]:
-    """The rows with each float (numpy's too) rounded to 12 significant
-    digits, or None if it is not finite, and the rows' CSV cells: the
-    .12g text a float was rounded from, "" for None, str() of any other
-    value (bool, int, str)."""
-    rounded, cells = [], []
+def _round_rows(rows: list[dict], columns: list[str] | None = None
+                ) -> str | None:
+    """Round each float (numpy's too) of the rows in place to 12
+    significant digits, or to None if it is not finite; given columns,
+    return the rows' CSV text in those columns, written from the .12g
+    text each float was rounded from ("" for None, str() of any other
+    value)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if columns:
+        writer.writerow(columns)
     for row in rows:
-        values, texts = {}, {}
+        texts = {}
         for k, v in row.items():
             if isinstance(v, (float, np.floating)):
                 v = float(v)
                 text = f"{v:.12g}" if math.isfinite(v) else ""
-                v = float(text) if text else None
+                row[k] = float(text) if text else None
             else:
                 text = "" if v is None else str(v)
-            values[k] = v
             texts[k] = text
-        rounded.append(values)
-        cells.append(texts)
-    return rounded, cells
+        if columns:
+            writer.writerow([texts[c] for c in columns])
+    return buf.getvalue() if columns else None
 
 
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
@@ -223,15 +229,16 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     rng = np.random.default_rng(cfg.seed)
     cases = []  # (trial, check, phi), three per trial, reference first
     # per trial: its matrix and that matrix rotated, and the channel to flip
-    matrices, flips = [], []
+    matrices, flips = np.empty((2 * cfg.trials, 3, 3)), []
     for trial in range(cfg.trials):
         m = _conditioned_matrix(rng)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        matrices += [m.entries, one_body_rotation(phi, m).entries]
+        matrices[2 * trial] = m.entries
+        matrices[2 * trial + 1] = one_body_rotation(phi, m).entries
         flips.append(int(rng.integers(0, 3)))
         cases += [(trial, "reference", None), (trial, "one-body-rotation", phi),
                   (trial, "sign-flip", None)]
-    sets = _eigenchannels(np.array(matrices))
+    sets = _eigenchannels(matrices)
     channels = []
     for trial, flip in enumerate(flips):
         base, rotated = sets[2 * trial: 2 * trial + 2]
@@ -282,8 +289,12 @@ def run(cfg: RunConfig) -> ResultBundle:
         "config": config_as_dict(cfg),
     })
     bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
-    bundle._cells = {k: _round_rows(v) for k, v in bundle.tables.items()}
-    bundle.tables = {k: rows for k, (rows, _) in bundle._cells.items()}
+    csv_table = _TASKS[cfg.task][1] if "csv" in cfg.formats else None
+    for name, rows in bundle.tables.items():  # the rows are run()'s own
+        text = _round_rows(rows, _CSV_COLUMNS[name]
+                           if name == csv_table else None)
+        if name == csv_table:
+            bundle._csv = (rows, text)
     return bundle
 
 
@@ -293,15 +304,6 @@ _CSV_COLUMNS = {
     "levels": ["n", "energy", "ratio_to_next", "nodes"],
     "checks": ["check", "trial", "phi", "deviation"],
 }
-
-
-def _csv_text(cells: list[dict], columns: list[str]) -> str:
-    """CSV of the cells _round_rows made, in the given column order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in cells)
-    return buf.getvalue()
 
 
 def _json_pieces(bundle: ResultBundle):
@@ -340,12 +342,13 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             bundle.warnings.extend(fig_warnings)
     if "csv" in formats:
         name = _TASKS[task][1]
-        rows, cells = bundle._cells.get(name, (None, None))
-        if rows is not bundle.tables[name]:  # a table not made by run()
-            cells = _round_rows(bundle.tables[name])[1]
+        rows, text = bundle._csv
+        if rows is not bundle.tables[name]:  # not the table run() wrote out
+            text = _round_rows([dict(row) for row in bundle.tables[name]],
+                               _CSV_COLUMNS[name])
         path = os.path.join(out_dir, f"{task}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(_csv_text(cells, _CSV_COLUMNS[name]))
+            f.write(text)
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{task}.json")

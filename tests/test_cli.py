@@ -125,31 +125,37 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, None, True, False, 0, -7,
 
 
 def test_kept_csv_text_matches_formatting_afresh(tmp_path):
-    """The CSV cells _round_rows keeps are the text that formatting the
-    rounded rows again gives, and its rows the same JSON: NaN and +-inf
-    are empty cells and null, None is empty, bool, int and str print as
-    str(), np.float32 rounds as a float, -0.0 stays "-0"."""
+    """The CSV text _round_rows writes from the .12g text it rounds from
+    is the text that formatting the rounded rows again gives, and the rows
+    it rounds in place give the same JSON: NaN and +-inf are empty cells and null, None is empty,
+    bool, int and str print as str(), np.float32 rounds as a float, -0.0
+    stays "-0"."""
     columns = runner._CSV_COLUMNS["checks"]
     rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
             for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
-    rounded, cells = runner._round_rows(rows)
+    rounded = [dict(row) for row in rows]
+    text = runner._round_rows(rounded, columns)
     ref_rounded, ref_text = _formatted_afresh(rows, columns)
     assert [json.dumps(r) for r in rounded] == \
         [json.dumps(r) for r in ref_rounded]
-    text = runner._csv_text(cells, columns)
     assert text == ref_text
     assert "\nedge,,,\n" in text  # NaN in both number columns
     assert "\nedge,-0,-0," in text
+    assert runner._round_rows([dict(row) for row in rows]) is None
     assert json.dumps(runner._round12(-math.inf)) == "null"
 
-    # write_outputs: the kept text for run()'s table, the same text made
-    # afresh for a table set after run()
-    bundle = run(parse_config("task = invariance-suite\ntrials = 2\n"))
-    for table in (bundle.tables["checks"], rows):
-        bundle.tables["checks"] = table
-        write_outputs(bundle, str(tmp_path), ("csv",))
-        written = (tmp_path / "invariance-suite.csv").read_text()
-        assert written == _formatted_afresh(table, columns)[1]
+    # write_outputs: the text run() kept for its table, the same text
+    # made afresh for a table set after run() or one run() did not write
+    # out (format = json)
+    for formats in ("csv", "json"):
+        bundle = run(parse_config(
+            f"task = invariance-suite\ntrials = 2\nformat = {formats}\n"))
+        for table in (bundle.tables["checks"], rows):
+            bundle.tables["checks"] = table
+            write_outputs(bundle, str(tmp_path), ("csv",))
+            written = (tmp_path / "invariance-suite.csv").read_text()
+            assert written == _formatted_afresh(table, columns)[1]
+        assert rows[0]["phi"] is not None  # formatted afresh from a copy
 
 
 def test_cli_error_paths(tmp_path, capsys):
