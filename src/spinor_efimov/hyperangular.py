@@ -629,7 +629,7 @@ def _candidates(p, x, curves, step):
     return brackets, (p[i], k, x[i], x[i + 2])
 
 
-def _refine(values, lo, hi, f_lo, f_hi) -> np.ndarray:
+def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
     """Refine every bracket [lo[i], hi[i]] to the sign change of its
     function at once; values(idx, x) evaluates the functions of brackets
     idx at points x.  Each round steps every live bracket to its Illinois
@@ -638,10 +638,13 @@ def _refine(values, lo, hi, f_lo, f_hi) -> np.ndarray:
     bracket, or to its midpoint if the bracket has not halved in two
     rounds, as at the kinks where sorted curves cross.  Exact zeros at an
     end or a step are returned as they are; otherwise a bracket stops once
-    it is no wider than tol = max(1e-12, 4 eps |hi_0|) or at floating
-    resolution, and its midpoint is returned."""
+    it is no wider than tol[i] or at floating resolution, and its midpoint
+    is returned.  The caller sets tol: the channel roots and branch ends
+    here keep the default max(1e-12, 4 eps |hi_0|), and the trimer ladder
+    (hyperradial.bound_states) passes its relative energy tolerance."""
     lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+    if tol is None:
+        tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
     out = np.where(f_lo == 0.0, lo, hi)
     exact = (f_lo == 0.0) | (f_hi == 0.0)
     live = ~exact

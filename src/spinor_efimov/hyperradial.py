@@ -20,8 +20,9 @@ which Numerov handles at fourth order with a uniform x step.  The
 outward and inward sweeps are each one compiled forward substitution
 (LAPACK dtbtrs on the lower-triangular three-term recurrence), matched
 through the discrete Wronskian at the outer turning point.  Each level
-is bracketed on ln|E| by its node count and then refined by Illinois
-regula falsi on the matching defect.  The deepest level's bracket comes
+is bracketed on ln|E| by its node count and then refined on the matching
+defect by hyperangular._refine, the safeguarded Illinois regula falsi
+that also refines every channel root.  The deepest level's bracket comes
 from bisection; each level above it is probed first where discrete scale
 invariance, E_{n+1} = E_n exp(-2 pi/kappa), puts it.
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperangular import SweepTable
+from .hyperangular import SweepTable, _refine
 
 #: WKB growth budget past the outer turning point; beyond it the solution
 #: is sign-frozen and node-free, so integration can stop
@@ -71,8 +72,9 @@ class PhysicalConvention:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise HyperradialError("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise HyperradialError(
+                f"mass must be positive and finite, got {self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,9 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
                  channel: int = 0) -> LadderSpectrum:
     """Bound levels of one channel with F(wall_radius) = 0 and a decaying
     outer boundary, by outward/inward Numerov shooting: a node-count
-    bracket of width _COUNT_WINDOW in ln|E|, then Illinois regula falsi on
-    the matching defect to relative energy tolerance _E_RTOL (1e-9).  The
+    bracket of width _COUNT_WINDOW in ln|E|, then the shared Illinois
+    regula falsi (hyperangular._refine) on the matching defect to relative
+    energy tolerance _E_RTOL (1e-9).  The
     deepest level is bracketed by bisection.  Each level above it is
     probed first at ln|E_prev| - 2 pi/kappa +- _COUNT_WINDOW/2, with kappa
     read at the previous level's outer turning point, and the window is
@@ -378,41 +381,25 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         # phase 1: a _COUNT_WINDOW bracket, its end shots kept for phase 2
         lo, hi, shallow, deep = narrow(t_top, t_deep, top, None, guess, half,
                                        _COUNT_WINDOW)
-        # phase 2: Illinois regula falsi on the matching defect inside the
-        # node window (Dowell and Jarratt, BIT 11, 1971): the secant point
-        # of the bracket, with the defect of an end kept twice in a row
-        # halved so that both ends close in
         ea, eb = -math.exp(hi), -math.exp(lo)  # ea deep side, eb shallow
-        # the level's node count is read at the window's deep end: a secant
-        # point can land within round-off of the level, where round-off
-        # decides whether the outward solution's diverging tail has a node
+        # the level's node count is read at the window's deep end: a
+        # refinement point can land within round-off of the level, where
+        # round-off decides whether the outward solution's diverging tail
+        # has a node
         nodes, fa = deep or shooter.shoot(ea)
         fb = shallow[1]
         if (fa < 0) != (fb < 0):
-            kept = 0  # -1: ea was kept by the last step, +1: eb was
-            while (eb - ea) > _E_RTOL * abs(ea):
-                em = eb - fb * (eb - ea) / (fb - fa)
-                if not ea < em < eb:
-                    em = 0.5 * (ea + eb)
-                _, fm = shooter.shoot(em)
-                if fm == 0.0:
-                    ea = eb = em
-                elif (fa < 0) != (fm < 0):
-                    eb, fb = em, fm
-                    if kept < 0:
-                        fa *= 0.5
-                    kept = -1
-                else:
-                    ea, fa = em, fm
-                    if kept > 0:
-                        fb *= 0.5
-                    kept = 1
+            # phase 2: the package's Illinois regula falsi on the matching
+            # defect inside the node window
+            level = float(_refine(
+                lambda idx, e: np.array([shooter.shoot(float(e[0]))[1]]),
+                np.array([ea]), np.array([eb]), np.array([fa]),
+                np.array([fb]), np.array([_E_RTOL * -ea]))[0])
         else:
             # fall back to pure node-count bisection at full resolution
             lo, hi, _, _ = narrow(lo, hi, shallow, deep, guess, math.inf,
                                   _E_RTOL)
-            ea, eb = -math.exp(hi), -math.exp(lo)
-        level = 0.5 * (ea + eb)
+            level = 0.5 * (-math.exp(hi) - math.exp(lo))
         energies.append(level)
         nodes_out.append(nodes)
         t_deep = math.log(-level) - 1e-12  # next level is shallower
@@ -422,22 +409,22 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
 
 
 def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
-                  convention: PhysicalConvention = PhysicalConvention(),
-                  points_per_decade: int = 4000) -> LadderSpectrum:
+                  convention: PhysicalConvention = PhysicalConvention()
+                  ) -> LadderSpectrum:
     """Ladder of the pure unitary channel U = -(kappa^2 + 1/4)/(2 mu R^2)
-    regularized by a hard wall, on an automatically sized grid.
+    regularized by a hard wall, on an automatically sized grid of 4,000
+    points per decade.
 
     The n-th level sits a factor e^(2 pi/kappa) above the last, so the
     grid spans n pi / (kappa ln 10) decades plus a margin that holds the
-    topmost level's outer turning point, capped at 1.2e6 points.  Levels
-    past the grid's end come back with exhaustion_reason "grid".
+    topmost level's outer turning point, capped at 1.2e6 points (300
+    decades, so 10^decades stays finite).  Levels past the grid's end
+    come back with exhaustion_reason "grid".
     """
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
-    decades = 1.2 + n_levels * math.pi / (kappa * math.log(10.0)) + math.log10(12.0)
-    if decades * points_per_decade > 1.2e6:
-        decades = 1.2e6 / points_per_decade
+    decades = min(300.0, 1.2 + n_levels * math.pi / (kappa * math.log(10.0))
+                  + math.log10(12.0))
     pot = inverse_square_potential(
-        kappa, wall_radius, wall_radius * 10.0 ** decades, convention,
-        points_per_decade)
+        kappa, wall_radius, wall_radius * 10.0 ** decades, convention)
     return bound_states(pot, wall_radius, n_levels)

@@ -1166,12 +1166,15 @@ def _scalar_case(kind, r, c1, c2, gap, sign, width):
     st.sampled_from(["cubic", "exp", "max", "min", "flat"]),
     st.floats(-20.0, 20.0), st.floats(1e-9, 20.0), st.floats(0.0, 1.0),
     st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(0.0, 1.0),
-    st.sampled_from([-1.0, 1.0])), min_size=1, max_size=12))
-def test_refine_lands_on_the_sign_change(cases):
+    st.sampled_from([-1.0, 1.0])), min_size=1, max_size=12),
+    tol_exp=st.none() | st.floats(-12.0, 0.0))
+def test_refine_lands_on_the_sign_change(cases, tol_exp):
     """All brackets refined in one call: each result lies in its starting
-    bracket, within tol = max(1e-12, 4 eps |hi_0|) of the sign change (an
-    exact zero at an end is returned as it is), and the bisection
-    safeguard halves every bracket at least once in three rounds."""
+    bracket, within tol of the sign change (an exact zero at an end is
+    returned as it is), and the bisection safeguard halves every bracket
+    at least once in three rounds.  tol is the default max(1e-12,
+    4 eps |hi_0|) or, for tol_exp given, the caller's max(1e-12,
+    10^tol_exp (hi_0 - lo_0)) per bracket."""
     funcs, lo, hi, want = [], [], [], []
     for kind, a, width, frac, e1, e2, gap, sign in cases:
         c1, c2 = 10.0 ** e1, 10.0 ** e2
@@ -1191,8 +1194,12 @@ def test_refine_lands_on_the_sign_change(cases):
         rounds.append(idx.size)
         return np.array([funcs[i](v) for i, v in zip(idx, x)])
 
-    got = hyperangular._refine(values, lo, hi, f_lo, f_hi)
-    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+    if tol_exp is None:
+        tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
+        got = hyperangular._refine(values, lo, hi, f_lo, f_hi)
+    else:
+        tol = np.maximum(1e-12, 10.0 ** tol_exp * (hi - lo))
+        got = hyperangular._refine(values, lo, hi, f_lo, f_hi, tol)
     for x, a, b, t, (first, last), fa, fb in zip(got, lo, hi, tol, want,
                                                  f_lo, f_hi):
         assert a <= x <= b
@@ -1201,6 +1208,8 @@ def test_refine_lands_on_the_sign_change(cases):
             assert x == (a if fa == 0.0 else b)
     width = np.max(hi - lo)
     assert len(rounds) <= 3 * max(0.0, math.log2(width / 1e-12)) + 3
+    # the same bound in tol: a wider tol ends the refinement sooner
+    assert len(rounds) <= 3 * max(0.0, np.max(np.log2((hi - lo) / tol))) + 3
 
 
 def test_refine_returns_an_exact_zero_at_a_step():

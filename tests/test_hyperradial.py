@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -109,6 +110,10 @@ def test_dimer_limit_potential():
 def test_convention_requires_equal_masses():
     with pytest.raises(HyperradialError):
         PhysicalConvention(mass=-1.0)
+    # a non-finite mass is refused by name, not by the ladder's grid check
+    for mass in (math.nan, math.inf):
+        with pytest.raises(HyperradialError, match=f"finite, got {mass}"):
+            PhysicalConvention(mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +197,10 @@ def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
 
 
 @pytest.mark.parametrize("kappa, n_levels, max_shots", [
-    # 39 and 30 with each level above the deepest probed at its
-    # scale-invariant guess; 74 and 59 when every level was bisected
-    # cold, 152 and 117 with bisection refinement and repeated shoots
+    # 37 and 30 with each level refined by hyperangular._refine; 39 and
+    # 30 with the earlier Illinois loop of bound_states' own; 74 and 59
+    # when every level was bisected cold, 152 and 117 with bisection
+    # refinement and repeated shoots
     (1.00624, 4, 45),
     (0.41370, 3, 36),
 ])
@@ -296,6 +302,46 @@ def test_ladder_against_bessel_zero_oracle(ladder_ib):
         assert e_solver == pytest.approx(e_oracle, rel=1e-6)
 
 
+def exact_ladder(kappa, n_levels, r0, mass):
+    """The n_levels deepest hard-wall levels of U = -(kappa^2+1/4)/(2 m R^2),
+    E_n = -z_n^2 / (2 m r0^2) for the zeros z_n of K_{i kappa} (Braaten
+    and Hammer, Phys. Rep. 428, 259, 2006), at 25 digits.  K_{i kappa}(z)
+    has no zero above z = kappa; below it the zeros lie pi/kappa apart in
+    ln z, so a downward scan in ln z from kappa + 5 in steps of a sixteenth
+    of that spacing meets them one by one, deepest level first."""
+    def k_of(lz):
+        return mpmath.re(mpmath.besselk(1j * mpmath.mpf(kappa), mpmath.exp(lz)))
+
+    with mpmath.workdps(25):
+        step = math.pi / kappa / 16.0
+        lz = math.log(kappa + 5.0)
+        f = k_of(lz)
+        levels = []
+        while len(levels) < n_levels:
+            lz_next = lz - step
+            f_next = k_of(lz_next)
+            if (f < 0) != (f_next < 0):
+                z = mpmath.exp(mpmath.findroot(k_of, (lz_next, lz),
+                                               solver="anderson"))
+                levels.append(float(-z * z / (2 * mass * r0 * r0)))
+            lz, f = lz_next, f_next
+    return levels
+
+
+@pytest.mark.parametrize("kappa, n_levels, rel", [
+    (KAPPA_IB, 4, 1e-9), (2.0, 5, 1e-9), (0.41370, 3, 1e-7)])
+@pytest.mark.parametrize("r0, mass", [(1e-3, 1.0), (3e-3, 2.0), (1e-2, 0.5)])
+def test_ladder_matches_exact_spectrum(kappa, n_levels, rel, r0, mass):
+    """Every level of efimov_ladder against the zeros of K_{i kappa}.  The
+    tolerance is what the 4,000-points-per-decade grid reaches: within
+    7.8e-10 at kappa 1.00624 and 2 (the level tolerance _E_RTOL is 1e-9),
+    5.6e-8 on the upper levels at kappa 0.41370."""
+    spec = efimov_ladder(kappa, r0, n_levels, PhysicalConvention(mass))
+    assert spec.nodes == tuple(range(n_levels))
+    assert spec.energies == pytest.approx(
+        exact_ladder(kappa, n_levels, r0, mass), rel=rel, abs=0.0)
+
+
 def test_wall_position_covariance():
     a = efimov_ladder(KAPPA_IB, wall_radius=1e-3, n_levels=3)
     b = efimov_ladder(KAPPA_IB, wall_radius=3e-3, n_levels=3)
@@ -326,13 +372,11 @@ def test_depth_exhaustion_reports_found_levels():
     (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 4)])
 def test_ladder_first_grid_holds_every_level(monkeypatch, kappa, n_levels):
     """efimov_ladder sizes one grid and solves once: its margin holds the
-    topmost level's outer turning point from kappa 0.05 to 300 (a coarse
-    150 points per decade keeps this quick)."""
+    topmost level's outer turning point from kappa 0.05 to 300."""
     calls = []
     monkeypatch.setattr(hyperradial, "bound_states",
                         lambda *a: calls.append(a) or bound_states(*a))
-    spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels,
-                         points_per_decade=150)
+    spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
     assert len(calls) == 1
     assert spec.n_levels == n_levels and not spec.depth_exhausted
 
@@ -389,11 +433,22 @@ def test_bound_states_channel_out_of_range(channel):
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"wall_radius": 0.0}, "r_min"),
-    ({"points_per_decade": 0}, "points_per_decade"),
+    # 548 and 219 decades are capped at 300, whose far end R = 1e297
+    # overflows R^2: refused, not an OverflowError from 10 ** decades
+    ({"kappa": 0.02, "n_levels": 12}, "not finite"),
+    ({"kappa": 0.05, "n_levels": 12}, "not finite"),
 ])
 def test_ladder_grid_input_is_typed_error(kwargs, match):
     with pytest.raises(HyperradialError, match=match):
-        efimov_ladder(1.0, **kwargs)
+        efimov_ladder(**({"kappa": 1.0} | kwargs))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"points_per_decade": 0}, "points_per_decade"),
+])
+def test_inverse_square_grid_input_is_typed_error(kwargs, match):
+    with pytest.raises(HyperradialError, match=match):
+        inverse_square_potential(1.0, 1e-3, 1e3, CONV, **kwargs)
 
 
 @pytest.mark.parametrize("radii", [[1e-300, 1e-299], [1e-160, 1e-159],
