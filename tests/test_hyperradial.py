@@ -197,9 +197,9 @@ def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
 
 
 @pytest.mark.parametrize("kappa, n_levels, max_shots", [
-    # 37 and 30 with each level refined by hyperangular._refine; 39 and
-    # 30 with the earlier Illinois loop of bound_states' own; 74 and 59
-    # when every level was bisected cold, 152 and 117 with bisection
+    # 37 and 30 with each level refined by hyperangular._refine (39 and
+    # 30 by a separate Illinois loop in bound_states); 74 and 59 when
+    # every level was bisected cold, 152 and 117 with bisection
     # refinement and repeated shoots
     (1.00624, 4, 45),
     (0.41370, 3, 36),
@@ -433,7 +433,7 @@ def test_bound_states_channel_out_of_range(channel):
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"wall_radius": 0.0}, "r_min"),
-    # 548 and 219 decades are capped at 300, whose far end R = 1e297
+    # 821 and 330 decades are capped at 300, whose far end R = 1e297
     # overflows R^2: refused, not an OverflowError from 10 ** decades
     ({"kappa": 0.02, "n_levels": 12}, "not finite"),
     ({"kappa": 0.05, "n_levels": 12}, "not finite"),
@@ -443,12 +443,9 @@ def test_ladder_grid_input_is_typed_error(kwargs, match):
         efimov_ladder(**({"kappa": 1.0} | kwargs))
 
 
-@pytest.mark.parametrize("kwargs, match", [
-    ({"points_per_decade": 0}, "points_per_decade"),
-])
-def test_inverse_square_grid_input_is_typed_error(kwargs, match):
-    with pytest.raises(HyperradialError, match=match):
-        inverse_square_potential(1.0, 1e-3, 1e3, CONV, **kwargs)
+def test_inverse_square_grid_needs_points_per_decade():
+    with pytest.raises(HyperradialError, match="points_per_decade"):
+        inverse_square_potential(1.0, 1e-3, 1e3, CONV, points_per_decade=0)
 
 
 @pytest.mark.parametrize("radii", [[1e-300, 1e-299], [1e-160, 1e-159],
