@@ -22,8 +22,8 @@ outward and inward sweeps are each one compiled forward substitution
 through the discrete Wronskian at the outer turning point.  Each level
 is bracketed on ln|E| by its node count and then refined on the matching
 defect by hyperangular._refine, the safeguarded Illinois regula falsi
-that also refines every channel root.  The deepest level's bracket comes
-from bisection; each level above it is probed first where discrete scale
+that also refines every channel root.  The deepest level is probed first
+at a zero of K_{i kappa}, each level above it where discrete scale
 invariance, E_{n+1} = E_n exp(-2 pi/kappa), puts it.
 
 scipy is imported only when a ladder is solved: _numerov_sweep loads
@@ -35,6 +35,7 @@ name.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -233,6 +234,27 @@ def _count_nodes(y: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] != s[1:]))
 
 
+def _arg_gamma(kappa: float) -> float:
+    """Im ln Gamma(1 + i kappa): the recurrence up to Gamma(16 + i kappa),
+    then the Stirling series (first omitted term below 3e-12 there)."""
+    z = complex(16.0, kappa)
+    series = ((z - 0.5) * cmath.log(z) - z + 1.0 / (12.0 * z)
+              - 1.0 / (360.0 * z ** 3) + 1.0 / (1260.0 * z ** 5))
+    return series.imag - sum(math.atan2(kappa, k) for k in range(1, 16))
+
+
+def _deepest_level(kappa: float, two_mu_r2: float) -> float:
+    """ln|E| = 2 ln z - ln(2 mu R0^2) of the deepest hard-wall level of a
+    scale-free channel, at the largest zero z < kappa of K_{i kappa}: of its
+    small-z form (DLMF 10.45.7), plus the O(z^2) term's shift of ln z.  In
+    ln z, since z underflows at small kappa."""
+    phase = _arg_gamma(kappa)
+    n = math.floor((phase - kappa * math.log(0.5 * kappa)) / math.pi) + 1
+    ln_z = math.log(2.0) + (phase - n * math.pi) / kappa
+    ln_z += math.exp(2.0 * ln_z) / (4.0 * (1.0 + kappa * kappa))
+    return 2.0 * ln_z - math.log(two_mu_r2)
+
+
 class _RadialShooter:
     """Outward/inward Numerov machinery for one channel on a log grid."""
 
@@ -262,34 +284,46 @@ class _RadialShooter:
                 f"wall radius {wall_radius:.9g} is off the grid; the nearest "
                 f"grid radius is {r[i0]:.9g}")
         self.h = h
-        self.radii = r[i0:]
-        self.u = pot.potentials[channel, i0:]
-        mu = pot.convention.mass
-        self.two_mu_r2 = 2.0 * mu * self.radii ** 2
-        self.w = self.two_mu_r2 * self.u  # 2 mu R^2 U, equals s^2 - 1/4
-        self.u_min = float(np.min(self.u))
-        self.u_end = float(self.u[-1])
+        u = pot.potentials[channel, i0:]
+        self.two_mu_r2 = 2.0 * pot.convention.mass * r[i0:] ** 2
+        self.s2 = 0.25 + self.two_mu_r2 * u  # q = s2 - E 2 mu R^2
+        # suffix minimum of v = s2 / (2 mu R^2); q < 0 exactly where v < E
+        self.v_floor = np.minimum.accumulate(
+            (self.s2 / self.two_mu_r2)[::-1])[::-1]
+        self.u_min = float(np.min(u))
+        self.u_end = float(u[-1])
 
-    def q_of(self, energy: float) -> np.ndarray:
-        return 0.25 + self.w - energy * self.two_mu_r2
+    def turning_point(self, energy: float) -> int:
+        """Index of the outermost grid point with q < 0, or -1: where
+        v_floor crosses E, within a margin far above round-off."""
+        lo, hi = np.searchsorted(self.v_floor,
+                                 [energy * (1 + 1e-9), energy * (1 - 1e-9)])
+        lo = max(int(lo) - 1, 0)
+        neg = np.nonzero(self.s2[lo:hi] < energy * self.two_mu_r2[lo:hi])[0]
+        return lo + int(neg[-1]) if neg.size else -1
 
     def shoot(self, energy: float) -> tuple[int, float]:
         """Node count and discrete-Wronskian matching defect at E < 0."""
-        q = self.q_of(energy)
-        neg = np.nonzero(q < 0.0)[0]
-        if neg.size == 0:
+        it = self.turning_point(energy)
+        if it < 0:
             return 0, 1.0  # no classically allowed region
-        it = int(neg[-1])
-        it = min(max(it, 1), q.size - 3)
-        # truncate the forbidden tail once the WKB growth budget is spent
-        growth = np.cumsum(np.sqrt(np.maximum(q[it:], 0.0))) * self.h
-        extra = int(np.searchsorted(growth, _GROWTH_CUTOFF))
-        stop = min(it + max(extra, 2), q.size - 1)
+        n = self.s2.size
+        it = min(max(it, 1), n - 3)
+        # truncate the forbidden tail once the WKB growth budget is spent,
+        # summed over ever longer windows until one passes the budget
+        for end in (it + 8192, it + 32768, n):
+            q = self.s2[it:end] - energy * self.two_mu_r2[it:end]
+            growth = np.cumsum(np.sqrt(np.maximum(q, 0.0))) * self.h
+            extra = int(np.searchsorted(growth, _GROWTH_CUTOFF))
+            if extra < growth.size or end >= n:
+                break
+        stop = min(it + max(extra, 2), n - 1)
+        q = self.s2[: stop + 1] - energy * self.two_mu_r2[: stop + 1]
 
-        y_out = _numerov_sweep(q[: stop + 1], self.h, 0.0, 1.0)
+        y_out = _numerov_sweep(q, self.h, 0.0, 1.0)
         nodes = _count_nodes(y_out[1:])
 
-        y_in = _numerov_sweep(q[it: stop + 1][::-1], self.h, 0.0, 1.0)[::-1]
+        y_in = _numerov_sweep(q[it:][::-1], self.h, 0.0, 1.0)[::-1]
         p0, p1 = 1.0 - (self.h * self.h / 12.0) * q[it: it + 2]
         po, pi_ = p0 * y_out[it], p0 * y_in[0]
         po1, pi1 = p1 * y_out[it + 1], p1 * y_in[1]
@@ -304,12 +338,13 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     outer boundary, by outward/inward Numerov shooting: a node-count
     bracket of width _COUNT_WINDOW in ln|E|, then the shared Illinois
     regula falsi (hyperangular._refine) on the matching defect to relative
-    energy tolerance _E_RTOL (1e-9).  The
-    deepest level is bracketed by bisection.  Each level above it is
-    probed first at ln|E_prev| - 2 pi/kappa +- _COUNT_WINDOW/2, with kappa
-    read at the previous level's outer turning point, and the window is
-    widened fourfold while it misses; where s^2 >= 0 there, the level is
-    bisected as the deepest one.  No energy is shot twice.
+    energy tolerance _E_RTOL (1e-9).  Each level is probed first at
+    guess +- _COUNT_WINDOW/2, widened fourfold while it misses: the deepest
+    at _deepest_level with kappa read at the wall, each above it at
+    ln|E_prev| - 2 pi/kappa with kappa the mean of its readings at the
+    outer turning points of E_prev and of that guess.  Where s^2 >= 0 at
+    the wall or E_prev's turning point, the level is bisected instead.  No
+    energy is shot twice.
 
     Returns the levels the grid and double precision can support; when the
     requested count runs past that, the found levels come back with
@@ -359,6 +394,12 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
                 hi, deep = mid, shot
         return lo, hi, shallow, deep
 
+    def kappa_at(energy):
+        """sqrt(-s^2) at the outer turning point of energy (at the wall for
+        None); 0 where s^2 >= 0 there or nothing is classically allowed"""
+        i = 0 if energy is None else shooter.turning_point(energy)
+        return math.sqrt(max(-shooter.s2[i], 0.0)) if i >= 0 else 0.0
+
     energies: list[float] = []
     nodes_out: list[int] = []
     exhausted = None
@@ -369,15 +410,15 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
-        # the scale-invariant guess (see the docstring); exact for a
-        # scale-free channel
-        guess, half = 0.0, math.inf
-        if energies:
-            neg = np.nonzero(shooter.q_of(energies[-1]) < 0.0)[0]
-            s2 = shooter.w[neg[-1]] + 0.25 if neg.size else 0.0
-            if s2 < 0.0:
-                guess = math.log(-energies[-1]) - 2.0 * math.pi / math.sqrt(-s2)
-                half = 0.5 * _COUNT_WINDOW
+        # the guesses of the docstring; both exact for a scale-free channel
+        guess, kappa = 0.0, kappa_at(energies[-1] if energies else None)
+        if kappa and energies:
+            t_prev = math.log(-energies[-1])
+            kappa_2 = kappa_at(-math.exp(t_prev - 2.0 * math.pi / kappa))
+            guess = t_prev - 4.0 * math.pi / (kappa + (kappa_2 or kappa))
+        elif kappa:
+            guess = _deepest_level(kappa, shooter.two_mu_r2[0])
+        half = 0.5 * _COUNT_WINDOW if kappa else math.inf
         # phase 1: a _COUNT_WINDOW bracket, its end shots kept for phase 2
         lo, hi, shallow, deep = narrow(t_top, t_deep, top, None, guess, half,
                                        _COUNT_WINDOW)

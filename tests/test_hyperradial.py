@@ -4,8 +4,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from spinor_efimov import hyperradial
 from spinor_efimov.hyperangular import ChannelMatrixSpec, find_roots_imaginary, radius_sweep
@@ -15,6 +13,10 @@ from spinor_efimov.hyperradial import (
     LadderSpectrum,
     PhysicalConvention,
     _COUNT_WINDOW,
+    _GROWTH_CUTOFF,
+    _arg_gamma,
+    _count_nodes,
+    _deepest_level,
     _numerov_sweep,
     _RadialShooter,
     bound_states,
@@ -26,20 +28,6 @@ from spinor_efimov.hyperradial import (
 
 KAPPA_IB = 1.00624  # identical-boson channel exponent, quoted to 5 decimals
 CONV = PhysicalConvention()
-
-
-def bessel_k_imag_order(kappa, z):
-    """K_{i kappa}(z) by quadrature; real for real z > 0.  Independent
-    oracle for the hard-wall ladder: levels satisfy
-    K_{i kappa}(sqrt(2 m |E|) r0) = 0."""
-    tmax = math.log(60.0 / z) + 5.0
-    with warnings.catch_warnings():
-        # near a zero of K the relative target is unreachable; the
-        # absolute accuracy is what the bracketing below needs
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(lambda t: math.exp(-z * math.cosh(t)) * math.cos(kappa * t),
-                      0.0, tmax, limit=400, epsabs=1e-15, epsrel=1e-13)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +185,14 @@ def test_ladder_pinned_to_reference_solver(kappa, n_levels, rel, energies):
 
 
 @pytest.mark.parametrize("kappa, n_levels, max_shots", [
-    # 37 and 30 with each level refined by hyperangular._refine (39 and
-    # 30 by a separate Illinois loop in bound_states); 74 and 59 when
-    # every level was bisected cold, 152 and 117 with bisection
-    # refinement and repeated shoots
-    (1.00624, 4, 45),
-    (0.41370, 3, 36),
+    # 24, 17 and 39 with the deepest level probed first at the zero of
+    # K_{i kappa} (37, 30 and 51 when it was bisected cold; 39 and 30 by
+    # a separate Illinois loop in bound_states; 74 and 59 when every
+    # level was bisected cold, 152 and 117 with bisection refinement and
+    # repeated shoots)
+    (1.00624, 4, 28),
+    (0.41370, 3, 20),
+    (2.0, 5, 45),
 ])
 def test_ladder_shoot_count(monkeypatch, kappa, n_levels, max_shots):
     energies = []
@@ -241,7 +231,9 @@ def test_ladder_node_count_fallback(monkeypatch, ladder_ib):
 def test_ladder_warm_start_miss(monkeypatch):
     # s^2 runs from -1.0 to -0.5 across the grid, so kappa falls between
     # levels and each scale-invariant guess lands 0.25-0.4 deeper in ln|E|
-    # than the level: every window misses and is widened
+    # than the level with kappa read at the previous level, 0.09-0.14 with
+    # the mean of that reading and one at the guess: every window misses
+    # and is widened
     radii = 10.0 ** np.linspace(-3.0, 5.0, 8001)
     s2 = -1.0 + 0.5 * (np.log10(radii) + 3.0) / 8.0
     pot = AdiabaticPotential.from_s_squared(radii, s2[None, :], CONV)
@@ -256,15 +248,24 @@ def test_ladder_warm_start_miss(monkeypatch):
     spec = bound_states(pot, 1e-3, 4)
     assert spec.nodes == (0, 1, 2, 3)
     assert len(set(energies)) == len(energies)
+    # 70 shots; 76 with kappa read only at the previous level
+    assert len(energies) <= 76
     # levels of the solver that bisected every level cold
     pinned = (-1724.595426946884, -1.9466866525457611,
               -0.001468402230875352, -6.578388483453792e-07)
     assert spec.energies == pytest.approx(pinned, rel=1e-8, abs=0.0)
     w = 2.0 * CONV.mass * radii ** 2 * pot.potentials[0]
+
+    def kappa_at(energy):
+        turn = np.nonzero(w + 0.25 - 2.0 * CONV.mass * radii ** 2 * energy < 0)[0][-1]
+        return math.sqrt(-(w[turn] + 0.25))
+
     for deep, level in zip(spec.energies, spec.energies[1:]):
-        turn = np.nonzero(w + 0.25 - 2.0 * CONV.mass * radii ** 2 * deep < 0)[0][-1]
-        guess = math.log(-deep) - 2.0 * math.pi / math.sqrt(-(w[turn] + 0.25))
-        assert abs(math.log(-level) - guess) > 0.5 * _COUNT_WINDOW
+        guess = math.log(-deep) - 2.0 * math.pi / kappa_at(deep)
+        mean = 0.5 * (kappa_at(deep) + kappa_at(-math.exp(guess)))
+        for kappa in kappa_at(deep), mean:
+            guess = math.log(-deep) - 2.0 * math.pi / kappa
+            assert abs(math.log(-level) - guess) > 0.5 * _COUNT_WINDOW
 
 
 def test_ladder_geometric_ratios(ladder_ib):
@@ -290,16 +291,6 @@ def test_ladder_node_theorem(ladder_ib):
 def test_ladder_levels_above_potential_minimum(ladder_ib):
     u_min = -(KAPPA_IB ** 2 + 0.25) / (2.0 * 1e-3 ** 2)
     assert all(e > u_min for e in ladder_ib.energies)
-
-
-def test_ladder_against_bessel_zero_oracle(ladder_ib):
-    r0 = ladder_ib.wall_radius
-    for e_solver in ladder_ib.energies[1:3]:
-        z_solver = math.sqrt(2.0 * abs(e_solver)) * r0
-        z_oracle = brentq(lambda z: bessel_k_imag_order(KAPPA_IB, z),
-                          0.8 * z_solver, 1.25 * z_solver, xtol=1e-16)
-        e_oracle = -z_oracle ** 2 / (2.0 * r0 ** 2)
-        assert e_solver == pytest.approx(e_oracle, rel=1e-6)
 
 
 def exact_ladder(kappa, n_levels, r0, mass):
@@ -340,6 +331,85 @@ def test_ladder_matches_exact_spectrum(kappa, n_levels, rel, r0, mass):
     assert spec.nodes == tuple(range(n_levels))
     assert spec.energies == pytest.approx(
         exact_ladder(kappa, n_levels, r0, mass), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.05, 0.4137, 1.00624, 2.0, 30.0, 300.0])
+def test_arg_gamma_matches_mpmath(kappa):
+    assert _arg_gamma(kappa) == pytest.approx(
+        float(mpmath.loggamma(1 + 1j * kappa).imag), rel=0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kappa, tol", [(0.41370, 1e-6), (KAPPA_IB, 1e-6),
+                                        (2.0, 1e-3)])
+def test_deepest_level_guess_is_near_the_exact_level(kappa, tol):
+    """The guess the deepest level is probed at, against the largest zero
+    of K_{i kappa}: errors 1.9e-12, 9.0e-7 and 3.9e-4 in ln|E|, from the
+    neglected O(z^4) terms (1.5e-7, 1.1e-3 and 2.0e-2 without the O(z^2)
+    term)."""
+    exact = exact_ladder(kappa, 1, 1e-3, 1.0)[0]
+    guess = _deepest_level(kappa, 2.0 * 1e-3 ** 2)
+    assert abs(guess - math.log(-exact)) < tol
+
+
+def test_tiny_kappa_deepest_level_stays_in_ln_z():
+    # the level is 8e-268: (z / r0)^2 would underflow; pinned to the
+    # solver that bisected the deepest level cold
+    spec = efimov_ladder(0.01, 1e-3, 1)
+    assert spec.energies == pytest.approx((-8.354039549190498e-268,),
+                                          rel=1e-9, abs=0.0)
+
+
+def whole_grid_shoot(shooter, energy):
+    """_RadialShooter.shoot as it was before it bounded its work by the
+    turning point: q, the turning point and the WKB growth over the whole
+    grid."""
+    q = shooter.s2 - energy * shooter.two_mu_r2
+    neg = np.nonzero(q < 0.0)[0]
+    if neg.size == 0:
+        return 0, 1.0
+    it = min(max(int(neg[-1]), 1), q.size - 3)
+    growth = np.cumsum(np.sqrt(np.maximum(q[it:], 0.0))) * shooter.h
+    extra = int(np.searchsorted(growth, _GROWTH_CUTOFF))
+    stop = min(it + max(extra, 2), q.size - 1)
+    y_out = _numerov_sweep(q[: stop + 1], shooter.h, 0.0, 1.0)
+    y_in = _numerov_sweep(q[it: stop + 1][::-1], shooter.h, 0.0, 1.0)[::-1]
+    p0, p1 = 1.0 - (shooter.h * shooter.h / 12.0) * q[it: it + 2]
+    po, pi_ = p0 * y_out[it], p0 * y_in[0]
+    po1, pi1 = p1 * y_out[it + 1], p1 * y_in[1]
+    scale = max(abs(po), abs(po1)) * max(abs(pi_), abs(pi1))
+    wron = po * pi1 - po1 * pi_
+    return _count_nodes(y_out[1:]), float(wron / scale if scale > 0 else wron)
+
+
+def _shoot_channels():
+    for kappa, n_levels in [(0.41370, 3), (KAPPA_IB, 4), (2.0, 5)]:
+        decades = 1.2 + n_levels * math.pi / (kappa * math.log(10.0)) + math.log10(12.0)
+        yield f"pure {kappa}", inverse_square_potential(
+            kappa, 1e-3, 1e-3 * 10.0 ** decades, CONV)
+    # at 20,000 points per decade shoot's growth sum ends in each of its
+    # windows, and for some energies it never reaches the cutoff
+    yield "fine grid", inverse_square_potential(0.41370, 1e-3, 1.0, CONV,
+                                                points_per_decade=20000)
+    radii = 10.0 ** np.linspace(-3.0, 5.0, 8001)
+    x = np.log10(radii)
+    yield "drifting", AdiabaticPotential.from_s_squared(
+        radii, (-1.0 + 0.5 * (x + 3.0) / 8.0)[None, :], CONV)
+    # two classically allowed regions, R < 0.1 and 3.2 < R < 100: above
+    # E = -0.075 the outer one holds the outermost turning point
+    s2 = np.select([x < -1.0, x < 0.5, x < 2.0], [-1.0, 2.0, -1.5], 0.5)
+    yield "two wells", AdiabaticPotential.from_s_squared(radii, s2[None, :], CONV)
+
+
+@pytest.mark.parametrize("name, pot", list(_shoot_channels()))
+def test_shoot_matches_whole_grid_reference(name, pot):
+    """shoot works only on the grid its sweeps cover; its (count, defect)
+    must be bit-identical to the whole-grid computation, at energies
+    log-uniform from the potential's floor to above the grid's top."""
+    shooter = _RadialShooter(pot, 1e-3, 0)
+    rng = np.random.default_rng(len(name))
+    t = rng.uniform(math.log(abs(shooter.u_end)) - 3.0, math.log(-shooter.u_min), 400)
+    for energy in -np.exp(t):
+        assert shooter.shoot(energy) == whole_grid_shoot(shooter, energy), energy
 
 
 def test_wall_position_covariance():

@@ -41,7 +41,8 @@ _TASKS = ("theta-sweep", "r-sweep", "invariance-suite", "ladder")
 def test_scipy_loads_only_with_the_ladder(tmp_path):
     """After the theta sweep, the finite-mode r-sweep and the invariance
     suite (the inertia counts included) neither scipy nor numpy.ma is
-    loaded; the ladder then loads scipy's LAPACK."""
+    loaded; the ladder then loads scipy's LAPACK, but not scipy.special
+    (the deepest level's guess takes arg Gamma from a Stirling series)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     args = [a for task in _TASKS for a in (task, str(GOLDEN / f"{task}.run"))]
     proc = subprocess.run(
@@ -54,6 +55,7 @@ def test_scipy_loads_only_with_the_ladder(tmp_path):
     for task in _TASKS[:-1]:
         assert lines[f"after {task}"] == "[]", task
     assert "'scipy.linalg.lapack'" in lines["after ladder"]
+    assert "'scipy.special" not in lines["after ladder"]
 
 
 def test_solve_banded_shim_resolves_only_that_name():
