@@ -309,8 +309,9 @@ class _RadialShooter:
             return 0, 1.0  # no classically allowed region
         n = self.s2.size
         it = min(max(it, 1), n - 3)
-        # truncate the forbidden tail once the WKB growth budget is spent,
-        # summed over ever longer windows until one passes the budget
+        # truncate the forbidden tail once the WKB growth budget is spent;
+        # the first window (two decades at 4,000 points per decade) holds
+        # that budget for a scale-free channel down to kappa = 0.41
         for end in (it + 8192, it + 32768, n):
             q = self.s2[it:end] - energy * self.two_mu_r2[it:end]
             growth = np.cumsum(np.sqrt(np.maximum(q, 0.0))) * self.h
@@ -410,7 +411,9 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         if -e_floor < 1e-290 or -e_top < 1e-290:
             exhausted = "underflow"
             break
-        # the guesses of the docstring; both exact for a scale-free channel
+        # the guesses of the docstring, 4 pi / (kappa + kappa_2) being
+        # 2 pi over the mean reading; exact above the deepest level for a
+        # scale-free channel
         guess, kappa = 0.0, kappa_at(energies[-1] if energies else None)
         if kappa and energies:
             t_prev = math.log(-energies[-1])

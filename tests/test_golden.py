@@ -5,16 +5,19 @@ The theta-sweep and r-sweep files under tests/golden/ were produced by
 the code before the batched sweep engine replaced point-by-point
 refinement; the roots, ladder and invariance-suite files (the README
 example configs) by the code before the run-file parser became
-table-driven.  The ladder files were re-made three times: when Illinois
+table-driven.  The ladder files were re-made four times: when Illinois
 refinement of the level energies replaced bisection and moved their
 10th-12th significant digits, when each level above the deepest began
 its node-count bracket at its scale-invariant guess, which hands the
-refinement a different window and moved the same digits again, and when
+refinement a different window and moved the same digits again, when
 the levels moved to the package's shared refinement (hyperangular's
 _refine), whose safeguard takes other steps (the levels stay within the
-1e-9 tolerance).  The r-sweep json was re-made
-when the grazing warning stopped advising a denser grid, which does not
-resolve that warning, and the invariance-suite json when the run file's
+1e-9 tolerance), and when the deepest level's bracket began at the zero
+of K_{i kappa} instead of bisection, which moved the deepest energy and
+the first ratio by 7e-11, and the last printed digit of one more ratio
+and one upper energy.  The r-sweep json was re-made when the grazing
+warning stopped advising a denser grid, which does not resolve that
+warning, and the invariance-suite json when the run file's
 mode came to follow from its inputs: its finite random specs had been
 reported as "asymptotic".  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
