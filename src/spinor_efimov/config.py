@@ -165,8 +165,9 @@ _DEFAULTS = {
 
 #: field -> (least, most) accepted value.  Larger grids and suites are
 #: refused before anything is allocated; ladder energies fall by
-#: exp(2 pi/kappa) per level, so at kappa 1.00624 and r0 = 1e-3 about 110
-#: levels fit in double precision.  s_max's bounds are those of
+#: exp(2 pi/kappa) per level, so at r0 = 1e-3 the levels above 1e-290 are
+#: 109 at kappa 1.00624 and 44 at 0.41370, and a larger n_levels returns
+#: those with a depth-exhausted warning.  s_max's bounds are those of
 #: hyperangular.S_MAX_LIMIT, repeated here so the parse imports no solver.
 _BOUNDS = {
     "theta_count": (2, 100_000),

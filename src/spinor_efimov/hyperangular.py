@@ -687,16 +687,14 @@ def _merge(p, values):
     MERGE_TOL: the order, run starts, and each run's spec, mean and size."""
     order = np.lexsort((values, p))
     p, values = p[order], values[order]
-    start = np.flatnonzero((np.diff(p, prepend=-1) != 0)
-                           | (np.diff(values, prepend=-np.inf) > MERGE_TOL))
-    size = np.diff(np.append(start, values.size))
+    cut = (np.diff(p, prepend=-1) != 0) \
+        | (np.diff(values, prepend=-np.inf) > MERGE_TOL)
+    run, start = np.cumsum(cut) - 1, np.flatnonzero(cut)
+    size = np.bincount(run)
     # each run summed left to right, the order np.mean adds fewer than 8
     # values in (np.add.reduceat adds a0 + (a1 + a2 + ...))
-    total = values[start]
-    for k in range(1, size.max(initial=1)):
-        more = size > k
-        total[more] += values[start[more] + k]
-    return order, start, p[start], total / size, size
+    return (order, start, p[start], np.bincount(run, weights=values) / size,
+            size)
 
 
 def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
@@ -797,9 +795,10 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
     return np.sort(ends)
 
 
-def _scalar_roots(stack: _SpecStack, axis: str, x_max):
-    """Roots of asymptotic specs (D = I) as _finite_roots gives them, from
-    h_j = f - g o_j over the overlaps' eigenpairs.  A branch (lo, hi] of
+def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
+    """Roots of asymptotic specs (D = I) in their shared window x_max, as
+    _finite_roots gives them, from h_j = f - g o_j over the overlaps'
+    eigenpairs.  A branch (lo, hi] of
     phi holds a root of h_j where h_j changes sign over it or is zero at
     hi; h_j within the eigenvalue error of zero at an inner end is zero.
     _refine solves all brackets at once from the values of h_j.  A root's
@@ -812,24 +811,17 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max):
         return f[..., 0] - g * o_j
 
     o, vec = np.linalg.eigh(stack.overlap)
-    x_max = np.asarray(x_max, dtype=float)
-    brackets = []
-    for top in dict.fromkeys(x_max.tolist()):
-        q = np.nonzero(x_max == top)[0]
-        ends = _branch_ends(axis, top)
-        h = h_of(ends[:, None], o[q, None, :])  # (spec, end, j)
-        # a tangency, o_j at a turning value of phi (at a pole |h_j| >= 6)
-        inner = h[:, 1:-1]
-        inner[np.abs(inner) <= _eig_err(ends[1:-1, None], np.max(
-            np.abs(o[q]), axis=-1)[:, None, None])] = 0
-        h_lo, h_hi = h[:, :-1], h[:, 1:]
-        r, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
-                             | (h_hi == 0.0))
-        brackets.append((q[r], j, ends[b], ends[b + 1], h_lo[r, b, j],
-                         h_hi[r, b, j]))
-    p, j, lo, hi, h_lo, h_hi = (np.concatenate(c) for c in zip(*brackets))
-    values = _refine(lambda idx, x: h_of(x, o[p[idx], j[idx]]), lo, hi, h_lo,
-                     h_hi)
+    ends = _branch_ends(axis, x_max)
+    h = h_of(ends[:, None], o[:, None, :])  # (spec, end, j)
+    # a tangency, o_j at a turning value of phi (at a pole |h_j| >= 6)
+    inner = h[:, 1:-1]
+    inner[np.abs(inner) <= _eig_err(ends[1:-1, None], np.max(
+        np.abs(o), axis=-1)[:, None, None])] = 0
+    h_lo, h_hi = h[:, :-1], h[:, 1:]
+    p, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
+                         | (h_hi == 0.0))
+    values = _refine(lambda idx, x: h_of(x, o[p[idx], j[idx]]), ends[b],
+                     ends[b + 1], h_lo[p, b, j], h_hi[p, b, j])
     order, start, grp_p, grp_value, size = _merge(p, values)
     p, j = p[order], j[order]
     # the roots of one o_j are further apart than MERGE_TOL (at a turning
@@ -851,10 +843,12 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max):
 def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
     """Roots on one axis of specs sharing their active states, by
     _scalar_roots if all are asymptotic, else by _finite_roots on an
-    n_grid-point grid (n_grid >= 2): per spec the grid warnings and
-    the roots by descending kappa or ascending s, with spin profiles if
-    the spec has channels, taken per multiplicity in one stacked pass.  A
-    residual above RESIDUAL_TOL is an error."""
+    n_grid-point grid (n_grid >= 2): per spec the grid warnings and the
+    roots by descending kappa or ascending s, with spin profiles if the
+    spec has channels, taken per multiplicity in one stacked pass.  A
+    residual above RESIDUAL_TOL is an error.  x_max holds each spec's
+    window; the asymptotic specs of one solve share theirs (the caller's
+    kappa_max or 10, or one s_max), so _scalar_roots reads the first."""
     warns: list[list[str]] = [[] for _ in specs]
     roots: list[list[ChannelRoot]] = [[] for _ in specs]
     if not specs or specs[0].active_states().size == 0:
@@ -862,7 +856,7 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
     stack = _SpecStack(specs, axis)
     p, value, residual, groups = (
         _finite_roots(stack, axis, x_max, n_grid, warns) if stack.finite
-        else _scalar_roots(stack, axis, x_max))
+        else _scalar_roots(stack, axis, x_max[0]))
     bad = np.nonzero(residual > RESIDUAL_TOL)[0]
     if bad.size:
         raise HyperangularError(
@@ -1043,19 +1037,15 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     else:  # one theta for every R
         overlaps = [exchange_overlap(channels_from_angle(thetas[0], *lengths))
                     ] * len(radii)
-    # the overlaps share one length triple and are exactly symmetric, so
-    # one from_overlap per radius checks the specs of every theta there
-    checked = {}
-    specs = []
-    for overlap, radius in zip(overlaps, radii):
-        if radius not in checked:
-            checked[radius] = ChannelMatrixSpec.from_overlap(overlap, radius)
-            specs.append(checked[radius])
-        else:
-            specs.append(_prechecked(
-                ChannelMatrixSpec, lengths=checked[radius].lengths,
-                overlap=overlap.matrix, state_channel=(0, 0, 1, 1, 2, 2),
-                hyperradius=radius, channels=overlap.channels))
+    # the points share one length triple, their overlaps come from one
+    # checked stack (exactly symmetric) and their radii from a checked
+    # grid, so the first point's check stands for every spec
+    first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
+    specs = [first] + [
+        _prechecked(ChannelMatrixSpec, lengths=first.lengths,
+                    overlap=o.matrix, state_channel=first.state_channel,
+                    hyperradius=r, channels=o.channels)
+        for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes))]
     if s_max:
@@ -1110,7 +1100,7 @@ def radius_sweep(theta: float, a_alpha, a_beta, a_gamma, radii,
     while the dimer root at sqrt(2) R/a would force a uniform grid far too
     coarse to resolve them."""
     radii = np.asarray(list(radii), dtype=float)
-    if radii.size == 0 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
+    if radii.size == 0 or not radii[0] > 0 or not np.all(np.diff(radii) > 0):
         raise HyperangularError("R grid must be nonempty, positive, ascending")
     if any(as_length(a).kind == "unitary" for a in (a_alpha, a_beta, a_gamma)):
         raise HyperangularError(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -358,14 +358,17 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
         return LadderSpectrum(wall_radius, (), ())
 
     # grid validity edge: a level shallower than 100 |U(R_max)| has its
-    # turning point too close to the grid boundary to trust
+    # turning point too close to the grid boundary to trust; one shallower
+    # than 1e-290 loses its digits to underflow
     if shooter.u_end < 0.0:
         e_top = 100.0 * shooter.u_end
     else:
         e_top = shooter.u_min * 1e-15
+    short = "underflow" if -e_top < 1e-290 else "grid"
+    e_top = min(e_top, -1e-290)
     e_floor = shooter.u_min
     if e_top <= e_floor:
-        return LadderSpectrum(wall_radius, (), (), "grid")
+        return LadderSpectrum(wall_radius, (), (), short)
 
     t_deep = math.log(-e_floor)
     t_top = math.log(-e_top)
@@ -406,10 +409,7 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     exhausted = None
     for n in range(n_levels):
         if top[0] <= n:
-            exhausted = "grid"
-            break
-        if -e_floor < 1e-290 or -e_top < 1e-290:
-            exhausted = "underflow"
+            exhausted = short
             break
         # the guesses of the docstring, 4 pi / (kappa + kappa_2) being
         # 2 pi over the mean reading; exact above the deepest level for a
@@ -461,14 +461,31 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
 
     The n-th level sits a factor e^(2 pi/kappa) above the last, so the
     grid spans n pi / (kappa ln 10) decades plus a margin that holds the
-    topmost level's outer turning point, capped at 1.2e6 points (300
-    decades, so 10^decades stays finite).  Levels past the grid's end
-    come back with exhaustion_reason "grid".
+    topmost level's outer turning point.  bound_states drops levels
+    shallower than 1e-290, so n stops at the count n_fit of levels above
+    that (from _deepest_level: 109 at kappa = 1.00624 and 44 at 0.41370
+    for wall_radius = 1e-3 and m = 1), and the grid's far end keeps
+    2 m R^2, and with it the potential, finite (below about
+    max(1, kappa^2) 1e295).  A request past n_fit returns those levels,
+    with exhaustion_reason "underflow".  The grid is capped at 300
+    decades, so 10^decades stays finite; levels past its end come back
+    with exhaustion_reason "grid".
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise HyperradialError("kappa must be positive")
-    decades = min(300.0, 1.2 + n_levels * math.pi / (kappa * math.log(10.0))
-                  + math.log10(12.0))
+    if not 0.0 < wall_radius < math.inf:
+        raise HyperradialError(
+            f"need 0 < r_min = wall_radius < inf; got {wall_radius:g}")
+    ln_two_mu_r2 = math.log(2.0 * convention.mass) + 2.0 * math.log(
+        wall_radius)
+    n_fit = max(0, 1 + math.floor((_deepest_level(kappa, 1.0) - ln_two_mu_r2
+                                   + 290.0 * math.log(10.0))
+                                  * kappa / (2.0 * math.pi)))
+    decades = min(300.0, 1.2 + min(n_levels, n_fit) * math.pi
+                  / (kappa * math.log(10.0)) + math.log10(12.0))
     pot = inverse_square_potential(
         kappa, wall_radius, wall_radius * 10.0 ** decades, convention)
-    return bound_states(pot, wall_radius, n_levels)
+    spectrum = bound_states(pot, wall_radius, n_levels)
+    if n_levels > n_fit and spectrum.depth_exhausted:
+        return replace(spectrum, exhaustion_reason="underflow")
+    return spectrum

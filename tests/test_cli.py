@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from spinor_efimov.cli import main
 from spinor_efimov.config import TASKS, parse_config
 from spinor_efimov.figure import sweep_figure
 from spinor_efimov.hyperangular import SweepRow, SweepTable, theta_sweep
+from spinor_efimov.hyperradial import _E_RTOL, efimov_ladder
 from spinor_efimov.runner import run, write_outputs
 from spinor_efimov.spin import channels_from_angle, exchange_overlap
 
@@ -452,7 +454,6 @@ def test_installed_entry_point_runs(sweep_config, tmp_path):
 @pytest.mark.parametrize("text", [
     "task = ladder\nkappa = 1.00624\nn_levels = 2\nr0 = 1e-160\n",
     "task = ladder\nkappa = 1.0\nn_levels = 2\nr0 = 1e-300\n",
-    "task = ladder\nkappa = 0.1\nn_levels = 30\nr0 = 1e9\n",
     "task = theta-sweep\na_alpha = closed\na_beta = unitary\n"
     "a_gamma = closed\ns_max = 1e15\n",
 ])
@@ -472,6 +473,35 @@ def test_cli_refuses_grids_that_overflow(text, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@functools.lru_cache
+def _ladder_energies(kappa, wall_radius, n_levels):
+    return efimov_ladder(kappa, wall_radius, n_levels).energies
+
+
+@pytest.mark.parametrize("text, fit", [
+    *((f"task = ladder\nkappa = 0.41370\nn_levels = {n}\n",
+       (0.41370, 1e-3, 44)) for n in (45, 46, 60, 100)),
+    ("task = ladder\nkappa = 0.1\nn_levels = 30\nr0 = 1e9\n",
+     (0.1, 1e9, 9)),
+])
+def test_cli_ladder_past_underflow_returns_the_levels_that_fit(
+        text, fit, tmp_path, capsys):
+    """Ladders deeper than the levels above 1e-290 (these once printed no
+    level, or failed on a grid whose R^2 overflows) exit 0 with the levels
+    of a ladder that asks for just those, and one depth-exhausted warning."""
+    cfg = tmp_path / "deep.run"
+    cfg.write_text(text)
+    assert main(["ladder", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--format", "csv"]) == 0
+    n_levels = int(text.split("n_levels = ")[1].split("\n")[0])
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: depth exhausted (underflow): {fit[2]} of {n_levels} "
+        "levels resolvable"]
+    rows = _read_csv(tmp_path / "out" / "ladder.csv")
+    assert [float(r["energy"]) for r in rows] == pytest.approx(
+        _ladder_energies(*fit), rel=_E_RTOL, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +539,51 @@ def test_figure_skips_empty_rows_with_warning():
     assert len(warnings) == 1
     assert "row skipped" in warnings[0]
     assert svg.count("<polyline") >= 1
+
+
+def test_figure_of_one_nonempty_row_has_a_unit_axis():
+    """One row with roots leaves no x range: the axis spans one unit
+    from it rather than dividing by zero."""
+    row = theta_sweep([0.3], "closed", "unitary", "closed").rows[0]
+    svg, warnings = sweep_figure(SweepTable("theta", [row], {}, []))
+    assert warnings == [] and ">1.3<" in svg
+
+
+# ---------------------------------------------------------------------------
+# typed refusals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ("task = roots\ntheta = 0\na_alpha = closed\na_beta = unitary\n"
+     "a_gamma = closed\nkappa_max = 1e-9\n",
+     "kappa_max must exceed the grid offset 1e-08"),
+    # every row of the sweep is empty, so the figure has nothing to draw
+    ("task = theta-sweep\na_alpha = closed\na_beta = closed\n"
+     "a_gamma = closed\nformat = svg\n",
+     "nothing to draw: every sweep row is empty"),
+])
+def test_run_file_refusal_is_one_error_line(text, message, tmp_path, capsys):
+    """Refusals past the parse end the CLI with one error line (those of
+    the parse: test_config_error_is_typed_and_names_its_input)."""
+    cfg = tmp_path / "bad.run"
+    cfg.write_text(text)
+    task = text.split("\n", 1)[0].split(" = ")[1]
+    assert main([task, "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {message}"]
+
+
+def _roots(*multiplicities):
+    return [hyperangular.ChannelRoot("imaginary", 1.0 + j, np.zeros((6, m)),
+                                     0.0)
+            for j, m in enumerate(multiplicities)]
+
+
+@pytest.mark.parametrize("a, b, deviation", [
+    (_roots(1, 2), _roots(1, 2), 0.0),
+    (_roots(1, 2), _roots(1), math.inf),     # the lists differ in length
+    (_roots(1, 2), _roots(1, 1), math.inf),  # a multiplicity differs
+])
+def test_list_deviation_is_inf_where_root_lists_disagree(a, b, deviation):
+    assert runner._list_deviation(a, b) == deviation

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from spinor_efimov import config
+from spinor_efimov.cli import main
 from spinor_efimov.config import (
     ConfigError,
     parse_config,
@@ -381,3 +382,47 @@ def test_readme_key_table_matches_config():
                 ranges[name] = tuple(int(b.replace(",", ""))
                                      for b in bounds.groups())
     assert ranges == config._BOUNDS
+
+
+@pytest.mark.parametrize("text, cli_task, message", [
+    ("task = roots\nmode = both\ntoy = 1,2,1,3\n", None,
+     "line 2: key 'mode': must be one of asymptotic, finite, got 'both'"),
+    ("task = ladder\ntheta = nan\n", None,
+     "line 2: key 'theta': must be finite"),
+    ("task = theta-sweep\ntheta_count = 2.5\n", None,
+     "line 2: key 'theta_count': not an integer: '2.5'"),
+    ("task = roots\na_alpha = foo\n", None,
+     "line 2: key 'a_alpha': expected a number, 'unitary' or 'closed', "
+     "got 'foo'"),
+    ("task = roots\ntoy = 1,2,3\n", None,
+     "line 2: key 'toy': expected 4 comma-separated values, got 3"),
+    ("task = theta-sweep\ntheta_count = 1\n", None,
+     "line 2: key 'theta_count': must be at least 2"),
+    ("a_alpha = 1\n", "bogus", "unknown task 'bogus'"),
+    ("task = roots\ntheta = 0.5\na_alpha = 1\na_beta = 2\nR = 1\n", None,
+     "angle form needs a_alpha, a_beta and a_gamma; missing ['a_gamma']"),
+    ("task = roots\na_alpha = 1\na_beta = 2\na_gamma = closed\nR = 1\n", None,
+     "task 'roots' needs an explicit theta"),
+    ("task = theta-sweep\ntheta_min = 1\ntheta_max = 0.5\na_alpha = closed\n"
+     "a_beta = unitary\na_gamma = closed\n", None,
+     "theta grid [1.0, 0.5] must be ascending inside [0, pi/2]"),
+    ("task = r-sweep\ntheta = 0\na_alpha = 1\na_beta = 1e6\na_gamma = closed\n"
+     "R_min = 10\nR_max = 1\n", None, "R grid [10.0, 1.0] must be positive "
+     "ascending"),
+])
+def test_config_error_is_typed_and_names_its_input(text, cli_task, message,
+                                                   tmp_path, capsys):
+    """Each refusal of parse_config: a ConfigError whose whole message
+    names the line (or, for a rule across keys, the keys) at fault.  As a
+    run file, the CLI exits 1 with that message as its one error line."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, cli_task)
+    assert str(err.value) == message
+    if cli_task is None:
+        cfg = tmp_path / "bad.run"
+        cfg.write_text(text)
+        task = text.split("\n", 1)[0].split(" = ")[1]
+        assert main([task, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]

@@ -1604,3 +1604,50 @@ def test_s_max_limit_is_accepted_and_checked_once_per_sweep(monkeypatch):
     theta_sweep(np.linspace(0.0, 1.0, 5), "closed", "unitary", "closed",
                 s_max=5.0)
     assert calls == [5.0]
+
+
+# ---------------------------------------------------------------------------
+# typed refusals
+# ---------------------------------------------------------------------------
+
+_UNITARY_CHANNELS = channels_from_angle(0.0, "unitary", "closed", "closed")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChannelMatrixSpec((as_length(1.0),), np.eye(2), (0,),
+                               hyperradius=1.0),
+     "overlap shape (2, 2) does not match 1 states"),
+    (lambda: ChannelMatrixSpec((as_length("unitary"),) * 2,
+                               np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1)),
+     "overlap matrix must be symmetric"),
+    (lambda: channel_matrix(1j, ChannelMatrixSpec.single_level("closed")),
+     "all channels are closed; no matrix remains"),
+    (lambda: find_roots_imaginary(ChannelMatrixSpec.single_level("unitary"),
+                                  1e-9),
+     "kappa_max must exceed the grid offset 1e-08"),
+    (lambda: radius_sweep(0.0, 1.0, 1e6, "closed", [10.0, 1.0]),
+     "R grid must be nonempty, positive, ascending"),
+    (lambda: radius_sweep(0.0, 1.0, 1e6, "closed", [1.0, math.nan, 3.0]),
+     "R grid must be nonempty, positive, ascending"),
+    (lambda: plateau_extract(radius_sweep(0.0, "closed", 1e6, 1.0,
+                                          [1.0, 2.0, 4.0])),
+     "plateau extraction needs finite a_alpha and a_beta"),
+    (lambda: classify_root(np.ones((1, 1)), _UNITARY_CHANNELS),
+     "spin classification needs the six-state channel problem"),
+    (lambda: classify_root(np.zeros((6, 1)), _UNITARY_CHANNELS),
+     "spin profile weights sum to 0.0, expected 1"),
+])
+def test_hyperangular_refusal_is_typed(call, message):
+    with pytest.raises(HyperangularError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_plateau_extract_needs_three_points_in_the_window():
+    """An r-sweep with one grid point in 10 |a_alpha| <= R <= |a_beta|/10
+    has no plateau to extract, and says so."""
+    table = radius_sweep(0.0, 1.0, 1e6, "closed", [1e-2, 1e2, 1e6])
+    summary = plateau_extract(table)
+    assert summary.plateaus == () and summary.window == (10.0, 1e5)
+    assert summary.no_plateau_reason == \
+        "no plateau: no imaginary curve spans the window"

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from spinor_efimov import hyperradial
-from spinor_efimov.hyperangular import ChannelMatrixSpec, find_roots_imaginary, radius_sweep
+from spinor_efimov.hyperangular import (
+    ChannelMatrixSpec,
+    SweepRow,
+    SweepTable,
+    find_roots_imaginary,
+    radius_sweep,
+    theta_sweep,
+)
 from spinor_efimov.hyperradial import (
     AdiabaticPotential,
     HyperradialError,
@@ -503,14 +510,48 @@ def test_bound_states_channel_out_of_range(channel):
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"wall_radius": 0.0}, "r_min"),
-    # 821 and 330 decades are capped at 300, whose far end R = 1e297
-    # overflows R^2: refused, not an OverflowError from 10 ** decades
-    ({"kappa": 0.02, "n_levels": 12}, "not finite"),
-    ({"kappa": 0.05, "n_levels": 12}, "not finite"),
+    # 2 m R^2 underflows at the wall, so the potential there is infinite
+    ({"wall_radius": 1e-160}, "not finite"),
+    # the 25 levels above 1e-290 ask for 343 decades, capped at 300: the
+    # wall is refused, not an OverflowError from 10 ** decades
+    ({"kappa": 0.1, "wall_radius": 1e-200, "n_levels": 100}, "not finite"),
 ])
 def test_ladder_grid_input_is_typed_error(kwargs, match):
     with pytest.raises(HyperradialError, match=match):
         efimov_ladder(**({"kappa": 1.0} | kwargs))
+
+
+@pytest.mark.parametrize("kappa, wall_radius, n_levels, n_fit", [
+    (0.02, 1e-3, 12, 2), (0.05, 1e-3, 12, 5), (0.1, 1e9, 30, 9)])
+def test_ladder_past_underflow_returns_the_levels_that_fit(
+        kappa, wall_radius, n_levels, n_fit):
+    """A ladder deeper than double precision holds (these three were
+    refused, their grids sized for every requested level) returns, bit
+    for bit, the n_fit levels above 1e-290, with reason "underflow"."""
+    spec = efimov_ladder(kappa, wall_radius, n_levels)
+    fit = efimov_ladder(kappa, wall_radius, n_fit)
+    assert spec.exhaustion_reason == "underflow" and not fit.depth_exhausted
+    assert spec.energies == fit.energies
+    assert spec.nodes == tuple(range(n_fit))
+    assert -spec.energies[-1] > 1e-290
+
+
+def test_ladder_wholly_below_underflow_has_no_level():
+    """At m = 1e300 the potential at the wall is -6e-295, so no level lies
+    above 1e-290: none, with reason "underflow"."""
+    spec = efimov_ladder(1.0, 1e-3, 2, PhysicalConvention(1e300))
+    assert spec.energies == () and spec.exhaustion_reason == "underflow"
+
+
+def test_bound_states_clamps_the_shallow_end_at_underflow():
+    """A grid whose outer potential is below 1e-290 still gives the levels
+    above it (it once gave none), then reports "underflow"."""
+    pot = inverse_square_potential(KAPPA_IB, 1e-3, 1e149, CONV,
+                                   points_per_decade=400)
+    assert -100.0 * pot.potentials[0, -1] < 1e-290
+    spec = bound_states(pot, 1e-3, 200)
+    assert spec.exhaustion_reason == "underflow"
+    assert spec.n_levels > 100 and -spec.energies[-1] > 1e-290
 
 
 def test_inverse_square_grid_needs_points_per_decade():
@@ -531,10 +572,41 @@ def test_non_finite_potential_is_refused(radii):
 
 
 def test_overflowing_grid_end_is_refused():
-    """kappa 0.1, 30 levels and r0 = 1e9 ask for 300 decades past the
-    wall, so r_max = 1e309 is inf: a HyperradialError, not math.ceil's
-    OverflowError."""
+    """r_max = inf is a HyperradialError, not math.ceil's OverflowError.
+    (efimov_ladder no longer asks for it: kappa 0.1, 30 levels and
+    r0 = 1e9 now return the 9 levels that fit.)"""
     with pytest.raises(HyperradialError, match="both finite"):
         inverse_square_potential(0.1, 1e9, math.inf, CONV)
-    with pytest.raises(HyperradialError, match="both finite"):
-        efimov_ladder(0.1, wall_radius=1e9, n_levels=30)
+
+
+def _rootless_radius_table():
+    rows = [SweepRow(0.0, r, "finite", (), ()) for r in (1.0, 2.0, 4.0)]
+    return SweepTable("radius", rows, {}, [])
+
+
+_POT = inverse_square_potential(1.0, 1e-3, 1e3, CONV, points_per_decade=100)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AdiabaticPotential.from_s_squared([2.0, 1.0], [[-1.0, -1.0]],
+                                               CONV),
+     "radii must be positive and ascending"),
+    (lambda: AdiabaticPotential.from_s_squared([1.0, 2.0, 3.0], [[-1.0, -1.0]],
+                                               CONV),
+     "s_squared rows must match the R grid"),
+    (lambda: potential(theta_sweep([0.0, 0.1], "closed", "unitary", "closed"),
+                       CONV),
+     "potential() needs a radius sweep table"),
+    (lambda: potential(_rootless_radius_table(), CONV),
+     "no root curve spans the full R grid"),
+    (lambda: inverse_square_potential(0.0, 1e-3, 1.0, CONV),
+     "kappa must be positive"),
+    (lambda: efimov_ladder(-1.0), "kappa must be positive"),
+    (lambda: bound_states(_POT, float(_POT.radii[-50]), 1),
+     "wall radius leaves too little grid"),
+    (lambda: bound_states(_POT, 1e-3, 0), "n_levels must be positive"),
+])
+def test_hyperradial_refusal_is_typed(call, message):
+    with pytest.raises(HyperradialError) as err:
+        call()
+    assert str(err.value) == message

@@ -437,3 +437,23 @@ def test_stack_with_one_bad_angle_raises_the_one_point_message():
     assert one == "mixing angle must lie in [0, pi/2], got 2.0"
     assert _message(lambda: spin._angle_channels(
         [0.1, 2.0, 0.2, -1.0], 1.0, 2.0, 3.0)) == one
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spin.ChannelLength("bogus"),
+     "unknown channel length kind 'bogus'"),
+    (lambda: spin.ChannelLength("finite", 0.0),
+     "finite channel length must be a finite nonzero number, got 0.0"),
+    (lambda: ScatteringMatrix(np.eye(2)),
+     "scattering matrix must be 3x3, got (2, 2)"),
+    (lambda: toy_closed_form(1.0, math.nan, 0.5, 1.0),
+     "A22 must be finite, got nan"),
+    (lambda: spin.TwoBodyChannelSet((as_length(1.0),) * 3, np.eye(2)),
+     "eigenvector matrix must be 3x3"),
+    (lambda: spin.ExchangeOverlap(np.eye(5), channels_from_angle(
+        0.0, 1.0, 2.0, 3.0)), "overlap matrix must be 6x6"),
+])
+def test_spin_refusal_is_typed(call, message):
+    with pytest.raises(SpinAlgebraError) as err:
+        call()
+    assert str(err.value) == message
