@@ -693,8 +693,8 @@ def _merge(p, values):
     size = np.bincount(run)
     # each run summed left to right, the order np.mean adds fewer than 8
     # values in (np.add.reduceat adds a0 + (a1 + a2 + ...))
-    return (order, start, p[start], np.bincount(run, weights=values) / size,
-            size)
+    mean = np.bincount(run, weights=values) / size
+    return order, start, p[start], mean, size
 
 
 def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
@@ -798,12 +798,11 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
 def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     """Roots of asymptotic specs (D = I) in their shared window x_max, as
     _finite_roots gives them, from h_j = f - g o_j over the overlaps'
-    eigenpairs.  A branch (lo, hi] of
-    phi holds a root of h_j where h_j changes sign over it or is zero at
-    hi; h_j within the eigenvalue error of zero at an inner end is zero.
-    _refine solves all brackets at once from the values of h_j.  A root's
-    null vectors are the eigenvectors of its o_j, its residual their
-    largest ||A(x) v||."""
+    eigenpairs.  A branch (lo, hi] of phi holds a root of h_j where h_j
+    changes sign over it or is zero at hi; h_j within the eigenvalue
+    error of zero at an inner end is zero.  _refine solves all brackets
+    at once from the values of h_j.  A root's null vectors are the
+    eigenvectors of its o_j, its residual their largest ||A(x) v||."""
     terms = _AXES[axis][0]  # g and f of f(x) I - g(x) O, with R/a = 0
 
     def h_of(x, o_j):
