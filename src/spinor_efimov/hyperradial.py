@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -487,5 +487,6 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
         kappa, wall_radius, wall_radius * 10.0 ** decades, convention)
     spectrum = bound_states(pot, wall_radius, n_levels)
     if n_levels > n_fit and spectrum.depth_exhausted:
-        return replace(spectrum, exhaustion_reason="underflow")
+        return LadderSpectrum(wall_radius, spectrum.energies, spectrum.nodes,
+                              "underflow")
     return spectrum
