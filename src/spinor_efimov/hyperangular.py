@@ -10,18 +10,13 @@ into a transcendental matrix condition det M(s; R) = 0 over the six
 with the R/a term dropped for unitary channels and closed channels
 eliminated outright.  On the imaginary axis s = i kappa the matrix is
 i * H(kappa) with H real symmetric, so all roots sit on the real or the
-imaginary axis and are found by tracking the sorted eigenvalue curves of
-H for sign changes.  Tracking curves rather than det signs is what
-resolves even-multiplicity roots (the theta = 0 anchor is a double root
-at which the determinant does not change sign).
-
-Both axes are built in one congruent form, the overflow-safe
-2 exp(-kappa pi/2) D H D on the imaginary axis and D M D on the real one
-(D a positive diagonal); by Sylvester's law it moves no root, changes no
-multiplicity and maps null spaces through D.  The root finders scan it,
-and channel_matrix divides out its positive factor to give M and H.
-_SpecStack holds the arrays every evaluation reads (the active overlap,
-R/a and D), stacked over the specs solved together.
+imaginary axis.  Both axes are built in one congruent form, the
+overflow-safe 2 exp(-kappa pi/2) D H D on the imaginary axis and D M D on
+the real one (D a positive diagonal); by Sylvester's law it moves no
+root, changes no multiplicity and maps null spaces through D.  The root
+finders scan it, and channel_matrix divides out its positive factor to
+give M and H.  _SpecStack holds the arrays every evaluation reads (the
+active overlap, R/a and D), stacked over the specs solved together.
 
 The lengths fix the mode.  In asymptotic mode (no finite channel)
 R/a = 0 and D = I, so on both axes the matrix is f(x) I - g(x) O with O
@@ -30,21 +25,29 @@ h_j = f - g o_j = 0 over the eigenvalues o_j of O, whose eigenvectors
 span the null spaces.  No grid is scanned: phi = f/g is monotone on the
 imaginary axis and between its turning points and poles on the real one,
 so each such branch holds one root of h_j where h_j changes sign over
-it.  Finite mode scans an N_GRID-point grid coarse to fine, in cells of
-256, 64, 16 and 4 steps and then point by point, and skips what two
-inertia counts prove empty.  Every physical overlap is 2I - 3 V V^T (V
-the mixed-symmetry basis), so the number of eigenvalues below a shift
-follows from the diagonal and one 2x2 Schur complement (Haynsworth
-inertia additivity), without eigvalsh; by Weyl's inequality every sorted
-eigenvalue curve moves no faster than ||A'||_2, which the closed-form
-entries bound on each cell (Kato, Perturbation Theory for Linear
-Operators, ch. II).  Only the points no count clears, with their
-neighbours, are diagonalized.  A skipped point takes part in no sign
-change and no near-zero dip, so the brackets, fine scans, refinement and
-warnings are those of the full grid, bit for bit.  Either way every
-bracket goes through one value-only refinement, safeguarded Illinois
-regula falsi (_refine), and a root's residual comes from the assembled
-matrix.
+it.
+
+Finite mode rests on the form of every overlap ChannelMatrixSpec admits,
+O = 2I - 3 V V^T: the matrix is D' + 3k V V^T with D' = diag(d - 2k),
+so one 2x2 Schur complement gives the number of its eigenvalues below a
+shift (Haynsworth inertia additivity) and its determinant (the matrix
+determinant lemma), without eigvalsh.  Sorted eigenvalue curve k is
+negative exactly where the count at zero exceeds k.  An N_GRID-point
+grid is scanned coarse to fine, in cells of 256, 64, 16 and 4 steps, and
+two counts close a cell no curve can reach zero in (by Weyl's inequality
+a curve moves no faster than ||A'||_2, which the closed-form entries
+bound; Kato, Perturbation Theory for Linear Operators, ch. II); the
+points of the open cells are counted at zero.  A cell whose end counts
+differ holds a root: it is split on counts while they differ by more
+than one, then refined on the determinant.
+Where the determinant dips towards zero between equal counts, the two
+cells are counted at 65 points, which turns a root pair inside one cell
+into two brackets or a warning.  On the real axis sin(pi s/2) = 0 at
+s = 2 and s = 4, where the matrix is -6 (I - V V^T) and 3k V V^T: known
+roots, singular on the unit singular values of V and off its range.
+Either way every bracket goes through one value-only refinement,
+safeguarded Illinois regula falsi (_refine), and a root's residual comes
+from the assembled matrix.
 """
 
 from __future__ import annotations
@@ -79,18 +82,25 @@ MERGE_TOL = 1e-8
 GRID_EPS = 1e-8
 #: number of scan-grid points
 N_GRID = 2000
-#: matrices per stacked eigvalsh call; bounds the memory of a finite-mode
-#: scan and of a refinement
-BLOCK_MATRICES = 1024
-#: points per inertia-count call; bounds the memory of a finite-mode scan
-_COUNT_BLOCK = 4096
+#: points per inertia-count call; bounds the memory of a count: its
+#: largest temporary, 3 x 6 x 1536 doubles, stays under 256 KB
+_COUNT_BLOCK = 1536
 #: cell widths in grid steps of the finite-mode scan, coarse to fine
 _LEVELS = (256, 64, 16, 4)
 #: how far the real-axis grid moves a point off an even integer
 _NUDGE = 1e-6
+#: bound on 1 - sigma^2 for a unit and on sigma^2 for a zero singular
+#: value sigma of V at the known roots (physical V are exact to ~1e-15)
+_RANK_TOL = 1e-12
+#: how far the scan keeps off the known real roots s = 2 and s = 4:
+#: beyond the round-off of a tangent root there (sqrt(eps) ~ 1e-8), and
+#: well inside a grid step
+_GAP = 1e-7
+#: points of the fine scan of a near-zero dip, over its two grid cells
+_FINE = 65
 #: error bound of a computed normalized eigenvalue, relative to the bound
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
-#: eigvalsh is backward stable and the entries carry a few eps each)
+#: eigh is backward stable and the entries carry a few eps each)
 _EIG_ERR = 1e-12
 #: machine epsilon of a double
 _EPS = 2.0 ** -52
@@ -98,6 +108,19 @@ _EPS = 2.0 ** -52
 
 class HyperangularError(ValueError):
     pass
+
+
+def _check_radius(lengths, radius) -> None:
+    """Refuse a finite-mode R unless R > 0 and the kappa window
+    10 + 2 sqrt(2) R/|a| of every finite length a is finite."""
+    if radius is None or not radius > 0.0:
+        raise HyperangularError("finite mode requires hyperradius > 0")
+    for l in lengths:
+        if l.kind == "finite" and not math.isfinite(
+                2.0 * SQRT2 * radius / abs(l.value)):
+            raise HyperangularError(
+                f"R/a is not finite in double precision at R = {radius:g} "
+                f"and a = {l.value:g}")
 
 
 class GridResolutionWarning(UserWarning):
@@ -131,13 +154,18 @@ class ChannelMatrixSpec:
                 f"overlap shape {o.shape} does not match {n} states")
         if np.abs(o - o.T).max() > 1e-12:
             raise HyperangularError("overlap matrix must be symmetric")
+        o = 0.5 * (o + o.T)
+        form = o @ o - o
+        form.flat[::n + 1] -= 2.0
+        if np.abs(form).max() > 1e-10:
+            raise HyperangularError(
+                "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)")
         if self.mode == "finite":
             if any(l.kind == "unitary" for l in self.lengths):
                 raise HyperangularError(
                     "finite and unitary channels do not mix")
-            if self.hyperradius is None or not self.hyperradius > 0.0:
-                raise HyperangularError("finite mode requires hyperradius > 0")
-        object.__setattr__(self, "overlap", 0.5 * (o + o.T))  # frozen
+            _check_radius(self.lengths, self.hyperradius)
+        object.__setattr__(self, "overlap", o)  # frozen
 
     @property
     def mode(self) -> str:
@@ -347,7 +375,7 @@ def classify_root(null_vectors: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# root finding by eigenvalue-curve tracking
+# root finding by inertia counts
 # ---------------------------------------------------------------------------
 
 def default_kappa_max(spec: ChannelMatrixSpec) -> float:
@@ -382,8 +410,8 @@ def _check_s_max(s_max: float) -> None:
 
 def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
     """Move grid points off even integers, where sin(s pi/2) = 0 makes the
-    diagonal entries of every channel coincide (a benign degeneracy that
-    confuses sorted-curve bookkeeping)."""
+    diagonal entries of every channel coincide (at s = 4 every pivot of
+    the counts vanishes)."""
     grid = grid.copy()
     nearest = 2.0 * np.round(grid / 2.0)
     close = (np.abs(grid - nearest) < offset) & (nearest > 0.0)
@@ -419,14 +447,12 @@ class _SpecStack:
     the congruence diagonal c = 1/sqrt(max(1, sqrt(2)|R/a|)) and its outer
     product.  Every evaluation of a spec's matrix reads them here.
 
-    A finite stack also holds V, the active rows of the -1 eigenvectors of
-    each full overlap (one stacked eigh; at most two columns, zero-padded
-    to two), and the defect ||O - (2I - 3 V V^T)||_F.  Every physical
-    overlap has this form (its spectrum is 2 four times and -1 twice), so
-    the matrix diag(d) - k O is D' + 3k V V^T with D' = diag(d - 2k), and
-    count_below counts its eigenvalues below a shift without eigvalsh.  An
-    overlap with a defect above 1e-10 gets an infinite margin, so no
-    certificate: every point of its scan goes through eigvalsh."""
+    A finite stack also holds V, the -1 eigenvectors of each overlap (one
+    stacked eigh, zero-padded to two columns), and the defect ||O - (2I -
+    3 V V^T)||_F.  The normalized matrix is diag(e) + 3k W W^T, e the
+    diagonal of C D' C and W = C V_a (V_a the active rows of V), which
+    the counts read; on the real axis it keeps the multiplicities of the
+    known roots s = 2 and s = 4 (see _finite_roots)."""
 
     def __init__(self, specs, axis: str):
         self.terms, self.slopes = _AXES[axis]
@@ -453,16 +479,19 @@ class _SpecStack:
             r = min(2, self.n_states)
             v = np.zeros(full.shape[:2] + (2,))
             v[..., :r] = vec[..., :r] * (o[:, None, :r] < 0.5)
-            defect = np.linalg.norm(
+            self.defect = np.linalg.norm(
                 full - 2.0 * np.eye(self.n_states)
                 + 3.0 * (v @ v.transpose(0, 2, 1)), axis=(-2, -1))
-            self.defect = np.where(defect <= 1e-10, defect, np.inf)
-            v = v[:, act].T  # (column, active state, spec)
-            # v_0^2, v_1^2 and v_0 v_1, whose sums over the states weighted
-            # by 1/D'_t give V^T D'_t^-1 V, and |v|^2 for its error bound;
-            # state-major, so that count_below sums whole rows
-            self.basis_products = np.stack(
-                (v[0] ** 2, v[1] ** 2, v[0] * v[1], v[0] ** 2 + v[1] ** 2))
+            v = v[:, act]
+            if axis == "real":  # the multiplicities of s = 2 and s = 4
+                sv2 = np.linalg.svd(v, compute_uv=False) ** 2
+                self.known = ((2.0, np.sum(sv2 >= 1.0 - _RANK_TOL, axis=1)),
+                              (4.0, act.size - np.sum(sv2 > _RANK_TOL, 1)))
+            w = (v * d[..., None]).T  # (column, active state, spec)
+            # w_0^2, w_1^2 and w_0 w_1, whose sums over the states weighted
+            # by 1/(e - t) give W^T (E - t)^-1 W, and |w|^2 for its bound
+            self.weights = np.stack(
+                (w[0] ** 2, w[1] ** 2, w[0] * w[1], w[0] ** 2 + w[1] ** 2))
 
     def lipschitz(self, p, lo, hi) -> np.ndarray:
         """Bound L on ||A(y) - A(x)||_2 <= L (y - x) for lo <= x < y <= hi,
@@ -480,85 +509,100 @@ class _SpecStack:
         out *= self.scale[p]
         return out
 
-    def eigenvalues(self, p, x) -> np.ndarray:
-        """Sorted eigenvalues of matrices(p, x) for flat p and x, at most
-        BLOCK_MATRICES matrices per eigvalsh call."""
-        out = np.empty(x.shape + self.scale.shape[-1:])
-        for lo in range(0, x.size, BLOCK_MATRICES):
-            part = slice(lo, lo + BLOCK_MATRICES)
-            out[part] = np.linalg.eigvalsh(self.matrices(p[part], x[part]))
-        return out
+    def width(self, p, lo, hi, h) -> np.ndarray:
+        """L (hi - lo)/2 + L h + margin for cells [lo, hi] of spec p (flat
+        arrays; h a bound on the grid step, L = lipschitz over [lo - h,
+        hi + h]): each curve moves at most L (hi - lo)/2 from the centre
+        (Weyl), so if no eigenvalue there is that near zero, no curve comes
+        within L h + margin of zero in the cell.  The margin leaves room
+        for round-off: six eigenvalue errors for the matrix and the
+        count's own arithmetic, and |k| <= 4/sqrt(3) times the defect."""
+        lip = self.lipschitz(p, np.maximum(lo - h, 0.0), hi + h)
+        return lip * (0.5 * (hi - lo) + h) + 6.0 * _eig_err(
+            hi + h, self.kernel_norm[p]) + KERNEL_COEFF * self.defect[p]
 
-    def curve_values(self, p, x, k) -> np.ndarray:
-        """k[i]-th sorted eigenvalue of spec p[i] at x[i] for flat arrays."""
-        return self.eigenvalues(p, x)[np.arange(x.size), k]
-
-    def margin(self, p, x) -> np.ndarray:
-        """What a proof by count_below leaves for round-off at points up
-        to x: four eigenvalue errors for the eigvalsh values the proof
-        stands in for, two for the count's own arithmetic, and |k| times
-        the overlap's defect (|k| <= 4/sqrt(3) on both axes)."""
-        return 6.0 * _eig_err(x, self.kernel_norm[p]) \
-            + KERNEL_COEFF * self.defect[p]
+    def excludes(self, p, lo, hi, h) -> np.ndarray:
+        """Whether counts at -+width prove that no curve comes within L h
+        + margin of zero in the cells.  A point with no curve that close
+        keeps every sign to its neighbours and is no dip, so no sign
+        change or dip of the full grid uses it."""
+        t = self.width(p, lo, hi, h)
+        below = self.count_below(p, 0.5 * (lo + hi), np.array([t, -t]))
+        return (below[0] == below[1]) & (below[0] >= 0)
 
     def count_below(self, p, x, t) -> np.ndarray:
         """Number of eigenvalues of matrices(p, x) below each shift t
-        (shape (shifts,) + x.shape, x and p flat), or -1 where round-off
-        could change it or t is not finite.  By Sylvester's law it is
-        neg(H - t C^-2) with H = D' + 3k V V^T and C the congruence, and by
-        Haynsworth's inertia additivity on [[D'_t, V], [V^T, -I/(3k)]]
-        (Linear Algebra Appl. 1, 1968) that is neg(D'_t) + neg(S) - 2[k > 0]
-        with D'_t = D' - t C^-2 and the 2x2 S = -I/(3k) - V^T D'_t^-1 V.
-        It is computed from S' = -3k S = I + 3k V^T D'_t^-1 V, which stays
-        finite as k -> 0: neg(S) - 2[k > 0] = -sgn(k) neg(S').  The count
-        is that of the computed D'_t, k and V (whose distance to the matrix
-        the margin covers) whenever the error bound of the computed S'
-        leaves the signs of its eigenvalues fixed; a pivot of D'_t within
-        round-off of zero makes that bound swamp det S'."""
-        # arrays (states, shifts, points), built in place; np.take is
-        # several times faster than fancy indexing here
+        (shape (shifts, points) or (shifts, 1), x and p flat), or -1 where
+        round-off could change it or t is not finite.  By Haynsworth's
+        inertia additivity on [[E_t, W], [W^T, -I/(3k)]] (Linear Algebra
+        Appl. 1, 1968) it is neg(E_t) + neg(S) - 2[k > 0] with E_t =
+        diag(e - t) and the 2x2 S = -I/(3k) - W^T E_t^-1 W, computed from
+        S' = -3k S = I + 3k W^T E_t^-1 W, which stays finite as k -> 0:
+        neg(S) - 2[k > 0] = -sgn(k) neg(S').  The count is that of the
+        computed e, k and W (whose distance to the matrix the margin
+        covers) whenever the error bound of the computed S' leaves the
+        signs of its eigenvalues fixed; a pivot of E_t within round-off of
+        zero makes that bound swamp det S'."""
+        t = np.broadcast_to(t, t.shape[:1] + x.shape)
+        return np.concatenate([np.zeros(t.shape[:1] + (0,), dtype=int)] + [
+            self._count(p[part], x[part], t[:, part])[0]
+            for part in _blocks(x.size)], axis=1)
+
+    def at_zero(self, p, x):
+        """count_below(p, x, 0) and F = det A / prod_j max(1, |e_j|) for
+        A = matrices(p, x), flat p and x.  By the matrix
+        determinant lemma (Golub, SIAM Rev. 15, 1973) det A = det E det S',
+        so F = det S' prod_j clip(e_j, -1, 1): of the sign (-1)^count and
+        finite where an e_j vanishes.  Read off the count's S', it is as
+        accurate as the count, also near a close root pair, where a sum
+        over the minors of A is round-off; next to a pole it is within
+        about eps/|e_j| of its value (det S' cancels terms in 1/e_j^2)."""
+        below, f = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for part in _blocks(x.size):
+            c, det, e = self._count(p[part], x[part], np.zeros((1, 1)))
+            for row in np.clip(e, -1.0, 1.0):  # in order, whatever the size
+                det = det * row
+            below.append(c[0])
+            f.append(det[0])
+        f = np.concatenate(f)
+        return np.concatenate(below), f
+
+    def _count(self, p, x, t):
+        """count_below's counts, det S' and e at one block."""
         kern, diag = self.terms(x, np.take(self.r_over_a, p, axis=0))
         diag -= 2.0 * kern[:, None]
-        inv = t * np.take(self.stretch, p, axis=0).T[:, None]
-        np.subtract(diag.T[:, None], inv, out=inv)  # D'_t
+        diag /= np.take(self.stretch, p, axis=0)
+        # an e_j far inside round-off of zero, as where a refinement lands
+        # on the root of a state no column of W reaches, keeps 1/e_j finite
+        diag[np.abs(diag) < _EPS ** 2] = _EPS ** 2
+        e = diag.T
+        # arrays (states, shifts, points); np.take is several times faster
+        # than fancy indexing here, and the sums over the (at most six)
+        # states run in order whatever the number of points, so a point's
+        # values do not depend on its batch (einsum's order does)
+        inv = np.subtract(e[:, None], t)  # E_t
         neg = np.count_nonzero(inv < 0.0, axis=0)
         w = 3.0 * kern
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.reciprocal(inv, out=inv)
-            s00, s11, s01 = (
-                w * np.einsum("msn,mn->sn", inv, np.take(row, p, axis=1))
-                for row in self.basis_products[:3])
+            s00, s11, s01 = w * np.sum(
+                inv * np.take(self.weights[:3], p, axis=2)[:, :, None], axis=1)
             s00, s11 = s00 + 1.0, s11 + 1.0
             det = s00 * s11 - s01 * s01
             size = np.abs(s00) + np.abs(s11) + 2.0 * np.abs(s01)
             # a bound on ||S'_computed - S'||_2 plus det's own round-off
-            bound = np.einsum("msn,mn->sn", np.abs(inv, out=inv),
-                              np.take(self.basis_products[3], p, axis=1))
+            bound = np.sum(np.abs(inv, out=inv) * np.take(
+                self.weights[3], p, axis=1)[:, None], axis=0)
             err = 32.0 * _EPS * (1.0 + np.abs(w) * bound) + 4.0 * _EPS * size
             ok = (np.abs(det) > err * size) & np.isfinite(t)
         below = np.where(det < 0.0, 1, np.where(s00 < 0.0, 2, 0))
         neg += np.where(kern > 0.0, -below, below)
-        return np.where(ok, neg, -1)
+        return np.where(ok, neg, -1), det, e
 
-    def excludes(self, p, lo, hi, h) -> np.ndarray:
-        """Whether two counts prove that no sorted curve of spec p comes
-        within L h + margin of zero at a point of [lo, hi] (flat arrays; h
-        a bound on the grid step, L = lipschitz over [lo - h, hi + h]):
-        each curve moves at most L (hi - lo)/2 from the centre (Weyl), so
-        no eigenvalue there within L (hi - lo)/2 + L h + margin suffices.
-        A point with no curve that close keeps every sign to its
-        neighbours and has |lambda_k| above the change to one, so no
-        bracket or dip of the full grid uses it."""
-        lip = self.lipschitz(p, np.maximum(lo - h, 0.0), hi + h)
-        t = lip * (0.5 * (hi - lo) + h) + self.margin(p, hi + h)
-        mid = 0.5 * (lo + hi)
-        out = np.empty(p.size, dtype=bool)
-        for start in range(0, p.size, _COUNT_BLOCK):
-            part = slice(start, start + _COUNT_BLOCK)
-            below = self.count_below(p[part], mid[part],
-                                     np.array([t[part], -t[part]]))
-            out[part] = (below[0] == below[1]) & (below[0] >= 0)
-        return out
+
+def _blocks(n):
+    """Slices of at most _COUNT_BLOCK of n points."""
+    return (slice(i, i + _COUNT_BLOCK) for i in range(0, n, _COUNT_BLOCK))
 
 
 def _runs(count):
@@ -569,14 +613,12 @@ def _runs(count):
 
 
 def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
-    """Every spec's grid points that a bracket or a dip can use, with
-    their sorted eigenvalues: flat arrays (spec, grid index, point,
-    eigenvalues) in (spec, index) order.  Each level of _LEVELS splits the
-    open cells (at first each spec's whole grid) into cells of its width
-    and closes those _SpecStack.excludes proves empty.  The points of the
-    cells left open go through the same proof one by one; the points it
-    fails, with their neighbours (the other end of a sign change, the
-    sides of a dip), are the only ones evaluated by eigvalsh."""
+    """Every spec's grid points that a sign change or a dip can use: flat
+    arrays (spec, grid index, point) in (spec, index) order, and per spec
+    a bound on the grid step.  Each level of _LEVELS splits the open
+    cells (at first each spec's whole grid) into cells of its width and
+    closes those _SpecStack.excludes proves empty; the points of the
+    cells left open are returned."""
     p = np.arange(x_max.size)
     a, b = np.zeros_like(p), np.full_like(p, n - 1)
     # a bound on the grid step: the spacing, its round-off and the real
@@ -594,39 +636,12 @@ def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
     key = p[cell] * n + a[cell] + j
     key = key[np.diff(key, prepend=-1) != 0]
     p, i = np.divmod(key, n)
-    x = _grid(axis, x_max[p], n, i)
-    need = ~stack.excludes(p, x, x, h[p])
-    key, i = key[need], i[need]
-    key = np.sort(np.concatenate((key[i > 0] - 1, key, key[i < n - 1] + 1)))
-    p, i = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    x = _grid(axis, x_max[p], n, i)
-    return p, i, x, stack.eigenvalues(p, x)
+    return p, i, _grid(axis, x_max[p], n, i), h
 
 
-def _candidates(p, x, curves, step):
-    """The sign changes (p, k, lo, hi, f_lo, f_hi) of sorted eigenvalue
-    curves (m, points) and their near-zero dips (p, k, left, right), in
-    (spec, curve, index) order.  p and x give each point's spec and value;
-    a test pairs neighbours only where step (points - 1) holds."""
-    neg = curves < 0.0
-    change = (neg[:, :-1] != neg[:, 1:]) & step
-    k, i = np.nonzero(change)
-    o = np.lexsort((i, k, p[i]))
-    k, i = k[o], i[o]
-    brackets = (p[i], k, x[i], x[i + 1], curves[k, i], curves[k, i + 1])
-    # interior near-zero dips without a sign change
-    mag = np.abs(curves)
-    centre = mag[:, 1:-1]
-    local = np.maximum(np.abs(curves[:, 1:-1] - curves[:, :-2]),
-                       np.abs(curves[:, 2:] - curves[:, 1:-1]))
-    dip = (centre <= mag[:, :-2]) & (centre <= mag[:, 2:]) \
-        & (neg[:, :-2] == neg[:, 1:-1]) \
-        & (neg[:, 1:-1] == neg[:, 2:]) & ~(centre > local) \
-        & step[:-1] & step[1:]
-    k, i = np.nonzero(dip)
-    o = np.lexsort((i, k, p[i]))
-    k, i = k[o], i[o]
-    return brackets, (p[i], k, x[i], x[i + 2])
+def _tol(lo, hi):
+    """_refine's default tolerance for brackets [lo, hi]."""
+    return np.maximum(1e-12, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
 
 
 def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
@@ -636,15 +651,14 @@ def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
     regula falsi point (Dowell and Jarratt, BIT 11, 1971: an end kept two
     rounds running has its value halved), held at least tol/2 inside the
     bracket, or to its midpoint if the bracket has not halved in two
-    rounds, as at the kinks where sorted curves cross.  Exact zeros at an
-    end or a step are returned as they are; otherwise a bracket stops once
-    it is no wider than tol[i] or at floating resolution, and its midpoint
-    is returned.  The caller sets tol: the channel roots and branch ends
-    here keep the default max(1e-12, 4 eps |hi_0|), and the trimer ladder
-    (hyperradial.bound_states) passes its relative energy tolerance."""
+    rounds, as at a kink.  Exact zeros at an end or a step are returned as
+    they are; otherwise a bracket stops once it is no wider than tol[i] or
+    at floating resolution, and its midpoint is returned.  The caller sets
+    tol: the channel roots and branch ends here keep the default _tol,
+    taken afresh each round so that it follows the bracket in, and the
+    trimer ladder (hyperradial.bound_states) passes its relative energy
+    tolerance."""
     lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-    if tol is None:
-        tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(hi))
     out = np.where(f_lo == 0.0, lo, hi)
     exact = (f_lo == 0.0) | (f_hi == 0.0)
     live = ~exact
@@ -654,15 +668,16 @@ def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
     width_1, width_2 = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
     while True:
         mid = 0.5 * (lo + hi)
-        live &= (hi - lo > tol) & (mid > lo) & (mid < hi)
+        t = _tol(lo, hi) if tol is None else tol
+        live &= (hi - lo > t) & (mid > lo) & (mid < hi)
         idx = np.nonzero(live)[0]
         if idx.size == 0:
             break
         a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
         width = b - a
         # fa and fb are nonzero and of opposite signs: no 0/0
-        x = np.clip(a + width * (fa / (fa - fb)), a + 0.5 * tol[idx],
-                    b - 0.5 * tol[idx])
+        x = np.clip(a + width * (fa / (fa - fb)), a + 0.5 * t[idx],
+                    b - 0.5 * t[idx])
         x = np.where(width > 0.5 * width_2[idx], mid[idx], x)
         width_2[idx], width_1[idx] = width_1[idx], width
         f = values(idx, x)
@@ -682,6 +697,41 @@ def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
     return np.where(exact, out, 0.5 * (lo + hi))
 
 
+def _isolate(stack, *brackets):
+    """Split brackets (p, lo, hi, c_lo, c_hi, f_lo, f_hi), counts at zero
+    and F of at_zero at their ends, at 15 even points a round while the
+    counts differ by more than one, and keep the pieces between certain
+    counts that differ.  The brackets whose counts differ by one come
+    back in the same form, and as roots (p, value, c_lo, c_hi) of every
+    curve between their counts the midpoints of pieces no wider than
+    _tol or that no count splits."""
+    out, roots = [], [tuple(brackets[i][:0] for i in (0, 1, 3, 4))]
+    while brackets[0].size:
+        o = np.lexsort(brackets[1::-1])
+        p, lo, hi, c_lo, c_hi, f_lo, f_hi = brackets = [a[o] for a in brackets]
+        w = hi - lo
+        one = np.abs(c_hi - c_lo) == 1
+        out.append([a[one] for a in brackets])
+        p, lo, w, c_lo, c_hi, f_lo, f_hi = (
+            a[~one] for a in (p, lo, w, c_lo, c_hi, f_lo, f_hi))
+        x = lo[:, None] + w[:, None] * (np.arange(17) / 16.0)
+        c, f = stack.at_zero(np.repeat(p, 15), x[:, 1:-1].ravel())
+        c = np.column_stack((c_lo, c.reshape(-1, 15), c_hi))
+        f = np.column_stack((f_lo, f.reshape(-1, 15), f_hi))
+        # a point whose count is uncertain gives way to its left neighbour
+        k = np.maximum.accumulate(np.where(c >= 0, np.arange(17), 0), axis=1)
+        x, c, f = (np.take_along_axis(a, k, 1) for a in (x, c, f))
+        i, j = np.nonzero(c[:, 1:] != c[:, :-1])
+        lo, hi = x[i, j], x[i, j + 1]
+        done = (hi - lo >= w[i]) | (hi - lo <= _tol(lo, hi))
+        roots.append((p[i][done], 0.5 * (lo + hi)[done], c[i, j][done],
+                      c[i, j + 1][done]))
+        brackets = [a[~done] for a in (p[i], lo, hi, c[i, j], c[i, j + 1],
+                                       f[i, j], f[i, j + 1])]
+    return ([np.concatenate(a) for a in zip(brackets, *out)],
+            [np.concatenate(a) for a in zip(*roots)])
+
+
 def _merge(p, values):
     """Roots sorted by (spec, value) and cut where they part by more than
     MERGE_TOL: the order, run starts, and each run's spec, mean and size."""
@@ -697,35 +747,106 @@ def _merge(p, values):
     return order, start, p[start], mean, size
 
 
+def _dips(stack, p, x, count, f, run, h):
+    """The fine scans of the near-zero dips among points (p, x) with their
+    counts and F, consecutive points of one run being neighbours: points
+    j whose counts equal both neighbours', where a curve lies within the
+    exclusion width (_SpecStack.width, h the step bound) of zero and |F|
+    is below the left neighbour's, no larger than the right one's (one
+    point of a tie) and no larger than its larger change to one, as where
+    a curve comes close enough to zero to cross it twice inside the two
+    cells.  Each is counted at _FINE points over [x_(j-1), x_(j+1)],
+    a run of its own: those points (spec, point, count, F, run), and the
+    dips (spec, curve, left, right) whose scan has no sign change and
+    still grazes zero, |F| below a quarter of its largest change between
+    fine points (the curve: count - 1 if it is the one near zero)."""
+    mag, step = np.abs(f), np.abs(np.diff(f))
+    flat = (run[1:] == run[:-1]) & (count[1:] == count[:-1])
+    centre = mag[1:-1]
+    j = 1 + np.flatnonzero(flat[:-1] & flat[1:] & (centre < mag[:-2])
+                           & (centre <= mag[2:])
+                           & ~(centre > np.maximum(step[:-1], step[1:])))
+    t = stack.width(p[j], x[j], x[j], h[p[j]])
+    below = stack.count_below(p[j], x[j], np.array([-t, t]))
+    near = below[0] != below[1]
+    j, low = j[near], (below[0] < count[j])[near]
+    fx = np.linspace(x[j - 1], x[j + 1], _FINE, axis=1)
+    fp, fr = np.repeat(p[j], _FINE), np.repeat(np.arange(j.size), _FINE)
+    fc, ff = stack.at_zero(fp, fx.ravel())
+    fine = ff.reshape(fx.shape)
+    graze = np.all(((fc == count[j][fr]) | (fc < 0)).reshape(fx.shape),
+                   axis=1) & (np.min(np.abs(fine), axis=1) < 0.25 * np.max(
+                       np.abs(np.diff(fine)), axis=1, initial=0.0))
+    g = j[graze]
+    return ((fp, fx.ravel(), fc, ff, fr),
+            list(zip(p[g].tolist(), (count[g] - low[graze]).tolist(),
+                     x[g - 1], x[g + 1])))
+
+
 def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
     """Roots of finite-mode specs, arrays (spec, value, residual) and
     their null vectors as pairs (roots, null vectors (roots, active
-    states, m)), one per multiplicity m: the sorted curves' sign changes
-    at the points _finite_scan keeps, and those fine scans of near-zero
-    dips uncover, refined together by _refine and merged.  The
-    multiplicity is the number of curves merged or, if larger, of
-    eigenvalues within _eig_err of zero at the root (the null-space
-    dimension); that many smallest-|lambda| eigenvectors, the congruence
-    undone and re-orthonormalized, are the null vectors.  A dip that
-    still grazes zero is a warning unless a root whose null-space count
-    raised its multiplicity lies in it."""
-    p, i, x, lam = _finite_scan(stack, axis, np.array(x_max), n_grid)
-    # neighbours: consecutive grid indices of one spec
-    step = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
-    brackets, suspects = _candidates(p, x, lam.T, step)
-    grazing = []
-    if suspects[0].size:
-        found, grazing = _subdivide(stack, *suspects)
-        brackets = [np.concatenate(c) for c in zip(brackets, found)]
-    p, k, lo, hi, f_lo, f_hi = brackets
-    values = _refine(lambda idx, x: stack.curve_values(p[idx], x, k[idx]),
+    states, m)), one per multiplicity m.  The points _finite_scan keeps
+    and the fine scans of their dips (_dips) are counted at zero; a point
+    whose count round-off could change is dropped and its neighbours
+    meet.  The cells whose end counts differ go through _isolate, and its
+    one-curve brackets through _refine on F.  The multiplicity is the
+    number of curves merged or, if larger, of eigenvalues within _eig_err
+    of zero at the root (the null-space dimension); that many
+    smallest-|lambda| eigenvectors, the congruence undone and
+    re-orthonormalized, are the null vectors.  On the real axis s = 2 and
+    s = 4 are roots of the multiplicity V_a gives them, if positive: its
+    unit singular values at s = 2, the active states less its rank at
+    s = 4; a cell across one is counted instead up to _GAP short of it on
+    either side.  A dip that still grazes zero is a warning unless a root
+    whose null-space count raised its multiplicity lies in it."""
+    x_max = np.array(x_max)
+    p, i, x, h = _finite_scan(stack, axis, x_max, n_grid)
+    link = (p[1:] == p[:-1]) & (i[1:] == i[:-1] + 1)
+    cut, known = [], []
+    for s0, mult in stack.known if axis == "real" else ():
+        j = np.flatnonzero(link & (x[:-1] < s0) & (x[1:] > s0)
+                           & (mult[p[:-1]] > 0))
+        link[j] = False
+        cut.append((np.repeat(p[j], 4), np.column_stack((
+            x[j], np.full(j.size, s0 - _GAP), np.full(j.size, s0 + _GAP),
+            x[j + 1])).ravel(), np.arange(4 * j.size) // 2))
+        q = np.flatnonzero((mult > 0) & (x_max >= s0))
+        known.append((q, np.full(q.size, s0), mult[q]))
+    count, f = stack.at_zero(p, x)
+    run = np.cumsum(np.concatenate(([0], ~link)))
+    fine, grazing = _dips(stack, *(a[count >= 0] for a in (
+        p, x, count, f, run)), h)
+    points, base = [(p, x, count, f, run)], run.size
+    for q, xs, c, g, r in [fine] + [(q, xs, *stack.at_zero(q, xs), r)
+                                    for q, xs, r in cut]:
+        # each fine scan and cut cell a run of its own
+        points.append((q, xs, c, g, r + base))
+        base += r.size
+    p, x, count, f, run = (np.concatenate(a) for a in zip(*points))
+    ok = count >= 0
+    p, x, count, f, run = (a[ok] for a in (p, x, count, f, run))
+    j = np.flatnonzero((run[1:] == run[:-1]) & (count[1:] != count[:-1]))
+    (p, lo, hi, c_lo, c_hi, f_lo, f_hi), (q, root, n_lo, n_hi) = _isolate(
+        stack, p[j], x[j], x[j + 1], count[j], count[j + 1], f[j], f[j + 1])
+    values = _refine(lambda idx, v: stack.at_zero(p[idx], v)[1],
                      lo, hi, f_lo, f_hi)
-    order, start, grp_p, grp_value, size = _merge(p, values)
+    # a root of several curves stands once for each
+    owner, k = _runs(np.abs(n_hi - n_lo))
+    k = np.concatenate((np.minimum(c_lo, c_hi),
+                        k + np.minimum(n_lo, n_hi)[owner]))
+    order, start, grp_p, grp_value, size = _merge(
+        np.concatenate((p, q[owner])), np.concatenate((values, root[owner])))
     # a run counts each curve once: two brackets of one curve (a tangent
     # pair split by round-off) can refine to within MERGE_TOL
     curves = np.zeros((start.size, stack.active.size), dtype=bool)
     curves[np.repeat(np.arange(start.size), size), k[order]] = True
     mult = np.count_nonzero(curves, axis=1)
+    if known:  # each _GAP > MERGE_TOL from every refined root
+        grp_p, grp_value, mult = (np.concatenate(a) for a in zip(
+            (grp_p, grp_value, mult), *known))
+        o = np.lexsort((grp_value, grp_p))
+        grp_p, grp_value, mult = grp_p[o], grp_value[o], mult[o]
     lam, vec = np.linalg.eigh(stack.matrices(grp_p, grp_value))
     nulls = np.count_nonzero(
         np.abs(lam) <= _eig_err(grp_value, stack.kernel_norm[grp_p])[:, None],
@@ -751,23 +872,6 @@ def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
             * np.take_along_axis(vec[g], pick[g, None, :m], -1)
         groups.append((g, np.linalg.qr(raw)[0]))
     return grp_p, grp_value, residual, groups
-
-
-def _subdivide(stack, p, k, left, right):
-    """Scan each suspect cell pair [left, right] of curve k at 65 points:
-    the brackets of its sign changes (as _candidates returns them), and
-    the suspects (p, k, left, right) whose dip still grazes zero."""
-    fine = np.array([np.linspace(a, b, 65) for a, b in zip(left, right)])
-    fv = stack.curve_values(np.repeat(p, 65), fine.ravel(),
-                            np.repeat(k, 65)).reshape(fine.shape)
-    neg = fv < 0.0
-    c, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    fine_var = np.max(np.abs(np.diff(fv, axis=1)), axis=1)
-    grazing = (np.min(np.abs(fv), axis=1) < 0.25 * fine_var)
-    grazing[c] = False
-    g = np.nonzero(grazing)[0]
-    return ((p[c], k[c], fine[c, j], fine[c, j + 1], fv[c, j], fv[c, j + 1]),
-            list(zip(p[g].tolist(), k[g].tolist(), left[g], right[g])))
 
 
 def _phi_slope(s):
@@ -1038,8 +1142,11 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
                     ] * len(radii)
     # the points share one length triple, their overlaps come from one
     # checked stack (exactly symmetric) and their radii from a checked
-    # grid, so the first point's check stands for every spec
+    # ascending grid, so the checks of the first point and of the last
+    # radius stand for every spec
     first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
+    if first.mode == "finite":
+        _check_radius(lengths, radii[-1])
     specs = [first] + [
         _prechecked(ChannelMatrixSpec, lengths=first.lengths,
                     overlap=o.matrix, state_channel=first.state_channel,

@@ -3,10 +3,13 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,13 @@ import spinor_efimov.runner as runner
 from spinor_efimov.cli import main
 from spinor_efimov.config import TASKS, parse_config
 from spinor_efimov.figure import sweep_figure
-from spinor_efimov.hyperangular import SweepRow, SweepTable, theta_sweep
+from spinor_efimov.hyperangular import (
+    ChannelMatrixSpec,
+    SweepRow,
+    SweepTable,
+    channel_matrix,
+    theta_sweep,
+)
 from spinor_efimov.hyperradial import _E_RTOL, efimov_ladder
 from spinor_efimov.runner import run, write_outputs
 from spinor_efimov.spin import channels_from_angle, exchange_overlap
@@ -29,6 +38,10 @@ a_gamma = closed
 theta_count = 9
 format = csv,json,svg
 """
+
+#: the environment of a child interpreter: the package from this checkout
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 @pytest.fixture()
@@ -364,22 +377,30 @@ def test_invariance_suite_makes_one_stacked_eigh(monkeypatch):
     assert [s for s in shapes if s[-2:] == (3, 3)] == [(100, 3, 3)]
 
 
-def test_invariance_suite_work_count(monkeypatch):
-    """The 150 finite specs of a 50-trial suite are scanned together,
-    coarse to fine, and only the grid points that inertia counts cannot
-    prove useless, with their neighbours, go through eigvalsh: at most
-    10,000 matrices in at most 200 eigvalsh calls (one spec at a time over
-    every grid point took 317,672 in 5,150; the fixed cells of 16 steps,
-    59,312 in 159; bisecting the brackets, 35,603 in 105; skipping cells
-    by the eigenvalues at their ends, 20,812 in 80), of which the
-    refinement evaluates at most 4,000 curve points (bisection: 17,622)."""
-    eigvalsh = np.linalg.eigvalsh
-    refine = hyperangular._refine
-    calls, points = [], []
+_PLATEAU_RUN = ("task = r-sweep\ntheta = {}\na_alpha = 1\na_beta = 1e6\n"
+                "a_gamma = closed\nR_min = 1e-2\nR_max = 1e6\nR_count = 129\n")
 
-    def counted(a, *args, **kwargs):
-        calls.append(math.prod(np.shape(a)[:-2]))
-        return eigvalsh(a, *args, **kwargs)
+
+def test_solver_runs_make_no_eigvalsh_call(monkeypatch):
+    """The seed-0 invariance suite and both plateau r-sweeps diagonalize
+    nothing in hyperangular with eigvalsh (the scan and the refinement
+    count and evaluate the rank-2 form): hyperangular's eigh calls take
+    one stack of overlaps per solve and one matrix per root, and the
+    refinement evaluates at most 4,000 points on the suite (every grid
+    point went through eigvalsh once: 317,672 matrices in 5,150 calls;
+    the certified skip with eigvalsh on the points no count cleared,
+    8,134 in 64)."""
+    refine = hyperangular._refine
+    calls, points = {"eigvalsh": [], "eigh": []}, []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == hyperangular.__name__:
+                calls[name].append(math.prod(np.shape(a)[:-2]))
+            return solver(a, *args, **kwargs)
+        return wrapper
 
     def counted_refine(values, *args):
         def counted_values(idx, x):
@@ -387,14 +408,21 @@ def test_invariance_suite_work_count(monkeypatch):
             return values(idx, x)
         return refine(counted_values, *args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(hyperangular, "_refine", counted_refine)
     bundle = run(parse_config(
         "task = invariance-suite\ntrials = 50\nR = 1\nseed = 0\n"))
     assert len(bundle.tables["checks"]) == 100
-    assert len(calls) <= 200
-    assert sum(calls) <= 10_000
+    assert calls["eigvalsh"] == []
     assert 0 < sum(points) <= 4_000
+    assert len(calls["eigh"]) == 2 and calls["eigh"][0] == 150
+    for theta in ("0", repr(math.pi / 2)):
+        calls["eigh"].clear()
+        table = run(parse_config(_PLATEAU_RUN.format(theta))).sweep_table
+        assert calls["eigvalsh"] == []
+        assert calls["eigh"] == [129, sum(len(row.roots)
+                                          for row in table.rows)]
 
 
 def test_invariance_suite_memory_peak():
@@ -446,7 +474,7 @@ def test_installed_entry_point_runs(sweep_config, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "spinor_efimov.cli", "theta-sweep",
          "--config", str(sweep_config), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert (out / "theta-sweep.csv").exists()
 
@@ -468,11 +496,74 @@ def test_cli_refuses_grids_that_overflow(text, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "spinor_efimov.cli", task,
          "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=20)
+        capture_output=True, text=True, timeout=20, env=CHILD_ENV)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@functools.lru_cache
+def _alpha_root():
+    """The alpha root at theta = 0.3, R = 0.4137 with beta closed, by
+    brentq on det of the 2x2 channel matrix, not by the library's
+    refinement; a beta length of 1e-12 or less moves it by about
+    R/|a_beta| (its block's diagonal) relative, below 1e-12."""
+    from scipy.optimize import brentq
+
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(
+        channels_from_angle(0.3, 1.0, "closed", "closed")), hyperradius=0.4137)
+    return brentq(lambda k: np.linalg.det(channel_matrix(1j * k, spec)),
+                  1.2, 1.6, xtol=1e-15, rtol=1e-15)
+
+
+@pytest.mark.parametrize("a_beta", ["1e-12", "1e-13", "1e-14", "1e-16",
+                                    "1e-20", "1e-30", "1e-300"])
+def test_deep_dimer_keeps_the_alpha_root(a_beta, tmp_path):
+    """A dimer at sqrt(2) R/a_beta widens the kappa window to 10 + 2
+    sqrt(2) R/a_beta, so the alpha root near 1.3864 lies in the first grid
+    cell; its refinement stops at a tolerance taken from the bracket as it
+    narrows, not from the grid step (which once left 1.38640637172, or an
+    error for a residual of 2e-6 up to 1)."""
+    cfg = tmp_path / "roots.run"
+    cfg.write_text("task = roots\ntheta = 0.3\na_alpha = 1\n"
+                   f"a_beta = {a_beta}\na_gamma = closed\nR = 0.4137\n")
+    assert main(["roots", "--config", str(cfg), "--out",
+                 str(tmp_path)]) == 0
+    rows = [r for r in _read_csv(tmp_path / "roots.csv")
+            if r["axis"] == "imaginary"]
+    values = sorted(float(r["value"]) for r in rows)
+    assert values[-1] == pytest.approx(
+        math.sqrt(2.0) * 0.4137 / float(a_beta), rel=1e-6)
+    assert min(abs(v - _alpha_root()) for v in values) <= 1e-10
+
+
+@pytest.mark.parametrize("text, code", [
+    ("task = r-sweep\ntheta = 0\na_alpha = -1e-12\na_beta = 1e6\n"
+     "a_gamma = closed\nR_min = 1\nR_max = 1e300\nR_count = 9\n", 1),
+    ("task = theta-sweep\na_alpha = closed\na_beta = 1e-300\n"
+     "a_gamma = closed\nR = 0.4137\n", 0),
+], ids=["r-sweep-past-double", "theta-sweep-dimer-5.85e299"])
+def test_extreme_lengths_raise_no_runtime_warning(text, code, tmp_path,
+                                                  capsys):
+    """An R/a beyond double precision is refused by name (it once printed
+    three RuntimeWarnings and failed in eigvalsh), and a dimer root at
+    5.85e299 is found without the counts' overflow warning."""
+    cfg = tmp_path / "extreme.run"
+    cfg.write_text(text)
+    task = text.split("\n", 1)[0].split(" = ")[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([task, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == code
+    if code:
+        assert capsys.readouterr().err.splitlines() == [
+            "error: R/a is not finite in double precision at R = 1e+300 "
+            "and a = -1e-12"]
+    else:
+        rows = _read_csv(tmp_path / "out" / f"{task}.csv")
+        assert len(rows) == 201
+        assert all(r["value"] == "5.85060150754e+299" for r in rows)
 
 
 @functools.lru_cache

@@ -15,11 +15,13 @@ from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
     ScatteringMatrix,
     TwoBodyChannelSet,
+    _prechecked,
     as_length,
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
     one_body_rotation,
+    toy_closed_form,
 )
 from spinor_efimov.hyperangular import (
     GRID_EPS,
@@ -567,7 +569,9 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
         expected_warnings.extend(f"{where}: {w}" for w in sink)
     assert table.warnings == expected_warnings
     if sweep is radius_sweep and s_max:
-        assert table.warnings  # the warning path is exercised
+        # the known root at s = 4: four active states, V_a of rank two
+        assert all(any((r.axis, r.value, r.multiplicity) == ("real", 4.0, 2)
+                       for r in row.roots) for row in table.rows)
 
 
 def test_radius_sweep_builds_spin_objects_once(monkeypatch):
@@ -618,15 +622,16 @@ def test_plateau_needs_radius_sweep():
 _X_TANGENT = (1 + 0.5 * (8 / math.sqrt(3)) * (math.pi / 6)) / (math.sqrt(2) * math.pi / 2)
 
 
-def test_grid_warning_on_tangent_double_root():
+def test_tangent_double_root_at_four_is_the_known_root():
+    """The single-level curve touches zero at s = 4 without crossing it:
+    s = 4 is a known root of multiplicity one (V is empty), found without
+    a grid-resolution warning."""
     spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, hyperradius=1.0)
     sink = []
-    find_roots_real(spec, 5.0, warning_sink=sink)
-    assert sink, "expected a grid-resolution flag near the double root at s = 4"
-    locs = [float(re.search(r"near ([0-9.eE+-]+)", w).group(1)) for w in sink]
-    assert min(abs(x - 4.0) for x in locs) < 0.05
-    with pytest.warns(GridResolutionWarning):
-        find_roots_real(spec, 5.0)
+    roots = find_roots_real(spec, 5.0, warning_sink=sink)
+    assert sink == []
+    assert [(r.value, r.multiplicity) for r in roots] == [(4.0, 1)]
+    assert roots[0].residual < 1e-14
 
 
 @pytest.mark.parametrize("n", [4001, 8001, 16001, 30001])
@@ -653,6 +658,59 @@ def test_separated_pair_found_without_warning():
     assert any(4.01 < v < 4.1 for v in vals)  # companion root near 4.0476
 
 
+class _OneCurve:
+    """A stand-in for _SpecStack with one sorted curve, lam(x) = 0.1
+    ((x - c)^2 - delta), whose counts and F (lam itself) it gives as the
+    stack would; its exclusion width is the step times the bound 0.6 on
+    |lam'| over [0, 3]."""
+
+    def __init__(self, c, delta):
+        self.c, self.delta = c, delta
+
+    def lam(self, x):
+        return 0.1 * ((x - self.c) ** 2 - self.delta)
+
+    def at_zero(self, p, x):
+        lam = self.lam(x)
+        return (lam < 0.0).astype(int), lam
+
+    def count_below(self, p, x, t):
+        return (self.lam(x) < t).astype(int)
+
+    def width(self, p, lo, hi, h):
+        return 0.6 * (0.5 * (hi - lo) + h)
+
+
+@pytest.mark.parametrize("delta, changes, grazes", [
+    (5e-4 ** 2, 2, False),  # a root pair 1e-3 apart inside one grid cell
+    (-1e-12, 0, True),      # a curve 1e-13 above zero
+    (-1e-4, None, False),   # a curve that stays 1e-5 above zero
+])
+def test_dip_is_scanned_by_counts(delta, changes, grazes):
+    """A curve that comes close to zero between grid points of equal
+    counts is counted at 65 points over its two cells: a pair inside one
+    cell shows as two count changes at its roots, a curve that still
+    grazes zero as a dip to warn of, and a curve that stays clear is no
+    dip."""
+    x = np.linspace(0.0, 3.0, 1201)
+    h = np.array([x[1] - x[0]])
+    stack = _OneCurve(x[600] + 0.5 * h[0], delta)
+    p, run = np.zeros(x.size, dtype=int), np.zeros(x.size, dtype=int)
+    (fp, fx, fc, ff, fr), grazing = hyperangular._dips(
+        stack, p, x, *stack.at_zero(p, x), run, h)
+    assert [g[:2] for g in grazing] == ([(0, 0)] if grazes else [])
+    if changes is None:
+        assert fx.size == 0
+        return
+    assert fx.size and np.all(fc >= 0)
+    for r in set(fr.tolist()):
+        xs, c = fx[fr == r], fc[fr == r]
+        flips = np.flatnonzero(c[1:] != c[:-1])
+        assert flips.size == changes
+        for i, root in zip(flips, stack.c + np.array([-1.0, 1.0]) * 5e-4):
+            assert xs[i] < root < xs[i + 1]
+
+
 # ---------------------------------------------------------------------------
 # asymptotic mode: per-eigenvalue scalar equations
 # ---------------------------------------------------------------------------
@@ -669,7 +727,12 @@ def _terms(axis, x):
 
 
 def _one_state_spec(o):
-    return ChannelMatrixSpec((as_length("unitary"),), np.array([[o]]), (0,))
+    """The one-state asymptotic problem with overlap o.  The scalar solver
+    takes any overlap, but ChannelMatrixSpec admits only 2 and -1 for one
+    state, so the spec is built without its checks."""
+    return _prechecked(ChannelMatrixSpec, lengths=(as_length("unitary"),),
+                       overlap=np.array([[o]]), state_channel=(0,),
+                       hyperradius=None, channels=None)
 
 
 def test_imaginary_phi_rises_strictly_from_its_limit():
@@ -738,16 +801,12 @@ def test_tangent_root_sits_at_the_turning_point(turn):
     assert find_roots_real(_one_state_spec(f / g - inward), 5.0) == []
 
 
-def _gapped_overlap(seed, n_states, repeat):
-    """A random symmetric overlap Q diag(o) Q^T whose eigenvalues lie at
-    least 0.1 apart (so eigenvectors are well conditioned), except that
-    with repeat the first two are equal."""
+def _physical_overlap(seed, n_states, rank):
+    """A random overlap of the physical form 2I - 3 Q Q^T, Q a random
+    n_states x rank matrix with orthonormal columns (rank <= n_states)."""
     rng = np.random.default_rng(seed)
-    o = rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.1, 1.5, n_states))
-    if repeat and n_states > 1:
-        o[1] = o[0]
-    q = np.linalg.qr(rng.normal(size=(n_states, n_states)))[0]
-    return (q * o) @ q.T
+    q = np.linalg.qr(rng.normal(size=(n_states, n_states)))[0][:, :rank]
+    return 2.0 * np.eye(n_states) - 3.0 * (q @ q.T)
 
 
 def _projector_weights(root):
@@ -767,14 +826,14 @@ def _assert_roots_match(got, want, weights):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
-       s_max=st.floats(2.0, 12.0), repeat=st.booleans())
-def test_scalar_roots_match_the_eigvalsh_scan(seed, n_states, s_max, repeat):
-    """The scalar solver finds the roots the finite-mode eigvalsh scan
-    finds on the same matrices: channels of length 1e300 at R = 1 make
-    R/a nonzero but negligible, so that spec is scanned by _finite_scan.
+       s_max=st.floats(2.0, 12.0), rank=st.integers(0, 2))
+def test_scalar_roots_match_the_finite_scan(seed, n_states, s_max, rank):
+    """The scalar solver finds the roots the finite-mode count scan finds
+    on the same matrices: channels of length 1e300 at R = 1 make R/a
+    nonzero but negligible, so that spec is scanned by _finite_scan.
     Equal counts and multiplicities, values within 1e-11, null-space
     weights within 1e-12."""
-    overlap = _gapped_overlap(seed, n_states, repeat)
+    overlap = _physical_overlap(seed, n_states, min(rank, n_states))
     states = tuple(range(n_states))
     fast = ChannelMatrixSpec((as_length("unitary"),) * n_states, overlap,
                              states)
@@ -792,10 +851,12 @@ def test_scalar_roots_match_the_eigvalsh_scan(seed, n_states, s_max, repeat):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_admixture_sweep_matches_the_eigvalsh_scan(seed):
+def test_admixture_sweep_matches_the_finite_scan(seed):
     """The benchmark's admixture sweep at seeds 0-9 (kappa_max = 10 +
     0.5 frac(seed phi)) equals the finite-mode scan of the same matrices
-    (a_beta = 1e300 at R = 1), spin profiles within 1e-12."""
+    (a_beta = 1e300 at R = 1), spin profiles within 1e-12: the known
+    root at s = 4 included, and the roots that approach it as theta
+    nears pi/2."""
     kappa_max = 10.0 + 0.5 * ((seed * 0.6180339887498949) % 1.0)
     thetas = np.linspace(0.0, 0.5 * math.pi, 201)
     fast = theta_sweep(thetas, "closed", "unitary", "closed",
@@ -862,15 +923,14 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
 
 def _random_finite_spec(seed, n_active, radius):
     """A finite spec over six states, n_active of them on finite channels
-    of random sign and size and the rest closed, with a random symmetric
-    overlap."""
+    of random sign and size and the rest closed, with a random overlap of
+    the physical form 2I - 3 Q Q^T of random rank 0, 1 or 2."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(6, 6))
     values = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-2.0, 2.0, 6)
     return ChannelMatrixSpec(
         lengths=tuple(as_length(v) if j < n_active else as_length("closed")
                       for j, v in enumerate(values)),
-        overlap=a + a.T,
+        overlap=_physical_overlap(seed, 6, int(rng.integers(0, 3))),
         state_channel=tuple(range(6)),
         hyperradius=radius)
 
@@ -906,9 +966,10 @@ def test_cell_lipschitz_bound_holds(seed, n_active, radius, axis, s_max,
 
 
 def _without_skip(mp):
-    """Turn the certified skip off: an infinite bound clears no cell."""
-    mp.setattr(hyperangular._SpecStack, "lipschitz",
-               lambda self, p, lo, hi: np.inf)
+    """Turn the certified skip off: no cell is closed, so every grid point
+    is counted."""
+    mp.setattr(hyperangular._SpecStack, "excludes",
+               lambda self, p, lo, hi, h: np.zeros(p.size, dtype=bool))
 
 
 def _assert_same_groups(got, want):
@@ -935,10 +996,10 @@ def _structured_finite_spec(seed, radius, n_active=6):
 
 
 def _mixed_finite_specs(seed, radii):
-    """Finite specs at the given radii, in turn random (any overlap,
-    lengths of random sign and size), physical (a conditioned scattering
-    matrix's channel set) and structured (_structured_finite_spec): the
-    first scan every point, the other two go through the inertia counts."""
+    """Finite specs at the given radii, in turn random (_random_finite_spec:
+    an overlap of rank 0 to 2 over one state per channel), physical (a
+    conditioned scattering matrix's channel set) and structured
+    (_structured_finite_spec, rank 2)."""
     rng = np.random.default_rng(seed)
     specs = []
     for j, radius in enumerate(radii):
@@ -979,28 +1040,31 @@ def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
 
 def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
     """The r-sweep golden run, with and without the skip: equal rows and
-    warnings, bit for bit, from fewer eigenvalue evaluations (at most
-    30,000 matrices with the skip)."""
+    warnings, bit for bit, from at most 40,000 counted points with the
+    skip and under a third of those without it; every radius has the
+    known double root at s = 4 (its active V_a has rank two)."""
     text = (Path(__file__).parent / "golden" / "r-sweep.run").read_text()
-    eigvalsh = np.linalg.eigvalsh
+    at_zero = hyperangular._SpecStack.at_zero
     seen = []
 
-    def counted(a, *args, **kwargs):
-        seen.append(math.prod(a.shape[:-2]))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(self, p, x):
+        seen.append(x.size)
+        return at_zero(self, p, x)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(hyperangular._SpecStack, "at_zero", counted)
     fast = run(parse_config(text))
-    fast_matrices = sum(seen)
+    fast_points = sum(seen)
     with monkeypatch.context() as mp:
         _without_skip(mp)
         full = run(parse_config(text))
-    assert fast_matrices <= 30_000
-    assert sum(seen) - fast_matrices > 2 * fast_matrices
+    assert fast_points <= 40_000
+    assert sum(seen) - fast_points > 3 * fast_points
     assert fast.tables == full.tables and fast.warnings == full.warnings
-    assert fast.warnings  # the grid-resolution path is exercised
+    assert fast.warnings == []
     for a, b in zip(fast.sweep_table.rows, full.sweep_table.rows):
         _assert_same_roots(a.roots, b.roots)
+        assert [(r.value, r.multiplicity) for r in a.roots
+                if r.axis == "real" and r.value == 4.0] == [(4.0, 2)]
 
 
 def _count_spec(kind, seed, n_active, radius):
@@ -1042,7 +1106,13 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
     eigenvalues below it: structured overlaps 2I - 3 Q Q^T down to one
     active state, physical channel sets (six or four active states) and
     the one-state problem, on both axes, with real-axis points also
-    within 1e-6 of the even integers and the multiples of 6."""
+    within 1e-6 of the even integers and the multiples of 6; -1 (the
+    count cannot be told) only where a pivot e_j - t of the count is
+    within 1e-12 of zero, as at s = 4 itself, where every e_j vanishes.
+    at_zero gives the count at zero and F = det A / prod max(1, |e_j|),
+    which matches the determinant of the assembled matrix A to 1e-9 of
+    the product of its eigenvalue magnitudes, each at least the margin,
+    where no e_j is within 1e-6 of zero (a pole of det S')."""
     spec = _count_spec(kind, seed, n_active, radius)
     stack = hyperangular._SpecStack([spec], axis)
     assert np.isfinite(stack.defect[0])
@@ -1052,28 +1122,178 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
         points = [GRID_EPS + fraction * 12.0, near]
     p = np.zeros(1, dtype=int)
     for x in np.array(points)[:, None]:
-        lam = stack.eigenvalues(p, x)[0]
-        margin = stack.margin(p, x)[0]
+        lam = np.linalg.eigvalsh(stack.matrices(p, x)[0])
+        margin = stack.width(p, x, x, np.zeros(1))[0]
+        e = stack._count(p, x, np.zeros((1, 1)))[2][:, 0]
         counts = stack.count_below(p, x, np.array(shifts)[:, None])[:, 0]
-        for t, count in zip(shifts, counts):
-            if np.min(np.abs(lam - t)) > margin:
+        for t, count in zip(shifts + [0.0], list(counts) + [
+                stack.at_zero(p, x)[0][0]]):
+            if np.min(np.abs(lam - t)) > margin and not (
+                    count == -1 and np.min(np.abs(e - t)) <= 1e-12):
                 assert count == np.count_nonzero(lam < t), (x, t, lam)
+        f = stack.at_zero(p, x)[1][0]
+        scale = np.prod(np.maximum(1.0, np.abs(e)))
+        if np.min(np.abs(lam)) > margin and np.min(np.abs(e)) >= 1e-6:
+            assert abs(f - np.prod(lam) / scale) <= 1e-9 * np.prod(
+                np.maximum(np.abs(lam), 1.0)) / scale
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
-@given(seed=st.integers(0, 2**32 - 1), n_active=st.integers(1, 6),
-       radius=st.floats(0.05, 50.0), axis=st.sampled_from(["imaginary",
-                                                          "real"]))
-def test_unstructured_overlap_gets_no_certificate(seed, n_active, radius,
-                                                  axis):
-    """A random symmetric overlap is not 2I - 3 V V^T: its margin is
-    infinite, so no cell or point of its scan is excluded by counts."""
-    spec = _random_finite_spec(seed, n_active, radius)
-    stack = hyperangular._SpecStack([spec], axis)
-    lo = np.linspace(GRID_EPS, 5.0, 9)
-    p = np.zeros(lo.size, dtype=int)
-    assert np.all(np.isinf(stack.margin(p, lo)))
-    assert not np.any(stack.excludes(p, lo, lo + 0.1, np.full(lo.size, 1e-3)))
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+       finite=st.booleans())
+def test_unstructured_overlap_is_refused(seed, n_states, finite):
+    """A random symmetric overlap is not 2I - 3 V V^T, and ChannelMatrixSpec
+    refuses it in both modes; the same spec with a physical overlap of
+    that size passes."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_states, n_states))
+    length = as_length(1.0 if finite else "unitary")
+    kwargs = dict(lengths=(length,) * n_states,
+                  state_channel=tuple(range(n_states)),
+                  hyperradius=1.0 if finite else None)
+    with pytest.raises(HyperangularError, match="2I - 3 V V"):
+        ChannelMatrixSpec(overlap=a + a.T, **kwargs)
+    ChannelMatrixSpec(overlap=_physical_overlap(seed, n_states,
+                                                min(2, n_states)), **kwargs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["structured", "physical", "single level"]),
+       seed=st.integers(0, 2**32 - 1), n_active=st.integers(1, 6),
+       radius=st.floats(0.05, 50.0))
+def test_known_roots_have_the_channel_matrix_null_space(kind, seed,
+                                                        n_active, radius):
+    """s = 2 and s = 4 are real roots exactly when channel_matrix is
+    singular there, with its null-space dimension as multiplicity (the
+    singular values of M at or below 1e-9 of the largest)."""
+    spec = _count_spec(kind, seed, n_active, radius)
+    roots = {r.value: r.multiplicity
+             for r in find_roots_real(spec, 5.0, warning_sink=[])}
+    for s0 in (2.0, 4.0):
+        sv = np.linalg.svd(channel_matrix(s0, spec), compute_uv=False)
+        assert roots.get(s0, 0) == np.count_nonzero(
+            sv <= 1e-9 * max(1.0, sv[0])), s0
+
+
+def _dense_sign_changes(spec, axis, x_max, n=20_000):
+    """The cells [lo, hi] of an n-point eigvalsh scan of the normalized
+    matrix over (0, x_max] and the number of sorted curves that change
+    sign in each."""
+    x = np.linspace(GRID_EPS, x_max, n)
+    lam = np.linalg.eigvalsh(hyperangular._SpecStack([spec], axis).matrices(
+        np.zeros(n, dtype=int), x))
+    neg = lam < 0.0
+    changes = np.count_nonzero(neg[1:] != neg[:-1], axis=1)
+    i = np.flatnonzero(changes)
+    return x[i], x[i + 1], changes[i]
+
+
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(kind=st.sampled_from(["physical", "plateau"]),
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 50.0),
+       s_max=st.floats(2.0, 12.0))
+def test_no_root_lost_against_a_dense_eigvalsh_scan(kind, seed, radius,
+                                                    s_max):
+    """Physical channel sets (six active states, or the plateau runs'
+    four) on both axes: every cell of a 20,000-point eigvalsh scan in
+    which sorted curves change sign holds found roots (within 1e-9) of at
+    least that total multiplicity."""
+    spec = _count_spec("physical", seed, 6 if kind == "physical" else 4,
+                       radius)
+    for axis, x_max, roots in (
+            ("imaginary", default_kappa_max(spec),
+             find_roots_imaginary(spec, warning_sink=[])),
+            ("real", s_max, find_roots_real(spec, s_max, warning_sink=[]))):
+        value = np.array([r.value for r in roots])
+        mult = np.array([r.multiplicity for r in roots])
+        for lo, hi, n in zip(*_dense_sign_changes(spec, axis, x_max)):
+            inside = (value >= lo - 1e-9) & (value <= hi + 1e-9)
+            assert np.sum(mult[inside]) >= n, (axis, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# the argument principle: no root off the axes, none missed on them
+# ---------------------------------------------------------------------------
+
+def _matrix_m(s, spec):
+    """M(s) over the active states for complex s, from the formula
+    of the hyperangular module docstring: M = diag[s cos(s pi/2) -
+    sqrt(2) (R/a_i) sin(s pi/2)] - (4/sqrt(3)) sin(s pi/6) O."""
+    act = spec.active_states()
+    r_over_a = np.array([
+        spec.hyperradius / spec.lengths[c].value
+        if spec.lengths[c].kind == "finite" else 0.0
+        for c in np.array(spec.state_channel)[act]])
+    s = np.asarray(s, dtype=complex)[..., None]
+    diag = s * np.cos(0.5 * math.pi * s) \
+        - math.sqrt(2.0) * r_over_a * np.sin(0.5 * math.pi * s)
+    m = -KC * np.sin(math.pi * s[..., None] / 6.0) * spec.overlap[
+        np.ix_(act, act)]
+    m[..., np.arange(act.size), np.arange(act.size)] += diag
+    return m
+
+
+def _winding(spec, rho, n=8192):
+    """The winding number of det M on |s| = rho, n points."""
+    sign, _ = np.linalg.slogdet(_matrix_m(rho * np.exp(
+        2j * math.pi * np.arange(n + 1) / n), spec))
+    step = np.angle(sign[1:] / sign[:-1])
+    assert np.max(np.abs(step)) < 0.5 * math.pi  # resolved
+    return np.sum(step) / (2.0 * math.pi)
+
+
+def _argument_specs():
+    """Ten seed-0 invariance specs, the r-sweep golden's 33 at theta = 0
+    and the toy run's."""
+    seen = []
+    solve = runner.find_roots_imaginary_batch
+
+    def recorded(specs, *args, **kwargs):
+        seen.extend(specs[:10])
+        return solve(specs, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "find_roots_imaginary_batch", recorded)
+        run(parse_config("task = invariance-suite\ntrials = 50\nR = 1\n"
+                         "seed = 0\n"))
+    overlap = exchange_overlap(channels_from_angle(0.0, 1.0, 1e6, "closed"))
+    seen += [ChannelMatrixSpec.from_overlap(overlap, float(r))
+             for r in np.geomspace(1e-2, 1e6, 33)]
+    seen.append(ChannelMatrixSpec.from_overlap(exchange_overlap(
+        toy_closed_form(1.0, 2.0, 0.5, 3.0)), hyperradius=2.0))
+    return seen
+
+
+def test_module_formula_is_the_channel_matrix():
+    """The docstring formula equals channel_matrix: M(s) on the real axis
+    and i H(kappa) at s = i kappa, to 1e-12 of the largest entry."""
+    for spec in _argument_specs()[::4]:
+        for s in (0.3, 1.7, 2.0, 4.0, 4.9, 0.05j, 1.2j, 4.5j):
+            want = channel_matrix(s, spec) * (1j if s.imag else 1.0)
+            got = _matrix_m(s, spec)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(
+                1.0, np.max(np.abs(want))))
+
+
+def test_argument_principle_counts_every_root():
+    """det M is entire, odd or even, and its roots come in -+ pairs.  On a
+    small circle its winding number is the order of its zero at s = 0,
+    the number of active states (M(s) ~ s A with A nonsingular); on
+    |s| = rho it is that order plus twice the multiplicity-weighted count
+    of the roots found on both axes inside (the known ones at s = 2 and
+    s = 4 among them), rho in (4, 5) at least 0.02 from every root's
+    modulus.  So no root lies off the axes and none was missed on them."""
+    for spec in _argument_specs():
+        roots = find_roots_imaginary(spec, 10.0, warning_sink=[]) \
+            + find_roots_real(spec, 5.0, warning_sink=[])
+        moduli = np.array([r.value for r in roots])
+        order = _winding(spec, 0.5 * min(1e-2, np.min(moduli)))
+        assert order == pytest.approx(spec.active_states().size, abs=1e-6)
+        rho = next(r for r in (4.5, 4.4, 4.6, 4.3, 4.7, 4.2, 4.8)
+                   if np.min(np.abs(moduli - r)) >= 0.02)
+        inside = sum(r.multiplicity for r in roots if r.value < rho)
+        assert _winding(spec, rho) == pytest.approx(order + 2 * inside,
+                                                    abs=1e-6)
 
 
 def test_batch_equals_single_point_roots():
@@ -1620,6 +1840,12 @@ _UNITARY_CHANNELS = channels_from_angle(0.0, "unitary", "closed", "closed")
     (lambda: ChannelMatrixSpec((as_length("unitary"),) * 2,
                                np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1)),
      "overlap matrix must be symmetric"),
+    (lambda: ChannelMatrixSpec((as_length("unitary"),), np.eye(1), (0,)),
+     "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)"),
+    (lambda: ChannelMatrixSpec.single_level(1e-300, hyperradius=1e10),
+     "R/a is not finite in double precision at R = 1e+10 and a = 1e-300"),
+    (lambda: radius_sweep(0.0, -1e-12, 1e6, "closed", [1.0, 1e300]),
+     "R/a is not finite in double precision at R = 1e+300 and a = -1e-12"),
     (lambda: channel_matrix(1j, ChannelMatrixSpec.single_level("closed")),
      "all channels are closed; no matrix remains"),
     (lambda: find_roots_imaginary(ChannelMatrixSpec.single_level("unitary"),
