@@ -19,7 +19,12 @@ and one upper energy.  The r-sweep json was re-made when the grazing
 warning stopped advising a denser grid, which does not resolve that
 warning, and the invariance-suite json when the run file's
 mode came to follow from its inputs: its finite random specs had been
-reported as "asymptotic".  A difference is a behaviour change to be
+reported as "asymptotic".  Both were re-made when finite mode moved
+from eigvalsh curves to inertia counts and the rank-2 determinant: the
+r-sweep gained the known double root at s = 4 at R = 1 and R = 1.778, lost
+its grazing warning there and its plateau's curve id, and 12 values moved
+in their 12th digit; the invariance suite's deviations, all below 1e-12,
+changed with the refinement.  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:
