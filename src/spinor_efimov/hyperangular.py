@@ -28,26 +28,27 @@ so each such branch holds one root of h_j where h_j changes sign over
 it.
 
 Finite mode rests on the form of every overlap ChannelMatrixSpec admits,
-O = 2I - 3 V V^T: the matrix is D' + 3k V V^T with D' = diag(d - 2k),
-so one 2x2 Schur complement gives the number of its eigenvalues below a
-shift (Haynsworth inertia additivity) and its determinant (the matrix
-determinant lemma), without eigvalsh.  Sorted eigenvalue curve k is
-negative exactly where the count at zero exceeds k.  An N_GRID-point
-grid is scanned coarse to fine, in cells of 256, 64, 16 and 4 steps, and
-two counts close a cell no curve can reach zero in (by Weyl's inequality
-a curve moves no faster than ||A'||_2, which the closed-form entries
-bound; Kato, Perturbation Theory for Linear Operators, ch. II); the
-points of the open cells are counted at zero.  A cell whose end counts
-differ holds a root: it is split on counts while they differ by more
-than one, then refined on the determinant.
-Where the determinant dips towards zero between equal counts, the two
-cells are counted at 65 points, which turns a root pair inside one cell
-into two brackets or a warning.  On the real axis sin(pi s/2) = 0 at
-s = 2 and s = 4, where the matrix is -6 (I - V V^T) and 3k V V^T: known
-roots, singular on the unit singular values of V and off its range.
+O = 2I - 3 V V^T with V of at most two orthonormal columns: the matrix
+is D' + 3k V V^T with D' = diag(d - 2k), so one 2x2 Schur complement
+gives the number of its eigenvalues below a shift (Haynsworth inertia
+additivity) and its determinant (the matrix determinant lemma), without
+eigvalsh.  Sorted eigenvalue curve k is negative exactly where the count
+at zero exceeds k.  An N_GRID-point grid is scanned coarse to fine, in
+cells of 256, 64, 16 and 4 steps, and two counts close a cell no curve
+can reach zero in (by Weyl's inequality a curve moves no faster than
+||A'||_2, which the closed-form entries bound; Kato, Perturbation Theory
+for Linear Operators, ch. II); the points of the open cells are counted
+at zero.  A cell whose end counts differ holds a root: it is split on
+counts while they differ by more than one, then refined on the
+determinant.  Where the determinant dips towards zero between equal
+counts, the two cells are counted at 65 points, which turns a root pair
+inside one cell into two brackets or a warning.  On the real axis
+sin(pi s/2) = 0 at s = 2 and s = 4, where the matrix is -6 (I - V V^T)
+and 3k V V^T: known roots, singular on the unit singular values of V and
+off its range.
 Either way every bracket goes through one value-only refinement,
-safeguarded Illinois regula falsi (_refine), and a root's residual comes
-from the assembled matrix.
+safeguarded Illinois regula falsi (refine._refine), and a root's
+residual comes from the assembled matrix.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .refine import _EPS, _refine, _tol
 from .spin import (
     ChannelLength,
     ExchangeOverlap,
@@ -76,14 +78,21 @@ SQRT2 = math.sqrt(2.0)
 #: bound on a root's residual, the largest tracked (normalized) eigenvalue
 #: magnitude left at it; a larger one is an error, not a root
 RESIDUAL_TOL = 1e-6
+#: bound on the entries of O^2 - O - 2I for an admitted overlap O
+_FORM_TOL = 1e-10
 #: two refined roots on distinct curves closer than this merge into one
 MERGE_TOL = 1e-8
 #: lower edge of the scan grid; s = 0 is a removable parametrization point
 GRID_EPS = 1e-8
 #: number of scan-grid points
 N_GRID = 2000
-#: points per inertia-count call; bounds the memory of a count: its
-#: largest temporary, 3 x 6 x 1536 doubles, stays under 256 KB
+#: points per inertia-count call, held where the largest temporary (3 x 6
+#: x 1536 doubles) stays under 256 KB for the benchmark's sake, not for
+#: speed: larger blocks count faster, but their freed temporaries decide
+#: whether the 256 KB temporaries of perfbench/worker.calibrate come from
+#: the heap or from mmap, which moves its time and so every scaled time.
+#: Choose it for speed once the calibration does not depend on the heap
+#: (ROADMAP item 1c).
 _COUNT_BLOCK = 1536
 #: cell widths in grid steps of the finite-mode scan, coarse to fine
 _LEVELS = (256, 64, 16, 4)
@@ -102,8 +111,6 @@ _FINE = 65
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
 #: eigh is backward stable and the entries carry a few eps each)
 _EIG_ERR = 1e-12
-#: machine epsilon of a double
-_EPS = 2.0 ** -52
 
 
 class HyperangularError(ValueError):
@@ -137,7 +144,9 @@ class ChannelMatrixSpec:
     full problem, one state total in the collapsed single-level problem).
     The lengths fix the mode: finite if a channel is finite (the others
     finite or closed, R > 0), else asymptotic (R never enters).
-    channels, when set, gives the roots their spin profiles.
+    overlap must be 2I - 3 V V^T with V of at most two orthonormal
+    columns: O^2 = O + 2I to _FORM_TOL, and 2n - trace O = 3 rank V at
+    most 6.  channels, when set, gives the roots their spin profiles.
     """
 
     lengths: tuple[ChannelLength, ...]
@@ -157,9 +166,12 @@ class ChannelMatrixSpec:
         o = 0.5 * (o + o.T)
         form = o @ o - o
         form.flat[::n + 1] -= 2.0
-        if np.abs(form).max() > 1e-10:
+        if np.abs(form).max() > _FORM_TOL:
             raise HyperangularError(
                 "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)")
+        if 2.0 * n - np.trace(o) > 7.5:  # 3 rank V, a multiple of 3
+            raise HyperangularError(
+                "overlap must have the form 2I - 3 V V^T with rank V <= 2")
         if self.mode == "finite":
             if any(l.kind == "unitary" for l in self.lengths):
                 raise HyperangularError(
@@ -408,25 +420,19 @@ def _check_s_max(s_max: float) -> None:
             f"s_max must lie in [2, {S_MAX_LIMIT:g}], got {s_max!r}")
 
 
-def _nudge_even_integers(grid: np.ndarray, offset: float = _NUDGE) -> np.ndarray:
-    """Move grid points off even integers, where sin(s pi/2) = 0 makes the
-    diagonal entries of every channel coincide (at s = 4 every pivot of
-    the counts vanishes)."""
-    grid = grid.copy()
-    nearest = 2.0 * np.round(grid / 2.0)
-    close = (np.abs(grid - nearest) < offset) & (nearest > 0.0)
-    shift = np.where(grid >= nearest, offset, -offset)
-    grid[close] = nearest[close] + shift[close]
-    return grid
-
-
 def _grid(axis: str, x_max, n: int, i) -> np.ndarray:
     """Points i of the n-point scan grid over (0, x_max] of an axis, with
-    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i], moved off
-    even integers on the real axis.  n >= 2."""
+    x_max and i broadcast: np.linspace(GRID_EPS, x_max, n)[i], moved
+    _NUDGE off even integers on the real axis, where sin(s pi/2) = 0
+    makes the diagonal entries of every channel coincide (at s = 4 every
+    pivot of the counts vanishes).  n >= 2."""
     x = i * ((x_max - GRID_EPS) / (n - 1)) + GRID_EPS
     x = np.where(i == n - 1, x_max, x)
-    return _nudge_even_integers(x) if axis == "real" else x
+    if axis == "real":
+        even = 2.0 * np.round(x / 2.0)
+        x = np.where((np.abs(x - even) < _NUDGE) & (even > 0.0),
+                     even + np.where(x >= even, _NUDGE, -_NUDGE), x)
+    return x
 
 
 # axis -> (kernel and diagonal terms, bounds on their slopes)
@@ -448,11 +454,11 @@ class _SpecStack:
     product.  Every evaluation of a spec's matrix reads them here.
 
     A finite stack also holds V, the -1 eigenvectors of each overlap (one
-    stacked eigh, zero-padded to two columns), and the defect ||O - (2I -
-    3 V V^T)||_F.  The normalized matrix is diag(e) + 3k W W^T, e the
-    diagonal of C D' C and W = C V_a (V_a the active rows of V), which
-    the counts read; on the real axis it keeps the multiplicities of the
-    known roots s = 2 and s = 4 (see _finite_roots)."""
+    stacked eigh, zero-padded to two columns).  The normalized matrix is
+    diag(e) + 3k W W^T, e the diagonal of C D' C and W = C V_a (V_a the
+    active rows of V), which the counts read; on the real axis it keeps
+    the multiplicities of the known roots s = 2 and s = 4 (see
+    _finite_roots)."""
 
     def __init__(self, specs, axis: str):
         self.terms, self.slopes = _AXES[axis]
@@ -479,9 +485,6 @@ class _SpecStack:
             r = min(2, self.n_states)
             v = np.zeros(full.shape[:2] + (2,))
             v[..., :r] = vec[..., :r] * (o[:, None, :r] < 0.5)
-            self.defect = np.linalg.norm(
-                full - 2.0 * np.eye(self.n_states)
-                + 3.0 * (v @ v.transpose(0, 2, 1)), axis=(-2, -1))
             v = v[:, act]
             if axis == "real":  # the multiplicities of s = 2 and s = 4
                 sv2 = np.linalg.svd(v, compute_uv=False) ** 2
@@ -516,10 +519,15 @@ class _SpecStack:
         (Weyl), so if no eigenvalue there is that near zero, no curve comes
         within L h + margin of zero in the cell.  The margin leaves room
         for round-off: six eigenvalue errors for the matrix and the
-        count's own arithmetic, and |k| <= 4/sqrt(3) times the defect."""
+        count's own arithmetic, and |k| <= 4/sqrt(3) times n _FORM_TOL/2,
+        a bound on ||O - (2I - 3 V V^T)||_2 for an overlap that passes
+        the spec check (each eigenvalue (l - 2)(l + 1) of O^2 - O - 2I is
+        at most n _FORM_TOL, so l is within about a third of that of 2 or
+        -1)."""
         lip = self.lipschitz(p, np.maximum(lo - h, 0.0), hi + h)
         return lip * (0.5 * (hi - lo) + h) + 6.0 * _eig_err(
-            hi + h, self.kernel_norm[p]) + KERNEL_COEFF * self.defect[p]
+            hi + h, self.kernel_norm[p]) \
+            + 0.5 * KERNEL_COEFF * self.n_states * _FORM_TOL
 
     def excludes(self, p, lo, hi, h) -> np.ndarray:
         """Whether counts at -+width prove that no curve comes within L h
@@ -527,48 +535,43 @@ class _SpecStack:
         keeps every sign to its neighbours and is no dip, so no sign
         change or dip of the full grid uses it."""
         t = self.width(p, lo, hi, h)
-        below = self.count_below(p, 0.5 * (lo + hi), np.array([t, -t]))
+        below = self.count_below(p, 0.5 * (lo + hi), np.array([t, -t]))[0]
         return (below[0] == below[1]) & (below[0] >= 0)
 
-    def count_below(self, p, x, t) -> np.ndarray:
+    def count_below(self, p, x, t):
         """Number of eigenvalues of matrices(p, x) below each shift t
         (shape (shifts, points) or (shifts, 1), x and p flat), or -1 where
-        round-off could change it or t is not finite.  By Haynsworth's
-        inertia additivity on [[E_t, W], [W^T, -I/(3k)]] (Linear Algebra
-        Appl. 1, 1968) it is neg(E_t) + neg(S) - 2[k > 0] with E_t =
-        diag(e - t) and the 2x2 S = -I/(3k) - W^T E_t^-1 W, computed from
-        S' = -3k S = I + 3k W^T E_t^-1 W, which stays finite as k -> 0:
-        neg(S) - 2[k > 0] = -sgn(k) neg(S').  The count is that of the
-        computed e, k and W (whose distance to the matrix the margin
-        covers) whenever the error bound of the computed S' leaves the
-        signs of its eigenvalues fixed; a pivot of E_t within round-off of
-        zero makes that bound swamp det S'."""
+        round-off could change it or t is not finite, with F and e (see
+        at_zero and _count).  By Haynsworth's inertia additivity on [[E_t,
+        W], [W^T, -I/(3k)]] (Linear Algebra Appl. 1, 1968) it is neg(E_t)
+        + neg(S) - 2[k > 0] with E_t = diag(e - t) and the 2x2 S = -I/(3k)
+        - W^T E_t^-1 W, computed from S' = -3k S = I + 3k W^T E_t^-1 W,
+        which stays finite as k -> 0: neg(S) - 2[k > 0] = -sgn(k)
+        neg(S').  The count is that of the computed e, k and W (whose
+        distance to the matrix the margin covers) whenever the error bound
+        of the computed S' leaves the signs of its eigenvalues fixed; a
+        pivot of E_t within round-off of zero makes that bound swamp det
+        S'."""
         t = np.broadcast_to(t, t.shape[:1] + x.shape)
-        return np.concatenate([np.zeros(t.shape[:1] + (0,), dtype=int)] + [
-            self._count(p[part], x[part], t[:, part])[0]
-            for part in _blocks(x.size)], axis=1)
+        return tuple(np.concatenate(a, axis=-1) for a in zip(*(
+            self._count(p[part], x[part], t[:, part])
+            for part in _blocks(x.size))))
 
     def at_zero(self, p, x):
         """count_below(p, x, 0) and F = det A / prod_j max(1, |e_j|) for
-        A = matrices(p, x), flat p and x.  By the matrix
-        determinant lemma (Golub, SIAM Rev. 15, 1973) det A = det E det S',
-        so F = det S' prod_j clip(e_j, -1, 1): of the sign (-1)^count and
-        finite where an e_j vanishes.  Read off the count's S', it is as
-        accurate as the count, also near a close root pair, where a sum
-        over the minors of A is round-off; next to a pole it is within
-        about eps/|e_j| of its value (det S' cancels terms in 1/e_j^2)."""
-        below, f = [np.zeros(0, dtype=int)], [np.zeros(0)]
-        for part in _blocks(x.size):
-            c, det, e = self._count(p[part], x[part], np.zeros((1, 1)))
-            for row in np.clip(e, -1.0, 1.0):  # in order, whatever the size
-                det = det * row
-            below.append(c[0])
-            f.append(det[0])
-        f = np.concatenate(f)
-        return np.concatenate(below), f
+        A = matrices(p, x), flat p and x.  By the matrix determinant lemma
+        (Golub, SIAM Rev. 15, 1973) det A = det E det S', so F = det S'
+        prod_j clip(e_j, -1, 1): of the sign (-1)^count and finite where
+        an e_j vanishes.  Read off the count's S', it is as accurate as
+        the count, also near a close root pair, where a sum over the
+        minors of A is round-off; next to a pole it is within about
+        eps/|e_j| of its value (det S' cancels terms in 1/e_j^2)."""
+        below, f, _ = self.count_below(p, x, np.zeros((1, 1)))
+        return below[0], f[0]
 
     def _count(self, p, x, t):
-        """count_below's counts, det S' and e at one block."""
+        """count_below at one block: the counts, det S' prod_j clip(e_j,
+        -1, 1) (F at shift 0) and e."""
         kern, diag = self.terms(x, np.take(self.r_over_a, p, axis=0))
         diag -= 2.0 * kern[:, None]
         diag /= np.take(self.stretch, p, axis=0)
@@ -577,9 +580,10 @@ class _SpecStack:
         diag[np.abs(diag) < _EPS ** 2] = _EPS ** 2
         e = diag.T
         # arrays (states, shifts, points); np.take is several times faster
-        # than fancy indexing here, and the sums over the (at most six)
-        # states run in order whatever the number of points, so a point's
-        # values do not depend on its batch (einsum's order does)
+        # than fancy indexing here, and the sums and the product over the
+        # (at most six) states run in order whatever the number of points,
+        # so a point's values do not depend on its batch (einsum's order
+        # does)
         inv = np.subtract(e[:, None], t)  # E_t
         neg = np.count_nonzero(inv < 0.0, axis=0)
         w = 3.0 * kern
@@ -597,12 +601,16 @@ class _SpecStack:
             ok = (np.abs(det) > err * size) & np.isfinite(t)
         below = np.where(det < 0.0, 1, np.where(s00 < 0.0, 2, 0))
         neg += np.where(kern > 0.0, -below, below)
-        return np.where(ok, neg, -1), det, e
+        f = det
+        for row in np.clip(e, -1.0, 1.0):
+            f = f * row
+        return np.where(ok, neg, -1), f, e
 
 
 def _blocks(n):
-    """Slices of at most _COUNT_BLOCK of n points."""
-    return (slice(i, i + _COUNT_BLOCK) for i in range(0, n, _COUNT_BLOCK))
+    """Slices of at most _COUNT_BLOCK of n points, at least one."""
+    return (slice(i, i + _COUNT_BLOCK)
+            for i in range(0, max(n, 1), _COUNT_BLOCK))
 
 
 def _runs(count):
@@ -637,64 +645,6 @@ def _finite_scan(stack: _SpecStack, axis: str, x_max: np.ndarray, n: int):
     key = key[np.diff(key, prepend=-1) != 0]
     p, i = np.divmod(key, n)
     return p, i, _grid(axis, x_max[p], n, i), h
-
-
-def _tol(lo, hi):
-    """_refine's default tolerance for brackets [lo, hi]."""
-    return np.maximum(1e-12, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
-
-
-def _refine(values, lo, hi, f_lo, f_hi, tol=None) -> np.ndarray:
-    """Refine every bracket [lo[i], hi[i]] to the sign change of its
-    function at once; values(idx, x) evaluates the functions of brackets
-    idx at points x.  Each round steps every live bracket to its Illinois
-    regula falsi point (Dowell and Jarratt, BIT 11, 1971: an end kept two
-    rounds running has its value halved), held at least tol/2 inside the
-    bracket, or to its midpoint if the bracket has not halved in two
-    rounds, as at a kink.  Exact zeros at an end or a step are returned as
-    they are; otherwise a bracket stops once it is no wider than tol[i] or
-    at floating resolution, and its midpoint is returned.  The caller sets
-    tol: the channel roots and branch ends here keep the default _tol,
-    taken afresh each round so that it follows the bracket in, and the
-    trimer ladder (hyperradial.bound_states) passes its relative energy
-    tolerance."""
-    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
-    out = np.where(f_lo == 0.0, lo, hi)
-    exact = (f_lo == 0.0) | (f_hi == 0.0)
-    live = ~exact
-    neg_lo = f_lo < 0.0  # the sign at lo never changes
-    moved = np.zeros(lo.size, dtype=np.int8)  # last round: +1 hi, -1 lo
-    # the widths one and two rounds ago
-    width_1, width_2 = np.full(lo.size, np.inf), np.full(lo.size, np.inf)
-    while True:
-        mid = 0.5 * (lo + hi)
-        t = _tol(lo, hi) if tol is None else tol
-        live &= (hi - lo > t) & (mid > lo) & (mid < hi)
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            break
-        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
-        width = b - a
-        # fa and fb are nonzero and of opposite signs: no 0/0
-        x = np.clip(a + width * (fa / (fa - fb)), a + 0.5 * t[idx],
-                    b - 0.5 * t[idx])
-        x = np.where(width > 0.5 * width_2[idx], mid[idx], x)
-        width_2[idx], width_1[idx] = width_1[idx], width
-        f = values(idx, x)
-        zero = idx[f == 0.0]
-        out[zero] = x[f == 0.0]
-        exact[zero] = True
-        live[zero] = False
-        flip = (f < 0.0) != neg_lo[idx]
-        side = np.where(flip, 1, -1)
-        halve = np.where(moved[idx] == side, 0.5, 1.0)  # kept end, again
-        moved[idx] = side
-        up, down = idx[flip], idx[~flip]
-        f_lo[up] *= halve[flip]
-        f_hi[down] *= halve[~flip]
-        hi[up], f_hi[up] = x[flip], f[flip]
-        lo[down], f_lo[down] = x[~flip], f[~flip]
-    return np.where(exact, out, 0.5 * (lo + hi))
 
 
 def _isolate(stack, *brackets):
@@ -767,7 +717,7 @@ def _dips(stack, p, x, count, f, run, h):
                            & (centre <= mag[2:])
                            & ~(centre > np.maximum(step[:-1], step[1:])))
     t = stack.width(p[j], x[j], x[j], h[p[j]])
-    below = stack.count_below(p[j], x[j], np.array([-t, t]))
+    below = stack.count_below(p[j], x[j], np.array([-t, t]))[0]
     near = below[0] != below[1]
     j, low = j[near], (below[0] < count[j])[near]
     fx = np.linspace(x[j - 1], x[j + 1], _FINE, axis=1)
@@ -903,10 +853,12 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     """Roots of asymptotic specs (D = I) in their shared window x_max, as
     _finite_roots gives them, from h_j = f - g o_j over the overlaps'
     eigenpairs.  A branch (lo, hi] of phi holds a root of h_j where h_j
-    changes sign over it or is zero at hi; h_j within the eigenvalue
-    error of zero at an inner end is zero.  _refine solves all brackets
-    at once from the values of h_j.  A root's null vectors are the
-    eigenvectors of its o_j, its residual their largest ||A(x) v||."""
+    changes sign over it or is zero at hi.  No root is tangent: every
+    admitted o_j is 2 or -1, and no turning value of phi lies within
+    0.008 of either (the nearest is -1.00832 at s = 2.0836).  _refine
+    solves all brackets at once from the values of h_j.  A root's null
+    vectors are the eigenvectors of its o_j, its residual their largest
+    ||A(x) v||."""
     terms = _AXES[axis][0]  # g and f of f(x) I - g(x) O, with R/a = 0
 
     def h_of(x, o_j):
@@ -916,10 +868,6 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     o, vec = np.linalg.eigh(stack.overlap)
     ends = _branch_ends(axis, x_max)
     h = h_of(ends[:, None], o[:, None, :])  # (spec, end, j)
-    # a tangency, o_j at a turning value of phi (at a pole |h_j| >= 6)
-    inner = h[:, 1:-1]
-    inner[np.abs(inner) <= _eig_err(ends[1:-1, None], np.max(
-        np.abs(o), axis=-1)[:, None, None])] = 0
     h_lo, h_hi = h[:, :-1], h[:, 1:]
     p, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
                          | (h_hi == 0.0))
@@ -927,9 +875,8 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
                      ends[b + 1], h_lo[p, b, j], h_hi[p, b, j])
     order, start, grp_p, grp_value, size = _merge(p, values)
     p, j = p[order], j[order]
-    # the roots of one o_j are further apart than MERGE_TOL (at a turning
-    # point by the tolerance), unless they flank a pole, where h_j ~ 6k
-    # fails their mean's residual
+    # the roots of one o_j are further apart than MERGE_TOL unless they
+    # flank a pole, where h_j ~ 6k fails their mean's residual
     group = np.repeat(np.arange(start.size), size)
     v = vec[p, :, j]
     a = _assemble(*terms(grp_value, np.zeros(1)), stack.overlap[grp_p])

@@ -21,7 +21,7 @@ outward and inward sweeps are each one compiled forward substitution
 (LAPACK dtbtrs on the lower-triangular three-term recurrence), matched
 through the discrete Wronskian at the outer turning point.  Each level
 is bracketed on ln|E| by its node count and then refined on the matching
-defect by hyperangular._refine, the safeguarded Illinois regula falsi
+defect by refine._refine, the safeguarded Illinois regula falsi
 that also refines every channel root.  The deepest level is probed first
 at a zero of K_{i kappa}, each level above it where discrete scale
 invariance, E_{n+1} = E_n exp(-2 pi/kappa), puts it.
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperangular import SweepTable, _refine
+from .hyperangular import SweepTable
+from .refine import _refine
 
 #: WKB growth budget past the outer turning point; beyond it the solution
 #: is sign-frozen and node-free, so integration can stop
@@ -338,7 +339,7 @@ def bound_states(pot: AdiabaticPotential, wall_radius: float, n_levels: int,
     """Bound levels of one channel with F(wall_radius) = 0 and a decaying
     outer boundary, by outward/inward Numerov shooting: a node-count
     bracket of width _COUNT_WINDOW in ln|E|, then the shared Illinois
-    regula falsi (hyperangular._refine) on the matching defect to relative
+    regula falsi (refine._refine) on the matching defect to relative
     energy tolerance _E_RTOL (1e-9).  Each level is probed first at
     guess +- _COUNT_WINDOW/2, widened fourfold while it misses: the deepest
     at _deepest_level with kappa read at the wall, each above it at

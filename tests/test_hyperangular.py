@@ -15,7 +15,6 @@ from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
     ScatteringMatrix,
     TwoBodyChannelSet,
-    _prechecked,
     as_length,
     channels_from_angle,
     eigenchannels,
@@ -675,7 +674,7 @@ class _OneCurve:
         return (lam < 0.0).astype(int), lam
 
     def count_below(self, p, x, t):
-        return (self.lam(x) < t).astype(int)
+        return (self.lam(x) < t).astype(int), self.lam(x) - t, None
 
     def width(self, p, lo, hi, h):
         return 0.6 * (0.5 * (hi - lo) + h)
@@ -726,15 +725,6 @@ def _terms(axis, x):
     return f[..., 0], g
 
 
-def _one_state_spec(o):
-    """The one-state asymptotic problem with overlap o.  The scalar solver
-    takes any overlap, but ChannelMatrixSpec admits only 2 and -1 for one
-    state, so the spec is built without its checks."""
-    return _prechecked(ChannelMatrixSpec, lengths=(as_length("unitary"),),
-                       overlap=np.array([[o]]), state_channel=(0,),
-                       hyperradius=None, channels=None)
-
-
 def test_imaginary_phi_rises_strictly_from_its_limit():
     """phi = f/g rises strictly on (0, 1e3], from 6/(pi K) = 0.826993.
     Read through h_o = f - g o with o = phi(kappa_i): h_o < 0 at
@@ -779,26 +769,23 @@ def test_real_branches_are_monotone(s_max):
 
 
 @pytest.mark.parametrize("turn", [1, 2])
-def test_tangent_root_sits_at_the_turning_point(turn):
-    """An overlap equal to a turning value phi(t) to round-off gives one
-    simple root at t and no warning; an overlap 1e-9 past it gives two
-    roots near t on the side where phi crosses it, none on the other."""
+def test_admitted_overlaps_have_no_tangent_root(turn):
+    """At the turning points t of phi below 5 (2.0836, a minimum, and
+    4.2446, a maximum) phi(t) lies at least 0.008 from 2 and -1, the only
+    eigenvalues ChannelMatrixSpec admits, so the scalar solver meets no
+    tangent root: the one-state problems o = 2 and o = -1 have simple
+    roots only, none within 0.05 of t, and no warning."""
     t = hyperangular._branch_ends("real", 5.0)[turn]
     f, g = _terms("real", t)
-    sink = []
-    for o in (f / g, f / g * (1.0 + 1e-13), f / g * (1.0 - 1e-13)):
-        roots = find_roots_real(_one_state_spec(o), 5.0, warning_sink=sink)
-        assert [(r.value, r.multiplicity) for r in roots] == [(t, 1)]
-        assert roots[0].residual <= 1e-11
-    assert sink == []
-    # t = 2.0836 is a minimum of phi, t = 4.2446 a maximum
-    inward = 1e-9 if turn == 1 else -1e-9
-    near = find_roots_real(_one_state_spec(f / g + inward), 5.0,
-                           warning_sink=sink)
-    assert len(near) == 2 and sink == []
-    assert near[0].value < t < near[1].value
-    assert near[1].value - near[0].value < 1e-3
-    assert find_roots_real(_one_state_spec(f / g - inward), 5.0) == []
+    assert min(abs(f / g - 2.0), abs(f / g + 1.0)) > 0.008
+    for o in (2.0, -1.0):
+        sink = []
+        roots = find_roots_real(ChannelMatrixSpec(
+            (as_length("unitary"),), np.array([[o]]), (0,)), 5.0,
+            warning_sink=sink)
+        assert sink == [] and roots
+        assert all(r.multiplicity == 1 and abs(r.value - t) > 0.05
+                   for r in roots)
 
 
 def _physical_overlap(seed, n_states, rank):
@@ -1115,7 +1102,6 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
     where no e_j is within 1e-6 of zero (a pole of det S')."""
     spec = _count_spec(kind, seed, n_active, radius)
     stack = hyperangular._SpecStack([spec], axis)
-    assert np.isfinite(stack.defect[0])
     if axis == "imaginary":
         points = [GRID_EPS + fraction * default_kappa_max(spec)]
     else:
@@ -1124,8 +1110,8 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
     for x in np.array(points)[:, None]:
         lam = np.linalg.eigvalsh(stack.matrices(p, x)[0])
         margin = stack.width(p, x, x, np.zeros(1))[0]
-        e = stack._count(p, x, np.zeros((1, 1)))[2][:, 0]
-        counts = stack.count_below(p, x, np.array(shifts)[:, None])[:, 0]
+        counts, _, e = stack.count_below(p, x, np.array(shifts)[:, None])
+        counts, e = counts[:, 0], e[:, 0]
         for t, count in zip(shifts + [0.0], list(counts) + [
                 stack.at_zero(p, x)[0][0]]):
             if np.min(np.abs(lam - t)) > margin and not (
@@ -1143,8 +1129,9 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
        finite=st.booleans())
 def test_unstructured_overlap_is_refused(seed, n_states, finite):
     """A random symmetric overlap is not 2I - 3 V V^T, and ChannelMatrixSpec
-    refuses it in both modes; the same spec with a physical overlap of
-    that size passes."""
+    refuses it in both modes, as it refuses that form with rank V = 3 (the
+    counts read two columns of V); the same spec with a physical overlap
+    of rank 2 passes."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_states, n_states))
     length = as_length(1.0 if finite else "unitary")
@@ -1153,6 +1140,10 @@ def test_unstructured_overlap_is_refused(seed, n_states, finite):
                   hyperradius=1.0 if finite else None)
     with pytest.raises(HyperangularError, match="2I - 3 V V"):
         ChannelMatrixSpec(overlap=a + a.T, **kwargs)
+    if n_states >= 3:
+        with pytest.raises(HyperangularError, match="rank V <= 2"):
+            ChannelMatrixSpec(overlap=_physical_overlap(seed, n_states, 3),
+                              **kwargs)
     ChannelMatrixSpec(overlap=_physical_overlap(seed, n_states,
                                                 min(2, n_states)), **kwargs)
 
@@ -1842,6 +1833,13 @@ _UNITARY_CHANNELS = channels_from_angle(0.0, "unitary", "closed", "closed")
      "overlap matrix must be symmetric"),
     (lambda: ChannelMatrixSpec((as_length("unitary"),), np.eye(1), (0,)),
      "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)"),
+    (lambda: ChannelMatrixSpec((as_length(1.0),) * 3, -np.eye(3), (0, 1, 2),
+                               hyperradius=1.0),
+     "overlap must have the form 2I - 3 V V^T with rank V <= 2"),
+    (lambda: ChannelMatrixSpec((as_length("unitary"),) * 6,
+                               np.diag([-1.0, -1, -1, 2, 2, 2]),
+                               tuple(range(6))),
+     "overlap must have the form 2I - 3 V V^T with rank V <= 2"),
     (lambda: ChannelMatrixSpec.single_level(1e-300, hyperradius=1e10),
      "R/a is not finite in double precision at R = 1e+10 and a = 1e-300"),
     (lambda: radius_sweep(0.0, -1e-12, 1e6, "closed", [1.0, 1e300]),
