@@ -166,12 +166,10 @@ class ChannelMatrixSpec:
         o = 0.5 * (o + o.T)
         form = o @ o - o
         form.flat[::n + 1] -= 2.0
-        if np.abs(form).max() > _FORM_TOL:
-            raise HyperangularError(
-                "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)")
-        if 2.0 * n - np.trace(o) > 7.5:  # 3 rank V, a multiple of 3
-            raise HyperangularError(
-                "overlap must have the form 2I - 3 V V^T with rank V <= 2")
+        # 2n - trace O = 3 rank V, a multiple of 3
+        if np.abs(form).max() > _FORM_TOL or 2.0 * n - o.trace() > 7.5:
+            raise HyperangularError("overlap must have the form 2I - 3 V V^T "
+                                    "(O^2 = O + 2I) with rank V <= 2")
         if self.mode == "finite":
             if any(l.kind == "unitary" for l in self.lengths):
                 raise HyperangularError(
@@ -535,43 +533,48 @@ class _SpecStack:
         keeps every sign to its neighbours and is no dip, so no sign
         change or dip of the full grid uses it."""
         t = self.width(p, lo, hi, h)
-        below = self.count_below(p, 0.5 * (lo + hi), np.array([t, -t]))[0]
+        below = self.count_below(p, 0.5 * (lo + hi), np.array([t, -t]))
         return (below[0] == below[1]) & (below[0] >= 0)
 
-    def count_below(self, p, x, t):
+    def count_below(self, p, x, t) -> np.ndarray:
         """Number of eigenvalues of matrices(p, x) below each shift t
         (shape (shifts, points) or (shifts, 1), x and p flat), or -1 where
-        round-off could change it or t is not finite, with F and e (see
-        at_zero and _count).  By Haynsworth's inertia additivity on [[E_t,
-        W], [W^T, -I/(3k)]] (Linear Algebra Appl. 1, 1968) it is neg(E_t)
-        + neg(S) - 2[k > 0] with E_t = diag(e - t) and the 2x2 S = -I/(3k)
-        - W^T E_t^-1 W, computed from S' = -3k S = I + 3k W^T E_t^-1 W,
-        which stays finite as k -> 0: neg(S) - 2[k > 0] = -sgn(k)
-        neg(S').  The count is that of the computed e, k and W (whose
-        distance to the matrix the margin covers) whenever the error bound
-        of the computed S' leaves the signs of its eigenvalues fixed; a
-        pivot of E_t within round-off of zero makes that bound swamp det
-        S'."""
+        round-off could change it or t is not finite.  By Haynsworth's
+        inertia additivity on [[E_t, W], [W^T, -I/(3k)]] (Linear Algebra
+        Appl. 1, 1968) it is neg(E_t) + neg(S) - 2[k > 0] with E_t =
+        diag(e - t) and the 2x2 S = -I/(3k) - W^T E_t^-1 W, computed from
+        S' = -3k S = I + 3k W^T E_t^-1 W, which stays finite as k -> 0:
+        neg(S) - 2[k > 0] = -sgn(k) neg(S').  The count is that of the
+        computed e, k and W (whose distance to the matrix the margin
+        covers) whenever the error bound of the computed S' leaves the
+        signs of its eigenvalues fixed; a pivot of E_t within round-off of
+        zero makes that bound swamp det S'."""
         t = np.broadcast_to(t, t.shape[:1] + x.shape)
-        return tuple(np.concatenate(a, axis=-1) for a in zip(*(
-            self._count(p[part], x[part], t[:, part])
-            for part in _blocks(x.size))))
+        return np.concatenate([np.zeros(t.shape[:1] + (0,), dtype=int)] + [
+            self._count(p[part], x[part], t[:, part])[0]
+            for part in _blocks(x.size)], axis=1)
 
     def at_zero(self, p, x):
         """count_below(p, x, 0) and F = det A / prod_j max(1, |e_j|) for
-        A = matrices(p, x), flat p and x.  By the matrix determinant lemma
-        (Golub, SIAM Rev. 15, 1973) det A = det E det S', so F = det S'
-        prod_j clip(e_j, -1, 1): of the sign (-1)^count and finite where
-        an e_j vanishes.  Read off the count's S', it is as accurate as
-        the count, also near a close root pair, where a sum over the
-        minors of A is round-off; next to a pole it is within about
-        eps/|e_j| of its value (det S' cancels terms in 1/e_j^2)."""
-        below, f, _ = self.count_below(p, x, np.zeros((1, 1)))
-        return below[0], f[0]
+        A = matrices(p, x), flat p and x.  By the matrix
+        determinant lemma (Golub, SIAM Rev. 15, 1973) det A = det E det S',
+        so F = det S' prod_j clip(e_j, -1, 1): of the sign (-1)^count and
+        finite where an e_j vanishes.  Read off the count's S', it is as
+        accurate as the count, also near a close root pair, where a sum
+        over the minors of A is round-off; next to a pole it is within
+        about eps/|e_j| of its value (det S' cancels terms in 1/e_j^2)."""
+        below, f = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for part in _blocks(x.size):
+            c, det, e = self._count(p[part], x[part], np.zeros((1, 1)))
+            for row in np.clip(e, -1.0, 1.0):  # in order, whatever the size
+                det = det * row
+            below.append(c[0])
+            f.append(det[0])
+        f = np.concatenate(f)
+        return np.concatenate(below), f
 
     def _count(self, p, x, t):
-        """count_below at one block: the counts, det S' prod_j clip(e_j,
-        -1, 1) (F at shift 0) and e."""
+        """count_below's counts, det S' and e at one block."""
         kern, diag = self.terms(x, np.take(self.r_over_a, p, axis=0))
         diag -= 2.0 * kern[:, None]
         diag /= np.take(self.stretch, p, axis=0)
@@ -580,10 +583,9 @@ class _SpecStack:
         diag[np.abs(diag) < _EPS ** 2] = _EPS ** 2
         e = diag.T
         # arrays (states, shifts, points); np.take is several times faster
-        # than fancy indexing here, and the sums and the product over the
-        # (at most six) states run in order whatever the number of points,
-        # so a point's values do not depend on its batch (einsum's order
-        # does)
+        # than fancy indexing here, and the sums over the (at most six)
+        # states run in order whatever the number of points, so a point's
+        # values do not depend on its batch (einsum's order does)
         inv = np.subtract(e[:, None], t)  # E_t
         neg = np.count_nonzero(inv < 0.0, axis=0)
         w = 3.0 * kern
@@ -601,16 +603,12 @@ class _SpecStack:
             ok = (np.abs(det) > err * size) & np.isfinite(t)
         below = np.where(det < 0.0, 1, np.where(s00 < 0.0, 2, 0))
         neg += np.where(kern > 0.0, -below, below)
-        f = det
-        for row in np.clip(e, -1.0, 1.0):
-            f = f * row
-        return np.where(ok, neg, -1), f, e
+        return np.where(ok, neg, -1), det, e
 
 
 def _blocks(n):
-    """Slices of at most _COUNT_BLOCK of n points, at least one."""
-    return (slice(i, i + _COUNT_BLOCK)
-            for i in range(0, max(n, 1), _COUNT_BLOCK))
+    """Slices of at most _COUNT_BLOCK of n points."""
+    return (slice(i, i + _COUNT_BLOCK) for i in range(0, n, _COUNT_BLOCK))
 
 
 def _runs(count):
@@ -717,7 +715,7 @@ def _dips(stack, p, x, count, f, run, h):
                            & (centre <= mag[2:])
                            & ~(centre > np.maximum(step[:-1], step[1:])))
     t = stack.width(p[j], x[j], x[j], h[p[j]])
-    below = stack.count_below(p[j], x[j], np.array([-t, t]))[0]
+    below = stack.count_below(p[j], x[j], np.array([-t, t]))
     near = below[0] != below[1]
     j, low = j[near], (below[0] < count[j])[near]
     fx = np.linspace(x[j - 1], x[j + 1], _FINE, axis=1)

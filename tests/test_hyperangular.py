@@ -674,7 +674,7 @@ class _OneCurve:
         return (lam < 0.0).astype(int), lam
 
     def count_below(self, p, x, t):
-        return (self.lam(x) < t).astype(int), self.lam(x) - t, None
+        return (self.lam(x) < t).astype(int)
 
     def width(self, p, lo, hi, h):
         return 0.6 * (0.5 * (hi - lo) + h)
@@ -1110,8 +1110,8 @@ def test_inertia_count_matches_eigvalsh(kind, seed, n_active, radius, axis,
     for x in np.array(points)[:, None]:
         lam = np.linalg.eigvalsh(stack.matrices(p, x)[0])
         margin = stack.width(p, x, x, np.zeros(1))[0]
-        counts, _, e = stack.count_below(p, x, np.array(shifts)[:, None])
-        counts, e = counts[:, 0], e[:, 0]
+        e = stack._count(p, x, np.zeros((1, 1)))[2][:, 0]
+        counts = stack.count_below(p, x, np.array(shifts)[:, None])[:, 0]
         for t, count in zip(shifts + [0.0], list(counts) + [
                 stack.at_zero(p, x)[0][0]]):
             if np.min(np.abs(lam - t)) > margin and not (
@@ -1832,14 +1832,17 @@ _UNITARY_CHANNELS = channels_from_angle(0.0, "unitary", "closed", "closed")
                                np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 1)),
      "overlap matrix must be symmetric"),
     (lambda: ChannelMatrixSpec((as_length("unitary"),), np.eye(1), (0,)),
-     "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I)"),
+     "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I) with "
+     "rank V <= 2"),
     (lambda: ChannelMatrixSpec((as_length(1.0),) * 3, -np.eye(3), (0, 1, 2),
                                hyperradius=1.0),
-     "overlap must have the form 2I - 3 V V^T with rank V <= 2"),
+     "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I) with "
+     "rank V <= 2"),
     (lambda: ChannelMatrixSpec((as_length("unitary"),) * 6,
                                np.diag([-1.0, -1, -1, 2, 2, 2]),
                                tuple(range(6))),
-     "overlap must have the form 2I - 3 V V^T with rank V <= 2"),
+     "overlap must have the form 2I - 3 V V^T (O^2 = O + 2I) with "
+     "rank V <= 2"),
     (lambda: ChannelMatrixSpec.single_level(1e-300, hyperradius=1e10),
      "R/a is not finite in double precision at R = 1e+10 and a = 1e-300"),
     (lambda: radius_sweep(0.0, -1e-12, 1e6, "closed", [1.0, 1e300]),
