@@ -1,5 +1,7 @@
-"""Golden-output check: the CLI's csv and svg bytes, and its json payload,
-must stay identical across refactors.
+"""Golden-output check: the CLI's csv, json and svg bytes must stay
+identical across refactors.  The json goldens are the streamed bytes
+with the two values that vary between runs, meta.timestamp and
+meta.config.out, replaced by fixed placeholders.
 
 The theta-sweep and r-sweep files under tests/golden/ were produced by
 the code before the batched sweep engine replaced point-by-point
@@ -24,7 +26,8 @@ from eigvalsh curves to inertia counts and the rank-2 determinant: the
 r-sweep gained the known double root at s = 4 at R = 1 and R = 1.778, lost
 its grazing warning there and its plateau's curve id, and 12 values moved
 in their 12th digit; the invariance suite's deviations, all below 1e-12,
-changed with the refinement.  A difference is a behaviour change to be
+changed with the refinement.  All five json files were re-written once,
+with equal payloads, when the json check became byte-level.  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:
@@ -33,6 +36,7 @@ whose change has been explained:
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,12 +50,15 @@ GOLDEN = Path(__file__).parent / "golden"
 TASKS = ("theta-sweep", "r-sweep", "roots", "ladder", "invariance-suite")
 
 
-def _json_payload(path: Path) -> dict:
-    """The json output without the fields that vary between runs."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    del payload["meta"]["timestamp"]
-    del payload["meta"]["config"]["out"]
-    return payload
+def _json_bytes(path: Path) -> bytes:
+    """The json output with its time stamp and output directory replaced
+    by fixed placeholders."""
+    text = path.read_text(encoding="utf-8")
+    text = re.sub(r'\n    "timestamp": "[^"]*",',
+                  '\n    "timestamp": "<timestamp>",', text, count=1)
+    text = re.sub(r'\n      "out": "(?:[^"\\]|\\.)*",',
+                  '\n      "out": "<out>",', text, count=1)
+    return text.encode("utf-8")
 
 
 def _run(task: str, out: Path) -> None:
@@ -69,8 +76,8 @@ def test_outputs_match_golden(task, tmp_path):
         if f"{task}.{ext}" in written:
             assert (tmp_path / f"{task}.{ext}").read_bytes() == \
                 (GOLDEN / f"{task}.{ext}").read_bytes(), ext
-    assert _json_payload(tmp_path / f"{task}.json") == \
-        json.loads((GOLDEN / f"{task}.json").read_text(encoding="utf-8"))
+    assert _json_bytes(tmp_path / f"{task}.json") == \
+        (GOLDEN / f"{task}.json").read_bytes()
 
 
 @pytest.mark.parametrize("task", TASKS)
@@ -104,9 +111,8 @@ def _regenerate(tasks) -> None:
                 if (out / f"{task}.{ext}").exists():
                     (GOLDEN / f"{task}.{ext}").write_bytes(
                         (out / f"{task}.{ext}").read_bytes())
-            (GOLDEN / f"{task}.json").write_text(
-                json.dumps(_json_payload(out / f"{task}.json"), indent=2)
-                + "\n", encoding="utf-8")
+            (GOLDEN / f"{task}.json").write_bytes(
+                _json_bytes(out / f"{task}.json"))
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--regenerate"]:
