@@ -36,22 +36,22 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
     def x_of(row_theta, row_radius):
         return row_theta if is_theta else math.log10(row_radius)
 
-    xs, ys = [], []
-    for row in table.rows:
-        if not row.roots:
+    roots = table.roots
+    filled = set(roots.point.tolist())
+    xs = []
+    for q, (theta, radius) in enumerate(zip(table.thetas, table.radii)):
+        if q not in filled:
             warnings.append(
                 f"empty root list at "
-                f"{'theta=' + _fmt(row.theta) if is_theta else 'R=' + _fmt(row.hyperradius)}"
+                f"{'theta=' + _fmt(theta) if is_theta else 'R=' + _fmt(radius)}"
                 "; row skipped in figure")
             continue
-        xs.append(x_of(row.theta, row.hyperradius))
-        for root in row.roots:
-            ys.append(root.value)
+        xs.append(x_of(theta, radius))
     if not xs:
         raise ValueError("nothing to draw: every sweep row is empty")
 
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) * 1.08
+    y_lo, y_hi = 0.0, max(roots.value.tolist()) * 1.08
 
     def px(x):
         return _LEFT + (x - x_lo) / (x_hi - x_lo or 1.0) * (_WIDTH - _LEFT - _RIGHT)
@@ -124,16 +124,16 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
                         f'fill="{color}" {key}="{anchor!r}" '
                         f'data-kappa="{v!r}" data-multiplicity="{mult}"/>')
     # endpoint value annotations on the first and last rows
-    for row, anchor in ((table.rows[0], "start"), (table.rows[-1], "end")):
-        for root in row.roots:
-            if root.axis != "imaginary":
-                continue
-            x = x_of(row.theta, row.hyperradius)
-            label = f"|s|={root.value:.5f} (x{root.multiplicity})"
+    for q, anchor in ((0, "start"), (len(table.thetas) - 1, "end")):
+        at = (roots.point == q) & ~roots.real
+        for value, mult in zip(roots.value[at].tolist(),
+                               roots.multiplicity[at].tolist()):
+            x = x_of(table.thetas[q], table.radii[q])
+            label = f"|s|={value:.5f} (x{mult})"
             align = "start" if anchor == "start" else "end"
             parts.append(
                 f'<text x="{px(x) + (6 if anchor == "start" else -6):.2f}" '
-                f'y="{py(root.value) - 7:.2f}" font-size="11" '
+                f'y="{py(value) - 7:.2f}" font-size="11" '
                 f'text-anchor="{align}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n", warnings

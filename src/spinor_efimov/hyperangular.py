@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -348,13 +349,14 @@ class ChannelRoot:
         return -self.value ** 2 if self.axis == "imaginary" else self.value ** 2
 
 
-def _spin_profiles(null_vectors: np.ndarray,
-                   vectors: np.ndarray) -> list[SpinProfile]:
-    """Spin profiles of roots sharing a multiplicity m, from their null
+def _spin_weights(null_vectors: np.ndarray, vectors: np.ndarray):
+    """Spin weights of roots sharing a multiplicity m, from their null
     vectors (roots, 6, m) and the channel vectors (roots, 3, 3) of their
     channel sets, in one stacked product: each null vector, shaped
     (channel, spectator), is rotated onto the fixed (pair basis state,
     spectator) configurations and the squared amplitudes are averaged.
+    Returns the (roots, 3, 2) weights and each root's same-level and
+    mixed totals.
 
     The channel-to-pair-basis rotation is orthogonal, so the weights of
     each null vector sum to one exactly; averaging over a degenerate null
@@ -373,15 +375,53 @@ def _spin_profiles(null_vectors: np.ndarray,
             f"spin profile weights sum to {float(total[bad[0]])!r}, "
             "expected 1")
     same = weights[:, 0, 0] + weights[:, 2, 1]
-    return [SpinProfile(*w) for w in zip(weights, same.tolist(),
-                                         (total - same).tolist())]
+    return weights, same, total - same
 
 
 def classify_root(null_vectors: np.ndarray,
                   channels: TwoBodyChannelSet) -> SpinProfile:
     """The spin profile of one root from its null vectors (columns over
-    the six states) and its channel set; see _spin_profiles."""
-    return _spin_profiles(null_vectors[None], channels.vectors[None])[0]
+    the six states) and its channel set; see _spin_weights."""
+    weights, same, mixed = _spin_weights(null_vectors[None],
+                                         channels.vectors[None])
+    return SpinProfile(weights[0], float(same[0]), float(mixed[0]))
+
+
+@dataclass(frozen=True)
+class RootTable:
+    """Roots as columns, by point (a spec of one solve, or a sweep point)
+    and within one as find_roots_* list them, imaginary roots by
+    descending kappa before real ones by ascending s.  spin holds each
+    root's (3, 2) spin weights and same and mixed their same-level and
+    mixed totals, NaN for a point without channels; null holds the null
+    vectors of the roots of each multiplicity m as (root indices,
+    (roots, states, m) array)."""
+
+    point: np.ndarray
+    real: np.ndarray  # bool: a real-axis root
+    value: np.ndarray
+    multiplicity: np.ndarray
+    residual: np.ndarray
+    spin: np.ndarray
+    same: np.ndarray
+    mixed: np.ndarray
+    null: tuple
+
+    def by_point(self, n_points: int) -> list[list[ChannelRoot]]:
+        """The roots as ChannelRoot objects, one list per point."""
+        null = [None] * self.value.size
+        for idx, vectors in self.null:
+            for i, v in zip(idx.tolist(), vectors):
+                null[i] = v
+        out: list[list[ChannelRoot]] = [[] for _ in range(n_points)]
+        for q, real, v, nv, r, w, same, mixed in zip(
+                self.point.tolist(), self.real.tolist(), self.value.tolist(),
+                null, self.residual.tolist(), self.spin, self.same.tolist(),
+                self.mixed.tolist()):
+            out[q].append(ChannelRoot(
+                "real" if real else "imaginary", v, nv, r,
+                None if math.isnan(same) else SpinProfile(w, same, mixed)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -888,33 +928,46 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     return grp_p, grp_value, residual, groups
 
 
-def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
-    """Roots on one axis of specs sharing their active states, by
-    _scalar_roots if all are asymptotic, else by _finite_roots on an
-    n_grid-point grid (n_grid >= 2): per spec the grid warnings and the
-    roots by descending kappa or ascending s, with spin profiles if the
-    spec has channels, taken per multiplicity in one stacked pass.  A
-    residual above RESIDUAL_TOL is an error.  x_max holds each spec's
-    window; the asymptotic specs of one solve share theirs (the caller's
-    kappa_max or 10, or one s_max), so _scalar_roots reads the first."""
+def _root_table(specs, windows, n_grid: int = N_GRID):
+    """Roots of specs sharing their active states on the axes of windows,
+    pairs (axis, each spec's window): by _scalar_roots if all specs are
+    asymptotic, else by _finite_roots on an n_grid-point grid (n_grid >=
+    2).  Returns per spec its grid warnings, axis by axis, and the roots
+    of all as one RootTable, with spin weights if the spec has channels,
+    taken per multiplicity in one stacked pass.  A residual above
+    RESIDUAL_TOL is an error.  Asymptotic specs share their window (the
+    caller's kappa_max or 10, or one s_max): _scalar_roots reads the
+    first."""
     warns: list[list[str]] = [[] for _ in specs]
-    roots: list[list[ChannelRoot]] = [[] for _ in specs]
-    if not specs or specs[0].active_states().size == 0:
-        return warns, roots
-    stack = _SpecStack(specs, axis)
-    p, value, residual, groups = (
-        _finite_roots(stack, axis, x_max, n_grid, warns) if stack.finite
-        else _scalar_roots(stack, axis, x_max[0]))
+    parts = [(np.zeros(0, int), np.zeros(0), np.zeros(0), [], False)]
+    for axis, x_max in windows if specs[0].active_states().size else ():
+        stack = _SpecStack(specs, axis)
+        parts.append((*(_finite_roots(stack, axis, x_max, n_grid, warns)
+                        if stack.finite else
+                        _scalar_roots(stack, axis, x_max[0])), axis == "real"))
+    p, value, residual = (np.concatenate(a) for a in list(zip(*parts))[:3])
+    real = np.concatenate([np.full(q[0].size, q[4]) for q in parts])
+    base = np.cumsum([q[0].size for q in parts]).tolist()
+    groups = [(g + b, v) for q, b in zip(parts[1:], base) for g, v in q[3]]
     bad = np.nonzero(residual > RESIDUAL_TOL)[0]
     if bad.size:
         raise HyperangularError(
-            f"root candidate at {axis} {float(value[bad[0]])} has residual "
-            f"{residual[bad[0]]:.3e}")
-    has = np.array([s.channels is not None for s in specs])
+            f"root candidate at {'real' if real[bad[0]] else 'imaginary'} "
+            f"{float(value[bad[0]])} has residual {residual[bad[0]]:.3e}")
+    # the roots come by (axis, spec, value): each spec's imaginary ones
+    # by descending kappa, then its real ones
+    n = p.size
+    order = np.lexsort((np.where(real, 1, -1) * np.arange(n), real, p))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    has = np.array([s.channels is not None for s in specs], dtype=bool)
     # identity rows stand in for specs without channels and are never read
     vectors = np.array([np.eye(3) if s.channels is None else s.channels.vectors
                         for s in specs])
-    null, profile = [None] * p.size, [None] * p.size
+    mult = np.zeros(n, dtype=int)
+    spin, same, mixed = np.full((n, 3, 2), np.nan), np.full(n, np.nan), \
+        np.full(n, np.nan)
+    null = []
     for g, active in groups:
         # each column's largest-magnitude entry positive, zeros on the
         # closed states
@@ -922,20 +975,22 @@ def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
             active, np.argmax(np.abs(active), axis=1)[:, None, :], 1)
         nv = np.zeros((g.size, stack.n_states, active.shape[-1]))
         nv[:, stack.active, :] = np.where(top < 0.0, -active, active)
+        mult[rank[g]] = active.shape[-1]
         keep = has[p[g]]
         if keep.any():
-            for i, prof in zip(g[keep].tolist(),
-                               _spin_profiles(nv[keep], vectors[p[g[keep]]])):
-                profile[i] = prof
-        for i, v in zip(g.tolist(), nv):
-            null[i] = v
-    for q, v, r, nv, prof in zip(p.tolist(), value.tolist(), residual.tolist(),
-                                 null, profile):
-        roots[q].append(ChannelRoot(axis, v, nv, r, prof))
-    if axis == "imaginary":
-        for r in roots:
-            r.reverse()
-    return warns, roots
+            i = rank[g[keep]]
+            spin[i], same[i], mixed[i] = _spin_weights(nv[keep],
+                                                       vectors[p[g[keep]]])
+        null.append((rank[g], nv))
+    return warns, RootTable(p[order], real[order], value[order], mult,
+                            residual[order], spin, same, mixed, tuple(null))
+
+
+def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
+    """The warnings and roots of _root_table on one axis, the roots as
+    one ChannelRoot list per spec."""
+    warns, table = _root_table(specs, [(axis, x_max)], n_grid)
+    return warns, table.by_point(len(specs))
 
 
 def _point_roots(specs, axis, x_maxes,
@@ -1017,59 +1072,81 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
-    """Rows of a theta or radius sweep plus window metadata."""
+    """A theta or radius sweep: per point its theta and R (None in
+    asymptotic mode), the roots of every point as one RootTable, and the
+    curve id of each root slot in table order (a root of multiplicity m
+    fills m slots).  rows gives them as SweepRow objects, built on first
+    read."""
 
     kind: str  # "theta" | "radius"
-    rows: list[SweepRow]
+    thetas: list[float]
+    radii: list
+    mode: str
+    roots: RootTable
+    curve_ids: list[int]
     window: dict
     warnings: list[str]
 
+    @cached_property
+    def rows(self) -> list[SweepRow]:
+        roots = self.roots.by_point(len(self.thetas))
+        rows, pos = [], 0
+        for theta, radius, point in zip(self.thetas, self.radii, roots):
+            slots = sum(r.multiplicity for r in point)
+            rows.append(SweepRow(theta, radius, self.mode, tuple(point),
+                                 tuple(self.curve_ids[pos:pos + slots])))
+            pos += slots
+        return rows
+
     def curve_series(self, axis: str = "imaginary") -> dict[int, list[tuple]]:
-        """curve id -> [(theta, R, value), ...] in row order."""
+        """curve id -> [(theta, R, value), ...] in point order."""
+        r = self.roots
+        slot = np.repeat(np.arange(r.value.size), r.multiplicity)
+        on = r.real[slot] == (axis == "real")
         series: dict[int, list[tuple]] = {}
-        for row in self.rows:
-            for cid, root in row.expanded():
-                if root.axis != axis:
-                    continue
-                series.setdefault(cid, []).append(
-                    (row.theta, row.hyperradius, root.value))
+        for cid, q, v in zip(np.array(self.curve_ids, dtype=int)[on].tolist(),
+                             r.point[slot[on]].tolist(),
+                             r.value[slot[on]].tolist()):
+            series.setdefault(cid, []).append(
+                (self.thetas[q], self.radii[q], v))
         return series
 
 
-class _CurveMatcher:
-    """Continuity labeling: each root slot inherits the id of the nearest
-    slot from the previous sweep point, new slots open new curves.  The
-    match window grows with the value so that fast dimer-limit roots
-    (kappa ~ sqrt(2) R/a, moving multiplicatively on a log R grid) stay on
-    one curve."""
+#: curve matching: a slot takes the id of a slot of the previous point
+#: at most max(_JUMP_TOL, _REL_TOL |value|) away
+_JUMP_TOL, _REL_TOL = 0.3, 0.35
 
-    jump_tol, rel_tol = 0.3, 0.35
 
-    def __init__(self):
-        self.next_id = 0
-        self.last: dict[str, list[tuple[int, float]]] = {}
-
-    def assign(self, axis: str, values: list[float]) -> list[int]:
-        prev = self.last.get(axis, [])
-        taken = set()
-        ids: list[int] = []
-        for v in values:
-            best = None
-            best_d = math.inf
-            for idx, (cid, old) in enumerate(prev):
-                if idx in taken:
-                    continue
+def _curve_ids(roots: RootTable, n_points: int) -> list[int]:
+    """Continuity labeling of the root slots, point by point and per
+    axis: each slot inherits the id of the nearest slot of the previous
+    point not yet taken, new slots open new curves.  The match window
+    grows with the value so that fast dimer-limit roots (kappa ~ sqrt(2)
+    R/a, moving multiplicatively on a log R grid) stay on one curve."""
+    slot = np.repeat(np.arange(roots.value.size), roots.multiplicity)
+    values = roots.value[slot].tolist()
+    key = roots.point[slot] * 2 + roots.real[slot]
+    bounds = np.searchsorted(key, np.arange(2 * n_points + 1)).tolist()
+    last: list[list] = [[], []]  # per axis (id, value, window)
+    ids: list[int] = []
+    next_id = 0
+    for k in range(2 * n_points):
+        prev, taken = last[k & 1], set()
+        for v in values[bounds[k]:bounds[k + 1]]:
+            best, best_d = None, math.inf
+            for idx, (cid, old, tol) in enumerate(prev):
                 d = abs(v - old)
-                if d <= max(self.jump_tol, self.rel_tol * abs(old)) and d < best_d:
+                if d <= tol and d < best_d and idx not in taken:
                     best, best_d = idx, d
             if best is None:
-                ids.append(self.next_id)
-                self.next_id += 1
+                ids.append(next_id)
+                next_id += 1
             else:
                 taken.add(best)
                 ids.append(prev[best][0])
-        self.last[axis] = list(zip(ids, values))
-        return ids
+        last[k & 1] = [(cid, v, max(_JUMP_TOL, _REL_TOL * abs(v))) for cid, v
+                       in zip(ids[bounds[k]:], values[bounds[k]:bounds[k + 1]])]
+    return ids
 
 
 def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
@@ -1098,33 +1175,20 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
                     hyperradius=r, channels=o.channels)
         for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
-    scans = [("imaginary", _solve_axis(specs, "imaginary", kappa_maxes))]
-    if s_max:
-        scans.append(("real",
-                      _solve_axis(specs, "real", [s_max] * len(specs))))
-
-    matcher = _CurveMatcher()
-    rows: list[SweepRow] = []
-    all_warnings: list[str] = []
-    for p in range(len(specs)):
-        where = (f"theta={thetas[p]:.6g}" if kind == "theta"
-                 else f"R={radii[p]:.6g}")
-        roots: tuple[ChannelRoot, ...] = ()
-        ids: list[int] = []
-        for axis, (warns, solved) in scans:
-            all_warnings.extend(f"{where}: {w}" for w in warns[p])
-            axis_roots = solved[p]
-            roots += tuple(axis_roots)
-            ids.extend(matcher.assign(axis, [r.value for r in axis_roots
-                                             for _ in range(r.multiplicity)]))
-        rows.append(SweepRow(float(thetas[p]), radii[p], specs[p].mode, roots,
-                             tuple(ids)))
+    warns, roots = _root_table(specs, [("imaginary", kappa_maxes)] + (
+        [("real", [s_max] * len(specs))] if s_max else []))
+    all_warnings = []
+    for th, r, ws in zip(thetas, radii, warns):
+        where = f"theta={th:.6g}" if kind == "theta" else f"R={r:.6g}"
+        all_warnings.extend(f"{where}: {w}" for w in ws)
     window = {
         "a_alpha": lengths[0].describe(),
         "a_beta": lengths[1].describe(),
         "a_gamma": lengths[2].describe(),
     }
-    return SweepTable(kind, rows, window, all_warnings)
+    return SweepTable(kind, [float(t) for t in thetas], list(radii),
+                      first.mode, roots, _curve_ids(roots, len(specs)),
+                      window, all_warnings)
 
 
 def theta_sweep(thetas, a_alpha, a_beta, a_gamma,

@@ -13,8 +13,10 @@ import io
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,49 +56,130 @@ class RunnerError(RuntimeError):
 
 
 @dataclass
+class Table(Sequence):
+    """An output table as columns, name -> (values, index): row r's cell
+    is values[index[r]], or values[r] where index is None, so a value
+    that rows share (a sweep point's theta) is held and formatted once.
+    As a sequence its rows are dicts of the values as the outputs give
+    them (_round12)."""
+
+    columns: dict
+
+    @staticmethod
+    def of(rows) -> "Table":
+        """rows itself if it is a Table, else its dict rows as columns
+        under the first row's keys."""
+        if isinstance(rows, Table):
+            return rows
+        return Table({k: ([row[k] for row in rows], None)
+                      for k in (rows[0] if rows else ())})
+
+    def __len__(self) -> int:
+        values, index = next(iter(self.columns.values()), ((), None))
+        return len(values if index is None else index)
+
+    def __getitem__(self, r) -> dict:
+        return {k: _round12(v[r] if i is None else v[i[r]])
+                for k, (v, i) in self.columns.items()}
+
+
+@dataclass
 class ResultBundle:
     meta: dict
-    tables: dict[str, list[dict]] = field(default_factory=dict)
+    #: table name -> Table (run() makes each one; a list of dict rows set
+    #: later is written as Table.of reads it)
+    tables: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     sweep_table: "SweepTable | None" = field(default=None, repr=False)
-    #: (the CSV table's rows, their CSV text) as run() rounded them;
-    #: write_outputs formats a table afresh that is no longer that list
-    _csv: tuple = field(default=(None, None), init=False, repr=False,
-                        compare=False)
+
+
+def _floats(values: list[float]) -> tuple[list[str], list[str]]:
+    """The CSV and JSON texts of floats, from one % format: each .12g text
+    and the repr of the float it reads as, or "" and null if it is not
+    finite.  At most 12 digits read back as the same shortest digits, so
+    only a text without a point or with a positive exponent (which repr
+    writes out below 1e16) is not its own repr."""
+    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")
+    texts.pop()
+    csv_texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
+    return csv_texts, [t if "." in t and "e+" not in t else
+                       repr(float(t)) if t else "null" for t in csv_texts]
+
+
+def _cell(v) -> tuple[str, str]:
+    """A cell's CSV and JSON text: a float's (numpy's too) as _floats
+    gives them; None is "" and null; a bool, int or str is its str(),
+    quoted as the csv module quotes it, and its JSON."""
+    if isinstance(v, (float, np.floating)):
+        (text,), (json_text,) = _floats([float(v)])
+        return text, json_text
+    if v is None:
+        return "", "null"
+    if isinstance(v, str):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((v, ""))
+        return buf.getvalue()[:-2], encode_basestring_ascii(v)
+    if isinstance(v, bool):
+        return str(v), "true" if v else "false"
+    return str(v), int.__repr__(v) if isinstance(v, int) else json.dumps(v)
 
 
 def _round12(x):
-    """A float (numpy's too) to 12 significant digits, or None if it is
-    not finite; any other value (None, bool, int, str) as it is."""
-    row = {"x": x}
-    _round_rows([row])
-    return row["x"]
+    """A float (numpy's too) as the outputs give it, rounded to 12
+    significant digits, or None if it is not finite; any other value
+    (None, bool, int, str) as it is."""
+    if isinstance(x, (float, np.floating)):
+        text = _cell(x)[0]
+        return float(text) if text else None
+    return x
+
+
+def _texts(table: Table) -> dict[str, tuple]:
+    """Per column its CSV and JSON texts, one per row; each value of the
+    columns is formatted once, a column of floats or of ints as a
+    whole."""
+    out = {}
+    for name, (values, index) in table.columns.items():
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            csv_texts, json_texts = _floats(values)
+        elif kinds == {int}:
+            csv_texts = json_texts = list(map(str, values))
+        else:
+            csv_texts, json_texts = tuple(zip(*map(_cell, values))) or ((), ())
+        if index is not None:
+            csv_texts = [csv_texts[i] for i in index]
+            json_texts = [json_texts[i] for i in index]
+        out[name] = csv_texts, json_texts
+    return out
+
+
+def _csv_text(texts: dict, columns: list[str]) -> str:
+    """The CSV text of a table's texts in the given columns: a header and
+    one line per row (a table of no rows may have no columns)."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    rows = zip(*(texts[c][0] for c in columns)) if texts else ()
+    return ",".join(columns) + "\n" + "".join(map(line.__mod__, rows))
+
+
+def _json_rows(texts: dict) -> list[str]:
+    """One JSON object per row, as json.JSONEncoder(allow_nan=False)
+    encodes the row's dict."""
+    line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s"
+                           for k in texts) + "}"
+    return list(map(line.__mod__, zip(*(t[1] for t in texts.values()))))
 
 
 def _round_rows(rows: list[dict], columns: list[str] | None = None
                 ) -> str | None:
-    """Round each float (numpy's too) of the rows in place to 12
-    significant digits, or to None if it is not finite; given columns,
-    return the rows' CSV text in those columns, written from the .12g
-    text each float was rounded from ("" for None, str() of any other
-    value)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if columns:
-        writer.writerow(columns)
+    """Round each float (numpy's too) of the dict rows in place
+    (_round12); given columns, return the rows' CSV text in those
+    columns."""
+    text = _csv_text(_texts(Table.of(rows)), columns) if columns else None
     for row in rows:
-        texts = {}
         for k, v in row.items():
-            if isinstance(v, (float, np.floating)):
-                v = float(v)
-                text = f"{v:.12g}" if math.isfinite(v) else ""
-                row[k] = float(text) if text else None
-            else:
-                text = "" if v is None else str(v)
-            texts[k] = text
-        if columns:
-            writer.writerow([texts[c] for c in columns])
-    return buf.getvalue() if columns else None
+            row[k] = _round12(v)
+    return text
 
 
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
@@ -126,11 +209,20 @@ def _root_rows(theta, radius, mode, roots) -> list[dict]:
     return rows
 
 
-def _sweep_rows(table: SweepTable) -> list[dict]:
-    rows = []
-    for row in table.rows:
-        rows.extend(_root_rows(row.theta, row.hyperradius, row.mode, row.roots))
-    return rows
+def _sweep_rows(table: SweepTable) -> Table:
+    """The rows table of a sweep, read from its columns."""
+    roots = table.roots
+    point = roots.point.tolist()
+    return Table({
+        "theta": (table.thetas, point),
+        "R": ([0.0 if r is None else r for r in table.radii], point),
+        "mode": ([table.mode], [0] * len(point)),
+        "axis": (["imaginary", "real"], roots.real.tolist()),
+        "value": (roots.value.tolist(), None),
+        "multiplicity": (roots.multiplicity.tolist(), None),
+        "w_111_family": (roots.same.tolist(), None),
+        "w_mixed_family": (roots.mixed.tolist(), None),
+    })
 
 
 def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
@@ -248,22 +340,25 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)
-    rows = []
-    max_dev = {"one-body-rotation": 0.0, "sign-flip": 0.0}
+    checks = ["one-body-rotation", "sign-flip"]
+    cols = {"check": (checks, []), "trial": ([], None), "phi": ([], None),
+            "deviation": ([], None)}
+    max_dev = dict.fromkeys(checks, 0.0)
     for j, (trial, check, angle) in enumerate(cases):
         bundle.warnings.extend(f"trial {trial} {check}: {w}" for w in sinks[j])
         if check == "reference":
             ref = roots[j]
             continue
         dev = _list_deviation(ref, roots[j])
-        rows.append({"check": check, "trial": trial, "phi": angle,
-                     "deviation": dev})
+        cols["check"][1].append(checks.index(check))
+        for name, v in (("trial", trial), ("phi", angle), ("deviation", dev)):
+            cols[name][0].append(v)
         max_dev[check] = max(max_dev[check], dev)
         if not math.isfinite(dev):
             bundle.warnings.append(
                 f"{check} trial {trial}: root lists disagree in length "
                 "or multiplicity")
-    bundle.tables["checks"] = rows
+    bundle.tables["checks"] = Table(cols)
     bundle.meta["max_deviation"] = {k: _round12(v) for k, v in max_dev.items()}
 
 
@@ -289,12 +384,7 @@ def run(cfg: RunConfig) -> ResultBundle:
         "config": config_as_dict(cfg),
     })
     bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
-    csv_table = _TASKS[cfg.task][1] if "csv" in cfg.formats else None
-    for name, rows in bundle.tables.items():  # the rows are run()'s own
-        text = _round_rows(rows, _CSV_COLUMNS[name]
-                           if name == csv_table else None)
-        if name == csv_table:
-            bundle._csv = (rows, text)
+    bundle.tables = {k: Table.of(v) for k, v in bundle.tables.items()}
     return bundle
 
 
@@ -306,20 +396,18 @@ _CSV_COLUMNS = {
 }
 
 
-def _json_pieces(bundle: ResultBundle):
-    """The JSON document {"meta", "tables", "warnings"} in pieces, so the
-    whole text is never held: meta and warnings indented by two, each
-    table row one line from the C encoder."""
+def _json_pieces(bundle: ResultBundle, texts: dict):
+    """The JSON document {"meta", "tables", "warnings"} in pieces, one per
+    table: meta and warnings indented by two, each table row one line
+    from its texts (_json_rows)."""
     def block(value) -> str:
         return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
-    row_text = json.JSONEncoder(allow_nan=False).encode
     yield '{\n  "meta": ' + block(bundle.meta) + ',\n  "tables": {'
-    for t, (name, rows) in enumerate(bundle.tables.items()):
-        yield ("," if t else "") + f"\n    {json.dumps(name)}: ["
-        for r, row in enumerate(rows):
-            yield ("," if r else "") + "\n      " + row_text(row)
-        yield "\n    ]" if rows else "]"
+    for t, name in enumerate(bundle.tables):
+        rows = _json_rows(texts[name])
+        yield ("," if t else "") + f"\n    {json.dumps(name)}: [" + (
+            "\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "]")
     yield ("\n  }" if bundle.tables else "}") + ',\n  "warnings": ' \
         + block(bundle.warnings) + "\n}\n"
 
@@ -340,20 +428,19 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
         else:
             svg, fig_warnings = sweep_figure(bundle.sweep_table)
             bundle.warnings.extend(fig_warnings)
+    # each table's values formatted once, for the CSV and the JSON
+    texts = {name: _texts(Table.of(rows))
+             for name, rows in bundle.tables.items()}
     if "csv" in formats:
         name = _TASKS[task][1]
-        rows, text = bundle._csv
-        if rows is not bundle.tables[name]:  # not the table run() wrote out
-            text = _round_rows([dict(row) for row in bundle.tables[name]],
-                               _CSV_COLUMNS[name])
         path = os.path.join(out_dir, f"{task}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.write(_csv_text(texts[name], _CSV_COLUMNS[name]))
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{task}.json")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.writelines(_json_pieces(bundle))
+            f.writelines(_json_pieces(bundle, texts))
         written.append(path)
     if svg is not None:
         path = os.path.join(out_dir, f"{task}.svg")

@@ -21,8 +21,6 @@ from spinor_efimov.config import TASKS, parse_config
 from spinor_efimov.figure import sweep_figure
 from spinor_efimov.hyperangular import (
     ChannelMatrixSpec,
-    SweepRow,
-    SweepTable,
     channel_matrix,
     theta_sweep,
 )
@@ -623,20 +621,20 @@ def test_figure_draws_real_roots_dashed():
 
 
 def test_figure_skips_empty_rows_with_warning():
-    table = theta_sweep(np.linspace(0.2, 0.5, 4), "closed", "unitary", "closed")
-    empty = SweepRow(0.05, None, "asymptotic", (), ())
-    patched = SweepTable("theta", [empty] + table.rows, table.window, [])
-    svg, warnings = sweep_figure(patched)
+    # the root at theta = 0.4 (kappa 0.80) lies outside kappa_max
+    table = theta_sweep([0.0, 0.1, 0.2, 0.4], "closed", "unitary", "closed",
+                        kappa_max=0.75)
+    svg, warnings = sweep_figure(table)
     assert len(warnings) == 1
-    assert "row skipped" in warnings[0]
+    assert "theta=0.4; row skipped" in warnings[0]
     assert svg.count("<polyline") >= 1
 
 
 def test_figure_of_one_nonempty_row_has_a_unit_axis():
     """One row with roots leaves no x range: the axis spans one unit
     from it rather than dividing by zero."""
-    row = theta_sweep([0.3], "closed", "unitary", "closed").rows[0]
-    svg, warnings = sweep_figure(SweepTable("theta", [row], {}, []))
+    svg, warnings = sweep_figure(theta_sweep([0.3], "closed", "unitary",
+                                             "closed"))
     assert warnings == [] and ">1.3<" in svg
 
 

@@ -89,7 +89,8 @@ def test_streamed_json_parses_as_one_indented_dump(task, tmp_path):
     bundle = run(cfg)
     write_outputs(bundle, str(tmp_path), cfg.formats)
     text = (tmp_path / f"{task}.json").read_text(encoding="utf-8")
-    payload = {"meta": bundle.meta, "tables": bundle.tables,
+    payload = {"meta": bundle.meta,
+               "tables": {k: list(v) for k, v in bundle.tables.items()},
                "warnings": bundle.warnings}
     assert json.loads(text) == json.loads(
         json.dumps(payload, indent=2, allow_nan=False))

@@ -8,8 +8,6 @@ import pytest
 from spinor_efimov import hyperradial
 from spinor_efimov.hyperangular import (
     ChannelMatrixSpec,
-    SweepRow,
-    SweepTable,
     find_roots_imaginary,
     radius_sweep,
     theta_sweep,
@@ -580,8 +578,9 @@ def test_overflowing_grid_end_is_refused():
 
 
 def _rootless_radius_table():
-    rows = [SweepRow(0.0, r, "finite", (), ()) for r in (1.0, 2.0, 4.0)]
-    return SweepTable("radius", rows, {}, [])
+    # every curve lies above kappa_max
+    return radius_sweep(0.0, 1.0, 1e6, "closed", [1.0, 2.0, 4.0],
+                        kappa_max=0.1)
 
 
 _POT = inverse_square_potential(1.0, 1e-3, 1e3, CONV, points_per_decade=100)
