@@ -1089,40 +1089,33 @@ class SweepTable:
 
     @cached_property
     def rows(self) -> list[SweepRow]:
-        roots = self.roots.by_point(len(self.thetas))
-        rows, pos = [], 0
-        for theta, radius, point in zip(self.thetas, self.radii, roots):
-            slots = sum(r.multiplicity for r in point)
-            rows.append(SweepRow(theta, radius, self.mode, tuple(point),
-                                 tuple(self.curve_ids[pos:pos + slots])))
-            pos += slots
+        rows, ids = [], iter(self.curve_ids)
+        for theta, radius, roots in zip(self.thetas, self.radii,
+                                        self.roots.by_point(len(self.thetas))):
+            slots = tuple(next(ids) for r in roots for _ in range(r.multiplicity))
+            rows.append(SweepRow(theta, radius, self.mode, tuple(roots), slots))
         return rows
 
     def curve_series(self, axis: str = "imaginary") -> dict[int, list[tuple]]:
         """curve id -> [(theta, R, value), ...] in point order."""
         r = self.roots
         slot = np.repeat(np.arange(r.value.size), r.multiplicity)
-        on = r.real[slot] == (axis == "real")
+        on = np.flatnonzero(r.real[slot] == (axis == "real"))
         series: dict[int, list[tuple]] = {}
-        for cid, q, v in zip(np.array(self.curve_ids, dtype=int)[on].tolist(),
-                             r.point[slot[on]].tolist(),
-                             r.value[slot[on]].tolist()):
-            series.setdefault(cid, []).append(
+        for i, q, v in zip(on.tolist(), r.point[slot[on]].tolist(),
+                           r.value[slot[on]].tolist()):
+            series.setdefault(self.curve_ids[i], []).append(
                 (self.thetas[q], self.radii[q], v))
         return series
-
-
-#: curve matching: a slot takes the id of a slot of the previous point
-#: at most max(_JUMP_TOL, _REL_TOL |value|) away
-_JUMP_TOL, _REL_TOL = 0.3, 0.35
 
 
 def _curve_ids(roots: RootTable, n_points: int) -> list[int]:
     """Continuity labeling of the root slots, point by point and per
     axis: each slot inherits the id of the nearest slot of the previous
-    point not yet taken, new slots open new curves.  The match window
-    grows with the value so that fast dimer-limit roots (kappa ~ sqrt(2)
-    R/a, moving multiplicatively on a log R grid) stay on one curve."""
+    point not yet taken and at most max(0.3, 0.35 |value|) away, new
+    slots open new curves.  The window grows with the value so that fast
+    dimer-limit roots (kappa ~ sqrt(2) R/a, moving multiplicatively on a
+    log R grid) stay on one curve."""
     slot = np.repeat(np.arange(roots.value.size), roots.multiplicity)
     values = roots.value[slot].tolist()
     key = roots.point[slot] * 2 + roots.real[slot]
@@ -1144,7 +1137,7 @@ def _curve_ids(roots: RootTable, n_points: int) -> list[int]:
             else:
                 taken.add(best)
                 ids.append(prev[best][0])
-        last[k & 1] = [(cid, v, max(_JUMP_TOL, _REL_TOL * abs(v))) for cid, v
+        last[k & 1] = [(cid, v, max(0.3, 0.35 * abs(v))) for cid, v
                        in zip(ids[bounds[k]:], values[bounds[k]:bounds[k + 1]])]
     return ids
 
@@ -1181,11 +1174,8 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     for th, r, ws in zip(thetas, radii, warns):
         where = f"theta={th:.6g}" if kind == "theta" else f"R={r:.6g}"
         all_warnings.extend(f"{where}: {w}" for w in ws)
-    window = {
-        "a_alpha": lengths[0].describe(),
-        "a_beta": lengths[1].describe(),
-        "a_gamma": lengths[2].describe(),
-    }
+    window = {k: l.describe()
+              for k, l in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
     return SweepTable(kind, [float(t) for t in thetas], list(radii),
                       first.mode, roots, _curve_ids(roots, len(specs)),
                       window, all_warnings)

@@ -58,21 +58,11 @@ class RunnerError(RuntimeError):
 @dataclass
 class Table(Sequence):
     """An output table as columns, name -> (values, index): row r's cell
-    is values[index[r]], or values[r] where index is None, so a value
-    that rows share (a sweep point's theta) is held and formatted once.
-    As a sequence its rows are dicts of the values as the outputs give
-    them (_round12)."""
+    is values[index[r]], or values[r] if index is None, so a value rows
+    share (a sweep point's theta) is held and formatted once.  Its rows
+    read as dicts of the values the outputs give (_round12)."""
 
     columns: dict
-
-    @staticmethod
-    def of(rows) -> "Table":
-        """rows itself if it is a Table, else its dict rows as columns
-        under the first row's keys."""
-        if isinstance(rows, Table):
-            return rows
-        return Table({k: ([row[k] for row in rows], None)
-                      for k in (rows[0] if rows else ())})
 
     def __len__(self) -> int:
         values, index = next(iter(self.columns.values()), ((), None))
@@ -83,99 +73,83 @@ class Table(Sequence):
                 for k, (v, i) in self.columns.items()}
 
 
+def _table(rows) -> Table:
+    """A Table as it is, or dict rows as the columns of the first row."""
+    return rows if isinstance(rows, Table) else Table(
+        {k: ([row[k] for row in rows], None) for k in rows[0]} if rows else {})
+
+
 @dataclass
 class ResultBundle:
     meta: dict
-    #: table name -> Table (run() makes each one; a list of dict rows set
-    #: later is written as Table.of reads it)
-    tables: dict = field(default_factory=dict)
+    tables: dict[str, Table] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     sweep_table: "SweepTable | None" = field(default=None, repr=False)
 
 
-def _floats(values: list[float]) -> tuple[list[str], list[str]]:
-    """The CSV and JSON texts of floats, from one % format: each .12g text
-    and the repr of the float it reads as, or "" and null if it is not
-    finite.  At most 12 digits read back as the same shortest digits, so
-    only a text without a point or with a positive exponent (which repr
-    writes out below 1e16) is not its own repr."""
-    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")
-    texts.pop()
-    csv_texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
-    return csv_texts, [t if "." in t and "e+" not in t else
-                       repr(float(t)) if t else "null" for t in csv_texts]
+def _texts(values) -> tuple:
+    """The CSV and JSON texts of a column's values.  A float (numpy's too)
+    is its .12g text and the repr of the float that reads as, or "" and
+    null if it is not finite; None is "" and null; a bool, int or str is
+    its str(), quoted as the csv module quotes it, and its JSON.  A
+    column of floats takes one % format, and at most 12 digits read back
+    as the same shortest digits, so only a text without a point or with
+    a positive exponent (repr writes out below 1e16) is not its repr."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return (list(map(str, values)),) * 2
+    if kinds != {float}:
+        return tuple(zip(*map(_cell, values))) or ((), ())
+    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
+    return texts, [t if "." in t and "e+" not in t else
+                   repr(float(t)) if t else "null" for t in texts]
 
 
 def _cell(v) -> tuple[str, str]:
-    """A cell's CSV and JSON text: a float's (numpy's too) as _floats
-    gives them; None is "" and null; a bool, int or str is its str(),
-    quoted as the csv module quotes it, and its JSON."""
+    """The CSV and JSON text of one value (_texts)."""
     if isinstance(v, (float, np.floating)):
-        (text,), (json_text,) = _floats([float(v)])
-        return text, json_text
-    if v is None:
-        return "", "null"
+        return tuple(t[0] for t in _texts([float(v)]))
     if isinstance(v, str):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow((v, ""))
         return buf.getvalue()[:-2], encode_basestring_ascii(v)
-    if isinstance(v, bool):
-        return str(v), "true" if v else "false"
-    return str(v), int.__repr__(v) if isinstance(v, int) else json.dumps(v)
+    return ("", "null") if v is None else (str(v), json.dumps(v))
 
 
 def _round12(x):
-    """A float (numpy's too) as the outputs give it, rounded to 12
-    significant digits, or None if it is not finite; any other value
-    (None, bool, int, str) as it is."""
+    """A float (numpy's too) rounded to 12 significant digits as the
+    outputs give it, or None if it is not finite; any other value (None,
+    bool, int, str) as it is."""
     if isinstance(x, (float, np.floating)):
-        text = _cell(x)[0]
-        return float(text) if text else None
+        return float(_cell(x)[0]) if math.isfinite(x) else None
     return x
 
 
-def _texts(table: Table) -> dict[str, tuple]:
-    """Per column its CSV and JSON texts, one per row; each value of the
-    columns is formatted once, a column of floats or of ints as a
-    whole."""
+def _formatted(table: Table) -> dict[str, tuple]:
+    """Per column its CSV and JSON texts, one per row, each value
+    formatted once."""
     out = {}
     for name, (values, index) in table.columns.items():
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            csv_texts, json_texts = _floats(values)
-        elif kinds == {int}:
-            csv_texts = json_texts = list(map(str, values))
-        else:
-            csv_texts, json_texts = tuple(zip(*map(_cell, values))) or ((), ())
-        if index is not None:
-            csv_texts = [csv_texts[i] for i in index]
-            json_texts = [json_texts[i] for i in index]
-        out[name] = csv_texts, json_texts
+        texts = _texts(values)
+        out[name] = texts if index is None else \
+            tuple([t[i] for i in index] for t in texts)
     return out
 
 
 def _csv_text(texts: dict, columns: list[str]) -> str:
-    """The CSV text of a table's texts in the given columns: a header and
-    one line per row (a table of no rows may have no columns)."""
+    """A header and one line per row, in the given columns (a table of no
+    rows may have none)."""
     line = ",".join(["%s"] * len(columns)) + "\n"
     rows = zip(*(texts[c][0] for c in columns)) if texts else ()
     return ",".join(columns) + "\n" + "".join(map(line.__mod__, rows))
 
 
-def _json_rows(texts: dict) -> list[str]:
-    """One JSON object per row, as json.JSONEncoder(allow_nan=False)
-    encodes the row's dict."""
-    line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s"
-                           for k in texts) + "}"
-    return list(map(line.__mod__, zip(*(t[1] for t in texts.values()))))
-
-
 def _round_rows(rows: list[dict], columns: list[str] | None = None
                 ) -> str | None:
     """Round each float (numpy's too) of the dict rows in place
-    (_round12); given columns, return the rows' CSV text in those
-    columns."""
-    text = _csv_text(_texts(Table.of(rows)), columns) if columns else None
+    (_round12); given columns, return their CSV text in those columns."""
+    text = _csv_text(_formatted(_table(rows)), columns) if columns else None
     for row in rows:
         for k, v in row.items():
             row[k] = _round12(v)
@@ -192,37 +166,28 @@ def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
     return channels_from_angle(cfg.theta, cfg.a_alpha, cfg.a_beta, cfg.a_gamma)
 
 
-def _root_rows(theta, radius, mode, roots) -> list[dict]:
-    rows = []
-    for root in roots:
-        prof = root.spin_profile
-        rows.append({
-            "theta": theta,  # None for raw-matrix input with no angle
-            "R": radius if radius is not None else 0.0,
-            "mode": mode,
-            "axis": root.axis,
-            "value": root.value,
-            "multiplicity": root.multiplicity,
-            "w_111_family": prof.same_level_weight if prof else None,
-            "w_mixed_family": prof.mixed_weight if prof else None,
-        })
-    return rows
+def _root_rows(thetas, radii, mode, point, real, value, mult, same,
+               mixed) -> Table:
+    """The rows table, one row per root: the roots' point indices into
+    thetas and radii (R None in asymptotic mode, written as 0), real-axis
+    flags, values, multiplicities and family weights."""
+    return Table({
+        "theta": (thetas, point),  # None for raw-matrix input with no angle
+        "R": ([0.0 if r is None else r for r in radii], point),
+        "mode": ([mode], [0] * len(point)),
+        "axis": (["imaginary", "real"], real),
+        "value": (value, None),
+        "multiplicity": (mult, None),
+        "w_111_family": (same, None),
+        "w_mixed_family": (mixed, None),
+    })
 
 
 def _sweep_rows(table: SweepTable) -> Table:
-    """The rows table of a sweep, read from its columns."""
-    roots = table.roots
-    point = roots.point.tolist()
-    return Table({
-        "theta": (table.thetas, point),
-        "R": ([0.0 if r is None else r for r in table.radii], point),
-        "mode": ([table.mode], [0] * len(point)),
-        "axis": (["imaginary", "real"], roots.real.tolist()),
-        "value": (roots.value.tolist(), None),
-        "multiplicity": (roots.multiplicity.tolist(), None),
-        "w_111_family": (roots.same.tolist(), None),
-        "w_mixed_family": (roots.mixed.tolist(), None),
-    })
+    r = table.roots
+    return _root_rows(table.thetas, table.radii, table.mode, *(
+        a.tolist() for a in (r.point, r.real, r.value, r.multiplicity,
+                             r.same, r.mixed)))
 
 
 def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
@@ -234,7 +199,13 @@ def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
     if cfg.s_max is not None:
         roots += find_roots_real(spec, cfg.s_max, warning_sink=sink)
     theta = cfg.theta if cfg.theta is not None else channels.mixing_angle
-    bundle.tables["rows"] = _root_rows(theta, cfg.radius, spec.mode, roots)
+    prof = [r.spin_profile for r in roots]
+    bundle.tables["rows"] = _root_rows(
+        [theta], [cfg.radius], spec.mode, [0] * len(roots),
+        [r.axis == "real" for r in roots], [r.value for r in roots],
+        [r.multiplicity for r in roots],
+        [p and p.same_level_weight for p in prof],
+        [p and p.mixed_weight for p in prof])
     bundle.warnings.extend(sink)
 
 
@@ -384,7 +355,7 @@ def run(cfg: RunConfig) -> ResultBundle:
         "config": config_as_dict(cfg),
     })
     bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
-    bundle.tables = {k: Table.of(v) for k, v in bundle.tables.items()}
+    bundle.tables = {k: _table(v) for k, v in bundle.tables.items()}
     return bundle
 
 
@@ -399,13 +370,16 @@ _CSV_COLUMNS = {
 def _json_pieces(bundle: ResultBundle, texts: dict):
     """The JSON document {"meta", "tables", "warnings"} in pieces, one per
     table: meta and warnings indented by two, each table row one line
-    from its texts (_json_rows)."""
+    from the tables' texts."""
     def block(value) -> str:
         return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
     yield '{\n  "meta": ' + block(bundle.meta) + ',\n  "tables": {'
-    for t, name in enumerate(bundle.tables):
-        rows = _json_rows(texts[name])
+    for t, (name, cols) in enumerate(texts.items()):
+        # each row as json.JSONEncoder(allow_nan=False) encodes its dict
+        line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s"
+                               for k in cols) + "}"
+        rows = list(map(line.__mod__, zip(*(c[1] for c in cols.values()))))
         yield ("," if t else "") + f"\n    {json.dumps(name)}: [" + (
             "\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "]")
     yield ("\n  }" if bundle.tables else "}") + ',\n  "warnings": ' \
@@ -429,8 +403,7 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             svg, fig_warnings = sweep_figure(bundle.sweep_table)
             bundle.warnings.extend(fig_warnings)
     # each table's values formatted once, for the CSV and the JSON
-    texts = {name: _texts(Table.of(rows))
-             for name, rows in bundle.tables.items()}
+    texts = {k: _formatted(_table(v)) for k, v in bundle.tables.items()}
     if "csv" in formats:
         name = _TASKS[task][1]
         path = os.path.join(out_dir, f"{task}.csv")
