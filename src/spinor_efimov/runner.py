@@ -92,9 +92,10 @@ def _texts(values) -> tuple:
     is its .12g text and the repr of the float that reads as, or "" and
     null if it is not finite; None is "" and null; a bool, int or str is
     its str(), quoted as the csv module quotes it, and its JSON.  A
-    column of floats takes one % format, and at most 12 digits read back
-    as the same shortest digits, so only a text without a point or with
-    a positive exponent (repr writes out below 1e16) is not its repr."""
+    column of floats takes one % format.  Above the subnormals (below
+    1e-307) at most 12 digits read back as the same shortest digits, so
+    only a text without a point, with a positive exponent (repr writes
+    out below 1e16) or with one from e-30 may not be its repr."""
     kinds = set(map(type, values))
     if kinds == {int}:
         return (list(map(str, values)),) * 2
@@ -102,8 +103,8 @@ def _texts(values) -> tuple:
         return tuple(zip(*map(_cell, values))) or ((), ())
     texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
     texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
-    return texts, [t if "." in t and "e+" not in t else
-                   repr(float(t)) if t else "null" for t in texts]
+    return texts, [t if "." in t and "e+" not in t and "e-3" not in t
+                   else repr(float(t)) if t else "null" for t in texts]
 
 
 def _cell(v) -> tuple[str, str]:

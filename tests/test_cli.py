@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
@@ -134,7 +135,8 @@ def _formatted_afresh(rows, columns):
 EDGE_VALUES = [math.nan, math.inf, -math.inf, None, True, False, 0, -7,
                np.float32(0.1), np.float32(-2.5e-7), np.float32(np.inf),
                -0.0, 0.0, np.float64(1 / 3), -1e-5, 123456789012.5, 2.0,
-               1.7976931348623157e308, 5e-324, "a,b", np.float64(np.nan)]
+               1.7976931348623157e308, 5e-324, "a,b", 'a"b', "\u03b8",
+               np.float64(np.nan)]
 
 
 def test_kept_csv_text_matches_formatting_afresh(tmp_path):
@@ -169,6 +171,44 @@ def test_kept_csv_text_matches_formatting_afresh(tmp_path):
             written = (tmp_path / "invariance-suite.csv").read_text()
             assert written == _formatted_afresh(table, columns)[1]
         assert rows[0]["phi"] is not None  # formatted afresh from a copy
+
+
+def test_streamed_rows_are_the_encoder_text_of_the_rounded_rows(tmp_path):
+    """Each JSON row line of a table set after run() is the text
+    json.JSONEncoder(allow_nan=False) makes of the row rounded as the
+    outputs round it, for every edge value: NaN and +-inf null, -0.0
+    "-0.0", 2.0 "2.0", np.float32 as its float, strings escaped."""
+    rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
+            for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
+    bundle = run(parse_config("task = invariance-suite\ntrials = 2\n"))
+    bundle.tables["checks"] = rows
+    write_outputs(bundle, str(tmp_path), ("json",))
+    text = (tmp_path / "invariance-suite.json").read_text(encoding="utf-8")
+    lines = [line.strip().rstrip(",")
+             for line in text.splitlines() if line.startswith("      {")]
+    rounded = _formatted_afresh(rows, runner._CSV_COLUMNS["checks"])[0]
+    encode = json.JSONEncoder(allow_nan=False).encode
+    assert lines == [encode(row) for row in rounded]
+    assert '"check": "edge", "trial": -0.0' in text and "\\u03b8" in text
+
+
+@example(1e12)
+@example(123456789012345.0)
+@example(1e16)
+@example(-1e-5)
+@example(5e-324)
+@example(1.23456789e-310)
+@example(2.2250738585072014e-308)
+@example(1.5e-35)
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-10 ** 17, 10 ** 17).map(float))
+def test_json_text_of_a_float_is_the_repr_of_its_rounded_float(x):
+    """A float's JSON text, which skips repr where the .12g text is
+    already it, is repr(float(text)) for every magnitude."""
+    text, json_text = runner._texts([x])
+    assert text == [f"{x:.12g}"]
+    assert json_text == [repr(float(text[0]))]
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -421,6 +461,27 @@ def test_solver_runs_make_no_eigvalsh_call(monkeypatch):
         assert calls["eigvalsh"] == []
         assert calls["eigh"] == [129, sum(len(row.roots)
                                           for row in table.rows)]
+
+
+def test_sweep_runs_build_no_root_objects(monkeypatch, tmp_path):
+    """The theta-sweep and r-sweep golden runs, every output written,
+    build no ChannelRoot, SpinProfile or SweepRow: rows, figure and
+    plateaus read the sweep's columns.  SweepTable.rows still builds
+    them on first read."""
+    built = []
+    for name in ("ChannelRoot", "SpinProfile", "SweepRow"):
+        def counted(*args, _cls=getattr(hyperangular, name), **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+        monkeypatch.setattr(hyperangular, name, counted)
+    golden = Path(__file__).parent / "golden"
+    for task in ("theta-sweep", "r-sweep"):
+        assert main([task, "--config", str(golden / f"{task}.run"),
+                     "--out", str(tmp_path)]) == 0
+    assert built == []
+    table = run(parse_config((golden / "r-sweep.run").read_text())).sweep_table
+    assert built == [] and table.rows
+    assert set(built) == {"ChannelRoot", "SpinProfile", "SweepRow"}
 
 
 def test_invariance_suite_memory_peak():

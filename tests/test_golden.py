@@ -83,8 +83,9 @@ def test_outputs_match_golden(task, tmp_path):
 @pytest.mark.parametrize("task", TASKS)
 def test_streamed_json_parses_as_one_indented_dump(task, tmp_path):
     """The json file is written in pieces, each table row on a line of its
-    own; it parses to what one json.dumps(payload, indent=2) parses to,
-    and ends in a newline."""
+    own, the text json.JSONEncoder(allow_nan=False) makes of the row; it
+    parses to what one json.dumps(payload, indent=2) parses to, and ends
+    in a newline."""
     cfg = parse_config((GOLDEN / f"{task}.run").read_text(encoding="utf-8"))
     bundle = run(cfg)
     write_outputs(bundle, str(tmp_path), cfg.formats)
@@ -95,9 +96,11 @@ def test_streamed_json_parses_as_one_indented_dump(task, tmp_path):
     assert json.loads(text) == json.loads(
         json.dumps(payload, indent=2, allow_nan=False))
     assert text.endswith("}\n")
-    lines = [json.loads(line.strip().rstrip(","))
+    lines = [line.strip().rstrip(",")
              for line in text.splitlines() if line.startswith("      {")]
-    assert lines == [row for rows in bundle.tables.values() for row in rows]
+    encode = json.JSONEncoder(allow_nan=False).encode
+    assert lines == [encode(row) for rows in bundle.tables.values()
+                     for row in rows]
     assert lines
 
 

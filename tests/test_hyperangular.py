@@ -499,6 +499,86 @@ def test_theta_sweep_continuity_against_double_density():
                                    coarse_map[key], atol=1e-10)
 
 
+class _ReferenceMatcher:
+    """The greedy continuity matcher the sweeps ran on root objects, one
+    point and axis at a time: each slot takes the id of the nearest
+    untaken slot of the axis's previous point within max(0.3, 0.35
+    |old|), else a new id."""
+
+    jump_tol, rel_tol = 0.3, 0.35
+
+    def __init__(self):
+        self.next_id = 0
+        self.last: dict[str, list[tuple[int, float]]] = {}
+
+    def assign(self, axis: str, values: list[float]) -> list[int]:
+        prev = self.last.get(axis, [])
+        taken = set()
+        ids: list[int] = []
+        for v in values:
+            best = None
+            best_d = math.inf
+            for idx, (cid, old) in enumerate(prev):
+                if idx in taken:
+                    continue
+                d = abs(v - old)
+                if d <= max(self.jump_tol, self.rel_tol * abs(old)) and d < best_d:
+                    best, best_d = idx, d
+            if best is None:
+                ids.append(self.next_id)
+                self.next_id += 1
+            else:
+                taken.add(best)
+                ids.append(prev[best][0])
+        self.last[axis] = list(zip(ids, values))
+        return ids
+
+
+def _crossing_sweep():
+    # at theta = pi/2 a mixed-family curve rises from 0.46 through the
+    # 1.00624 curve of the |111> family between R = 0.32 and 0.40
+    return radius_sweep(math.pi / 2, 1.0, 1e6, "closed",
+                        np.geomspace(0.02, 5.0, 25))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: theta_sweep(np.linspace(0.0, math.pi / 2, 201), "closed",
+                        "unitary", "closed", s_max=5.0),
+    lambda: run(parse_config((Path(__file__).parent / "golden"
+                              / "r-sweep.run").read_text())).sweep_table,
+    _crossing_sweep,
+], ids=["admixture", "r-sweep-golden", "crossing"])
+def test_curve_ids_equal_the_greedy_reference(sweep):
+    """The sweep's curve ids, slot by slot, are those of the greedy
+    matcher run on the root objects point by point: on the admixture
+    sweep (its double root fills two slots), on the r-sweep golden with
+    s_max = 5 (real roots appear and vanish) and across a crossing of two
+    imaginary curves."""
+    table = sweep()
+    matcher, want = _ReferenceMatcher(), []
+    for row in table.rows:
+        for axis in ("imaginary", "real"):
+            want += matcher.assign(axis, [r.value for r in row.roots
+                                          if r.axis == axis
+                                          for _ in range(r.multiplicity)])
+    assert table.curve_ids == want
+    assert [c for row in table.rows for c in row.curve_ids] == want
+    assert len(set(want)) > 2
+
+
+def test_greedy_ids_follow_the_value_order_across_a_crossing():
+    """Across the crossing the |111> root (same-level weight 1) moves
+    from the middle to the bottom of the three imaginary roots; the
+    greedy matcher, which sees only values, keeps the ids in value order,
+    so curve 1 changes family there (ROADMAP item 3)."""
+    rows = _crossing_sweep().rows
+    family = [{cid: round(r.spin_profile.same_level_weight)
+               for cid, r in row.expanded()} for row in rows]
+    assert all(row.curve_ids == (0, 1, 2) for row in rows)
+    assert family[0] == {0: 0, 1: 1, 2: 0}
+    assert family[-1] == {0: 0, 1: 0, 2: 1}
+
+
 def test_theta_sweep_finite_mode():
     table = theta_sweep(np.linspace(0.0, math.pi / 2, 5), 1.0, 1e6, "closed",
                         hyperradius=50.0, kappa_max=10.0)
