@@ -939,16 +939,18 @@ def _root_table(specs, windows, n_grid: int = N_GRID):
     caller's kappa_max or 10, or one s_max): _scalar_roots reads the
     first."""
     warns: list[list[str]] = [[] for _ in specs]
-    parts = [(np.zeros(0, int), np.zeros(0), np.zeros(0), [], False)]
+    p, value, residual, real = [np.zeros(0, int)], [np.zeros(0)], \
+        [np.zeros(0)], [np.zeros(0, bool)]
+    groups, n = [], 0
     for axis, x_max in windows if specs[0].active_states().size else ():
         stack = _SpecStack(specs, axis)
-        parts.append((*(_finite_roots(stack, axis, x_max, n_grid, warns)
-                        if stack.finite else
-                        _scalar_roots(stack, axis, x_max[0])), axis == "real"))
-    p, value, residual = (np.concatenate(a) for a in list(zip(*parts))[:3])
-    real = np.concatenate([np.full(q[0].size, q[4]) for q in parts])
-    base = np.cumsum([q[0].size for q in parts]).tolist()
-    groups = [(g + b, v) for q, b in zip(parts[1:], base) for g, v in q[3]]
+        q, v, r, g = (_finite_roots(stack, axis, x_max, n_grid, warns)
+                      if stack.finite else _scalar_roots(stack, axis, x_max[0]))
+        p, value, residual = p + [q], value + [v], residual + [r]
+        real.append(np.full(q.size, axis == "real"))
+        groups += [(idx + n, null) for idx, null in g]
+        n += q.size
+    p, value, residual, real = map(np.concatenate, (p, value, residual, real))
     bad = np.nonzero(residual > RESIDUAL_TOL)[0]
     if bad.size:
         raise HyperangularError(
@@ -956,7 +958,6 @@ def _root_table(specs, windows, n_grid: int = N_GRID):
             f"{float(value[bad[0]])} has residual {residual[bad[0]]:.3e}")
     # the roots come by (axis, spec, value): each spec's imaginary ones
     # by descending kappa, then its real ones
-    n = p.size
     order = np.lexsort((np.where(real, 1, -1) * np.arange(n), real, p))
     rank = np.empty_like(order)
     rank[order] = np.arange(n)

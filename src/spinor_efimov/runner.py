@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -56,7 +55,7 @@ class RunnerError(RuntimeError):
 
 
 @dataclass
-class Table(Sequence):
+class Table:
     """An output table as columns, name -> (values, index): row r's cell
     is values[index[r]], or values[r] if index is None, so a value rows
     share (a sweep point's theta) is held and formatted once.  Its rows
@@ -69,6 +68,7 @@ class Table(Sequence):
         return len(values if index is None else index)
 
     def __getitem__(self, r) -> dict:
+        r = range(len(self))[r]  # an IndexError ends iteration
         return {k: _round12(v[r] if i is None else v[i[r]])
                 for k, (v, i) in self.columns.items()}
 
@@ -92,15 +92,18 @@ def _texts(values) -> tuple:
     is its .12g text and the repr of the float that reads as, or "" and
     null if it is not finite; None is "" and null; a bool, int or str is
     its str(), quoted as the csv module quotes it, and its JSON.  A
-    column of floats takes one % format.  Above the subnormals (below
-    1e-307) at most 12 digits read back as the same shortest digits, so
-    only a text without a point, with a positive exponent (repr writes
-    out below 1e16) or with one from e-30 may not be its repr."""
+    column of floats and None takes one % format.  Above the subnormals
+    (below 1e-307) at most 12 digits read back as the same shortest
+    digits, so only a text without a point, with a positive exponent
+    (repr writes out below 1e16) or with one from e-30 may not be its
+    repr."""
     kinds = set(map(type, values))
     if kinds == {int}:
         return (list(map(str, values)),) * 2
-    if kinds != {float}:
+    if not kinds or kinds - {float, type(None)}:
         return tuple(zip(*map(_cell, values))) or ((), ())
+    if type(None) in kinds:  # None prints as NaN does
+        values = [math.nan if v is None else v for v in values]
     texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
     texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
     return texts, [t if "." in t and "e+" not in t and "e-3" not in t
