@@ -164,20 +164,49 @@ def test_numerov_sweep_singular_step_is_typed_error():
         _numerov_sweep(np.array([0.0, 0.0, 12.0, 0.0]), 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_numerov_sweep_singular_seed_step_is_typed_error(k):
+    # the seeds enter as w = p y, so p = 0 at either one is refused too,
+    # before c = h^2 q / p is formed
+    q = np.zeros(4)
+    q[k] = 12.0
+    with pytest.raises(HyperradialError,
+                       match=rf"\(h\^2 q = 12\) at grid point {k}$"):
+        _numerov_sweep(q, 1.0, 0.0, 1.0)
+
+
+def test_numerov_sweep_keeps_the_potential_over_twenty_decades():
+    """y'' = -kappa^2 y over 20 decades at efimov_ladder's density: the
+    sign changes of the sweep, interpolated linearly, sit at the zeros
+    pi j / kappa of sin(kappa x) to 1e-10 relative (6.6e-13 measured).
+    The three-term form, 12 - 10 p with p = 1 - h^2 q / 12, keeps only
+    about eight digits of h^2 q and misses by 8.9e-10 here, by 1e-8 at
+    4,000 points per decade."""
+    kappa = 0.41370
+    x = np.linspace(0.0, 20.0 * math.log(10.0), 20001)
+    h = x[1] - x[0]
+    y = _numerov_sweep(np.full(x.size, -kappa * kappa), h, 0.0,
+                       math.sin(kappa * h))
+    i = np.nonzero(np.sign(y[1:-1]) != np.sign(y[2:]))[0] + 1
+    zeros = x[i] - y[i] * h / (y[i + 1] - y[i])
+    exact = math.pi * np.arange(1, 7) / kappa
+    assert zeros.size == exact.size
+    assert np.max(np.abs(zeros / exact - 1.0)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # bound states
 # ---------------------------------------------------------------------------
 
-#: ladder energies and node counts of the solver with pivoted banded
-#: Numerov sweeps and pure bisection refinement; the faster solver must
-#: stay within a few of its 1e-9 level tolerances of them
+#: ladder energies of the summed-form Numerov sweep at 1,000 points per
+#: decade, each within 2.5e-10 of the zeros of K_{i kappa}
+#: (exact_ladder); a change of solver must stay within a few of its 1e-9
+#: level tolerances of them
 PINNED_LADDERS = [
-    (1.00624, 4, 2e-9, (-2137.0103694467653, -4.14491452493179,
-                        -0.008047922828851369, -1.5626183456584518e-05)),
-    # a pivoted banded LU swaps rows on this system (|12 - 10 p| ~ 2 > p ~ 1),
-    # which moves these levels by up to 7e-9 against forward substitution
-    (0.41370, 3, 1e-8, (-0.18135931948825318, -4.598010933710405e-08,
-                        -1.1657359259396433e-14)),
+    (1.00624, 4, 2e-9, (-2137.0103684890737, -4.144914522855038,
+                        -0.008047922826789337, -1.5626183446359817e-05)),
+    (0.41370, 3, 2e-9, (-0.1813593188769247, -4.598010993811677e-08,
+                        -1.1657359826422694e-14)),
 ]
 
 
@@ -325,13 +354,15 @@ def exact_ladder(kappa, n_levels, r0, mass):
 
 
 @pytest.mark.parametrize("kappa, n_levels, rel", [
-    (KAPPA_IB, 4, 1e-9), (2.0, 5, 1e-9), (0.41370, 3, 1e-7)])
+    (KAPPA_IB, 4, 1e-9), (2.0, 5, 1e-9), (0.41370, 3, 1e-9)])
 @pytest.mark.parametrize("r0, mass", [(1e-3, 1.0), (3e-3, 2.0), (1e-2, 0.5)])
 def test_ladder_matches_exact_spectrum(kappa, n_levels, rel, r0, mass):
-    """Every level of efimov_ladder against the zeros of K_{i kappa}.  The
-    tolerance is what the 4,000-points-per-decade grid reaches: within
-    7.8e-10 at kappa 1.00624 and 2 (the level tolerance _E_RTOL is 1e-9),
-    5.6e-8 on the upper levels at kappa 0.41370."""
+    """Every level of efimov_ladder against the zeros of K_{i kappa}, to
+    the level tolerance _E_RTOL = 1e-9 at every kappa: the summed-form
+    sweep keeps the potential's digits, and 1,000 points per decade put
+    the discretization error far below it (3.0e-10 worst measured).  The
+    three-term form at 4,000 points per decade was 5.6e-8 off on the
+    upper levels at kappa 0.41370."""
     spec = efimov_ladder(kappa, r0, n_levels, PhysicalConvention(mass))
     assert spec.nodes == tuple(range(n_levels))
     assert spec.energies == pytest.approx(
@@ -356,11 +387,13 @@ def test_deepest_level_guess_is_near_the_exact_level(kappa, tol):
     assert abs(guess - math.log(-exact)) < tol
 
 
-def test_tiny_kappa_deepest_level_stays_in_ln_z():
-    # the level is 8e-268: (z / r0)^2 would underflow; pinned to the
-    # solver that bisected the deepest level cold
-    spec = efimov_ladder(0.01, 1e-3, 1)
-    assert spec.energies == pytest.approx((-8.354039549190498e-268,),
+@pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1])
+def test_tiny_kappa_deepest_level_stays_in_ln_z(kappa):
+    # at kappa 0.01 the level is 8e-268: (z / r0)^2 would underflow.  The
+    # three-term sweep was 5.8e-3, 3.1e-4 and 1.4e-5 off these levels
+    spec = efimov_ladder(kappa, 1e-3, 1)
+    assert spec.nodes == (0,)
+    assert spec.energies == pytest.approx(exact_ladder(kappa, 1, 1e-3, 1.0),
                                           rel=1e-9, abs=0.0)
 
 
