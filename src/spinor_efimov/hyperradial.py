@@ -151,8 +151,9 @@ def inverse_square_potential(kappa: float, r_min: float, r_max: float,
                              convention: PhysicalConvention,
                              points_per_decade: int = 1000) -> AdiabaticPotential:
     """Scale-free attractive channel with constant imaginary exponent:
-    U = -(kappa^2 + 1/4) / (2 mu R^2).  The default density holds every
-    level within 1e-9 of the exact spectrum for kappa 0.01 to 12."""
+    U = -(kappa^2 + 1/4) / (2 mu R^2).  At the default density every level
+    is within 1e-9 of the exact one for kappa 0.01 to 2 (3.5e-9 at kappa
+    8 with 20 levels: the error grows with kappa and depth)."""
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
     if not 0.0 < r_min < r_max < math.inf:
@@ -201,11 +202,10 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     """Solve y'' = q y along the grid given two seed values.
 
     Numerov in Blatt's summed form: with p = 1 - h^2 q / 12, w = p y and
-    c = h^2 q / p, d[i] = d[i-1] + c[i] w[i] and w[i+1] = w[i] + d[i].  q
-    enters only through c, at full precision; 12 - 10 p (the three-term
-    form) rounds most of h^2 q away.  In the unknowns (d[1], w[2], d[2],
-    w[3], ...) the two sums are one unit-lower band system, solved by
-    compiled forward substitution.
+    c = h^2 q / p, d[i] = d[i-1] + c[i] w[i] and w[i+1] = w[i] + d[i], so
+    q keeps its digits (12 - 10 p in the three-term form keeps about 8).
+    In the unknowns (d[1], w[2], d[2], w[3], ...) the two sums are one
+    unit-lower band system, solved by compiled forward substitution.
     """
     from scipy.linalg.lapack import dtbtrs  # the only scipy use; see module doc
 
