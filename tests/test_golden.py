@@ -20,7 +20,10 @@ the first ratio by 7e-11, and the last printed digit of one more ratio
 and one upper energy.  They were re-made a fifth time when the Numerov
 sweep moved to Blatt's summed form on a grid of 1,000 points per decade:
 the four energies moved by 1.1e-10 to 1.0e-9 and now lie within 2.5e-10
-of the exact levels (the three-term form was up to 7.7e-10 off).  The r-sweep json was re-made when the grazing
+of the exact levels (the three-term form was up to 7.7e-10 off).  They
+were re-made a sixth time when efimov_ladder's density became 500 kappa
+points per decade (504 at kappa 1.00624): the four energies moved by
+7e-12 to 2.2e-11 and stay within 2.5e-10 of the exact levels.  The r-sweep json was re-made when the grazing
 warning stopped advising a denser grid, which does not resolve that
 warning, and the invariance-suite json when the run file's
 mode came to follow from its inputs: its finite random specs had been
