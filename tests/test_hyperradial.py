@@ -512,21 +512,23 @@ def test_depth_exhaustion_reports_found_levels():
 
 
 @pytest.mark.parametrize("kappa, n_levels", [
-    (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 2)])
+    (0.05, 4), (0.41370, 3), (KAPPA_IB, 12), (30.0, 12), (300.0, 4)])
 def test_ladder_first_grid_holds_every_level(monkeypatch, kappa, n_levels):
     """efimov_ladder sizes one grid and solves once: its margin holds the
     topmost level's outer turning point from kappa 0.05 to 300.  At kappa
-    30 and 300 the levels are also checked: 1,000 points per decade was
-    7.2e-8 and 1.7e-6 off them."""
+    30 and 300 the deepest levels are also checked, two at kappa 300 to
+    keep its mpmath reference to about 2 s: 1,000 points per decade was
+    7.2e-8 and 3.4e-7 off them."""
     calls = []
     monkeypatch.setattr(hyperradial, "bound_states",
                         lambda *a: calls.append(a) or bound_states(*a))
     spec = efimov_ladder(kappa, wall_radius=1e-3, n_levels=n_levels)
     assert len(calls) == 1
     assert spec.n_levels == n_levels and not spec.depth_exhausted
-    if kappa >= 30.0:
-        assert spec.energies == pytest.approx(
-            exact_ladder(kappa, n_levels, 1e-3, 1.0), rel=1e-9, abs=0.0)
+    checked = {30.0: 12, 300.0: 2}.get(kappa)
+    if checked:
+        assert spec.energies[:checked] == pytest.approx(
+            exact_ladder(kappa, checked, 1e-3, 1.0), rel=1e-9, abs=0.0)
 
 
 def test_repulsive_channel_has_no_bound_states():
