@@ -23,7 +23,6 @@ from .hyperangular import (
     Plateau,
     PlateauSummary,
     SpinProfile,
-    SweepRow,
     SweepTable,
     channel_matrix,
     classify_root,
@@ -54,7 +53,7 @@ __all__ = [
     "TwoBodyChannelSet", "as_length", "channels_from_angle", "eigenchannels",
     "exchange_overlap", "one_body_rotation", "toy_closed_form",
     "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
-    "PlateauSummary", "SpinProfile", "SweepRow", "SweepTable",
+    "PlateauSummary", "SpinProfile", "SweepTable",
     "channel_matrix", "classify_root", "default_kappa_max",
     "find_roots_imaginary", "find_roots_imaginary_batch", "find_roots_real",
     "plateau_extract", "radius_sweep", "theta_sweep",

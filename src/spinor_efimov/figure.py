@@ -9,6 +9,7 @@ hence byte-identical across runs of the same configuration.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .hyperangular import SweepTable
 
@@ -99,6 +100,9 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
     # curves, imaginary solid / real dashed
     for axis, dash in (("imaginary", ""), ("real", ' stroke-dasharray="6 4"')):
         series = table.curve_series(axis)
+        # slots per curve end: the slots of one root share its exact value
+        ends = Counter((side, pts[side]) for pts in series.values()
+                       for side in (0, -1))
         for cid in sorted(series):
             pts = [(x_of(th, rr), val) for th, rr, val in series[cid]]
             if len(pts) < 2:
@@ -113,11 +117,7 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
                     th, rr, v = series[cid][side]
                     anchor = th if is_theta else rr
                     x = x_of(th, rr)
-                    # curve slots sharing this endpoint (degenerate roots)
-                    mult = sum(
-                        1 for other in series.values() if other
-                        and abs(other[side][2] - v) < 1e-9
-                        and (other[side][0] if is_theta else other[side][1]) == anchor)
+                    mult = ends[side, (th, rr, v)]
                     key = "data-theta" if is_theta else "data-radius"
                     parts.append(
                         f'<circle cx="{px(x):.2f}" cy="{py(v):.2f}" r="3" '

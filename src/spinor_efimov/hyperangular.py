@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -928,28 +927,40 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     return grp_p, grp_value, residual, groups
 
 
-def _root_table(specs, windows, n_grid: int = N_GRID):
-    """Roots of specs sharing their active states on the axes of windows,
-    pairs (axis, each spec's window): by _scalar_roots if all specs are
-    asymptotic, else by _finite_roots on an n_grid-point grid (n_grid >=
-    2).  Returns per spec its grid warnings, axis by axis, and the roots
-    of all as one RootTable, with spin weights if the spec has channels,
-    taken per multiplicity in one stacked pass.  A residual above
-    RESIDUAL_TOL is an error.  Asymptotic specs share their window (the
-    caller's kappa_max or 10, or one s_max): _scalar_roots reads the
+def _root_table(specs, batches, windows, n_grid: int = N_GRID):
+    """Roots of specs on the axes of windows, pairs (axis, each spec's
+    window), per batch (a list of spec indices sharing mode, state count
+    and active states): by _scalar_roots if asymptotic, else by
+    _finite_roots on an n_grid-point grid (n_grid >= 2).  Returns per spec
+    its grid warnings, axis by axis, and all roots as one RootTable by
+    spec, with spin weights if the spec has channels.  A residual above
+    RESIDUAL_TOL is an error.  Asymptotic specs of a batch share their
+    window (kappa_max or 10, or one s_max): _scalar_roots reads the
     first."""
     warns: list[list[str]] = [[] for _ in specs]
     p, value, residual, real = [np.zeros(0, int)], [np.zeros(0)], \
         [np.zeros(0)], [np.zeros(0, bool)]
     groups, n = [], 0
-    for axis, x_max in windows if specs[0].active_states().size else ():
-        stack = _SpecStack(specs, axis)
-        q, v, r, g = (_finite_roots(stack, axis, x_max, n_grid, warns)
-                      if stack.finite else _scalar_roots(stack, axis, x_max[0]))
-        p, value, residual = p + [q], value + [v], residual + [r]
-        real.append(np.full(q.size, axis == "real"))
-        groups += [(idx + n, null) for idx, null in g]
-        n += q.size
+    for idx in map(np.asarray, batches):
+        batch = [specs[j] for j in idx.tolist()]
+        for axis, x_max in windows if batch[0].active_states().size else ():
+            stack = _SpecStack(batch, axis)
+            window = np.asarray(x_max)[idx]
+            q, v, r, g = (_finite_roots(stack, axis, window, n_grid,
+                                        [warns[j] for j in idx.tolist()])
+                          if stack.finite else
+                          _scalar_roots(stack, axis, window[0]))
+            for i, active in g:
+                # each column's largest-magnitude entry positive, zeros on
+                # the closed states
+                top = np.take_along_axis(
+                    active, np.argmax(np.abs(active), axis=1)[:, None, :], 1)
+                nv = np.zeros((i.size, stack.n_states, active.shape[-1]))
+                nv[:, stack.active, :] = np.where(top < 0.0, -active, active)
+                groups.append((i + n, nv))
+            p, value, residual = p + [idx[q]], value + [v], residual + [r]
+            real.append(np.full(q.size, axis == "real"))
+            n += q.size
     p, value, residual, real = map(np.concatenate, (p, value, residual, real))
     bad = np.nonzero(residual > RESIDUAL_TOL)[0]
     if bad.size:
@@ -969,14 +980,8 @@ def _root_table(specs, windows, n_grid: int = N_GRID):
     spin, same, mixed = np.full((n, 3, 2), np.nan), np.full(n, np.nan), \
         np.full(n, np.nan)
     null = []
-    for g, active in groups:
-        # each column's largest-magnitude entry positive, zeros on the
-        # closed states
-        top = np.take_along_axis(
-            active, np.argmax(np.abs(active), axis=1)[:, None, :], 1)
-        nv = np.zeros((g.size, stack.n_states, active.shape[-1]))
-        nv[:, stack.active, :] = np.where(top < 0.0, -active, active)
-        mult[rank[g]] = active.shape[-1]
+    for g, nv in groups:
+        mult[rank[g]] = nv.shape[-1]
         keep = has[p[g]]
         if keep.any():
             i = rank[g[keep]]
@@ -987,42 +992,32 @@ def _root_table(specs, windows, n_grid: int = N_GRID):
                             residual[order], spin, same, mixed, tuple(null))
 
 
-def _solve_axis(specs, axis: str, x_max, n_grid: int = N_GRID):
-    """The warnings and roots of _root_table on one axis, the roots as
-    one ChannelRoot list per spec."""
-    warns, table = _root_table(specs, [(axis, x_max)], n_grid)
-    return warns, table.by_point(len(specs))
-
-
-def _point_roots(specs, axis, x_maxes,
-                 warning_sinks) -> list[list[ChannelRoot]]:
-    """Roots of every spec of a list on one axis, one _solve_axis call per
-    mode and active-state set, so each spec's roots are those it has
-    alone; spec j's warnings go to warning_sinks[j], or to the warnings
-    module when warning_sinks is None."""
-    solved = [None] * len(specs)
+def _point_roots(specs, axis, x_maxes, warning_sinks) -> RootTable:
+    """Roots of every spec of a list on one axis, as one RootTable whose
+    point is the spec index, solved in one batch per mode, state count
+    and active-state set, so each spec's roots are those it has alone;
+    spec j's warnings go to warning_sinks[j], or to the warnings module
+    when warning_sinks is None."""
     batches: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
         batches.setdefault((spec.mode, spec.n_states,
                             tuple(spec.active_states())), []).append(j)
-    for idx in batches.values():
-        for j, w, r in zip(idx, *_solve_axis([specs[j] for j in idx], axis,
-                                             [x_maxes[j] for j in idx])):
-            solved[j] = r
-            for message in w:
-                if warning_sinks is not None:
-                    warning_sinks[j].append(message)
-                else:
-                    warnings.warn(message, GridResolutionWarning, stacklevel=3)
-    return solved
+    warns, table = _root_table(specs, batches.values(), [(axis, x_maxes)])
+    for j, messages in enumerate(warns):
+        for message in messages:
+            if warning_sinks is not None:
+                warning_sinks[j].append(message)
+            else:
+                warnings.warn(message, GridResolutionWarning, stacklevel=3)
+    return table
 
 
 def find_roots_imaginary_batch(specs, kappa_max: float | None = None,
                                warning_sinks: list | None = None
-                               ) -> list[list[ChannelRoot]]:
-    """find_roots_imaginary for every spec of a list, solved together;
-    warning_sinks, when given, holds one list per spec that receives that
-    spec's warnings."""
+                               ) -> RootTable:
+    """find_roots_imaginary for every spec of a list, solved together,
+    as one RootTable whose point is the spec index; warning_sinks, when
+    given, holds one list per spec that receives that spec's warnings."""
     x_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     return _point_roots(specs, "imaginary", x_maxes, warning_sinks)
 
@@ -1035,7 +1030,7 @@ def find_roots_imaginary(spec: ChannelMatrixSpec,
     one-spec case of find_roots_imaginary_batch."""
     sinks = None if warning_sink is None else [warning_sink]
     return _point_roots([spec], "imaginary", [_kappa_window(spec, kappa_max)],
-                        sinks)[0]
+                        sinks).by_point(1)[0]
 
 
 def find_roots_real(spec: ChannelMatrixSpec, s_max: float,
@@ -1043,41 +1038,19 @@ def find_roots_real(spec: ChannelMatrixSpec, s_max: float,
     """Real-axis roots in (0, s_max], sorted ascending."""
     _check_s_max(s_max)
     sinks = None if warning_sink is None else [warning_sink]
-    return _point_roots([spec], "real", [s_max], sinks)[0]
+    return _point_roots([spec], "real", [s_max], sinks).by_point(1)[0]
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Roots at one (theta, R) point.  curve_ids aligns with the roots
-    expanded by multiplicity (a double root occupies two curve slots)."""
-
-    theta: float
-    hyperradius: float | None
-    mode: str
-    roots: tuple[ChannelRoot, ...]
-    curve_ids: tuple[int, ...]
-
-    def expanded(self) -> list[tuple[int, ChannelRoot]]:
-        out = []
-        pos = 0
-        for r in self.roots:
-            for _ in range(r.multiplicity):
-                out.append((self.curve_ids[pos], r))
-                pos += 1
-        return out
-
-
 @dataclass
 class SweepTable:
     """A theta or radius sweep: per point its theta and R (None in
     asymptotic mode), the roots of every point as one RootTable, and the
     curve id of each root slot in table order (a root of multiplicity m
-    fills m slots).  rows gives them as SweepRow objects, built on first
-    read."""
+    fills m slots)."""
 
     kind: str  # "theta" | "radius"
     thetas: list[float]
@@ -1087,15 +1060,6 @@ class SweepTable:
     curve_ids: list[int]
     window: dict
     warnings: list[str]
-
-    @cached_property
-    def rows(self) -> list[SweepRow]:
-        rows, ids = [], iter(self.curve_ids)
-        for theta, radius, roots in zip(self.thetas, self.radii,
-                                        self.roots.by_point(len(self.thetas))):
-            slots = tuple(next(ids) for r in roots for _ in range(r.multiplicity))
-            rows.append(SweepRow(theta, radius, self.mode, tuple(roots), slots))
-        return rows
 
     def curve_series(self, axis: str = "imaginary") -> dict[int, list[tuple]]:
         """curve id -> [(theta, R, value), ...] in point order."""
@@ -1169,7 +1133,9 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
                     hyperradius=r, channels=o.channels)
         for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
-    warns, roots = _root_table(specs, [("imaginary", kappa_maxes)] + (
+    # one length triple: every spec shares the mode and active states
+    warns, roots = _root_table(specs, [range(len(specs))], [
+        ("imaginary", kappa_maxes)] + (
         [("real", [s_max] * len(specs))] if s_max else []))
     all_warnings = []
     for th, r, ws in zip(thetas, radii, warns):

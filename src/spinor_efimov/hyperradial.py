@@ -124,26 +124,26 @@ def potential(table: SweepTable, convention: PhysicalConvention,
     """
     if table.kind != "radius":
         raise HyperradialError("potential() needs a radius sweep table")
-    radii = np.array([row.hyperradius for row in table.rows], dtype=float)
-
-    per_curve: dict[int, dict[int, float]] = {}
-    for irow, row in enumerate(table.rows):
-        for cid, root in row.expanded():
-            per_curve.setdefault(cid, {})[irow] = root.s_squared
+    radii, r = np.array(table.radii, dtype=float), table.roots
+    # s^2 of every curve (row) at every radius, NaN where it has no slot,
+    # squared as Python squares a float (libm pow), not as np.square
+    sq = np.array([v ** 2 for v in r.value.tolist()])
+    slot = np.repeat(np.arange(r.value.size), r.multiplicity)
+    s2 = np.full((max(table.curve_ids, default=-1) + 1, radii.size), np.nan)
+    s2[table.curve_ids, r.point[slot]] = np.where(r.real, sq, -sq)[slot]
     if curve_ids is None:
-        curve_ids = sorted(cid for cid, pts in per_curve.items()
-                           if len(pts) == len(radii))
+        curve_ids = np.flatnonzero(~np.isnan(s2).any(axis=1)).tolist()
         if not curve_ids:
             raise HyperradialError("no root curve spans the full R grid")
     rows = []
     for cid in curve_ids:
-        pts = per_curve.get(cid, {})
-        missing = [i for i in range(len(radii)) if i not in pts]
-        if missing:
+        row = s2[cid] if 0 <= cid < len(s2) else np.full(radii.size, np.nan)
+        missing = np.flatnonzero(np.isnan(row))
+        if missing.size:
             lo, hi = radii[missing[0]], radii[missing[-1]]
             raise HyperradialError(
                 f"root curve {cid} has a gap over R in [{lo:.6g}, {hi:.6g}]")
-        rows.append([pts[i] for i in range(len(radii))])
+        rows.append(row)
     return AdiabaticPotential.from_s_squared(radii, np.array(rows), convention)
 
 

@@ -149,17 +149,6 @@ def _csv_text(texts: dict, columns: list[str]) -> str:
     return ",".join(columns) + "\n" + "".join(map(line.__mod__, rows))
 
 
-def _round_rows(rows: list[dict], columns: list[str] | None = None
-                ) -> str | None:
-    """Round each float (numpy's too) of the dict rows in place
-    (_round12); given columns, return their CSV text in those columns."""
-    text = _csv_text(_formatted(_table(rows)), columns) if columns else None
-    for row in rows:
-        for k, v in row.items():
-            row[k] = _round12(v)
-    return text
-
-
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
     if cfg.matrix is not None:
         a11, a12, a13, a22, a23, a33 = cfg.matrix
@@ -281,15 +270,12 @@ def _conditioned_matrix(rng) -> ScatteringMatrix:
             return m
 
 
-def _list_deviation(a, b) -> float:
-    if len(a) != len(b):
-        return float("inf")
-    dev = 0.0
-    for x, y in zip(a, b):
-        if x.multiplicity != y.multiplicity:
-            return float("inf")
-        dev = max(dev, abs(x.value - y.value))
-    return dev
+def _deviation(mult, value, a: slice, b: slice) -> float:
+    """The largest |value| difference of the roots at rows a and b of a
+    root table's columns, or inf unless the multiplicity lists agree."""
+    if mult[a] != mult[b]:
+        return math.inf
+    return max((abs(x - y) for x, y in zip(value[a], value[b])), default=0.0)
 
 
 def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
@@ -315,16 +301,20 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)
+    # spec j's roots are the rows start[j]:start[j + 1]
+    start = np.searchsorted(roots.point, np.arange(len(specs) + 1)).tolist()
+    mult, value = roots.multiplicity.tolist(), roots.value.tolist()
     checks = ["one-body-rotation", "sign-flip"]
     cols = {"check": (checks, []), "trial": ([], None), "phi": ([], None),
             "deviation": ([], None)}
     max_dev = dict.fromkeys(checks, 0.0)
     for j, (trial, check, angle) in enumerate(cases):
         bundle.warnings.extend(f"trial {trial} {check}: {w}" for w in sinks[j])
+        rows = slice(start[j], start[j + 1])
         if check == "reference":
-            ref = roots[j]
+            ref = rows
             continue
-        dev = _list_deviation(ref, roots[j])
+        dev = _deviation(mult, value, ref, rows)
         cols["check"][1].append(checks.index(check))
         for name, v in (("trial", trial), ("phi", angle), ("deviation", dev)):
             cols[name][0].append(v)

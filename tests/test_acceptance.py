@@ -95,11 +95,12 @@ def test_criterion_04_theta_sweep_continuity():
         if len(vals) > 1:
             max_jump = max(max_jump, float(np.max(np.abs(np.diff(vals)))))
     assert max_jump < 0.05
-    first, last = table.rows[0], table.rows[-1]
-    assert first.roots[0].value == pytest.approx(0.41370, abs=1e-4)
-    assert sum(r.multiplicity for r in first.roots) == 2
-    assert last.roots[0].value == pytest.approx(1.00624, abs=1e-4)
-    assert sum(r.multiplicity for r in last.roots) == 1
+    roots = table.roots
+    first, last = roots.point == 0, roots.point == 200
+    assert roots.value[first][0] == pytest.approx(0.41370, abs=1e-4)
+    assert roots.multiplicity[first].sum() == 2
+    assert roots.value[last][0] == pytest.approx(1.00624, abs=1e-4)
+    assert roots.multiplicity[last].sum() == 1
     assert elapsed < 10.0
     _announce(4, elapsed,
               f"201-point sweep: max adjacent-kappa jump {max_jump:.5f} < 0.05")

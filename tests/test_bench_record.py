@@ -98,7 +98,7 @@ def test_record_carries_compare_verdicts_and_raw_ratios(dirs, tmp_path):
 
 def test_record_has_the_committed_layout(dirs, tmp_path):
     out = tmp_path / "BENCH.json"
-    assert bench_record.main([*dirs, str(out)]) == 0
+    assert bench_record.main([*dirs, str(out), "--commits", "a", "b"]) == 0
     rec = json.loads(out.read_text())
     committed = json.loads((ROOT / "BENCH_26.json").read_text())
     assert set(committed) - {"repeat_run"} <= set(rec)
@@ -117,3 +117,22 @@ def test_records_of_different_environments_are_refused(dirs, tmp_path, capsys):
     assert bench_record.main([dirs[0], other, str(out)]) == 2
     assert "numpy" in capsys.readouterr().err and not out.exists()
     assert bench_record.main([dirs[0], str(tmp_path / "none"), str(out)]) == 2
+
+
+def test_records_without_commits_need_the_commits_option(dirs, tmp_path,
+                                                         capsys):
+    """Records that name no commit (a git archive checkout) and no
+    --commits: one error line and no file, rather than "commit": null.
+    Records that name their commit need no option."""
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([*dirs, str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the base records name no commit; give --commits BASE CHANGE"]
+    assert not out.exists()
+    named = [write(tmp_path / side, [
+        record(s, side, 0.01, 3.0, {**ENV, "commit": side * 7}) for s in SEEDS])
+        for side in ("b", "c")]
+    assert bench_record.main([*named, str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert (rec["base"]["commit"], rec["change"]["commit"]) == ("b" * 7,
+                                                                "c" * 7)

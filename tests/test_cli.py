@@ -111,8 +111,8 @@ def test_csv_and_json_encode_identical_numbers(sweep_config, tmp_path):
 
 
 def _formatted_afresh(rows, columns):
-    """Rounding and CSV text as they were before the CSV writer kept
-    _round_rows' text: round each value, then format each rounded float
+    """Rounding and CSV text as they were before the CSV writer kept the
+    text it rounds from: round each value, then format each rounded float
     again for the CSV."""
     def round12(x):
         if isinstance(x, float):
@@ -140,23 +140,26 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, None, True, False, 0, -7,
 
 
 def test_kept_csv_text_matches_formatting_afresh(tmp_path):
-    """The CSV text _round_rows writes from the .12g text it rounds from
-    is the text that formatting the rounded rows again gives, and the rows
-    it rounds in place give the same JSON: NaN and +-inf are empty cells and null, None is empty,
-    bool, int and str print as str(), np.float32 rounds as a float, -0.0
-    stays "-0"."""
+    """The CSV text of a table's columns, formatted once from the .12g
+    text it rounds from, is the text that formatting the rounded rows
+    again gives, and its rows rounded as the outputs round them
+    (_round12) give the same JSON: NaN and +-inf are empty cells and
+    null, None is empty, bool, int and str print as str(), np.float32
+    rounds as a float, -0.0 stays "-0"."""
     columns = runner._CSV_COLUMNS["checks"]
     rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
             for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
-    rounded = [dict(row) for row in rows]
-    text = runner._round_rows(rounded, columns)
+    table = runner._table(rows)
+    text = runner._csv_text(runner._formatted(table), columns)
+    rounded = [{k: runner._round12(v) for k, v in row.items()}
+               for row in rows]
     ref_rounded, ref_text = _formatted_afresh(rows, columns)
     assert [json.dumps(r) for r in rounded] == \
-        [json.dumps(r) for r in ref_rounded]
+        [json.dumps(r) for r in ref_rounded] == \
+        [json.dumps(r) for r in table]
     assert text == ref_text
     assert "\nedge,,,\n" in text  # NaN in both number columns
     assert "\nedge,-0,-0," in text
-    assert runner._round_rows([dict(row) for row in rows]) is None
     assert json.dumps(runner._round12(-math.inf)) == "null"
 
     # write_outputs: the text run() kept for its table, the same text
@@ -459,29 +462,34 @@ def test_solver_runs_make_no_eigvalsh_call(monkeypatch):
         calls["eigh"].clear()
         table = run(parse_config(_PLATEAU_RUN.format(theta))).sweep_table
         assert calls["eigvalsh"] == []
-        assert calls["eigh"] == [129, sum(len(row.roots)
-                                          for row in table.rows)]
+        assert calls["eigh"] == [129, table.roots.value.size]
 
 
 def test_sweep_runs_build_no_root_objects(monkeypatch, tmp_path):
-    """The theta-sweep and r-sweep golden runs, every output written,
-    build no ChannelRoot, SpinProfile or SweepRow: rows, figure and
-    plateaus read the sweep's columns.  SweepTable.rows still builds
-    them on first read."""
+    """The theta-sweep and r-sweep golden runs and the seed-0 invariance
+    suite, every output written, build no ChannelRoot or SpinProfile:
+    rows, checks, figure and plateaus read the solver's columns.  A
+    single-spec finder still builds them."""
     built = []
-    for name in ("ChannelRoot", "SpinProfile", "SweepRow"):
+    for name in ("ChannelRoot", "SpinProfile"):
         def counted(*args, _cls=getattr(hyperangular, name), **kwargs):
             built.append(_cls.__name__)
             return _cls(*args, **kwargs)
         monkeypatch.setattr(hyperangular, name, counted)
     golden = Path(__file__).parent / "golden"
-    for task in ("theta-sweep", "r-sweep"):
-        assert main([task, "--config", str(golden / f"{task}.run"),
+    suite = tmp_path / "invariance-suite.run"
+    suite.write_text("task = invariance-suite\ntrials = 50\nR = 1\n"
+                     "seed = 0\nformat = csv,json\n")
+    for task, config in (("theta-sweep", golden / "theta-sweep.run"),
+                         ("r-sweep", golden / "r-sweep.run"),
+                         ("invariance-suite", suite)):
+        assert main([task, "--config", str(config),
                      "--out", str(tmp_path)]) == 0
     assert built == []
-    table = run(parse_config((golden / "r-sweep.run").read_text())).sweep_table
-    assert built == [] and table.rows
-    assert set(built) == {"ChannelRoot", "SpinProfile", "SweepRow"}
+    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(
+        channels_from_angle(0.5, "closed", "unitary", "closed")))
+    assert hyperangular.find_roots_imaginary(spec)
+    assert set(built) == {"ChannelRoot", "SpinProfile"}
 
 
 def test_invariance_suite_memory_peak():
@@ -724,16 +732,17 @@ def test_run_file_refusal_is_one_error_line(text, message, tmp_path, capsys):
     assert out == "" and err.splitlines() == [f"error: {message}"]
 
 
-def _roots(*multiplicities):
-    return [hyperangular.ChannelRoot("imaginary", 1.0 + j, np.zeros((6, m)),
-                                     0.0)
-            for j, m in enumerate(multiplicities)]
-
-
 @pytest.mark.parametrize("a, b, deviation", [
-    (_roots(1, 2), _roots(1, 2), 0.0),
-    (_roots(1, 2), _roots(1), math.inf),     # the lists differ in length
-    (_roots(1, 2), _roots(1, 1), math.inf),  # a multiplicity differs
+    (([1, 2], [1.0, 2.0]), ([1, 2], [1.25, 2.0]), 0.25),
+    (([], []), ([], []), 0.0),
+    (([1, 2], [1.0, 2.0]), ([1], [1.0]), math.inf),  # lengths differ
+    (([1, 2], [1.0, 2.0]), ([1, 1], [1.0, 2.0]), math.inf),  # a multiplicity
 ])
-def test_list_deviation_is_inf_where_root_lists_disagree(a, b, deviation):
-    assert runner._list_deviation(a, b) == deviation
+def test_deviation_is_inf_where_root_lists_disagree(a, b, deviation):
+    """The deviation of two specs' rows of one root table's columns: the
+    largest |value| difference, or inf unless the multiplicities agree
+    root by root."""
+    (mult_a, value_a), (mult_b, value_b) = a, b
+    rows_a, rows_b = slice(0, len(mult_a)), slice(len(mult_a), None)
+    assert runner._deviation(mult_a + mult_b, value_a + value_b, rows_a,
+                             rows_b) == deviation

@@ -234,7 +234,7 @@ def test_null_vector_columns_lead_with_a_positive_entry():
     roots = find_roots_imaginary(spec) \
         + find_roots_real(spec, 8.0, warning_sink=[])
     sweep = theta_sweep([0.0, 0.4], "unitary", "unitary", "closed", s_max=8)
-    roots += [r for row in sweep.rows for r in row.roots]
+    roots += [r for point in _point_roots(sweep) for r in point]
     assert {r.multiplicity for r in roots} >= {1, 2}
     for r in roots:
         nv = r.null_vectors
@@ -410,11 +410,11 @@ def test_sign_flip_leaves_profiles_unchanged(seed, radius):
 def test_theta_sweep_endpoints_and_continuity():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
-    first, last = table.rows[0], table.rows[-1]
-    assert first.roots[0].value == pytest.approx(KAPPA_MIXED, abs=1e-6)
-    assert first.roots[0].multiplicity == 2
-    assert last.roots[0].value == pytest.approx(KAPPA_IDENTICAL, abs=1e-6)
-    assert last.roots[0].multiplicity == 1
+    first, last = _point_roots(table)[0][0], _point_roots(table)[-1][0]
+    assert first.value == pytest.approx(KAPPA_MIXED, abs=1e-6)
+    assert first.multiplicity == 2
+    assert last.value == pytest.approx(KAPPA_IDENTICAL, abs=1e-6)
+    assert last.multiplicity == 1
     for pts in table.curve_series().values():
         ks = [p[2] for p in pts]
         if len(ks) > 1:
@@ -442,7 +442,7 @@ def test_theta_sweep_builds_its_spin_layer_as_one_stack(monkeypatch):
         "_exchange_overlaps", hyperangular._exchange_overlaps))
     table = theta_sweep(np.linspace(0.0, math.pi / 2, 201), "closed",
                         "unitary", "closed", s_max=5.0)
-    assert len(table.rows) == 201
+    assert len(set(table.roots.point.tolist())) == len(table.thetas) == 201
     assert calls == [("_exchange_overlaps", 201)]
     calls.clear()
     radius_sweep(0.3, 1.0, 1e6, "closed", np.geomspace(1e-2, 1e6, 9))
@@ -452,8 +452,8 @@ def test_theta_sweep_builds_its_spin_layer_as_one_stack(monkeypatch):
 def test_theta_sweep_multiplicity_transitions():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
-    mults = [sum(r.multiplicity for r in row.roots if r.axis == "imaginary")
-             for row in table.rows]
+    mults = [sum(r.multiplicity for r in roots if r.axis == "imaginary")
+             for roots in _point_roots(table)]
     assert mults[0] == 2
     assert mults[-1] == 1
     changes = [i for i in range(1, len(mults)) if mults[i] != mults[i - 1]]
@@ -463,11 +463,11 @@ def test_theta_sweep_multiplicity_transitions():
 def test_theta_sweep_row_ordering_with_real_roots():
     thetas = np.linspace(0.2, 0.6, 3)
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=3.0)
-    for row in table.rows:
-        axes = [r.axis for r in row.roots]
+    for roots in _point_roots(table):
+        axes = [r.axis for r in roots]
         assert axes == sorted(axes, key=lambda a: 0 if a == "imaginary" else 1)
-        imag = [r.value for r in row.roots if r.axis == "imaginary"]
-        real = [r.value for r in row.roots if r.axis == "real"]
+        imag = [r.value for r in roots if r.axis == "imaginary"]
+        real = [r.value for r in roots if r.axis == "real"]
         assert imag == sorted(imag, reverse=True)
         assert real == sorted(real)
 
@@ -490,12 +490,12 @@ def test_theta_sweep_continuity_against_double_density():
 
     assert max_jump(fine) < max_jump(coarse)
     # shared grid points carry identical root values
-    coarse_map = {round(r.theta, 12): sorted(x.value for x in r.roots)
-                  for r in coarse.rows}
-    for row in fine.rows[::2]:
-        key = round(row.theta, 12)
+    coarse_map = {round(theta, 12): sorted(x.value for x in roots)
+                  for theta, roots in zip(coarse.thetas, _point_roots(coarse))}
+    for theta, roots in list(zip(fine.thetas, _point_roots(fine)))[::2]:
+        key = round(theta, 12)
         assert key in coarse_map
-        np.testing.assert_allclose(sorted(x.value for x in row.roots),
+        np.testing.assert_allclose(sorted(x.value for x in roots),
                                    coarse_map[key], atol=1e-10)
 
 
@@ -556,13 +556,12 @@ def test_curve_ids_equal_the_greedy_reference(sweep):
     imaginary curves."""
     table = sweep()
     matcher, want = _ReferenceMatcher(), []
-    for row in table.rows:
+    for roots in _point_roots(table):
         for axis in ("imaginary", "real"):
-            want += matcher.assign(axis, [r.value for r in row.roots
+            want += matcher.assign(axis, [r.value for r in roots
                                           if r.axis == axis
                                           for _ in range(r.multiplicity)])
     assert table.curve_ids == want
-    assert [c for row in table.rows for c in row.curve_ids] == want
     assert len(set(want)) > 2
 
 
@@ -571,20 +570,24 @@ def test_greedy_ids_follow_the_value_order_across_a_crossing():
     from the middle to the bottom of the three imaginary roots; the
     greedy matcher, which sees only values, keeps the ids in value order,
     so curve 1 changes family there (ROADMAP item 3)."""
-    rows = _crossing_sweep().rows
-    family = [{cid: round(r.spin_profile.same_level_weight)
-               for cid, r in row.expanded()} for row in rows]
-    assert all(row.curve_ids == (0, 1, 2) for row in rows)
-    assert family[0] == {0: 0, 1: 1, 2: 0}
-    assert family[-1] == {0: 0, 1: 0, 2: 1}
+    table = _crossing_sweep()
+    roots = table.roots
+    # three single imaginary roots, so three slots, at each of 25 points
+    assert roots.point.tolist() == [q for q in range(25) for _ in range(3)]
+    assert not roots.real.any() and np.all(roots.multiplicity == 1)
+    assert table.curve_ids == [0, 1, 2] * 25
+    family = np.round(roots.same).reshape(25, 3)
+    assert family[0].tolist() == [0, 1, 0]
+    assert family[-1].tolist() == [0, 0, 1]
 
 
 def test_theta_sweep_finite_mode():
     table = theta_sweep(np.linspace(0.0, math.pi / 2, 5), 1.0, 1e6, "closed",
                         hyperradius=50.0, kappa_max=10.0)
-    assert len(table.rows) == 5
+    assert len(set(table.roots.point.tolist())) == len(table.thetas) == 5
     # deep inside the window the finite-mode roots track the asymptotic ones
-    assert table.rows[-1].roots[0].value == pytest.approx(1.00624, abs=1e-3)
+    assert _point_roots(table)[-1][0].value == pytest.approx(1.00624,
+                                                             abs=1e-3)
 
 
 def test_theta_sweep_rejects_bad_grid():
@@ -598,6 +601,20 @@ def test_theta_sweep_refuses_a_hyperradius_the_lengths_do_not_use():
     with pytest.raises(HyperangularError,
                        match="asymptotic mode takes no hyperradius"):
         theta_sweep([0.0, 1.0], "closed", "unitary", "closed", hyperradius=2.0)
+
+
+def _point_roots(sweep):
+    """A sweep's roots as one ChannelRoot list per point."""
+    return sweep.roots.by_point(len(sweep.thetas))
+
+
+def _solve(specs, axis, x_max, n_grid):
+    """The warnings and roots of specs sharing their mode and active
+    states on one axis, solved as one batch, the roots as one ChannelRoot
+    list per spec."""
+    warns, table = hyperangular._root_table(
+        specs, [range(len(specs))], [(axis, x_max)], n_grid)
+    return warns, table.by_point(len(specs))
 
 
 def _assert_same_roots(got, want):
@@ -634,23 +651,24 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
                            else None)
     lengths = args[1:4]
     expected_warnings = []
-    for row in table.rows:
-        channels = channels_from_angle(row.theta, *lengths)
+    points = _point_roots(table)
+    for theta, radius, roots in zip(table.thetas, table.radii, points):
+        channels = channels_from_angle(theta, *lengths)
         spec = ChannelMatrixSpec.from_overlap(
-            exchange_overlap(channels), hyperradius=row.hyperradius)
+            exchange_overlap(channels), hyperradius=radius)
         sink = []
         want = find_roots_imaginary(spec, kappa_max, warning_sink=sink)
         if s_max:
             want += find_roots_real(spec, s_max, warning_sink=sink)
-        _assert_same_roots(row.roots, want)
-        where = (f"theta={row.theta:.6g}" if table.kind == "theta"
-                 else f"R={row.hyperradius:.6g}")
+        _assert_same_roots(roots, want)
+        where = (f"theta={theta:.6g}" if table.kind == "theta"
+                 else f"R={radius:.6g}")
         expected_warnings.extend(f"{where}: {w}" for w in sink)
     assert table.warnings == expected_warnings
     if sweep is radius_sweep and s_max:
         # the known root at s = 4: four active states, V_a of rank two
         assert all(any((r.axis, r.value, r.multiplicity) == ("real", 4.0, 2)
-                       for r in row.roots) for row in table.rows)
+                       for r in roots) for roots in points)
 
 
 def test_radius_sweep_builds_spin_objects_once(monkeypatch):
@@ -719,7 +737,7 @@ def test_tangent_pair_merges_into_one_curve(n):
     within MERGE_TOL of 4 on the one curve of the single-level spec: the
     merged root counts that curve once."""
     spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, hyperradius=1.0)
-    _, (roots,) = hyperangular._solve_axis([spec], "real", [5.0], n)
+    _, (roots,) = _solve([spec], "real", [5.0], n)
     near = [r for r in roots if abs(r.value - 4.0) < 1e-6]
     assert len(near) == 1
     assert abs(near[0].value - 4.0) < 1e-8
@@ -931,10 +949,9 @@ def test_admixture_sweep_matches_the_finite_scan(seed):
     slow = theta_sweep(thetas, "closed", 1e300, "closed",
                        hyperradius=1.0, kappa_max=kappa_max, s_max=5.0)
     assert fast.warnings == []
-    for a, b in zip(fast.rows, slow.rows):
-        _assert_roots_match(a.roots, b.roots,
-                            lambda r: r.spin_profile.weights)
-    assert sum(len(row.roots) for row in fast.rows) > 201
+    for a, b in zip(_point_roots(fast), _point_roots(slow), strict=True):
+        _assert_roots_match(a, b, lambda r: r.spin_profile.weights)
+    assert fast.roots.value.size > 201
 
 
 def _mp_kappa(lam, guess):
@@ -975,7 +992,7 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
-    assert all(row.roots for row in table.rows)
+    assert all(_point_roots(table))
     assert len(seen) <= 2 * thetas.size
     overlaps = hyperangular._SpecStack(
         [_spec_at_angle(t, "closed", "unitary", "closed") for t in thetas],
@@ -1096,11 +1113,10 @@ def test_certified_skip_matches_full_grid(n_grid, seed, radii, s_max):
     specs = _mixed_finite_specs(seed, radii)
     for axis, x_max in (("imaginary", [default_kappa_max(s) for s in specs]),
                         ("real", [s_max] * len(specs))):
-        warns, groups = hyperangular._solve_axis(specs, axis, x_max, n_grid)
+        warns, groups = _solve(specs, axis, x_max, n_grid)
         with pytest.MonkeyPatch.context() as mp:
             _without_skip(mp)
-            full_warns, full_groups = hyperangular._solve_axis(
-                specs, axis, x_max, n_grid)
+            full_warns, full_groups = _solve(specs, axis, x_max, n_grid)
         assert warns == full_warns
         _assert_same_groups(groups, full_groups)
 
@@ -1128,9 +1144,10 @@ def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
     assert sum(seen) - fast_points > 3 * fast_points
     assert fast.tables == full.tables and fast.warnings == full.warnings
     assert fast.warnings == []
-    for a, b in zip(fast.sweep_table.rows, full.sweep_table.rows):
-        _assert_same_roots(a.roots, b.roots)
-        assert [(r.value, r.multiplicity) for r in a.roots
+    for a, b in zip(_point_roots(fast.sweep_table),
+                    _point_roots(full.sweep_table), strict=True):
+        _assert_same_roots(a, b)
+        assert [(r.value, r.multiplicity) for r in a
                 if r.axis == "real" and r.value == 4.0] == [(4.0, 2)]
 
 
@@ -1368,16 +1385,21 @@ def test_argument_principle_counts_every_root():
 
 
 def test_batch_equals_single_point_roots():
-    """The list form returns, per spec, the single-point roots and
-    warnings, also for specs of different active states."""
+    """The batch form returns one table whose point is the spec index,
+    with per spec the single-point roots and warnings, also for specs of
+    different active states or state counts between specs of one."""
     rng = np.random.default_rng(5)
     specs = [ChannelMatrixSpec.from_overlap(
         exchange_overlap(eigenchannels(_conditioned_matrix(rng))),
         hyperradius=r) for r in (0.5, 2.0, 8.0)]
     specs.insert(1, _spec_at_angle(0.4, 1.0, 30.0, "closed", R=3.0))
+    specs.insert(3, ChannelMatrixSpec.single_level(1.0, hyperradius=2.0))
     sinks = [[] for _ in specs]
     got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
-    for spec, roots, sink in zip(specs, got, sinks):
+    assert np.all(np.diff(got.point) >= 0)
+    assert set(got.point.tolist()) == set(range(len(specs)))
+    for spec, roots, sink in zip(specs, got.by_point(len(specs)), sinks,
+                                 strict=True):
         want_sink = []
         _assert_same_roots(roots, find_roots_imaginary(
             spec, 10.0, warning_sink=want_sink))
@@ -1536,7 +1558,7 @@ def test_admixture_sweep_refinement_work(monkeypatch):
     monkeypatch.setattr(hyperangular, "_refine", counted_refine)
     table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 201), "closed",
                         "unitary", "closed", s_max=5.0)
-    assert sum(len(row.roots) for row in table.rows) > 201
+    assert table.roots.value.size > 201
     assert sum(points) <= 18_000
 
 
@@ -1547,7 +1569,7 @@ def _invariance_roots(seed):
 
     def recorded(specs, *args, warning_sinks, **kwargs):
         roots = solve(specs, *args, warning_sinks=warning_sinks, **kwargs)
-        seen.append((roots, warning_sinks))
+        seen.append((roots.by_point(len(specs)), warning_sinks))
         return roots
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1587,11 +1609,10 @@ def test_refine_matches_bisection_on_random_specs(seed, radii, s_max):
     specs = _mixed_finite_specs(seed, radii)
     for axis, x_max in (("imaginary", [default_kappa_max(s) for s in specs]),
                         ("real", [s_max] * len(specs))):
-        warns, groups = hyperangular._solve_axis(specs, axis, x_max, N_GRID)
+        warns, groups = _solve(specs, axis, x_max, N_GRID)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hyperangular, "_refine", _reference_bisect)
-            want_warns, want_groups = hyperangular._solve_axis(
-                specs, axis, x_max, N_GRID)
+            want_warns, want_groups = _solve(specs, axis, x_max, N_GRID)
         assert warns == want_warns
         for got, want in zip(groups, want_groups, strict=True):
             _assert_roots_agree(got, want)
@@ -1651,10 +1672,9 @@ def test_stacked_pass_matches_the_per_root_code_on_sweeps(
     sizes = _reference_merges(monkeypatch)
     table = theta_sweep(np.linspace(0.0, math.pi / 2, points), *lengths,
                         s_max=5.0)
-    for row in table.rows:
-        _assert_reference_profiles(row.roots,
-                                   channels_from_angle(row.theta, *lengths))
-    assert sum(len(row.roots) for row in table.rows) == roots
+    for theta, point in zip(table.thetas, _point_roots(table)):
+        _assert_reference_profiles(point, channels_from_angle(theta, *lengths))
+    assert table.roots.value.size == roots
     assert max(sizes) == run
 
 
@@ -1667,7 +1687,7 @@ def test_stacked_pass_matches_the_per_root_code_on_the_invariance_suite(
 
     def recorded(specs, *args, **kwargs):
         roots = solve(specs, *args, **kwargs)
-        seen.append((specs, roots))
+        seen.append((specs, roots.by_point(len(specs))))
         return roots
 
     monkeypatch.setattr(runner, "find_roots_imaginary_batch", recorded)
@@ -1845,7 +1865,7 @@ def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
     assert [batch for batch, _ in built] == [[specs[0]], [specs[1]]]
     for batch, stack in built:
         _assert_stack_matches(stack, batch)
-    for spec, roots, sink in zip(specs, got, sinks):
+    for spec, roots, sink in zip(specs, got.by_point(2), sinks):
         want_sink = []
         _assert_same_roots(roots, find_roots_imaginary(
             spec, 10.0, warning_sink=want_sink))
@@ -1866,7 +1886,7 @@ def test_asymptotic_sweep_takes_no_matrix_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 9), "closed",
                         "unitary", "closed", s_max=5.0)
-    assert all(row.roots for row in table.rows)
+    assert all(_point_roots(table))
     assert seen == []
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -76,16 +77,50 @@ def test_potential_from_radius_sweep():
 def test_potential_gap_is_hard_error():
     # the alpha-channel dimer curve kappa ~ sqrt(2) R / 0.5 exits the
     # kappa window early in R, so it cannot back a full-grid potential
-    short = radius_sweep(math.pi / 2, 0.5, 1e7, "closed",
-                         np.logspace(-2, 5, 36))
-    counts: dict[int, int] = {}
-    for row in short.rows:
-        for cid, _ in row.expanded():
-            counts[cid] = counts.get(cid, 0) + 1
-    partial = [cid for cid, c in counts.items() if c < len(short.rows)]
+    short = _short_sweep()
+    partial = [cid for cid, pts in short.curve_series().items()
+               if len(pts) < len(short.radii)]
     assert partial, "expected at least one short-lived curve in this sweep"
     with pytest.raises(HyperradialError, match="gap over R"):
         potential(short, CONV, curve_ids=[partial[0]])
+
+
+def _short_sweep():
+    return radius_sweep(math.pi / 2, 0.5, 1e7, "closed",
+                        np.logspace(-2, 5, 36))
+
+
+def _crossing_sweep():
+    return radius_sweep(math.pi / 2, 1.0, 1e6, "closed",
+                        np.geomspace(0.02, 5.0, 25))
+
+
+@pytest.mark.parametrize("sweep, spanning, curves", [
+    (_crossing_sweep, [0, 1, 2], 3), (_short_sweep, [2], 10)],
+    ids=["crossing", "short"])
+def test_potential_edges(sweep, spanning, curves):
+    """A requested id below zero (it does not wrap around) or past the
+    last curve is a gap over the whole grid; an explicit id list gives
+    rows in its order; the default takes the curves that span the grid,
+    in ascending order, and their rows are the s^2 = -kappa^2 of the
+    sweep's curve series."""
+    table = sweep()
+    lo, hi = f"{table.radii[0]:.6g}", f"{table.radii[-1]:.6g}"
+    for cid in (-1, 10 ** 6):
+        with pytest.raises(HyperradialError, match=re.escape(
+                f"root curve {cid} has a gap over R in [{lo}, {hi}]")):
+            potential(table, CONV, curve_ids=[cid])
+    series = table.curve_series()
+    assert table.curve_series("real") == {}
+    full = sorted(cid for cid, pts in series.items()
+                  if [p[1] for p in pts] == table.radii)
+    assert (full, len(series)) == (spanning, curves)
+    pot = potential(table, CONV)
+    np.testing.assert_array_equal(pot.radii, table.radii)
+    assert np.array_equal(pot.s_squared, [[-p[2] ** 2 for p in series[cid]]
+                                          for cid in full])
+    picked = potential(table, CONV, curve_ids=full[::-1])
+    assert np.array_equal(picked.s_squared, pot.s_squared[::-1])
 
 
 def test_dimer_limit_potential():

@@ -17,7 +17,8 @@ carry that difference, and the raw times are the ones to read.
 
 Records from different environments are refused, as compare.py refuses
 them.  A run from a checkout without git history records no commit;
---commits names the two commits then.
+--commits names the two commits then, and a record without it is
+refused.
 """
 
 from __future__ import annotations
@@ -117,7 +118,11 @@ def build(base_dir: str, change_dir: str, spec: dict, what: str = "",
     for side, records, commit in (("base", base, commits[0]),
                                   ("change", change, commits[1])):
         env = next(iter(records.values()))["environment"]
-        sides[side] = {"commit": commit or env["commit"],
+        commit = commit or env["commit"]
+        if not commit:
+            raise ValueError(f"the {side} records name no commit; give "
+                             "--commits BASE CHANGE")
+        sides[side] = {"commit": commit,
                        "source_digest": env["source_digest"]}
     seconds = sorted({r["seconds"]
                       for r in [*base.values(), *change.values()]})
