@@ -130,8 +130,8 @@ def test_records_without_commits_need_the_commits_option(dirs, tmp_path,
         "error: the base records name no commit; give --commits BASE CHANGE"]
     assert not out.exists()
     named = [write(tmp_path / side, [
-        record(s, side, 0.01, 3.0, {**ENV, "commit": side * 7}) for s in SEEDS])
-        for side in ("b", "c")]
+        record(s, side, 0.01, 3.0, {**ENV, "commit": side * 7})
+        for s in SEEDS]) for side in ("b", "c")]
     assert bench_record.main([*named, str(out)]) == 0
     rec = json.loads(out.read_text())
     assert (rec["base"]["commit"], rec["change"]["commit"]) == ("b" * 7,

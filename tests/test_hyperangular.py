@@ -234,7 +234,7 @@ def test_null_vector_columns_lead_with_a_positive_entry():
     roots = find_roots_imaginary(spec) \
         + find_roots_real(spec, 8.0, warning_sink=[])
     sweep = theta_sweep([0.0, 0.4], "unitary", "unitary", "closed", s_max=8)
-    roots += [r for point in _point_roots(sweep) for r in point]
+    roots += [r for point in _roots_by_point(sweep) for r in point]
     assert {r.multiplicity for r in roots} >= {1, 2}
     for r in roots:
         nv = r.null_vectors
@@ -410,7 +410,7 @@ def test_sign_flip_leaves_profiles_unchanged(seed, radius):
 def test_theta_sweep_endpoints_and_continuity():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
-    first, last = _point_roots(table)[0][0], _point_roots(table)[-1][0]
+    first, last = _roots_by_point(table)[0][0], _roots_by_point(table)[-1][0]
     assert first.value == pytest.approx(KAPPA_MIXED, abs=1e-6)
     assert first.multiplicity == 2
     assert last.value == pytest.approx(KAPPA_IDENTICAL, abs=1e-6)
@@ -453,7 +453,7 @@ def test_theta_sweep_multiplicity_transitions():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
     mults = [sum(r.multiplicity for r in roots if r.axis == "imaginary")
-             for roots in _point_roots(table)]
+             for roots in _roots_by_point(table)]
     assert mults[0] == 2
     assert mults[-1] == 1
     changes = [i for i in range(1, len(mults)) if mults[i] != mults[i - 1]]
@@ -463,7 +463,7 @@ def test_theta_sweep_multiplicity_transitions():
 def test_theta_sweep_row_ordering_with_real_roots():
     thetas = np.linspace(0.2, 0.6, 3)
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=3.0)
-    for roots in _point_roots(table):
+    for roots in _roots_by_point(table):
         axes = [r.axis for r in roots]
         assert axes == sorted(axes, key=lambda a: 0 if a == "imaginary" else 1)
         imag = [r.value for r in roots if r.axis == "imaginary"]
@@ -490,9 +490,9 @@ def test_theta_sweep_continuity_against_double_density():
 
     assert max_jump(fine) < max_jump(coarse)
     # shared grid points carry identical root values
-    coarse_map = {round(theta, 12): sorted(x.value for x in roots)
-                  for theta, roots in zip(coarse.thetas, _point_roots(coarse))}
-    for theta, roots in list(zip(fine.thetas, _point_roots(fine)))[::2]:
+    coarse_map = {round(theta, 12): sorted(x.value for x in roots) for
+                  theta, roots in zip(coarse.thetas, _roots_by_point(coarse))}
+    for theta, roots in list(zip(fine.thetas, _roots_by_point(fine)))[::2]:
         key = round(theta, 12)
         assert key in coarse_map
         np.testing.assert_allclose(sorted(x.value for x in roots),
@@ -556,7 +556,7 @@ def test_curve_ids_equal_the_greedy_reference(sweep):
     imaginary curves."""
     table = sweep()
     matcher, want = _ReferenceMatcher(), []
-    for roots in _point_roots(table):
+    for roots in _roots_by_point(table):
         for axis in ("imaginary", "real"):
             want += matcher.assign(axis, [r.value for r in roots
                                           if r.axis == axis
@@ -586,8 +586,8 @@ def test_theta_sweep_finite_mode():
                         hyperradius=50.0, kappa_max=10.0)
     assert len(set(table.roots.point.tolist())) == len(table.thetas) == 5
     # deep inside the window the finite-mode roots track the asymptotic ones
-    assert _point_roots(table)[-1][0].value == pytest.approx(1.00624,
-                                                             abs=1e-3)
+    last = _roots_by_point(table)[-1][0]
+    assert last.value == pytest.approx(1.00624, abs=1e-3)
 
 
 def test_theta_sweep_rejects_bad_grid():
@@ -603,7 +603,7 @@ def test_theta_sweep_refuses_a_hyperradius_the_lengths_do_not_use():
         theta_sweep([0.0, 1.0], "closed", "unitary", "closed", hyperradius=2.0)
 
 
-def _point_roots(sweep):
+def _roots_by_point(sweep):
     """A sweep's roots as one ChannelRoot list per point."""
     return sweep.roots.by_point(len(sweep.thetas))
 
@@ -651,7 +651,7 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
                            else None)
     lengths = args[1:4]
     expected_warnings = []
-    points = _point_roots(table)
+    points = _roots_by_point(table)
     for theta, radius, roots in zip(table.thetas, table.radii, points):
         channels = channels_from_angle(theta, *lengths)
         spec = ChannelMatrixSpec.from_overlap(
@@ -949,7 +949,8 @@ def test_admixture_sweep_matches_the_finite_scan(seed):
     slow = theta_sweep(thetas, "closed", 1e300, "closed",
                        hyperradius=1.0, kappa_max=kappa_max, s_max=5.0)
     assert fast.warnings == []
-    for a, b in zip(_point_roots(fast), _point_roots(slow), strict=True):
+    for a, b in zip(_roots_by_point(fast), _roots_by_point(slow),
+                    strict=True):
         _assert_roots_match(a, b, lambda r: r.spin_profile.weights)
     assert fast.roots.value.size > 201
 
@@ -992,7 +993,7 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
-    assert all(_point_roots(table))
+    assert all(_roots_by_point(table))
     assert len(seen) <= 2 * thetas.size
     overlaps = hyperangular._SpecStack(
         [_spec_at_angle(t, "closed", "unitary", "closed") for t in thetas],
@@ -1144,8 +1145,8 @@ def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
     assert sum(seen) - fast_points > 3 * fast_points
     assert fast.tables == full.tables and fast.warnings == full.warnings
     assert fast.warnings == []
-    for a, b in zip(_point_roots(fast.sweep_table),
-                    _point_roots(full.sweep_table), strict=True):
+    for a, b in zip(_roots_by_point(fast.sweep_table),
+                    _roots_by_point(full.sweep_table), strict=True):
         _assert_same_roots(a, b)
         assert [(r.value, r.multiplicity) for r in a
                 if r.axis == "real" and r.value == 4.0] == [(4.0, 2)]
@@ -1672,8 +1673,9 @@ def test_stacked_pass_matches_the_per_root_code_on_sweeps(
     sizes = _reference_merges(monkeypatch)
     table = theta_sweep(np.linspace(0.0, math.pi / 2, points), *lengths,
                         s_max=5.0)
-    for theta, point in zip(table.thetas, _point_roots(table)):
-        _assert_reference_profiles(point, channels_from_angle(theta, *lengths))
+    for theta, point in zip(table.thetas, _roots_by_point(table)):
+        _assert_reference_profiles(point,
+                                   channels_from_angle(theta, *lengths))
     assert table.roots.value.size == roots
     assert max(sizes) == run
 
@@ -1886,7 +1888,7 @@ def test_asymptotic_sweep_takes_no_matrix_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 9), "closed",
                         "unitary", "closed", s_max=5.0)
-    assert all(_point_roots(table))
+    assert all(_roots_by_point(table))
     assert seen == []
 
 
