@@ -18,11 +18,10 @@ from .spin import (
 )
 from .hyperangular import (
     ChannelMatrixSpec,
-    ChannelRoot,
     GridResolutionWarning,
     Plateau,
     PlateauSummary,
-    SpinProfile,
+    RootTable,
     SweepTable,
     channel_matrix,
     classify_root,
@@ -52,8 +51,8 @@ __all__ = [
     "ChannelLength", "ExchangeOverlap", "ScatteringMatrix",
     "TwoBodyChannelSet", "as_length", "channels_from_angle", "eigenchannels",
     "exchange_overlap", "one_body_rotation", "toy_closed_form",
-    "ChannelMatrixSpec", "ChannelRoot", "GridResolutionWarning", "Plateau",
-    "PlateauSummary", "SpinProfile", "SweepTable",
+    "ChannelMatrixSpec", "GridResolutionWarning", "Plateau",
+    "PlateauSummary", "RootTable", "SweepTable",
     "channel_matrix", "classify_root", "default_kappa_max",
     "find_roots_imaginary", "find_roots_imaginary_batch", "find_roots_real",
     "plateau_extract", "radius_sweep", "theta_sweep",

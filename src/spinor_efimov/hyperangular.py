@@ -310,44 +310,6 @@ def channel_matrix(s, spec: ChannelMatrixSpec) -> np.ndarray:
 # spin profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinProfile:
-    """Weights of a root's null space over the six (pair basis state,
-    spectator level) configurations; rows follow PAIR_LABELS, columns are
-    spectator level 1 and 2.  Weights sum to one.  same_level_weight is
-    the total weight on the all-atoms-in-one-level family (|111>, |222>),
-    mixed_weight the rest."""
-
-    weights: np.ndarray  # (3, 2)
-    same_level_weight: float
-    mixed_weight: float
-
-
-@dataclass(frozen=True)
-class ChannelRoot:
-    """One root s_nu of the channel problem.
-
-    value is kappa = |s| for imaginary-axis roots and s for real-axis
-    ones.  null_vectors holds an orthonormal basis of the null space as
-    columns over the full state list (exact zeros on closed channels);
-    residual bounds what the normalized matrix leaves of them at the root.
-    """
-
-    axis: str  # "imaginary" | "real"
-    value: float
-    null_vectors: np.ndarray
-    residual: float
-    spin_profile: SpinProfile | None = None
-
-    @property
-    def multiplicity(self) -> int:
-        return self.null_vectors.shape[1]
-
-    @property
-    def s_squared(self) -> float:
-        return -self.value ** 2 if self.axis == "imaginary" else self.value ** 2
-
-
 def _spin_weights(null_vectors: np.ndarray, vectors: np.ndarray):
     """Spin weights of roots sharing a multiplicity m, from their null
     vectors (roots, 6, m) and the channel vectors (roots, 3, 3) of their
@@ -377,24 +339,28 @@ def _spin_weights(null_vectors: np.ndarray, vectors: np.ndarray):
     return weights, same, total - same
 
 
-def classify_root(null_vectors: np.ndarray,
-                  channels: TwoBodyChannelSet) -> SpinProfile:
-    """The spin profile of one root from its null vectors (columns over
-    the six states) and its channel set; see _spin_weights."""
+def classify_root(null_vectors: np.ndarray, channels: TwoBodyChannelSet):
+    """The spin weights (3, 2) of one root and their same-level and mixed
+    totals, from its null vectors (columns over the six states) and its
+    channel set; see _spin_weights."""
     weights, same, mixed = _spin_weights(null_vectors[None],
                                          channels.vectors[None])
-    return SpinProfile(weights[0], float(same[0]), float(mixed[0]))
+    return weights[0], float(same[0]), float(mixed[0])
 
 
 @dataclass(frozen=True)
 class RootTable:
-    """Roots as columns, by point (a spec of one solve, or a sweep point)
-    and within one as find_roots_* list them, imaginary roots by
-    descending kappa before real ones by ascending s.  spin holds each
-    root's (3, 2) spin weights and same and mixed their same-level and
-    mixed totals, NaN for a point without channels; null holds the null
-    vectors of the roots of each multiplicity m as (root indices,
-    (roots, states, m) array)."""
+    """Roots s_nu of the channel problem as columns, by point (a spec of
+    one solve, or a sweep point) and within one imaginary roots by
+    descending kappa before real ones by ascending s.  value is kappa =
+    |s| for an imaginary root and s for a real one; residual bounds what
+    the normalized matrix leaves of its null vectors at the root.  spin
+    holds each root's (3, 2) spin weights and same and mixed their
+    same-level and mixed totals, NaN for a point without channels; null
+    holds the null vectors of the roots of each multiplicity m as (root
+    indices, (roots, states, m) array): orthonormal columns over the full
+    state list, exact zeros on closed channels, each column's
+    largest-magnitude entry positive."""
 
     point: np.ndarray
     real: np.ndarray  # bool: a real-axis root
@@ -406,21 +372,13 @@ class RootTable:
     mixed: np.ndarray
     null: tuple
 
-    def by_point(self, n_points: int) -> list[list[ChannelRoot]]:
-        """The roots as ChannelRoot objects, one list per point."""
-        null = [None] * self.value.size
+    def null_space(self, i: int) -> np.ndarray:
+        """Root i's null vectors, (states, multiplicity)."""
         for idx, vectors in self.null:
-            for i, v in zip(idx.tolist(), vectors):
-                null[i] = v
-        out: list[list[ChannelRoot]] = [[] for _ in range(n_points)]
-        for q, real, v, nv, r, w, same, mixed in zip(
-                self.point.tolist(), self.real.tolist(), self.value.tolist(),
-                null, self.residual.tolist(), self.spin, self.same.tolist(),
-                self.mixed.tolist()):
-            out[q].append(ChannelRoot(
-                "real" if real else "imaginary", v, nv, r,
-                None if math.isnan(same) else SpinProfile(w, same, mixed)))
-        return out
+            hit = np.nonzero(idx == i)[0]
+            if hit.size:
+                return vectors[hit[0]]
+        raise IndexError(f"no root {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -1024,21 +982,23 @@ def find_roots_imaginary_batch(specs, kappa_max: float | None = None,
 
 def find_roots_imaginary(spec: ChannelMatrixSpec,
                          kappa_max: float | None = None,
-                         warning_sink: list | None = None) -> list[ChannelRoot]:
+                         warning_sink: list | None = None) -> RootTable:
     """All imaginary-axis roots s = i kappa with kappa in (0, kappa_max],
-    sorted by descending kappa (the most attractive channel first); the
-    one-spec case of find_roots_imaginary_batch."""
+    by descending kappa (the most attractive channel first), as a
+    RootTable whose every point is 0; the one-spec case of
+    find_roots_imaginary_batch."""
     sinks = None if warning_sink is None else [warning_sink]
     return _point_roots([spec], "imaginary", [_kappa_window(spec, kappa_max)],
-                        sinks).by_point(1)[0]
+                        sinks)
 
 
 def find_roots_real(spec: ChannelMatrixSpec, s_max: float,
-                    warning_sink: list | None = None) -> list[ChannelRoot]:
-    """Real-axis roots in (0, s_max], sorted ascending."""
+                    warning_sink: list | None = None) -> RootTable:
+    """Real-axis roots in (0, s_max], ascending, as a RootTable whose
+    every point is 0."""
     _check_s_max(s_max)
     sinks = None if warning_sink is None else [warning_sink]
-    return _point_roots([spec], "real", [s_max], sinks).by_point(1)[0]
+    return _point_roots([spec], "real", [s_max], sinks)
 
 
 # ---------------------------------------------------------------------------

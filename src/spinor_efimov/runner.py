@@ -24,6 +24,7 @@ from .config import RunConfig, config_as_dict
 from .figure import sweep_figure
 from .hyperangular import (
     ChannelMatrixSpec,
+    RootTable,
     SweepTable,
     find_roots_imaginary,
     find_roots_imaginary_batch,
@@ -71,12 +72,6 @@ class Table:
         r = range(len(self))[r]  # an IndexError ends iteration
         return {k: _round12(v[r] if i is None else v[i[r]])
                 for k, (v, i) in self.columns.items()}
-
-
-def _table(rows) -> Table:
-    """A Table as it is, or dict rows as the columns of the first row."""
-    return rows if isinstance(rows, Table) else Table(
-        {k: ([row[k] for row in rows], None) for k in rows[0]} if rows else {})
 
 
 @dataclass
@@ -141,12 +136,11 @@ def _formatted(table: Table) -> dict[str, tuple]:
     return out
 
 
-def _csv_text(texts: dict, columns: list[str]) -> str:
-    """A header and one line per row, in the given columns (a table of no
-    rows may have none)."""
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    rows = zip(*(texts[c][0] for c in columns)) if texts else ()
-    return ",".join(columns) + "\n" + "".join(map(line.__mod__, rows))
+def _csv_text(texts: dict) -> str:
+    """A header of the columns' names and one line per row."""
+    line = ",".join(["%s"] * len(texts)) + "\n"
+    rows = zip(*(t[0] for t in texts.values()))
+    return ",".join(texts) + "\n" + "".join(map(line.__mod__, rows))
 
 
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
@@ -159,11 +153,13 @@ def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
     return channels_from_angle(cfg.theta, cfg.a_alpha, cfg.a_beta, cfg.a_gamma)
 
 
-def _root_rows(thetas, radii, mode, point, real, value, mult, same,
-               mixed) -> Table:
-    """The rows table, one row per root: the roots' point indices into
-    thetas and radii (R None in asymptotic mode, written as 0), real-axis
-    flags, values, multiplicities and family weights."""
+def _root_rows(thetas, radii, mode, *roots: RootTable) -> Table:
+    """The rows table, one row per root of the root tables in turn: the
+    roots' point indices into thetas and radii (R None in asymptotic mode,
+    written as 0), axes, values, multiplicities and family weights."""
+    point, real, value, mult, same, mixed = (
+        np.concatenate([getattr(r, k) for r in roots]).tolist()
+        for k in ("point", "real", "value", "multiplicity", "same", "mixed"))
     return Table({
         "theta": (thetas, point),  # None for raw-matrix input with no angle
         "R": ([0.0 if r is None else r for r in radii], point),
@@ -176,29 +172,17 @@ def _root_rows(thetas, radii, mode, point, real, value, mult, same,
     })
 
 
-def _sweep_rows(table: SweepTable) -> Table:
-    r = table.roots
-    return _root_rows(table.thetas, table.radii, table.mode, *(
-        a.tolist() for a in (r.point, r.real, r.value, r.multiplicity,
-                             r.same, r.mixed)))
-
-
 def _run_roots(cfg: RunConfig, bundle: ResultBundle) -> None:
     channels = _channel_set(cfg)
     spec = ChannelMatrixSpec.from_overlap(exchange_overlap(channels),
                                           hyperradius=cfg.radius)
     sink: list[str] = []
-    roots = list(find_roots_imaginary(spec, cfg.kappa_max, warning_sink=sink))
+    roots = [find_roots_imaginary(spec, cfg.kappa_max, warning_sink=sink)]
     if cfg.s_max is not None:
-        roots += find_roots_real(spec, cfg.s_max, warning_sink=sink)
+        roots.append(find_roots_real(spec, cfg.s_max, warning_sink=sink))
     theta = cfg.theta if cfg.theta is not None else channels.mixing_angle
-    prof = [r.spin_profile for r in roots]
-    bundle.tables["rows"] = _root_rows(
-        [theta], [cfg.radius], spec.mode, [0] * len(roots),
-        [r.axis == "real" for r in roots], [r.value for r in roots],
-        [r.multiplicity for r in roots],
-        [p and p.same_level_weight for p in prof],
-        [p and p.mixed_weight for p in prof])
+    bundle.tables["rows"] = _root_rows([theta], [cfg.radius], spec.mode,
+                                       *roots)
     bundle.warnings.extend(sink)
 
 
@@ -207,7 +191,8 @@ def _run_theta_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
     table = theta_sweep(
         thetas, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, hyperradius=cfg.radius,
         kappa_max=cfg.kappa_max, s_max=cfg.s_max)
-    bundle.tables["rows"] = _sweep_rows(table)
+    bundle.tables["rows"] = _root_rows(table.thetas, table.radii, table.mode,
+                                       table.roots)
     bundle.warnings.extend(table.warnings)
     return table
 
@@ -217,13 +202,14 @@ def _run_r_sweep(cfg: RunConfig, bundle: ResultBundle) -> SweepTable:
     table = radius_sweep(
         cfg.theta, cfg.a_alpha, cfg.a_beta, cfg.a_gamma, radii,
         kappa_max=cfg.kappa_max, s_max=cfg.s_max)
-    bundle.tables["rows"] = _sweep_rows(table)
+    bundle.tables["rows"] = _root_rows(table.thetas, table.radii, table.mode,
+                                       table.roots)
     summary = plateau_extract(table)
-    bundle.tables["plateaus"] = [
-        {"curve": p.curve_id, "kappa": p.kappa, "R": p.radius,
-         "flatness": p.flatness, "accepted": p.accepted}
-        for p in summary.plateaus
-    ]
+    bundle.tables["plateaus"] = Table({
+        name: ([getattr(p, attr) for p in summary.plateaus], None)
+        for name, attr in (("curve", "curve_id"), ("kappa", "kappa"),
+                           ("R", "radius"), ("flatness", "flatness"),
+                           ("accepted", "accepted"))})
     if summary.no_plateau_reason:
         bundle.warnings.append(summary.no_plateau_reason)
     bundle.warnings.extend(table.warnings)
@@ -235,23 +221,24 @@ def _dominant_kappa(cfg: RunConfig, bundle: ResultBundle) -> float:
         return cfg.kappa
     spec = ChannelMatrixSpec.from_overlap(exchange_overlap(_channel_set(cfg)))
     roots = find_roots_imaginary(spec, cfg.kappa_max)
-    if not roots:
+    if not roots.value.size:
         raise RunnerError(
             "ladder: no imaginary root; the configuration supports no "
             "Efimov channel")
     bundle.meta["kappa_source"] = "dominant imaginary root"
-    return roots[0].value
+    return float(roots.value[0])
 
 
 def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
     kappa = _dominant_kappa(cfg, bundle)
     conv = PhysicalConvention(mass=cfg.mass)
     spectrum = efimov_ladder(kappa, cfg.wall_radius, cfg.n_levels, conv)
-    ratios = spectrum.ratios + (None,)
-    bundle.tables["levels"] = [
-        {"n": n, "energy": energy, "ratio_to_next": ratios[n],
-         "nodes": spectrum.nodes[n]}
-        for n, energy in enumerate(spectrum.energies)]
+    n = spectrum.n_levels
+    bundle.tables["levels"] = Table({
+        "n": (list(range(n)), None),
+        "energy": (list(spectrum.energies), None),
+        "ratio_to_next": ([*spectrum.ratios, None][:n], None),
+        "nodes": (list(spectrum.nodes), None)})
     bundle.meta["kappa"] = _round12(kappa)
     bundle.meta["scaling_factor"] = _round12(scaling_factor(kappa))
     bundle.meta["energy_ratio_target"] = _round12(math.exp(2 * math.pi / kappa))
@@ -349,16 +336,7 @@ def run(cfg: RunConfig) -> ResultBundle:
         "config": config_as_dict(cfg),
     })
     bundle.sweep_table = _TASKS[cfg.task][0](cfg, bundle)
-    bundle.tables = {k: _table(v) for k, v in bundle.tables.items()}
     return bundle
-
-
-_CSV_COLUMNS = {
-    "rows": ["theta", "R", "mode", "axis", "value", "multiplicity",
-             "w_111_family", "w_mixed_family"],
-    "levels": ["n", "energy", "ratio_to_next", "nodes"],
-    "checks": ["check", "trial", "phi", "deviation"],
-}
 
 
 def _json_pieces(bundle: ResultBundle, texts: dict):
@@ -397,12 +375,11 @@ def write_outputs(bundle: ResultBundle, out_dir: str,
             svg, fig_warnings = sweep_figure(bundle.sweep_table)
             bundle.warnings.extend(fig_warnings)
     # each table's values formatted once, for the CSV and the JSON
-    texts = {k: _formatted(_table(v)) for k, v in bundle.tables.items()}
+    texts = {k: _formatted(v) for k, v in bundle.tables.items()}
     if "csv" in formats:
-        name = _TASKS[task][1]
         path = os.path.join(out_dir, f"{task}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(_csv_text(texts[name], _CSV_COLUMNS[name]))
+            f.write(_csv_text(texts[_TASKS[task][1]]))
         written.append(path)
     if "json" in formats:
         path = os.path.join(out_dir, f"{task}.json")

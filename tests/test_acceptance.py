@@ -49,39 +49,39 @@ def test_criterion_01_identical_boson_anchor():
     t0 = time.perf_counter()
     roots = find_roots_imaginary(_asymptotic_spec(math.pi / 2))
     elapsed = time.perf_counter() - t0
-    assert len(roots) == 1
-    assert roots[0].multiplicity == 1
-    assert roots[0].value == pytest.approx(1.00624, abs=1e-4)
+    assert roots.value.size == 1
+    assert roots.multiplicity[0] == 1
+    assert roots.value[0] == pytest.approx(1.00624, abs=1e-4)
     assert elapsed < 1.0
-    _announce(1, elapsed, f"theta=pi/2: one imaginary root kappa={roots[0].value:.6f}")
+    _announce(1, elapsed, f"theta=pi/2: one imaginary root kappa={roots.value[0]:.6f}")
 
 
 def test_criterion_02_mixed_channel_anchor():
     t0 = time.perf_counter()
     roots = find_roots_imaginary(_asymptotic_spec(0.0))
     elapsed = time.perf_counter() - t0
-    total = sum(r.multiplicity for r in roots)
+    total = roots.multiplicity.sum()
     assert total == 2
-    assert all(r.value == pytest.approx(0.41370, abs=1e-4) for r in roots)
+    assert all(v == pytest.approx(0.41370, abs=1e-4) for v in roots.value)
     assert elapsed < 1.0
     _announce(2, elapsed,
-              f"theta=0: kappa={roots[0].value:.6f} with total multiplicity {total}")
+              f"theta=0: kappa={roots.value[0]:.6f} with total multiplicity {total}")
 
 
 def test_criterion_03_spin_classification():
     t0 = time.perf_counter()
-    prof_high = find_roots_imaginary(_asymptotic_spec(math.pi / 2))[0].spin_profile
-    prof_zero = find_roots_imaginary(_asymptotic_spec(0.0))[0].spin_profile
-    prof_mid = find_roots_imaginary(_asymptotic_spec(math.pi / 4))[0].spin_profile
+    high = find_roots_imaginary(_asymptotic_spec(math.pi / 2))
+    zero = find_roots_imaginary(_asymptotic_spec(0.0))
+    mid = find_roots_imaginary(_asymptotic_spec(math.pi / 4))
     elapsed = time.perf_counter() - t0
-    assert prof_high.same_level_weight == pytest.approx(1.0, abs=1e-8)
-    assert prof_zero.mixed_weight == pytest.approx(1.0, abs=1e-8)
-    assert prof_mid.same_level_weight > 0.05
-    assert prof_mid.mixed_weight > 0.05
+    assert high.same[0] == pytest.approx(1.0, abs=1e-8)
+    assert zero.mixed[0] == pytest.approx(1.0, abs=1e-8)
+    assert mid.same[0] > 0.05
+    assert mid.mixed[0] > 0.05
     _announce(3, elapsed,
-              f"families pi/2: {prof_high.same_level_weight:.9f} same-level; "
-              f"0: {prof_zero.mixed_weight:.9f} mixed; pi/4 split "
-              f"{prof_mid.same_level_weight:.3f}/{prof_mid.mixed_weight:.3f}")
+              f"families pi/2: {high.same[0]:.9f} same-level; "
+              f"0: {zero.mixed[0]:.9f} mixed; pi/4 split "
+              f"{mid.same[0]:.3f}/{mid.mixed[0]:.3f}")
 
 
 def test_criterion_04_theta_sweep_continuity():
@@ -128,7 +128,7 @@ def test_criterion_05_finite_radius_plateau():
 def test_criterion_06_free_limit():
     t0 = time.perf_counter()
     spec = ChannelMatrixSpec.single_level(1.0, hyperradius=1e6)
-    vals = [r.value for r in find_roots_real(spec, 5.0)]
+    vals = find_roots_real(spec, 5.0).value.tolist()
     assert abs(vals[0] - 2.0) < 1e-3
     assert abs(vals[1] - 4.0) < 1e-3
     # independent oracle: dense determinant sign scan
@@ -147,8 +147,8 @@ def test_criterion_07_dimer_limit():
     t0 = time.perf_counter()
     a = 1.0
     spec = ChannelMatrixSpec.single_level(a, hyperradius=100.0 * a)
-    root = find_roots_imaginary(spec)[0]
-    pot = AdiabaticPotential.from_s_squared([100.0 * a], [[root.s_squared]], CONV)
+    kappa = find_roots_imaginary(spec).value[0]
+    pot = AdiabaticPotential.from_s_squared([100.0 * a], [[-kappa ** 2]], CONV)
     u = pot.potentials[0, 0]
     dimer = -1.0 / (CONV.mass * a ** 2)
     assert u == pytest.approx(dimer, rel=0.01)
@@ -193,10 +193,11 @@ def test_criterion_09_one_body_invariance_suite():
             return find_roots_imaginary(spec, 10.0)
         a = roots_of(m)
         b = roots_of(one_body_rotation(phi, m))
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra.multiplicity == rb.multiplicity
-            worst = max(worst, abs(ra.value - rb.value))
+        assert a.value.size == b.value.size
+        for ma, mb, va, vb in zip(a.multiplicity, b.multiplicity, a.value,
+                                  b.value):
+            assert ma == mb
+            worst = max(worst, abs(va - vb))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
     assert elapsed < 60.0

@@ -132,6 +132,15 @@ def _formatted_afresh(rows, columns):
     return rounded, buf.getvalue()
 
 
+#: the invariance suite's CSV columns
+CHECK_COLUMNS = ["check", "trial", "phi", "deviation"]
+
+
+def _columns(rows):
+    """A runner Table of dict rows, in the columns of the first."""
+    return runner.Table({k: ([row[k] for row in rows], None) for k in rows[0]})
+
+
 EDGE_VALUES = [math.nan, math.inf, -math.inf, None, True, False, 0, -7,
                np.float32(0.1), np.float32(-2.5e-7), np.float32(np.inf),
                -0.0, 0.0, np.float64(1 / 3), -1e-5, 123456789012.5, 2.0,
@@ -146,11 +155,11 @@ def test_kept_csv_text_matches_formatting_afresh(tmp_path):
     (_round12) give the same JSON: NaN and +-inf are empty cells and
     null, None is empty, bool, int and str print as str(), np.float32
     rounds as a float, -0.0 stays "-0"."""
-    columns = runner._CSV_COLUMNS["checks"]
+    columns = CHECK_COLUMNS
     rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
             for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
-    table = runner._table(rows)
-    text = runner._csv_text(runner._formatted(table), columns)
+    table = _columns(rows)
+    text = runner._csv_text(runner._formatted(table))
     rounded = [{k: runner._round12(v) for k, v in row.items()}
                for row in rows]
     ref_rounded, ref_text = _formatted_afresh(rows, columns)
@@ -168,7 +177,7 @@ def test_kept_csv_text_matches_formatting_afresh(tmp_path):
     for formats in ("csv", "json"):
         bundle = run(parse_config(
             f"task = invariance-suite\ntrials = 2\nformat = {formats}\n"))
-        for table in (bundle.tables["checks"], rows):
+        for table in (bundle.tables["checks"], _columns(rows)):
             bundle.tables["checks"] = table
             write_outputs(bundle, str(tmp_path), ("csv",))
             written = (tmp_path / "invariance-suite.csv").read_text()
@@ -184,12 +193,12 @@ def test_streamed_rows_are_the_encoder_text_of_the_rounded_rows(tmp_path):
     rows = [{"check": "edge", "trial": v, "phi": v, "deviation": w}
             for v, w in zip(EDGE_VALUES, EDGE_VALUES[::-1])]
     bundle = run(parse_config("task = invariance-suite\ntrials = 2\n"))
-    bundle.tables["checks"] = rows
+    bundle.tables["checks"] = _columns(rows)
     write_outputs(bundle, str(tmp_path), ("json",))
     text = (tmp_path / "invariance-suite.json").read_text(encoding="utf-8")
     lines = [line.strip().rstrip(",")
              for line in text.splitlines() if line.startswith("      {")]
-    rounded = _formatted_afresh(rows, runner._CSV_COLUMNS["checks"])[0]
+    rounded = _formatted_afresh(rows, CHECK_COLUMNS)[0]
     encode = json.JSONEncoder(allow_nan=False).encode
     assert lines == [encode(row) for row in rounded]
     assert '"check": "edge", "trial": -0.0' in text and "\\u03b8" in text
@@ -264,6 +273,24 @@ def test_cli_ladder_json(tmp_path):
     assert [lv["nodes"] for lv in levels] == [0, 1, 2, 3]
 
 
+def test_cli_ladder_with_no_level_writes_its_header(tmp_path, capsys):
+    """A ladder whose every level lies below underflow (its wall at
+    1e146) exits 0 with one warning, the CSV header alone and an empty
+    JSON table."""
+    cfgfile = tmp_path / "ladder.run"
+    cfgfile.write_text("task = ladder\nkappa = 1.00624\nn_levels = 2\n"
+                       "r0 = 1e146\nformat = csv,json\n")
+    out = tmp_path / "out"
+    assert main(["ladder", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: depth exhausted (underflow): 0 of 2 levels resolvable"]
+    assert (out / "ladder.csv").read_text() == \
+        "n,energy,ratio_to_next,nodes\n"
+    text = (out / "ladder.json").read_text()
+    assert '"levels": []' in text
+    assert json.loads(text)["tables"] == {"levels": []}
+
+
 def test_cli_ladder_angle_form_runs_at_the_dominant_root(tmp_path, capsys):
     """The angle form's ladder is the kappa form's at the asymptotic
     problem's dominant imaginary root, and a channel set without an
@@ -279,7 +306,7 @@ def test_cli_ladder_angle_form_runs_at_the_dominant_root(tmp_path, capsys):
 
     spec = hyperangular.ChannelMatrixSpec.from_overlap(exchange_overlap(
         channels_from_angle(math.pi / 2, "closed", "unitary", "closed")))
-    kappa = hyperangular.find_roots_imaginary(spec)[0].value
+    kappa = float(hyperangular.find_roots_imaginary(spec).value[0])
     (tmp_path / "kappa.run").write_text(
         f"task = ladder\nkappa = {kappa!r}\nn_levels = 3\n")
     assert main(["ladder", "--config", str(tmp_path / "kappa.run"),
@@ -402,6 +429,49 @@ def test_cli_invariance_suite(tmp_path):
     assert len(payload["tables"]["checks"]) == 6
 
 
+def test_invariance_suite_reports_disagreeing_root_lists(tmp_path,
+                                                        monkeypatch):
+    """Where a check's root list loses a root, its deviation is an empty
+    CSV cell and null in the JSON, so is that check's max_deviation, and
+    one warning names the trial."""
+    solve = runner.find_roots_imaginary_batch
+    fields = ("point", "real", "value", "multiplicity", "residual", "spin",
+              "same", "mixed")
+
+    def dropped(specs, *args, **kwargs):
+        roots = solve(specs, *args, **kwargs)
+        # spec 4 is trial 1's one-body rotation: drop its first root
+        k = int(np.searchsorted(roots.point, 4))
+        assert roots.point[k] == 4
+        new = np.arange(roots.value.size) - (np.arange(roots.value.size) > k)
+        null = tuple((new[i][i != k], v[i != k]) for i, v in roots.null)
+        return hyperangular.RootTable(
+            *(np.delete(getattr(roots, f), k, axis=0) for f in fields), null)
+
+    monkeypatch.setattr(runner, "find_roots_imaginary_batch", dropped)
+    cfgfile = tmp_path / "inv.run"
+    cfgfile.write_text("task = invariance-suite\nseed = 3\ntrials = 3\n"
+                       "format = csv,json\n")
+    assert main(["invariance-suite", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "invariance-suite.csv")
+    payload = json.loads((tmp_path / "invariance-suite.json").read_text())
+    checks = payload["tables"]["checks"]
+    assert [(r["check"], r["trial"]) for r in rows] == \
+        [(c["check"], str(c["trial"])) for c in checks]
+    bad = [j for j, c in enumerate(checks)
+           if (c["check"], c["trial"]) == ("one-body-rotation", 1)]
+    assert len(bad) == 1
+    assert rows[bad[0]]["deviation"] == "" and checks[bad[0]]["deviation"] is None
+    assert all(c["deviation"] is not None
+               for j, c in enumerate(checks) if j != bad[0])
+    devs = payload["meta"]["max_deviation"]
+    assert devs["one-body-rotation"] is None and devs["sign-flip"] < 1e-8
+    assert [w for w in payload["warnings"] if "root lists disagree" in w] == [
+        "one-body-rotation trial 1: root lists disagree in length or "
+        "multiplicity"]
+
+
 def test_invariance_suite_makes_one_stacked_eigh(monkeypatch):
     """The 100 eigenchannel sets of a 50-trial suite (each trial's matrix
     and its one-body rotation) come from one (100, 3, 3) eigh."""
@@ -463,33 +533,6 @@ def test_solver_runs_make_no_eigvalsh_call(monkeypatch):
         table = run(parse_config(_PLATEAU_RUN.format(theta))).sweep_table
         assert calls["eigvalsh"] == []
         assert calls["eigh"] == [129, table.roots.value.size]
-
-
-def test_sweep_runs_build_no_root_objects(monkeypatch, tmp_path):
-    """The theta-sweep and r-sweep golden runs and the seed-0 invariance
-    suite, every output written, build no ChannelRoot or SpinProfile:
-    rows, checks, figure and plateaus read the solver's columns.  A
-    single-spec finder still builds them."""
-    built = []
-    for name in ("ChannelRoot", "SpinProfile"):
-        def counted(*args, _cls=getattr(hyperangular, name), **kwargs):
-            built.append(_cls.__name__)
-            return _cls(*args, **kwargs)
-        monkeypatch.setattr(hyperangular, name, counted)
-    golden = Path(__file__).parent / "golden"
-    suite = tmp_path / "invariance-suite.run"
-    suite.write_text("task = invariance-suite\ntrials = 50\nR = 1\n"
-                     "seed = 0\nformat = csv,json\n")
-    for task, config in (("theta-sweep", golden / "theta-sweep.run"),
-                         ("r-sweep", golden / "r-sweep.run"),
-                         ("invariance-suite", suite)):
-        assert main([task, "--config", str(config),
-                     "--out", str(tmp_path)]) == 0
-    assert built == []
-    spec = ChannelMatrixSpec.from_overlap(exchange_overlap(
-        channels_from_angle(0.5, "closed", "unitary", "closed")))
-    assert hyperangular.find_roots_imaginary(spec)
-    assert set(built) == {"ChannelRoot", "SpinProfile"}
 
 
 def test_invariance_suite_memory_peak():

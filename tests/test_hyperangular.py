@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -176,53 +177,52 @@ def test_spec_mode_validation():
 def test_single_imaginary_root_identical_bosons():
     spec = _spec_at_angle(math.pi / 2, "closed", "unitary", "closed")
     roots = find_roots_imaginary(spec)
-    assert len(roots) == 1
-    r = roots[0]
-    assert r.multiplicity == 1
-    assert r.value == pytest.approx(1.00624, abs=1e-4)
-    assert r.value == pytest.approx(KAPPA_IDENTICAL, abs=1e-10)
-    assert r.residual < 1e-9
+    assert roots.value.size == 1
+    assert roots.multiplicity[0] == 1
+    assert roots.value[0] == pytest.approx(1.00624, abs=1e-4)
+    assert roots.value[0] == pytest.approx(KAPPA_IDENTICAL, abs=1e-10)
+    assert roots.residual[0] < 1e-9
 
 
 def test_double_imaginary_root_mixed_pair():
     spec = _spec_at_angle(0.0, "closed", "unitary", "closed")
     roots = find_roots_imaginary(spec)
-    assert sum(r.multiplicity for r in roots) == 2
-    assert len(roots) == 1
-    assert roots[0].value == pytest.approx(0.41370, abs=1e-4)
-    assert roots[0].value == pytest.approx(KAPPA_MIXED, abs=1e-10)
+    assert roots.multiplicity.sum() == 2
+    assert roots.value.size == 1
+    assert roots.value[0] == pytest.approx(0.41370, abs=1e-4)
+    assert roots.value[0] == pytest.approx(KAPPA_MIXED, abs=1e-10)
 
 
 def test_all_closed_gives_empty_list():
     spec = _spec_at_angle(0.4, "closed", "closed", "closed")
-    assert find_roots_imaginary(spec) == []
-    assert find_roots_real(spec, 5.0) == []
+    assert find_roots_imaginary(spec).value.size == 0
+    assert find_roots_real(spec, 5.0).value.size == 0
 
 
 def test_single_level_reduction_recovers_identical_boson_constant():
     spec = ChannelMatrixSpec.single_level("unitary")
     roots = find_roots_imaginary(spec)
-    assert len(roots) == 1
-    assert roots[0].value == pytest.approx(KAPPA_IDENTICAL, abs=1e-5)
+    assert roots.value.size == 1
+    assert roots.value[0] == pytest.approx(KAPPA_IDENTICAL, abs=1e-5)
 
 
 def test_dimer_limit_root_tracks_sqrt2_r_over_a():
     spec = ChannelMatrixSpec.single_level(1.0, hyperradius=100.0)
     assert default_kappa_max(spec) == pytest.approx(10 + 2 * math.sqrt(2) * 100)
     roots = find_roots_imaginary(spec)
-    assert len(roots) == 1
-    assert roots[0].value == pytest.approx(math.sqrt(2) * 100, rel=1e-10)
+    assert roots.value.size == 1
+    assert roots.value[0] == pytest.approx(math.sqrt(2) * 100, rel=1e-10)
 
 
 def test_null_vector_contract():
     spec = _spec_at_angle(0.0, "closed", "unitary", "closed")
-    root = find_roots_imaginary(spec)[0]
-    nv = root.null_vectors
+    roots = find_roots_imaginary(spec)
+    nv = roots.null_space(0)
     assert nv.shape == (6, 2)
     # closed channels carry exactly zero amplitude
     assert np.all(nv[[0, 1, 4, 5], :] == 0.0)
     np.testing.assert_allclose(nv.T @ nv, np.eye(2), atol=1e-12)
-    h = channel_matrix(1j * root.value, spec)
+    h = channel_matrix(1j * roots.value[0], spec)
     act = spec.active_states()
     assert np.max(np.abs(h @ nv[act, :])) < 1e-8
 
@@ -231,14 +231,13 @@ def test_null_vector_columns_lead_with_a_positive_entry():
     """Each null vector's largest-magnitude entry is positive, for roots
     of every multiplicity on both axes."""
     spec = _spec_at_angle(0.7, 1.0, 2.0, "closed", R=1.5)
-    roots = find_roots_imaginary(spec) \
-        + find_roots_real(spec, 8.0, warning_sink=[])
     sweep = theta_sweep([0.0, 0.4], "unitary", "unitary", "closed", s_max=8)
-    roots += [r for point in _roots_by_point(sweep) for r in point]
-    assert {r.multiplicity for r in roots} >= {1, 2}
-    for r in roots:
-        nv = r.null_vectors
-        top = nv[np.argmax(np.abs(nv), axis=0), np.arange(r.multiplicity)]
+    roots = _joined(find_roots_imaginary(spec),
+                    find_roots_real(spec, 8.0, warning_sink=[]), sweep.roots)
+    assert set(roots.multiplicity.tolist()) >= {1, 2}
+    for i, m in enumerate(roots.multiplicity):
+        nv = roots.null_space(i)
+        top = nv[np.argmax(np.abs(nv), axis=0), np.arange(m)]
         assert np.all(top > 0.0)
 
 
@@ -248,8 +247,7 @@ def test_null_vector_columns_lead_with_a_positive_entry():
 
 def test_free_limit_real_roots_near_even_integers():
     spec = ChannelMatrixSpec.single_level(1.0, hyperradius=1e6)
-    roots = find_roots_real(spec, 5.0)
-    vals = [r.value for r in roots]
+    vals = find_roots_real(spec, 5.0).value.tolist()
     assert abs(vals[0] - 2.0) < 1e-3
     assert abs(vals[1] - 4.0) < 1e-3
     # oracle: determinant sign scan brackets the same points
@@ -260,7 +258,7 @@ def test_free_limit_real_roots_near_even_integers():
 
 def test_free_limit_negative_scattering_length():
     spec = ChannelMatrixSpec.single_level(-1.0, hyperradius=1e6)
-    vals = [r.value for r in find_roots_real(spec, 5.0)]
+    vals = find_roots_real(spec, 5.0).value.tolist()
     assert abs(vals[0] - 2.0) < 1e-3
     assert abs(vals[1] - 4.0) < 1e-3
 
@@ -270,20 +268,20 @@ def test_real_roots_identical_boson_block():
     # block equation is s cos(s pi/2) = 0 with lowest root s = 1
     spec = _spec_at_angle(math.pi / 2, "closed", "unitary", "closed")
     roots = find_roots_real(spec, 5.0)
-    vals = [r.value for r in roots]
+    vals = roots.value.tolist()
     assert vals == sorted(vals)
     assert vals[0] == pytest.approx(1.0, abs=1e-9)
     # known further structure: s = 3 and 5 from the same block, s = 4
     # exactly and s ~ 4.4653 from the resonant block
     assert min(abs(v - 4.465) for v in vals) < 1e-3
-    assert all(r.residual < 1e-9 for r in roots)
+    assert np.all(roots.residual < 1e-9)
 
 
 def test_real_roots_contract_residuals():
     spec = _spec_at_angle(0.25, 1.0, 2.0, -0.7, R=1.0)
     roots = find_roots_real(spec, 2.0)
-    assert roots, "expected at least one real root below 2"
-    assert all(r.residual < 1e-9 for r in roots)
+    assert roots.value.size, "expected at least one real root below 2"
+    assert np.all(roots.residual < 1e-9)
 
 
 def test_real_axis_requires_s_max_at_least_two():
@@ -298,31 +296,31 @@ def test_real_axis_requires_s_max_at_least_two():
 
 def test_profile_identical_boson_is_pure_111():
     spec = _spec_at_angle(math.pi / 2, "closed", "unitary", "closed")
-    prof = find_roots_imaginary(spec)[0].spin_profile
-    assert prof.same_level_weight == pytest.approx(1.0, abs=1e-8)
-    assert prof.weights[0, 0] == pytest.approx(1.0, abs=1e-8)
+    roots = find_roots_imaginary(spec)
+    assert roots.same[0] == pytest.approx(1.0, abs=1e-8)
+    assert roots.spin[0, 0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_profile_mixed_pair_has_no_same_level_weight():
     spec = _spec_at_angle(0.0, "closed", "unitary", "closed")
-    prof = find_roots_imaginary(spec)[0].spin_profile
-    assert prof.mixed_weight == pytest.approx(1.0, abs=1e-8)
-    assert prof.same_level_weight == pytest.approx(0.0, abs=1e-8)
+    roots = find_roots_imaginary(spec)
+    assert roots.mixed[0] == pytest.approx(1.0, abs=1e-8)
+    assert roots.same[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_profile_intermediate_angle_mixes_families():
     spec = _spec_at_angle(math.pi / 4, "closed", "unitary", "closed")
-    prof = find_roots_imaginary(spec)[0].spin_profile
-    assert prof.same_level_weight > 0.05
-    assert prof.mixed_weight > 0.05
-    assert prof.same_level_weight + prof.mixed_weight == pytest.approx(1.0, abs=1e-10)
+    roots = find_roots_imaginary(spec)
+    assert roots.same[0] > 0.05
+    assert roots.mixed[0] > 0.05
+    assert roots.same[0] + roots.mixed[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_profile_varies_continuously_with_theta():
     weights = []
     for theta in np.linspace(0.3, 0.9, 7):
         spec = _spec_at_angle(theta, "closed", "unitary", "closed")
-        weights.append(find_roots_imaginary(spec)[0].spin_profile.same_level_weight)
+        weights.append(find_roots_imaginary(spec).same[0])
     diffs = np.diff(weights)
     assert np.all(np.abs(diffs) < 0.2)
     assert weights[-1] > weights[0]  # more |11> content toward pi/2
@@ -331,9 +329,11 @@ def test_profile_varies_continuously_with_theta():
 def test_classify_root_reuses_basis():
     cs = channels_from_angle(0.6, "closed", "unitary", "closed")
     spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs))
-    root = find_roots_imaginary(spec)[0]
-    prof = classify_root(root.null_vectors, cs)
-    np.testing.assert_allclose(prof.weights, root.spin_profile.weights, atol=1e-14)
+    roots = find_roots_imaginary(spec)
+    weights, same, mixed = classify_root(roots.null_space(0), cs)
+    np.testing.assert_allclose(weights, roots.spin[0], atol=1e-14)
+    assert (same, mixed) == pytest.approx((roots.same[0], roots.mixed[0]),
+                                          abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,8 @@ def test_classify_root_reuses_basis():
 # ---------------------------------------------------------------------------
 
 def _root_values(spec, kappa_max=10.0):
-    return [(r.value, r.multiplicity) for r in find_roots_imaginary(spec, kappa_max)]
+    roots = find_roots_imaginary(spec, kappa_max)
+    return list(zip(roots.value.tolist(), roots.multiplicity.tolist()))
 
 
 def test_sign_flip_leaves_roots_unchanged():
@@ -392,15 +393,14 @@ def test_sign_flip_leaves_profiles_unchanged(seed, radius):
         return find_roots_imaginary(spec, 10.0, warning_sink=[])
 
     ref = roots_of(cs)
-    for r in ref:
-        assert abs(np.sum(r.spin_profile.weights) - 1.0) <= 1e-12
+    for w in ref.spin:
+        assert abs(np.sum(w) - 1.0) <= 1e-12
     for channel in range(3):
         got = roots_of(cs.flip_sign(channel))
-        assert [r.multiplicity for r in got] == [r.multiplicity for r in ref]
-        for x, y in zip(got, ref):
-            assert abs(x.value - y.value) < 1e-10
-            np.testing.assert_allclose(x.spin_profile.weights,
-                                       y.spin_profile.weights, atol=1e-10)
+        assert got.multiplicity.tolist() == ref.multiplicity.tolist()
+        for x, y in zip(got.value, ref.value):
+            assert abs(x - y) < 1e-10
+        np.testing.assert_allclose(got.spin, ref.spin, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +410,11 @@ def test_sign_flip_leaves_profiles_unchanged(seed, radius):
 def test_theta_sweep_endpoints_and_continuity():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
-    first, last = _roots_by_point(table)[0][0], _roots_by_point(table)[-1][0]
-    assert first.value == pytest.approx(KAPPA_MIXED, abs=1e-6)
-    assert first.multiplicity == 2
-    assert last.value == pytest.approx(KAPPA_IDENTICAL, abs=1e-6)
-    assert last.multiplicity == 1
+    first, last = _roots_by_point(table)[0], _roots_by_point(table)[-1]
+    assert first.value[0] == pytest.approx(KAPPA_MIXED, abs=1e-6)
+    assert first.multiplicity[0] == 2
+    assert last.value[0] == pytest.approx(KAPPA_IDENTICAL, abs=1e-6)
+    assert last.multiplicity[0] == 1
     for pts in table.curve_series().values():
         ks = [p[2] for p in pts]
         if len(ks) > 1:
@@ -452,7 +452,7 @@ def test_theta_sweep_builds_its_spin_layer_as_one_stack(monkeypatch):
 def test_theta_sweep_multiplicity_transitions():
     thetas = np.linspace(0, math.pi / 2, 81)
     table = theta_sweep(thetas, "closed", "unitary", "closed")
-    mults = [sum(r.multiplicity for r in roots if r.axis == "imaginary")
+    mults = [roots.multiplicity[~roots.real].sum()
              for roots in _roots_by_point(table)]
     assert mults[0] == 2
     assert mults[-1] == 1
@@ -464,10 +464,10 @@ def test_theta_sweep_row_ordering_with_real_roots():
     thetas = np.linspace(0.2, 0.6, 3)
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=3.0)
     for roots in _roots_by_point(table):
-        axes = [r.axis for r in roots]
-        assert axes == sorted(axes, key=lambda a: 0 if a == "imaginary" else 1)
-        imag = [r.value for r in roots if r.axis == "imaginary"]
-        real = [r.value for r in roots if r.axis == "real"]
+        axes = roots.real.tolist()
+        assert axes == sorted(axes)
+        imag = roots.value[~roots.real].tolist()
+        real = roots.value[roots.real].tolist()
         assert imag == sorted(imag, reverse=True)
         assert real == sorted(real)
 
@@ -490,12 +490,12 @@ def test_theta_sweep_continuity_against_double_density():
 
     assert max_jump(fine) < max_jump(coarse)
     # shared grid points carry identical root values
-    coarse_map = {round(theta, 12): sorted(x.value for x in roots) for
+    coarse_map = {round(theta, 12): sorted(roots.value) for
                   theta, roots in zip(coarse.thetas, _roots_by_point(coarse))}
     for theta, roots in list(zip(fine.thetas, _roots_by_point(fine)))[::2]:
         key = round(theta, 12)
         assert key in coarse_map
-        np.testing.assert_allclose(sorted(x.value for x in roots),
+        np.testing.assert_allclose(sorted(roots.value),
                                    coarse_map[key], atol=1e-10)
 
 
@@ -550,17 +550,17 @@ def _crossing_sweep():
 ], ids=["admixture", "r-sweep-golden", "crossing"])
 def test_curve_ids_equal_the_greedy_reference(sweep):
     """The sweep's curve ids, slot by slot, are those of the greedy
-    matcher run on the root objects point by point: on the admixture
+    matcher run on the roots point by point: on the admixture
     sweep (its double root fills two slots), on the r-sweep golden with
     s_max = 5 (real roots appear and vanish) and across a crossing of two
     imaginary curves."""
     table = sweep()
     matcher, want = _ReferenceMatcher(), []
     for roots in _roots_by_point(table):
-        for axis in ("imaginary", "real"):
-            want += matcher.assign(axis, [r.value for r in roots
-                                          if r.axis == axis
-                                          for _ in range(r.multiplicity)])
+        for axis, real in (("imaginary", False), ("real", True)):
+            on = roots.real == real
+            want += matcher.assign(axis, np.repeat(
+                roots.value[on], roots.multiplicity[on]).tolist())
     assert table.curve_ids == want
     assert len(set(want)) > 2
 
@@ -586,8 +586,8 @@ def test_theta_sweep_finite_mode():
                         hyperradius=50.0, kappa_max=10.0)
     assert len(set(table.roots.point.tolist())) == len(table.thetas) == 5
     # deep inside the window the finite-mode roots track the asymptotic ones
-    last = _roots_by_point(table)[-1][0]
-    assert last.value == pytest.approx(1.00624, abs=1e-3)
+    last = _roots_by_point(table)[-1]
+    assert last.value[0] == pytest.approx(1.00624, abs=1e-3)
 
 
 def test_theta_sweep_rejects_bad_grid():
@@ -603,30 +603,61 @@ def test_theta_sweep_refuses_a_hyperradius_the_lengths_do_not_use():
         theta_sweep([0.0, 1.0], "closed", "unitary", "closed", hyperradius=2.0)
 
 
+_COLUMNS = ("point", "real", "value", "multiplicity", "residual", "spin",
+            "same", "mixed")
+
+
+def _take(roots, rows):
+    """The RootTable of the given rows (ascending indices) of roots, its
+    null spaces with them."""
+    new = np.full(roots.value.size, -1)
+    new[rows] = np.arange(len(rows))
+    null = tuple((new[i][new[i] >= 0], v[new[i] >= 0]) for i, v in roots.null
+                 if np.any(new[i] >= 0))
+    return hyperangular.RootTable(
+        *(getattr(roots, k)[rows] for k in _COLUMNS), null)
+
+
+def _by_point(roots, n_points):
+    """A RootTable's roots as one RootTable per point."""
+    return [_take(roots, np.nonzero(roots.point == q)[0])
+            for q in range(n_points)]
+
+
 def _roots_by_point(sweep):
-    """A sweep's roots as one ChannelRoot list per point."""
-    return sweep.roots.by_point(len(sweep.thetas))
+    """A sweep's roots as one RootTable per point."""
+    return _by_point(sweep.roots, len(sweep.thetas))
+
+
+def _joined(*tables):
+    """RootTables one after another as one RootTable."""
+    null, n = [], 0
+    for t in tables:
+        null += [(i + n, v) for i, v in t.null]
+        n += t.value.size
+    return hyperangular.RootTable(
+        *(np.concatenate([getattr(t, k) for t in tables]) for k in _COLUMNS),
+        tuple(null))
 
 
 def _solve(specs, axis, x_max, n_grid):
     """The warnings and roots of specs sharing their mode and active
-    states on one axis, solved as one batch, the roots as one ChannelRoot
-    list per spec."""
+    states on one axis, solved as one batch, the roots as one RootTable
+    per spec."""
     warns, table = hyperangular._root_table(
         specs, [range(len(specs))], [(axis, x_max)], n_grid)
-    return warns, table.by_point(len(specs))
+    return warns, _by_point(table, len(specs))
 
 
 def _assert_same_roots(got, want):
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        assert (x.axis, x.value, x.multiplicity, x.residual) == \
-            (y.axis, y.value, y.multiplicity, y.residual)
-        assert np.array_equal(x.null_vectors, y.null_vectors)
-        assert (x.spin_profile is None) == (y.spin_profile is None)
-        if x.spin_profile is not None:
-            assert np.array_equal(x.spin_profile.weights,
-                                  y.spin_profile.weights)
+    """Two RootTables hold the same roots, bit for bit, whatever their
+    point columns."""
+    assert got.value.size == want.value.size
+    for k in _COLUMNS[1:]:
+        assert np.array_equal(getattr(got, k), getattr(want, k),
+                              equal_nan=k in ("spin", "same", "mixed"))
+    for i in range(got.value.size):
+        assert np.array_equal(got.null_space(i), want.null_space(i))
 
 
 _GEOM = np.geomspace(1e-2, 1e6, 33)
@@ -657,18 +688,18 @@ def test_sweep_rows_equal_pointwise_roots(sweep, args, kwargs):
         spec = ChannelMatrixSpec.from_overlap(
             exchange_overlap(channels), hyperradius=radius)
         sink = []
-        want = find_roots_imaginary(spec, kappa_max, warning_sink=sink)
+        want = [find_roots_imaginary(spec, kappa_max, warning_sink=sink)]
         if s_max:
-            want += find_roots_real(spec, s_max, warning_sink=sink)
-        _assert_same_roots(roots, want)
+            want.append(find_roots_real(spec, s_max, warning_sink=sink))
+        _assert_same_roots(roots, _joined(*want))
         where = (f"theta={theta:.6g}" if table.kind == "theta"
                  else f"R={radius:.6g}")
         expected_warnings.extend(f"{where}: {w}" for w in sink)
     assert table.warnings == expected_warnings
     if sweep is radius_sweep and s_max:
         # the known root at s = 4: four active states, V_a of rank two
-        assert all(any((r.axis, r.value, r.multiplicity) == ("real", 4.0, 2)
-                       for r in roots) for roots in points)
+        assert all(np.any(roots.real & (roots.value == 4.0)
+                          & (roots.multiplicity == 2)) for roots in points)
 
 
 def test_radius_sweep_builds_spin_objects_once(monkeypatch):
@@ -727,8 +758,9 @@ def test_tangent_double_root_at_four_is_the_known_root():
     sink = []
     roots = find_roots_real(spec, 5.0, warning_sink=sink)
     assert sink == []
-    assert [(r.value, r.multiplicity) for r in roots] == [(4.0, 1)]
-    assert roots[0].residual < 1e-14
+    assert list(zip(roots.value.tolist(), roots.multiplicity.tolist())) == \
+        [(4.0, 1)]
+    assert roots.residual[0] < 1e-14
 
 
 @pytest.mark.parametrize("n", [4001, 8001, 16001, 30001])
@@ -738,11 +770,11 @@ def test_tangent_pair_merges_into_one_curve(n):
     merged root counts that curve once."""
     spec = ChannelMatrixSpec.single_level(1.0 / _X_TANGENT, hyperradius=1.0)
     _, (roots,) = _solve([spec], "real", [5.0], n)
-    near = [r for r in roots if abs(r.value - 4.0) < 1e-6]
-    assert len(near) == 1
-    assert abs(near[0].value - 4.0) < 1e-8
-    assert near[0].multiplicity == 1
-    assert near[0].residual < hyperangular.RESIDUAL_TOL
+    near = np.abs(roots.value - 4.0) < 1e-6
+    assert near.sum() == 1
+    assert abs(roots.value[near][0] - 4.0) < 1e-8
+    assert roots.multiplicity[near][0] == 1
+    assert roots.residual[near][0] < hyperangular.RESIDUAL_TOL
 
 
 def test_separated_pair_found_without_warning():
@@ -750,7 +782,7 @@ def test_separated_pair_found_without_warning():
     sink = []
     roots = find_roots_real(spec, 5.0, warning_sink=sink)
     assert sink == []
-    vals = [r.value for r in roots]
+    vals = roots.value.tolist()
     assert min(abs(v - 4.0) for v in vals) < 1e-9
     assert any(4.01 < v < 4.1 for v in vals)  # companion root near 4.0476
 
@@ -881,9 +913,9 @@ def test_admitted_overlaps_have_no_tangent_root(turn):
         roots = find_roots_real(ChannelMatrixSpec(
             (as_length("unitary"),), np.array([[o]]), (0,)), 5.0,
             warning_sink=sink)
-        assert sink == [] and roots
-        assert all(r.multiplicity == 1 and abs(r.value - t) > 0.05
-                   for r in roots)
+        assert sink == [] and roots.value.size
+        assert np.all((roots.multiplicity == 1)
+                      & (np.abs(roots.value - t) > 0.05))
 
 
 def _physical_overlap(seed, n_states, rank):
@@ -894,18 +926,18 @@ def _physical_overlap(seed, n_states, rank):
     return 2.0 * np.eye(n_states) - 3.0 * (q @ q.T)
 
 
-def _projector_weights(root):
-    """Diagonal of the projector on a root's null space: the spin profile
+def _projector_weights(roots, i):
+    """Diagonal of the projector on root i's null space: the spin profile
     with the identity as channel rotation, basis-free inside the space."""
-    return np.sum(root.null_vectors ** 2, axis=1) / root.multiplicity
+    return np.sum(roots.null_space(i) ** 2, axis=1) / roots.multiplicity[i]
 
 
 def _assert_roots_match(got, want, weights):
-    assert [(r.axis, r.multiplicity) for r in got] == \
-        [(r.axis, r.multiplicity) for r in want]
-    for x, y in zip(got, want):
-        assert abs(x.value - y.value) <= 1e-11
-        np.testing.assert_allclose(weights(x), weights(y), rtol=0,
+    assert got.real.tolist() == want.real.tolist()
+    assert got.multiplicity.tolist() == want.multiplicity.tolist()
+    for i in range(got.value.size):
+        assert abs(got.value[i] - want.value[i]) <= 1e-11
+        np.testing.assert_allclose(weights(got, i), weights(want, i), rtol=0,
                                    atol=1e-12)
 
 
@@ -951,7 +983,7 @@ def test_admixture_sweep_matches_the_finite_scan(seed):
     assert fast.warnings == []
     for a, b in zip(_roots_by_point(fast), _roots_by_point(slow),
                     strict=True):
-        _assert_roots_match(a, b, lambda r: r.spin_profile.weights)
+        _assert_roots_match(a, b, lambda roots, i: roots.spin[i])
     assert fast.roots.value.size > 201
 
 
@@ -970,12 +1002,12 @@ def test_anchors_match_mpmath(theta, lam, anchor, mult):
     """The two anchors, single root at theta = pi/2 (overlap eigenvalue
     2) and double root at theta = 0 (eigenvalue 1 twice), agree with
     mpmath to 1e-12."""
-    root = find_roots_imaginary(_spec_at_angle(theta, "closed", "unitary",
-                                               "closed"))[0]
+    roots = find_roots_imaginary(_spec_at_angle(theta, "closed", "unitary",
+                                                "closed"))
     want = _mp_kappa(lam, anchor)
     assert want == pytest.approx(anchor, abs=5e-6)
-    assert abs(root.value - want) <= 1e-12
-    assert root.multiplicity == mult
+    assert abs(roots.value[0] - want) <= 1e-12
+    assert roots.multiplicity[0] == mult
 
 
 def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
@@ -993,7 +1025,7 @@ def test_asymptotic_sweep_diagonalizes_only_overlaps(monkeypatch):
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     table = theta_sweep(thetas, "closed", "unitary", "closed", s_max=5)
-    assert all(_roots_by_point(table))
+    assert all(roots.value.size for roots in _roots_by_point(table))
     assert len(seen) <= 2 * thetas.size
     overlaps = hyperangular._SpecStack(
         [_spec_at_angle(t, "closed", "unitary", "closed") for t in thetas],
@@ -1148,8 +1180,9 @@ def test_certified_skip_keeps_the_r_sweep_golden_run(monkeypatch):
     for a, b in zip(_roots_by_point(fast.sweep_table),
                     _roots_by_point(full.sweep_table), strict=True):
         _assert_same_roots(a, b)
-        assert [(r.value, r.multiplicity) for r in a
-                if r.axis == "real" and r.value == 4.0] == [(4.0, 2)]
+        at_four = a.real & (a.value == 4.0)
+        assert list(zip(a.value[at_four].tolist(),
+                        a.multiplicity[at_four].tolist())) == [(4.0, 2)]
 
 
 def _count_spec(kind, seed, n_active, radius):
@@ -1256,8 +1289,8 @@ def test_known_roots_have_the_channel_matrix_null_space(kind, seed,
     singular there, with its null-space dimension as multiplicity (the
     singular values of M at or below 1e-9 of the largest)."""
     spec = _count_spec(kind, seed, n_active, radius)
-    roots = {r.value: r.multiplicity
-             for r in find_roots_real(spec, 5.0, warning_sink=[])}
+    found = find_roots_real(spec, 5.0, warning_sink=[])
+    roots = dict(zip(found.value.tolist(), found.multiplicity.tolist()))
     for s0 in (2.0, 4.0):
         sv = np.linalg.svd(channel_matrix(s0, spec), compute_uv=False)
         assert roots.get(s0, 0) == np.count_nonzero(
@@ -1293,8 +1326,7 @@ def test_no_root_lost_against_a_dense_eigvalsh_scan(kind, seed, radius,
             ("imaginary", default_kappa_max(spec),
              find_roots_imaginary(spec, warning_sink=[])),
             ("real", s_max, find_roots_real(spec, s_max, warning_sink=[]))):
-        value = np.array([r.value for r in roots])
-        mult = np.array([r.multiplicity for r in roots])
+        value, mult = roots.value, roots.multiplicity
         for lo, hi, n in zip(*_dense_sign_changes(spec, axis, x_max)):
             inside = (value >= lo - 1e-9) & (value <= hi + 1e-9)
             assert np.sum(mult[inside]) >= n, (axis, lo, hi)
@@ -1373,14 +1405,14 @@ def test_argument_principle_counts_every_root():
     s = 4 among them), rho in (4, 5) at least 0.02 from every root's
     modulus.  So no root lies off the axes and none was missed on them."""
     for spec in _argument_specs():
-        roots = find_roots_imaginary(spec, 10.0, warning_sink=[]) \
-            + find_roots_real(spec, 5.0, warning_sink=[])
-        moduli = np.array([r.value for r in roots])
+        roots = _joined(find_roots_imaginary(spec, 10.0, warning_sink=[]),
+                        find_roots_real(spec, 5.0, warning_sink=[]))
+        moduli = roots.value
         order = _winding(spec, 0.5 * min(1e-2, np.min(moduli)))
         assert order == pytest.approx(spec.active_states().size, abs=1e-6)
         rho = next(r for r in (4.5, 4.4, 4.6, 4.3, 4.7, 4.2, 4.8)
                    if np.min(np.abs(moduli - r)) >= 0.02)
-        inside = sum(r.multiplicity for r in roots if r.value < rho)
+        inside = roots.multiplicity[moduli < rho].sum()
         assert _winding(spec, rho) == pytest.approx(order + 2 * inside,
                                                     abs=1e-6)
 
@@ -1399,7 +1431,7 @@ def test_batch_equals_single_point_roots():
     got = find_roots_imaginary_batch(specs, 10.0, warning_sinks=sinks)
     assert np.all(np.diff(got.point) >= 0)
     assert set(got.point.tolist()) == set(range(len(specs)))
-    for spec, roots, sink in zip(specs, got.by_point(len(specs)), sinks,
+    for spec, roots, sink in zip(specs, _by_point(got, len(specs)), sinks,
                                  strict=True):
         want_sink = []
         _assert_same_roots(roots, find_roots_imaginary(
@@ -1416,10 +1448,10 @@ def test_multiplicity_counts_null_space_dimension():
                                           hyperradius=2.0)
     lam = np.linalg.eigvalsh(_normalized(spec, "real", 4.0))
     assert np.count_nonzero(np.abs(lam) <= 1e-12) == 4
-    root = min(find_roots_real(spec, 5.0, warning_sink=[]),
-               key=lambda r: abs(r.value - 4.0))
-    assert abs(root.value - 4.0) < 1e-9
-    assert root.multiplicity == 4
+    roots = find_roots_real(spec, 5.0, warning_sink=[])
+    i = np.argmin(np.abs(roots.value - 4.0))
+    assert abs(roots.value[i] - 4.0) < 1e-9
+    assert roots.multiplicity[i] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1570,7 +1602,7 @@ def _invariance_roots(seed):
 
     def recorded(specs, *args, warning_sinks, **kwargs):
         roots = solve(specs, *args, warning_sinks=warning_sinks, **kwargs)
-        seen.append((roots.by_point(len(specs)), warning_sinks))
+        seen.append((_by_point(roots, len(specs)), warning_sinks))
         return roots
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1583,10 +1615,10 @@ def _invariance_roots(seed):
 def _assert_roots_agree(got, want):
     """Equal counts and multiplicities, values within 1e-12 relative to
     max(1, |value|), the refinement's tolerance scale."""
-    assert [(r.axis, r.multiplicity) for r in got] == \
-        [(r.axis, r.multiplicity) for r in want]
-    for x, y in zip(got, want):
-        assert abs(x.value - y.value) <= 1e-12 * max(1.0, abs(y.value))
+    assert got.real.tolist() == want.real.tolist()
+    assert got.multiplicity.tolist() == want.multiplicity.tolist()
+    for x, y in zip(got.value, want.value):
+        assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1597,7 +1629,7 @@ def test_refine_matches_bisection_on_the_invariance_suite(seed, monkeypatch):
     monkeypatch.setattr(hyperangular, "_refine", _reference_bisect)
     want_roots, want_warns = _invariance_roots(seed)
     assert warns == want_warns
-    assert sum(map(len, roots)) > 300
+    assert sum(r.value.size for r in roots) > 300
     for got, want in zip(roots, want_roots, strict=True):
         _assert_roots_agree(got, want)
 
@@ -1635,11 +1667,11 @@ def _reference_profile(null_vectors, channels):
 
 
 def _assert_reference_profiles(roots, channels):
-    for root in roots:
-        weights, same, mixed = _reference_profile(root.null_vectors, channels)
-        prof = root.spin_profile
-        assert np.array_equal(prof.weights, weights)
-        assert (prof.same_level_weight, prof.mixed_weight) == (same, mixed)
+    for i in range(roots.value.size):
+        weights, same, mixed = _reference_profile(roots.null_space(i),
+                                                  channels)
+        assert np.array_equal(roots.spin[i], weights)
+        assert (roots.same[i], roots.mixed[i]) == (same, mixed)
 
 
 def _reference_merges(monkeypatch) -> list:
@@ -1689,7 +1721,7 @@ def test_stacked_pass_matches_the_per_root_code_on_the_invariance_suite(
 
     def recorded(specs, *args, **kwargs):
         roots = solve(specs, *args, **kwargs)
-        seen.append((specs, roots.by_point(len(specs))))
+        seen.append((specs, _by_point(roots, len(specs))))
         return roots
 
     monkeypatch.setattr(runner, "find_roots_imaginary_batch", recorded)
@@ -1697,7 +1729,7 @@ def test_stacked_pass_matches_the_per_root_code_on_the_invariance_suite(
     (specs, roots), = seen
     for spec, spec_roots in zip(specs, roots, strict=True):
         _assert_reference_profiles(spec_roots, spec.channels)
-    assert sum(map(len, roots)) > 300 and sizes
+    assert sum(r.value.size for r in roots) > 300 and sizes
 
 
 def _relabelled(channels, perm):
@@ -1729,23 +1761,21 @@ def test_channel_relabel_leaves_roots_and_profiles_unchanged(seed, perm,
         spec = ChannelMatrixSpec.from_overlap(exchange_overlap(cs),
                                               hyperradius=radius)
         sink = []
-        roots = find_roots_imaginary(spec, 10.0, warning_sink=sink) \
-            + find_roots_real(spec, 5.0, warning_sink=sink)
+        roots = _joined(find_roots_imaginary(spec, 10.0, warning_sink=sink),
+                        find_roots_real(spec, 5.0, warning_sink=sink))
         return roots, sink
 
     (want, want_warns), (got, warns) = solved(channels), solved(
         _relabelled(channels, perm))
     assert warns == want_warns
-    assert [(r.axis, r.multiplicity) for r in got] == \
-        [(r.axis, r.multiplicity) for r in want]
-    for x, y in zip(got, want):
-        assert abs(x.value - y.value) <= 1e-10 * max(1.0, abs(y.value))
-        np.testing.assert_allclose(x.spin_profile.weights,
-                                   y.spin_profile.weights, atol=1e-9)
-        assert x.spin_profile.same_level_weight == pytest.approx(
-            y.spin_profile.same_level_weight, abs=1e-9)
-        assert x.spin_profile.mixed_weight == pytest.approx(
-            y.spin_profile.mixed_weight, abs=1e-9)
+    assert got.real.tolist() == want.real.tolist()
+    assert got.multiplicity.tolist() == want.multiplicity.tolist()
+    for i in range(got.value.size):
+        x, y = got.value[i], want.value[i]
+        assert abs(x - y) <= 1e-10 * max(1.0, abs(y))
+        np.testing.assert_allclose(got.spin[i], want.spin[i], atol=1e-9)
+        assert got.same[i] == pytest.approx(want.same[i], abs=1e-9)
+        assert got.mixed[i] == pytest.approx(want.mixed[i], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -1867,7 +1897,7 @@ def test_batch_stacks_asymptotic_and_finite_specs(monkeypatch):
     assert [batch for batch, _ in built] == [[specs[0]], [specs[1]]]
     for batch, stack in built:
         _assert_stack_matches(stack, batch)
-    for spec, roots, sink in zip(specs, got.by_point(2), sinks):
+    for spec, roots, sink in zip(specs, _by_point(got, 2), sinks):
         want_sink = []
         _assert_same_roots(roots, find_roots_imaginary(
             spec, 10.0, warning_sink=want_sink))
@@ -1888,7 +1918,7 @@ def test_asymptotic_sweep_takes_no_matrix_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 9), "closed",
                         "unitary", "closed", s_max=5.0)
-    assert all(_roots_by_point(table))
+    assert all(roots.value.size for roots in _roots_by_point(table))
     assert seen == []
 
 
@@ -1909,7 +1939,7 @@ def test_s_max_limit_is_accepted_and_checked_once_per_sweep(monkeypatch):
     once per point."""
     spec = _spec_at_angle(0.5 * math.pi, "closed", "unitary", "closed")
     roots = find_roots_real(spec, hyperangular.S_MAX_LIMIT)
-    assert roots[-1].value <= hyperangular.S_MAX_LIMIT
+    assert roots.value[-1] <= hyperangular.S_MAX_LIMIT
     calls = []
     check = hyperangular._check_s_max
     monkeypatch.setattr(hyperangular, "_check_s_max",
@@ -1917,6 +1947,54 @@ def test_s_max_limit_is_accepted_and_checked_once_per_sweep(monkeypatch):
     theta_sweep(np.linspace(0.0, 1.0, 5), "closed", "unitary", "closed",
                 s_max=5.0)
     assert calls == [5.0]
+
+
+# ---------------------------------------------------------------------------
+# grid warnings and the residual bound
+# ---------------------------------------------------------------------------
+
+def _with_a_grazing_dip(monkeypatch):
+    """Make _dips also report a grazing dip of curve 0 of the first spec
+    it scans, over kappa in [5, 6], where _SPEC_R15 has no root."""
+    dips = hyperangular._dips
+
+    def grazing(*args):
+        fine, found = dips(*args)
+        return fine, found + [(0, 0, 5.0, 6.0)]
+
+    monkeypatch.setattr(hyperangular, "_dips", grazing)
+
+
+_SPEC_R15 = _spec_at_angle(0.7, 1.0, 2.0, "closed", R=1.5)
+
+
+def test_grid_warnings_reach_the_sink_or_the_warnings_module(monkeypatch):
+    """A dip that grazes zero away from every root is one message: in the
+    sink, with no Python warning, when one is given; one
+    GridResolutionWarning without it; and in a radius sweep, one warning
+    prefixed with its R."""
+    want = find_roots_imaginary(_SPEC_R15).value
+    _with_a_grazing_dip(monkeypatch)
+    sink = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = find_roots_imaginary(_SPEC_R15, warning_sink=sink)
+    assert caught == []
+    assert len(sink) == 1 and "grazes zero near 5.5" in sink[0]
+    assert np.array_equal(got.value, want)
+    with pytest.warns(GridResolutionWarning) as caught:
+        find_roots_imaginary(_SPEC_R15)
+    assert [str(w.message) for w in caught] == sink
+    table = radius_sweep(0.7, 1.0, 2.0, "closed", [1.5, 3.0])
+    assert table.warnings == [f"R=1.5: {sink[0]}"]
+
+
+def test_a_root_above_the_residual_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(hyperangular, "RESIDUAL_TOL", 1e-300)
+    for find, args in ((find_roots_imaginary, ()),
+                       (find_roots_real, (5.0,))):
+        with pytest.raises(HyperangularError, match="has residual"):
+            find(_SPEC_R15, *args, warning_sink=[])
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_dimer_limit_potential():
     # single channel, R/a = 100: U must land within 1% of -1/(m a^2)
     a = 1.0
     spec = ChannelMatrixSpec.single_level(a, hyperradius=100.0 * a)
-    root = find_roots_imaginary(spec)[0]
-    pot = AdiabaticPotential.from_s_squared([100.0 * a], [[root.s_squared]], CONV)
+    kappa = find_roots_imaginary(spec).value[0]
+    pot = AdiabaticPotential.from_s_squared([100.0 * a], [[-kappa ** 2]], CONV)
     dimer = -1.0 / (CONV.mass * a ** 2)
     assert pot.potentials[0, 0] == pytest.approx(dimer, rel=1e-2)
     assert pot.potentials[0, 0] == pytest.approx(dimer * (1 + a ** 2 / (8 * 100.0 ** 2)),
@@ -580,6 +580,29 @@ def test_subcritical_attraction_has_no_bound_states():
         np.logspace(-3, 2, 20001), np.full((1, 20001), 0.09), CONV)
     spec = bound_states(pot, 1e-2, 2)
     assert spec.energies == ()
+
+
+def _rising_channel(n):
+    """s^2 rising linearly in log10 R from -2 to 2 over n points on
+    [1e-3, 1e3]: attractive at the wall, repulsive at the far end."""
+    return AdiabaticPotential.from_s_squared(
+        np.geomspace(1e-3, 1e3, n), np.linspace(-2.0, 2.0, n)[None, :], CONV)
+
+
+def test_bound_states_of_a_channel_repulsive_at_its_far_end():
+    """With U(R_max) >= 0 the shallow edge is 1e-15 of the well depth: a
+    10-level request returns the two levels above it, deepest first with
+    0 and 1 nodes and reason "grid", and a grid four times as dense gives
+    the same levels."""
+    pot = _rising_channel(6001)
+    assert pot.potentials[0, -1] > 0.0
+    spec = bound_states(pot, pot.radii[0], 10)
+    assert spec.nodes == (0, 1)
+    assert spec.energies[0] < spec.energies[1] < 0.0
+    assert spec.exhaustion_reason == "grid"
+    dense = bound_states(_rising_channel(24001), pot.radii[0], 10)
+    assert dense.nodes == spec.nodes
+    assert dense.energies == pytest.approx(spec.energies, rel=1e-8, abs=0.0)
 
 
 def test_bound_states_wall_validation():
