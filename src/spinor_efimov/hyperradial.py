@@ -26,17 +26,22 @@ that also refines every channel root.  The deepest level is probed first
 at a zero of K_{i kappa}, each level above it where discrete scale
 invariance, E_{n+1} = E_n exp(-2 pi/kappa), puts it.
 
-scipy is imported only when a ladder is solved: _numerov_sweep loads
-dtbtrs on its first call, so importing this module (and the CLI) does not
-load scipy.  The module-level __getattr__ below keeps the old name
-`solve_banded` resolvable for perfbench/tracing.py, which patches it by
-name.
+The band solve calls dtbtrs with 64-bit integers (scipy_dtbtrs_64_) in
+the OpenBLAS that numpy's wheel bundles in numpy.libs, through ctypes, so
+no task loads scipy.  The first sweep loads it and keeps it only if it
+solves a known system exactly; where numpy has no such library (MKL
+builds, numpy 1.x's openblas64_ names) the sweeps use
+scipy.linalg.lapack.dtbtrs instead.  The module-level __getattr__ below
+keeps the old name `solve_banded` resolvable for perfbench/tracing.py,
+which patches it by name.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +203,67 @@ class LadderSpectrum:
         return self.exhaustion_reason is not None
 
 
+#: a unit-lower system with two subdiagonals in dtbtrs's band storage
+#: (rows: unread diagonal, L[j+1, j], L[j+2, j]; entries past the matrix
+#: unread), its right-hand side and exact solution
+_KNOWN_BAND = ((2.0, 3.0, 1.0), (2.0, -1.0, 2.0), (2.0, 2.0, -1.0),
+               (2.0, -2.0, 7.0), (2.0, 5.0, 9.0))
+_KNOWN_B, _KNOWN_X = (1.0, 1.0, 6.0, -2.0, 10.0), (1.0, -2.0, 3.0, -4.0, 5.0)
+
+
+def _scipy_dtbtrs(ab: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, info) of the unit-lower band system, ab in C-ordered rows."""
+    from scipy.linalg.lapack import dtbtrs
+
+    return dtbtrs(ab.T, b, uplo="L", diag="U")
+
+
+def _openblas_dtbtrs():
+    """_scipy_dtbtrs's solve through scipy_dtbtrs_64_ in numpy's bundled
+    OpenBLAS, in place in b, or None where no library there exports it
+    or it fails the known system.  A wrong integer width or a missing
+    hidden string length would corrupt memory rather than raise, so solve
+    presets info to -1 (a 32-bit write of 0 leaves it nonzero) and the
+    check keeps a guard value past the right-hand side."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if "openblas" in f)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            fn = ctypes.CDLL(os.path.join(libs, name)).scipy_dtbtrs_64_
+        except (OSError, AttributeError):
+            continue
+        # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, and the
+        # three hidden string lengths gfortran appends
+        fn.argtypes = ([ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 8
+                       + [ctypes.c_size_t] * 3)
+        fn.restype = None
+        # n (also ldb), kd, nrhs, ldab and info; solve keeps them alive
+        cells = [ctypes.c_int64(v) for v in (0, 2, 1, 3, 0)]
+        p_n, p_kd, p_nrhs, p_ldab, p_info = map(ctypes.addressof, cells)
+
+        def solve(ab, b):  # float64 and C-contiguous: _band rows, zeros
+            cells[0].value, cells[4].value = b.shape[0], -1
+            fn(b"L", b"N", b"U", p_n, p_kd, p_nrhs, ab.ctypes.data, p_ldab,
+               b.ctypes.data, p_n, p_info, 1, 1, 1)
+            return b, cells[4].value
+
+        b = np.array(_KNOWN_B + (0.5,))
+        x, info = solve(np.array(_KNOWN_BAND), b[:-1])
+        if info == 0 and x.tolist() == list(_KNOWN_X) and b[-1] == 0.5:
+            return solve
+    return None
+
+
+#: the band solver, chosen by the first sweep
+_solve = None
+#: band storage shared by every sweep (the package starts no threads):
+#: all -1 but the c entries ab[1::2, 1], which each sweep writes
+_band = np.empty((0, 3))
+
+
 def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     """Solve y'' = q y along the grid given two seed values.
 
@@ -205,10 +271,10 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     c = h^2 q / p, d[i] = d[i-1] + c[i] w[i] and w[i+1] = w[i] + d[i], so
     q keeps its digits (12 - 10 p in the three-term form keeps about 8).
     In the unknowns (d[1], w[2], d[2], w[3], ...) the two sums are one
-    unit-lower band system, solved by compiled forward substitution.
+    unit-lower band system, solved by compiled forward substitution
+    (LAPACK dtbtrs; see the module doc).
     """
-    from scipy.linalg.lapack import dtbtrs  # the only scipy use; see module doc
-
+    global _band, _solve
     n = q.size
     p = 1.0 - (h * h / 12.0) * q
     if not p.all():  # c = h^2 q / p and y = w / p need p != 0
@@ -218,15 +284,23 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     y[0], y[1] = y0, y1
     if n <= 2:
         return y
+    if _solve is None:
+        _solve = _openblas_dtbtrs() or _scipy_dtbtrs
     minus_c = (-h * h) * q / p
     # one row per unknown, passed transposed: the Fortran-ordered band
     # storage dtbtrs needs, without a copy; its unit diagonal is never read
-    ab = np.full((2 * n - 4, 3), -1.0)
+    if _band.shape[0] < 2 * n - 4:
+        _band = np.full((2 * n - 4, 3), -1.0)
+    ab = _band[: 2 * n - 4]
     ab[1::2, 1] = minus_c[2:]
     rhs = np.zeros(2 * n - 4)
     w1 = p[1] * y1
     rhs[:2] = w1 - p[0] * y0 - minus_c[1] * w1, w1  # d[1], w[2] - d[1]
-    y[2:] = dtbtrs(ab.T, rhs, uplo="L", diag="U")[0][1::2] / p[2:]
+    w, info = _solve(ab, rhs)
+    if info:
+        raise HyperradialError("dtbtrs failed on the Numerov band system "
+                               f"(info {info})")
+    y[2:] = w[1::2] / p[2:]
     return y
 
 

@@ -3,12 +3,17 @@ names by attribute: every name it patches must exist, and uninstalling
 must put the originals back."""
 
 import sys
+import time
 from pathlib import Path
+
+import mpmath
 
 import spinor_efimov
 import spinor_efimov.cli  # noqa: F401  (the tracer reaches cli and runner as attributes)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -71,3 +76,43 @@ def test_traced_workloads_run_through_the_cli(tmp_path):
             invocation += 1
     for (mod, attr), fn in before.items():
         assert getattr(tracer.modules[mod], attr) is fn, (mod, attr)
+
+
+def _check(workload, out_dir, params, reference, vi):
+    """The output check perfbench/worker.py runs after each invocation."""
+    if workload == "admixture-sweep":
+        return checks.check_admixture(out_dir, reference)
+    if workload == "plateau-sweep":
+        return checks.check_plateau(out_dir, params)
+    if workload == "trimer-ladder":
+        return checks.check_ladder(out_dir, params, reference[vi])
+    return checks.check_invariance(out_dir, params)
+
+
+def test_workload_outputs_pass_the_benchmark_checks(tmp_path):
+    """Every workload's seed-0 variants through cli.main, then through the
+    benchmark's own output checks against its independent references
+    (oracle.py: mpmath roots of the admixture's scalar equations, and the
+    zeros of K_{i kappa} for the ladder).  No operation fails, and the
+    whole, references included, takes under 1.5 s.  A change that breaks
+    a workload's numbers fails here rather than in a benchmark run."""
+    t0 = time.perf_counter()
+    attempted = failed = 0
+    for name in workloads.WORKLOADS:
+        variants = workloads.variants(name, 0)
+        with mpmath.workdps(mpmath.mp.dps):  # oracle.py sets mp.dps
+            reference = run.references(name, variants)
+        for vi, v in enumerate(variants):
+            config = tmp_path / f"{name}-{vi}.run"
+            config.write_text(v.config)
+            out = tmp_path / f"{name}-{vi}"
+            rc = spinor_efimov.cli.main([v.task, "--config", str(config),
+                                         "--out", str(out)])
+            assert rc == 0, (name, v.label)
+            a, f = _check(name, str(out), v.params, reference, vi)
+            assert a > 0 and f == 0, (name, v.label, a, f)
+            attempted += a
+            failed += f
+    elapsed = time.perf_counter() - t0
+    assert failed == 0 and attempted > 0
+    assert elapsed < 1.5, elapsed

@@ -223,6 +223,61 @@ def test_numerov_sweep_keeps_the_potential_over_twenty_decades():
     assert np.max(np.abs(zeros / exact - 1.0)) <= 1e-10
 
 
+def _ladders_and_sweeps():
+    """The benchmark's two ladders, and raw sweeps: random q as in
+    test_numerov_sweep_matches_loop, short ones after a long one so that
+    they reuse its band storage, and the twenty-decade system above."""
+    ladders = [efimov_ladder(KAPPA_IB, 1e-3, 4).energies,
+               efimov_ladder(0.41370, 1e-3, 3).energies]
+    rng = np.random.default_rng(31)
+    systems = [(rng.uniform(-30.0, 30.0, n), 0.05, rng.normal(), rng.normal())
+               for n in (1000, 3, 4, 5)]
+    kappa = 0.41370
+    h = 20.0 * math.log(10.0) / 20000
+    systems.append((np.full(20001, -kappa * kappa), h, 0.0,
+                    math.sin(kappa * h)))
+    sweeps = [_numerov_sweep(*system) for system in systems]
+    return [[e.hex() for e in ladder] for ladder in ladders], \
+        [y.tobytes() for y in sweeps]
+
+
+def test_scipy_fallback_gives_the_same_bits(monkeypatch):
+    """Where numpy bundles no usable dtbtrs, the sweeps call scipy's
+    instead, and every ladder energy and sweep value is bit for bit the
+    same on both paths."""
+    monkeypatch.setattr(hyperradial, "_solve", None)
+    bundled = _ladders_and_sweeps()
+    monkeypatch.setattr(hyperradial, "_solve", None)
+    monkeypatch.setattr(hyperradial, "_openblas_dtbtrs", lambda: None)
+    fallback = _ladders_and_sweeps()
+    assert hyperradial._solve is hyperradial._scipy_dtbtrs
+    assert fallback == bundled
+
+
+def test_a_library_that_fails_the_known_system_is_not_used(monkeypatch):
+    """The bundled dtbtrs is kept only if it solves the known band system
+    exactly.  Made to expect an answer one ulp off in the last unknown,
+    the check refuses it and the sweeps fall back to scipy's, with the
+    same values."""
+    q = np.random.default_rng(5).uniform(-30.0, 30.0, 200)
+    monkeypatch.setattr(hyperradial, "_solve", None)
+    y = _numerov_sweep(q, 0.05, 0.0, 1.0)
+    monkeypatch.setattr(hyperradial, "_KNOWN_X", hyperradial._KNOWN_X[:-1]
+                        + (math.nextafter(5.0, 6.0),))
+    monkeypatch.setattr(hyperradial, "_solve", None)
+    assert hyperradial._openblas_dtbtrs() is None
+    assert _numerov_sweep(q, 0.05, 0.0, 1.0).tobytes() == y.tobytes()
+    assert hyperradial._solve is hyperradial._scipy_dtbtrs
+
+
+def test_a_failed_band_solve_is_a_typed_error(monkeypatch):
+    """dtbtrs reports an illegal argument through info < 0; a nonzero info
+    raises HyperradialError rather than returning the right-hand side."""
+    monkeypatch.setattr(hyperradial, "_solve", lambda ab, b: (b, -8))
+    with pytest.raises(HyperradialError, match=r"\(info -8\)$"):
+        _numerov_sweep(np.zeros(5), 0.1, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # bound states
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""scipy is loaded only when a ladder is solved, and numpy.ma never by
-the root finders.
+"""No task loads scipy or numpy.ma.
 
-Every CLI call pays its imports before any work starts, and only the
-Numerov sweep needs scipy (LAPACK dtbtrs).  numpy.ma costs about 12 ms and
-1.8 MB when something imports it lazily (np.unique does).  The subprocess
-checks a fresh interpreter, where nothing else has imported either yet.
+Every CLI call pays its imports before any work starts.  The Numerov
+sweep's band solve (LAPACK dtbtrs) goes through the OpenBLAS bundled with
+numpy, so even the ladder runs without scipy.linalg, which costs about
+250 ms and 17 MB per process.  numpy.ma costs about 12 ms and 1.8 MB when
+something imports it lazily (np.unique does).  The subprocess checks a
+fresh interpreter, where nothing else has imported either yet.
 """
 
 import os
@@ -25,8 +26,8 @@ import sys
 from spinor_efimov import cli
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m in ("scipy", "numpy.ma") or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.startswith("scipy")
+                  or m == "numpy.ma" or m.startswith("numpy.ma."))
 
 out = sys.argv[-1]
 for task, config in zip(sys.argv[1:-1:2], sys.argv[2:-1:2]):
@@ -34,15 +35,18 @@ for task, config in zip(sys.argv[1:-1:2], sys.argv[2:-1:2]):
     print(f"after {task}:", loaded())
 """
 
-#: the solver tasks first, in one process, then the ladder
-_TASKS = ("theta-sweep", "r-sweep", "invariance-suite", "ladder")
+#: every task, in one process; the ladder last, since only it can fall
+#: back to scipy
+_TASKS = ("theta-sweep", "r-sweep", "invariance-suite", "roots", "ladder")
 
 
-def test_scipy_loads_only_with_the_ladder(tmp_path):
-    """After the theta sweep, the finite-mode r-sweep and the invariance
-    suite (the inertia counts included) neither scipy nor numpy.ma is
-    loaded; the ladder then loads scipy's LAPACK, but not scipy.special
-    (the deepest level's guess takes arg Gamma from a Stirling series)."""
+def test_no_task_loads_scipy_or_numpy_ma(tmp_path):
+    """After the theta sweep, the finite-mode r-sweep, the invariance
+    suite (the inertia counts included), the roots task and the ladder,
+    neither scipy nor numpy.ma is loaded.  Where numpy bundles no usable
+    dtbtrs, the ladder falls back to scipy's LAPACK, and to nothing more
+    of scipy (the deepest level's guess takes arg Gamma from a Stirling
+    series, not scipy.special)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     args = [a for task in _TASKS for a in (task, str(GOLDEN / f"{task}.run"))]
     proc = subprocess.run(
@@ -54,8 +58,11 @@ def test_scipy_loads_only_with_the_ladder(tmp_path):
     assert list(lines) == [f"after {task}" for task in _TASKS]
     for task in _TASKS[:-1]:
         assert lines[f"after {task}"] == "[]", task
-    assert "'scipy.linalg.lapack'" in lines["after ladder"]
-    assert "'scipy.special" not in lines["after ladder"]
+    if hyperradial._openblas_dtbtrs() is not None:
+        assert lines["after ladder"] == "[]"
+    else:
+        assert "'scipy.linalg.lapack'" in lines["after ladder"]
+        assert "'scipy.special" not in lines["after ladder"]
 
 
 def test_solve_banded_shim_resolves_only_that_name():
