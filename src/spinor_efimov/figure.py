@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
+
 from .hyperangular import SweepTable
 
 _WIDTH, _HEIGHT = 720, 480
@@ -39,21 +41,22 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
 
     roots = table.roots
     filled = set(roots.point.tolist())
-    xs = []
+    xs = [x_of(theta, radius)
+          for theta, radius in zip(table.thetas, table.radii)]
     for q, (theta, radius) in enumerate(zip(table.thetas, table.radii)):
         if q not in filled:
             warnings.append(
                 f"empty root list at "
                 f"{'theta=' + _fmt(theta) if is_theta else 'R=' + _fmt(radius)}"
                 "; row skipped in figure")
-            continue
-        xs.append(x_of(theta, radius))
-    if not xs:
+    shown = [xs[q] for q in filled]
+    if not shown:
         raise ValueError("nothing to draw: every sweep row is empty")
 
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = min(shown), max(shown)
     y_lo, y_hi = 0.0, max(roots.value.tolist()) * 1.08
 
+    # px and py take floats or arrays, with the same arithmetic either way
     def px(x):
         return _LEFT + (x - x_lo) / (x_hi - x_lo or 1.0) * (_WIDTH - _LEFT - _RIGHT)
 
@@ -97,27 +100,33 @@ def sweep_figure(table: SweepTable) -> tuple[str, list[str]]:
         f'<text x="{(_LEFT + _WIDTH - _RIGHT) / 2:.2f}" y="24" font-size="14" '
         f'text-anchor="middle">root curves ({window})</text>')
 
-    # curves, imaginary solid / real dashed
+    # curves, imaginary solid / real dashed, each polyline's pixels from
+    # the pixels of the points and of the root values
+    point_px, root_py = px(np.array(xs)), py(roots.value)
+    point, values = roots.point.tolist(), roots.value.tolist()
     for axis, dash in (("imaginary", ""), ("real", ' stroke-dasharray="6 4"')):
-        series = table.curve_series(axis)
-        # slots per curve end: the slots of one root share its exact value
-        ends = Counter((side, pts[side]) for pts in series.values()
+        curves = table.curve_rows(axis)
+        # slots per curve end: the slots of one root share its row
+        ends = Counter((side, int(rows[side])) for rows in curves.values()
                        for side in (0, -1))
-        for cid in sorted(series):
-            pts = [(x_of(th, rr), val) for th, rr, val in series[cid]]
-            if len(pts) < 2:
+        for cid, rows in curves.items():
+            if rows.size < 2:
                 continue
-            coords = " ".join(f"{px(x):.2f},{py(v):.2f}" for x, v in pts)
+            xy = np.column_stack((point_px[roots.point[rows]], root_py[rows]))
+            coords = " ".join(["%.2f,%.2f"] * rows.size) % tuple(
+                xy.ravel().tolist())
             color = _COLORS[cid % len(_COLORS)] if axis == "imaginary" else "#57606a"
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.6"{dash}/>')
             if axis == "imaginary":
                 for side in (0, -1):
-                    th, rr, v = series[cid][side]
+                    i = int(rows[side])
+                    q, v = point[i], values[i]
+                    th, rr = table.thetas[q], table.radii[q]
                     anchor = th if is_theta else rr
                     x = x_of(th, rr)
-                    mult = ends[side, (th, rr, v)]
+                    mult = ends[side, i]
                     key = "data-theta" if is_theta else "data-radius"
                     parts.append(
                         f'<circle cx="{px(x):.2f}" cy="{py(v):.2f}" r="3" '

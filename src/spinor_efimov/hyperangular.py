@@ -1021,17 +1021,24 @@ class SweepTable:
     window: dict
     warnings: list[str]
 
-    def curve_series(self, axis: str = "imaginary") -> dict[int, list[tuple]]:
-        """curve id -> [(theta, R, value), ...] in point order."""
+    def curve_rows(self, axis: str = "imaginary") -> dict[int, np.ndarray]:
+        """curve id -> the indices of its roots in the root table, in
+        point order, by ascending id (the order the ids first appear)."""
         r = self.roots
         slot = np.repeat(np.arange(r.value.size), r.multiplicity)
         on = np.flatnonzero(r.real[slot] == (axis == "real"))
-        series: dict[int, list[tuple]] = {}
-        for i, q, v in zip(on.tolist(), r.point[slot[on]].tolist(),
-                           r.value[slot[on]].tolist()):
-            series.setdefault(self.curve_ids[i], []).append(
-                (self.thetas[q], self.radii[q], v))
-        return series
+        ids = np.array(self.curve_ids, dtype=int)[on]
+        order = np.argsort(ids, kind="stable")
+        ids, rows = ids[order], slot[on[order]]
+        cut = np.flatnonzero(np.diff(ids, prepend=-1))
+        return dict(zip(ids[cut].tolist(), np.split(rows, cut[1:])))
+
+    def curve_series(self, axis: str = "imaginary") -> dict[int, list[tuple]]:
+        """curve id -> [(theta, R, value), ...] in point order."""
+        r = self.roots
+        return {cid: [(self.thetas[q], self.radii[q], v) for q, v in zip(
+            r.point[rows].tolist(), r.value[rows].tolist())]
+            for cid, rows in self.curve_rows(axis).items()}
 
 
 def _curve_ids(roots: RootTable, n_points: int) -> list[int]:

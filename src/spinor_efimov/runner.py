@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -99,10 +100,28 @@ def _texts(values) -> tuple:
         return tuple(zip(*map(_cell, values))) or ((), ())
     if type(None) in kinds:  # None prints as NaN does
         values = [math.nan if v is None else v for v in values]
-    texts = ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    texts = ["" if t[-1] in "nf" else t for t in texts]  # nan, inf
-    return texts, [t if "." in t and "e+" not in t and "e-3" not in t
-                   else repr(float(t)) if t else "null" for t in texts]
+    text = "%.12g\n" * len(values) % tuple(values)
+    texts = text.split("\n")[:-1]
+    json_texts = texts.copy()
+    for i in _not_json(text):
+        if texts[i][-1] in "nf":  # nan, inf
+            texts[i], json_texts[i] = "", "null"
+        else:
+            json_texts[i] = repr(float(texts[i]))
+    return texts, json_texts
+
+
+def _not_json(text: str) -> list[int]:
+    """The lines of a text of %g texts, one a line, without a point or
+    with an exponent e+ or e-3 (_texts), found over the text at once."""
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    bad = np.ones(ends.size, dtype=bool)
+    bad[np.searchsorted(ends, np.flatnonzero(b == ord(".")))] = False
+    e = np.flatnonzero(b == ord("e"))  # always followed by a sign and digits
+    bad[np.searchsorted(ends, e[(b[e + 1] == ord("+"))
+                                | (b[e + 2] == ord("3"))])] = True
+    return np.flatnonzero(bad).tolist()
 
 
 def _cell(v) -> tuple[str, str]:
@@ -132,15 +151,14 @@ def _formatted(table: Table) -> dict[str, tuple]:
     for name, (values, index) in table.columns.items():
         texts = _texts(values)
         out[name] = texts if index is None else \
-            tuple([t[i] for i in index] for t in texts)
+            tuple(list(map(t.__getitem__, index)) for t in texts)
     return out
 
 
 def _csv_text(texts: dict) -> str:
     """A header of the columns' names and one line per row."""
-    line = ",".join(["%s"] * len(texts)) + "\n"
     rows = zip(*(t[0] for t in texts.values()))
-    return ",".join(texts) + "\n" + "".join(map(line.__mod__, rows))
+    return "\n".join([",".join(texts), *map(",".join, rows)]) + "\n"
 
 
 def _channel_set(cfg: RunConfig) -> TwoBodyChannelSet:
@@ -348,12 +366,14 @@ def _json_pieces(bundle: ResultBundle, texts: dict):
 
     yield '{\n  "meta": ' + block(bundle.meta) + ',\n  "tables": {'
     for t, (name, cols) in enumerate(texts.items()):
-        # each row as json.JSONEncoder(allow_nan=False) encodes its dict
-        line = "{" + ", ".join(json.dumps(k).replace("%", "%%") + ": %s"
-                               for k in cols) + "}"
-        rows = list(map(line.__mod__, zip(*(c[1] for c in cols.values()))))
+        # each row as json.JSONEncoder(allow_nan=False) encodes its dict:
+        # the keys and the values' texts in turn, and a closing brace
+        pieces = [(repeat(("{" if i == 0 else ", ") + json.dumps(k) + ": "),
+                   c[1]) for i, (k, c) in enumerate(cols.items())]
+        rows = list(map("".join, zip(*chain.from_iterable(pieces))))
         yield ("," if t else "") + f"\n    {json.dumps(name)}: [" + (
-            "\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "]")
+            "\n      " + "},\n      ".join(rows) + "}\n    ]" if rows
+            else "]")
     yield ("\n  }" if bundle.tables else "}") + ',\n  "warnings": ' \
         + block(bundle.warnings) + "\n}\n"
 

@@ -223,6 +223,22 @@ def test_json_text_of_a_float_is_the_repr_of_its_rounded_float(x):
     assert json_text == [repr(float(text[0]))]
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.none()
+                | st.integers(-10 ** 17, 10 ** 17).map(float), max_size=40))
+def test_a_float_column_gets_the_texts_of_its_values_one_by_one(values):
+    """The texts of a column, whose non-JSON ones are found over the
+    column's text at once, are each value's: "" and null if it is None or
+    not finite, else its .12g text and the repr of the float that reads
+    as."""
+    texts = [f"{x:.12g}" if x is not None and math.isfinite(x) else ""
+             for x in values]
+    csv_texts, json_texts = runner._texts(values)
+    assert list(csv_texts) == texts
+    assert list(json_texts) == [repr(float(t)) if t else "null"
+                                for t in texts]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.run"
     bad.write_text("task = theta-sweep\nmystery = 1\n")
