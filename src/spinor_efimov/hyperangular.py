@@ -117,9 +117,27 @@ class HyperangularError(ValueError):
     pass
 
 
-def _check_radius(lengths, radius) -> None:
-    """Refuse a finite-mode R unless R > 0 and the kappa window
-    10 + 2 sqrt(2) R/|a| of every finite length a is finite."""
+def _check_form(overlaps: np.ndarray) -> None:
+    """Refuse a stack (P, n, n) of symmetric overlaps unless each has the
+    form 2I - 3 V V^T with V of at most two orthonormal columns: O^2 = O +
+    2I to _FORM_TOL, and 2n - trace O = 3 rank V at most 6."""
+    n = overlaps.shape[-1]
+    form = overlaps @ overlaps - overlaps
+    form[:, range(n), range(n)] -= 2.0
+    # 2n - trace O = 3 rank V, a multiple of 3
+    if np.abs(form).max(initial=0.0) > _FORM_TOL or np.max(
+            2.0 * n - np.trace(overlaps, axis1=1, axis2=2),
+            initial=0.0) > 7.5:
+        raise HyperangularError("overlap must have the form 2I - 3 V V^T "
+                                "(O^2 = O + 2I) with rank V <= 2")
+
+
+def _check_finite(lengths, radius) -> None:
+    """Refuse finite-mode lengths with a unitary channel, and R unless R >
+    0 and the kappa window 10 + 2 sqrt(2) R/|a| of every finite length a
+    is finite."""
+    if any(l.kind == "unitary" for l in lengths):
+        raise HyperangularError("finite and unitary channels do not mix")
     if radius is None or not radius > 0.0:
         raise HyperangularError("finite mode requires hyperradius > 0")
     for l in lengths:
@@ -164,17 +182,9 @@ class ChannelMatrixSpec:
         if np.abs(o - o.T).max() > 1e-12:
             raise HyperangularError("overlap matrix must be symmetric")
         o = 0.5 * (o + o.T)
-        form = o @ o - o
-        form.flat[::n + 1] -= 2.0
-        # 2n - trace O = 3 rank V, a multiple of 3
-        if np.abs(form).max() > _FORM_TOL or 2.0 * n - o.trace() > 7.5:
-            raise HyperangularError("overlap must have the form 2I - 3 V V^T "
-                                    "(O^2 = O + 2I) with rank V <= 2")
+        _check_form(o[None])
         if self.mode == "finite":
-            if any(l.kind == "unitary" for l in self.lengths):
-                raise HyperangularError(
-                    "finite and unitary channels do not mix")
-            _check_radius(self.lengths, self.hyperradius)
+            _check_finite(self.lengths, self.hyperradius)
         object.__setattr__(self, "overlap", o)  # frozen
 
     @property
@@ -215,6 +225,28 @@ class ChannelMatrixSpec:
         """Indices of states whose channel is not closed."""
         return np.array([j for j, ch in enumerate(self.state_channel)
                          if self.lengths[ch].kind != "closed"], dtype=int)
+
+
+def _prechecked_spec(overlap: ExchangeOverlap,
+                     hyperradius) -> ChannelMatrixSpec:
+    """ChannelMatrixSpec.from_overlap without its checks, for an overlap
+    and R its caller has checked."""
+    return _prechecked(ChannelMatrixSpec, lengths=tuple(
+        overlap.channels.lengths), overlap=overlap.matrix,
+        state_channel=(0, 0, 1, 1, 2, 2), hyperradius=hyperradius,
+        channels=overlap.channels)
+
+
+def _overlap_specs(overlaps, hyperradius) -> list[ChannelMatrixSpec]:
+    """ChannelMatrixSpec.from_overlap of each overlap of one checked stack
+    (exactly symmetric, _exchange_overlaps) at one R: the form of the
+    overlaps is checked as one stack, the lengths and R spec by spec."""
+    _check_form(np.array([o.matrix for o in overlaps]).reshape(-1, 6, 6))
+    specs = [_prechecked_spec(o, hyperradius) for o in overlaps]
+    for spec in specs:
+        if spec.mode == "finite":
+            _check_finite(spec.lengths, hyperradius)
+    return specs
 
 
 def _imag_terms(kappas, r_over_a):
@@ -1093,12 +1125,9 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     # radius stand for every spec
     first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
     if first.mode == "finite":
-        _check_radius(lengths, radii[-1])
-    specs = [first] + [
-        _prechecked(ChannelMatrixSpec, lengths=first.lengths,
-                    overlap=o.matrix, state_channel=first.state_channel,
-                    hyperradius=r, channels=o.channels)
-        for o, r in zip(overlaps[1:], radii[1:])]
+        _check_finite(lengths, radii[-1])
+    specs = [first] + [_prechecked_spec(o, r)
+                       for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     # one length triple: every spec shares the mode and active states
     warns, roots = _root_table(specs, [range(len(specs))], [

@@ -27,6 +27,7 @@ from .hyperangular import (
     ChannelMatrixSpec,
     RootTable,
     SweepTable,
+    _overlap_specs,
     find_roots_imaginary,
     find_roots_imaginary_batch,
     find_roots_real,
@@ -44,6 +45,7 @@ from .spin import (
     TwoBodyChannelSet,
     _eigenchannels,
     _exchange_overlaps,
+    _prechecked,
     channels_from_angle,
     eigenchannels,
     exchange_overlap,
@@ -268,11 +270,14 @@ def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
 
 
 def _conditioned_matrix(rng) -> ScatteringMatrix:
+    """The first draw raw + raw.T, raw uniform on [-2, 2], whose
+    eigenvalues are at least 0.05 in magnitude; exactly symmetric and
+    finite, so ScatteringMatrix's checks are not run."""
     while True:
         raw = rng.uniform(-2.0, 2.0, size=(3, 3))
-        m = ScatteringMatrix.from_matrix(raw + raw.T)
-        if np.min(np.abs(np.linalg.eigvalsh(m.entries))) >= 0.05:
-            return m
+        a = raw + raw.T
+        if np.min(np.abs(np.linalg.eigvalsh(a))) >= 0.05:
+            return _prechecked(ScatteringMatrix, entries=a)
 
 
 def _deviation(mult, value, a: slice, b: slice) -> float:
@@ -301,8 +306,7 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     for trial, flip in enumerate(flips):
         base, rotated = sets[2 * trial: 2 * trial + 2]
         channels += [base, rotated, base.flip_sign(flip)]
-    specs = [ChannelMatrixSpec.from_overlap(o, hyperradius=cfg.radius)
-             for o in _exchange_overlaps(channels)]
+    specs = _overlap_specs(_exchange_overlaps(channels), cfg.radius)
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
+import spinor_efimov.spin as spin
 from spinor_efimov.config import parse_config
 from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
@@ -168,6 +169,32 @@ def test_spec_mode_validation():
         radius_sweep(0.1, "unitary", "unitary", "closed", [1.0, 2.0])
     assert ChannelMatrixSpec.from_overlap(o, hyperradius=1.0).mode == "finite"
     assert ChannelMatrixSpec.single_level("unitary").mode == "asymptotic"
+
+
+@pytest.mark.parametrize("lengths, radius", [
+    ((1.0, 2.0, -3.0), 1.5), (("unitary", "closed", "unitary"), None)])
+def test_overlap_specs_are_the_checked_specs(lengths, radius):
+    """_overlap_specs builds from one stack checked at once the specs
+    ChannelMatrixSpec.from_overlap builds one by one, and refuses what it
+    refuses: an overlap of the stack not of the form 2I - 3 V V^T, and
+    finite lengths without R > 0."""
+    overlaps = spin._exchange_overlaps(
+        [channels_from_angle(t, *lengths) for t in (0.0, 0.4, 1.1)])
+    got = hyperangular._overlap_specs(overlaps, radius)
+    for spec, o in zip(got, overlaps, strict=True):
+        want = ChannelMatrixSpec.from_overlap(o, hyperradius=radius)
+        assert np.array_equal(spec.overlap, want.overlap)
+        assert (spec.lengths, spec.state_channel, spec.hyperradius,
+                spec.channels) == (want.lengths, want.state_channel,
+                                   want.hyperradius, want.channels)
+    bad = overlaps[:2] + [spin._prechecked(
+        spin.ExchangeOverlap, matrix=overlaps[2].matrix + 0.01 * np.eye(6),
+        channels=overlaps[2].channels)]
+    with pytest.raises(HyperangularError, match="2I - 3 V V"):
+        hyperangular._overlap_specs(bad, radius)
+    if radius is not None:
+        with pytest.raises(HyperangularError, match="hyperradius > 0"):
+            hyperangular._overlap_specs(overlaps, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +452,6 @@ def test_theta_sweep_builds_its_spin_layer_as_one_stack(monkeypatch):
     """A 201-point theta sweep makes one stacked overlap build and no
     one-point channels_from_angle or exchange_overlap call; an r-sweep
     builds its one theta's overlap once."""
-    import spinor_efimov.spin as spin
-
     calls = []
 
     def counted(name, fn):
