@@ -25,7 +25,8 @@ h_j = f - g o_j = 0 over the eigenvalues o_j of O, whose eigenvectors
 span the null spaces.  No grid is scanned: phi = f/g is monotone on the
 imaginary axis and between its turning points and poles on the real one,
 so each such branch holds one root of h_j where h_j changes sign over
-it.
+it.  One table of phi over each branch, shared by every spec solved
+together, narrows that bracket to one table step.
 
 Finite mode rests on the form of every overlap ChannelMatrixSpec admits,
 O = 2I - 3 V V^T with V of at most two orthonormal columns: the matrix
@@ -107,6 +108,8 @@ _RANK_TOL = 1e-12
 _GAP = 1e-7
 #: points of the fine scan of a near-zero dip, over its two grid cells
 _FINE = 65
+#: points of the table of phi over each monotone branch (_scalar_brackets)
+_PHI_TABLE = 1024
 #: error bound of a computed normalized eigenvalue, relative to the bound
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
 #: eigh is backward stable and the entries carry a few eps each)
@@ -876,37 +879,74 @@ def _branch_ends(axis: str, x_max: float) -> np.ndarray:
     return np.sort(ends)
 
 
+def _scalar_h(axis: str, x, o_j):
+    """h_j = f - g o_j of the asymptotic matrix f(x) I - g(x) O (R/a = 0)
+    at x, elementwise over the broadcast shape of x and o_j."""
+    g, f = _AXES[axis][0](x, np.zeros(1))
+    return f[..., 0] - g * o_j
+
+
+def _scalar_brackets(axis: str, x_max: float, o):
+    """Brackets of the roots of h_j over the eigenvalues o (spec, j),
+    arrays (spec, j, lo, hi, h_j(lo), h_j(hi)), by branch.  A branch (lo,
+    hi] of phi (_branch_ends) holds a root of h_j where h_j changes sign
+    over it or is zero at hi.  One table of phi at _PHI_TABLE even points
+    over each branch, its ends included, serves every spec: phi is
+    monotone there, so searchsorted puts o_j between two neighbours, and
+    where h_j changes sign between them (or is zero at the right one)
+    they are its bracket; elsewhere, as where phi ties o_j at a table
+    point, the whole branch is."""
+    ends = _branch_ends(axis, x_max)
+    x = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * (
+        np.arange(_PHI_TABLE) / (_PHI_TABLE - 1))
+    x[:, -1] = ends[1:]
+    g, f = _AXES[axis][0](x, np.zeros(1))
+    f = f[..., 0]
+    # h_j at the branch ends, (spec, branch, j)
+    h_lo = f[:, 0, None] - g[:, 0, None] * o[:, None, :]
+    h_hi = f[:, -1, None] - g[:, -1, None] * o[:, None, :]
+    p, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
+                         | (h_hi == 0.0))
+    o_j = o[p, j]
+    # phi rises or falls on a branch: searched as +-phi, it rises
+    rise = np.where(f[:, -1] / g[:, -1] > f[:, 0] / g[:, 0], 1.0, -1.0)
+    key = rise[:, None] * (f / g)
+    k = np.empty(p.size, dtype=int)
+    for c in sorted(set(b.tolist())):  # no np.unique: it loads numpy.ma
+        on = b == c
+        k[on] = np.searchsorted(key[c], rise[c] * o_j[on])
+    k = np.clip(k, 1, _PHI_TABLE - 1)
+    t_lo = f[b, k - 1] - g[b, k - 1] * o_j
+    t_hi = f[b, k] - g[b, k] * o_j
+    ok = (np.sign(t_lo) * np.sign(t_hi) < 0.0) | (t_hi == 0.0)
+    return (p, j, np.where(ok, x[b, k - 1], ends[b]),
+            np.where(ok, x[b, k], ends[b + 1]),
+            np.where(ok, t_lo, h_lo[p, b, j]),
+            np.where(ok, t_hi, h_hi[p, b, j]))
+
+
 def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     """Roots of asymptotic specs (D = I) in their shared window x_max, as
     _finite_roots gives them, from h_j = f - g o_j over the overlaps'
-    eigenpairs.  A branch (lo, hi] of phi holds a root of h_j where h_j
-    changes sign over it or is zero at hi.  No root is tangent: every
-    admitted o_j is 2 or -1, and no turning value of phi lies within
-    0.008 of either (the nearest is -1.00832 at s = 2.0836).  _refine
-    solves all brackets at once from the values of h_j.  A root's null
-    vectors are the eigenvectors of its o_j, its residual their largest
-    ||A(x) v||."""
-    terms = _AXES[axis][0]  # g and f of f(x) I - g(x) O, with R/a = 0
-
-    def h_of(x, o_j):
-        g, f = terms(x, np.zeros(1))
-        return f[..., 0] - g * o_j
-
+    eigenpairs, bracketed by _scalar_brackets.  No root is tangent: the
+    eigenvalues o_j of an admitted active overlap 2I - 3 V_a V_a^T lie in
+    [-1, 2] (2 and -1 alone with no channel closed), and the turning
+    values of phi nearest that range are -1.00832 (at s = 2.0836) and
+    2.14316 (at s = 4.2446).  _refine solves all brackets at once from
+    the values of h_j.  A root's null vectors are the eigenvectors of its
+    o_j, its residual their largest ||A(x) v||."""
     o, vec = np.linalg.eigh(stack.overlap)
-    ends = _branch_ends(axis, x_max)
-    h = h_of(ends[:, None], o[:, None, :])  # (spec, end, j)
-    h_lo, h_hi = h[:, :-1], h[:, 1:]
-    p, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
-                         | (h_hi == 0.0))
-    values = _refine(lambda idx, x: h_of(x, o[p[idx], j[idx]]), ends[b],
-                     ends[b + 1], h_lo[p, b, j], h_hi[p, b, j])
+    p, j, lo, hi, h_lo, h_hi = _scalar_brackets(axis, x_max, o)
+    values = _refine(lambda idx, x: _scalar_h(axis, x, o[p[idx], j[idx]]),
+                     lo, hi, h_lo, h_hi)
     order, start, grp_p, grp_value, size = _merge(p, values)
     p, j = p[order], j[order]
     # the roots of one o_j are further apart than MERGE_TOL unless they
     # flank a pole, where h_j ~ 6k fails their mean's residual
     group = np.repeat(np.arange(start.size), size)
     v = vec[p, :, j]
-    a = _assemble(*terms(grp_value, np.zeros(1)), stack.overlap[grp_p])
+    a = _assemble(*_AXES[axis][0](grp_value, np.zeros(1)),
+                  stack.overlap[grp_p])
     res = np.linalg.norm((a[group] @ v[:, :, None])[..., 0], axis=-1)
     residual = np.maximum.reduceat(res, start)
     groups = []
