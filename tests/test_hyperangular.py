@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
 import spinor_efimov.spin as spin
+from spinor_efimov.refine import _tol
 from spinor_efimov.config import parse_config
 from spinor_efimov.runner import _conditioned_matrix, run
 from spinor_efimov.spin import (
@@ -926,10 +927,11 @@ def test_real_branches_are_monotone(s_max):
 @pytest.mark.parametrize("turn", [1, 2])
 def test_admitted_overlaps_have_no_tangent_root(turn):
     """At the turning points t of phi below 5 (2.0836, a minimum, and
-    4.2446, a maximum) phi(t) lies at least 0.008 from 2 and -1, the only
-    eigenvalues ChannelMatrixSpec admits, so the scalar solver meets no
-    tangent root: the one-state problems o = 2 and o = -1 have simple
-    roots only, none within 0.05 of t, and no warning."""
+    4.2446, a maximum) phi(t) lies at least 0.008 from 2 and -1, the
+    eigenvalues of an admitted overlap with no channel closed, so the
+    scalar solver meets no tangent root: the one-state problems o = 2 and
+    o = -1 have simple roots only, none within 0.05 of t, and no
+    warning."""
     t = hyperangular._branch_ends("real", 5.0)[turn]
     f, g = _terms("real", t)
     assert min(abs(f / g - 2.0), abs(f / g + 1.0)) > 0.008
@@ -942,6 +944,104 @@ def test_admitted_overlaps_have_no_tangent_root(turn):
         assert np.all((roots.multiplicity == 1)
                       & (np.abs(roots.value - t) > 0.05))
 
+
+
+def test_no_turning_value_of_phi_lies_in_the_admitted_range():
+    """Every turning value of phi that the real-axis branches up to
+    S_MAX_LIMIT bracket lies outside [-1, 2], where the eigenvalues of
+    every admitted active overlap 2I - 3 V_a V_a^T lie (V_a, rows of
+    orthonormal columns, has singular values in [0, 1]); the nearest are
+    -1.00832 at s = 2.0836 and 2.14316 at s = 4.2446.  So no root of an
+    h_j is tangent, also with channels closed."""
+    ends = hyperangular._branch_ends("real", hyperangular.S_MAX_LIMIT)
+    turns = ends[1:-1][ends[1:-1] % 6.0 != 0.0]  # the rest are poles 6k
+    assert turns.size == 33
+    f, g = _terms("real", turns)
+    phi = f / g
+    assert not np.any((phi >= -1.0) & (phi <= 2.0))
+    assert phi[phi < -1.0].max() == pytest.approx(-1.00832, abs=5e-6)
+    assert phi[phi > 2.0].min() == pytest.approx(2.14316, abs=5e-6)
+    for seed in range(20):
+        overlap = _physical_overlap(seed, 6, 2)
+        active = np.random.default_rng(seed).permutation(6)[:seed % 6 + 1]
+        o = np.linalg.eigvalsh(overlap[np.ix_(active, active)])
+        assert np.all((o >= -1.0 - 1e-12) & (o <= 2.0 + 1e-12))
+
+
+def _branch_refined(axis, x_max, o):
+    """The roots of h_j over the eigenvalues o (j), each refined from its
+    whole branch of phi: (j, value) by branch."""
+    ends = hyperangular._branch_ends(axis, x_max)
+    h = hyperangular._scalar_h(axis, ends[:, None], o)
+    h_lo, h_hi = h[:-1], h[1:]
+    b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
+                      | (h_hi == 0.0))
+    return j, hyperangular._refine(
+        lambda idx, x: hyperangular._scalar_h(axis, x, o[j[idx]]), ends[b],
+        ends[b + 1], h_lo[b, j], h_hi[b, j])
+
+
+def _table_refined(axis, x_max, o):
+    """The same roots refined from _scalar_brackets: (j, value, lo, hi)."""
+    p, j, lo, hi, h_lo, h_hi = hyperangular._scalar_brackets(axis, x_max,
+                                                             o[None])
+    assert np.all(p == 0)
+    return j, hyperangular._refine(
+        lambda idx, x: hyperangular._scalar_h(axis, x, o[j[idx]]), lo, hi,
+        h_lo, h_hi), lo, hi
+
+
+def _phi_table(axis, x_max):
+    """phi over _scalar_brackets' table, (branch, point), as it computes
+    it."""
+    ends = hyperangular._branch_ends(axis, x_max)
+    n = hyperangular._PHI_TABLE
+    x = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * (
+        np.arange(n) / (n - 1))
+    x[:, -1] = ends[1:]
+    f, g = _terms(axis, x)
+    return f / g
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(o=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6),
+       axis=st.sampled_from(["imaginary", "real"]),
+       kappa_max=st.floats(0.5, 50.0),
+       s_max=st.floats(2.0, hyperangular.S_MAX_LIMIT),
+       point=st.integers(0, hyperangular._PHI_TABLE - 1))
+def test_table_brackets_give_the_branch_roots(o, axis, kappa_max, s_max,
+                                              point):
+    """Refined from one step of the shared phi table, each root of h_j is
+    the one refined from its whole branch, within _tol: for random o_j in
+    [-1, 2], an o_j equal to a table value of phi in [-1, 2] and one
+    equal to phi at the window's top, the upper end of the last
+    branch."""
+    x_max = kappa_max if axis == "imaginary" else s_max
+    phi = _phi_table(axis, x_max)
+    inside = phi[(phi >= -1.0) & (phi <= 2.0)]
+    o = np.array(o + [inside[point % inside.size], phi[-1, -1]])
+    j, want = _branch_refined(axis, x_max, o)
+    got_j, got, lo, hi = _table_refined(axis, x_max, o)
+    assert got_j.tolist() == j.tolist()
+    assert np.all(np.abs(got - want) <= _tol(want, want))
+    assert np.all((lo < got) & (got <= hi))
+
+
+def test_a_failed_table_step_falls_back_to_the_branch(monkeypatch):
+    """Where o_j's table step holds no sign change of h_j, here because a
+    searchsorted that lands on the first step of every branch is forced,
+    its bracket is the whole branch, and the roots are those refined from
+    the branches."""
+    o = np.linspace(-1.0, 2.0, 13)
+    want_j, want = _branch_refined("real", 12.0, o)
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v: np.zeros(np.shape(v), dtype=int))
+    j, got, lo, hi = _table_refined("real", 12.0, o)
+    ends = hyperangular._branch_ends("real", 12.0)
+    whole = np.isin(lo, ends) & np.isin(hi, ends)
+    assert np.all(whole)
+    assert j.tolist() == want_j.tolist()
+    assert np.all(np.abs(got - want) <= _tol(want, want))
 
 def _physical_overlap(seed, n_states, rank):
     """A random overlap of the physical form 2I - 3 Q Q^T, Q a random
@@ -1601,9 +1701,9 @@ def test_refine_returns_an_exact_zero_at_a_step():
 
 def test_admixture_sweep_refinement_work(monkeypatch):
     """The 201-point admixture sweep refines its scalar brackets and
-    turning points in at most 18,000 function evaluations (17,399 with
-    this refinement; without the Illinois halving 21,170, by bisection
-    49,723)."""
+    turning points in at most 6,800 function evaluations (6,241 from one
+    step of the phi table; 17,399 from whole branches, 21,170 then
+    without the Illinois halving and 49,723 by bisection)."""
     refine = hyperangular._refine
     points = []
 
@@ -1617,7 +1717,7 @@ def test_admixture_sweep_refinement_work(monkeypatch):
     table = theta_sweep(np.linspace(0.0, 0.5 * math.pi, 201), "closed",
                         "unitary", "closed", s_max=5.0)
     assert table.roots.value.size > 201
-    assert sum(points) <= 18_000
+    assert sum(points) <= 6_800
 
 
 def _invariance_roots(seed):
