@@ -901,7 +901,7 @@ def _scalar_brackets(axis: str, x_max: float, o):
         np.arange(_PHI_TABLE) / (_PHI_TABLE - 1))
     x[:, -1] = ends[1:]
     g, f = _AXES[axis][0](x, np.zeros(1))
-    f = f[..., 0]
+    f, phi = f[..., 0], f[..., 0] / g
     # h_j at the branch ends, (spec, branch, j)
     h_lo = f[:, 0, None] - g[:, 0, None] * o[:, None, :]
     h_hi = f[:, -1, None] - g[:, -1, None] * o[:, None, :]
@@ -909,10 +909,10 @@ def _scalar_brackets(axis: str, x_max: float, o):
                          | (h_hi == 0.0))
     o_j = o[p, j]
     # phi rises or falls on a branch: searched as +-phi, it rises
-    rise = np.where(f[:, -1] / g[:, -1] > f[:, 0] / g[:, 0], 1.0, -1.0)
-    key = rise[:, None] * (f / g)
+    rise = np.where(phi[:, -1] > phi[:, 0], 1.0, -1.0)
+    key = rise[:, None] * phi
     k = np.empty(p.size, dtype=int)
-    for c in sorted(set(b.tolist())):  # no np.unique: it loads numpy.ma
+    for c in set(b.tolist()):  # no np.unique: it loads numpy.ma
         on = b == c
         k[on] = np.searchsorted(key[c], rise[c] * o_j[on])
     k = np.clip(k, 1, _PHI_TABLE - 1)
