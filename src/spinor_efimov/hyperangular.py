@@ -26,7 +26,7 @@ span the null spaces.  No grid is scanned: phi = f/g is monotone on the
 imaginary axis and between its turning points and poles on the real one,
 so each such branch holds one root of h_j where h_j changes sign over
 it.  One table of phi over each branch, shared by every spec solved
-together, narrows that bracket to one table step.
+together, narrows that bracket to one table step (scalar).
 
 Finite mode rests on the form of every overlap ChannelMatrixSpec admits,
 O = 2I - 3 V V^T with V of at most two orthonormal columns: the matrix
@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import scalar
 from .refine import _EPS, _refine, _tol
 from .spin import (
     ChannelLength,
@@ -108,8 +109,6 @@ _RANK_TOL = 1e-12
 _GAP = 1e-7
 #: points of the fine scan of a near-zero dip, over its two grid cells
 _FINE = 65
-#: points of the table of phi over each monotone branch (_scalar_brackets)
-_PHI_TABLE = 1024
 #: error bound of a computed normalized eigenvalue, relative to the bound
 #: 1 + 2x + (4/sqrt(3)) ||D O D|| on the matrix norm at x (about 4,500 eps;
 #: eigh is backward stable and the entries carry a few eps each)
@@ -230,25 +229,18 @@ class ChannelMatrixSpec:
                          if self.lengths[ch].kind != "closed"], dtype=int)
 
 
-def _prechecked_spec(overlap: ExchangeOverlap,
-                     hyperradius) -> ChannelMatrixSpec:
-    """ChannelMatrixSpec.from_overlap without its checks, for an overlap
-    and R its caller has checked."""
-    return _prechecked(ChannelMatrixSpec, lengths=tuple(
-        overlap.channels.lengths), overlap=overlap.matrix,
-        state_channel=(0, 0, 1, 1, 2, 2), hyperradius=hyperradius,
-        channels=overlap.channels)
-
-
-def _overlap_specs(overlaps, hyperradius) -> list[ChannelMatrixSpec]:
+def _overlap_specs(overlaps, radii) -> list[ChannelMatrixSpec]:
     """ChannelMatrixSpec.from_overlap of each overlap of one checked stack
-    (exactly symmetric, _exchange_overlaps) at one R: the form of the
+    (exactly symmetric, _exchange_overlaps) at its R: the form of the
     overlaps is checked as one stack, the lengths and R spec by spec."""
     _check_form(np.array([o.matrix for o in overlaps]).reshape(-1, 6, 6))
-    specs = [_prechecked_spec(o, hyperradius) for o in overlaps]
+    specs = [_prechecked(ChannelMatrixSpec, lengths=tuple(o.channels.lengths),
+                         overlap=o.matrix, state_channel=(0, 0, 1, 1, 2, 2),
+                         hyperradius=r, channels=o.channels)
+             for o, r in zip(overlaps, radii)]
     for spec in specs:
         if spec.mode == "finite":
-            _check_finite(spec.lengths, hyperradius)
+            _check_finite(spec.lengths, spec.hyperradius)
     return specs
 
 
@@ -854,29 +846,11 @@ def _finite_roots(stack: _SpecStack, axis: str, x_max, n_grid: int, warns):
     return grp_p, grp_value, residual, groups
 
 
-def _phi_slope(s):
-    """A positive multiple of phi' g^2 = f' g - f g' on the real axis."""
-    c, sn = np.cos(0.5 * math.pi * s), np.sin(0.5 * math.pi * s)
-    return (c - 0.5 * math.pi * s * sn) * np.sin(math.pi * s / 6.0) \
-        - (math.pi / 6.0) * s * c * np.cos(math.pi * s / 6.0)
-
-
 def _branch_ends(axis: str, x_max: float) -> np.ndarray:
-    """Ends of the monotone branches of phi = f/g over the window
-    [GRID_EPS, top] of an axis, top the scan grid's last point.  phi rises
-    strictly on the imaginary axis, so the window is one branch; on the
-    real axis the inner ends are the sign changes of phi' (sampled every
-    1/64 and refined) and the poles s = 6k of phi, where h_j = f != 0."""
-    top = float(_grid(axis, x_max, 2, 1))
-    ends = [GRID_EPS, top]  # branches are half-open, (lo, hi]
-    if axis == "real":
-        s = np.append(np.arange(1, math.ceil(64.0 * top)) / 64.0, top)
-        slope = _phi_slope(s)
-        i = np.nonzero((slope[:-1] < 0.0) != (slope[1:] < 0.0))[0]
-        ends += [*_refine(lambda idx, x: _phi_slope(x), s[i], s[i + 1],
-                          slope[i], slope[i + 1]),
-                 *6.0 * np.arange(1, math.ceil(top / 6.0))]
-    return np.sort(ends)
+    """Ends of the monotone branches of phi over the window [GRID_EPS,
+    top] of an axis, top the scan grid's last point (scalar._ends)."""
+    return scalar._ends(GRID_EPS, float(_grid(axis, x_max, 2, 1)),
+                        axis == "real")
 
 
 def _scalar_h(axis: str, x, o_j):
@@ -886,49 +860,10 @@ def _scalar_h(axis: str, x, o_j):
     return f[..., 0] - g * o_j
 
 
-def _scalar_brackets(axis: str, x_max: float, o):
-    """Brackets of the roots of h_j over the eigenvalues o (spec, j),
-    arrays (spec, j, lo, hi, h_j(lo), h_j(hi)), by branch.  A branch (lo,
-    hi] of phi (_branch_ends) holds a root of h_j where h_j changes sign
-    over it or is zero at hi.  One table of phi at _PHI_TABLE even points
-    over each branch, its ends included, serves every spec: phi is
-    monotone there, so searchsorted puts o_j between two neighbours, and
-    where h_j changes sign between them (or is zero at the right one)
-    they are its bracket; elsewhere, as where phi ties o_j at a table
-    point, the whole branch is."""
-    ends = _branch_ends(axis, x_max)
-    x = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * (
-        np.arange(_PHI_TABLE) / (_PHI_TABLE - 1))
-    x[:, -1] = ends[1:]
-    g, f = _AXES[axis][0](x, np.zeros(1))
-    f, phi = f[..., 0], f[..., 0] / g
-    # h_j at the branch ends, (spec, branch, j)
-    h_lo = f[:, 0, None] - g[:, 0, None] * o[:, None, :]
-    h_hi = f[:, -1, None] - g[:, -1, None] * o[:, None, :]
-    p, b, j = np.nonzero((np.sign(h_lo) * np.sign(h_hi) < 0.0)
-                         | (h_hi == 0.0))
-    o_j = o[p, j]
-    # phi rises or falls on a branch: searched as +-phi, it rises
-    rise = np.where(phi[:, -1] > phi[:, 0], 1.0, -1.0)
-    key = rise[:, None] * phi
-    k = np.empty(p.size, dtype=int)
-    for c in set(b.tolist()):  # no np.unique: it loads numpy.ma
-        on = b == c
-        k[on] = np.searchsorted(key[c], rise[c] * o_j[on])
-    k = np.clip(k, 1, _PHI_TABLE - 1)
-    t_lo = f[b, k - 1] - g[b, k - 1] * o_j
-    t_hi = f[b, k] - g[b, k] * o_j
-    ok = (np.sign(t_lo) * np.sign(t_hi) < 0.0) | (t_hi == 0.0)
-    return (p, j, np.where(ok, x[b, k - 1], ends[b]),
-            np.where(ok, x[b, k], ends[b + 1]),
-            np.where(ok, t_lo, h_lo[p, b, j]),
-            np.where(ok, t_hi, h_hi[p, b, j]))
-
-
 def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     """Roots of asymptotic specs (D = I) in their shared window x_max, as
     _finite_roots gives them, from h_j = f - g o_j over the overlaps'
-    eigenpairs, bracketed by _scalar_brackets.  No root is tangent: the
+    eigenpairs, bracketed by scalar._brackets.  No root is tangent: the
     eigenvalues o_j of an admitted active overlap 2I - 3 V_a V_a^T lie in
     [-1, 2] (2 and -1 alone with no channel closed), and the turning
     values of phi nearest that range are -1.00832 (at s = 2.0836) and
@@ -936,7 +871,8 @@ def _scalar_roots(stack: _SpecStack, axis: str, x_max: float):
     the values of h_j.  A root's null vectors are the eigenvectors of its
     o_j, its residual their largest ||A(x) v||."""
     o, vec = np.linalg.eigh(stack.overlap)
-    p, j, lo, hi, h_lo, h_hi = _scalar_brackets(axis, x_max, o)
+    p, j, lo, hi, h_lo, h_hi = scalar._brackets(
+        _AXES[axis][0], _branch_ends(axis, x_max), o)
     values = _refine(lambda idx, x: _scalar_h(axis, x, o[p[idx], j[idx]]),
                      lo, hi, h_lo, h_hi)
     order, start, grp_p, grp_value, size = _merge(p, values)
@@ -1159,15 +1095,7 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     else:  # one theta for every R
         overlaps = [exchange_overlap(channels_from_angle(thetas[0], *lengths))
                     ] * len(radii)
-    # the points share one length triple, their overlaps come from one
-    # checked stack (exactly symmetric) and their radii from a checked
-    # ascending grid, so the checks of the first point and of the last
-    # radius stand for every spec
-    first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
-    if first.mode == "finite":
-        _check_finite(lengths, radii[-1])
-    specs = [first] + [_prechecked_spec(o, r)
-                       for o, r in zip(overlaps[1:], radii[1:])]
+    specs = _overlap_specs(overlaps, radii)
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     # one length triple: every spec shares the mode and active states
     warns, roots = _root_table(specs, [range(len(specs))], [
@@ -1180,7 +1108,7 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     window = {k: l.describe()
               for k, l in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
     return SweepTable(kind, [float(t) for t in thetas], list(radii),
-                      first.mode, roots, _curve_ids(roots, len(specs)),
+                      specs[0].mode, roots, _curve_ids(roots, len(specs)),
                       window, all_warnings)
 
 

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 import spinor_efimov.hyperangular as hyperangular
 import spinor_efimov.runner as runner
+import spinor_efimov.scalar as scalar
 import spinor_efimov.spin as spin
 from spinor_efimov.refine import _tol
 from spinor_efimov.config import parse_config
@@ -181,7 +182,7 @@ def test_overlap_specs_are_the_checked_specs(lengths, radius):
     finite lengths without R > 0."""
     overlaps = spin._exchange_overlaps(
         [channels_from_angle(t, *lengths) for t in (0.0, 0.4, 1.1)])
-    got = hyperangular._overlap_specs(overlaps, radius)
+    got = hyperangular._overlap_specs(overlaps, [radius] * 3)
     for spec, o in zip(got, overlaps, strict=True):
         want = ChannelMatrixSpec.from_overlap(o, hyperradius=radius)
         assert np.array_equal(spec.overlap, want.overlap)
@@ -192,10 +193,10 @@ def test_overlap_specs_are_the_checked_specs(lengths, radius):
         spin.ExchangeOverlap, matrix=overlaps[2].matrix + 0.01 * np.eye(6),
         channels=overlaps[2].channels)]
     with pytest.raises(HyperangularError, match="2I - 3 V V"):
-        hyperangular._overlap_specs(bad, radius)
+        hyperangular._overlap_specs(bad, [radius] * 3)
     if radius is not None:
         with pytest.raises(HyperangularError, match="hyperradius > 0"):
-            hyperangular._overlap_specs(overlaps, 0.0)
+            hyperangular._overlap_specs(overlaps, [0.0] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -982,9 +983,11 @@ def _branch_refined(axis, x_max, o):
 
 
 def _table_refined(axis, x_max, o):
-    """The same roots refined from _scalar_brackets: (j, value, lo, hi)."""
-    p, j, lo, hi, h_lo, h_hi = hyperangular._scalar_brackets(axis, x_max,
-                                                             o[None])
+    """The same roots refined from scalar._brackets: (j, value, lo,
+    hi)."""
+    p, j, lo, hi, h_lo, h_hi = scalar._brackets(
+        hyperangular._AXES[axis][0], hyperangular._branch_ends(axis, x_max),
+        o[None])
     assert np.all(p == 0)
     return j, hyperangular._refine(
         lambda idx, x: hyperangular._scalar_h(axis, x, o[j[idx]]), lo, hi,
@@ -992,11 +995,11 @@ def _table_refined(axis, x_max, o):
 
 
 def _phi_table(axis, x_max):
-    """phi over _scalar_brackets' table, (branch, point), as it computes
+    """phi over scalar._brackets' table, (branch, point), as it computes
     it."""
     ends = hyperangular._branch_ends(axis, x_max)
-    n = hyperangular._PHI_TABLE
-    x = ends[:-1, None] + (ends[1:] - ends[:-1])[:, None] * (
+    n = scalar._TABLE
+    x = ends[:-1, None] + np.diff(ends)[:, None] * (
         np.arange(n) / (n - 1))
     x[:, -1] = ends[1:]
     f, g = _terms(axis, x)
@@ -1008,7 +1011,7 @@ def _phi_table(axis, x_max):
        axis=st.sampled_from(["imaginary", "real"]),
        kappa_max=st.floats(0.5, 50.0),
        s_max=st.floats(2.0, hyperangular.S_MAX_LIMIT),
-       point=st.integers(0, hyperangular._PHI_TABLE - 1))
+       point=st.integers(0, scalar._TABLE - 1))
 def test_table_brackets_give_the_branch_roots(o, axis, kappa_max, s_max,
                                               point):
     """Refined from one step of the shared phi table, each root of h_j is
@@ -1700,10 +1703,11 @@ def test_refine_returns_an_exact_zero_at_a_step():
 
 
 def test_admixture_sweep_refinement_work(monkeypatch):
-    """The 201-point admixture sweep refines its scalar brackets and
-    turning points in at most 6,800 function evaluations (6,241 from one
-    step of the phi table; 17,399 from whole branches, 21,170 then
-    without the Illinois halving and 49,723 by bisection)."""
+    """The 201-point admixture sweep refines its scalar brackets in at
+    most 6,800 function evaluations: 6,226 from one step of the phi
+    table.  From whole branches it took 17,399 with the 15 of the turning
+    points of phi, which scalar._ends now refines (21,170 then without
+    the Illinois halving, 49,723 by bisection)."""
     refine = hyperangular._refine
     points = []
 
