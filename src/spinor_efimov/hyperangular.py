@@ -229,18 +229,25 @@ class ChannelMatrixSpec:
                          if self.lengths[ch].kind != "closed"], dtype=int)
 
 
-def _overlap_specs(overlaps, radii) -> list[ChannelMatrixSpec]:
+def _prechecked_spec(overlap: ExchangeOverlap,
+                     hyperradius) -> ChannelMatrixSpec:
+    """ChannelMatrixSpec.from_overlap without its checks, for an overlap
+    and R its caller has checked."""
+    return _prechecked(ChannelMatrixSpec, lengths=tuple(
+        overlap.channels.lengths), overlap=overlap.matrix,
+        state_channel=(0, 0, 1, 1, 2, 2), hyperradius=hyperradius,
+        channels=overlap.channels)
+
+
+def _overlap_specs(overlaps, hyperradius) -> list[ChannelMatrixSpec]:
     """ChannelMatrixSpec.from_overlap of each overlap of one checked stack
-    (exactly symmetric, _exchange_overlaps) at its R: the form of the
+    (exactly symmetric, _exchange_overlaps) at one R: the form of the
     overlaps is checked as one stack, the lengths and R spec by spec."""
     _check_form(np.array([o.matrix for o in overlaps]).reshape(-1, 6, 6))
-    specs = [_prechecked(ChannelMatrixSpec, lengths=tuple(o.channels.lengths),
-                         overlap=o.matrix, state_channel=(0, 0, 1, 1, 2, 2),
-                         hyperradius=r, channels=o.channels)
-             for o, r in zip(overlaps, radii)]
+    specs = [_prechecked_spec(o, hyperradius) for o in overlaps]
     for spec in specs:
         if spec.mode == "finite":
-            _check_finite(spec.lengths, spec.hyperradius)
+            _check_finite(spec.lengths, hyperradius)
     return specs
 
 
@@ -1095,7 +1102,15 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     else:  # one theta for every R
         overlaps = [exchange_overlap(channels_from_angle(thetas[0], *lengths))
                     ] * len(radii)
-    specs = _overlap_specs(overlaps, radii)
+    # the points share one length triple, their overlaps come from one
+    # checked stack (exactly symmetric) and their radii from a checked
+    # ascending grid, so the checks of the first point and of the last
+    # radius stand for every spec
+    first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
+    if first.mode == "finite":
+        _check_finite(lengths, radii[-1])
+    specs = [first] + [_prechecked_spec(o, r)
+                       for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     # one length triple: every spec shares the mode and active states
     warns, roots = _root_table(specs, [range(len(specs))], [
@@ -1108,7 +1123,7 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     window = {k: l.describe()
               for k, l in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
     return SweepTable(kind, [float(t) for t in thetas], list(radii),
-                      specs[0].mode, roots, _curve_ids(roots, len(specs)),
+                      first.mode, roots, _curve_ids(roots, len(specs)),
                       window, all_warnings)
 
 

@@ -306,8 +306,7 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     for trial, flip in enumerate(flips):
         base, rotated = sets[2 * trial: 2 * trial + 2]
         channels += [base, rotated, base.flip_sign(flip)]
-    specs = _overlap_specs(_exchange_overlaps(channels),
-                           [cfg.radius] * len(channels))
+    specs = _overlap_specs(_exchange_overlaps(channels), cfg.radius)
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)

@@ -182,7 +182,7 @@ def test_overlap_specs_are_the_checked_specs(lengths, radius):
     finite lengths without R > 0."""
     overlaps = spin._exchange_overlaps(
         [channels_from_angle(t, *lengths) for t in (0.0, 0.4, 1.1)])
-    got = hyperangular._overlap_specs(overlaps, [radius] * 3)
+    got = hyperangular._overlap_specs(overlaps, radius)
     for spec, o in zip(got, overlaps, strict=True):
         want = ChannelMatrixSpec.from_overlap(o, hyperradius=radius)
         assert np.array_equal(spec.overlap, want.overlap)
@@ -193,10 +193,10 @@ def test_overlap_specs_are_the_checked_specs(lengths, radius):
         spin.ExchangeOverlap, matrix=overlaps[2].matrix + 0.01 * np.eye(6),
         channels=overlaps[2].channels)]
     with pytest.raises(HyperangularError, match="2I - 3 V V"):
-        hyperangular._overlap_specs(bad, [radius] * 3)
+        hyperangular._overlap_specs(bad, radius)
     if radius is not None:
         with pytest.raises(HyperangularError, match="hyperradius > 0"):
-            hyperangular._overlap_specs(overlaps, [0.0] * 3)
+            hyperangular._overlap_specs(overlaps, 0.0)
 
 
 # ---------------------------------------------------------------------------
