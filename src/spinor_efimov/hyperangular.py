@@ -68,6 +68,7 @@ from .spin import (
     TwoBodyChannelSet,
     _angle_channels,
     _exchange_overlaps,
+    _positive_lead,
     _prechecked,
     as_length,
     channels_from_angle,
@@ -166,7 +167,9 @@ class ChannelMatrixSpec:
     finite or closed, R > 0), else asymptotic (R never enters).
     overlap must be 2I - 3 V V^T with V of at most two orthonormal
     columns: O^2 = O + 2I to _FORM_TOL, and 2n - trace O = 3 rank V at
-    most 6.  channels, when set, gives the roots their spin profiles.
+    most 6.  A raw array is checked for it; an ExchangeOverlap
+    (from_overlap) has it by construction.  channels, when set, gives the
+    roots their spin profiles.
     """
 
     lengths: tuple[ChannelLength, ...]
@@ -198,14 +201,13 @@ class ChannelMatrixSpec:
     @staticmethod
     def from_overlap(overlap: ExchangeOverlap,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
-        """The six-state problem of the overlap's channel set."""
-        return ChannelMatrixSpec(
-            lengths=tuple(overlap.channels.lengths),
-            overlap=overlap.matrix,
-            state_channel=(0, 0, 1, 1, 2, 2),
-            hyperradius=hyperradius,
-            channels=overlap.channels,
-        )
+        """The six-state problem of the overlap's channel set; only the
+        lengths and R are checked, the overlap's form holds by
+        construction (spin.ExchangeOverlap)."""
+        spec = _prechecked_spec(overlap, hyperradius)
+        if spec.mode == "finite":
+            _check_finite(spec.lengths, hyperradius)
+        return spec
 
     @staticmethod
     def single_level(a,
@@ -231,24 +233,12 @@ class ChannelMatrixSpec:
 
 def _prechecked_spec(overlap: ExchangeOverlap,
                      hyperradius) -> ChannelMatrixSpec:
-    """ChannelMatrixSpec.from_overlap without its checks, for an overlap
-    and R its caller has checked."""
+    """ChannelMatrixSpec.from_overlap without its checks, for lengths and
+    R its caller has checked."""
     return _prechecked(ChannelMatrixSpec, lengths=tuple(
         overlap.channels.lengths), overlap=overlap.matrix,
         state_channel=(0, 0, 1, 1, 2, 2), hyperradius=hyperradius,
         channels=overlap.channels)
-
-
-def _overlap_specs(overlaps, hyperradius) -> list[ChannelMatrixSpec]:
-    """ChannelMatrixSpec.from_overlap of each overlap of one checked stack
-    (exactly symmetric, _exchange_overlaps) at one R: the form of the
-    overlaps is checked as one stack, the lengths and R spec by spec."""
-    _check_form(np.array([o.matrix for o in overlaps]).reshape(-1, 6, 6))
-    specs = [_prechecked_spec(o, hyperradius) for o in overlaps]
-    for spec in specs:
-        if spec.mode == "finite":
-            _check_finite(spec.lengths, hyperradius)
-    return specs
 
 
 def _imag_terms(kappas, r_over_a):
@@ -923,13 +913,9 @@ def _root_table(specs, batches, windows, n_grid: int = N_GRID):
                                         [warns[j] for j in idx.tolist()])
                           if stack.finite else
                           _scalar_roots(stack, axis, window[0]))
-            for i, active in g:
-                # each column's largest-magnitude entry positive, zeros on
-                # the closed states
-                top = np.take_along_axis(
-                    active, np.argmax(np.abs(active), axis=1)[:, None, :], 1)
+            for i, active in g:  # zeros on the closed states
                 nv = np.zeros((i.size, stack.n_states, active.shape[-1]))
-                nv[:, stack.active, :] = np.where(top < 0.0, -active, active)
+                nv[:, stack.active, :] = _positive_lead(active)
                 groups.append((i + n, nv))
             p, value, residual = p + [idx[q]], value + [v], residual + [r]
             real.append(np.full(q.size, axis == "real"))
@@ -1102,15 +1088,13 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     else:  # one theta for every R
         overlaps = [exchange_overlap(channels_from_angle(thetas[0], *lengths))
                     ] * len(radii)
-    # the points share one length triple, their overlaps come from one
-    # checked stack (exactly symmetric) and their radii from a checked
-    # ascending grid, so the checks of the first point and of the last
-    # radius stand for every spec
-    first = ChannelMatrixSpec.from_overlap(overlaps[0], radii[0])
-    if first.mode == "finite":
+    # the points share one length triple and their radii come from one
+    # positive ascending grid, so the check at the last radius stands for
+    # every spec
+    specs = [_prechecked_spec(o, r) for o, r in zip(overlaps, radii)]
+    mode = specs[0].mode
+    if mode == "finite":
         _check_finite(lengths, radii[-1])
-    specs = [first] + [_prechecked_spec(o, r)
-                       for o, r in zip(overlaps[1:], radii[1:])]
     kappa_maxes = [_kappa_window(spec, kappa_max) for spec in specs]
     # one length triple: every spec shares the mode and active states
     warns, roots = _root_table(specs, [range(len(specs))], [
@@ -1123,7 +1107,7 @@ def _sweep(kind: str, thetas, radii, a_alpha, a_beta, a_gamma, kappa_max,
     window = {k: l.describe()
               for k, l in zip(("a_alpha", "a_beta", "a_gamma"), lengths)}
     return SweepTable(kind, [float(t) for t in thetas], list(radii),
-                      first.mode, roots, _curve_ids(roots, len(specs)),
+                      mode, roots, _curve_ids(roots, len(specs)),
                       window, all_warnings)
 
 

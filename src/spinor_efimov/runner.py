@@ -27,7 +27,6 @@ from .hyperangular import (
     ChannelMatrixSpec,
     RootTable,
     SweepTable,
-    _overlap_specs,
     find_roots_imaginary,
     find_roots_imaginary_batch,
     find_roots_real,
@@ -306,7 +305,8 @@ def _run_invariance(cfg: RunConfig, bundle: ResultBundle) -> None:
     for trial, flip in enumerate(flips):
         base, rotated = sets[2 * trial: 2 * trial + 2]
         channels += [base, rotated, base.flip_sign(flip)]
-    specs = _overlap_specs(_exchange_overlaps(channels), cfg.radius)
+    specs = [ChannelMatrixSpec.from_overlap(o, cfg.radius)
+             for o in _exchange_overlaps(channels)]
     sinks = [[] for _ in specs]
     roots = find_roots_imaginary_batch(specs, cfg.kappa_max,
                                        warning_sinks=sinks)

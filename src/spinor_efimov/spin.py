@@ -2,9 +2,11 @@
 
 The symmetrized pair basis is ordered (|11>, |12>_S, |22>) with
 |12>_S = (|12> + |21>)/sqrt(2).  Three-body spin states are built as
-(pair eigenchannel of particles 1,2) x (spectator level of particle 3);
-the other two Faddeev labelings are generated by cyclic relabeling when
-needed and never stored.
+(pair eigenchannel of particles 1,2) x (spectator level of particle 3).
+The spin part of the Faddeev exchange kernel is one constant 6x6 matrix
+over the (pair state, spectator level) states, _KERNEL; every channel
+set's exchange overlap is its congruence by the channel vectors, so no
+relabeled three-body state is ever built or stored.
 
 All lengths are dimensionless numbers in one fixed unit.  Only the ratios
 R/a_i enter the channel problem, so no unit handling happens here.
@@ -19,11 +21,14 @@ import numpy as np
 
 PAIR_LABELS = ("11", "12S", "22")
 
-# Pair states as symmetric 2x2 level tensors t[m1, m2], m in {0, 1}.
-_PAIR_TENSORS = np.zeros((3, 2, 2))
-_PAIR_TENSORS[0, 0, 0] = 1.0
-_PAIR_TENSORS[1, 0, 1] = _PAIR_TENSORS[1, 1, 0] = 1.0 / math.sqrt(2.0)
-_PAIR_TENSORS[2, 1, 1] = 1.0
+#: exchange overlap of the pair basis itself over the states (11,1),
+#: (11,2), (12S,1), (12S,2), (22,1), (22,2): block-diagonal in the number
+#: of atoms in level 2, with eigenvalues 2 (four times) and -1 (twice), so
+#: K^2 = K + 2I
+_KERNEL = np.zeros((6, 6))
+_KERNEL[0, 0] = _KERNEL[5, 5] = 2.0
+_KERNEL[2, 2] = _KERNEL[3, 3] = 1.0
+_KERNEL[1, 2] = _KERNEL[2, 1] = _KERNEL[3, 4] = _KERNEL[4, 3] = math.sqrt(2.0)
 
 _ORTHO_TOL = 1e-12
 
@@ -231,6 +236,14 @@ def toy_closed_form(a11: float, a22: float, a12: float,
     return _rotated_channels([theta], a_alpha, a_beta, a33)[0]
 
 
+def _positive_lead(vectors: np.ndarray) -> np.ndarray:
+    """vectors (..., n, k) with the sign of each column fixed: its
+    largest-magnitude entry (the first of equal magnitudes) positive."""
+    lead = np.take_along_axis(
+        vectors, np.argmax(np.abs(vectors), axis=-2)[..., None, :], axis=-2)
+    return np.where(lead < 0.0, -vectors, vectors)
+
+
 #: the two mixed channels, ascending, when the indexed one is gamma
 _MIXED = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -252,12 +265,7 @@ def _eigenchannels(entries: np.ndarray) -> list[TwoBodyChannelSet]:
         order = np.where(decoupled[:, None],
                          np.column_stack([mixed, gamma]), order)
     vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    # canonical sign: each vector's largest entry (the first of equal
-    # magnitudes) is positive
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None],
-                              axis=1)
-    vecs = np.where(lead < 0, -vecs, vecs)
+    vecs = _positive_lead(np.take_along_axis(vecs, order[:, None, :], axis=2))
     lengths = [tuple(as_length(v) for v in row) for row in vals.tolist()]
     return _channel_sets(lengths, vecs)
 
@@ -315,72 +323,43 @@ def one_body_rotation(phi: float, matrix: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix.from_matrix(w.T @ matrix.entries @ w)
 
 
-def _channel_pair_tensors(vectors: np.ndarray) -> np.ndarray:
-    """(P, 3, 2, 2) level tensors of the eigenchannel pair states of a
-    (P, 3, 3) channel-vector stack."""
-    return np.einsum("psi,sxy->pixy", vectors, _PAIR_TENSORS)
-
-
-def _faddeev_vectors(pair_tensors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P, 6, 8) product-space vectors of the six (channel, spectator)
-    states under the three pair labelings: (12)3, (23)1, (31)2."""
-    eye = np.eye(2)
-    shape = (len(pair_tensors), 6, 8)
-    f12 = np.einsum("pixy,mz->pimxyz", pair_tensors, eye).reshape(shape)
-    f23 = np.einsum("piyz,mx->pimxyz", pair_tensors, eye).reshape(shape)
-    f31 = np.einsum("pizx,my->pimxyz", pair_tensors, eye).reshape(shape)
-    return f12, f23, f31
-
-
-def _checked_overlaps(o: np.ndarray) -> np.ndarray:
-    """A (P, 6, 6) overlap stack, symmetrized, or the error for its first
-    matrix that is not 6x6 symmetric with entries in [-2, 2]."""
-    if o.shape[1:] != (6, 6):
-        raise SpinAlgebraError("overlap matrix must be 6x6")
-    ot = np.swapaxes(o, 1, 2)
-    dev = np.max(np.abs(o - ot), axis=(1, 2))
-    bad = np.flatnonzero(dev > _ORTHO_TOL)
-    if bad.size:
-        raise SpinAlgebraError(
-            f"overlap not symmetric (max dev {dev[bad[0]]:.3e})")
-    o = 0.5 * (o + ot)
-    if np.any(np.max(np.abs(o), axis=(1, 2)) > 2.0 + 1e-12):
-        raise SpinAlgebraError("overlap entries must lie in [-2, 2]")
-    return o
-
-
 @dataclass(frozen=True)
 class ExchangeOverlap:
-    """Spin part of the Faddeev exchange kernel.
+    """Spin part of the Faddeev exchange kernel of a channel set.
 
     Entry ((i,m),(j,m')) sums, over the two cyclic pair relabelings, the
     product-space inner product between the (1,2)-pair channel state and
-    the relabeled channel state.  Symmetric, entries in [-2, 2]; a fully
-    collapsed single-level system puts exactly 2 on the surviving diagonal.
-    channels is the set it was built from.
+    the relabeled channel state.  It is derived from channels alone, as
+    B^T K B with K = _KERNEL and B = V (x) I_2 (V the channel vectors).  B
+    is orthogonal, so the overlap has K's spectrum, 2 four times and -1
+    twice: it is 2I - 3 W W^T with W = B^T U, U the two -1 eigenvectors
+    of K.  A fully collapsed single-level system puts exactly 2 on the
+    surviving diagonal.
     """
 
-    matrix: np.ndarray  # 6 x 6
     channels: TwoBodyChannelSet = field(repr=False)
+    matrix: np.ndarray = field(init=False)  # 6 x 6
 
     def __post_init__(self):
-        o = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", _checked_overlaps(o[None])[0])
+        object.__setattr__(self, "matrix",
+                           _overlap_stack(self.channels.vectors[None])[0])
+
+
+def _overlap_stack(vectors: np.ndarray) -> np.ndarray:
+    """(P, 6, 6) exchange overlaps B^T K B, symmetrized, of a (P, 3, 3)
+    channel-vector stack."""
+    b = np.einsum("psi,mn->psmin", vectors, np.eye(2)).reshape(-1, 6, 6)
+    o = np.swapaxes(b, 1, 2) @ _KERNEL @ b
+    return 0.5 * (o + np.swapaxes(o, 1, 2))
 
 
 def _exchange_overlaps(channel_sets) -> list[ExchangeOverlap]:
-    """exchange_overlap of each channel set, built by explicit permutation
-    algebra in the 8-dim product space and checked as one (P, 6, 6)
-    stack."""
-    f12, f23, f31 = _faddeev_vectors(_channel_pair_tensors(
-        np.array([c.vectors for c in channel_sets])))
-    o = _checked_overlaps(f12 @ np.swapaxes(f23, 1, 2)
-                          + f12 @ np.swapaxes(f31, 1, 2))
-    return [_prechecked(ExchangeOverlap, matrix=m, channels=c)
+    """exchange_overlap of each channel set, as one stacked congruence."""
+    o = _overlap_stack(np.array([c.vectors for c in channel_sets]))
+    return [_prechecked(ExchangeOverlap, channels=c, matrix=m)
             for m, c in zip(o, channel_sets)]
 
 
 def exchange_overlap(channels: TwoBodyChannelSet) -> ExchangeOverlap:
-    """Assemble the 6x6 exchange overlap by explicit permutation algebra
-    in the 8-dim product space."""
-    return _exchange_overlaps([channels])[0]
+    """The 6x6 exchange overlap of a channel set (ExchangeOverlap)."""
+    return ExchangeOverlap(channels)

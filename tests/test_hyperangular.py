@@ -175,28 +175,24 @@ def test_spec_mode_validation():
 
 @pytest.mark.parametrize("lengths, radius", [
     ((1.0, 2.0, -3.0), 1.5), (("unitary", "closed", "unitary"), None)])
-def test_overlap_specs_are_the_checked_specs(lengths, radius):
-    """_overlap_specs builds from one stack checked at once the specs
-    ChannelMatrixSpec.from_overlap builds one by one, and refuses what it
-    refuses: an overlap of the stack not of the form 2I - 3 V V^T, and
-    finite lengths without R > 0."""
+def test_from_overlap_specs_are_the_checked_specs(lengths, radius):
+    """ChannelMatrixSpec.from_overlap, which checks only the lengths and
+    R, builds the spec the raw-array constructor builds with every check,
+    the overlap's form among them, and refuses finite lengths without R >
+    0."""
     overlaps = spin._exchange_overlaps(
         [channels_from_angle(t, *lengths) for t in (0.0, 0.4, 1.1)])
-    got = hyperangular._overlap_specs(overlaps, radius)
-    for spec, o in zip(got, overlaps, strict=True):
-        want = ChannelMatrixSpec.from_overlap(o, hyperradius=radius)
-        assert np.array_equal(spec.overlap, want.overlap)
-        assert (spec.lengths, spec.state_channel, spec.hyperradius,
-                spec.channels) == (want.lengths, want.state_channel,
-                                   want.hyperradius, want.channels)
-    bad = overlaps[:2] + [spin._prechecked(
-        spin.ExchangeOverlap, matrix=overlaps[2].matrix + 0.01 * np.eye(6),
-        channels=overlaps[2].channels)]
-    with pytest.raises(HyperangularError, match="2I - 3 V V"):
-        hyperangular._overlap_specs(bad, radius)
-    if radius is not None:
-        with pytest.raises(HyperangularError, match="hyperradius > 0"):
-            hyperangular._overlap_specs(overlaps, 0.0)
+    for o in overlaps:
+        got = ChannelMatrixSpec.from_overlap(o, hyperradius=radius)
+        want = ChannelMatrixSpec(tuple(o.channels.lengths), o.matrix,
+                                 (0, 0, 1, 1, 2, 2), radius, o.channels)
+        assert np.array_equal(got.overlap, want.overlap)
+        assert (got.lengths, got.state_channel, got.hyperradius,
+                got.channels) == (want.lengths, want.state_channel,
+                                  want.hyperradius, want.channels)
+        if radius is not None:
+            with pytest.raises(HyperangularError, match="hyperradius > 0"):
+                ChannelMatrixSpec.from_overlap(o, 0.0)
 
 
 # ---------------------------------------------------------------------------

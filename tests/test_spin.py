@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinor_efimov import spin
+from spinor_efimov import hyperangular, spin
 from spinor_efimov.spin import (
     ScatteringMatrix,
     SpinAlgebraError,
@@ -220,15 +220,28 @@ def test_overlap_beta_block_closed_form(theta):
                                expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("variant", ["reference", "sign-flip",
+                                     "one-body-rotation"])
 @pytest.mark.parametrize("seed", range(6))
-def test_overlap_matches_brute_force(seed):
+def test_overlap_matches_brute_force(seed, variant):
+    """The overlap of a random channel set, of that set with one channel's
+    sign flipped, or of the set of its one-body rotated matrix matches the
+    enumeration oracle and passes the form check that
+    ChannelMatrixSpec.from_overlap no longer runs."""
     rng = np.random.default_rng(100 + seed)
     m = rng.uniform(-2, 2, size=(3, 3))
-    cs = eigenchannels(ScatteringMatrix.from_matrix(m + m.T))
-    o = exchange_overlap(cs)
-    np.testing.assert_allclose(o.matrix, brute_force_overlap(cs), atol=1e-13)
-    assert np.max(np.abs(o.matrix - o.matrix.T)) < 1e-12
-    assert np.max(np.abs(o.matrix)) <= 2.0 + 1e-12
+    matrix = ScatteringMatrix.from_matrix(m + m.T)
+    channels = eigenchannels(matrix)
+    if variant == "sign-flip":
+        channels = channels.flip_sign(int(rng.integers(0, 3)))
+    elif variant == "one-body-rotation":
+        channels = eigenchannels(one_body_rotation(
+            rng.uniform(0.0, 2.0 * math.pi), matrix))
+    o = exchange_overlap(channels).matrix
+    np.testing.assert_allclose(o, brute_force_overlap(channels), atol=1e-13)
+    assert np.array_equal(o, o.T)
+    assert np.max(np.abs(o)) <= 2.0 + 1e-12
+    hyperangular._check_form(o[None])
 
 
 def test_overlap_sign_flip_moves_rows_and_columns():
@@ -264,17 +277,18 @@ def test_overlap_continuity_in_theta():
     assert np.max(np.abs(o2 - o1)) < 1e-3
 
 
-# ---------------------------------------------------------------------------
-# three-body basis and one-body rotations
-# ---------------------------------------------------------------------------
+def test_kernel_is_the_pair_basis_overlap():
+    """_KERNEL is the oracle's overlap of the pair basis itself, and K^2 =
+    K + 2I, the spectrum every derived overlap inherits."""
+    basis = spin.TwoBodyChannelSet((as_length(1.0),) * 3, np.eye(3))
+    k = spin._KERNEL
+    np.testing.assert_allclose(k, brute_force_overlap(basis), atol=1e-15)
+    assert np.max(np.abs(k @ k - k - 2.0 * np.eye(6))) < 1e-15
 
-@pytest.mark.parametrize("theta", np.linspace(0.0, math.pi / 2, 11))
-def test_embedding_columns_orthonormal(theta):
-    # the six (channel, spectator) states under the (1,2) pair labeling
-    cs = channels_from_angle(theta, 1.0, 2.0, 3.0)
-    f12 = spin._faddeev_vectors(spin._channel_pair_tensors(cs.vectors[None]))[0]
-    assert f12.shape == (1, 6, 8)
-    assert np.max(np.abs(f12[0] @ f12[0].T - np.eye(6))) < 1e-14
+
+# ---------------------------------------------------------------------------
+# one-body rotations
+# ---------------------------------------------------------------------------
 
 
 def test_one_body_rotation_identity():
@@ -416,22 +430,6 @@ def test_stack_with_one_bad_vector_set_raises_the_one_point_message():
         [lengths] * 3, np.array([good, bad, good]))) == one
 
 
-@pytest.mark.parametrize("entry, value, start", [
-    ((0, 1), None, "overlap not symmetric"),  # off by 1e-9 from (1, 0)
-    ((2, 2), 2.5, "overlap entries must lie in [-2, 2]"),
-])
-def test_stack_with_one_bad_overlap_raises_the_one_point_message(entry, value,
-                                                                 start):
-    cs = channels_from_angle(0.3, 1.0, 2.0, 3.0)
-    good = exchange_overlap(cs).matrix
-    bad = good.copy()
-    bad[entry] = bad[entry] + 1e-9 if value is None else value
-    one = _message(lambda: spin.ExchangeOverlap(bad, cs))
-    assert one.startswith(start)
-    assert _message(lambda: spin._checked_overlaps(
-        np.array([good, good, bad, good]))) == one
-
-
 def test_stack_with_one_bad_angle_raises_the_one_point_message():
     one = _message(lambda: channels_from_angle(2.0, 1.0, 2.0, 3.0))
     assert one == "mixing angle must lie in [0, pi/2], got 2.0"
@@ -450,8 +448,6 @@ def test_stack_with_one_bad_angle_raises_the_one_point_message():
      "A22 must be finite, got nan"),
     (lambda: spin.TwoBodyChannelSet((as_length(1.0),) * 3, np.eye(2)),
      "eigenvector matrix must be 3x3"),
-    (lambda: spin.ExchangeOverlap(np.eye(5), channels_from_angle(
-        0.0, 1.0, 2.0, 3.0)), "overlap matrix must be 6x6"),
 ])
 def test_spin_refusal_is_typed(call, message):
     with pytest.raises(SpinAlgebraError) as err:
