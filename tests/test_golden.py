@@ -37,7 +37,13 @@ with equal payloads, when the json check became byte-level.  The
 theta-sweep files were re-made when asymptotic roots came to be refined
 from one step of a shared table of phi instead of from a whole branch:
 eight of their values moved in the 12th significant digit, by at most
-5e-13, within the refinement's tolerance.  A difference is a behaviour change to be
+5e-13, within the refinement's tolerance.  Both the theta-sweep and the
+invariance-suite files were re-made when every exchange overlap came to
+be derived from one constant pair-basis kernel: three theta-sweep values
+moved in their 12th significant digit (each computed root by at most
+5.1e-13, and within 5e-13 of its 30-digit value) with three svg
+data-kappa attributes, and 31 invariance deviations changed, all below
+5.6e-13, the largest unchanged.  A difference is a behaviour change to be
 explained, never a reason to regenerate them; the generator below writes
 only the tasks it is given, for adding a new golden case or re-making one
 whose change has been explained:
