@@ -42,6 +42,7 @@ import cmath
 import ctypes
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,11 +174,20 @@ def inverse_square_potential(kappa: float, r_min: float, r_max: float,
     return AdiabaticPotential.from_s_squared(radii, s2, convention)
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where a double cannot hold it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def scaling_factor(kappa: float) -> float:
-    """Geometric size ratio e^(pi/kappa) between successive ladder states."""
+    """Geometric size ratio e^(pi/kappa) between successive ladder states,
+    inf below kappa = 0.00443, where a double cannot hold it."""
     if not kappa > 0:
         raise HyperradialError(f"kappa must be positive, got {kappa!r}")
-    return math.exp(math.pi / kappa)
+    return _exp_or_inf(math.pi / kappa)
 
 
 @dataclass(frozen=True)
@@ -259,9 +269,11 @@ def _openblas_dtbtrs():
 
 #: the band solver, chosen by the first sweep
 _solve = None
-#: band storage shared by every sweep (the package starts no threads):
-#: all -1 but the c entries ab[1::2, 1], which each sweep writes
+#: band storage shared by every sweep: all -1 but the c entries
+#: ab[1::2, 1], which each sweep writes; it holds _band_lock over that
+#: write and the solve, which releases the GIL and shares argument cells
 _band = np.empty((0, 3))
+_band_lock = threading.Lock()
 
 
 def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
@@ -284,19 +296,20 @@ def _numerov_sweep(q: np.ndarray, h: float, y0: float, y1: float) -> np.ndarray:
     y[0], y[1] = y0, y1
     if n <= 2:
         return y
-    if _solve is None:
-        _solve = _openblas_dtbtrs() or _scipy_dtbtrs
     minus_c = (-h * h) * q / p
-    # one row per unknown, passed transposed: the Fortran-ordered band
-    # storage dtbtrs needs, without a copy; its unit diagonal is never read
-    if _band.shape[0] < 2 * n - 4:
-        _band = np.full((2 * n - 4, 3), -1.0)
-    ab = _band[: 2 * n - 4]
-    ab[1::2, 1] = minus_c[2:]
     rhs = np.zeros(2 * n - 4)
     w1 = p[1] * y1
     rhs[:2] = w1 - p[0] * y0 - minus_c[1] * w1, w1  # d[1], w[2] - d[1]
-    w, info = _solve(ab, rhs)
+    with _band_lock:
+        if _solve is None:
+            _solve = _openblas_dtbtrs() or _scipy_dtbtrs
+        # one row per unknown, passed transposed: dtbtrs's Fortran-ordered
+        # band storage without a copy; its unit diagonal is never read
+        if _band.shape[0] < 2 * n - 4:
+            _band = np.full((2 * n - 4, 3), -1.0)
+        ab = _band[: 2 * n - 4]
+        ab[1::2, 1] = minus_c[2:]
+        w, info = _solve(ab, rhs)
     if info:
         raise HyperradialError("dtbtrs failed on the Numerov band system "
                                f"(info {info})")
@@ -312,10 +325,12 @@ def _count_nodes(y: np.ndarray) -> int:
 
 def _arg_gamma(kappa: float) -> float:
     """Im ln Gamma(1 + i kappa): the recurrence up to Gamma(16 + i kappa),
-    then the Stirling series (first omitted term below 3e-12 there)."""
+    then the Stirling series in powers of 1/z, which cannot overflow
+    (first omitted term below 3e-12 there)."""
     z = complex(16.0, kappa)
-    series = ((z - 0.5) * cmath.log(z) - z + 1.0 / (12.0 * z)
-              - 1.0 / (360.0 * z ** 3) + 1.0 / (1260.0 * z ** 5))
+    w = 1.0 / z
+    series = ((z - 0.5) * cmath.log(z) - z + w / 12.0 - w ** 3 / 360.0
+              + w ** 5 / 1260.0)
     return series.imag - sum(math.atan2(kappa, k) for k in range(1, 16))
 
 
@@ -551,6 +566,10 @@ def efimov_ladder(kappa: float, wall_radius: float = 1e-3, n_levels: int = 4,
     """
     if not kappa > 0:
         raise HyperradialError("kappa must be positive")
+    if not kappa * kappa < math.inf:
+        raise HyperradialError(
+            "the potential -(kappa^2 + 1/4)/(2 m R^2) is not finite in "
+            f"double precision at kappa = {kappa:g}")
     if not 0.0 < wall_radius < math.inf:
         raise HyperradialError(
             f"need 0 < r_min = wall_radius < inf; got {wall_radius:g}")

@@ -36,6 +36,7 @@ from .hyperangular import (
 )
 from .hyperradial import (
     PhysicalConvention,
+    _exp_or_inf,
     efimov_ladder,
     scaling_factor,
 )
@@ -260,7 +261,8 @@ def _run_ladder(cfg: RunConfig, bundle: ResultBundle) -> None:
         "nodes": (list(spectrum.nodes), None)})
     bundle.meta["kappa"] = _round12(kappa)
     bundle.meta["scaling_factor"] = _round12(scaling_factor(kappa))
-    bundle.meta["energy_ratio_target"] = _round12(math.exp(2 * math.pi / kappa))
+    bundle.meta["energy_ratio_target"] = _round12(
+        _exp_or_inf(2 * math.pi / kappa))
     bundle.meta["wall_radius"] = cfg.wall_radius
     if spectrum.depth_exhausted:
         bundle.warnings.append(

@@ -629,6 +629,35 @@ def test_cli_refuses_grids_that_overflow(text, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kappa, code, ratios", [
+    ("0.004", 0, (None, None)),
+    ("0.005", 0, (7.50361889558e+272, None)),
+    ("1e62", 0, (1.0, 1.0)),
+    ("1e300", 1, None),
+])
+def test_cli_extreme_kappa_ladder_has_no_traceback(kappa, code, ratios,
+                                                   tmp_path):
+    """A ladder whose scaling factor e^(pi/kappa), energy ratio
+    e^(2 pi/kappa) or Stirling terms leave double precision (each once
+    ended in an OverflowError traceback) exits 0 with its outputs, a ratio
+    a double cannot hold written as null, or 1 with one error line."""
+    cfg = tmp_path / "ladder.run"
+    cfg.write_text(f"task = ladder\nkappa = {kappa}\nformat = csv,json\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinor_efimov.cli", "ladder",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), \
+            proc.stderr
+        return
+    assert all(line.startswith("warning: ") for line in lines), proc.stderr
+    meta = json.loads((tmp_path / "out" / "ladder.json").read_text())["meta"]
+    assert (meta["scaling_factor"], meta["energy_ratio_target"]) == ratios
+
+
 @functools.lru_cache
 def _alpha_root():
     """The alpha root at theta = 0.3, R = 0.4137 with beta closed, by

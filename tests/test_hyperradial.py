@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import warnings
 
 import mpmath
@@ -252,6 +253,27 @@ def test_scipy_fallback_gives_the_same_bits(monkeypatch):
     fallback = _ladders_and_sweeps()
     assert hyperradial._solve is hyperradial._scipy_dtbtrs
     assert fallback == bundled
+
+
+def test_concurrent_ladders_match_serial_ones():
+    """The benchmark's two ladders, 40 times each in two threads at once,
+    give the serial results every time: the band solve releases the GIL,
+    and no sweep may see another's band system."""
+    cases = [(KAPPA_IB, 1e-3, 4), (0.41370, 1e-3, 3)]
+    serial = [efimov_ladder(*case) for case in cases]
+    results = [[], []]
+
+    def work(i):
+        results[i].extend(efimov_ladder(*cases[i]) for _ in range(40))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for want, got in zip(serial, results, strict=True):
+        assert len(got) == 40
+        assert all(spectrum == want for spectrum in got)
 
 
 def test_a_library_that_fails_the_known_system_is_not_used(monkeypatch):
