@@ -167,9 +167,8 @@ class ChannelMatrixSpec:
     finite or closed, R > 0), else asymptotic (R never enters).
     overlap must be 2I - 3 V V^T with V of at most two orthonormal
     columns: O^2 = O + 2I to _FORM_TOL, and 2n - trace O = 3 rank V at
-    most 6.  A raw array is checked for it; an ExchangeOverlap
-    (from_overlap) has it by construction.  channels, when set, gives the
-    roots their spin profiles.
+    most 6, checked for a raw array, true of every ExchangeOverlap.
+    channels, when set, gives the roots their spin profiles.
     """
 
     lengths: tuple[ChannelLength, ...]
@@ -202,8 +201,7 @@ class ChannelMatrixSpec:
     def from_overlap(overlap: ExchangeOverlap,
                      hyperradius: float | None = None) -> "ChannelMatrixSpec":
         """The six-state problem of the overlap's channel set; only the
-        lengths and R are checked, the overlap's form holds by
-        construction (spin.ExchangeOverlap)."""
+        lengths and R are checked (the overlap has the form it needs)."""
         spec = _prechecked_spec(overlap, hyperradius)
         if spec.mode == "finite":
             _check_finite(spec.lengths, hyperradius)
@@ -539,8 +537,8 @@ class _SpecStack:
         within L h + margin of zero in the cell.  The margin leaves room
         for round-off: six eigenvalue errors for the matrix and the
         count's own arithmetic, and |k| <= 4/sqrt(3) times n _FORM_TOL/2,
-        a bound on ||O - (2I - 3 V V^T)||_2 for an overlap that passes
-        the spec check (each eigenvalue (l - 2)(l + 1) of O^2 - O - 2I is
+        a bound on ||O - (2I - 3 V V^T)||_2 for an overlap of the spec's
+        form (each eigenvalue (l - 2)(l + 1) of O^2 - O - 2I is
         at most n _FORM_TOL, so l is within about a third of that of 2 or
         -1)."""
         lip = self.lipschitz(p, np.maximum(lo - h, 0.0), hi + h)

@@ -19,15 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PAIR_LABELS = ("11", "12S", "22")
-
 #: exchange overlap of the pair basis itself over the states (11,1),
 #: (11,2), (12S,1), (12S,2), (22,1), (22,2): block-diagonal in the number
 #: of atoms in level 2, with eigenvalues 2 (four times) and -1 (twice), so
 #: K^2 = K + 2I
-_KERNEL = np.zeros((6, 6))
-_KERNEL[0, 0] = _KERNEL[5, 5] = 2.0
-_KERNEL[2, 2] = _KERNEL[3, 3] = 1.0
+_KERNEL = np.diag([2.0, 0.0, 1.0, 1.0, 0.0, 2.0])
 _KERNEL[1, 2] = _KERNEL[2, 1] = _KERNEL[3, 4] = _KERNEL[4, 3] = math.sqrt(2.0)
 
 _ORTHO_TOL = 1e-12
@@ -329,12 +325,9 @@ class ExchangeOverlap:
 
     Entry ((i,m),(j,m')) sums, over the two cyclic pair relabelings, the
     product-space inner product between the (1,2)-pair channel state and
-    the relabeled channel state.  It is derived from channels alone, as
-    B^T K B with K = _KERNEL and B = V (x) I_2 (V the channel vectors).  B
-    is orthogonal, so the overlap has K's spectrum, 2 four times and -1
-    twice: it is 2I - 3 W W^T with W = B^T U, U the two -1 eigenvectors
-    of K.  A fully collapsed single-level system puts exactly 2 on the
-    surviving diagonal.
+    the relabeled channel state.  The matrix is B^T K B, K = _KERNEL and B
+    = V (x) I_2 orthogonal (V the channel vectors), so it has K's spectrum:
+    it is 2I - 3 W W^T with W = B^T U, U the -1 eigenvectors of K.
     """
 
     channels: TwoBodyChannelSet = field(repr=False)

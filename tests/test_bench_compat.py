@@ -4,6 +4,7 @@ must put the originals back."""
 
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 import mpmath
@@ -118,3 +119,18 @@ def test_workload_outputs_pass_the_benchmark_checks(tmp_path):
         elapsed += time.perf_counter() - t0
     assert failed == 0 and attempted > 0
     assert elapsed < 1.5, elapsed
+
+
+def test_hyperangular_stays_below_the_calibration_threshold():
+    """Above about 10,250 tokens in hyperangular.py (tokenize, without
+    COMMENT and NL tokens), every scaled time of a benchmark worker reads
+    about 30% worse at equal raw times.  Delete this test when ROADMAP
+    item 1c, a calibration that can be trusted, lands."""
+    path = Path(spinor_efimov.__file__).with_name("hyperangular.py")
+    with open(path, "rb") as f:
+        tokens = sum(t.type not in (tokenize.COMMENT, tokenize.NL)
+                     for t in tokenize.tokenize(f.readline))
+    assert tokens <= 10_200, (
+        f"hyperangular.py has {tokens} tokens, above 10,200: near the "
+        "size that moves the benchmark's calibration and every scaled "
+        "time (ROADMAP item 1c); shrink the module or land item 1c first")
