@@ -227,7 +227,7 @@ def test_overlap_matches_brute_force(seed, variant):
     """The overlap of a random channel set, of that set with one channel's
     sign flipped, or of the set of its one-body rotated matrix matches the
     enumeration oracle and passes the form check that
-    ChannelMatrixSpec.from_overlap no longer runs."""
+    ChannelMatrixSpec.from_overlap does not run."""
     rng = np.random.default_rng(100 + seed)
     m = rng.uniform(-2, 2, size=(3, 3))
     matrix = ScatteringMatrix.from_matrix(m + m.T)
