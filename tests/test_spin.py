@@ -290,7 +290,6 @@ def test_kernel_is_the_pair_basis_overlap():
 # one-body rotations
 # ---------------------------------------------------------------------------
 
-
 def test_one_body_rotation_identity():
     m = ScatteringMatrix.from_entries(1.0, 0.2, 0.3, -0.5, 0.1, 2.0)
     np.testing.assert_allclose(one_body_rotation(0.0, m).entries, m.entries,
